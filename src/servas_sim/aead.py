@@ -31,13 +31,25 @@ class AesGcmAead:
     name = "aes-gcm"
     nonce_len = 12
 
+    def __init__(self):
+        # The cipher object of the last key used: an engine seals every line
+        # under one key, so building it per call would be pure overhead.
+        self._key: bytes | None = None
+        self._cipher: AESGCM | None = None
+
+    def _for(self, key: bytes) -> AESGCM:
+        if key != self._key:
+            self._cipher = AESGCM(key)
+            self._key = key
+        return self._cipher
+
     def seal(self, key: bytes, nonce: bytes, plaintext: bytes, ad: bytes) -> tuple[bytes, bytes]:
-        blob = AESGCM(key).encrypt(nonce, plaintext, ad)
+        blob = self._for(key).encrypt(nonce, plaintext, ad)
         return blob[:-TAG_LEN], blob[-TAG_LEN:]
 
     def open(self, key: bytes, nonce: bytes, ciphertext: bytes, tag: bytes, ad: bytes) -> bytes:
         try:
-            return AESGCM(key).decrypt(nonce, ciphertext + tag, ad)
+            return self._for(key).decrypt(nonce, ciphertext + tag, ad)
         except InvalidTag as exc:
             raise AeadAuthError("authentication tag mismatch") from exc
 

@@ -13,8 +13,9 @@ untranslated (virtual address == physical address, no PTE).
 Writes are read-modify-write at line granularity: the existing line must
 verify under the access tweak before the merged line is re-sealed.  Lines
 that were never written at all stand in for boot-time zeroed DRAM and
-verify as zeros under any tweak.  The one exception is an M-mode write with
-the store override armed, which skips verification -- that is how the
+verify as zeros under any tweak.  The one exception is an M-mode write
+under a pinned tweak (the store override armed, or
+:meth:`Machine.pinned_access`), which skips verification -- that is how the
 security monitor initializes pages regardless of their previous binding.
 """
 
@@ -258,10 +259,10 @@ class Machine:
 
     def compose_for_access(self, va: int, prv: int, pte_bits: int,
                            kind: AccessKind) -> SwTweak:
-        override = self.csr.load_override if kind in (AccessKind.READ, AccessKind.FETCH) \
-            else self.csr.store_override
-        if prv != PRV_M:
-            override = None  # override registers apply to M-mode accesses only
+        override = None
+        if prv == PRV_M:  # override registers apply to M-mode accesses only
+            override = self.csr.store_override if kind is AccessKind.WRITE \
+                else self.csr.load_override
         return compose_sw_tweak(
             va & ~(LINE_BYTES - 1), prv, pte_bits,
             self.csr.mrange, self.csr.srange, self.csr.urange,
@@ -287,12 +288,14 @@ class Machine:
         if va >= (1 << self.va_bits):
             raise PageFault(va, prv, "virtual address exceeds address width")
 
+        pinned = False
         if prv == PRV_M:
             pa, pte_bits = va, 0
-            if self.csr.store_override is not None and kind is AccessKind.WRITE:
-                pte_bits = self.csr.store_override.pte or 0
-            elif self.csr.load_override is not None and kind is not AccessKind.WRITE:
-                pte_bits = self.csr.load_override.pte or 0
+            override = self.csr.store_override if kind is AccessKind.WRITE \
+                else self.csr.load_override
+            if override is not None:
+                pte_bits = override.pte or 0
+                pinned = override.armed
         else:
             pte = self.walk(space, va)
             if pte is None:
@@ -307,11 +310,34 @@ class Machine:
 
         try:
             sw = self.compose_for_access(va, prv, pte_bits, kind)
+        except PrivilegeViolation as exc:
+            raise PrivilegeTrap(va, prv, str(exc)) from exc
+        if pinned:
+            return self.pinned_access(pa, sw, kind, data, size)
+        return self._line_access(va, prv, pa, sw, kind, data, size, skip_verify=False)
+
+    def pinned_access(self, pa: int, sw: SwTweak, kind: AccessKind = AccessKind.READ,
+                      data: bytes | None = None, size: int = LINE_BYTES) -> bytes:
+        """M-mode access to the physical line holding ``pa`` under a fully
+        pinned software tweak, as with every field of the override CSR set.
+
+        This is the security monitor's path (and the end of an M-mode access
+        with the override armed); it has no privilege check of its own, as
+        only M-mode code can reach it.  No page table and no CSR is
+        consulted.  A write does not verify the line's previous content: the
+        line is re-sealed as zeros merged with ``data``, which is how the
+        monitor initializes a page whatever its previous binding.  A read
+        verifies as any access does.
+        """
+        return self._line_access(pa, PRV_M, pa, sw, kind, data, size, skip_verify=True)
+
+    def _line_access(self, va: int, prv: int, pa: int, sw: SwTweak, kind: AccessKind,
+                     data: bytes | None, size: int, skip_verify: bool) -> bytes:
+        """Classification, bypass, cache and engine for one composed access."""
+        try:
             ptype = classify_tweak(sw)
         except InvalidCombination as exc:
             raise InvalidCombinationTrap(va, prv, str(exc)) from exc
-        except PrivilegeViolation as exc:
-            raise PrivilegeTrap(va, prv, str(exc)) from exc
 
         line_index = pa // LINE_BYTES
         line_off = pa % LINE_BYTES
@@ -319,10 +345,6 @@ class Machine:
         if self.bypass and ptype is PageType.UNPROTECTED:
             return self._plain_access(line_index, line_off, kind, data, size)
 
-        skip_verify = (
-            kind is AccessKind.WRITE and prv == PRV_M
-            and self.csr.store_override is not None and self.csr.store_override.armed
-        )
         try:
             if kind is AccessKind.WRITE:
                 return self._write_line(line_index, line_off, data, sw, skip_verify)

@@ -2,18 +2,26 @@
 
 The monitor owns the whole enclave lifecycle: loading images, entering and
 exiting, interruption, dynamic page preparation and destruction, in-place
-re-encryption, swapping and sealing.  It is stateless apart from the
-monotonically increasing runtime-id counter: everything else lives in two
-per-enclave MONITOR pages (metadata + thread state) that are OS-allocated
-but sealed under an M-mode tweak, so the monitor re-reads and re-verifies
-its own state on every call.  Destroying those pages erases the enclave as
-far as the monitor is concerned.
+re-encryption, swapping and sealing.  Between calls it is stateless apart
+from the monotonically increasing runtime-id counter (within a call it also
+remembers which monitor lines it verified, to skip unchanged ones when it
+stores): everything else lives in two per-enclave MONITOR pages (metadata
++ thread state) that are OS-allocated but sealed under an M-mode tweak, so
+the monitor re-reads and re-verifies its own state on every call.
+Destroying those pages erases the enclave as far as the monitor is
+concerned.
 
-Page initialization works through the tweak-override registers: for every
-line the monitor pins all five software tweak fields to exactly the values
-the enclave's own accesses will compose later, then writes through the
-normal access path.  That is the entire trust story -- the OS-controlled
-page tables never have to be believed.
+Page I/O pins the tweak: for every line of an enclave page the monitor
+supplies all five software tweak fields -- exactly the values the
+enclave's own accesses will compose later -- and hands the line to the
+machine's pinned-tweak access (:meth:`Machine.pinned_access`), the same
+engine path an M-mode access with the override registers armed takes, but
+with no CSR written and no page table consulted.  That is the entire trust
+story -- the OS-controlled page tables never have to be believed.  Monitor
+pages are read and verified in full on every call; a store re-seals only
+the lines whose bytes differ from what the same call verified, and any
+line whose engine counter moved since (the OS may alias another page onto
+a monitor page) is re-sealed whatever its bytes.
 
 Swap-out seals a page with a fresh nonce and records (nonce, tag, address,
 permissions) in the metadata page; only that exact sealed version can come
@@ -21,7 +29,7 @@ back in.  The sealed bytes are written to the OS-supplied temporary page
 under the plain S-mode identity-mapping tweak (map it ``rw``, not user)
 so the OS can move them to disk.
 
-Authentication faults route here.  Faults on an address with a live swap
+Authentication faults route here.  Faults on an address with a swap
 record are the legitimate demand-swap flow and cost nothing; any other
 fault inside an enclave bumps its fault counter, and the enclave is
 terminated at the configured threshold, which is what defeats online
@@ -62,10 +70,11 @@ from .tweak import (
     InvalidCombination,
     PageType,
     RangeReg,
-    TweakOverride,
+    SwTweak,
     classify_page_type,
     pack_pte_bits,
     truncate_sid,
+    voffset_bits,
 )
 
 
@@ -176,7 +185,6 @@ class SwapRecord:
     perms: dict[str, bool]
     rsw: int
     page_type: PageType
-    live: bool
 
 
 _META_FIXED = struct.Struct("<4sHBBQ32sQQQIHH16sQB7x")
@@ -235,7 +243,7 @@ class EnclaveMeta:
                              _PTYPE_CODE[o.page_type], pack_perm_byte(o.perms), o.rsw)
         for i, s in enumerate(self.swaps):
             _SWAP.pack_into(buf, _SWAP_OFF + i * _SWAP.size, s.va, s.nonce, s.tag,
-                            pack_perm_byte(s.perms), s.rsw, _PTYPE_CODE[s.page_type], s.live)
+                            pack_perm_byte(s.perms), s.rsw, _PTYPE_CODE[s.page_type], True)
         return bytes(buf)
 
     @classmethod
@@ -254,8 +262,10 @@ class EnclaveMeta:
         swaps = []
         for i in range(n_swaps):
             va, nonce, tag, perm, rsw, code, live = _SWAP.unpack_from(buf, _SWAP_OFF + i * _SWAP.size)
+            if not live:
+                continue  # consumed (older monitors kept these): reads as absent
             swaps.append(SwapRecord(va, nonce, tag, unpack_perm_byte(perm), rsw,
-                                    _PTYPE_FROM_CODE[code], bool(live)))
+                                    _PTYPE_FROM_CODE[code]))
         return cls(
             state=EnclaveState(state), rtid=rtid, encid_full=encid, entry_point=entry,
             mrange=RangeReg(mbase, msize, True), host_space=space.rstrip(b"\x00").decode(),
@@ -317,8 +327,9 @@ def derive_developer_key(cpu_key: bytes, developer_id: bytes) -> bytes:
     return kdf(cpu_key, b"developer-key", developer_id)
 
 
+# rw, no user, rsw 00: the pte field of monitor pages (with PRV_M) and of
+# the swap temporary page (with PRV_S, the OS's identity-mapped view)
 MONITOR_PTE_BITS = pack_pte_bits(r=True, w=True, x=False, u=False, g=False, rsw=0)
-_TEMP_PAGE_PTE_BITS = pack_pte_bits(r=True, w=True, x=False, u=False, g=False, rsw=0)
 
 
 @dataclass(frozen=True)
@@ -348,8 +359,11 @@ class SecurityMonitor:
         self.fault_threshold = fault_threshold
         self.delay_penalty = delay_penalty
         self.aead = get_aead(aead)
-        self._rtid_next = rtid_start  # the monitor's only mutable state
+        self._rtid_next = rtid_start  # the only state that outlives a call
         self._in_monitor = False
+        # monitor-page line -> (engine counter, plaintext) verified during
+        # the current call; emptied when the call ends
+        self._verified: dict[int, tuple[int, bytes]] = {}
         machine.sm_auth_handler = self.handle_auth_fault
 
     # --- plumbing -----------------------------------------------------------
@@ -365,41 +379,34 @@ class SecurityMonitor:
         finally:
             if self.machine.prv == PRV_M:
                 self.machine.prv = saved_prv
+            self._verified.clear()
             self._in_monitor = False
 
-    def _override_write(self, pa: int, data: bytes, override: TweakOverride) -> None:
-        m = self.machine
-        m.write_csr(PRV_M, "store_override", override)
-        try:
-            m.access(None, pa, AccessKind.WRITE, PRV_M, data=data)
-        finally:
-            m.write_csr(PRV_M, "store_override", None)
-
-    def _override_read(self, pa: int, override: TweakOverride, size: int = LINE_BYTES) -> bytes:
-        m = self.machine
-        m.write_csr(PRV_M, "load_override", override)
-        try:
-            return m.access(None, pa, AccessKind.READ, PRV_M, size=size)
-        finally:
-            m.write_csr(PRV_M, "load_override", None)
-
-    def _monitor_line_override(self, pa: int) -> TweakOverride:
-        return TweakOverride(xrange=0, voffset=(pa // LINE_BYTES) & ((1 << (self.machine.va_bits - 6)) - 1),
-                             prv=PRV_M, pte=MONITOR_PTE_BITS, sid=0)
+    def _monitor_page_fields(self, ppn: int) -> tuple[int, int, int, int, int]:
+        """(xrange, voffset_base, pte_bits, sid, prv) of a monitor page: no
+        range, the absolute line index, M-mode read/write."""
+        voffset_base = (ppn * LINES_PER_PAGE) & ((1 << voffset_bits(self.machine.va_bits)) - 1)
+        return 0, voffset_base, MONITOR_PTE_BITS, 0, PRV_M
 
     def _read_monitor_page(self, ppn: int) -> bytes:
-        base = ppn * PAGE_BYTES
-        return b"".join(
-            self._override_read(base + i * LINE_BYTES, self._monitor_line_override(base + i * LINE_BYTES))
-            for i in range(LINES_PER_PAGE)
-        )
+        content = self._read_page(ppn, *self._monitor_page_fields(ppn))
+        counter_of = self.machine.mee.counter_of
+        first = ppn * LINES_PER_PAGE
+        for i in range(LINES_PER_PAGE):
+            self._verified[first + i] = (counter_of(first + i),
+                                         content[i * LINE_BYTES:(i + 1) * LINE_BYTES])
+        return content
 
     def _write_monitor_page(self, ppn: int, content: bytes) -> None:
-        base = ppn * PAGE_BYTES
-        for i in range(LINES_PER_PAGE):
-            pa = base + i * LINE_BYTES
-            self._override_write(pa, content[i * LINE_BYTES:(i + 1) * LINE_BYTES],
-                                 self._monitor_line_override(pa))
+        """Re-seal the lines that differ from what this call verified.  A
+        line whose counter moved since was re-sealed by someone else (an
+        aliased page init or destroy) and is always rewritten."""
+        counter_of = self.machine.mee.counter_of
+        first = ppn * LINES_PER_PAGE
+        dirty = [i for i in range(LINES_PER_PAGE)
+                 if self._verified.get(first + i)
+                 != (counter_of(first + i), content[i * LINE_BYTES:(i + 1) * LINE_BYTES])]
+        self._init_page(ppn, content, *self._monitor_page_fields(ppn), lines=dirty)
 
     def _load_meta(self, handle: EnclaveHandle) -> EnclaveMeta:
         return EnclaveMeta.unpack(self._read_monitor_page(handle.meta_ppn))
@@ -455,21 +462,22 @@ class SecurityMonitor:
         return xrange, voffset_base, pte_bits, sid
 
     def _init_page(self, ppn: int, content: bytes, xrange: int, voffset_base: int,
-                   pte_bits: int, sid: int, prv: int = PRV_U) -> None:
+                   pte_bits: int, sid: int, prv: int = PRV_U,
+                   lines=range(LINES_PER_PAGE)) -> None:
+        m = self.machine
         base = ppn * PAGE_BYTES
-        for i in range(LINES_PER_PAGE):
-            ov = TweakOverride(xrange=xrange, voffset=voffset_base + i, prv=prv,
-                               pte=pte_bits, sid=sid)
-            self._override_write(base + i * LINE_BYTES,
-                                 content[i * LINE_BYTES:(i + 1) * LINE_BYTES], ov)
+        for i in lines:
+            m.pinned_access(base + i * LINE_BYTES,
+                            SwTweak(xrange, voffset_base + i, prv, pte_bits, sid, m.va_bits),
+                            AccessKind.WRITE, content[i * LINE_BYTES:(i + 1) * LINE_BYTES])
 
     def _read_page(self, ppn: int, xrange: int, voffset_base: int, pte_bits: int,
                    sid: int, prv: int = PRV_U) -> bytes:
+        m = self.machine
         base = ppn * PAGE_BYTES
         return b"".join(
-            self._override_read(base + i * LINE_BYTES,
-                                TweakOverride(xrange=xrange, voffset=voffset_base + i,
-                                              prv=prv, pte=pte_bits, sid=sid))
+            m.pinned_access(base + i * LINE_BYTES,
+                            SwTweak(xrange, voffset_base + i, prv, pte_bits, sid, m.va_bits))
             for i in range(LINES_PER_PAGE)
         )
 
@@ -491,8 +499,8 @@ class SecurityMonitor:
     def ecreate(self, host_space: str, image, target_base: int, stack_pages: int,
                 meta_ppn: int, thread_ppn: int) -> EnclaveHandle:
         """Load an image: authenticate (and unwrap), initialize every page
-        through the tweak override, set up both monitor pages, allocate a
-        fresh runtime id."""
+        under its pinned tweak, set up both monitor pages, allocate a fresh
+        runtime id."""
         with self._monitor_call():
             if isinstance(image, (bytes, bytearray)):
                 _, dev_id, _, _ = parse_header(bytes(image))
@@ -503,6 +511,8 @@ class SecurityMonitor:
             image.validate()
             if target_base % PAGE_BYTES:
                 raise InvalidImage("target base must be page aligned")
+            if len(image.pages) + stack_pages > MAX_OWNED:
+                raise MonitorCapacity("too many owned pages for the metadata page")
             encid = image.encid()
             rtid = self._rtid_next
             self._rtid_next += 1
@@ -662,6 +672,8 @@ class SecurityMonitor:
                 raise InvalidCombination("rsw bits disagree with the page type")
             if any(o.va == va for o in meta.owned):
                 raise DoubleMap(f"page {va:#x} is already mapped into the enclave")
+            if any(s.va == va for s in meta.swaps):
+                raise DoubleMap(f"page {va:#x} is swapped out of the enclave")
             xrange, voffset_base, pte_bits, sid = self._page_fields(
                 meta, ctx, va, urange=caller_urange)
             ppn = self._walk_ppn(meta.host_space, va)
@@ -730,7 +742,8 @@ class SecurityMonitor:
                 raise NotOwned(f"page {va:#x} is not mapped into the enclave")
             if entry.page_type is PageType.SHM:
                 raise TypeNotSwappable("shared-data pages are excluded from swapping")
-            assert not any(s.va == va and s.live for s in meta.swaps)
+            if any(s.va == va for s in meta.swaps):
+                raise DoubleMap(f"page {va:#x} is both mapped and swapped out")
             ctx = PageCtx(entry.page_type, entry.perms, entry.rsw)
             fields = self._page_fields(meta, ctx, va)
             ppn = self._walk_ppn(meta.host_space, va)
@@ -739,16 +752,11 @@ class SecurityMonitor:
             sealed, tag = self.aead.seal(
                 self._swap_key(meta), nonce, content,
                 self._swap_ad(meta, va, entry.perms, entry.rsw, entry.page_type))
-            base = temp_ppn * PAGE_BYTES
-            for i in range(LINES_PER_PAGE):
-                ov = TweakOverride(xrange=0, voffset=(base // LINE_BYTES) + i,
-                                   prv=PRV_S, pte=_TEMP_PAGE_PTE_BITS, sid=0)
-                self._override_write(base + i * LINE_BYTES,
-                                     sealed[i * LINE_BYTES:(i + 1) * LINE_BYTES], ov)
+            self._init_page(temp_ppn, sealed, 0, temp_ppn * LINES_PER_PAGE,
+                            MONITOR_PTE_BITS, 0, prv=PRV_S)
             self._destroy_page(ppn)
-            meta.swaps = [s for s in meta.swaps if s.live or s.va != va]
             meta.swaps.append(SwapRecord(va, nonce, tag, dict(entry.perms),
-                                         entry.rsw, entry.page_type, live=True))
+                                         entry.rsw, entry.page_type))
             meta.owned.remove(entry)
             self._store_meta(handle, meta)
             return sealed
@@ -758,9 +766,9 @@ class SecurityMonitor:
         stored nonce/tag pin one version; anything else fails."""
         with self._monitor_call():
             meta = self._load_meta(handle)
-            record = next((s for s in meta.swaps if s.va == va and s.live), None)
+            record = next((s for s in meta.swaps if s.va == va), None)
             if record is None:
-                raise NoRecord(f"no live swap record for page {va:#x}")
+                raise NoRecord(f"no swap record for page {va:#x}")
             try:
                 content = self.aead.open(
                     self._swap_key(meta), record.nonce, sealed, record.tag,
@@ -771,7 +779,7 @@ class SecurityMonitor:
             fields = self._page_fields(meta, ctx, va)
             ppn = self._walk_ppn(meta.host_space, va)
             self._init_page(ppn, content, *fields)
-            record.live = False
+            meta.swaps.remove(record)
             meta.owned.append(OwnedPage(va, record.page_type, dict(record.perms), record.rsw))
             self._store_meta(handle, meta)
 
@@ -793,7 +801,7 @@ class SecurityMonitor:
             except (Trap, MonitorError):
                 return Disposition(DispositionKind.RETRY_DENIED)
             page_va = trap.va - (trap.va % PAGE_BYTES)
-            if any(s.va == page_va and s.live for s in meta.swaps):
+            if any(s.va == page_va for s in meta.swaps):
                 # Legitimate touch of a swapped-out page: the demand-swap
                 # flow, not an attack.  No penalty.
                 return Disposition(DispositionKind.RETRY_DENIED)

@@ -260,9 +260,9 @@ def compose_sw_tweak(
     ``override_prv`` is the privilege level at which the override registers
     were armed; supplying an armed override from below M-mode faults.
     """
-    if override is not None and override.armed:
-        if (override_prv if override_prv is not None else prv) != PRV_M:
-            raise PrivilegeViolation("tweak override requires M-mode")
+    armed = override is not None and override.armed
+    if armed and (override_prv if override_prv is not None else prv) != PRV_M:
+        raise PrivilegeViolation("tweak override requires M-mode")
     bitmap = match_ranges(va, mrange, srange, urange)
     basis = select_basis(bitmap)
     bases = {Basis.M: mrange.base, Basis.S: srange.base, Basis.U: urange.base}
@@ -270,7 +270,7 @@ def compose_sw_tweak(
     rsw = (pte >> 5) & 0b11
     sid = select_sid(basis, rsw, sid_regs)
     sw = SwTweak(xrange=bitmap, voffset=voffset, prv=prv, pte=pte, sid=sid, va_bits=va_bits)
-    return apply_override(sw, override)
+    return apply_override(sw, override) if armed else sw
 
 
 def classify_page_type(xrange: int, prv: int, pte: int, rsw: int | None = None) -> PageType:

@@ -13,7 +13,15 @@ from servas_sim.machine import (
     PageFault,
     PrivilegeTrap,
 )
-from servas_sim.tweak import PRV_M, PRV_S, PRV_U, RangeReg, TweakOverride
+from servas_sim.tweak import (
+    PRV_M,
+    PRV_S,
+    PRV_U,
+    RangeReg,
+    SwTweak,
+    TweakOverride,
+    pack_pte_bits,
+)
 
 READ, WRITE, FETCH = AccessKind.READ, AccessKind.WRITE, AccessKind.FETCH
 
@@ -165,6 +173,21 @@ def test_override_initialization_matches_enclave_view(m):
     m.write_csr(PRV_M, "store_override", None)
     m.write_csr(PRV_M, "msid0", 99)
     assert m.access("p", 0x1000, READ, PRV_U, size=2) == b"II"
+
+
+def test_pinned_access_matches_armed_override(m):
+    """A pinned-tweak access and an M-mode access with every override field
+    armed take the same path: same ciphertext, same read-back."""
+    pte = pack_pte_bits(r=True, w=True, x=False, u=True, g=False, rsw=0b01)
+    fields = dict(xrange=0b100, voffset=3, prv=PRV_U, pte=pte, sid=99)
+    other = Machine(seed=3)
+    other.write_csr(PRV_M, "store_override", TweakOverride(**fields))
+    other.access(None, 0x10 * 4096, WRITE, PRV_M, data=b"P" * 64)
+    m.pinned_access(0x10 * 4096, SwTweak(**fields), WRITE, b"P" * 64)
+    assert m.mee.snapshot_line(0x10 * 64) == other.mee.snapshot_line(0x10 * 64)
+    assert m.pinned_access(0x10 * 4096, SwTweak(**fields)) == b"P" * 64
+    with pytest.raises(AuthenticationException):
+        m.pinned_access(0x10 * 4096, SwTweak(**dict(fields, sid=98)))
 
 
 def test_override_ignored_below_m(m):

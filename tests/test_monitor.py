@@ -1,6 +1,7 @@
 """Security-monitor lifecycle: creation, entry/exit, interruption, dynamic
 pages, re-encryption, sealing, swapping, fault rate limiting, statelessness."""
 
+import hashlib
 import random
 
 import pytest
@@ -17,7 +18,9 @@ from servas_sim.machine import (
 from servas_sim.monitor import (
     DispositionKind,
     DoubleMap,
+    EnclaveMeta,
     EnclaveState,
+    MonitorCapacity,
     MonitorTypeForbidden,
     NoRecord,
     NotInEnclave,
@@ -28,6 +31,7 @@ from servas_sim.monitor import (
     SwapAuthFailure,
     TypeNotSwappable,
     WrongState,
+    _SWAP_OFF,
 )
 from servas_sim.tweak import PageType, PRV_M, PRV_S, PRV_U, RangeReg
 
@@ -88,6 +92,31 @@ def test_ecreate_tampered_wrapped_image(machine, sm):
     machine.map_page(PRV_S, "host", A_BASE, 0x100, "rxu", 0b10)
     with pytest.raises(ImageAuthFailure):
         sm.ecreate("host", bytes(blob), A_BASE, 1, 0x200, 0x201)
+
+
+def test_ecreate_over_capacity_has_no_side_effects(machine, sm):
+    """An image that cannot fit the metadata page's owned list is refused
+    before any line is sealed and before a runtime id is spent."""
+    with pytest.raises(MonitorCapacity):
+        spawn_enclave(machine, sm, image=std_image(n_data=62), stack_pages=2)  # 65 pages
+    assert not machine.mee._lines
+    # 64 pages fit exactly, and get the first runtime id
+    handle = spawn_enclave(machine, sm, image=std_image(n_data=62), stack_pages=1)
+    assert sm.peek_meta(handle).rtid == 1
+    assert len(sm.peek_meta(handle).owned) == 64
+
+
+def test_ecreate_ciphertext_golden():
+    """Every sealed line of the standard enclave at seed 7, pinned: page
+    initialization must stay bit-identical however it is implemented."""
+    m = Machine(seed=7)
+    spawn_enclave(m, SecurityMonitor(m))
+    lines = sorted(m.mee._lines)
+    assert len(lines) == 5 * 64  # code, data, stack, metadata, thread
+    digest = hashlib.sha256(b"".join(
+        i.to_bytes(8, "little") + b"".join(m.mee.snapshot_line(i)) for i in lines))
+    assert digest.hexdigest() == \
+        "f77b12fc1ce6a5f7624be647adb7961450c325f930e20a6e73bc83ae330c9d2c"
 
 
 def test_two_instances_share_code_color_not_rtid(machine, sm):
@@ -361,6 +390,54 @@ def test_swap_roundtrip_preserves_content(enclave):
     assert m.access("host", DATA_VA, READ, PRV_U, size=64) == payload
 
 
+def test_swap_records_do_not_accumulate(machine, sm):
+    """A swapped-in page leaves no record behind, so 41 distinct pages can
+    each make the round trip (the metadata page holds 40 records)."""
+    handle = spawn_enclave(machine, sm, image=std_image(n_data=40))
+    vas = [A_BASE + i * PAGE_BYTES for i in range(1, 42)]  # 40 data + stack
+    machine.prv = PRV_S
+    for va in vas:
+        sealed = sm.swap_out(handle, va, temp_ppn=0x400)
+        sm.swap_in(handle, va, sealed)
+    meta = sm.peek_meta(handle)
+    assert meta.swaps == []
+    assert len(meta.owned) == 42
+
+
+def test_eprepare_refuses_swapped_out_page(enclave):
+    """A swapped-out page is still the enclave's: preparing its va anew is a
+    double mapping, and the swap-in that follows restores the one page."""
+    m, sm, handle = enclave
+    sm.eenter(handle)
+    m.access("host", DATA_VA, WRITE, PRV_U, data=b"kept")
+    sm.eexit()
+    m.prv = PRV_S
+    sealed = sm.swap_out(handle, DATA_VA, temp_ppn=0x400)
+    m.prv = PRV_U
+    sm.eenter(handle)
+    with pytest.raises(DoubleMap):
+        sm.eprepare(DATA_VA, PageType.REGULAR, RW)
+    sm.eexit()
+    m.prv = PRV_S
+    sm.swap_in(handle, DATA_VA, sealed)
+    assert [o.va for o in sm.peek_meta(handle).owned].count(DATA_VA) == 1
+    m.prv = PRV_U
+    sm.eenter(handle)
+    assert m.access("host", DATA_VA, READ, PRV_U, size=4) == b"kept"
+
+
+def test_consumed_swap_record_reads_as_absent(enclave):
+    """A swap record whose live byte is 0 is a consumed one and unpacks as
+    absent, so it can neither be swapped in nor fill the record list."""
+    m, sm, handle = enclave
+    m.prv = PRV_S
+    sm.swap_out(handle, DATA_VA, temp_ppn=0x400)
+    buf = bytearray(sm.peek_meta(handle).pack())
+    assert EnclaveMeta.unpack(bytes(buf)).swaps[0].va == DATA_VA
+    buf[_SWAP_OFF + 39] = 0  # va, nonce, tag, perms, rsw, type, then live
+    assert EnclaveMeta.unpack(bytes(buf)).swaps == []
+
+
 def test_swap_temp_page_readable_by_os(enclave):
     """The sealed bytes land under the OS identity-mapping tweak."""
     m, sm, handle = enclave
@@ -539,6 +616,54 @@ def test_tampered_monitor_page_detected(enclave):
     m.prv = PRV_U
     with pytest.raises(AuthenticationException):
         sm.eenter(handle)
+
+
+@pytest.mark.parametrize("ppn", [0x200, 0x201], ids=["metadata", "thread"])
+def test_every_monitor_line_is_reverified(enclave, ppn):
+    """Stores re-seal only changed lines, but loads verify all 64: a bit
+    flipped in any one line of either monitor page stops the next call."""
+    m, sm, handle = enclave
+    m.prv = PRV_U
+    for i in range(64):
+        line, bit = ppn * 64 + i, (37 * i) % 512
+        m.phys_flip_bit(line, bit)
+        with pytest.raises(AuthenticationException):
+            sm.eenter(handle)
+        m.phys_flip_bit(line, bit)  # undo, then move the state on
+        sm.eenter(handle)
+        sm.eexit()
+
+
+def test_enter_exit_engine_op_counts(enclave, monkeypatch):
+    """Both monitor pages are verified in full on entry and on exit, and
+    only the lines whose bytes changed are re-sealed."""
+    m, sm, handle = enclave
+    counts = {"write": 0, "read": 0}
+    for op in counts:
+        def counted(*args, _orig=getattr(m.mee, op), _op=op):
+            counts[_op] += 1
+            return _orig(*args)
+        monkeypatch.setattr(m.mee, op, counted)
+    sm.eenter(handle)
+    sm.eexit()
+    assert counts == {"write": 4, "read": 256}
+
+
+def test_os_aliases_freed_page_onto_metadata_page(machine, sm):
+    """The OS maps a freed enclave va onto the metadata page and the enclave
+    prepares it.  Zeroing that page re-seals the metadata lines under the
+    enclave tweak, so the store that follows must rewrite every line, not
+    only those whose bytes changed."""
+    handle = spawn_enclave(machine, sm, stack_pages=2)
+    second_stack = A_BASE + 3 * PAGE_BYTES
+    sm.eenter(handle)
+    sm.edestroy(second_stack)
+    machine.map_page(PRV_S, "host", second_stack, 0x200, "rwu", 0b01)
+    sm.eprepare(second_stack, PageType.REGULAR, RW)
+    meta = sm.peek_meta(handle)
+    assert meta.state is EnclaveState.RUNNING
+    assert len(meta.owned) == 4
+    sm.eexit()
 
 
 # --- randomized lifecycle traces ------------------------------------------------------
