@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tweak import PRV_BITS, PTE_BITS, SID_BITS, XRANGE_BITS, voffset_bits
+# the inline variant stores the whole software tweak next to each line
+from .tweak import sw_tweak_bits as servas_tag_bits, voffset_bits
 
 LINE_BITS_DEFAULT = 512
 
@@ -58,12 +59,6 @@ class TcCfg:
     def __post_init__(self) -> None:
         if self.n_tweak < 1 or self.n_tweak & (self.n_tweak - 1):
             raise ValueError("n_tweak must be a power of two")
-
-
-def servas_tag_bits(va_bits: int = 48) -> int:
-    """Software tweak bits stored per line in the inline variant
-    (134 for 48-bit virtual addresses, 125 for 39-bit)."""
-    return voffset_bits(va_bits) + XRANGE_BITS + PRV_BITS + PTE_BITS + SID_BITS
 
 
 def inline_overhead_bits(cfg: CacheCfg) -> int:

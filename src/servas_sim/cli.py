@@ -25,7 +25,7 @@ from pathlib import Path
 from xml.etree import ElementTree as ET
 
 from .cache import EvictionMode, TcCfg, eviction_grid, overhead_sweep
-from .image import build_image, load_enclave_image, ImagePageType
+from .image import image_from_manifest, load_enclave_image
 from .monitor import derive_developer_key
 from .scenarios import ScriptError, builtin_suite, load_scenarios, run_scenario
 
@@ -172,17 +172,8 @@ def cmd_overhead(args) -> int:
 
 def cmd_image(args) -> int:
     if args.mode == "pack":
-        manifest = json.loads(Path(args.manifest).read_text())
-        pages = []
-        for p in manifest["pages"]:
-            if "file" in p:
-                body = Path(Path(args.manifest).parent / p["file"]).read_bytes()
-            else:
-                fill = bytes.fromhex(p.get("fill", ""))
-                body = (fill * (4096 // max(len(fill), 1) + 1))[:4096] if fill else b""
-            pages.append((p["index"], p["perms"], ImagePageType[p["type"].upper()], body))
-        image = build_image(pages, entry_offset=manifest.get("entry_offset", 0),
-                            developer_id=manifest.get("developer_id", "devel-00").encode())
+        manifest_path = Path(args.manifest)
+        image = image_from_manifest(json.loads(manifest_path.read_text()), manifest_path.parent)
         Path(args.out).write_bytes(image.pack())
     elif args.mode == "unpack":
         image = load_enclave_image(Path(args.image).read_bytes(),

@@ -29,9 +29,10 @@ import enum
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .aead import AeadAuthError, get_aead
-from .machine import PAGE_BYTES
+from .machine import PAGE_BYTES, perms_from_str
 
 MAGIC = b"SRVS1"
 VERSION = 1
@@ -62,12 +63,14 @@ class ImagePageType(enum.Enum):
 _RSW_FOR_TYPE = {ImagePageType.REGULAR: 0b01, ImagePageType.SHENCLAVE: 0b10}
 
 
-def _pack_perms(perms: dict[str, bool]) -> int:
+def pack_perm_byte(perms: dict[str, bool]) -> int:
+    """The permission byte of image descriptors and monitor metadata:
+    r|w<<1|x<<2|u<<3|g<<4 (a missing ``g`` reads as clear)."""
     return (perms["r"] | perms["w"] << 1 | perms["x"] << 2
-            | perms["u"] << 3 | perms["g"] << 4)
+            | perms["u"] << 3 | perms.get("g", False) << 4)
 
 
-def _unpack_perms(byte: int) -> dict[str, bool]:
+def unpack_perm_byte(byte: int) -> dict[str, bool]:
     return {"r": bool(byte & 1), "w": bool(byte & 2), "x": bool(byte & 4),
             "u": bool(byte & 8), "g": bool(byte & 16)}
 
@@ -119,7 +122,7 @@ class EnclaveImage:
     def _payload(self) -> bytes:
         pages = sorted(self.pages, key=lambda p: p.index)
         blob = b"".join(
-            DESCRIPTOR.pack(p.index, _pack_perms(p.perms), p.rsw, p.page_type.value, 0)
+            DESCRIPTOR.pack(p.index, pack_perm_byte(p.perms), p.rsw, p.page_type.value, 0)
             for p in pages
         )
         return blob + b"".join(p.body for p in pages)
@@ -159,7 +162,7 @@ def _parse_payload(developer_id: bytes, entry_offset: int, n_pages: int,
             page_type = ImagePageType(ptype)
         except ValueError:
             raise FormatError(f"unknown page type {ptype}") from None
-        pages.append(ImagePage(index, _unpack_perms(perms), page_type,
+        pages.append(ImagePage(index, unpack_perm_byte(perms), page_type,
                                bodies[i * PAGE_BYTES : (i + 1) * PAGE_BYTES], rsw=rsw))
     image = EnclaveImage(developer_id, entry_offset, pages)
     try:
@@ -213,8 +216,25 @@ def build_image(page_specs, entry_offset: int = 0,
     """Convenience builder from (index, 'rwx' string, type, body) tuples."""
     pages = []
     for index, perms, ptype, body in page_specs:
-        flags = {f: f in perms for f in "rwxg"}
+        flags = perms_from_str(perms)
         flags["u"] = True  # enclave pages are user-accessible by definition
         body = body.ljust(PAGE_BYTES, b"\x00")
         pages.append(ImagePage(index, flags, ptype, body))
     return EnclaveImage(developer_id, entry_offset, pages)
+
+
+def image_from_manifest(manifest: dict, files: Path | None = None) -> EnclaveImage:
+    """Build an image from its JSON manifest (the ``image pack`` input and
+    the scenario image spec).  A page body is ``fill`` hex repeated to the
+    page size (none: zeros) or, when ``files`` is given, the ``file`` it
+    names in that directory."""
+    pages = []
+    for p in manifest["pages"]:
+        if files is not None and "file" in p:
+            body = (files / p["file"]).read_bytes()
+        else:
+            fill = bytes.fromhex(p.get("fill", ""))
+            body = (fill * (PAGE_BYTES // max(len(fill), 1) + 1))[:PAGE_BYTES]
+        pages.append((p["index"], p["perms"], ImagePageType[p["type"].upper()], body))
+    return build_image(pages, entry_offset=manifest.get("entry_offset", 0),
+                       developer_id=manifest.get("developer_id", "devel-00").encode())

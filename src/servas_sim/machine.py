@@ -47,8 +47,6 @@ from .tweak import (
 PAGE_BYTES = 4096
 LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
 
-SNAPSHOT_VERSION = "servas-machine-v1"
-
 _PRV_RANK = {PRV_U: 0, PRV_S: 1, PRV_M: 2}
 
 
@@ -194,6 +192,8 @@ class Machine:
             raise PrivilegeTrap(va, caller_prv, "page tables are managed at S-mode or above")
         if va % PAGE_BYTES:
             raise ValueError("mappings are page aligned")
+        if not 0 <= rsw < 4:
+            raise ValueError("rsw is a 2-bit field")
         flags = perms_from_str(perms)
         self.spaces.setdefault(space, {})[va // PAGE_BYTES] = Pte(ppn=ppn, rsw=rsw, **flags)
 
@@ -406,59 +406,3 @@ class Machine:
         self.mee.flip_bit(line_index, bit, target)
         if self.cache is not None:
             self.cache.invalidate(line_index)
-
-    # --- deterministic state snapshots ---------------------------------------
-
-    def snapshot(self) -> dict:
-        """Versioned, JSON-serializable machine state for scenario replay."""
-        csr = self.csr
-        return {
-            "version": SNAPSHOT_VERSION,
-            "va_bits": self.va_bits,
-            "prv": self.prv,
-            "pc": self.pc,
-            "regs": list(self.regs),
-            "bypass": self.bypass,
-            "mee_key": self.mee_key.hex(),  # snapshots are plaintext state dumps
-            "aead": self.mee.aead.name,
-            "mee": self.mee.dump_state(),
-            "plain_lines": {str(i): b.hex() for i, b in self.plain_lines.items()},
-            "csr": {
-                "ranges": {
-                    n: [getattr(csr, n).base, getattr(csr, n).size, getattr(csr, n).enabled]
-                    for n in ("mrange", "srange", "urange")
-                },
-                "sids": {n: getattr(csr, n)
-                         for n in ("msid0", "msid1", "ssid0", "ssid1", "usid0", "usid1")},
-            },
-            "spaces": {
-                s: {str(vpn): [p.ppn, p.r, p.w, p.x, p.u, p.g, p.rsw, p.valid]
-                    for vpn, p in table.items()}
-                for s, table in self.spaces.items()
-            },
-        }
-
-    def restore_snapshot(self, snap: dict) -> None:
-        if snap.get("version") != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {snap.get('version')!r}")
-        self.prv = snap["prv"]
-        self.pc = snap["pc"]
-        self.regs = list(snap["regs"])
-        self.bypass = snap["bypass"]
-        self.mee_key = bytes.fromhex(snap["mee_key"])
-        self.va_bits = snap["va_bits"]
-        self.mee = Mee(self.mee_key, aead=snap["aead"], va_bits=self.va_bits)
-        self.mee.load_state(snap["mee"])
-        self.plain_lines = {int(i): bytes.fromhex(h) for i, h in snap["plain_lines"].items()}
-        for n, (base, size, enabled) in snap["csr"]["ranges"].items():
-            setattr(self.csr, n, RangeReg(base, size, enabled))
-        for n, v in snap["csr"]["sids"].items():
-            setattr(self.csr, n, v)
-        self.spaces = {
-            s: {int(vpn): Pte(ppn=f[0], r=f[1], w=f[2], x=f[3], u=f[4], g=f[5],
-                              rsw=f[6], valid=f[7])
-                for vpn, f in table.items()}
-            for s, table in snap["spaces"].items()
-        }
-        if self.cache is not None:
-            self.cache.invalidate_all()

@@ -18,12 +18,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .aead import AeadAuthError, get_aead
+from .aead import TAG_LEN, AeadAuthError, get_aead
 from .tweak import PRV_M, SID_MASK, SwTweak, voffset_bits
 
 LINE_BYTES = 64
 COUNTER_BITS = 58
 COUNTER_LIMIT = 1 << COUNTER_BITS
+LINE_LIMIT = 1 << 64  # the nonce encodes the line index in eight bytes
 
 
 class AuthenticationError(Exception):
@@ -76,7 +77,13 @@ class Mee:
         self._counters: dict[int, int] = {}
         self._destroy_sw = destroy_tweak(va_bits)
 
+    @staticmethod
+    def _check_line(line_index: int) -> None:
+        if not 0 <= line_index < LINE_LIMIT:
+            raise ValueError(f"no physical line {line_index}")
+
     def _nonce(self, line_index: int, counter: int) -> bytes:
+        self._check_line(line_index)
         material = line_index.to_bytes(8, "little") + counter.to_bytes(8, "little")
         return hashlib.sha256(b"line-nonce" + material).digest()[: self.aead.nonce_len]
 
@@ -102,7 +109,7 @@ class Mee:
         stored = self._lines.get(line_index)
         if stored is None:
             raise AuthenticationError(line_index, "line never initialized")
-        counter = self._counters[line_index]
+        counter = self._counters.get(line_index, 0)
         try:
             return self.aead.open(
                 self.key,
@@ -120,38 +127,28 @@ class Mee:
 
     # --- raw physical access, the DRAM attack surface ---------------------
 
+    def _stored(self, line_index: int) -> StoredLine:
+        """The raw line; never-written DRAM holds zero ciphertext and a zero tag."""
+        self._check_line(line_index)
+        return self._lines.get(line_index) or StoredLine(bytes(LINE_BYTES), bytes(TAG_LEN))
+
     def snapshot_line(self, line_index: int) -> tuple[bytes, bytes]:
-        stored = self._lines[line_index]
+        stored = self._stored(line_index)
         return stored.ciphertext, stored.tag
 
     def restore_line(self, line_index: int, ciphertext: bytes, tag: bytes) -> None:
         self._lines[line_index] = StoredLine(ciphertext, tag)
 
     def flip_bit(self, line_index: int, bit: int, target: str = "ciphertext") -> None:
-        stored = self._lines[line_index]
+        if target not in ("ciphertext", "tag"):
+            raise ValueError(f"flip target must be 'ciphertext' or 'tag', not {target!r}")
+        stored = self._stored(line_index)
         blob = bytearray(getattr(stored, target))
+        if not 0 <= bit < 8 * len(blob):
+            raise ValueError(f"bit {bit} lies outside the {len(blob)}-byte {target}")
         blob[bit // 8] ^= 1 << (bit % 8)
-        if target == "ciphertext":
-            stored.ciphertext = bytes(blob)
-        else:
-            stored.tag = bytes(blob)
-
-    # --- snapshot/restore of the whole store (machine snapshots) ----------
-
-    def dump_state(self) -> dict:
-        return {
-            "lines": {
-                str(i): [s.ciphertext.hex(), s.tag.hex()] for i, s in self._lines.items()
-            },
-            "counters": {str(i): c for i, c in self._counters.items()},
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._lines = {
-            int(i): StoredLine(bytes.fromhex(ct), bytes.fromhex(tag))
-            for i, (ct, tag) in state["lines"].items()
-        }
-        self._counters = {int(i): c for i, c in state["counters"].items()}
+        setattr(stored, target, bytes(blob))
+        self._lines[line_index] = stored
 
 
 __all__ = [

@@ -48,10 +48,11 @@ from dataclasses import dataclass, field
 from .aead import AeadAuthError, get_aead
 from .image import (
     EnclaveImage,
-    ImagePageType,
     InvalidImage,
     load_enclave_image,
+    pack_perm_byte,
     parse_header,
+    unpack_perm_byte,
 )
 from .machine import (
     LINES_PER_PAGE,
@@ -157,16 +158,6 @@ _PTYPE_CODE = {PageType.REGULAR: 1, PageType.SHENCLAVE: 2, PageType.SHM: 3}
 _PTYPE_FROM_CODE = {v: k for k, v in _PTYPE_CODE.items()}
 
 _RSW_FOR = {PageType.REGULAR: 0b01, PageType.SHENCLAVE: 0b10, PageType.SHM: 0b11}
-
-
-def pack_perm_byte(perms: dict[str, bool]) -> int:
-    return (perms["r"] | perms["w"] << 1 | perms["x"] << 2
-            | perms["u"] << 3 | perms.get("g", False) << 4)
-
-
-def unpack_perm_byte(b: int) -> dict[str, bool]:
-    return {"r": bool(b & 1), "w": bool(b & 2), "x": bool(b & 4),
-            "u": bool(b & 8), "g": bool(b & 16)}
 
 
 @dataclass
@@ -330,6 +321,8 @@ def derive_developer_key(cpu_key: bytes, developer_id: bytes) -> bytes:
 # rw, no user, rsw 00: the pte field of monitor pages (with PRV_M) and of
 # the swap temporary page (with PRV_S, the OS's identity-mapped view)
 MONITOR_PTE_BITS = pack_pte_bits(r=True, w=True, x=False, u=False, g=False, rsw=0)
+
+_STACK_PERMS = {"r": True, "w": True, "x": False, "u": True, "g": False}
 
 
 @dataclass(frozen=True)
@@ -523,26 +516,16 @@ class SecurityMonitor:
                 entry_point=target_base + image.entry_offset, mrange=mrange,
                 host_space=host_space,
             )
-            encid_sid = self._encid_sid(encid)
-            for page in image.pages:
-                va = target_base + page.index * PAGE_BYTES
-                ppn = self._walk_ppn(host_space, va)
-                ptype = (PageType.REGULAR if page.page_type is ImagePageType.REGULAR
-                         else PageType.SHENCLAVE)
-                sid = rtid if ptype is PageType.REGULAR else encid_sid
-                pte_bits = pack_pte_bits(page.perms["r"], page.perms["w"], page.perms["x"],
-                                         page.perms["u"], page.perms["g"], page.rsw)
-                self._init_page(ppn, page.body, 0b100, (va - target_base) // LINE_BYTES,
-                                pte_bits, sid)
-                meta.owned.append(OwnedPage(va, ptype, dict(page.perms), page.rsw))
-            stack_perms = {"r": True, "w": True, "x": False, "u": True, "g": False}
-            stack_bits = pack_pte_bits(True, True, False, True, False, 0b01)
-            for i in range(stack_pages):
-                va = target_base + (image.n_region_pages + i) * PAGE_BYTES
-                ppn = self._walk_ppn(host_space, va)
-                self._init_page(ppn, bytes(PAGE_BYTES), 0b100,
-                                (va - target_base) // LINE_BYTES, stack_bits, rtid)
-                meta.owned.append(OwnedPage(va, PageType.REGULAR, dict(stack_perms), 0b01))
+            pages = [(page.index, PageCtx(PageType[page.page_type.name], page.perms, page.rsw),
+                      page.body) for page in image.pages]
+            pages += [(image.n_region_pages + i, PageCtx(PageType.REGULAR, _STACK_PERMS),
+                       bytes(PAGE_BYTES)) for i in range(stack_pages)]
+            for index, ctx, body in pages:
+                va = target_base + index * PAGE_BYTES
+                self._init_page(self._walk_ppn(host_space, va), body,
+                                *self._page_fields(meta, ctx, va))
+                meta.owned.append(OwnedPage(va, ctx.page_type, dict(ctx.perms),
+                                            ctx.resolved_rsw()))
             handle = EnclaveHandle(meta_ppn, thread_ppn)
             self._store_meta(handle, meta)
             self._store_thread(handle, ThreadMeta())

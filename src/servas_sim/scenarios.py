@@ -41,13 +41,13 @@ from .image import (
     EnclaveImage,
     FormatError,
     ImageAuthFailure,
-    ImagePageType,
     InvalidImage,
-    build_image,
+    image_from_manifest,
 )
-from .machine import AccessKind, AuthenticationException, Machine, Trap
+from .machine import AccessKind, AuthenticationException, Machine, Trap, perms_from_str
 from .monitor import (
     DispositionKind,
+    EnclaveHandle,
     MonitorError,
     PageCtx,
     SecurityMonitor,
@@ -160,22 +160,23 @@ def dump_scenarios(scenarios: list[Scenario]) -> str:
                       indent=2)
 
 
-def _perm_dict(letters: str) -> dict[str, bool]:
-    bad = set(letters) - set("rwxug")
-    if bad:
-        raise ScriptError(f"unknown permission letters {bad}")
-    return {f: f in letters for f in "rwxug"}
-
-
-def _image_from_spec(spec: dict) -> EnclaveImage:
-    pages = []
-    for p in spec["pages"]:
-        fill = bytes.fromhex(p.get("fill", ""))
-        body = (fill * (PAGE // max(len(fill), 1) + 1))[:PAGE] if fill else b""
-        pages.append((p["index"], p["perms"],
-                      ImagePageType[p["type"].upper()], body))
-    return build_image(pages, entry_offset=spec.get("entry_offset", 0),
-                       developer_id=spec.get("developer_id", "devel-00").encode())
+def spawn_enclave(sm: SecurityMonitor, image: EnclaveImage, space: str, base: int,
+                  ppn_start: int, stack_pages: int, meta_ppn: int, thread_ppn: int,
+                  ppn_overrides: dict[int, int] | None = None) -> EnclaveHandle:
+    """The OS maps the enclave region per the image descriptors, then the
+    host creates the enclave.  Region page j (image pages, then the stack
+    pages) maps to ``ppn_start + j`` unless ``ppn_overrides`` names j."""
+    machine = sm.machine
+    overrides = ppn_overrides or {}
+    for page in image.pages:
+        letters = "".join(f for f in "rwxug" if page.perms[f])
+        ppn = overrides.get(page.index, ppn_start + page.index)
+        machine.map_page(PRV_S, space, base + page.index * PAGE, ppn, letters, page.rsw)
+    for idx in range(image.n_region_pages, image.n_region_pages + stack_pages):
+        ppn = overrides.get(idx, ppn_start + idx)
+        machine.map_page(PRV_S, space, base + idx * PAGE, ppn, "rwu", 0b01)
+    machine.prv = PRV_U
+    return sm.ecreate(space, image, base, stack_pages, meta_ppn, thread_ppn)
 
 
 _TRAPLIKE = (Trap, MonitorError, ImageAuthFailure, InvalidImage, FormatError,
@@ -218,7 +219,7 @@ class ScenarioRunner:
 
     def _data_arg(self, args: dict) -> bytes | None:
         if "data" in args:
-            return args["data"].encode()
+            return str.encode(args["data"])  # a TypeError (script error) unless text
         if "data_hex" in args:
             return bytes.fromhex(args["data_hex"])
         if "data_var" in args:
@@ -234,7 +235,7 @@ class ScenarioRunner:
     def _check(self, args: dict, result: bytes) -> None:
         expected = None
         if "check" in args:
-            expected = args["check"].encode()
+            expected = str.encode(args["check"])
         elif "check_hex" in args:
             expected = bytes.fromhex(args["check_hex"])
         elif "check_var" in args:
@@ -284,38 +285,23 @@ class ScenarioRunner:
         prv = PRV_S if actor.kind == "OS" else PRV_U
         value = args["value"]
         if isinstance(value, list):
-            value = RangeReg(value[0], value[1], bool(value[2]))
+            base, size, enabled = value
+            value = RangeReg(base, size, bool(enabled))
         self.machine.write_csr(prv, args["name"], value)
 
     def _act_build_image(self, actor: Actor, args: dict):
-        return _image_from_spec(args["image"])
+        return image_from_manifest(args["image"])
 
     def _act_spawn_enclave(self, actor: Actor, args: dict):
-        """OS maps the enclave region per the image descriptors, then the
-        host creates the enclave.  Region page j maps to ppn_start + j
-        unless overridden per page index."""
         image = (self._var(args["image_var"]) if "image_var" in args
-                 else _image_from_spec(args["image"]))
+                 else image_from_manifest(args["image"]))
         if not isinstance(image, EnclaveImage):
             raise ScriptError("spawn_enclave needs a parsed image; map pages "
                               "and use ecreate for wrapped byte images")
-        base = args["base"]
-        ppn_start = args["ppn_start"]
-        stack_pages = args.get("stack_pages", 1)
         overrides = {int(k): v for k, v in args.get("page_ppn_overrides", {}).items()}
-        space = args.get("space") or actor.space
-        for page in image.pages:
-            letters = "".join(f for f in "rwxug" if page.perms[f])
-            ppn = overrides.get(page.index, ppn_start + page.index)
-            self.machine.map_page(PRV_S, space, base + page.index * PAGE, ppn,
-                                  letters, page.rsw)
-        for i in range(stack_pages):
-            idx = image.n_region_pages + i
-            ppn = overrides.get(idx, ppn_start + idx)
-            self.machine.map_page(PRV_S, space, base + idx * PAGE, ppn, "rwu", 0b01)
-        self.machine.prv = PRV_U
-        return self.sm.ecreate(space, image, base, stack_pages,
-                               args["meta_ppn"], args["thread_ppn"])
+        return spawn_enclave(self.sm, image, args.get("space") or actor.space, args["base"],
+                             args["ppn_start"], args.get("stack_pages", 1),
+                             args["meta_ppn"], args["thread_ppn"], overrides)
 
     def _act_ecreate(self, actor: Actor, args: dict):
         image = self._var(args["image_var"])
@@ -336,14 +322,14 @@ class ScenarioRunner:
 
     def _act_eprepare(self, actor: Actor, args: dict):
         self.sm.eprepare(args["va"], PageType[args["page_type"].upper()],
-                         _perm_dict(args["perms"]), args.get("rsw"))
+                         perms_from_str(args["perms"]), args.get("rsw"))
 
     def _act_edestroy(self, actor: Actor, args: dict):
         self.sm.edestroy(args["va"])
 
     def _act_emod(self, actor: Actor, args: dict):
         def ctx(d: dict) -> PageCtx:
-            return PageCtx(PageType[d["page_type"].upper()], _perm_dict(d["perms"]),
+            return PageCtx(PageType[d["page_type"].upper()], perms_from_str(d["perms"]),
                            d.get("rsw"), d.get("sid"))
 
         self.sm.emod(args["va"], ctx(args["old"]), ctx(args["new"]))
@@ -366,7 +352,10 @@ class ScenarioRunner:
         return self.machine.phys_snapshot(lines)
 
     def _act_restore_lines(self, actor: Actor, args: dict):
-        self.machine.phys_restore(self._var(args["snapshot_var"]))
+        snapshot = self._var(args["snapshot_var"])
+        if not isinstance(snapshot, dict):
+            raise ScriptError(f"{args['snapshot_var']!r} is not a snapshot_lines result")
+        self.machine.phys_restore(snapshot)
 
     def _act_flip_bit(self, actor: Actor, args: dict):
         self.machine.phys_flip_bit(args["line"], args["bit"],
@@ -383,7 +372,7 @@ class ScenarioRunner:
     def _act_check_data(self, actor: Actor, args: dict):
         left = self._var(args["var"])
         right = self._var(args["equals_var"]) if "equals_var" in args else \
-            args["equals"].encode()
+            str.encode(args["equals"])
         if left != right:
             raise _DataMismatch(f"{left!r} != {right!r}")
 
@@ -397,7 +386,7 @@ class ScenarioRunner:
             raise ScriptError(f"unknown action {step.action!r}")
         try:
             return method(actor, step.args)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ScriptError(f"bad args for {step.action}: {exc}") from exc
 
     def run(self) -> Verdict:
@@ -864,4 +853,5 @@ __all__ = [
     "dump_scenarios",
     "load_scenarios",
     "run_scenario",
+    "spawn_enclave",
 ]

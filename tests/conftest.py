@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+from servas_sim import scenarios
 from servas_sim.image import ImagePageType, build_image
 from servas_sim.machine import Machine, PAGE_BYTES
 from servas_sim.monitor import SecurityMonitor
-from servas_sim.tweak import PRV_S, PRV_U
 
 settings.register_profile(
     "sim", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -25,20 +25,11 @@ def std_image(n_data: int = 1, fill: bytes = CODE_FILL):
 def spawn_enclave(machine, sm, image=None, base=A_BASE, ppn_start=0x100,
                   stack_pages=1, meta_ppn=0x200, thread_ppn=0x201, space="host",
                   ppn_overrides=None):
-    """OS maps the region per the image, then the host creates the enclave."""
-    image = image or std_image()
-    overrides = ppn_overrides or {}
-    for page in image.pages:
-        perms = "".join(f for f in "rwxug" if page.perms[f])
-        ppn = overrides.get(page.index, ppn_start + page.index)
-        machine.map_page(PRV_S, space, base + page.index * PAGE_BYTES, ppn,
-                         perms, page.rsw)
-    for i in range(stack_pages):
-        idx = image.n_region_pages + i
-        machine.map_page(PRV_S, space, base + idx * PAGE_BYTES,
-                         overrides.get(idx, ppn_start + idx), "rwu", 0b01)
-    machine.prv = PRV_U
-    return sm.ecreate(space, image, base, stack_pages, meta_ppn, thread_ppn)
+    """:func:`servas_sim.scenarios.spawn_enclave` with the standard world's
+    defaults; ``machine`` is the one ``sm`` runs on."""
+    assert sm.machine is machine
+    return scenarios.spawn_enclave(sm, image or std_image(), space, base, ppn_start,
+                                   stack_pages, meta_ppn, thread_ppn, ppn_overrides)
 
 
 @pytest.fixture

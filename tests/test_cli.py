@@ -1,6 +1,7 @@
 """CLI contract: exit codes, seeded determinism, CSV schemas, reports,
 image tooling round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -50,6 +51,23 @@ def test_verdict_mismatch_exits_one(tmp_path):
 def test_malformed_scenario_file_exits_two(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{]")
+    assert run_cli("scenarios", str(path)) == 2
+
+
+@pytest.mark.parametrize("step", [
+    {"actor": "phys", "action": "flip_bit", "args": {"line": 0x101 * 64, "bit": 4096}},
+    {"actor": "phys", "action": "flip_bit",
+     "args": {"line": 0x101 * 64, "bit": 3, "target": "nonce"}},
+    {"actor": "phys", "action": "restore_lines", "args": {"snapshot_var": "hA"}},
+], ids=["bit-past-line", "unknown-target", "restore-non-snapshot"])
+def test_malformed_physical_step_exits_two(tmp_path, step):
+    doc = json.loads(dump_scenarios(builtin_suite()[:1]))
+    scenario = doc["scenarios"][0]
+    scenario["actors"].append({"name": "phys", "kind": "PHYSICAL"})
+    scenario["steps"] = [scenario["steps"][0], step]  # spawn enclave A, then tamper
+    scenario["expected"] = {"outcome": "ALLOWED", "detail": None, "at_step": 1}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
     assert run_cli("scenarios", str(path)) == 2
 
 
@@ -120,6 +138,22 @@ def _pack_image(tmp_path):
     assert run_cli("image", "pack", "--manifest", str(manifest),
                    "--out", str(img)) == 0
     return img
+
+
+def test_image_pack_golden_bytes(tmp_path):
+    """Pinned container bytes for a manifest with a fill that does not
+    divide the page and a file body shorter than a page."""
+    (tmp_path / "code.bin").write_bytes(bytes(range(256)) * 3)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "entry_offset": 0, "developer_id": "golden-1",
+        "pages": [{"index": 0, "perms": "rx", "type": "shenclave", "file": "code.bin"},
+                  {"index": 1, "perms": "rw", "type": "regular", "fill": "deadbeef01"}],
+    }))
+    img = tmp_path / "golden.img"
+    assert run_cli("image", "pack", "--manifest", str(manifest), "--out", str(img)) == 0
+    assert hashlib.sha256(img.read_bytes()).hexdigest() == \
+        "78a9b5f166caf43aa076e58b3081db2ec06f744ddd9ee9c488de5434c7adb45e"
 
 
 def test_image_pack_unpack_roundtrip(tmp_path):

@@ -1,6 +1,10 @@
 """Enclave image container: serialization, validation, wrapping."""
 
+import hashlib
+
 import pytest
+
+from conftest import std_image
 
 from servas_sim.image import (
     FormatError,
@@ -32,6 +36,13 @@ def test_pack_parse_roundtrip():
         [(p.index, p.page_type, p.rsw) for p in image.pages]
     assert all(a.body == b.body for a, b in zip(parsed.pages, image.pages))
     assert parsed.encid() == image.encid()
+
+
+def test_std_image_golden_bytes():
+    """Pinned canonical serialization (the identity preimage) of the
+    standard test image."""
+    assert hashlib.sha256(std_image().pack()).hexdigest() == \
+        "bd8d30878ca7d31f67958dee13322ddf27a203c999182f9cbc52772271e4b5d2"
 
 
 def test_truncated_file_rejected():

@@ -1,4 +1,4 @@
-"""Access pipeline, CSR gating, bypass, snapshots, and the end-to-end
+"""Access pipeline, CSR gating, bypass, and the end-to-end
 isolation properties of the machine."""
 
 import random
@@ -308,33 +308,6 @@ def test_adversarial_search_cannot_forge_m_initialized_line():
                 assert data != b"M" * 64, "adversary forged the monitor context"
         except Exception:
             continue
-
-
-# --- snapshots ---------------------------------------------------------------------
-
-
-def test_snapshot_roundtrip(m):
-    m.access("p", 0x1000, WRITE, PRV_U, data=b"persisted")
-    m.write_csr(PRV_S, "ssid0", 77)
-    m.set_reg(10, 1234)
-    snap = m.snapshot()
-    assert snap["version"] == "servas-machine-v1"
-
-    clone = Machine(seed=99)
-    clone.restore_snapshot(snap)
-    assert clone.access("p", 0x1000, READ, PRV_U, size=9) == b"persisted"
-    assert clone.read_csr(PRV_S, "ssid0") == 77
-    assert clone.get_reg(10) == 1234
-    import json
-
-    json.dumps(snap)  # must be plain JSON-serializable data
-
-
-def test_snapshot_version_pinning(m):
-    snap = m.snapshot()
-    snap["version"] = "servas-machine-v0"
-    with pytest.raises(ValueError):
-        m.restore_snapshot(snap)
 
 
 def test_bypass_toggle_flushes_cache():

@@ -102,6 +102,20 @@ def test_read_of_absent_line_fails(mee):
         mee.read(1234, _sw())
 
 
+def test_never_written_line_is_zero_dram(mee):
+    """Raw access sees a never-written line as zero ciphertext and a zero
+    tag; once anything is put there, the engine has no counter for it and
+    the line fails authentication instead of reading as zeros."""
+    assert mee.snapshot_line(77) == (bytes(LINE_BYTES), bytes(16))
+    mee.flip_bit(77, 0)
+    assert mee.snapshot_line(77) == (b"\x01" + bytes(LINE_BYTES - 1), bytes(16))
+    with pytest.raises(AuthenticationError):
+        mee.read(77, _sw())
+    mee.restore_line(78, *mee.snapshot_line(78))
+    with pytest.raises(AuthenticationError):
+        mee.read(78, _sw())
+
+
 def test_replay_of_stale_snapshot_fails(mee):
     """Restoring (ciphertext, tag) from before a later write must fail: the
     trusted counter moved to 2 but the stale tag binds counter 1."""

@@ -1,8 +1,14 @@
 """Scenario harness: builtin suite verdicts, determinism, the JSON format,
-and actor discipline."""
+actor discipline, and malformed or random step scripts."""
+
+import functools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from servas_sim import scenarios
+from servas_sim.cache import CacheCfg
+from servas_sim.machine import Machine
 from servas_sim.scenarios import (
     Scenario,
     ScenarioRunner,
@@ -163,3 +169,146 @@ def test_runner_exposes_machine_for_inspection():
     h1, h2 = runner.vars["hA"], runner.vars["hA2"]
     assert runner.sm.peek_meta(h1).rtid != runner.sm.peek_meta(h2).rtid
     assert runner.sm.peek_meta(h1).encid_full == runner.sm.peek_meta(h2).encid_full
+
+
+@pytest.mark.parametrize("n_lines,ways", [(1, 1), (8, 2), (512, 4)])
+def test_cache_geometry_changes_no_builtin_verdict(monkeypatch, n_lines, ways):
+    monkeypatch.setattr(scenarios, "Machine",
+                        functools.partial(Machine, cache_cfg=CacheCfg(n_lines, ways)))
+    for seed in (0, 1, 17):
+        for scenario in builtin_suite():
+            runner = ScenarioRunner(scenario, seed=seed)
+            assert runner.machine.cache is not None
+            assert runner.run() == scenario.expected, f"{scenario.name} at seed {seed}"
+
+
+# --- malformed and random physical/OS steps ---------------------------------------
+
+_ENCLAVE_LINE = 0x101 * 64  # first line of enclave A's data page
+_SPAWN = builtin_suite()[0].steps[0].to_dict()  # enclave A at ppn 0x100.., saved as hA
+_ACTORS = [{"name": "os", "kind": "OS", "space": "os"},
+           {"name": "host", "kind": "HOST", "space": "host"},
+           {"name": "phys", "kind": "PHYSICAL"}]
+
+
+def _after_spawn(*steps):
+    return Scenario.from_dict({
+        "name": "after-spawn", "actors": _ACTORS, "steps": [_SPAWN, *steps],
+        "expected": {"outcome": "ALLOWED", "detail": None, "at_step": len(steps)},
+    })
+
+
+def _os_map_then_write(**map_args):
+    return [{"actor": "os", "action": "map_page",
+             "args": {"va": 0x1000, "ppn": 0x300, **map_args}},
+            {"actor": "os", "action": "access", "args": {"va": 0x1000, "data": "x"}}]
+
+
+@pytest.mark.parametrize("steps", [
+    [{"actor": "phys", "action": "flip_bit", "args": {"line": _ENCLAVE_LINE, "bit": 512}}],
+    [{"actor": "phys", "action": "flip_bit", "args": {"line": _ENCLAVE_LINE, "bit": -1}}],
+    [{"actor": "phys", "action": "flip_bit",
+      "args": {"line": _ENCLAVE_LINE, "bit": 128, "target": "tag"}}],
+    [{"actor": "phys", "action": "flip_bit",
+      "args": {"line": _ENCLAVE_LINE, "bit": 3, "target": "nonce"}}],
+    [{"actor": "phys", "action": "flip_bit", "args": {"line": -1, "bit": 0}}],
+    [{"actor": "phys", "action": "restore_lines", "args": {"snapshot_var": "hA"}}],
+    [{"actor": "os", "action": "map_page", "args": {"va": 0x1000, "ppn": 0x10, "perms": "rwq"}}],
+    [{"actor": "os", "action": "write_csr", "args": {"name": "srange", "value": [0x1000]}}],
+    _os_map_then_write(rsw=4),
+    _os_map_then_write(ppn=-1),
+    _os_map_then_write(ppn=1 << 60),
+], ids=["bit-past-line", "negative-bit", "bit-past-tag", "unknown-target", "negative-line",
+        "restore-non-snapshot", "bad-perm-letter", "short-range-list", "rsw-past-2-bits", "negative-ppn",
+        "ppn-past-physical-memory"])
+def test_malformed_step_is_script_error(steps):
+    with pytest.raises(ScriptError):
+        run_scenario(_after_spawn(*steps))
+
+
+def test_never_written_page_snapshots_as_zero_and_restores_to_auth():
+    """Raw DRAM is readable whatever its history, and putting its zero
+    image back never makes a line read as zeros again: neither the line
+    written since nor a line that was never written."""
+    steps = [
+        {"actor": "phys", "action": "snapshot_lines", "args": {"page_ppn": 0x300},
+         "save_as": "blank"},
+        {"actor": "os", "action": "map_page", "args": {"va": 0x300000, "ppn": 0x300}},
+        {"actor": "os", "action": "access",
+         "args": {"va": 0x300000, "kind": "READ", "size": 8, "check_hex": "00" * 8}},
+        {"actor": "os", "action": "access", "args": {"va": 0x300000, "data": "written"}},
+        {"actor": "phys", "action": "restore_lines", "args": {"snapshot_var": "blank"}},
+        {"actor": "os", "action": "access", "expect_trap": "AUTH",
+         "args": {"va": 0x300000, "kind": "READ", "size": 8}},
+        {"actor": "os", "action": "access", "expect_trap": "AUTH",
+         "args": {"va": 0x300040, "kind": "READ", "size": 8}},
+    ]
+    runner = ScenarioRunner(_after_spawn(*steps))
+    assert runner.run() == Verdict("ALLOWED", None, len(steps))
+    blank = runner.vars["blank"]
+    assert sorted(blank) == list(range(0x300 * 64, 0x301 * 64))
+    assert set(blank.values()) == {(bytes(64), bytes(16))}
+
+
+_ANY = st.one_of(st.integers(), st.text(max_size=6))
+
+
+def _arg(plausible):
+    """Mostly a plausible value, one time in six any int or short string."""
+    return st.integers(0, 5).flatmap(lambda k: plausible if k else _ANY)
+
+
+_OS_PAGES = (0, 0x1000)
+_OS_VIEW = [{"actor": "os", "action": "map_page", "args": {"va": va, "ppn": ppn}}
+            for va, ppn in zip(_OS_PAGES, (0x300, 0x101))]  # a free page, A's data
+_SAVE_AS = st.sampled_from(["s0", "s1", None])
+_PPN = st.sampled_from([0x100, 0x101, 0x102, 0x300, 0x301])  # enclave A's, and free
+_LINE = _PPN.flatmap(lambda ppn: st.integers(ppn * 64, ppn * 64 + 63))
+_PHYS_STEPS = st.one_of(
+    st.fixed_dictionaries({
+        "actor": st.just("phys"), "action": st.just("flip_bit"),
+        "args": st.fixed_dictionaries(
+            {"line": _arg(_LINE), "bit": _arg(st.integers(0, 511))},
+            optional={"target": _arg(st.sampled_from(["ciphertext", "tag"]))})}),
+    st.fixed_dictionaries({
+        "actor": st.just("phys"), "action": st.just("snapshot_lines"), "save_as": _SAVE_AS,
+        "args": st.one_of(
+            st.fixed_dictionaries({"page_ppn": _arg(_PPN)}),
+            st.fixed_dictionaries({"lines": st.lists(_arg(_LINE), max_size=3)}))}),
+    st.fixed_dictionaries({
+        "actor": st.just("phys"), "action": st.just("restore_lines"),
+        "args": st.fixed_dictionaries(
+            {"snapshot_var": st.sampled_from(["s0", "s1", "hA"])})}),
+)
+_OS_STEPS = st.one_of(
+    st.fixed_dictionaries({
+        "actor": st.just("os"), "action": st.just("map_page"),
+        "args": st.fixed_dictionaries(
+            {"va": _arg(st.sampled_from(_OS_PAGES)),
+             "ppn": _arg(_PPN)},
+            optional={"perms": _arg(st.sampled_from(["rw", "r", "rwx", "rwu"])),
+                      "rsw": _arg(st.integers(0, 3))})}),
+    st.fixed_dictionaries({
+        "actor": st.just("os"), "action": st.just("access"), "save_as": _SAVE_AS,
+        "args": st.fixed_dictionaries(
+            {"va": _arg(st.sampled_from(_OS_PAGES).flatmap(
+                lambda page: st.integers(page, page + 0xFFF)))},
+            optional={"kind": _arg(st.sampled_from(["READ", "WRITE", "FETCH"])),
+                      "size": _arg(st.integers(1, 64)),
+                      "data": _arg(st.text(min_size=1, max_size=8))})}),
+    st.fixed_dictionaries({
+        "actor": st.just("os"), "action": st.just("write_csr"),
+        "args": st.fixed_dictionaries(
+            {"name": _arg(st.sampled_from(["srange", "ssid0", "ssid1", "msid0"])),
+             "value": _arg(st.integers(0, 1 << 64))})}),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(_PHYS_STEPS, _OS_STEPS), min_size=1, max_size=8), st.integers(0, 3))
+def test_random_steps_end_in_verdict_or_script_error(steps, seed):
+    try:
+        verdict = run_scenario(_after_spawn(*_OS_VIEW, *steps), seed=seed)
+    except ScriptError:
+        return
+    assert isinstance(verdict, Verdict)
