@@ -15,10 +15,21 @@ set-associative tweak cache under random (hash-distributed) set indices.
 
 Monte Carlo method notes: each trial inserts every distinct tweak exactly
 once; set indices are uniform draws standing in for the cryptographic index
-derivation.  Draws are generated so that runs over the same seed are
-prefix-coupled across tweak counts and refinement-coupled across set
-counts, which makes the monotonicity properties exact for a fixed seed
-rather than statistical.
+derivation.  One geometry takes one ``(max_tweaks, trials)`` draw, and row
+``j`` holds the set of tweak ``j`` in every trial.  ``default_rng`` fills in
+C order, so that row is the same for every tweak count above ``j``: the
+draws are prefix-coupled across tweak counts.  A set index is the draw
+scaled by the set count and truncated, so they are also refinement-coupled
+across set counts.  Both couplings make the monotonicity properties exact
+for a fixed seed rather than statistical.
+
+The pass walks the rows in order.  A per-trial, per-set count gives each
+tweak its occurrence rank within its set (one gather, one scatter per row),
+and the tweak is evicted when that rank reaches ``ways``.  The cumulative
+sum of evictions over the rows is the per-trial evicted count after every
+tweak count at once, so one pass serves a whole column of the grid and both
+modes read their probability from the same integer row.
+``simulate_eviction`` is one row of this pass.
 """
 
 from __future__ import annotations
@@ -98,6 +109,46 @@ class EvictionMode(enum.Enum):
     TOTAL = "total"
 
 
+def _check_eviction_args(n_entries: int, ways: int, trials: int, tweak_counts) -> None:
+    """The one input check of the eviction Monte Carlo."""
+    if ways < 1:
+        raise ValueError(f"ways must be at least 1, got {ways}")
+    if n_entries < ways:
+        raise ValueError(f"n_entries must be at least ways ({ways}), got {n_entries}")
+    if n_entries % ways:
+        raise ValueError(f"n_entries ({n_entries}) must divide evenly into ways ({ways})")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    for n_tweaks in tweak_counts:
+        if n_tweaks < 1:
+            raise ValueError(f"n_tweaks must be at least 1, got {n_tweaks}")
+
+
+def _eviction_pass(n_entries: int, ways: int, tweak_counts, trials: int,
+                   seed: int) -> dict[int, tuple[float, float]]:
+    """(at_least_one, total) for every count in ``tweak_counts`` from one
+    coupled pass (see the module docstring)."""
+    wanted = set(tweak_counts)
+    n_sets = n_entries // ways
+    rng = np.random.default_rng(seed)
+    us = rng.random((max(wanted, default=0), trials))
+    us *= n_sets
+    flat = us.astype(np.int64)  # row j: the set of tweak j in each trial
+    del us
+    flat += np.arange(trials, dtype=np.int64) * n_sets  # index into the per-trial counts
+    counts = np.zeros(trials * n_sets, dtype=np.int32)
+    evicted = np.zeros(trials, dtype=np.int64)
+    probs = {}
+    for n_tweaks, idx in enumerate(flat, 1):
+        rank = counts[idx]
+        counts[idx] = rank + 1
+        evicted += rank >= ways
+        if n_tweaks in wanted:
+            probs[n_tweaks] = (float((evicted > 0).mean()),
+                               float((evicted / n_tweaks).mean()))
+    return probs
+
+
 def simulate_eviction(
     n_entries: int,
     ways: int,
@@ -112,34 +163,25 @@ def simulate_eviction(
     AT_LEAST_ONE: fraction of trials where any entry was evicted.
     TOTAL: expected fraction of the inserted tweaks that got evicted.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if n_entries % ways:
-        raise ValueError("n_entries must divide evenly into ways")
-    n_sets = n_entries // ways
-    rng = np.random.default_rng(seed)
-    # (n_tweaks, trials) layout keeps draws for tweak j identical across
-    # runs with different n_tweaks (prefix coupling, see module docstring).
-    us = rng.random((n_tweaks, trials))
-    sets = (us * n_sets).astype(np.int64)
-    flat = sets + np.arange(trials, dtype=np.int64)[None, :] * n_sets
-    counts = np.bincount(flat.ravel(), minlength=trials * n_sets).reshape(trials, n_sets)
-    evicted = np.maximum(counts - ways, 0).sum(axis=1)
-    if mode is EvictionMode.AT_LEAST_ONE:
-        return float((evicted > 0).mean())
-    return float((evicted / n_tweaks).mean())
+    _check_eviction_args(n_entries, ways, trials, [n_tweaks])
+    at_least_one, total = _eviction_pass(n_entries, ways, [n_tweaks], trials, seed)[n_tweaks]
+    return at_least_one if mode is EvictionMode.AT_LEAST_ONE else total
 
 
 def eviction_grid(entries_list, ways_list, tweak_counts, trials=10000, seed=0):
     """Rows of (n_entries, ways, n_tweaks, mode, probability, trials, seed)
-    for both modes across the full parameter grid."""
+    for both modes across the full parameter grid, one coupled pass per
+    (n_entries, ways) geometry."""
+    tweak_counts = list(tweak_counts)
+    geometries = [(n_entries, ways) for n_entries in entries_list for ways in ways_list]
+    for n_entries, ways in geometries:
+        _check_eviction_args(n_entries, ways, trials, tweak_counts)
     rows = []
-    for n_entries in entries_list:
-        for ways in ways_list:
-            for n_tweaks in tweak_counts:
-                for mode in (EvictionMode.AT_LEAST_ONE, EvictionMode.TOTAL):
-                    p = simulate_eviction(n_entries, ways, n_tweaks, trials, mode, seed)
-                    rows.append((n_entries, ways, n_tweaks, mode.value, p, trials, seed))
+    for n_entries, ways in geometries:
+        probs = _eviction_pass(n_entries, ways, tweak_counts, trials, seed)
+        for n_tweaks in tweak_counts:
+            for mode, p in zip((EvictionMode.AT_LEAST_ONE, EvictionMode.TOTAL), probs[n_tweaks]):
+                rows.append((n_entries, ways, n_tweaks, mode.value, p, trials, seed))
     return rows
 
 

@@ -25,7 +25,13 @@ from pathlib import Path
 from xml.etree import ElementTree as ET
 
 from .cache import EvictionMode, TcCfg, eviction_grid, overhead_sweep
-from .image import image_from_manifest, load_enclave_image
+from .image import (
+    FormatError,
+    ImageAuthFailure,
+    InvalidImage,
+    image_from_manifest,
+    load_enclave_image,
+)
 from .monitor import derive_developer_key
 from .scenarios import ScriptError, builtin_suite, load_scenarios, run_scenario
 
@@ -173,7 +179,13 @@ def cmd_overhead(args) -> int:
 def cmd_image(args) -> int:
     if args.mode == "pack":
         manifest_path = Path(args.manifest)
-        image = image_from_manifest(json.loads(manifest_path.read_text()), manifest_path.parent)
+        manifest = json.loads(manifest_path.read_text())
+        try:
+            image = image_from_manifest(manifest, manifest_path.parent)
+        except (KeyError, TypeError, AttributeError) as exc:
+            # a missing entry or a value of the wrong JSON type
+            raise ScriptError(f"malformed manifest {manifest_path}: "
+                              f"{type(exc).__name__} {exc}") from exc
         Path(args.out).write_bytes(image.pack())
     elif args.mode == "unpack":
         image = load_enclave_image(Path(args.image).read_bytes(),
@@ -274,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScriptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, FormatError, ImageAuthFailure, InvalidImage) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

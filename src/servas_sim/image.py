@@ -235,6 +235,10 @@ def image_from_manifest(manifest: dict, files: Path | None = None) -> EnclaveIma
         else:
             fill = bytes.fromhex(p.get("fill", ""))
             body = (fill * (PAGE_BYTES // max(len(fill), 1) + 1))[:PAGE_BYTES]
-        pages.append((p["index"], p["perms"], ImagePageType[p["type"].upper()], body))
+        try:
+            page_type = ImagePageType[p["type"].upper()]
+        except KeyError:
+            raise ValueError(f"unknown page type {p['type']!r}") from None
+        pages.append((p["index"], p["perms"], page_type, body))
     return build_image(pages, entry_offset=manifest.get("entry_offset", 0),
                        developer_id=manifest.get("developer_id", "devel-00").encode())

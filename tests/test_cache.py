@@ -1,7 +1,11 @@
 """Functional tweak-tagged cache plus the storage/eviction analytics."""
 
+import math
 import random
+from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 
 from servas_sim.cache import (
@@ -257,6 +261,127 @@ def test_simulate_eviction_validation():
         simulate_eviction(32, 3, 5)  # entries not divisible by ways
     with pytest.raises(ValueError):
         simulate_eviction(32, 2, 5, trials=0)
+
+
+@pytest.mark.parametrize("n_entries, ways, n_tweaks, trials, name", [
+    (32, 0, 5, 100, "ways"),
+    (32, -4, 5, 100, "ways"),
+    (0, 2, 5, 100, "n_entries"),
+    (2, 4, 5, 100, "n_entries"),
+    (30, 4, 5, 100, "n_entries"),
+    (32, 2, 5, 0, "trials"),
+    (32, 2, 0, 100, "n_tweaks"),
+    (32, 2, -3, 100, "n_tweaks"),
+])
+def test_eviction_input_check_names_the_argument(n_entries, ways, n_tweaks, trials, name):
+    """simulate_eviction and eviction_grid share one check, which names the
+    offending argument instead of failing inside numpy or returning nan."""
+    with pytest.raises(ValueError, match=name):
+        simulate_eviction(n_entries, ways, n_tweaks, trials)
+    with pytest.raises(ValueError, match=name):
+        eviction_grid([n_entries], [ways], [4, n_tweaks], trials)
+
+
+def test_empty_tweak_list_gives_no_rows():
+    assert eviction_grid([32, 128], [1, 2], [], trials=100) == []
+
+
+# --- the one-pass grid against the per-point reference -----------------------------
+
+
+def _reference_eviction(n_entries, ways, n_tweaks, trials, mode, seed):
+    """The per-point Monte Carlo: one draw and one bincount per (geometry,
+    tweak count, mode).  eviction_grid must reproduce it exactly."""
+    n_sets = n_entries // ways
+    rng = np.random.default_rng(seed)
+    us = rng.random((n_tweaks, trials))
+    sets = (us * n_sets).astype(np.int64)
+    flat = sets + np.arange(trials, dtype=np.int64)[None, :] * n_sets
+    counts = np.bincount(flat.ravel(), minlength=trials * n_sets).reshape(trials, n_sets)
+    evicted = np.maximum(counts - ways, 0).sum(axis=1)
+    if mode is EvictionMode.AT_LEAST_ONE:
+        return float((evicted > 0).mean())
+    return float((evicted / n_tweaks).mean())
+
+
+@pytest.mark.parametrize("trials", [1, 37])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_eviction_grid_matches_per_point_reference(trials, seed):
+    entries, ways_list = [8, 32], [1, 2, 4, 8]
+    tweak_counts = [9, 1, 24, 9, 3, 16, 2]  # unsorted, with a repeat
+    rows = eviction_grid(entries, ways_list, tweak_counts, trials=trials, seed=seed)
+    expected = [(n, w, k, mode.value,
+                 _reference_eviction(n, w, k, trials, mode, seed), trials, seed)
+                for n in entries for w in ways_list for k in tweak_counts
+                for mode in (EvictionMode.AT_LEAST_ONE, EvictionMode.TOTAL)]
+    assert rows == expected
+    for n, w, k, mode_value, p, _, _ in rows[::5]:
+        assert simulate_eviction(n, w, k, trials, EvictionMode(mode_value), seed) == p
+
+
+# --- the Monte Carlo against the exact model -------------------------------------
+
+
+def _exact_total(n_entries, ways, n_tweaks):
+    """Expected evicted fraction: n_sets * E[max(X - ways, 0)] / n_tweaks,
+    X ~ Binomial(n_tweaks, 1/n_sets), in integer arithmetic."""
+    n_sets = n_entries // ways
+    excess = sum((k - ways) * comb(n_tweaks, k) * (n_sets - 1) ** (n_tweaks - k)
+                 for k in range(ways + 1, n_tweaks + 1))
+    return Fraction(n_sets * excess, n_sets ** n_tweaks * n_tweaks)
+
+
+def _exact_at_least_one(n_entries, ways, max_tweaks):
+    """P(some set overflows) for every n in 0..max_tweaks: 1 - f(n)/n_sets^n,
+    where f(n) counts the assignments of n labelled tweaks to the sets that
+    put at most ``ways`` tweaks in each set.  One DP over the sets."""
+    n_sets = n_entries // ways
+    fits = [1] + [0] * max_tweaks  # no sets yet: only the empty assignment
+    for _ in range(n_sets):
+        fits = [sum(comb(m, i) * fits[m - i] for i in range(min(ways, m) + 1))
+                for m in range(max_tweaks + 1)]
+    return [1 - Fraction(fits[n], n_sets ** n) for n in range(max_tweaks + 1)]
+
+
+def test_exact_model_named_points():
+    assert round(float(_exact_total(32, 2, 12)), 6) == 0.054219
+    assert round(float(_exact_total(128, 4, 66)), 6) == 0.038034
+    assert round(float(_exact_at_least_one(32, 2, 12)[12]), 6) == 0.489485
+    assert round(float(_exact_at_least_one(128, 4, 66)[66]), 6) == 0.894011
+
+
+def test_exact_model_small_case_by_enumeration():
+    """Both closed forms against brute force over all 4^5 assignments of 5
+    tweaks to the 4 sets of an 8-entry, 2-way store."""
+    n_sets, ways, n = 4, 2, 5
+    overflow = evicted = 0
+    for code in range(n_sets ** n):
+        counts = [0] * n_sets
+        for _ in range(n):
+            counts[code % n_sets] += 1
+            code //= n_sets
+        excess = sum(max(c - ways, 0) for c in counts)
+        overflow += excess > 0
+        evicted += excess
+    assert _exact_at_least_one(8, ways, n)[n] == Fraction(overflow, n_sets ** n)
+    assert _exact_total(8, ways, n) == Fraction(evicted, n_sets ** n * n)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_default_grid_within_four_sigma_of_exact(seed):
+    """Every point of the CLI's default grid lies within 4 sigma of the
+    exact value, sigma = sqrt(p(1 - p) / trials); a per-trial evicted
+    fraction lies in [0, 1], so p(1 - p) bounds its variance in both modes."""
+    trials, tweak_counts = 10000, list(range(2, 73, 2))
+    rows = eviction_grid([32, 128], [1, 2, 4, 8], tweak_counts, trials=trials, seed=seed)
+    assert len(rows) == 576
+    at_least_one = {(n, w): _exact_at_least_one(n, w, max(tweak_counts))
+                    for n in (32, 128) for w in (1, 2, 4, 8)}
+    for n, w, k, mode, prob, _, _ in rows:
+        exact = float(at_least_one[n, w][k] if mode == "at_least_one"
+                      else _exact_total(n, w, k))
+        sigma = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(prob - exact) <= 4 * sigma, (n, w, k, mode, prob, exact)
 
 
 def test_single_trial_runs():

@@ -84,6 +84,32 @@ def test_eviction_csv_deterministic_under_seed(tmp_path):
     assert len(lines) == 2 + 2 * 3 * 2  # ways x tweak counts x modes
 
 
+def test_eviction_default_grid_golden_digest(tmp_path):
+    """The default grid's CSV at seed 0 is pinned byte for byte (the digest
+    perfbench/eviction_digests.json records for seed 0)."""
+    out = tmp_path / "grid.csv"
+    assert run_cli("evictions", "--seed", "0", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "2ea4e743c20fd70a2a3efb457f5d42c37b554b4407aa31074f7e9401970940e9"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("--ways", "0"), "ways"),
+    (("--ways", "-4"), "ways"),
+    (("--entries", "0"), "n_entries"),
+    (("--entries", "30", "--ways", "4"), "n_entries"),
+    (("--tweaks", "0:4:2"), "n_tweaks"),
+    (("--trials", "0"), "trials"),
+], ids=["ways-0", "ways-negative", "entries-0", "entries-not-divisible", "tweaks-0",
+        "trials-0"])
+def test_eviction_bad_input_exits_two(tmp_path, capsys, argv, name):
+    out = tmp_path / "e.csv"
+    assert run_cli("evictions", *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not out.exists()
+
+
 def test_eviction_env_seed_fallback(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     monkeypatch.setenv("SERVAS_SIM_SEED", "123")
@@ -214,3 +240,44 @@ def test_image_wrap_wrong_developer_rejected(tmp_path):
                                    b"acme-dev")  # the id the header claims
     with pytest.raises(ImageAuthFailure):
         load_enclave_image(wrapped.read_bytes(), developer_key=dev_key)
+
+
+def _without_pages(m):
+    del m["pages"]
+
+
+def _page_type(value):
+    def mutate(m):
+        m["pages"][0]["type"] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, body_len", [
+    (_without_pages, 4096),
+    (lambda m: m.update(pages=5), 4096),
+    (_page_type("secret"), 4096),
+    (_page_type(2), 4096),
+    (lambda m: None, 4097),  # a file longer than a page
+], ids=["no-pages", "pages-not-a-list", "unknown-type", "type-not-text", "oversized-file"])
+def test_malformed_manifest_exits_two(tmp_path, capsys, mutate, body_len):
+    manifest = {"entry_offset": 0, "developer_id": "acme-dev",
+                "pages": [{"index": 0, "perms": "rx", "type": "shenclave", "file": "code.bin"}]}
+    mutate(manifest)
+    (tmp_path / "code.bin").write_bytes(b"\x13" * body_len)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("image", "pack", "--manifest", str(path), "--out", str(tmp_path / "x.img")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["non-image", "wrapped-without-key"])
+def test_unpack_of_unreadable_image_exits_two(tmp_path, capsys, wrapped):
+    img = tmp_path / "in.img"
+    if wrapped:
+        assert run_cli("image", "wrap", "--image", str(_pack_image(tmp_path)),
+                       "--cpu-key", "00" * 16, "--out", str(img)) == 0
+    else:
+        img.write_bytes(b"not an enclave image")
+    capsys.readouterr()
+    assert run_cli("image", "unpack", "--image", str(img), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
