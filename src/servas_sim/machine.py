@@ -10,6 +10,14 @@ Access pipeline: page-table walk -> permission check -> tweak composition
 -> optional tweak-tagged cache -> encryption engine.  M-mode accesses are
 untranslated (virtual address == physical address, no PTE).
 
+The tweak is one packed integer from composition on: the CSR file keeps
+the sid registers in the mapping composition reads (updated when a sid
+CSR is written, not per access), composition writes the fields straight
+into the integer, classification looks its (xrange, prv, pte) bits up in
+a table filled on first use, the cache compares the integer and the
+engine serializes it.  :meth:`Machine.pinned_page` classifies a monitor
+page once and steps the voffset field of the integer per line.
+
 Writes are read-modify-write at line granularity: the existing line must
 verify under the access tweak before the merged line is re-sealed.  Lines
 that were never written at all stand in for boot-time zeroed DRAM and
@@ -32,6 +40,7 @@ from .tweak import (
     PRV_M,
     PRV_S,
     PRV_U,
+    VOFFSET_SHIFT,
     Basis,
     InvalidCombination,
     PageType,
@@ -42,6 +51,7 @@ from .tweak import (
     classify_tweak,
     compose_sw_tweak,
     pack_pte_bits,
+    voffset_bits,
 )
 
 PAGE_BYTES = 4096
@@ -129,9 +139,20 @@ class CsrFile:
     usid1: int = 0
     load_override: TweakOverride | None = None
     store_override: TweakOverride | None = None
+    # (sid0, sid1) per matched range, as composition takes them; kept
+    # current by :meth:`write`, so no access has to build it
+    sid_regs: dict[Basis, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
-    def sid_regs(self) -> dict[Basis, tuple[int, int]]:
-        return {
+    def __post_init__(self) -> None:
+        self._map_sids()
+
+    def write(self, name: str, value) -> None:
+        setattr(self, name, value)
+        if "sid" in name:
+            self._map_sids()
+
+    def _map_sids(self) -> None:
+        self.sid_regs = {
             Basis.M: (self.msid0, self.msid1),
             Basis.S: (self.ssid0, self.ssid1),
             Basis.U: (self.usid0, self.usid1),
@@ -227,7 +248,7 @@ class Machine:
         elif name.endswith("override"):
             if value is not None and not isinstance(value, TweakOverride):
                 raise ValueError("override CSR takes a TweakOverride or None")
-        setattr(self.csr, name, value)
+        self.csr.write(name, value)
 
     def read_csr(self, prv: int, name: str):
         if name == "cpu_key":
@@ -263,11 +284,10 @@ class Machine:
         if prv == PRV_M:  # override registers apply to M-mode accesses only
             override = self.csr.store_override if kind is AccessKind.WRITE \
                 else self.csr.load_override
+        csr = self.csr
         return compose_sw_tweak(
-            va & ~(LINE_BYTES - 1), prv, pte_bits,
-            self.csr.mrange, self.csr.srange, self.csr.urange,
-            self.csr.sid_regs(), self.va_bits,
-            override=override, override_prv=PRV_M,
+            va & ~(LINE_BYTES - 1), prv, pte_bits, csr.mrange, csr.srange, csr.urange,
+            csr.sid_regs, self.va_bits, override=override, override_prv=PRV_M,
         )
 
     def access(self, space: str, va: int, kind: AccessKind, prv: int,
@@ -282,6 +302,8 @@ class Machine:
             if not data:
                 raise ValueError("WRITE needs data")
             size = len(data)
+        elif size < 1:
+            raise ValueError(f"{kind.value} size must be at least 1, got {size}")
         offset = va % LINE_BYTES
         if offset + size > LINE_BYTES:
             raise ValueError("access crosses a line boundary")
@@ -300,8 +322,8 @@ class Machine:
             pte = self.walk(space, va)
             if pte is None:
                 raise PageFault(va, prv, "unmapped")
-            need = {AccessKind.READ: pte.r, AccessKind.WRITE: pte.w, AccessKind.FETCH: pte.x}
-            if not need[kind]:
+            if not (pte.r if kind is AccessKind.READ
+                    else pte.w if kind is AccessKind.WRITE else pte.x):
                 raise PageFault(va, prv, f"{kind.value} permission missing")
             if prv == PRV_U and not pte.u:
                 raise PageFault(va, prv, "user access to a supervisor page")
@@ -314,31 +336,58 @@ class Machine:
             raise PrivilegeTrap(va, prv, str(exc)) from exc
         if pinned:
             return self.pinned_access(pa, sw, kind, data, size)
-        return self._line_access(va, prv, pa, sw, kind, data, size, skip_verify=False)
+        return self._line_access(va, prv, pa, sw, self._classify(va, prv, sw), kind,
+                                 data, size, skip_verify=False)
 
     def pinned_access(self, pa: int, sw: SwTweak, kind: AccessKind = AccessKind.READ,
                       data: bytes | None = None, size: int = LINE_BYTES) -> bytes:
         """M-mode access to the physical line holding ``pa`` under a fully
         pinned software tweak, as with every field of the override CSR set.
 
-        This is the security monitor's path (and the end of an M-mode access
-        with the override armed); it has no privilege check of its own, as
-        only M-mode code can reach it.  No page table and no CSR is
-        consulted.  A write does not verify the line's previous content: the
-        line is re-sealed as zeros merged with ``data``, which is how the
-        monitor initializes a page whatever its previous binding.  A read
-        verifies as any access does.
+        This is the end of an M-mode access with the override armed; it has
+        no privilege check of its own, as only M-mode code can reach it.  No
+        page table and no CSR is consulted.  A write does not verify the
+        line's previous content: the line is re-sealed as zeros merged with
+        ``data``, which is how the monitor initializes a page whatever its
+        previous binding.  A read verifies as any access does.
         """
-        return self._line_access(pa, PRV_M, pa, sw, kind, data, size, skip_verify=True)
+        return self._line_access(pa, PRV_M, pa, sw, self._classify(pa, PRV_M, sw), kind,
+                                 data, size, skip_verify=True)
 
-    def _line_access(self, va: int, prv: int, pa: int, sw: SwTweak, kind: AccessKind,
-                     data: bytes | None, size: int, skip_verify: bool) -> bytes:
-        """Classification, bypass, cache and engine for one composed access."""
+    def pinned_page(self, ppn: int, sw: SwTweak, kind: AccessKind = AccessKind.READ,
+                    content: bytes | None = None, lines=range(LINES_PER_PAGE)) -> bytes:
+        """:meth:`pinned_access` of whole lines of physical page ``ppn``: line
+        ``i`` under ``sw`` with its voffset advanced by ``i``, the binding
+        the monitor gives every line of a page.  The lines share xrange, prv
+        and pte, so the page is classified once.  A write seals the given
+        ``lines`` of the page's ``content``.  Returns those lines, read or
+        written, joined.  This is the security monitor's page I/O.
+        """
+        if sw.voffset + max(lines, default=0) >> voffset_bits(sw.va_bits):
+            raise ValueError("voffset out of range")
+        base = ppn * PAGE_BYTES
+        ptype = self._classify(base, PRV_M, sw)
+        value, va_bits = sw.to_int(), sw.va_bits
+        out = []
+        for i in lines:
+            pa = base + i * LINE_BYTES
+            line_sw = SwTweak.from_int(value + (i << VOFFSET_SHIFT), va_bits)
+            data = None if content is None else content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
+            out.append(self._line_access(pa, PRV_M, pa, line_sw, ptype, kind, data,
+                                         LINE_BYTES, skip_verify=True))
+        return b"".join(out)
+
+    @staticmethod
+    def _classify(va: int, prv: int, sw: SwTweak) -> PageType:
         try:
-            ptype = classify_tweak(sw)
+            return classify_tweak(sw)
         except InvalidCombination as exc:
             raise InvalidCombinationTrap(va, prv, str(exc)) from exc
 
+    def _line_access(self, va: int, prv: int, pa: int, sw: SwTweak, ptype: PageType,
+                     kind: AccessKind, data: bytes | None, size: int,
+                     skip_verify: bool) -> bytes:
+        """Bypass, cache and engine for one composed, classified access."""
         line_index = pa // LINE_BYTES
         line_off = pa % LINE_BYTES
 

@@ -59,9 +59,8 @@ class StoredLine:
 
 def full_tweak_bytes(counter: int, sw: SwTweak) -> bytes:
     """Serialize counter || software tweak, counter in the high bits."""
-    total_bits = COUNTER_BITS + sw.bit_width
-    value = (counter << sw.bit_width) | sw.to_int()
-    return value.to_bytes((total_bits + 7) // 8, "big")
+    width = sw.bit_width
+    return (counter << width | sw.to_int()).to_bytes((COUNTER_BITS + width + 7) // 8, "big")
 
 
 class Mee:

@@ -13,8 +13,9 @@ concerned.
 
 Page I/O pins the tweak: for every line of an enclave page the monitor
 supplies all five software tweak fields -- exactly the values the
-enclave's own accesses will compose later -- and hands the line to the
-machine's pinned-tweak access (:meth:`Machine.pinned_access`), the same
+enclave's own accesses will compose later -- and hands the page to the
+machine's pinned-tweak page access (:meth:`Machine.pinned_page`), which
+classifies it once and steps the voffset per line.  That is the same
 engine path an M-mode access with the override registers armed takes, but
 with no CSR written and no page table consulted.  That is the entire trust
 story -- the OS-controlled page tables never have to be believed.  Monitor
@@ -458,21 +459,13 @@ class SecurityMonitor:
                    pte_bits: int, sid: int, prv: int = PRV_U,
                    lines=range(LINES_PER_PAGE)) -> None:
         m = self.machine
-        base = ppn * PAGE_BYTES
-        for i in lines:
-            m.pinned_access(base + i * LINE_BYTES,
-                            SwTweak(xrange, voffset_base + i, prv, pte_bits, sid, m.va_bits),
-                            AccessKind.WRITE, content[i * LINE_BYTES:(i + 1) * LINE_BYTES])
+        m.pinned_page(ppn, SwTweak(xrange, voffset_base, prv, pte_bits, sid, m.va_bits),
+                      AccessKind.WRITE, content, lines)
 
     def _read_page(self, ppn: int, xrange: int, voffset_base: int, pte_bits: int,
                    sid: int, prv: int = PRV_U) -> bytes:
         m = self.machine
-        base = ppn * PAGE_BYTES
-        return b"".join(
-            m.pinned_access(base + i * LINE_BYTES,
-                            SwTweak(xrange, voffset_base + i, prv, pte_bits, sid, m.va_bits))
-            for i in range(LINES_PER_PAGE)
-        )
+        return m.pinned_page(ppn, SwTweak(xrange, voffset_base, prv, pte_bits, sid, m.va_bits))
 
     def _walk_ppn(self, space: str, va: int) -> int:
         pte = self.machine.walk(space, va)

@@ -12,6 +12,17 @@ Serialized field order, most-significant first::
 
 pte bit packing, most-significant first: rsw[2] u g r w x.
 
+A :class:`SwTweak` is that packed integer (without the counter) plus the
+VA width, and nothing else: composition writes the integer directly, the
+cache tags lines with it and the engine serializes it as it is.  The
+field properties shift it apart only for callers that ask.  Because prv
+and pte are adjacent, the three fields that decide the page type --
+xrange, prv and pte -- form a 12-bit key; :func:`classify_tweak` looks it
+up in a table that fills itself on first use of each key from
+:func:`classify_page_type`, which stays the one statement of the rules.
+The table is not built at import (all 4,096 keys cost milliseconds that
+every process would pay); a run fills the few keys it uses.
+
 All functions here are pure; machine state enters only through an explicit
 :class:`CsrFile` (defined in :mod:`servas_sim.machine`).
 """
@@ -19,7 +30,8 @@ All functions here are pure; machine state enters only through an explicit
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import FrozenInstanceError, dataclass
 
 XRANGE_BITS = 3
 PRV_BITS = 2
@@ -37,6 +49,14 @@ XR_S = 0b010
 XR_M = 0b100
 
 SID_MASK = (1 << SID_BITS) - 1
+
+# Bit positions in the packed value, counted from the sid's least
+# significant bit.  prv and pte are adjacent, so (prv, pte) is one 9-bit
+# field; xrange sits above the voffset.
+_PTE_SHIFT = SID_BITS
+_PRV_SHIFT = _PTE_SHIFT + PTE_BITS
+VOFFSET_SHIFT = _PRV_SHIFT + PRV_BITS  # one line step in the packed value
+_PRV_PTE_MASK = (1 << (PRV_BITS + PTE_BITS)) - 1
 
 
 class PageType(enum.Enum):
@@ -87,29 +107,72 @@ def unpack_pte_bits(pte: int) -> dict[str, int]:
     }
 
 
-@dataclass(frozen=True)
 class SwTweak:
-    """The software-visible tweak half.  Immutable once composed."""
+    """The software-visible tweak half: the packed integer and the VA width.
 
-    xrange: int
-    voffset: int
-    prv: int
-    pte: int
-    sid: int
-    va_bits: int = 48
+    Immutable.  The public constructor checks every field; composition and
+    :meth:`from_int` build the value directly.
+    """
 
-    def __post_init__(self) -> None:
-        vb = voffset_bits(self.va_bits)
-        if not 0 <= self.xrange < (1 << XRANGE_BITS):
+    __slots__ = ("_value", "va_bits")
+
+    def __init__(self, xrange: int, voffset: int, prv: int, pte: int, sid: int,
+                 va_bits: int = 48) -> None:
+        vb = voffset_bits(va_bits)
+        if not 0 <= xrange < (1 << XRANGE_BITS):
             raise ValueError("xrange bitmap out of range")
-        if not 0 <= self.voffset < (1 << vb):
+        if not 0 <= voffset < (1 << vb):
             raise ValueError("voffset out of range")
-        if not 0 <= self.prv < (1 << PRV_BITS):
+        if not 0 <= prv < (1 << PRV_BITS):
             raise ValueError("privilege field out of range")
-        if not 0 <= self.pte < (1 << PTE_BITS):
+        if not 0 <= pte < (1 << PTE_BITS):
             raise ValueError("pte bits out of range")
-        if not 0 <= self.sid < (1 << SID_BITS):
+        if not 0 <= sid < (1 << SID_BITS):
             raise ValueError("sid out of range")
+        value = (((xrange << vb | voffset) << PRV_BITS | prv) << PTE_BITS | pte) << SID_BITS | sid
+        _set_value(self, value)
+        _set_va_bits(self, va_bits)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not SwTweak:
+            return NotImplemented
+        return self._value == other._value and self.va_bits == other.va_bits
+
+    def __hash__(self) -> int:
+        return hash((self._value, self.va_bits))
+
+    def __repr__(self) -> str:
+        return (f"SwTweak(xrange={self.xrange}, voffset={self.voffset}, prv={self.prv}, "
+                f"pte={self.pte}, sid={self.sid}, va_bits={self.va_bits})")
+
+    def __reduce__(self):
+        return SwTweak.from_int, (self._value, self.va_bits)
+
+    @property
+    def xrange(self) -> int:
+        return self._value >> (VOFFSET_SHIFT + self.va_bits - LINE_SHIFT)
+
+    @property
+    def voffset(self) -> int:
+        return (self._value >> VOFFSET_SHIFT) & ((1 << voffset_bits(self.va_bits)) - 1)
+
+    @property
+    def prv(self) -> int:
+        return (self._value >> _PRV_SHIFT) & ((1 << PRV_BITS) - 1)
+
+    @property
+    def pte(self) -> int:
+        return (self._value >> _PTE_SHIFT) & ((1 << PTE_BITS) - 1)
+
+    @property
+    def sid(self) -> int:
+        return self._value & SID_MASK
 
     @property
     def bit_width(self) -> int:
@@ -117,32 +180,31 @@ class SwTweak:
 
     @property
     def rsw(self) -> int:
-        return (self.pte >> 5) & 0b11
+        return (self._value >> (_PTE_SHIFT + 5)) & 0b11
 
     def to_int(self) -> int:
-        vb = voffset_bits(self.va_bits)
-        value = self.xrange
-        value = (value << vb) | self.voffset
-        value = (value << PRV_BITS) | self.prv
-        value = (value << PTE_BITS) | self.pte
-        value = (value << SID_BITS) | self.sid
-        return value
+        return self._value
 
     def to_bytes(self) -> bytes:
-        return self.to_int().to_bytes((self.bit_width + 7) // 8, "big")
+        return self._value.to_bytes((self.bit_width + 7) // 8, "big")
 
     @classmethod
     def from_int(cls, value: int, va_bits: int = 48) -> "SwTweak":
-        vb = voffset_bits(va_bits)
-        sid = value & SID_MASK
-        value >>= SID_BITS
-        pte = value & ((1 << PTE_BITS) - 1)
-        value >>= PTE_BITS
-        prv = value & ((1 << PRV_BITS) - 1)
-        value >>= PRV_BITS
-        voffset = value & ((1 << vb) - 1)
-        value >>= vb
-        return cls(xrange=value, voffset=voffset, prv=prv, pte=pte, sid=sid, va_bits=va_bits)
+        if not 0 <= value < (1 << sw_tweak_bits(va_bits)):
+            raise ValueError(f"tweak value out of range for {va_bits}-bit addresses")
+        return _packed(value, va_bits)
+
+
+_set_value = SwTweak._value.__set__
+_set_va_bits = SwTweak.va_bits.__set__
+
+
+def _packed(value: int, va_bits: int) -> SwTweak:
+    """A tweak from its packed value, which the caller built in range."""
+    sw = object.__new__(SwTweak)
+    _set_value(sw, value)
+    _set_va_bits(sw, va_bits)
+    return sw
 
 
 @dataclass(frozen=True)
@@ -155,6 +217,10 @@ class RangeReg:
 
     def validate(self, va_bits: int) -> None:
         line = 1 << LINE_SHIFT
+        if not (isinstance(self.base, int) and isinstance(self.size, int)):
+            raise ValueError("range base and size must be integers")
+        if self.base < 0 or self.size < 0:
+            raise ValueError("range base and size must not be negative")
         if self.base % line or self.size % line:
             raise ValueError("range base and size must be 64-byte aligned")
         if self.base >= (1 << va_bits) or self.base + self.size > (1 << va_bits):
@@ -180,7 +246,8 @@ class TweakOverride:
 
     @property
     def armed(self) -> bool:
-        return any(v is not None for v in (self.xrange, self.voffset, self.prv, self.pte, self.sid))
+        return not (self.xrange is None and self.voffset is None and self.prv is None
+                    and self.pte is None and self.sid is None)
 
 
 def match_ranges(va: int, mrange: RangeReg, srange: RangeReg, urange: RangeReg) -> int:
@@ -235,12 +302,17 @@ def select_sid(basis: Basis, rsw: int, sid_regs: dict[Basis, tuple[int, int]]) -
 def apply_override(sw: SwTweak, override: TweakOverride | None) -> SwTweak:
     if override is None or not override.armed:
         return sw
-    fields = {}
-    for name in ("xrange", "voffset", "prv", "pte", "sid"):
-        val = getattr(override, name)
-        if val is not None:
-            fields[name] = val
-    return replace(sw, **fields)
+
+    def pick(pinned, composed):
+        return composed if pinned is None else pinned
+
+    return SwTweak(pick(override.xrange, sw.xrange), pick(override.voffset, sw.voffset),
+                   pick(override.prv, sw.prv), pick(override.pte, sw.pte),
+                   pick(override.sid, sw.sid), sw.va_bits)
+
+
+# module globals: an enum attribute load costs several times as much
+_BASIS_U, _BASIS_S, _BASIS_M = Basis.U, Basis.S, Basis.M
 
 
 def compose_sw_tweak(
@@ -255,7 +327,10 @@ def compose_sw_tweak(
     override: TweakOverride | None = None,
     override_prv: int | None = None,
 ) -> SwTweak:
-    """Assemble the software tweak for one access.
+    """Assemble the software tweak for one access, straight into its packed
+    value: the fields :func:`match_ranges`, :func:`select_basis`,
+    :func:`compute_voffset` and :func:`select_sid` give, without the
+    per-call base dict and with no enum hashed unless a sid is looked up.
 
     ``override_prv`` is the privilege level at which the override registers
     were armed; supplying an armed override from below M-mode faults.
@@ -263,13 +338,28 @@ def compose_sw_tweak(
     armed = override is not None and override.armed
     if armed and (override_prv if override_prv is not None else prv) != PRV_M:
         raise PrivilegeViolation("tweak override requires M-mode")
-    bitmap = match_ranges(va, mrange, srange, urange)
-    basis = select_basis(bitmap)
-    bases = {Basis.M: mrange.base, Basis.S: srange.base, Basis.U: urange.base}
-    voffset = compute_voffset(va, basis, bases, va_bits)
-    rsw = (pte >> 5) & 0b11
-    sid = select_sid(basis, rsw, sid_regs)
-    sw = SwTweak(xrange=bitmap, voffset=voffset, prv=prv, pte=pte, sid=sid, va_bits=va_bits)
+    if prv >> PRV_BITS:  # also true for a negative value
+        raise ValueError("privilege field out of range")
+    if pte >> PTE_BITS:
+        raise ValueError("pte bits out of range")
+    xrange = match_ranges(va, mrange, srange, urange)
+    if xrange & XR_U:
+        matched, basis = urange, _BASIS_U
+    elif xrange & XR_S:
+        matched, basis = srange, _BASIS_S
+    elif xrange & XR_M:
+        matched, basis = mrange, _BASIS_M
+    else:
+        matched = None
+    vb = va_bits - LINE_SHIFT
+    if matched is None:
+        voffset = (va >> LINE_SHIFT) & ((1 << vb) - 1)
+        sid = 0
+    else:
+        voffset = ((va - matched.base) >> LINE_SHIFT) & ((1 << vb) - 1)
+        sid = select_sid(basis, pte >> 5, sid_regs)
+    value = (((xrange << vb | voffset) << PRV_BITS | prv) << PTE_BITS | pte) << SID_BITS | sid
+    sw = _packed(value, va_bits)
     return apply_override(sw, override) if armed else sw
 
 
@@ -313,5 +403,24 @@ def classify_page_type(xrange: int, prv: int, pte: int, rsw: int | None = None) 
     )
 
 
+@functools.cache
+def _classify_key(key: int) -> PageType | str:
+    """One entry of the classification table: the page type of the 12-bit
+    key ``xrange | prv | pte``, or the text of its InvalidCombination."""
+    try:
+        return classify_page_type(key >> (PRV_BITS + PTE_BITS), key >> PTE_BITS & 0b11,
+                                  key & ((1 << PTE_BITS) - 1))
+    except InvalidCombination as exc:
+        return str(exc)
+
+
 def classify_tweak(sw: SwTweak) -> PageType:
-    return classify_page_type(sw.xrange, sw.prv, sw.pte, sw.rsw)
+    """:func:`classify_page_type` of a composed tweak, through a table keyed
+    by its (xrange, prv, pte) bits and filled on first use of each key."""
+    value = sw._value
+    key = (value >> (VOFFSET_SHIFT + sw.va_bits - LINE_SHIFT) << (PRV_BITS + PTE_BITS)
+           | value >> _PTE_SHIFT & _PRV_PTE_MASK)
+    found = _classify_key(key)
+    if found.__class__ is PageType:
+        return found
+    raise InvalidCombination(found)

@@ -281,3 +281,43 @@ def test_unpack_of_unreadable_image_exits_two(tmp_path, capsys, wrapped):
     capsys.readouterr()
     assert run_cli("image", "unpack", "--image", str(img), "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _shm_wrong_key_doc():
+    doc = json.loads(dump_scenarios([s for s in builtin_suite() if s.name == "shm-wrong-key"]))
+    scenario = doc["scenarios"][0]
+    # keep the steps up to enclave A's session id writes, before eprepare
+    scenario["steps"] = scenario["steps"][:8]
+    assert scenario["steps"][-1]["args"]["name"] == "usid1"
+    scenario["expected"] = {"outcome": "ALLOWED", "detail": None, "at_step": 9}
+    return doc
+
+
+@pytest.mark.parametrize("base, size, error", [
+    (-4096, 8192, "negative"), (4096, -4096, "negative"), (4096.0, 4096, "integers"),
+], ids=["negative-base", "negative-size", "float-base"])
+def test_bad_range_register_exits_two(tmp_path, capsys, base, size, error):
+    """A range base or size the thread page cannot hold is refused at the
+    CSR write, not when the interrupt that follows packs it."""
+    doc = _shm_wrong_key_doc()
+    doc["scenarios"][0]["steps"] += [
+        {"actor": "A", "action": "write_csr",
+         "args": {"name": "urange", "value": [base, size, 1]}},
+        {"actor": "os", "action": "interrupt", "args": {}},
+    ]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("scenarios", str(path)) == 2
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, size", [("READ", 0), ("READ", -5), ("FETCH", 0)])
+def test_non_positive_read_size_exits_two(tmp_path, capsys, kind, size):
+    doc = _shm_wrong_key_doc()
+    doc["scenarios"][0]["steps"].append(
+        {"actor": "A", "action": "access",
+         "args": {"va": 0x4000_0000, "kind": kind, "size": size}})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("scenarios", str(path)) == 2
+    assert "at least 1" in capsys.readouterr().err

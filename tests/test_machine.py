@@ -105,6 +105,16 @@ def test_access_cannot_cross_line(m):
         m.access("p", 0x103C, READ, PRV_U, size=8)
 
 
+@pytest.mark.parametrize("kind", [READ, FETCH])
+@pytest.mark.parametrize("size", [0, -5])
+def test_non_positive_read_size_rejected(m, kind, size):
+    m.map_page(PRV_S, "p", 0x1000, 0x10, "rwxu")
+    m.access("p", 0x1000, WRITE, PRV_U, data=bytes(range(64)))
+    with pytest.raises(ValueError, match="at least 1"):
+        m.access("p", 0x1000, kind, PRV_U, size=size)
+    assert m.access("p", 0x1000, kind, PRV_U, size=1) == b"\x00"
+
+
 def test_trap_totality_single_outcome(m):
     """Every access yields data or exactly one trap type."""
     outcomes = set()
@@ -138,6 +148,19 @@ def test_csr_privilege_gating(m):
 def test_csr_misaligned_range_rejected(m):
     with pytest.raises(ValueError):
         m.write_csr(PRV_S, "srange", RangeReg(0x1008, 0x1000, True))
+
+
+@pytest.mark.parametrize("value, error", [
+    ((-4096, 8192, True), "negative"), ((4096, -4096, True), "negative"),
+    ([-64, 0, False], "negative"), ((4096.0, 4096, True), "integers"),
+    ((4096, 4096.0, True), "integers"),
+])
+def test_csr_bad_range_rejected(m, value, error):
+    for name in ("urange", "srange", "mrange"):
+        before = m.read_csr(PRV_M, name)
+        with pytest.raises(ValueError, match=error):
+            m.write_csr(PRV_M, name, value)
+        assert m.read_csr(PRV_M, name) == before
 
 
 def test_override_csrs_are_m_only(m):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import A_BASE, CODE_FILL, spawn_enclave, std_image
+from servas_sim.cache import CacheCfg
 from servas_sim.image import ImageAuthFailure
 from servas_sim.machine import (
     AccessKind,
@@ -759,3 +760,82 @@ def test_shm_visibility_needs_equal_secret_and_offset(machine, sm):
     # same offset, same secret
     machine.write_csr(PRV_U, "usid1", 0x123)
     assert machine.access("host", va_b, READ, PRV_U, size=16) == b"between-enclaves"
+
+
+def _user_trace_world():
+    """The standard enclave with four data pages on a 512x4 tweak cache,
+    entered, with a shared page and two unprotected host pages mapped: its
+    user accesses compose all four rsw values."""
+    m = Machine(seed=7, cache_cfg=CacheCfg(512, 4))
+    sm = SecurityMonitor(m)
+    handle = spawn_enclave(m, sm, image=std_image(n_data=4))
+    m.map_page(PRV_S, "host", 0x1000, 0x20, "rwu")
+    m.map_page(PRV_S, "host", 0x2000, 0x21, "ru")  # never written
+    shm_va = 0x6000_0000
+    m.map_page(PRV_S, "host", shm_va, 0x180, "rwu", 0b11)
+    sm.eenter(handle)
+    m.write_csr(PRV_U, "urange", RangeReg(shm_va, PAGE_BYTES, True))
+    m.write_csr(PRV_U, "usid0", 0x0123_4567_89AB_CDEF)
+    m.write_csr(PRV_U, "usid1", 0xFEDC)
+    sm.eprepare(shm_va, PageType.SHM, RW)
+    data = [A_BASE + PAGE_BYTES * (1 + p) + 64 * i for p in range(5) for i in range(64)]
+    shm = [shm_va + 64 * i for i in range(64)]
+    host = [0x1000 + 64 * i for i in range(64)]
+    code = [A_BASE + 64 * i for i in range(64)]
+    return m, sm, handle, data + shm + host, code
+
+
+def test_user_trace_ciphertext_and_counts_golden():
+    """A seeded 2,000-access U-mode trace through the tweak cache, with one
+    interrupt and resume halfway: SHA-256 over every sealed line afterwards
+    and the exact cache and engine counts, pinned.  The line path must stay
+    bit-identical however tweaks are composed and classified.  Reads of a
+    never-written host page alternate between U- and S-mode, which is where
+    the cache sees tweak mismatches without a fault."""
+    m, sm, handle, rw_lines, code = _user_trace_world()
+    engine_ops = {"write": 0, "read": 0}
+
+    def counted(op):
+        inner = getattr(m.mee, op)
+
+        def wrapper(*args):
+            engine_ops[op] += 1
+            return inner(*args)
+        return wrapper
+
+    m.mee.write, m.mee.read = counted("write"), counted("read")
+    before = (m.cache.hits, m.cache.misses, m.cache.tweak_mismatches)
+    rng = random.Random("user-trace")
+    out = hashlib.sha256()
+    for step in range(2000):
+        if step == 1000:
+            sm.interrupt()
+            m.prv = PRV_U
+            sm.eenter(handle)
+        roll = rng.random()
+        if roll < 0.1:
+            va = code[rng.randrange(64)] + 4 * rng.randrange(16)
+            out.update(m.access("host", va, FETCH, PRV_U, size=4))
+            continue
+        if roll < 0.15:
+            va = 0x2000 + 64 * rng.randrange(4)
+            out.update(m.access("host", va, READ, rng.choice((PRV_U, PRV_S)), size=8))
+            continue
+        pool = rw_lines[:64] if roll < 0.6 else rw_lines
+        va = pool[rng.randrange(len(pool))] + 8 * rng.randrange(8)
+        if roll < 0.35:
+            m.access("host", va, WRITE, PRV_U, data=rng.randbytes(8))
+        else:
+            out.update(m.access("host", va, READ, PRV_U, size=8))
+    lines = sorted(m.mee._lines)
+    sealed = hashlib.sha256(b"".join(
+        i.to_bytes(8, "little") + b"".join(m.mee.snapshot_line(i)) for i in lines))
+    after = (m.cache.hits, m.cache.misses, m.cache.tweak_mismatches)
+    counts = tuple(a - b for a, b in zip(after, before)) \
+        + (engine_ops["write"], engine_ops["read"], len(lines))
+    assert out.hexdigest() == \
+        "38bf91c8a5e65856bdf3625aa9266e8dd22ba40233ac244e2c6c309dd65fd289"
+    assert sealed.hexdigest() == \
+        "9ebad64283afd19ee43c394ead67e1c665a39c3ed3b13caf570f5a69e451832e"
+    # cache hits, misses, tweak mismatches; engine writes, reads; sealed lines
+    assert counts == (1694, 562, 42, 417, 458, 576)

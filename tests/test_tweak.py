@@ -5,8 +5,14 @@ row-matching engine and enumerates all 3,072 (xrange, privilege,
 permission, rsw) combinations against it.
 """
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from servas_sim.tweak import (
     PRV_M,
@@ -20,6 +26,7 @@ from servas_sim.tweak import (
     SwTweak,
     TweakOverride,
     classify_page_type,
+    classify_tweak,
     compose_sw_tweak,
     compute_voffset,
     match_ranges,
@@ -311,3 +318,159 @@ def test_user_range_precedence_shields_other_levels(off, pte, m_base, msid, ssid
     )
     assert shadow.voffset == baseline.voffset
     assert shadow.sid == baseline.sid
+
+
+# --- the packed representation against the field-by-field reference -------------
+
+FIELDS = ("xrange", "voffset", "prv", "pte", "sid")
+
+
+def _reference_compose(va, prv, pte, mrange, srange, urange, sid_regs, va_bits, override):
+    """The tweak assembled field by field from the building blocks, with the
+    override applied through the validating constructor."""
+    bitmap = match_ranges(va, mrange, srange, urange)
+    basis = select_basis(bitmap)
+    bases = {Basis.M: mrange.base, Basis.S: srange.base, Basis.U: urange.base}
+    fields = {
+        "xrange": bitmap,
+        "voffset": compute_voffset(va, basis, bases, va_bits),
+        "prv": prv,
+        "pte": pte,
+        "sid": select_sid(basis, (pte >> 5) & 0b11, sid_regs),
+    }
+    if override is not None:
+        for name in FIELDS:
+            if getattr(override, name) is not None:
+                fields[name] = getattr(override, name)
+    return SwTweak(va_bits=va_bits, **fields)
+
+
+@st.composite
+def _compose_case(draw):
+    va_bits = draw(st.sampled_from([48, 39]))
+    n_lines = 1 << voffset_bits(va_bits)
+    va = draw(st.integers(0, (1 << va_bits) - 1))
+
+    def range_reg():
+        # half of the ranges start at or below va's line, so that several
+        # enabled ranges often contain va and overlap
+        below = draw(st.booleans())
+        lo = draw(st.integers(0, va >> 6 if below else n_lines - 1))
+        hi = draw(st.integers(lo, n_lines))
+        return RangeReg(lo * 64, (hi - lo) * 64, draw(st.booleans()))
+
+    mrange, srange, urange = range_reg(), range_reg(), range_reg()
+    sid = st.integers(0, 2**64 - 1)
+    sid_regs = {b: (draw(sid), draw(sid)) for b in (Basis.M, Basis.S, Basis.U)}
+    override = draw(st.none() | st.builds(
+        TweakOverride,
+        xrange=st.none() | st.integers(0, 7),
+        voffset=st.none() | st.integers(0, n_lines - 1),
+        prv=st.none() | st.integers(0, 3),
+        pte=st.none() | st.integers(0, 127),
+        sid=st.none() | st.integers(0, 2**80 - 1),
+    ))
+    return (va, draw(st.integers(0, 3)), draw(st.integers(0, 127)),
+            mrange, srange, urange, sid_regs, va_bits, override)
+
+
+@settings(max_examples=400)
+@given(_compose_case())
+def test_compose_equals_field_by_field_reference(case):
+    va, prv, pte, mrange, srange, urange, sid_regs, va_bits, override = case
+    got = compose_sw_tweak(va, prv, pte, mrange, srange, urange, sid_regs, va_bits,
+                           override=override, override_prv=PRV_M)
+    want = _reference_compose(*case)
+    assert got == want
+    assert got.to_int() == want.to_int()
+    assert [getattr(got, f) for f in FIELDS] == [getattr(want, f) for f in FIELDS]
+    assert got.rsw == (got.pte >> 5) & 0b11
+
+
+def test_compose_rejects_out_of_range_prv_and_pte():
+    with pytest.raises(ValueError, match="privilege"):
+        compose_sw_tweak(0, 4, 0, DIS, DIS, DIS, _sid_regs())
+    with pytest.raises(ValueError, match="privilege"):
+        compose_sw_tweak(0, -1, 0, DIS, DIS, DIS, _sid_regs())
+    with pytest.raises(ValueError, match="pte"):
+        compose_sw_tweak(0, PRV_U, 128, DIS, DIS, DIS, _sid_regs())
+
+
+def _rules(xrange, prv, pte):
+    try:
+        return classify_page_type(xrange, prv, pte)
+    except InvalidCombination as exc:
+        return f"InvalidCombination: {exc}"
+
+
+def _table(sw):
+    try:
+        return classify_tweak(sw)
+    except InvalidCombination as exc:
+        return f"InvalidCombination: {exc}"
+
+
+@pytest.mark.parametrize("va_bits", [48, 39])
+def test_classify_table_equals_rules_on_every_key(va_bits):
+    """All 4,096 (xrange, prv, pte) keys, twice each (the second lookup is
+    answered by the filled table), under voffset and sid values that vary
+    with the key so that no other field leaks into it."""
+    vmask = (1 << voffset_bits(va_bits)) - 1
+    for xrange in range(8):
+        for prv in range(4):
+            for pte in range(128):
+                key = (xrange << 9) | (prv << 7) | pte
+                sw = SwTweak(xrange, (key * 0x9E3779B1) & vmask, prv, pte,
+                             (key * 0x9E3779B97F4A7C15) & (2**80 - 1), va_bits)
+                want = _rules(xrange, prv, pte)
+                assert _table(sw) == want
+                assert _table(sw) == want
+
+
+def test_classify_table_is_not_built_at_import():
+    code = ("import servas_sim.tweak as t; n = t._classify_key.cache_info().currsize; "
+            "t.classify_tweak(t.SwTweak(0, 0, 0, 0, 0)); "
+            "print(n, t._classify_key.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                         check=True).stdout
+    assert out.split() == ["0", "1"]
+
+
+_tweaks = st.builds(
+    lambda vb, x, v, p, t, s: SwTweak(x, v & ((1 << voffset_bits(vb)) - 1), p, t, s, vb),
+    st.sampled_from([48, 39]), st.integers(0, 7), st.integers(0, 2**42 - 1),
+    st.integers(0, 3), st.integers(0, 127), st.integers(0, 2**80 - 1),
+)
+
+
+@given(_tweaks, _tweaks)
+def test_sw_tweak_api_parity(a, b):
+    """Equality, hashing, round trips and immutability behave as for a
+    frozen record of the five fields and the VA width."""
+    key_a = tuple(getattr(a, f) for f in FIELDS) + (a.va_bits,)
+    key_b = tuple(getattr(b, f) for f in FIELDS) + (b.va_bits,)
+    assert (a == b) == (key_a == key_b)
+    assert (a != b) == (key_a != key_b)
+    assert SwTweak(*key_a) == a and hash(SwTweak(*key_a)) == hash(a)
+    assert SwTweak.from_int(a.to_int(), a.va_bits) == a
+    assert int.from_bytes(a.to_bytes(), "big") == a.to_int()
+    assert len(a.to_bytes()) == (a.bit_width + 7) // 8
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+    assert a != key_a and a.to_int() != a
+    assert len({a, b, SwTweak(*key_a)}) == (1 if key_a == key_b else 2)
+    for name in FIELDS + ("va_bits", "rsw", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    with pytest.raises(AttributeError):
+        del a.sid
+    assert tuple(getattr(a, f) for f in FIELDS) + (a.va_bits,) == key_a
+
+
+def test_from_int_rejects_values_outside_the_width():
+    with pytest.raises(ValueError):
+        SwTweak.from_int(1 << 134)
+    with pytest.raises(ValueError):
+        SwTweak.from_int(1 << 125, va_bits=39)
+    with pytest.raises(ValueError):
+        SwTweak.from_int(-1)
