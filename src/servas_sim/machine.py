@@ -6,9 +6,9 @@ page-table edits and CSR writes, which is enough to exercise every
 isolation property end to end.
 
 Access pipeline: page-table walk -> permission check -> tweak composition
-(with the M-mode override applied when armed) -> page-type classification
--> optional tweak-tagged cache -> encryption engine.  M-mode accesses are
-untranslated (virtual address == physical address, no PTE).
+-> page-type classification -> optional tweak-tagged cache -> encryption
+engine.  M-mode accesses are untranslated (virtual address == physical
+address, no PTE).
 
 The tweak is one packed integer from composition on: the CSR file keeps
 the sid registers in the mapping composition reads (updated when a sid
@@ -21,10 +21,10 @@ page once and steps the voffset field of the integer per line.
 Writes are read-modify-write at line granularity: the existing line must
 verify under the access tweak before the merged line is re-sealed.  Lines
 that were never written at all stand in for boot-time zeroed DRAM and
-verify as zeros under any tweak.  The one exception is an M-mode write
-under a pinned tweak (the store override armed, or
-:meth:`Machine.pinned_access`), which skips verification -- that is how the
-security monitor initializes pages regardless of their previous binding.
+verify as zeros under any tweak.  The one exception is a write through
+:meth:`Machine.pinned_page`, the monitor's page I/O under a tweak it pins
+itself, which skips verification -- that is how the security monitor
+initializes pages regardless of their previous binding.
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ from .tweak import (
     Basis,
     InvalidCombination,
     PageType,
-    PrivilegeViolation,
     RangeReg,
     SwTweak,
-    TweakOverride,
     classify_tweak,
     compose_sw_tweak,
     pack_pte_bits,
@@ -137,8 +135,6 @@ class CsrFile:
     ssid1: int = 0
     usid0: int = 0
     usid1: int = 0
-    load_override: TweakOverride | None = None
-    store_override: TweakOverride | None = None
     # (sid0, sid1) per matched range, as composition takes them; kept
     # current by :meth:`write`, so no access has to build it
     sid_regs: dict[Basis, tuple[int, int]] = field(init=False, repr=False, compare=False)
@@ -163,11 +159,16 @@ _CSR_LEVEL = {
     "mrange": PRV_M, "msid0": PRV_M, "msid1": PRV_M,
     "srange": PRV_S, "ssid0": PRV_S, "ssid1": PRV_S,
     "urange": PRV_U, "usid0": PRV_U, "usid1": PRV_U,
-    "load_override": PRV_M, "store_override": PRV_M,
 }
 
 N_REGS = 32
 _REG_MASK = (1 << 64) - 1
+
+
+def _reg_index(idx: int) -> int:
+    if not 0 <= idx < N_REGS:
+        raise ValueError(f"register index {idx} outside 0..{N_REGS - 1}")
+    return idx
 
 
 class Machine:
@@ -198,10 +199,10 @@ class Machine:
     # --- registers ---------------------------------------------------------
 
     def set_reg(self, idx: int, value: int) -> None:
-        self.regs[idx] = value & _REG_MASK
+        self.regs[_reg_index(idx)] = value & _REG_MASK
 
     def get_reg(self, idx: int) -> int:
-        return self.regs[idx]
+        return self.regs[_reg_index(idx)]
 
     # --- page tables (the untrusted OS surface) ----------------------------
 
@@ -241,13 +242,10 @@ class Machine:
             if not isinstance(value, RangeReg):
                 value = RangeReg(*value)
             value.validate(self.va_bits)
-        elif name.endswith(("0", "1")):
+        else:
             value = int(value)
             if not 0 <= value < (1 << 64):
                 raise ValueError("sid registers are 64-bit")
-        elif name.endswith("override"):
-            if value is not None and not isinstance(value, TweakOverride):
-                raise ValueError("override CSR takes a TweakOverride or None")
         self.csr.write(name, value)
 
     def read_csr(self, prv: int, name: str):
@@ -278,25 +276,17 @@ class Machine:
 
     # --- the access pipeline -----------------------------------------------
 
-    def compose_for_access(self, va: int, prv: int, pte_bits: int,
-                           kind: AccessKind) -> SwTweak:
-        override = None
-        if prv == PRV_M:  # override registers apply to M-mode accesses only
-            override = self.csr.store_override if kind is AccessKind.WRITE \
-                else self.csr.load_override
+    def compose_for_access(self, va: int, prv: int, pte_bits: int) -> SwTweak:
         csr = self.csr
-        return compose_sw_tweak(
-            va & ~(LINE_BYTES - 1), prv, pte_bits, csr.mrange, csr.srange, csr.urange,
-            csr.sid_regs, self.va_bits, override=override, override_prv=PRV_M,
-        )
+        return compose_sw_tweak(va & ~(LINE_BYTES - 1), prv, pte_bits, csr.mrange,
+                                csr.srange, csr.urange, csr.sid_regs, self.va_bits)
 
     def access(self, space: str, va: int, kind: AccessKind, prv: int,
                data: bytes | None = None, size: int = 1) -> bytes:
         """Perform one byte-granular access within a single 64-byte line.
 
         Returns the bytes read (or written back) or raises exactly one trap:
-        PageFault, AuthenticationException, PrivilegeTrap or
-        InvalidCombinationTrap.
+        PageFault, AuthenticationException or InvalidCombinationTrap.
         """
         if kind is AccessKind.WRITE:
             if not data:
@@ -310,14 +300,8 @@ class Machine:
         if va >= (1 << self.va_bits):
             raise PageFault(va, prv, "virtual address exceeds address width")
 
-        pinned = False
         if prv == PRV_M:
             pa, pte_bits = va, 0
-            override = self.csr.store_override if kind is AccessKind.WRITE \
-                else self.csr.load_override
-            if override is not None:
-                pte_bits = override.pte or 0
-                pinned = override.armed
         else:
             pte = self.walk(space, va)
             if pte is None:
@@ -330,38 +314,24 @@ class Machine:
             pa = pte.ppn * PAGE_BYTES + (va % PAGE_BYTES)
             pte_bits = pte.bits
 
-        try:
-            sw = self.compose_for_access(va, prv, pte_bits, kind)
-        except PrivilegeViolation as exc:
-            raise PrivilegeTrap(va, prv, str(exc)) from exc
-        if pinned:
-            return self.pinned_access(pa, sw, kind, data, size)
+        sw = self.compose_for_access(va, prv, pte_bits)
         return self._line_access(va, prv, pa, sw, self._classify(va, prv, sw), kind,
                                  data, size, skip_verify=False)
 
-    def pinned_access(self, pa: int, sw: SwTweak, kind: AccessKind = AccessKind.READ,
-                      data: bytes | None = None, size: int = LINE_BYTES) -> bytes:
-        """M-mode access to the physical line holding ``pa`` under a fully
-        pinned software tweak, as with every field of the override CSR set.
-
-        This is the end of an M-mode access with the override armed; it has
-        no privilege check of its own, as only M-mode code can reach it.  No
-        page table and no CSR is consulted.  A write does not verify the
-        line's previous content: the line is re-sealed as zeros merged with
-        ``data``, which is how the monitor initializes a page whatever its
-        previous binding.  A read verifies as any access does.
-        """
-        return self._line_access(pa, PRV_M, pa, sw, self._classify(pa, PRV_M, sw), kind,
-                                 data, size, skip_verify=True)
-
     def pinned_page(self, ppn: int, sw: SwTweak, kind: AccessKind = AccessKind.READ,
                     content: bytes | None = None, lines=range(LINES_PER_PAGE)) -> bytes:
-        """:meth:`pinned_access` of whole lines of physical page ``ppn``: line
-        ``i`` under ``sw`` with its voffset advanced by ``i``, the binding
-        the monitor gives every line of a page.  The lines share xrange, prv
-        and pte, so the page is classified once.  A write seals the given
-        ``lines`` of the page's ``content``.  Returns those lines, read or
-        written, joined.  This is the security monitor's page I/O.
+        """M-mode access to whole lines of physical page ``ppn`` under a
+        software tweak the caller pins: line ``i`` under ``sw`` with its
+        voffset advanced by ``i``, the binding the monitor gives every line
+        of a page.  No page table and no CSR is consulted, and there is no
+        privilege check, as only M-mode code can reach it.  The lines share
+        xrange, prv and pte, so the page is classified once.
+
+        A write seals the given ``lines`` of the page's ``content`` without
+        verifying their previous content, which is how the monitor
+        initializes a page whatever its previous binding; a read verifies
+        as any access does.  Returns those lines, read or written, joined.
+        This is the security monitor's page I/O.
         """
         if sw.voffset + max(lines, default=0) >> voffset_bits(sw.va_bits):
             raise ValueError("voffset out of range")

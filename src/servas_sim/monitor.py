@@ -11,13 +11,14 @@ the monitor re-reads and re-verifies its own state on every call.
 Destroying those pages erases the enclave as far as the monitor is
 concerned.
 
-Page I/O pins the tweak: for every line of an enclave page the monitor
-supplies all five software tweak fields -- exactly the values the
-enclave's own accesses will compose later -- and hands the page to the
-machine's pinned-tweak page access (:meth:`Machine.pinned_page`), which
-classifies it once and steps the voffset per line.  That is the same
-engine path an M-mode access with the override registers armed takes, but
-with no CSR written and no page table consulted.  That is the entire trust
+Page I/O pins the tweak: the monitor builds a page's first-line tweak
+once, all five software fields -- for an enclave page exactly what the
+enclave's own access to that line will compose later
+(:meth:`SecurityMonitor._page_tweak`), for one of its own pages the
+binding :meth:`SecurityMonitor._monitor_page_tweak` decides -- and hands
+it to the machine's pinned-tweak page access (:meth:`Machine.pinned_page`),
+which classifies the page once and steps the voffset per line.  No CSR is
+written and no page table is consulted.  That is the entire trust
 story -- the OS-controlled page tables never have to be believed.  Monitor
 pages are read and verified in full on every call; a store re-seals only
 the lines whose bytes differ from what the same call verified, and any
@@ -376,14 +377,16 @@ class SecurityMonitor:
             self._verified.clear()
             self._in_monitor = False
 
-    def _monitor_page_fields(self, ppn: int) -> tuple[int, int, int, int, int]:
-        """(xrange, voffset_base, pte_bits, sid, prv) of a monitor page: no
-        range, the absolute line index, M-mode read/write."""
-        voffset_base = (ppn * LINES_PER_PAGE) & ((1 << voffset_bits(self.machine.va_bits)) - 1)
-        return 0, voffset_base, MONITOR_PTE_BITS, 0, PRV_M
+    def _monitor_page_tweak(self, ppn: int) -> SwTweak:
+        """The first-line tweak of a monitor page, and so the one place that
+        decides a monitor page's binding: no range, the absolute line index,
+        M-mode read/write, sid 0."""
+        va_bits = self.machine.va_bits
+        voffset = (ppn * LINES_PER_PAGE) & ((1 << voffset_bits(va_bits)) - 1)
+        return SwTweak(0, voffset, PRV_M, MONITOR_PTE_BITS, 0, va_bits)
 
     def _read_monitor_page(self, ppn: int) -> bytes:
-        content = self._read_page(ppn, *self._monitor_page_fields(ppn))
+        content = self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn))
         counter_of = self.machine.mee.counter_of
         first = ppn * LINES_PER_PAGE
         for i in range(LINES_PER_PAGE):
@@ -400,7 +403,8 @@ class SecurityMonitor:
         dirty = [i for i in range(LINES_PER_PAGE)
                  if self._verified.get(first + i)
                  != (counter_of(first + i), content[i * LINE_BYTES:(i + 1) * LINE_BYTES])]
-        self._init_page(ppn, content, *self._monitor_page_fields(ppn), lines=dirty)
+        self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn), AccessKind.WRITE,
+                                 content, dirty)
 
     def _load_meta(self, handle: EnclaveHandle) -> EnclaveMeta:
         return EnclaveMeta.unpack(self._read_monitor_page(handle.meta_ppn))
@@ -425,9 +429,10 @@ class SecurityMonitor:
         mac = kdf(self.machine.cpu_key, b"encid-sid", encid_full, n=32)
         return int.from_bytes(mac, "big") & SID_MASK
 
-    def _page_fields(self, meta: EnclaveMeta, ctx: PageCtx, va: int,
-                     urange: RangeReg | None = None):
-        """(xrange, voffset_base, pte_bits, sid) an enclave access composes."""
+    def _page_tweak(self, meta: EnclaveMeta, ctx: PageCtx, va: int,
+                    urange: RangeReg | None = None) -> SwTweak:
+        """The tweak the enclave's own access to the first line of the page
+        at ``va`` composes; line ``i`` of the page is its voffset plus ``i``."""
         rsw = ctx.resolved_rsw()
         pte_bits = pack_pte_bits(ctx.perms["r"], ctx.perms["w"], ctx.perms["x"],
                                  ctx.perms["u"], ctx.perms.get("g", False), rsw)
@@ -452,20 +457,8 @@ class SecurityMonitor:
             xrange = 0b001
             sid = ctx.sid if ctx.sid is not None else truncate_sid(
                 self.machine.csr.usid0, self.machine.csr.usid1)
-        voffset_base = (va - base) // LINE_BYTES
-        return xrange, voffset_base, pte_bits, sid
-
-    def _init_page(self, ppn: int, content: bytes, xrange: int, voffset_base: int,
-                   pte_bits: int, sid: int, prv: int = PRV_U,
-                   lines=range(LINES_PER_PAGE)) -> None:
-        m = self.machine
-        m.pinned_page(ppn, SwTweak(xrange, voffset_base, prv, pte_bits, sid, m.va_bits),
-                      AccessKind.WRITE, content, lines)
-
-    def _read_page(self, ppn: int, xrange: int, voffset_base: int, pte_bits: int,
-                   sid: int, prv: int = PRV_U) -> bytes:
-        m = self.machine
-        return m.pinned_page(ppn, SwTweak(xrange, voffset_base, prv, pte_bits, sid, m.va_bits))
+        return SwTweak(xrange, (va - base) // LINE_BYTES, PRV_U, pte_bits, sid,
+                       self.machine.va_bits)
 
     def _walk_ppn(self, space: str, va: int) -> int:
         pte = self.machine.walk(space, va)
@@ -486,7 +479,9 @@ class SecurityMonitor:
                 meta_ppn: int, thread_ppn: int) -> EnclaveHandle:
         """Load an image: authenticate (and unwrap), initialize every page
         under its pinned tweak, set up both monitor pages, allocate a fresh
-        runtime id."""
+        runtime id.  Every check -- image, capacity, region, mappings and
+        the two monitor pages -- comes before the first seal and before the
+        runtime id is spent."""
         with self._monitor_call():
             if isinstance(image, (bytes, bytearray)):
                 _, dev_id, _, _ = parse_header(bytes(image))
@@ -499,13 +494,14 @@ class SecurityMonitor:
                 raise InvalidImage("target base must be page aligned")
             if len(image.pages) + stack_pages > MAX_OWNED:
                 raise MonitorCapacity("too many owned pages for the metadata page")
-            encid = image.encid()
-            rtid = self._rtid_next
-            self._rtid_next += 1
-            region_pages = image.n_region_pages + stack_pages
-            mrange = RangeReg(target_base, region_pages * PAGE_BYTES, True)
+            mrange = RangeReg(target_base, (image.n_region_pages + stack_pages) * PAGE_BYTES,
+                              True)
+            try:
+                mrange.validate(self.machine.va_bits)
+            except ValueError as exc:
+                raise InvalidImage(f"enclave region: {exc}") from exc
             meta = EnclaveMeta(
-                state=EnclaveState.LOADED, rtid=rtid, encid_full=encid,
+                state=EnclaveState.LOADED, rtid=self._rtid_next, encid_full=image.encid(),
                 entry_point=target_base + image.entry_offset, mrange=mrange,
                 host_space=host_space,
             )
@@ -513,12 +509,20 @@ class SecurityMonitor:
                       page.body) for page in image.pages]
             pages += [(image.n_region_pages + i, PageCtx(PageType.REGULAR, _STACK_PERMS),
                        bytes(PAGE_BYTES)) for i in range(stack_pages)]
+            writes = []
             for index, ctx, body in pages:
                 va = target_base + index * PAGE_BYTES
-                self._init_page(self._walk_ppn(host_space, va), body,
-                                *self._page_fields(meta, ctx, va))
+                writes.append((self._walk_ppn(host_space, va), self._page_tweak(meta, ctx, va),
+                               body))
                 meta.owned.append(OwnedPage(va, ctx.page_type, dict(ctx.perms),
                                             ctx.resolved_rsw()))
+            if meta_ppn == thread_ppn:
+                raise BadHandle("the metadata and thread pages must differ")
+            if {meta_ppn, thread_ppn} & {ppn for ppn, _, _ in writes}:
+                raise BadHandle("a monitor page cannot be one of the enclave's own pages")
+            self._rtid_next += 1
+            for ppn, sw, body in writes:
+                self.machine.pinned_page(ppn, sw, AccessKind.WRITE, body)
             handle = EnclaveHandle(meta_ppn, thread_ppn)
             self._store_meta(handle, meta)
             self._store_thread(handle, ThreadMeta())
@@ -528,6 +532,8 @@ class SecurityMonitor:
         """Trap from the host into the enclave: save the host context, wire
         the enclave CSRs, resume or start at the entry point."""
         m = self.machine
+        for reg in args or ():
+            m.get_reg(reg)  # a bad register index fails before any state moves
         with self._monitor_call() as caller_prv:
             meta = self._load_meta(handle)
             thread = self._load_thread(handle)
@@ -571,6 +577,8 @@ class SecurityMonitor:
         handle = m.active_enclave
         if handle is None:
             raise NotInEnclave("no enclave is executing")
+        for reg in returns or ():
+            m.get_reg(reg)  # a bad register index fails before any state moves
         with self._monitor_call():
             meta = self._load_meta(handle)
             thread = self._load_thread(handle)
@@ -650,10 +658,9 @@ class SecurityMonitor:
                 raise DoubleMap(f"page {va:#x} is already mapped into the enclave")
             if any(s.va == va for s in meta.swaps):
                 raise DoubleMap(f"page {va:#x} is swapped out of the enclave")
-            xrange, voffset_base, pte_bits, sid = self._page_fields(
-                meta, ctx, va, urange=caller_urange)
+            sw = self._page_tweak(meta, ctx, va, urange=caller_urange)
             ppn = self._walk_ppn(meta.host_space, va)
-            self._init_page(ppn, bytes(PAGE_BYTES), xrange, voffset_base, pte_bits, sid)
+            m.pinned_page(ppn, sw, AccessKind.WRITE, bytes(PAGE_BYTES))
             meta.owned.append(OwnedPage(va, page_type, dict(perms), ctx.resolved_rsw()))
             self._store_meta(handle, meta)
 
@@ -679,11 +686,11 @@ class SecurityMonitor:
         caller_urange = m.csr.urange
         with self._monitor_call():
             meta = self._load_meta(handle)
-            old = self._page_fields(meta, old_ctx, va, urange=caller_urange)
-            new = self._page_fields(meta, new_ctx, va, urange=caller_urange)
+            old = self._page_tweak(meta, old_ctx, va, urange=caller_urange)
+            new = self._page_tweak(meta, new_ctx, va, urange=caller_urange)
             ppn = self._walk_ppn(meta.host_space, va)
-            content = self._read_page(ppn, *old)
-            self._init_page(ppn, content, *new)
+            content = m.pinned_page(ppn, old)
+            m.pinned_page(ppn, new, AccessKind.WRITE, content)
             entry = next((o for o in meta.owned if o.va == va), None)
             if entry is not None:
                 entry.page_type = new_ctx.page_type
@@ -711,6 +718,7 @@ class SecurityMonitor:
     def swap_out(self, handle: EnclaveHandle, va: int, temp_ppn: int) -> bytes:
         """Seal one enclave page into the OS-supplied temporary page and
         invalidate the original.  Monitor and shared-data pages stay put."""
+        m = self.machine
         with self._monitor_call():
             meta = self._load_meta(handle)
             entry = next((o for o in meta.owned if o.va == va), None)
@@ -721,15 +729,17 @@ class SecurityMonitor:
             if any(s.va == va for s in meta.swaps):
                 raise DoubleMap(f"page {va:#x} is both mapped and swapped out")
             ctx = PageCtx(entry.page_type, entry.perms, entry.rsw)
-            fields = self._page_fields(meta, ctx, va)
+            sw = self._page_tweak(meta, ctx, va)
             ppn = self._walk_ppn(meta.host_space, va)
-            content = self._read_page(ppn, *fields)
-            nonce = self.machine.rng.randbytes(self.aead.nonce_len)
+            content = m.pinned_page(ppn, sw)
+            nonce = m.rng.randbytes(self.aead.nonce_len)
             sealed, tag = self.aead.seal(
                 self._swap_key(meta), nonce, content,
                 self._swap_ad(meta, va, entry.perms, entry.rsw, entry.page_type))
-            self._init_page(temp_ppn, sealed, 0, temp_ppn * LINES_PER_PAGE,
-                            MONITOR_PTE_BITS, 0, prv=PRV_S)
+            # the OS's identity-mapped S-mode view of the temporary page
+            m.pinned_page(temp_ppn, SwTweak(0, temp_ppn * LINES_PER_PAGE, PRV_S,
+                                            MONITOR_PTE_BITS, 0, m.va_bits),
+                          AccessKind.WRITE, sealed)
             self._destroy_page(ppn)
             meta.swaps.append(SwapRecord(va, nonce, tag, dict(entry.perms),
                                          entry.rsw, entry.page_type))
@@ -752,9 +762,9 @@ class SecurityMonitor:
             except AeadAuthError as exc:
                 raise SwapAuthFailure("sealed page is stale or tampered") from exc
             ctx = PageCtx(record.page_type, record.perms, record.rsw)
-            fields = self._page_fields(meta, ctx, va)
-            ppn = self._walk_ppn(meta.host_space, va)
-            self._init_page(ppn, content, *fields)
+            sw = self._page_tweak(meta, ctx, va)
+            self.machine.pinned_page(self._walk_ppn(meta.host_space, va), sw,
+                                     AccessKind.WRITE, content)
             meta.swaps.remove(record)
             meta.owned.append(OwnedPage(va, record.page_type, dict(record.perms), record.rsw))
             self._store_meta(handle, meta)

@@ -57,7 +57,6 @@ from .tweak import (
     PRV_U,
     InvalidCombination,
     PageType,
-    PrivilegeViolation,
     RangeReg,
 )
 
@@ -113,8 +112,10 @@ class Step:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Step":
-        return cls(d["actor"], d["action"], d.get("args", {}),
-                   d.get("expect_trap"), d.get("save_as"))
+        args = d.get("args", {})
+        if not isinstance(args, dict):
+            raise ScriptError(f"step args must be an object, got {args!r}")
+        return cls(d["actor"], d["action"], args, d.get("expect_trap"), d.get("save_as"))
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,13 @@ def dump_scenarios(scenarios: list[Scenario]) -> str:
                       indent=2)
 
 
+def _page_type(name) -> PageType:
+    """A page type named in a step (``"regular"``, ``"shm"``, ...)."""
+    if not isinstance(name, str):
+        raise ScriptError(f"page_type must be text, got {name!r}")
+    return PageType[name.upper()]
+
+
 def spawn_enclave(sm: SecurityMonitor, image: EnclaveImage, space: str, base: int,
                   ppn_start: int, stack_pages: int, meta_ppn: int, thread_ppn: int,
                   ppn_overrides: dict[int, int] | None = None) -> EnclaveHandle:
@@ -180,7 +188,7 @@ def spawn_enclave(sm: SecurityMonitor, image: EnclaveImage, space: str, base: in
 
 
 _TRAPLIKE = (Trap, MonitorError, ImageAuthFailure, InvalidImage, FormatError,
-             InvalidCombination, PrivilegeViolation)
+             InvalidCombination)
 
 
 def _trap_kind(exc: Exception) -> str:
@@ -188,8 +196,6 @@ def _trap_kind(exc: Exception) -> str:
         return exc.kind
     if isinstance(exc, InvalidCombination):
         return "INVALID_COMBINATION"
-    if isinstance(exc, PrivilegeViolation):
-        return "PRIVILEGE"
     return type(exc).__name__
 
 
@@ -321,7 +327,7 @@ class ScenarioRunner:
         self.sm.interrupt()
 
     def _act_eprepare(self, actor: Actor, args: dict):
-        self.sm.eprepare(args["va"], PageType[args["page_type"].upper()],
+        self.sm.eprepare(args["va"], _page_type(args["page_type"]),
                          perms_from_str(args["perms"]), args.get("rsw"))
 
     def _act_edestroy(self, actor: Actor, args: dict):
@@ -329,7 +335,7 @@ class ScenarioRunner:
 
     def _act_emod(self, actor: Actor, args: dict):
         def ctx(d: dict) -> PageCtx:
-            return PageCtx(PageType[d["page_type"].upper()], perms_from_str(d["perms"]),
+            return PageCtx(_page_type(d["page_type"]), perms_from_str(d["perms"]),
                            d.get("rsw"), d.get("sid"))
 
         self.sm.emod(args["va"], ctx(args["old"]), ctx(args["new"]))

@@ -78,10 +78,6 @@ class InvalidCombination(Exception):
     """Tweak field combination matches no row of the page-type table."""
 
 
-class PrivilegeViolation(Exception):
-    """Operation attempted below its required privilege level."""
-
-
 def voffset_bits(va_bits: int) -> int:
     return va_bits - LINE_SHIFT
 
@@ -230,26 +226,6 @@ class RangeReg:
         return self.enabled and self.base <= va < self.base + self.size
 
 
-@dataclass(frozen=True)
-class TweakOverride:
-    """M-mode replacement values for individual tweak fields.
-
-    ``None`` leaves a field to the normal composition; the engine counter
-    can never be overridden.  Load and store sides are separate registers.
-    """
-
-    xrange: int | None = None
-    voffset: int | None = None
-    prv: int | None = None
-    pte: int | None = None
-    sid: int | None = None
-
-    @property
-    def armed(self) -> bool:
-        return not (self.xrange is None and self.voffset is None and self.prv is None
-                    and self.pte is None and self.sid is None)
-
-
 def match_ranges(va: int, mrange: RangeReg, srange: RangeReg, urange: RangeReg) -> int:
     """Bitmap of enabled ranges containing ``va``; several bits may be set."""
     bitmap = 0
@@ -299,18 +275,6 @@ def select_sid(basis: Basis, rsw: int, sid_regs: dict[Basis, tuple[int, int]]) -
     return truncate_sid(sid0, sid1)
 
 
-def apply_override(sw: SwTweak, override: TweakOverride | None) -> SwTweak:
-    if override is None or not override.armed:
-        return sw
-
-    def pick(pinned, composed):
-        return composed if pinned is None else pinned
-
-    return SwTweak(pick(override.xrange, sw.xrange), pick(override.voffset, sw.voffset),
-                   pick(override.prv, sw.prv), pick(override.pte, sw.pte),
-                   pick(override.sid, sw.sid), sw.va_bits)
-
-
 # module globals: an enum attribute load costs several times as much
 _BASIS_U, _BASIS_S, _BASIS_M = Basis.U, Basis.S, Basis.M
 
@@ -324,20 +288,12 @@ def compose_sw_tweak(
     urange: RangeReg,
     sid_regs: dict[Basis, tuple[int, int]],
     va_bits: int = 48,
-    override: TweakOverride | None = None,
-    override_prv: int | None = None,
 ) -> SwTweak:
     """Assemble the software tweak for one access, straight into its packed
     value: the fields :func:`match_ranges`, :func:`select_basis`,
     :func:`compute_voffset` and :func:`select_sid` give, without the
     per-call base dict and with no enum hashed unless a sid is looked up.
-
-    ``override_prv`` is the privilege level at which the override registers
-    were armed; supplying an armed override from below M-mode faults.
     """
-    armed = override is not None and override.armed
-    if armed and (override_prv if override_prv is not None else prv) != PRV_M:
-        raise PrivilegeViolation("tweak override requires M-mode")
     if prv >> PRV_BITS:  # also true for a negative value
         raise ValueError("privilege field out of range")
     if pte >> PTE_BITS:
@@ -359,8 +315,7 @@ def compose_sw_tweak(
         voffset = ((va - matched.base) >> LINE_SHIFT) & ((1 << vb) - 1)
         sid = select_sid(basis, pte >> 5, sid_regs)
     value = (((xrange << vb | voffset) << PRV_BITS | prv) << PTE_BITS | pte) << SID_BITS | sid
-    sw = _packed(value, va_bits)
-    return apply_override(sw, override) if armed else sw
+    return _packed(value, va_bits)
 
 
 def classify_page_type(xrange: int, prv: int, pte: int, rsw: int | None = None) -> PageType:

@@ -321,3 +321,44 @@ def test_non_positive_read_size_exits_two(tmp_path, capsys, kind, size):
     path.write_text(json.dumps(doc))
     assert run_cli("scenarios", str(path)) == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step, error", [
+    ({"actor": "A", "action": "set_reg", "args": {"reg": 40, "value": 1}}, "register index"),
+    ({"actor": "A", "action": "set_reg", "args": {"reg": -1, "value": 1}}, "register index"),
+    ({"actor": "A", "action": "check_reg", "args": {"reg": 99, "equals": 0}},
+     "register index"),
+    ({"actor": "A", "action": "eexit", "args": {"returns": {"999": 1}}}, "register index"),
+    ({"actor": "A", "action": "eexit", "args": [1]}, "must be an object"),
+    ({"actor": "A", "action": "eprepare",
+      "args": {"va": 0x6000_0000, "page_type": 3, "perms": "rwu"}}, "page_type"),
+    ({"actor": "A", "action": "emod",
+      "args": {"va": 0x4000_1000, "old": {"page_type": 3, "perms": "rwu"},
+               "new": {"page_type": "regular", "perms": "rwu"}}}, "page_type"),
+], ids=["set-reg-past-31", "set-reg-negative", "check-reg-past-31", "eexit-return-past-31",
+        "args-not-an-object", "eprepare-page-type-not-text", "emod-page-type-not-text"])
+def test_malformed_step_shape_exits_two(tmp_path, capsys, step, error):
+    """Register indices outside x0..x31, step args that are not an object and
+    page types that are not text are script errors, not tracebacks or
+    silent writes."""
+    doc = _shm_wrong_key_doc()
+    doc["scenarios"][0]["steps"].append(step)
+    doc["scenarios"][0]["expected"]["at_step"] = 8
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("scenarios", str(path)) == 2
+    assert error in capsys.readouterr().err
+
+
+def test_negative_enclave_base_is_a_verdict(tmp_path, capsys):
+    """A negative enclave base is refused by ecreate as an invalid image,
+    a verdict, before anything is sealed."""
+    doc = _shm_wrong_key_doc()
+    scenario = doc["scenarios"][0]
+    scenario["steps"] = scenario["steps"][:1]
+    scenario["steps"][0]["args"]["base"] = -0x10_0000
+    scenario["expected"] = {"outcome": "DETECTED", "detail": "InvalidImage", "at_step": 0}
+    path = tmp_path / "negative-base.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("scenarios", str(path)) == 0
+    assert "1/1 scenarios matched" in capsys.readouterr().out

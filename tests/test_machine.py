@@ -19,7 +19,6 @@ from servas_sim.tweak import (
     PRV_U,
     RangeReg,
     SwTweak,
-    TweakOverride,
     pack_pte_bits,
 )
 
@@ -163,13 +162,6 @@ def test_csr_bad_range_rejected(m, value, error):
         assert m.read_csr(PRV_M, name) == before
 
 
-def test_override_csrs_are_m_only(m):
-    with pytest.raises(PrivilegeTrap):
-        m.write_csr(PRV_S, "store_override", TweakOverride(sid=1))
-    m.write_csr(PRV_M, "store_override", TweakOverride(sid=1))
-    m.write_csr(PRV_M, "store_override", None)
-
-
 def test_cpu_key_not_readable_below_m(m):
     with pytest.raises(PrivilegeTrap):
         m.read_csr(PRV_S, "cpu_key")
@@ -181,43 +173,46 @@ def test_cpu_key_deterministic_per_seed():
     assert Machine(seed=5).cpu_key != Machine(seed=6).cpu_key
 
 
-# --- tweak override pipeline ----------------------------------------------------
+@pytest.mark.parametrize("idx", [-1, 32, 99])
+def test_register_index_outside_file_rejected(m, idx):
+    with pytest.raises(ValueError, match="register index"):
+        m.set_reg(idx, 7)
+    with pytest.raises(ValueError, match="register index"):
+        m.get_reg(idx)
+    assert m.regs == [0] * 32
+    m.set_reg(31, -1)
+    assert m.get_reg(31) == (1 << 64) - 1
+
+
+# --- the pinned-tweak page path -------------------------------------------------
 
 
 def test_override_initialization_matches_enclave_view(m):
-    """M-mode with a full override writes a line the targeted context can
-    read back natively (the page-initialization mechanism)."""
+    """An M-mode write under a pinned tweak, which overrides whatever
+    composition would give, seals lines the targeted context reads back
+    natively (the page-initialization mechanism)."""
     m.write_csr(PRV_M, "mrange", RangeReg(0x1000, 0x1000, True))
     m.map_page(PRV_S, "p", 0x1000, 0x10, "rwu", rsw=0b01)
     pte = m.walk("p", 0x1000).bits
-    ov = TweakOverride(xrange=0b100, voffset=0, prv=PRV_U, pte=pte, sid=99)
-    m.write_csr(PRV_M, "store_override", ov)
-    m.access(None, 0x10 * 4096, WRITE, PRV_M, data=b"I" * 64)
-    m.write_csr(PRV_M, "store_override", None)
+    m.pinned_page(0x10, SwTweak(0b100, 0, PRV_U, pte, 99), WRITE, b"I" * 4096)
     m.write_csr(PRV_M, "msid0", 99)
     assert m.access("p", 0x1000, READ, PRV_U, size=2) == b"II"
+    assert m.access("p", 0x1FC0, READ, PRV_U, size=2) == b"II"  # the last line
 
 
-def test_pinned_access_matches_armed_override(m):
-    """A pinned-tweak access and an M-mode access with every override field
-    armed take the same path: same ciphertext, same read-back."""
+def test_pinned_page_matches_direct_engine_write(m):
+    """A pinned-page write seals line ``i`` under the given tweak stepped by
+    ``i``, byte for byte what the engine seals for that tweak; it reads back
+    under that tweak and fails authentication under any other sid."""
     pte = pack_pte_bits(r=True, w=True, x=False, u=True, g=False, rsw=0b01)
     fields = dict(xrange=0b100, voffset=3, prv=PRV_U, pte=pte, sid=99)
     other = Machine(seed=3)
-    other.write_csr(PRV_M, "store_override", TweakOverride(**fields))
-    other.access(None, 0x10 * 4096, WRITE, PRV_M, data=b"P" * 64)
-    m.pinned_access(0x10 * 4096, SwTweak(**fields), WRITE, b"P" * 64)
-    assert m.mee.snapshot_line(0x10 * 64) == other.mee.snapshot_line(0x10 * 64)
-    assert m.pinned_access(0x10 * 4096, SwTweak(**fields)) == b"P" * 64
+    other.mee.write(0x10 * 64 + 2, b"P" * 64, SwTweak(**dict(fields, voffset=5)))
+    m.pinned_page(0x10, SwTweak(**fields), WRITE, b"P" * 4096, lines=[2])
+    assert m.mee.snapshot_line(0x10 * 64 + 2) == other.mee.snapshot_line(0x10 * 64 + 2)
+    assert m.pinned_page(0x10, SwTweak(**fields), lines=[2]) == b"P" * 64
     with pytest.raises(AuthenticationException):
-        m.pinned_access(0x10 * 4096, SwTweak(**dict(fields, sid=98)))
-
-
-def test_override_ignored_below_m(m):
-    m.write_csr(PRV_M, "store_override", TweakOverride(sid=123))
-    m.access("p", 0x1000, WRITE, PRV_U, data=b"plain")
-    m.write_csr(PRV_M, "store_override", None)
-    assert m.access("p", 0x1000, READ, PRV_U, size=5) == b"plain"
+        m.pinned_page(0x10, SwTweak(**dict(fields, sid=98)), lines=[2])
 
 
 # --- invalid combinations ---------------------------------------------------------
@@ -278,7 +273,7 @@ def test_end_to_end_context_isolation():
             m.access("p", 0x1000, WRITE, PRV_U, data=b"ctx-A")
         except InvalidCombinationTrap:
             continue
-        sw_a = m.compose_for_access(0x1000, PRV_U, m.walk("p", 0x1000).bits, WRITE)
+        sw_a = m.compose_for_access(0x1000, PRV_U, m.walk("p", 0x1000).bits)
         # perturb exactly one context ingredient
         change = rng.choice(["msid0", "remap", "perm"])
         if change == "msid0":
@@ -288,7 +283,7 @@ def test_end_to_end_context_isolation():
         else:
             m.map_page(PRV_S, "p", 0x1000, 0x10, "ru", rsw=m.walk("p", 0x1000).rsw)
         try:
-            sw_b = m.compose_for_access(0x1000, PRV_U, m.walk("p", 0x1000).bits, READ)
+            sw_b = m.compose_for_access(0x1000, PRV_U, m.walk("p", 0x1000).bits)
         except Exception:
             continue
         if sw_b == sw_a:
@@ -299,15 +294,12 @@ def test_end_to_end_context_isolation():
 
 def test_adversarial_search_cannot_forge_m_initialized_line():
     """Bounded adversarial search: no sequence of S-mode CSR writes and
-    page-table edits reads a line the monitor initialized under M-mode
-    override with a secret sid."""
+    page-table edits reads a line the monitor initialized in M-mode under a
+    pinned tweak with a secret sid."""
     m = Machine(seed=9)
     secret_sid = 0xFEED_FACE_CAFE
-    ov = TweakOverride(xrange=0b100, voffset=0, prv=PRV_U,
-                       pte=0b0110110 | 0b01 << 5, sid=secret_sid)
-    m.write_csr(PRV_M, "store_override", ov)
-    m.access(None, 0x77000, WRITE, PRV_M, data=b"M" * 64)
-    m.write_csr(PRV_M, "store_override", None)
+    sw = SwTweak(0b100, 0, PRV_U, 0b0110110 | 0b01 << 5, secret_sid)
+    m.pinned_page(0x77, sw, WRITE, b"M" * 64, lines=[0])
 
     rng = random.Random(1234)
     for _ in range(500):

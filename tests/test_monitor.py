@@ -8,8 +8,9 @@ import pytest
 
 from conftest import A_BASE, CODE_FILL, spawn_enclave, std_image
 from servas_sim.cache import CacheCfg
-from servas_sim.image import ImageAuthFailure
+from servas_sim.image import ImageAuthFailure, InvalidImage
 from servas_sim.machine import (
+    LINES_PER_PAGE,
     AccessKind,
     AuthenticationException,
     Machine,
@@ -17,6 +18,7 @@ from servas_sim.machine import (
     PageFault,
 )
 from servas_sim.monitor import (
+    BadHandle,
     DispositionKind,
     DoubleMap,
     EnclaveMeta,
@@ -34,7 +36,7 @@ from servas_sim.monitor import (
     WrongState,
     _SWAP_OFF,
 )
-from servas_sim.tweak import PageType, PRV_M, PRV_S, PRV_U, RangeReg
+from servas_sim.tweak import VOFFSET_SHIFT, PageType, PRV_M, PRV_S, PRV_U, RangeReg, SwTweak
 
 READ, WRITE, FETCH = AccessKind.READ, AccessKind.WRITE, AccessKind.FETCH
 DATA_VA = A_BASE + PAGE_BYTES
@@ -107,6 +109,36 @@ def test_ecreate_over_capacity_has_no_side_effects(machine, sm):
     assert len(sm.peek_meta(handle).owned) == 64
 
 
+@pytest.mark.parametrize("layout, error", [
+    (dict(meta_ppn=0x201), BadHandle),
+    (dict(meta_ppn=0x100), BadHandle),
+    (dict(thread_ppn=0x102), BadHandle),
+    (dict(base=-0x10_0000), InvalidImage),
+    (dict(base=1 << 48), InvalidImage),
+], ids=["meta-is-thread", "meta-on-code-page", "thread-on-stack-page", "negative-base",
+        "base-past-address-width"])
+def test_ecreate_bad_layout_has_no_side_effects(machine, sm, layout, error):
+    """Monitor pages that clash and regions outside the address space are
+    refused before any line is sealed and before a runtime id is spent."""
+    with pytest.raises(error):
+        spawn_enclave(machine, sm, **layout)
+    assert not machine.mee._lines
+    handle = spawn_enclave(machine, sm, base=0x5000_0000, ppn_start=0x110,
+                           meta_ppn=0x210, thread_ppn=0x211)
+    assert sm.peek_meta(handle).rtid == 1
+
+
+def test_ecreate_unmapped_page_has_no_side_effects(machine, sm):
+    """Every region page is walked before the first one is sealed."""
+    machine.map_page(PRV_S, "host", A_BASE, 0x100, "rxu", 0b10)
+    machine.map_page(PRV_S, "host", A_BASE + 2 * PAGE_BYTES, 0x102, "rwu", 0b01)
+    with pytest.raises(PageFault):
+        sm.ecreate("host", std_image(), A_BASE, 1, 0x200, 0x201)
+    assert not machine.mee._lines
+    machine.map_page(PRV_S, "host", DATA_VA, 0x101, "rwu", 0b01)
+    assert sm.peek_meta(sm.ecreate("host", std_image(), A_BASE, 1, 0x200, 0x201)).rtid == 1
+
+
 def test_ecreate_ciphertext_golden():
     """Every sealed line of the standard enclave at seed 7, pinned: page
     initialization must stay bit-identical however it is implemented."""
@@ -159,6 +191,18 @@ def test_enter_exit_register_discipline(enclave):
     assert diff == {10, 11}
     assert (m.get_reg(10), m.get_reg(11)) == (0xAA, 0xBB)
     assert m.pc == 0x1234 + 4
+
+
+def test_bad_register_index_fails_before_any_state_moves(enclave):
+    m, sm, handle = enclave
+    with pytest.raises(ValueError, match="register index"):
+        sm.eenter(handle, {32: 1})
+    assert sm.peek_meta(handle).state is EnclaveState.LOADED
+    assert m.active_enclave is None and m.csr.msid0 == 0
+    sm.eenter(handle, {5: 9})
+    with pytest.raises(ValueError, match="register index"):
+        sm.eexit({999: 1})
+    assert m.active_enclave == handle and m.get_reg(5) == 9
 
 
 def test_enter_wrong_states(enclave):
@@ -760,6 +804,31 @@ def test_shm_visibility_needs_equal_secret_and_offset(machine, sm):
     # same offset, same secret
     machine.write_csr(PRV_U, "usid1", 0x123)
     assert machine.access("host", va_b, READ, PRV_U, size=16) == b"between-enclaves"
+
+
+def test_page_tweak_equals_enclave_composition(enclave):
+    """For every line of the code, data, stack and shared pages, the tweak
+    the monitor pins (the page's first-line tweak stepped by the line index)
+    is the one the running enclave's own U-mode access composes -- what the
+    ciphertext goldens rest on."""
+    m, sm, handle = enclave
+    shm_va = 0x6000_0000
+    m.map_page(PRV_S, "host", shm_va, 0x180, "rwu", 0b11)
+    sm.eenter(handle)
+    m.write_csr(PRV_U, "urange", RangeReg(shm_va, PAGE_BYTES, True))
+    m.write_csr(PRV_U, "usid0", 0x0123_4567_89AB_CDEF)
+    m.write_csr(PRV_U, "usid1", 0xFEDC)
+    sm.eprepare(shm_va, PageType.SHM, RW)
+    meta = sm.peek_meta(handle)
+    assert sorted(o.page_type.name for o in meta.owned) == \
+        ["REGULAR", "REGULAR", "SHENCLAVE", "SHM"]
+    for page in meta.owned:
+        ctx = PageCtx(page.page_type, page.perms, page.rsw)
+        first = sm._page_tweak(meta, ctx, page.va, urange=m.csr.urange)
+        pte_bits = m.walk("host", page.va).bits
+        for i in range(LINES_PER_PAGE):
+            stepped = SwTweak.from_int(first.to_int() + (i << VOFFSET_SHIFT), first.va_bits)
+            assert stepped == m.compose_for_access(page.va + i * 64, PRV_U, pte_bits)
 
 
 def _user_trace_world():

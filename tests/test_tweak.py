@@ -14,6 +14,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from servas_sim.machine import Machine
+from servas_sim.monitor import SecurityMonitor
 from servas_sim.tweak import (
     PRV_M,
     PRV_S,
@@ -21,10 +23,8 @@ from servas_sim.tweak import (
     Basis,
     InvalidCombination,
     PageType,
-    PrivilegeViolation,
     RangeReg,
     SwTweak,
-    TweakOverride,
     classify_page_type,
     classify_tweak,
     compose_sw_tweak,
@@ -237,11 +237,8 @@ def test_decision_table_named_rows():
 # --- composition -----------------------------------------------------------------
 
 
-def _compose(va, prv, pte, mrange=DIS, srange=DIS, urange=DIS, sid_regs=None,
-             override=None):
-    return compose_sw_tweak(va, prv, pte, mrange, srange, urange,
-                            sid_regs or _sid_regs(), override=override,
-                            override_prv=PRV_M if override else None)
+def _compose(va, prv, pte, mrange=DIS, srange=DIS, urange=DIS, sid_regs=None):
+    return compose_sw_tweak(va, prv, pte, mrange, srange, urange, sid_regs or _sid_regs())
 
 
 def test_compose_regular_row():
@@ -256,31 +253,12 @@ def test_compose_regular_row():
 
 
 def test_compose_monitor_row_with_override():
-    pte_rw = pack_pte_bits(True, True, False, False, False, 0)
-    override = TweakOverride(xrange=0, prv=PRV_M, pte=pte_rw, sid=0)
-    sw = _compose(0x8000, PRV_M, 0, override=override)
+    """The tweak the monitor pins for its own pages, overriding what an
+    M-mode access would compose, is the MONITOR row of the table."""
+    sw = SecurityMonitor(Machine(seed=0))._monitor_page_tweak(0x8)
     assert classify_page_type(sw.xrange, sw.prv, sw.pte, sw.rsw) == PageType.MONITOR
+    assert classify_tweak(sw) == PageType.MONITOR
     assert sw.sid == 0 and sw.voffset == 0x8000 // 64
-
-
-def test_override_requires_m_mode():
-    override = TweakOverride(sid=1)
-    with pytest.raises(PrivilegeViolation):
-        compose_sw_tweak(0, PRV_U, 0, DIS, DIS, DIS, _sid_regs(),
-                         override=override, override_prv=PRV_U)
-
-
-def test_override_equivalence_with_enclave_composition():
-    """A full M-mode override reproducing the enclave's field values gives a
-    bit-identical tweak -- the property page initialization relies on."""
-    mrange = RangeReg(0x4000_0000, 0x4000, True)
-    pte = pack_pte_bits(True, True, False, True, False, 0b01)
-    regs = _sid_regs(m=(4242, 0))
-    enclave_view = _compose(0x4000_0040, PRV_U, pte, mrange=mrange, sid_regs=regs)
-    override = TweakOverride(xrange=0b100, voffset=1, prv=PRV_U, pte=pte, sid=4242)
-    monitor_view = _compose(0x4000_0040, PRV_M, 0, override=override)
-    assert monitor_view == enclave_view
-    assert monitor_view.to_bytes() == enclave_view.to_bytes()
 
 
 @given(
@@ -325,9 +303,9 @@ def test_user_range_precedence_shields_other_levels(off, pte, m_base, msid, ssid
 FIELDS = ("xrange", "voffset", "prv", "pte", "sid")
 
 
-def _reference_compose(va, prv, pte, mrange, srange, urange, sid_regs, va_bits, override):
-    """The tweak assembled field by field from the building blocks, with the
-    override applied through the validating constructor."""
+def _reference_compose(va, prv, pte, mrange, srange, urange, sid_regs, va_bits):
+    """The tweak assembled field by field from the building blocks, through
+    the validating constructor."""
     bitmap = match_ranges(va, mrange, srange, urange)
     basis = select_basis(bitmap)
     bases = {Basis.M: mrange.base, Basis.S: srange.base, Basis.U: urange.base}
@@ -338,10 +316,6 @@ def _reference_compose(va, prv, pte, mrange, srange, urange, sid_regs, va_bits, 
         "pte": pte,
         "sid": select_sid(basis, (pte >> 5) & 0b11, sid_regs),
     }
-    if override is not None:
-        for name in FIELDS:
-            if getattr(override, name) is not None:
-                fields[name] = getattr(override, name)
     return SwTweak(va_bits=va_bits, **fields)
 
 
@@ -362,24 +336,14 @@ def _compose_case(draw):
     mrange, srange, urange = range_reg(), range_reg(), range_reg()
     sid = st.integers(0, 2**64 - 1)
     sid_regs = {b: (draw(sid), draw(sid)) for b in (Basis.M, Basis.S, Basis.U)}
-    override = draw(st.none() | st.builds(
-        TweakOverride,
-        xrange=st.none() | st.integers(0, 7),
-        voffset=st.none() | st.integers(0, n_lines - 1),
-        prv=st.none() | st.integers(0, 3),
-        pte=st.none() | st.integers(0, 127),
-        sid=st.none() | st.integers(0, 2**80 - 1),
-    ))
     return (va, draw(st.integers(0, 3)), draw(st.integers(0, 127)),
-            mrange, srange, urange, sid_regs, va_bits, override)
+            mrange, srange, urange, sid_regs, va_bits)
 
 
 @settings(max_examples=400)
 @given(_compose_case())
 def test_compose_equals_field_by_field_reference(case):
-    va, prv, pte, mrange, srange, urange, sid_regs, va_bits, override = case
-    got = compose_sw_tweak(va, prv, pte, mrange, srange, urange, sid_regs, va_bits,
-                           override=override, override_prv=PRV_M)
+    got = compose_sw_tweak(*case)
     want = _reference_compose(*case)
     assert got == want
     assert got.to_int() == want.to_int()
