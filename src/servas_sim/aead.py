@@ -60,31 +60,37 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _ASCON128_IV = 0x80400C0600000000  # key=128, rate=64, a=12, b=6
 
 
-def _ror(x: int, n: int) -> int:
-    return ((x >> n) | (x << (64 - n))) & _MASK64
+# round constants of the 12-round permutation; a p^b call runs the last b
+_ROUND_CONSTANTS = tuple(0xF0 - r * 0x10 + r * 0x1 for r in range(12))
 
 
 def ascon_permutation(s: list[int], rounds: int) -> None:
-    """In-place Ascon permutation on a 5x64-bit state."""
-    for r in range(12 - rounds, 12):
-        s[2] ^= 0xF0 - r * 0x10 + r * 0x1
-        # substitution layer
-        s[0] ^= s[4]
-        s[4] ^= s[3]
-        s[2] ^= s[1]
-        t = [(s[i] ^ _MASK64) & s[(i + 1) % 5] for i in range(5)]
-        for i in range(5):
-            s[i] ^= t[(i + 1) % 5]
-        s[1] ^= s[0]
-        s[0] ^= s[4]
-        s[3] ^= s[2]
-        s[2] ^= _MASK64
-        # linear diffusion layer
-        s[0] ^= _ror(s[0], 19) ^ _ror(s[0], 28)
-        s[1] ^= _ror(s[1], 61) ^ _ror(s[1], 39)
-        s[2] ^= _ror(s[2], 1) ^ _ror(s[2], 6)
-        s[3] ^= _ror(s[3], 10) ^ _ror(s[3], 17)
-        s[4] ^= _ror(s[4], 7) ^ _ror(s[4], 41)
+    """In-place Ascon permutation on a 5x64-bit state, on five locals.
+    ``~a & b`` stays within 64 bits because ``b`` does."""
+    x0, x1, x2, x3, x4 = s
+    for c in _ROUND_CONSTANTS[12 - rounds:]:
+        # constant addition and substitution layer
+        x2 ^= c
+        x0 ^= x4
+        x4 ^= x3
+        x2 ^= x1
+        t0, t1, t2, t3, t4 = ~x0 & x1, ~x1 & x2, ~x2 & x3, ~x3 & x4, ~x4 & x0
+        x0 ^= t1
+        x1 ^= t2
+        x2 ^= t3
+        x3 ^= t4
+        x4 ^= t0
+        x1 ^= x0
+        x0 ^= x4
+        x3 ^= x2
+        x2 ^= _MASK64
+        # linear diffusion layer: x ^= (x >>> a) ^ (x >>> b)
+        x0 ^= ((x0 >> 19 | x0 << 45) ^ (x0 >> 28 | x0 << 36)) & _MASK64
+        x1 ^= ((x1 >> 61 | x1 << 3) ^ (x1 >> 39 | x1 << 25)) & _MASK64
+        x2 ^= ((x2 >> 1 | x2 << 63) ^ (x2 >> 6 | x2 << 58)) & _MASK64
+        x3 ^= ((x3 >> 10 | x3 << 54) ^ (x3 >> 17 | x3 << 47)) & _MASK64
+        x4 ^= ((x4 >> 7 | x4 << 57) ^ (x4 >> 41 | x4 << 23)) & _MASK64
+    s[:] = x0, x1, x2, x3, x4
 
 
 def _w(b: bytes) -> int:

@@ -15,8 +15,14 @@ the sid registers in the mapping composition reads (updated when a sid
 CSR is written, not per access), composition writes the fields straight
 into the integer, classification looks its (xrange, prv, pte) bits up in
 a table filled on first use, the cache compares the integer and the
-engine serializes it.  :meth:`Machine.pinned_page` classifies a monitor
-page once and steps the voffset field of the integer per line.
+engine serializes it.
+
+:meth:`Machine.pinned_page` classifies a monitor page once and makes the
+page one engine call: :meth:`Mee.write_lines` or :meth:`Mee.read_lines`
+steps the voffset field of the integer per line, and an AUTH trap names
+the first line that failed, with its address and stepped tweak.  Only a
+read through the cache goes line by line, because cache fills draw the
+machine RNG for replacement and their order must not move.
 
 Writes are read-modify-write at line granularity: the existing line must
 verify under the access tweak before the merged line is re-sealed.  Lines
@@ -34,6 +40,7 @@ import hashlib
 import hmac
 import random
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from .mee import LINE_BYTES, AuthenticationError, Mee
 from .tweak import (
@@ -54,6 +61,7 @@ from .tweak import (
 
 PAGE_BYTES = 4096
 LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
+_ZERO_LINE = bytes(LINE_BYTES)
 
 _PRV_RANK = {PRV_U: 0, PRV_S: 1, PRV_M: 2}
 
@@ -316,7 +324,7 @@ class Machine:
 
         sw = self.compose_for_access(va, prv, pte_bits)
         return self._line_access(va, prv, pa, sw, self._classify(va, prv, sw), kind,
-                                 data, size, skip_verify=False)
+                                 data, size)
 
     def pinned_page(self, ppn: int, sw: SwTweak, kind: AccessKind = AccessKind.READ,
                     content: bytes | None = None, lines=range(LINES_PER_PAGE)) -> bytes:
@@ -332,20 +340,47 @@ class Machine:
         initializes a page whatever its previous binding; a read verifies
         as any access does.  Returns those lines, read or written, joined.
         This is the security monitor's page I/O.
+
+        A protected page is one engine call: a write invalidates its cache
+        lines and seals them with :meth:`Mee.write_lines`, a read with the
+        cache off opens the written lines with :meth:`Mee.read_lines`
+        (never-written lines read as zeros).  A read through the cache, and
+        an unprotected page under bypass, go line by line.
         """
         if sw.voffset + max(lines, default=0) >> voffset_bits(sw.va_bits):
             raise ValueError("voffset out of range")
         base = ppn * PAGE_BYTES
         ptype = self._classify(base, PRV_M, sw)
         value, va_bits = sw.to_int(), sw.va_bits
-        out = []
-        for i in lines:
-            pa = base + i * LINE_BYTES
-            line_sw = SwTweak.from_int(value + (i << VOFFSET_SHIFT), va_bits)
-            data = None if content is None else content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
-            out.append(self._line_access(pa, PRV_M, pa, line_sw, ptype, kind, data,
-                                         LINE_BYTES, skip_verify=True))
-        return b"".join(out)
+        if (self.bypass and ptype is PageType.UNPROTECTED) or (
+                kind is not AccessKind.WRITE and self.cache is not None):
+            out = []
+            for i in lines:
+                pa = base + i * LINE_BYTES
+                line_sw = SwTweak.from_int(value + (i << VOFFSET_SHIFT), va_bits)
+                data = None if content is None else content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
+                out.append(self._line_access(pa, PRV_M, pa, line_sw, ptype, kind, data,
+                                             LINE_BYTES))
+            return b"".join(out)
+
+        first = base // LINE_BYTES
+        if kind is AccessKind.WRITE:
+            if self.cache is not None:
+                for i in lines:
+                    self.cache.invalidate(first + i)
+            self.mee.write_lines(first, value, va_bits, content, lines)
+            return b"".join([content[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in lines])
+        written = [i for i in lines if self.mee.line_exists(first + i)]
+        try:
+            opened = self.mee.read_lines(first, value, va_bits, written)
+        except AuthenticationError as exc:
+            i = exc.line_index - first
+            self._auth_trap(base + i * LINE_BYTES, PRV_M,
+                            SwTweak.from_int(value + (i << VOFFSET_SHIFT), va_bits), exc)
+        if len(written) < len(lines):
+            found = dict(zip(written, opened))
+            opened = [found.get(i, _ZERO_LINE) for i in lines]
+        return b"".join(opened)
 
     @staticmethod
     def _classify(va: int, prv: int, sw: SwTweak) -> PageType:
@@ -355,8 +390,7 @@ class Machine:
             raise InvalidCombinationTrap(va, prv, str(exc)) from exc
 
     def _line_access(self, va: int, prv: int, pa: int, sw: SwTweak, ptype: PageType,
-                     kind: AccessKind, data: bytes | None, size: int,
-                     skip_verify: bool) -> bytes:
+                     kind: AccessKind, data: bytes | None, size: int) -> bytes:
         """Bypass, cache and engine for one composed, classified access."""
         line_index = pa // LINE_BYTES
         line_off = pa % LINE_BYTES
@@ -366,13 +400,18 @@ class Machine:
 
         try:
             if kind is AccessKind.WRITE:
-                return self._write_line(line_index, line_off, data, sw, skip_verify)
+                return self._write_line(line_index, line_off, data, sw)
             return self._read_line(line_index, sw)[line_off : line_off + size]
         except AuthenticationError as exc:
-            trap = AuthenticationException(va, prv, sw, line_index)
-            if self.sm_auth_handler is not None:
-                trap.disposition = self.sm_auth_handler(trap)
-            raise trap from exc
+            self._auth_trap(va, prv, sw, exc)
+
+    def _auth_trap(self, va: int, prv: int, sw: SwTweak, exc: AuthenticationError) -> NoReturn:
+        """Raise the AUTH trap for the line ``exc`` names, with the monitor's
+        disposition."""
+        trap = AuthenticationException(va, prv, sw, exc.line_index)
+        if self.sm_auth_handler is not None:
+            trap.disposition = self.sm_auth_handler(trap)
+        raise trap from exc
 
     def _fill_line(self, line_index: int, sw: SwTweak) -> bytes:
         """Line content under a tweak; never-written DRAM reads as zeros."""
@@ -385,19 +424,13 @@ class Machine:
             return self.cache.read(line_index, sw, self._fill_line)
         return self._fill_line(line_index, sw)
 
-    def _write_line(self, line_index: int, off: int, data: bytes, sw: SwTweak,
-                    skip_verify: bool) -> bytes:
-        if skip_verify:
-            old = bytes(LINE_BYTES)
-            if self.cache is not None:
-                self.cache.invalidate(line_index)
-        elif self.cache is not None:
-            old = self.cache.read(line_index, sw, self._fill_line)
-        else:
-            old = self._fill_line(line_index, sw)
+    def _write_line(self, line_index: int, off: int, data: bytes, sw: SwTweak) -> bytes:
+        """Read-modify-write: the line verifies under ``sw`` before the
+        merged line is re-sealed."""
+        old = self._read_line(line_index, sw)
         merged = old[:off] + data + old[off + len(data):]
         self.mee.write(line_index, merged, sw)
-        if self.cache is not None and not skip_verify:
+        if self.cache is not None:
             self.cache.update(line_index, sw, merged)
         return data
 

@@ -17,7 +17,8 @@ enclave's own access to that line will compose later
 (:meth:`SecurityMonitor._page_tweak`), for one of its own pages the
 binding :meth:`SecurityMonitor._monitor_page_tweak` decides -- and hands
 it to the machine's pinned-tweak page access (:meth:`Machine.pinned_page`),
-which classifies the page once and steps the voffset per line.  No CSR is
+which classifies the page once, steps the voffset per line and seals or
+verifies the page in one engine call.  No CSR is
 written and no page table is consulted.  That is the entire trust
 story -- the OS-controlled page tables never have to be believed.  Monitor
 pages are read and verified in full on every call; a store re-seals only
@@ -312,6 +313,14 @@ class ThreadMeta:
                    saved_usid0=usid0, saved_usid1=usid1)
 
 
+def _check_reg_writes(machine: Machine, regs: dict[int, int] | None) -> None:
+    """A bad register index or value fails here, before any state moves."""
+    for reg, value in (regs or {}).items():
+        machine.get_reg(reg)
+        if not isinstance(value, int):
+            raise ValueError(f"register x{reg} value {value!r} is not an integer")
+
+
 def kdf(key: bytes, label: bytes, data: bytes = b"", n: int = 16) -> bytes:
     return hmac.new(key, label + b"\x00" + data, hashlib.sha256).digest()[:n]
 
@@ -518,7 +527,10 @@ class SecurityMonitor:
                                             ctx.resolved_rsw()))
             if meta_ppn == thread_ppn:
                 raise BadHandle("the metadata and thread pages must differ")
-            if {meta_ppn, thread_ppn} & {ppn for ppn, _, _ in writes}:
+            frames = {ppn for ppn, _, _ in writes}
+            if len(frames) < len(writes):
+                raise BadHandle("two of the enclave's pages cannot share a frame")
+            if {meta_ppn, thread_ppn} & frames:
                 raise BadHandle("a monitor page cannot be one of the enclave's own pages")
             self._rtid_next += 1
             for ppn, sw, body in writes:
@@ -532,8 +544,7 @@ class SecurityMonitor:
         """Trap from the host into the enclave: save the host context, wire
         the enclave CSRs, resume or start at the entry point."""
         m = self.machine
-        for reg in args or ():
-            m.get_reg(reg)  # a bad register index fails before any state moves
+        _check_reg_writes(m, args)
         with self._monitor_call() as caller_prv:
             meta = self._load_meta(handle)
             thread = self._load_thread(handle)
@@ -577,8 +588,7 @@ class SecurityMonitor:
         handle = m.active_enclave
         if handle is None:
             raise NotInEnclave("no enclave is executing")
-        for reg in returns or ():
-            m.get_reg(reg)  # a bad register index fails before any state moves
+        _check_reg_writes(m, returns)
         with self._monitor_call():
             meta = self._load_meta(handle)
             thread = self._load_thread(handle)

@@ -215,6 +215,28 @@ def test_pinned_page_matches_direct_engine_write(m):
         m.pinned_page(0x10, SwTweak(**dict(fields, sid=98)), lines=[2])
 
 
+def test_pinned_page_auth_trap_names_the_failing_line(m):
+    """A flipped bit in line 17 of a page fails the page read there: the
+    trap carries that line's address, its stepped tweak and the monitor's
+    disposition, and lines never written read as zeros, cache on or off."""
+    from servas_sim.cache import CacheCfg
+
+    fields = dict(xrange=0, voffset=0x10 * 64, prv=PRV_M, pte=0, sid=0)
+    for machine in (m, Machine(seed=3, cache_cfg=CacheCfg(n_lines=16, ways=2))):
+        machine.sm_auth_handler = lambda trap: ("handled", trap.line_index)
+        content = bytes(range(64)) * 64
+        machine.pinned_page(0x10, SwTweak(**fields), WRITE, content, lines=range(32))
+        page = machine.pinned_page(0x10, SwTweak(**fields))
+        assert page == content[:32 * 64] + bytes(32 * 64)
+        machine.phys_flip_bit(0x10 * 64 + 17, 3)
+        with pytest.raises(AuthenticationException) as info:
+            machine.pinned_page(0x10, SwTweak(**fields))
+        trap = info.value
+        assert (trap.va, trap.prv, trap.line_index) == (0x10 * 4096 + 17 * 64, PRV_M, 0x10 * 64 + 17)
+        assert trap.sw == SwTweak(**dict(fields, voffset=0x10 * 64 + 17))
+        assert trap.disposition == ("handled", 0x10 * 64 + 17)
+
+
 # --- invalid combinations ---------------------------------------------------------
 
 

@@ -174,6 +174,56 @@ def test_counter_overflow_is_hard_error(mee):
         mee.write(1, bytes(64), _sw())
 
 
+PAGE_CONTENT = bytes(random.Random(2).randbytes(64 * LINE_BYTES))
+
+
+@pytest.mark.parametrize("lines", [range(64), [0, 5, 6, 63]], ids=["page", "sparse"])
+def test_write_lines_is_the_reference_line_by_line(mee, lines):
+    """Line ``first + i`` is sealed exactly as the reference seals it under
+    the tweak with ``i`` added to its voffset; lines not listed stay
+    unwritten, and every sealed line is counted once."""
+    first, sw = 0x40 * 64, _sw(voffset=0x40 * 64)
+    mee.write_lines(first, sw.to_int(), sw.va_bits, PAGE_CONTENT, lines)
+    for i in range(64):
+        if i not in lines:
+            assert not mee.line_exists(first + i)
+            continue
+        plaintext = PAGE_CONTENT[i * LINE_BYTES:(i + 1) * LINE_BYTES]
+        assert mee.snapshot_line(first + i) == _reference_seal(
+            KEY, first + i, 1, plaintext, _sw(voffset=0x40 * 64 + i))
+    assert mee.read_lines(first, sw.to_int(), sw.va_bits, lines) == [
+        PAGE_CONTENT[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in lines]
+    assert (mee.seals, mee.opens) == (len(lines), len(lines))
+
+
+def test_read_lines_names_the_first_failing_line(mee):
+    """A flipped bit in line 17 stops a page read at that line, after the
+    17 lines before it were opened."""
+    sw = _sw(voffset=0)
+    mee.write_lines(0, sw.to_int(), sw.va_bits, PAGE_CONTENT, range(64))
+    mee.flip_bit(17, 100)
+    with pytest.raises(AuthenticationError) as info:
+        mee.read_lines(0, sw.to_int(), sw.va_bits, range(64))
+    assert info.value.line_index == 17
+    assert mee.opens == 18
+
+
+def test_one_line_calls_are_the_page_path(mee):
+    """``write``/``read`` are the one-line case: same ciphertext as a page
+    call's first line, the same counters, the same errors."""
+    other = Mee(KEY)
+    sw = _sw()
+    mee.write(9, PAGE_CONTENT[:LINE_BYTES], sw)
+    other.write_lines(9, sw.to_int(), sw.va_bits, PAGE_CONTENT, [0])
+    assert mee.snapshot_line(9) == other.snapshot_line(9)
+    assert mee.read(9, sw) == PAGE_CONTENT[:LINE_BYTES]
+    assert (mee.seals, mee.opens) == (1, 1)
+    with pytest.raises(ValueError):
+        mee.write(9, PAGE_CONTENT[:LINE_BYTES + 1], sw)
+    with pytest.raises(AuthenticationError, match="never initialized"):
+        mee.read_lines(10, sw.to_int(), sw.va_bits, [0])
+
+
 def test_destroy_tweak_unreachable_by_composition():
     """The reserved tweak has sid != 0 with rsw == 00, which select_sid can
     never produce, plus the all-ranges bitmap."""

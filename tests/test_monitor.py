@@ -128,6 +128,16 @@ def test_ecreate_bad_layout_has_no_side_effects(machine, sm, layout, error):
     assert sm.peek_meta(handle).rtid == 1
 
 
+def test_ecreate_pages_sharing_a_frame_have_no_side_effects(machine, sm):
+    """Two region pages on one frame would seal the second over the first;
+    they are refused before any line is sealed or a runtime id is spent."""
+    with pytest.raises(BadHandle, match="share a frame"):
+        spawn_enclave(machine, sm, ppn_overrides={1: 0x100})  # data on the code frame
+    assert not machine.mee._lines
+    handle = spawn_enclave(machine, sm)
+    assert sm.peek_meta(handle).rtid == 1
+
+
 def test_ecreate_unmapped_page_has_no_side_effects(machine, sm):
     """Every region page is walked before the first one is sealed."""
     machine.map_page(PRV_S, "host", A_BASE, 0x100, "rxu", 0b10)
@@ -202,6 +212,26 @@ def test_bad_register_index_fails_before_any_state_moves(enclave):
     sm.eenter(handle, {5: 9})
     with pytest.raises(ValueError, match="register index"):
         sm.eexit({999: 1})
+    assert m.active_enclave == handle and m.get_reg(5) == 9
+
+
+def test_bad_register_value_fails_before_any_state_moves(enclave):
+    """A value no register can hold is refused before the enclave CSRs are
+    written: the host keeps its own range and sids, so its read of the
+    enclave's code page still fails authentication."""
+    m, sm, handle = enclave
+    m.prv = PRV_U
+    csrs = (m.csr.mrange, m.csr.msid0, m.csr.msid1)
+    with pytest.raises(ValueError, match="not an integer"):
+        sm.eenter(handle, {5: "x"})
+    assert (m.csr.mrange, m.csr.msid0, m.csr.msid1) == csrs
+    assert m.active_enclave is None and m.prv == PRV_U
+    assert sm.peek_meta(handle).state is EnclaveState.LOADED
+    with pytest.raises(AuthenticationException):
+        m.access("host", A_BASE, READ, PRV_U, size=8)
+    sm.eenter(handle, {5: 9})
+    with pytest.raises(ValueError, match="not an integer"):
+        sm.eexit({10: 1.5})
     assert m.active_enclave == handle and m.get_reg(5) == 9
 
 
@@ -679,18 +709,14 @@ def test_every_monitor_line_is_reverified(enclave, ppn):
         sm.eexit()
 
 
-def test_enter_exit_engine_op_counts(enclave, monkeypatch):
+def test_enter_exit_engine_op_counts(enclave):
     """Both monitor pages are verified in full on entry and on exit, and
     only the lines whose bytes changed are re-sealed."""
     m, sm, handle = enclave
-    counts = {"write": 0, "read": 0}
-    for op in counts:
-        def counted(*args, _orig=getattr(m.mee, op), _op=op):
-            counts[_op] += 1
-            return _orig(*args)
-        monkeypatch.setattr(m.mee, op, counted)
+    before = (m.mee.seals, m.mee.opens)
     sm.eenter(handle)
     sm.eexit()
+    counts = {"write": m.mee.seals - before[0], "read": m.mee.opens - before[1]}
     assert counts == {"write": 4, "read": 256}
 
 
@@ -862,18 +888,7 @@ def test_user_trace_ciphertext_and_counts_golden():
     never-written host page alternate between U- and S-mode, which is where
     the cache sees tweak mismatches without a fault."""
     m, sm, handle, rw_lines, code = _user_trace_world()
-    engine_ops = {"write": 0, "read": 0}
-
-    def counted(op):
-        inner = getattr(m.mee, op)
-
-        def wrapper(*args):
-            engine_ops[op] += 1
-            return inner(*args)
-        return wrapper
-
-    m.mee.write, m.mee.read = counted("write"), counted("read")
-    before = (m.cache.hits, m.cache.misses, m.cache.tweak_mismatches)
+    before = (m.cache.hits, m.cache.misses, m.cache.tweak_mismatches, m.mee.seals, m.mee.opens)
     rng = random.Random("user-trace")
     out = hashlib.sha256()
     for step in range(2000):
@@ -899,9 +914,8 @@ def test_user_trace_ciphertext_and_counts_golden():
     lines = sorted(m.mee._lines)
     sealed = hashlib.sha256(b"".join(
         i.to_bytes(8, "little") + b"".join(m.mee.snapshot_line(i)) for i in lines))
-    after = (m.cache.hits, m.cache.misses, m.cache.tweak_mismatches)
-    counts = tuple(a - b for a, b in zip(after, before)) \
-        + (engine_ops["write"], engine_ops["read"], len(lines))
+    after = (m.cache.hits, m.cache.misses, m.cache.tweak_mismatches, m.mee.seals, m.mee.opens)
+    counts = tuple(a - b for a, b in zip(after, before)) + (len(lines),)
     assert out.hexdigest() == \
         "38bf91c8a5e65856bdf3625aa9266e8dd22ba40233ac244e2c6c309dd65fd289"
     assert sealed.hexdigest() == \

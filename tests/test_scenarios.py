@@ -2,6 +2,7 @@
 actor discipline, and malformed or random step scripts."""
 
 import functools
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +181,46 @@ def test_cache_geometry_changes_no_builtin_verdict(monkeypatch, n_lines, ways):
             runner = ScenarioRunner(scenario, seed=seed)
             assert runner.machine.cache is not None
             assert runner.run() == scenario.expected, f"{scenario.name} at seed {seed}"
+
+
+def test_builtin_pass_engine_digest():
+    """SHA-256 over (line, ciphertext, tag, counter) of every engine after
+    each builtin scenario at seed 0, pinned: the engine's page path must
+    leave every line bit-identical to the line-by-line path it replaced."""
+    out = hashlib.sha256()
+    for scenario in builtin_suite():
+        runner = ScenarioRunner(scenario, seed=0)
+        assert runner.run() == scenario.expected
+        mee = runner.machine.mee
+        out.update(scenario.name.encode() + b"\0")
+        for line in sorted(mee._lines):
+            ciphertext, tag = mee.snapshot_line(line)
+            out.update(line.to_bytes(8, "little") + ciphertext + tag
+                       + mee.counter_of(line).to_bytes(8, "little"))
+    assert out.hexdigest() == \
+        "45c72ea9e7d50c35d3227699243317c13f247346c1eb48e27e519fdd354ea45c"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_builtin_pass_engine_op_counts(seed):
+    """Lines sealed and opened by one builtin pass: noise-free, and the same
+    at every seed."""
+    seals = opens = 0
+    for scenario in builtin_suite():
+        runner = ScenarioRunner(scenario, seed=seed)
+        runner.run()
+        seals, opens = seals + runner.machine.mee.seals, opens + runner.machine.mee.opens
+    assert (seals, opens) == (6583, 5475)
+
+
+def test_ascon_backend_gives_the_aes_gcm_verdicts(monkeypatch):
+    """The builtin suite at seed 0 reaches the same verdicts on the Ascon-128
+    engine as on AES-GCM."""
+    aes_gcm = [run_scenario(scenario, seed=0) for scenario in builtin_suite()]
+    monkeypatch.setattr(scenarios, "Machine", functools.partial(Machine, aead="ascon128"))
+    suite = builtin_suite()
+    assert ScenarioRunner(suite[0]).machine.mee.aead.name == "ascon128"
+    assert [run_scenario(scenario, seed=0) for scenario in suite] == aes_gcm
 
 
 # --- malformed and random physical/OS steps ---------------------------------------
