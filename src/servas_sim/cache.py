@@ -236,16 +236,18 @@ class TweakTaggedCache:
 
     def read(self, line_index: int, sw, fill) -> bytes:
         sw_int = sw.to_int()
-        entry = self._find(line_index)
-        if entry is not None:
-            if entry.sw_int == sw_int:
-                self.hits += 1
-                return entry.data
-            # Address match under a different tweak: under write-through the
-            # memory copy is already current, so the stale tag is just dropped
-            # before the refill attempt under the new tweak.
-            self.tweak_mismatches += 1
-            self._set_of(line_index).remove(entry)
+        ways = self.sets[line_index % self.n_sets]
+        for entry in ways:
+            if entry.line_index == line_index:
+                if entry.sw_int == sw_int:
+                    self.hits += 1
+                    return entry.data
+                # Address match under a different tweak: under write-through
+                # the memory copy is already current, so the stale tag is just
+                # dropped before the refill attempt under the new tweak.
+                self.tweak_mismatches += 1
+                ways.remove(entry)
+                break
         self.misses += 1
         data = fill(line_index, sw)  # may raise AuthenticationError
         self._insert(line_index, sw_int, data)
@@ -255,14 +257,15 @@ class TweakTaggedCache:
         """Install the post-write line image (the write itself already went
         through to the engine)."""
         sw_int = sw.to_int()
-        entry = self._find(line_index)
-        if entry is not None:
-            if entry.sw_int != sw_int:
+        ways = self.sets[line_index % self.n_sets]
+        for entry in ways:
+            if entry.line_index == line_index:
+                if entry.sw_int == sw_int:
+                    entry.data = data
+                    return
                 self.tweak_mismatches += 1
-                self._set_of(line_index).remove(entry)
-            else:
-                entry.data = data
-                return
+                ways.remove(entry)
+                break
         self._insert(line_index, sw_int, data)
 
     def _insert(self, line_index: int, sw_int: int, data: bytes) -> None:

@@ -10,6 +10,19 @@ Access pipeline: page-table walk -> permission check -> tweak composition
 engine.  M-mode accesses are untranslated (virtual address == physical
 address, no PTE).
 
+The front end -- walk, composition and classification -- depends only on
+the page tables, the CSRs and the (space, line, privilege) of the access,
+so :meth:`Machine.access` memoizes its result per line: the PTE (which is
+immutable), the line's physical address, the composed tweak and the page
+type.  A hit repeats the permission and U-bit checks against the PTE and
+goes on to the cache and engine as a miss does.  The memo is cleared by
+every write to an input it caches -- :meth:`Machine.map_page`,
+:meth:`Machine.unmap_page` and :meth:`Machine.write_csr`, the CSR file's
+only writer -- and only an access whose classification succeeded is
+stored, so it can change no verdict, trap, ciphertext, cache hit or RNG
+draw.  It is simulator bookkeeping, not a modelled TLB: there is no
+shootdown gap for software to observe.
+
 The tweak is one packed integer from composition on: the CSR file keeps
 the sid registers in the mapping composition reads (updated when a sid
 CSR is written, not per access), composition writes the fields straight
@@ -108,8 +121,11 @@ class AuthenticationException(Trap):
         super().__init__(va, prv, f"line={line_index:#x}")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Pte:
+    """One leaf mapping.  Immutable, so the access memo can hold it: a page
+    table edit installs a new one."""
+
     ppn: int
     r: bool = False
     w: bool = False
@@ -117,11 +133,11 @@ class Pte:
     u: bool = False
     g: bool = False
     rsw: int = 0
-    valid: bool = True
+    bits: int = field(init=False, repr=False, compare=False)  # the packed tweak field
 
-    @property
-    def bits(self) -> int:
-        return pack_pte_bits(self.r, self.w, self.x, self.u, self.g, self.rsw)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bits",
+                           pack_pte_bits(self.r, self.w, self.x, self.u, self.g, self.rsw))
 
 
 def perms_from_str(perms: str) -> dict[str, bool]:
@@ -179,6 +195,15 @@ def _reg_index(idx: int) -> int:
     return idx
 
 
+def _check_pte(pte: Pte, va: int, prv: int, kind: AccessKind) -> None:
+    """The permission and U-bit checks of a translated access."""
+    if not (pte.r if kind is AccessKind.READ
+            else pte.w if kind is AccessKind.WRITE else pte.x):
+        raise PageFault(va, prv, f"{kind.value} permission missing")
+    if prv == PRV_U and not pte.u:
+        raise PageFault(va, prv, "user access to a supervisor page")
+
+
 class Machine:
     """A single simulated hart plus its physical memory and engine."""
 
@@ -198,6 +223,9 @@ class Machine:
         self.plain_lines: dict[int, bytes] = {}
         self.sm_auth_handler = None  # set by the security monitor
         self.active_enclave = None
+        # (space, line va, prv) -> (pte, line pa, tweak, page type); see the
+        # module docstring for what clears it
+        self._memo: dict[tuple[str, int, int], tuple[Pte | None, int, SwTweak, PageType]] = {}
         self.cache = None
         if cache_cfg is not None:
             from .cache import TweakTaggedCache
@@ -226,17 +254,16 @@ class Machine:
             raise ValueError("rsw is a 2-bit field")
         flags = perms_from_str(perms)
         self.spaces.setdefault(space, {})[va // PAGE_BYTES] = Pte(ppn=ppn, rsw=rsw, **flags)
+        self._memo.clear()
 
     def unmap_page(self, caller_prv: int, space: str, va: int) -> None:
         if caller_prv not in (PRV_S, PRV_M):
             raise PrivilegeTrap(va, caller_prv, "page tables are managed at S-mode or above")
         self.spaces.get(space, {}).pop(va // PAGE_BYTES, None)
+        self._memo.clear()
 
     def walk(self, space: str, va: int) -> Pte | None:
-        pte = self.spaces.get(space, {}).get(va // PAGE_BYTES)
-        if pte is None or not pte.valid:
-            return None
-        return pte
+        return self.spaces.get(space, {}).get(va // PAGE_BYTES)
 
     # --- CSRs ---------------------------------------------------------------
 
@@ -255,6 +282,7 @@ class Machine:
             if not 0 <= value < (1 << 64):
                 raise ValueError("sid registers are 64-bit")
         self.csr.write(name, value)
+        self._memo.clear()
 
     def read_csr(self, prv: int, name: str):
         if name == "cpu_key":
@@ -308,22 +336,23 @@ class Machine:
         if va >= (1 << self.va_bits):
             raise PageFault(va, prv, "virtual address exceeds address width")
 
-        if prv == PRV_M:
-            pa, pte_bits = va, 0
-        else:
-            pte = self.walk(space, va)
-            if pte is None:
-                raise PageFault(va, prv, "unmapped")
-            if not (pte.r if kind is AccessKind.READ
-                    else pte.w if kind is AccessKind.WRITE else pte.x):
-                raise PageFault(va, prv, f"{kind.value} permission missing")
-            if prv == PRV_U and not pte.u:
-                raise PageFault(va, prv, "user access to a supervisor page")
-            pa = pte.ppn * PAGE_BYTES + (va % PAGE_BYTES)
-            pte_bits = pte.bits
-
-        sw = self.compose_for_access(va, prv, pte_bits)
-        return self._line_access(va, prv, pa, sw, self._classify(va, prv, sw), kind,
+        key = (space, va - offset, prv)
+        entry = self._memo.get(key)
+        if entry is None:
+            if prv == PRV_M:
+                pte, line_pa, pte_bits = None, va - offset, 0
+            else:
+                pte = self.walk(space, va)
+                if pte is None:
+                    raise PageFault(va, prv, "unmapped")
+                _check_pte(pte, va, prv, kind)
+                line_pa = pte.ppn * PAGE_BYTES + (va - offset) % PAGE_BYTES
+                pte_bits = pte.bits
+            sw = self.compose_for_access(va, prv, pte_bits)
+            entry = self._memo[key] = (pte, line_pa, sw, self._classify(va, prv, sw))
+        elif entry[0] is not None:
+            _check_pte(entry[0], va, prv, kind)
+        return self._line_access(va, prv, entry[1] + offset, entry[2], entry[3], kind,
                                  data, size)
 
     def pinned_page(self, ppn: int, sw: SwTweak, kind: AccessKind = AccessKind.READ,

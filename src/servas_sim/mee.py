@@ -101,6 +101,11 @@ class Mee:
     def counter_of(self, line_index: int) -> int:
         return self._counters.get(line_index, 0)
 
+    def counters_of(self, first_line: int, count: int) -> list[int]:
+        """The counters of ``count`` consecutive lines from ``first_line``."""
+        get = self._counters.get
+        return [get(line, 0) for line in range(first_line, first_line + count)]
+
     def write_lines(self, first_line: int, sw_int: int, va_bits: int, content: bytes,
                     lines) -> None:
         """Seal line ``first_line + i`` for each ``i`` in ``lines``: its

@@ -15,7 +15,8 @@ Page I/O pins the tweak: the monitor builds a page's first-line tweak
 once, all five software fields -- for an enclave page exactly what the
 enclave's own access to that line will compose later
 (:meth:`SecurityMonitor._page_tweak`), for one of its own pages the
-binding :meth:`SecurityMonitor._monitor_page_tweak` decides -- and hands
+binding :meth:`SecurityMonitor._monitor_page_tweak` decides, which ties
+both monitor pages to their enclave through its runtime id -- and hands
 it to the machine's pinned-tweak page access (:meth:`Machine.pinned_page`),
 which classifies the page once, steps the voffset per line and seals or
 verifies the page in one engine call.  No CSR is
@@ -151,10 +152,14 @@ class Disposition:
 
 @dataclass(frozen=True)
 class EnclaveHandle:
-    """What the OS/application holds: the two monitor page numbers."""
+    """What the OS/application holds: the two monitor page numbers and the
+    runtime id both pages are sealed under.  A handle whose pages belong to
+    different enclaves, or whose rtid is not theirs, fails authentication
+    at the first page the monitor loads."""
 
     meta_ppn: int
     thread_ppn: int
+    rtid: int = 0
 
 
 _PTYPE_CODE = {PageType.REGULAR: 1, PageType.SHENCLAVE: 2, PageType.SHM: 3}
@@ -386,46 +391,49 @@ class SecurityMonitor:
             self._verified.clear()
             self._in_monitor = False
 
-    def _monitor_page_tweak(self, ppn: int) -> SwTweak:
+    def _monitor_page_tweak(self, ppn: int, rtid: int = 0) -> SwTweak:
         """The first-line tweak of a monitor page, and so the one place that
         decides a monitor page's binding: no range, the absolute line index,
-        M-mode read/write, sid 0."""
+        M-mode read/write, and the owning enclave's runtime id as the sid
+        (0, like a handle's default rtid, belongs to no enclave unless the
+        monitor was told to start its rtids there).  The sid ties both pages
+        to their enclave: neither verifies when it is offered as another
+        enclave's page."""
         va_bits = self.machine.va_bits
         voffset = (ppn * LINES_PER_PAGE) & ((1 << voffset_bits(va_bits)) - 1)
-        return SwTweak(0, voffset, PRV_M, MONITOR_PTE_BITS, 0, va_bits)
+        return SwTweak(0, voffset, PRV_M, MONITOR_PTE_BITS, rtid & SID_MASK, va_bits)
 
-    def _read_monitor_page(self, ppn: int) -> bytes:
-        content = self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn))
-        counter_of = self.machine.mee.counter_of
+    def _read_monitor_page(self, ppn: int, rtid: int) -> bytes:
+        content = self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn, rtid))
         first = ppn * LINES_PER_PAGE
-        for i in range(LINES_PER_PAGE):
-            self._verified[first + i] = (counter_of(first + i),
-                                         content[i * LINE_BYTES:(i + 1) * LINE_BYTES])
+        counters = self.machine.mee.counters_of(first, LINES_PER_PAGE)
+        for i, counter in enumerate(counters):
+            self._verified[first + i] = (counter, content[i * LINE_BYTES:(i + 1) * LINE_BYTES])
         return content
 
-    def _write_monitor_page(self, ppn: int, content: bytes) -> None:
+    def _write_monitor_page(self, ppn: int, rtid: int, content: bytes) -> None:
         """Re-seal the lines that differ from what this call verified.  A
         line whose counter moved since was re-sealed by someone else (an
         aliased page init or destroy) and is always rewritten."""
-        counter_of = self.machine.mee.counter_of
         first = ppn * LINES_PER_PAGE
-        dirty = [i for i in range(LINES_PER_PAGE)
+        counters = self.machine.mee.counters_of(first, LINES_PER_PAGE)
+        dirty = [i for i, counter in enumerate(counters)
                  if self._verified.get(first + i)
-                 != (counter_of(first + i), content[i * LINE_BYTES:(i + 1) * LINE_BYTES])]
-        self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn), AccessKind.WRITE,
+                 != (counter, content[i * LINE_BYTES:(i + 1) * LINE_BYTES])]
+        self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn, rtid), AccessKind.WRITE,
                                  content, dirty)
 
     def _load_meta(self, handle: EnclaveHandle) -> EnclaveMeta:
-        return EnclaveMeta.unpack(self._read_monitor_page(handle.meta_ppn))
+        return EnclaveMeta.unpack(self._read_monitor_page(handle.meta_ppn, handle.rtid))
 
     def _store_meta(self, handle: EnclaveHandle, meta: EnclaveMeta) -> None:
-        self._write_monitor_page(handle.meta_ppn, meta.pack())
+        self._write_monitor_page(handle.meta_ppn, handle.rtid, meta.pack())
 
     def _load_thread(self, handle: EnclaveHandle) -> ThreadMeta:
-        return ThreadMeta.unpack(self._read_monitor_page(handle.thread_ppn))
+        return ThreadMeta.unpack(self._read_monitor_page(handle.thread_ppn, handle.rtid))
 
     def _store_thread(self, handle: EnclaveHandle, thread: ThreadMeta) -> None:
-        self._write_monitor_page(handle.thread_ppn, thread.pack())
+        self._write_monitor_page(handle.thread_ppn, handle.rtid, thread.pack())
 
     # --- tweak-field resolution for enclave pages ----------------------------
 
@@ -535,7 +543,7 @@ class SecurityMonitor:
             self._rtid_next += 1
             for ppn, sw, body in writes:
                 self.machine.pinned_page(ppn, sw, AccessKind.WRITE, body)
-            handle = EnclaveHandle(meta_ppn, thread_ppn)
+            handle = EnclaveHandle(meta_ppn, thread_ppn, meta.rtid)
             self._store_meta(handle, meta)
             self._store_thread(handle, ThreadMeta())
             return handle
@@ -550,6 +558,8 @@ class SecurityMonitor:
             thread = self._load_thread(handle)
             if meta.state not in (EnclaveState.LOADED, EnclaveState.INTERRUPTED):
                 raise WrongState(f"cannot enter enclave in state {meta.state.name}")
+            if meta.state is EnclaveState.INTERRUPTED and thread.saved_regs is None:
+                raise WrongState("interrupted enclave has no saved thread state")
             meta.host_regs = list(m.regs)
             meta.host_pc = m.pc
             meta.host_prv = caller_prv

@@ -1,6 +1,7 @@
 """Security-monitor lifecycle: creation, entry/exit, interruption, dynamic
 pages, re-encryption, sealing, swapping, fault rate limiting, statelessness."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -32,6 +33,7 @@ from servas_sim.monitor import (
     RangeViolation,
     SecurityMonitor,
     SwapAuthFailure,
+    ThreadMeta,
     TypeNotSwappable,
     WrongState,
     _SWAP_OFF,
@@ -149,17 +151,25 @@ def test_ecreate_unmapped_page_has_no_side_effects(machine, sm):
     assert sm.peek_meta(sm.ecreate("host", std_image(), A_BASE, 1, 0x200, 0x201)).rtid == 1
 
 
+def _sealed_digests(m, monitor_ppns=(0x200, 0x201)):
+    """SHA-256 over (line, ciphertext, tag) of every sealed line, split into
+    the enclave's lines and the lines of its two monitor pages."""
+    monitor = {p * LINES_PER_PAGE + i for p in monitor_ppns for i in range(LINES_PER_PAGE)}
+    digests = [hashlib.sha256(), hashlib.sha256()]
+    for i in sorted(m.mee._lines):
+        digests[i in monitor].update(i.to_bytes(8, "little") + b"".join(m.mee.snapshot_line(i)))
+    return digests[0].hexdigest(), digests[1].hexdigest()
+
+
 def test_ecreate_ciphertext_golden():
     """Every sealed line of the standard enclave at seed 7, pinned: page
     initialization must stay bit-identical however it is implemented."""
     m = Machine(seed=7)
     spawn_enclave(m, SecurityMonitor(m))
-    lines = sorted(m.mee._lines)
-    assert len(lines) == 5 * 64  # code, data, stack, metadata, thread
-    digest = hashlib.sha256(b"".join(
-        i.to_bytes(8, "little") + b"".join(m.mee.snapshot_line(i)) for i in lines))
-    assert digest.hexdigest() == \
-        "f77b12fc1ce6a5f7624be647adb7961450c325f930e20a6e73bc83ae330c9d2c"
+    assert len(m.mee._lines) == 5 * 64  # code, data, stack, metadata, thread
+    enclave_pages, monitor_pages = _sealed_digests(m)
+    assert enclave_pages == "247d02e260b2ed83e560aaa1386d596f56d91c461bf3e79665d2a2ef4c768bcc"
+    assert monitor_pages == "03f897c151a90a7a6b9c09784b9a28719c778fa955e0c557125970a9b13b7d57"
 
 
 def test_two_instances_share_code_color_not_rtid(machine, sm):
@@ -670,6 +680,63 @@ def test_monitor_state_lives_in_monitor_pages(machine, sm):
         sm.eenter(handle)
 
 
+def _two_interrupted_enclaves():
+    """A (monitor pages 0x200/0x201) and B (0x210/0x211) at seed 7, both
+    interrupted; A left x5 and usid0 set."""
+    m = Machine(seed=7)
+    sm = SecurityMonitor(m)
+    ha = spawn_enclave(m, sm)
+    hb = spawn_enclave(m, sm, base=0x5000_0000, ppn_start=0x110,
+                       meta_ppn=0x210, thread_ppn=0x211)
+    sm.eenter(ha)
+    m.set_reg(5, 0xDEAD)
+    m.write_csr(PRV_U, "usid0", 0x1234)
+    sm.interrupt()
+    sm.eenter(hb)
+    sm.interrupt()
+    return m, sm, ha, hb
+
+
+@pytest.mark.parametrize("pairing", ["A-meta+B-thread", "B-meta+A-thread"])
+@pytest.mark.parametrize("rtid_of", ["meta", "thread"])
+def test_monitor_pages_of_two_enclaves_do_not_mix(pairing, rtid_of):
+    """A handle made of one enclave's metadata page and another's thread
+    page fails authentication at the first page sealed for the other
+    enclave, whichever rtid it carries, and nothing moves: the host never
+    runs one enclave with the other's registers or session id."""
+    m, sm, ha, hb = _two_interrupted_enclaves()
+    meta_of, thread_of = (ha, hb) if pairing == "A-meta+B-thread" else (hb, ha)
+    if rtid_of == "meta":
+        mixed = dataclasses.replace(meta_of, thread_ppn=thread_of.thread_ppn)
+    else:
+        mixed = dataclasses.replace(thread_of, meta_ppn=meta_of.meta_ppn)
+    csrs = (m.csr.mrange, m.csr.msid0, m.csr.msid1, m.csr.urange, m.csr.usid0)
+    with pytest.raises(AuthenticationException):
+        sm.eenter(mixed)
+    assert m.active_enclave is None and m.prv == PRV_S
+    assert (m.csr.mrange, m.csr.msid0, m.csr.msid1, m.csr.urange, m.csr.usid0) == csrs
+    assert m.regs == [0] * 32
+    # both enclaves still resume with their own state
+    sm.eenter(hb)
+    assert (m.get_reg(5), m.csr.usid0, m.csr.msid0) == (0, 0, sm.peek_meta(hb).rtid)
+    sm.interrupt()
+    sm.eenter(ha)
+    assert (m.get_reg(5), m.csr.usid0, m.csr.msid0) == (0xDEAD, 0x1234, sm.peek_meta(ha).rtid)
+
+
+def test_interrupted_enclave_without_saved_registers_is_wrong_state(enclave):
+    """Metadata that says INTERRUPTED over a thread page with no saved
+    registers is a monitor error, raised before any state moves."""
+    m, sm, handle = enclave
+    sm.eenter(handle)
+    sm.interrupt()
+    with sm._monitor_call():
+        sm._store_thread(handle, ThreadMeta())
+    with pytest.raises(WrongState):
+        sm.eenter(handle)
+    assert m.active_enclave is None and m.csr.msid0 == 0
+
+
 def test_monitor_page_zero_garbage_is_bad_handle(machine, sm):
     from servas_sim.monitor import BadHandle, EnclaveHandle
 
@@ -911,14 +978,12 @@ def test_user_trace_ciphertext_and_counts_golden():
             m.access("host", va, WRITE, PRV_U, data=rng.randbytes(8))
         else:
             out.update(m.access("host", va, READ, PRV_U, size=8))
-    lines = sorted(m.mee._lines)
-    sealed = hashlib.sha256(b"".join(
-        i.to_bytes(8, "little") + b"".join(m.mee.snapshot_line(i)) for i in lines))
+    enclave_pages, monitor_pages = _sealed_digests(m)
     after = (m.cache.hits, m.cache.misses, m.cache.tweak_mismatches, m.mee.seals, m.mee.opens)
-    counts = tuple(a - b for a, b in zip(after, before)) + (len(lines),)
+    counts = tuple(a - b for a, b in zip(after, before)) + (len(m.mee._lines),)
     assert out.hexdigest() == \
         "38bf91c8a5e65856bdf3625aa9266e8dd22ba40233ac244e2c6c309dd65fd289"
-    assert sealed.hexdigest() == \
-        "9ebad64283afd19ee43c394ead67e1c665a39c3ed3b13caf570f5a69e451832e"
+    assert enclave_pages == "5f45fa1ee76f6c44ff314cd81c77059193e623995aed1a09534d58bd77273d07"
+    assert monitor_pages == "7e7e3f9b2b0954c0c7a3497e864561d405302cb81b632849f03af6a429e9116a"
     # cache hits, misses, tweak mismatches; engine writes, reads; sealed lines
     assert counts == (1694, 562, 42, 417, 458, 576)
