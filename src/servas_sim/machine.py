@@ -244,10 +244,14 @@ class Machine:
 
     def map_page(self, caller_prv: int, space: str, va: int, ppn: int,
                  perms: str = "rw", rsw: int = 0) -> None:
-        """Install a mapping.  Deliberately unvalidated beyond privilege:
-        the OS is the attacker and may alias or remap anything."""
+        """Install a mapping.  Deliberately unvalidated beyond privilege and
+        the shape of its arguments (a non-negative, page-aligned va, a
+        non-negative ppn, a 2-bit rsw): the OS is the attacker and may
+        alias or remap anything."""
         if caller_prv not in (PRV_S, PRV_M):
             raise PrivilegeTrap(va, caller_prv, "page tables are managed at S-mode or above")
+        if va < 0 or ppn < 0:
+            raise ValueError("mappings take a non-negative va and ppn")
         if va % PAGE_BYTES:
             raise ValueError("mappings are page aligned")
         if not 0 <= rsw < 4:
@@ -333,8 +337,8 @@ class Machine:
         offset = va % LINE_BYTES
         if offset + size > LINE_BYTES:
             raise ValueError("access crosses a line boundary")
-        if va >= (1 << self.va_bits):
-            raise PageFault(va, prv, "virtual address exceeds address width")
+        if not 0 <= va < (1 << self.va_bits):
+            raise PageFault(va, prv, "virtual address outside the address width")
 
         key = (space, va - offset, prv)
         entry = self._memo.get(key)
@@ -440,7 +444,12 @@ class Machine:
         trap = AuthenticationException(va, prv, sw, exc.line_index)
         if self.sm_auth_handler is not None:
             trap.disposition = self.sm_auth_handler(trap)
-        raise trap from exc
+        try:
+            raise trap from exc
+        finally:
+            # the traceback holds this frame: without the del, trap -> frame
+            # -> trap is a cycle that only the cyclic GC frees
+            del trap, exc
 
     def _fill_line(self, line_index: int, sw: SwTweak) -> bytes:
         """Line content under a tweak; never-written DRAM reads as zeros."""

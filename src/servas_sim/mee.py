@@ -13,9 +13,30 @@ The engine's entry points are :meth:`Mee.write_lines` and
 one call, line ``first_line + i`` under the packed software tweak plus
 ``i`` in its voffset field, which is how every line of a page is bound.
 The tweak width, associated-data length and cipher are looked up once per
-call; per line there is one copy of a prefixed SHA-256 for the nonce and
-one AEAD call.  :meth:`Mee.write` and :meth:`Mee.read` are the one-line
-case.  ``seals`` and ``opens`` count the lines actually sealed and opened.
+call; per line that the memo below does not serve there is one copy of a
+prefixed SHA-256 for the nonce and one AEAD call.  :meth:`Mee.write` and
+:meth:`Mee.read` are the one-line case.  ``seals`` and ``opens`` count the
+lines sealed and the lines verified (a failed verification included),
+however each verification was served.
+
+Verified-open memo.  Every successful seal, and every successful open,
+records in the line's entry the plaintext together with the exact
+ciphertext, tag and associated data (counter || tweak) it was sealed or
+opened under.  :meth:`Mee.read_lines` returns that plaintext, with no nonce
+hash and no AEAD call, only when all three are byte-identical to the
+line's current ciphertext and tag and to the associated data of this read
+(the current counter and the requested tweak).  AEAD open is a
+deterministic function of key, nonce, ciphertext, tag and associated data,
+and the nonce is a function of the line and the counter the associated
+data carries, so the memo returns exactly what the open would: a flipped
+bit, a restored stale snapshot, a foreign tweak or a destroyed line falls
+through to the real open and raises the same :class:`AuthenticationError`
+on the same line.  Raw DRAM writes (:meth:`Mee.restore_line`,
+:meth:`Mee.flip_bit`) replace only the stored ciphertext and tag and
+record no memo; a memo the line already has matches only while the
+stored bytes are the ones it recorded.  This is simulator bookkeeping with
+no knob: the memory encryption it stands for still verifies every line it
+reads.
 
 Destruction is a write under a reserved tweak that normal composition can
 never produce (all three range bits set while the pte rsw field is 00 but
@@ -83,12 +104,9 @@ class Mee:
         self.key = key
         self.aead = get_aead(aead) if isinstance(aead, str) else aead
         self.va_bits = va_bits
-        # line -> [ciphertext, tag].  A list, not the tuple a seal returns: a
-        # finished machine is held by reference cycles (the monitor's AUTH
-        # handler, trap tracebacks) until a full GC pass, and the collector
-        # schedules those by the tracked objects that survive.  Tuples of
-        # bytes get untracked; with them full passes ran 9x less often and
-        # the builtin suite's peak RSS grew 4 MB per 100 passes, not 0.
+        # line -> [ciphertext, tag] as stored in DRAM, followed once the
+        # engine has sealed or verified the line by its memo: [ciphertext,
+        # tag, memo ciphertext, memo tag, memo ad, plaintext]
         self._lines: dict[int, list[bytes]] = {}
         self._counters: dict[int, int] = {}
         self._destroy_sw = destroy_tweak(va_bits)
@@ -130,7 +148,8 @@ class Mee:
             nonce = _NONCE_HASH.copy()
             nonce.update((counter << 64 | line).to_bytes(16, "little"))  # line || counter
             ad = (counter << width | sw_int + (i << VOFFSET_SHIFT)).to_bytes(ad_len, "big")
-            stored[line] = list(seal(key, nonce.digest()[:nonce_len], plaintext, ad))
+            ciphertext, tag = seal(key, nonce.digest()[:nonce_len], plaintext, ad)
+            stored[line] = [ciphertext, tag, ciphertext, tag, ad, plaintext]
             counters[line] = counter
             self.seals += 1
 
@@ -138,7 +157,8 @@ class Mee:
         """Open line ``first_line + i`` for each ``i`` in ``lines`` under the
         tweak :meth:`write_lines` steps the same way; returns the plaintexts
         in order.  The first line that was never written or fails
-        verification raises :class:`AuthenticationError` naming it."""
+        verification raises :class:`AuthenticationError` naming it.  A line
+        whose memo matches is served from it (see the module docstring)."""
         width = sw_tweak_bits(va_bits)
         ad_len = (COUNTER_BITS + width + 7) // 8
         open_, key, nonce_len = self.aead.open, self.key, self.aead.nonce_len
@@ -146,20 +166,27 @@ class Mee:
         out = []
         for i in lines:
             line = first_line + i
-            sealed = stored.get(line)
-            if sealed is None:
-                raise AuthenticationError(line, "line never initialized")
             if not 0 <= line < LINE_LIMIT:
                 raise ValueError(f"no physical line {line}")
+            entry = stored.get(line)
+            if entry is None:
+                raise AuthenticationError(line, "line never initialized")
             counter = counters.get(line, 0)
-            nonce = _NONCE_HASH.copy()
-            nonce.update((counter << 64 | line).to_bytes(16, "little"))  # line || counter
             ad = (counter << width | sw_int + (i << VOFFSET_SHIFT)).to_bytes(ad_len, "big")
             self.opens += 1
+            ciphertext, tag = entry[0], entry[1]
+            if (len(entry) == 6 and entry[4] == ad and entry[2] == ciphertext
+                    and entry[3] == tag):
+                out.append(entry[5])
+                continue
+            nonce = _NONCE_HASH.copy()
+            nonce.update((counter << 64 | line).to_bytes(16, "little"))  # line || counter
             try:
-                out.append(open_(key, nonce.digest()[:nonce_len], sealed[0], sealed[1], ad))
+                plaintext = open_(key, nonce.digest()[:nonce_len], ciphertext, tag, ad)
             except AeadAuthError as exc:
                 raise AuthenticationError(line) from exc
+            entry[2:] = ciphertext, tag, ad, plaintext
+            out.append(plaintext)
         return out
 
     def write(self, line_index: int, plaintext: bytes, sw: SwTweak) -> None:
@@ -180,11 +207,15 @@ class Mee:
         """The raw (ciphertext, tag); never-written DRAM holds zero
         ciphertext and a zero tag."""
         _check_line(line_index)
-        ciphertext, tag = self._lines.get(line_index) or (bytes(LINE_BYTES), bytes(TAG_LEN))
-        return ciphertext, tag
+        entry = self._lines.get(line_index) or (bytes(LINE_BYTES), bytes(TAG_LEN))
+        return entry[0], entry[1]
 
     def restore_line(self, line_index: int, ciphertext: bytes, tag: bytes) -> None:
-        self._lines[line_index] = [ciphertext, tag]
+        """Overwrite the line's raw (ciphertext, tag).  Its memo, if any,
+        is left to the read's comparison: it matches again only if these
+        are the bytes it recorded."""
+        entry = self._lines.setdefault(line_index, [ciphertext, tag])
+        entry[0], entry[1] = ciphertext, tag
 
     def flip_bit(self, line_index: int, bit: int, target: str = "ciphertext") -> None:
         if target not in ("ciphertext", "tag"):
@@ -194,7 +225,10 @@ class Mee:
         if not 0 <= bit < 8 * len(blob):
             raise ValueError(f"bit {bit} lies outside the {len(blob)}-byte {target}")
         blob[bit // 8] ^= 1 << (bit % 8)
-        self._lines[line_index] = [ct, bytes(blob)] if target == "tag" else [bytes(blob), tag]
+        if target == "tag":
+            self.restore_line(line_index, ct, bytes(blob))
+        else:
+            self.restore_line(line_index, bytes(blob), tag)
 
 
 __all__ = [

@@ -46,6 +46,7 @@ import enum
 import hashlib
 import hmac
 import struct
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -354,6 +355,21 @@ class PageCtx:
         return self.rsw if self.rsw is not None else _RSW_FOR[self.page_type]
 
 
+def _weak_auth_handler(monitor: "SecurityMonitor"):
+    """The machine's AUTH handler for ``monitor``, holding it weakly: the
+    monitor holds its machine, so a strong back-reference would be a cycle
+    that keeps a finished machine, engine lines and all, alive until a full
+    pass of the cyclic GC.  Once the monitor is gone, faults get no
+    disposition, as on a machine without one."""
+    ref = weakref.ref(monitor)
+
+    def handler(trap):
+        sm = ref()
+        return None if sm is None else sm.handle_auth_fault(trap)
+
+    return handler
+
+
 class SecurityMonitor:
     """Monitor instance bound to one machine.
 
@@ -373,7 +389,7 @@ class SecurityMonitor:
         # monitor-page line -> (engine counter, plaintext) verified during
         # the current call; emptied when the call ends
         self._verified: dict[int, tuple[int, bytes]] = {}
-        machine.sm_auth_handler = self.handle_auth_fault
+        machine.sm_auth_handler = _weak_auth_handler(self)
 
     # --- plumbing -----------------------------------------------------------
 

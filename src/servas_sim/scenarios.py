@@ -173,7 +173,11 @@ def spawn_enclave(sm: SecurityMonitor, image: EnclaveImage, space: str, base: in
                   ppn_overrides: dict[int, int] | None = None) -> EnclaveHandle:
     """The OS maps the enclave region per the image descriptors, then the
     host creates the enclave.  Region page j (image pages, then the stack
-    pages) maps to ``ppn_start + j`` unless ``ppn_overrides`` names j."""
+    pages) maps to ``ppn_start + j`` unless ``ppn_overrides`` names j.  A
+    negative base is the invalid image :meth:`SecurityMonitor.ecreate`
+    would call it, refused before the OS maps anything."""
+    if base < 0:
+        raise InvalidImage(f"enclave region: base {base:#x} is negative")
     machine = sm.machine
     overrides = ppn_overrides or {}
     for page in image.pages:

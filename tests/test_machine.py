@@ -99,6 +99,30 @@ def test_sub_line_slicing(m):
     assert line[33] == 0xFF and line[32] == 32
 
 
+@pytest.mark.parametrize("va, ppn", [(-4096, 0x10), (0x2000, -1)])
+def test_map_page_rejects_negative_va_or_ppn(m, va, ppn):
+    with pytest.raises(ValueError, match="non-negative"):
+        m.map_page(PRV_S, "p", va, ppn, "rwu")
+    assert m.walk("p", va) is None
+
+
+@pytest.mark.parametrize("kind", [READ, WRITE])
+def test_negative_va_page_faults_in_s_mode(m, kind):
+    """A negative va is outside the address space: no page-table entry can
+    make it reachable."""
+    m.spaces["p"][-1] = m.walk("p", 0x1000)  # as an unvalidated mapping would have
+    with pytest.raises(PageFault, match="outside the address width"):
+        m.access("p", -4096, kind, PRV_S, data=b"x" if kind is WRITE else None)
+
+
+@pytest.mark.parametrize("kind", [READ, WRITE])
+def test_negative_va_page_faults_in_m_mode(m, kind):
+    """M-mode is untranslated, so va -64 would be physical line -1: a read
+    used to return zeros there while a write raised ValueError."""
+    with pytest.raises(PageFault, match="outside the address width"):
+        m.access("p", -64, kind, PRV_M, data=b"x" if kind is WRITE else None)
+
+
 def test_access_cannot_cross_line(m):
     with pytest.raises(ValueError):
         m.access("p", 0x103C, READ, PRV_U, size=8)

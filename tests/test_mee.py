@@ -9,11 +9,12 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from servas_sim.aead import AesGcmAead
 from servas_sim.mee import (
     COUNTER_BITS,
+    COUNTER_LIMIT,
     LINE_BYTES,
     AuthenticationError,
     CounterOverflow,
@@ -21,7 +22,7 @@ from servas_sim.mee import (
     destroy_tweak,
     full_tweak_bytes,
 )
-from servas_sim.tweak import PRV_M, PRV_S, PRV_U, SwTweak
+from servas_sim.tweak import PRV_M, PRV_S, PRV_U, VOFFSET_SHIFT, SwTweak
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -254,3 +255,204 @@ def test_tweak_sensitivity_random_pairs(sid_a, sid_b, prv, voffset):
     else:
         with pytest.raises(AuthenticationError):
             mee.read(0, probe)
+
+
+def test_read_of_a_negative_line_is_a_value_error(mee):
+    """A line outside the engine's range is refused as ``write`` refuses
+    it, before any lookup, not reported as an uninitialized line."""
+    with pytest.raises(ValueError, match="no physical line -1"):
+        mee.write(-1, bytes(LINE_BYTES), _sw())
+    with pytest.raises(ValueError, match="no physical line -1"):
+        mee.read(-1, _sw())
+    with pytest.raises(ValueError, match="no physical line -1"):
+        mee.read_lines(0, _sw().to_int(), 48, [-1])
+
+
+# --- the verified-open memo ----------------------------------------------------
+
+
+def _counting(mee):
+    """Count the engine's real AEAD opens by wrapping its backend."""
+    calls = []
+    real_open = mee.aead.open
+
+    def open_(*args):
+        calls.append(args)
+        return real_open(*args)
+
+    mee.aead.open = open_
+    return calls
+
+
+def _strip_memo(mee):
+    """Drop every line's memo, leaving the stored bytes: the engine then
+    verifies every line with a real open."""
+    for entry in mee._lines.values():
+        del entry[2:]
+
+
+def test_memo_serves_a_sealed_or_verified_line_without_an_open(mee):
+    """A read of a line the engine sealed, or already verified, under the
+    same counter and tweak makes no AEAD call and is still counted."""
+    calls = _counting(mee)
+    sw = _sw()
+    mee.write(3, b"\x5a" * LINE_BYTES, sw)
+    assert mee.read(3, sw) == b"\x5a" * LINE_BYTES
+    assert (len(calls), mee.opens) == (0, 1)
+    _strip_memo(mee)
+    assert mee.read(3, sw) == b"\x5a" * LINE_BYTES
+    assert mee.read(3, sw) == b"\x5a" * LINE_BYTES
+    assert (len(calls), mee.opens) == (1, 3)
+
+
+def test_memo_flipped_ciphertext_bit_fails(mee):
+    sw = _sw()
+    mee.write(6, bytes(range(64)), sw)
+    assert mee.read(6, sw) == bytes(range(64))
+    mee.flip_bit(6, 77, "ciphertext")
+    with pytest.raises(AuthenticationError) as info:
+        mee.read(6, sw)
+    assert info.value.line_index == 6
+
+
+def test_memo_flipped_tag_bit_fails(mee):
+    sw = _sw()
+    mee.write(6, bytes(range(64)), sw)
+    assert mee.read(6, sw) == bytes(range(64))
+    mee.flip_bit(6, 5, "tag")
+    with pytest.raises(AuthenticationError) as info:
+        mee.read(6, sw)
+    assert info.value.line_index == 6
+
+
+def test_memo_stale_snapshot_restored_fails(mee):
+    """The memo records the second seal; the restored first one does not
+    verify under the counter the second seal moved to."""
+    sw = _sw()
+    mee.write(3, b"v1" * 32, sw)
+    stale = mee.snapshot_line(3)
+    mee.write(3, b"v2" * 32, sw)
+    assert mee.read(3, sw) == b"v2" * 32
+    mee.restore_line(3, *stale)
+    with pytest.raises(AuthenticationError) as info:
+        mee.read(3, sw)
+    assert info.value.line_index == 3
+
+
+def test_memo_wrong_tweak_fails(mee):
+    """Line 1 under line 2's tweak fails, and so do line 2's bytes, sealed
+    under that tweak at the same counter, moved onto line 1, whichever
+    of the two tweaks the read asks for."""
+    sw1, sw2 = _sw(sid=1), _sw(sid=2)
+    mee.write(1, b"\x01" * LINE_BYTES, sw1)
+    mee.write(2, b"\x02" * LINE_BYTES, sw2)
+    with pytest.raises(AuthenticationError):
+        mee.read(1, sw2)
+    assert mee.read(1, sw1) == b"\x01" * LINE_BYTES
+    mee.restore_line(1, *mee.snapshot_line(2))
+    for sw in (sw1, sw2):
+        with pytest.raises(AuthenticationError) as info:
+            mee.read(1, sw)
+        assert info.value.line_index == 1
+
+
+def test_memo_current_bytes_restored_open(mee):
+    """Putting back the exact bytes the line holds, after tampering, opens
+    again, with the memo and without it."""
+    sw = _sw()
+    mee.write(4, b"\x33" * LINE_BYTES, sw)
+    current = mee.snapshot_line(4)
+    mee.flip_bit(4, 0)
+    with pytest.raises(AuthenticationError):
+        mee.read(4, sw)
+    mee.restore_line(4, *current)
+    assert mee.read(4, sw) == b"\x33" * LINE_BYTES
+    _strip_memo(mee)
+    mee.restore_line(4, *current)
+    assert mee.read(4, sw) == b"\x33" * LINE_BYTES
+
+
+# The differential fuzz: lines 0..3 of page 0, each line bound to one of
+# three base tweaks stepped by its index (the page path's binding), so
+# reads and writes through the one-line and the page calls often meet.
+_N = 4
+_TWEAKS = [_sw(voffset=0, sid=1), _sw(voffset=0, sid=0xFFFF),
+           _sw(voffset=0, prv=PRV_S, xrange=0b010, sid=0)]
+_LINE = st.integers(0, _N - 1)
+_TWEAK = st.integers(0, len(_TWEAKS) - 1)
+_LINES = st.lists(_LINE, min_size=1, max_size=_N, unique=True)
+_CONTENT = st.binary(min_size=_N * LINE_BYTES, max_size=_N * LINE_BYTES)
+_MEMO_OPS = st.one_of(
+    st.tuples(st.just("write_lines"), _TWEAK, _CONTENT, _LINES),
+    st.tuples(st.just("read_lines"), _TWEAK, _LINES),
+    st.tuples(st.just("write"), _LINE, _TWEAK, st.binary(min_size=64, max_size=64)),
+    st.tuples(st.just("read"), _LINE, _TWEAK),
+    st.tuples(st.just("destroy"), _LINE),
+    st.tuples(st.just("flip_bit"), _LINE, st.sampled_from(["ciphertext", "tag"]),
+              st.integers(0, 8 * 16 - 1)),
+    st.tuples(st.just("snapshot"), _LINE),
+    st.tuples(st.just("restore"), _LINE, st.integers(0, 63)),
+)
+
+
+def _line_sw(tweak: int, line: int) -> SwTweak:
+    return SwTweak.from_int(_TWEAKS[tweak].to_int() + (line << VOFFSET_SHIFT))
+
+
+def _apply_memo_op(mee, op, snapshots):
+    name, *args = op
+    try:
+        if name == "write_lines":
+            tweak, content, lines = args
+            return mee.write_lines(0, _TWEAKS[tweak].to_int(), 48, content, lines)
+        if name == "read_lines":
+            tweak, lines = args
+            return mee.read_lines(0, _TWEAKS[tweak].to_int(), 48, lines)
+        if name == "write":
+            line, tweak, data = args
+            return mee.write(line, data, _line_sw(tweak, line))
+        if name == "read":
+            line, tweak = args
+            return mee.read(line, _line_sw(tweak, line))
+        if name == "destroy":
+            return mee.destroy(args[0])
+        if name == "flip_bit":
+            line, target, bit = args
+            return mee.flip_bit(line, bit, target)
+        if name == "snapshot":
+            snapshots.append((args[0], mee.snapshot_line(args[0])))
+            return snapshots[-1]
+        # restore: a stale or current snapshot, or the line's current bytes
+        line, pick = args
+        if snapshots and pick < 48:
+            line, raw = snapshots[pick % len(snapshots)]
+        else:
+            raw = mee.snapshot_line(line)
+        return mee.restore_line(line, *raw)
+    except (AuthenticationError, CounterOverflow, ValueError) as exc:
+        return type(exc).__name__, getattr(exc, "line_index", None), str(exc)
+
+
+@settings(max_examples=200)
+@given(counters=st.lists(st.sampled_from([0, 1, 2, 1 << 40, COUNTER_LIMIT - 3]),
+                         min_size=_N, max_size=_N),
+       ops=st.lists(_MEMO_OPS, min_size=5, max_size=60))
+def test_memo_is_invisible(counters, ops):
+    """Two same-key engines run the same operations from the same counters;
+    one loses every memo before each read.  Results, errors and the line
+    they name, counters, seal and open counts and every line's raw bytes
+    agree throughout."""
+    engines = [Mee(KEY), Mee(KEY)]
+    snapshots = [[], []]
+    for mee in engines:
+        mee._counters.update((line, c) for line, c in enumerate(counters) if c)
+    for op in ops:
+        if op[0] in ("read", "read_lines"):
+            _strip_memo(engines[1])
+        results = [_apply_memo_op(mee, op, snaps)
+                   for mee, snaps in zip(engines, snapshots)]
+        assert results[0] == results[1], op
+        assert engines[0]._counters == engines[1]._counters
+        assert (engines[0].seals, engines[0].opens) == (engines[1].seals, engines[1].opens)
+        assert [engines[0].snapshot_line(i) for i in range(_N)] == \
+            [engines[1].snapshot_line(i) for i in range(_N)]

@@ -4,6 +4,7 @@ pages, re-encryption, sealing, swapping, fault rate limiting, statelessness."""
 import dataclasses
 import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -170,6 +171,25 @@ def test_ecreate_ciphertext_golden():
     enclave_pages, monitor_pages = _sealed_digests(m)
     assert enclave_pages == "247d02e260b2ed83e560aaa1386d596f56d91c461bf3e79665d2a2ef4c768bcc"
     assert monitor_pages == "03f897c151a90a7a6b9c09784b9a28719c778fa955e0c557125970a9b13b7d57"
+
+
+def test_auth_handler_holds_the_monitor_weakly():
+    """The machine's AUTH handler reaches the monitor while it lives and
+    does not keep it alive: once it is dropped, faults get no disposition."""
+    m = Machine(seed=7)
+    sm = SecurityMonitor(m)
+    m.map_page(PRV_S, "p", 0x1000, 0x10, "rw")
+    m.access("p", 0x1000, AccessKind.WRITE, PRV_S, data=b"x")
+    m.phys_flip_bit(0x10 * LINES_PER_PAGE, 3)
+    with pytest.raises(AuthenticationException) as info:
+        m.access("p", 0x1000, AccessKind.READ, PRV_S)
+    assert info.value.disposition.kind is DispositionKind.RETRY_DENIED
+    monitor = weakref.ref(sm)
+    del sm, info
+    assert monitor() is None
+    with pytest.raises(AuthenticationException) as info:
+        m.access("p", 0x1000, AccessKind.READ, PRV_S)
+    assert info.value.disposition is None
 
 
 def test_two_instances_share_code_color_not_rtid(machine, sm):

@@ -2,7 +2,9 @@
 actor discipline, and malformed or random step scripts."""
 
 import functools
+import gc
 import hashlib
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +221,42 @@ def test_builtin_pass_engine_op_counts(seed):
         runner.run()
         seals, opens = seals + runner.machine.mee.seals, opens + runner.machine.mee.opens
     assert (seals, opens) == (6583, 5475)
+
+
+def test_builtin_pass_real_aead_opens(monkeypatch):
+    """One builtin pass at seed 0 makes 18 real AEAD opens: the monitor's
+    two swap-record opens and the 16 engine opens that fail (the attacks
+    it detects).  The engine's memo serves every line verification that
+    succeeds, 5,459 of the 5,475, nearly all of them monitor-page lines."""
+    from servas_sim.aead import AesGcmAead
+
+    calls = []
+    real_open = AesGcmAead.open
+
+    def open_(self, *args):
+        calls.append(args)
+        return real_open(self, *args)
+
+    monkeypatch.setattr(AesGcmAead, "open", open_)
+    for scenario in builtin_suite():
+        assert run_scenario(scenario, seed=0) == scenario.expected
+    assert len(calls) == 18
+
+
+def test_finished_scenario_machine_is_freed_without_the_gc():
+    """No reference cycle holds a finished machine: with the cyclic GC off,
+    dropping the runner frees its machine, engine lines and all."""
+    gc.collect()
+    gc.disable()
+    try:
+        for scenario in builtin_suite():
+            runner = ScenarioRunner(scenario, seed=0)
+            assert runner.run() == scenario.expected
+            machine = weakref.ref(runner.machine)
+            del runner
+            assert machine() is None, scenario.name
+    finally:
+        gc.enable()
 
 
 def test_ascon_backend_gives_the_aes_gcm_verdicts(monkeypatch):
