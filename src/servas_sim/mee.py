@@ -34,9 +34,11 @@ through to the real open and raises the same :class:`AuthenticationError`
 on the same line.  Raw DRAM writes (:meth:`Mee.restore_line`,
 :meth:`Mee.flip_bit`) replace only the stored ciphertext and tag and
 record no memo; a memo the line already has matches only while the
-stored bytes are the ones it recorded.  This is simulator bookkeeping with
-no knob: the memory encryption it stands for still verifies every line it
-reads.
+stored bytes are the ones it recorded.  The same test answers a store's
+question, :meth:`Mee.changed_lines`: a line whose memo matches under the
+current counter and holds the bytes about to be written needs no new seal,
+and every other line does.  This is simulator bookkeeping with no knob:
+the memory encryption it stands for still verifies every line it reads.
 
 Destruction is a write under a reserved tweak that normal composition can
 never produce (all three range bits set while the pte rsw field is 00 but
@@ -90,6 +92,16 @@ def full_tweak_bytes(counter: int, sw: SwTweak) -> bytes:
     return (counter << width | sw.to_int()).to_bytes((COUNTER_BITS + width + 7) // 8, "big")
 
 
+def _memo(entry: list[bytes], ad: bytes) -> bytes | None:
+    """The plaintext a line's ``_lines`` entry proves the line holds under
+    associated data ``ad``, or None: the memo counts only while the stored
+    ciphertext and tag are the ones it recorded and ``ad`` is the one it
+    was sealed or opened under."""
+    if len(entry) == 6 and entry[4] == ad and entry[2] == entry[0] and entry[3] == entry[1]:
+        return entry[5]
+    return None
+
+
 def _check_line(line_index: int) -> None:
     if not 0 <= line_index < LINE_LIMIT:
         raise ValueError(f"no physical line {line_index}")
@@ -119,11 +131,6 @@ class Mee:
     def counter_of(self, line_index: int) -> int:
         return self._counters.get(line_index, 0)
 
-    def counters_of(self, first_line: int, count: int) -> list[int]:
-        """The counters of ``count`` consecutive lines from ``first_line``."""
-        get = self._counters.get
-        return [get(line, 0) for line in range(first_line, first_line + count)]
-
     def write_lines(self, first_line: int, sw_int: int, va_bits: int, content: bytes,
                     lines) -> None:
         """Seal line ``first_line + i`` for each ``i`` in ``lines``: its
@@ -137,8 +144,7 @@ class Mee:
         counters, stored = self._counters, self._lines
         for i in lines:
             line = first_line + i
-            if not 0 <= line < LINE_LIMIT:
-                raise ValueError(f"no physical line {line}")
+            _check_line(line)
             plaintext = content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
             if len(plaintext) != LINE_BYTES:
                 raise ValueError("writes are whole 64-byte lines")
@@ -166,28 +172,45 @@ class Mee:
         out = []
         for i in lines:
             line = first_line + i
-            if not 0 <= line < LINE_LIMIT:
-                raise ValueError(f"no physical line {line}")
+            _check_line(line)
             entry = stored.get(line)
             if entry is None:
                 raise AuthenticationError(line, "line never initialized")
             counter = counters.get(line, 0)
             ad = (counter << width | sw_int + (i << VOFFSET_SHIFT)).to_bytes(ad_len, "big")
             self.opens += 1
-            ciphertext, tag = entry[0], entry[1]
-            if (len(entry) == 6 and entry[4] == ad and entry[2] == ciphertext
-                    and entry[3] == tag):
-                out.append(entry[5])
-                continue
-            nonce = _NONCE_HASH.copy()
-            nonce.update((counter << 64 | line).to_bytes(16, "little"))  # line || counter
-            try:
-                plaintext = open_(key, nonce.digest()[:nonce_len], ciphertext, tag, ad)
-            except AeadAuthError as exc:
-                raise AuthenticationError(line) from exc
-            entry[2:] = ciphertext, tag, ad, plaintext
+            plaintext = _memo(entry, ad)
+            if plaintext is None:
+                ciphertext, tag = entry[0], entry[1]
+                nonce = _NONCE_HASH.copy()
+                nonce.update((counter << 64 | line).to_bytes(16, "little"))  # line || counter
+                try:
+                    plaintext = open_(key, nonce.digest()[:nonce_len], ciphertext, tag, ad)
+                except AeadAuthError as exc:
+                    raise AuthenticationError(line) from exc
+                entry[2:] = ciphertext, tag, ad, plaintext
             out.append(plaintext)
         return out
+
+    def changed_lines(self, first_line: int, sw_int: int, va_bits: int,
+                      content: bytes) -> list[int]:
+        """The indices ``i`` of the 64-byte lines of ``content`` that a
+        :meth:`write_lines` of it, under the same tweak, would actually
+        change: every line ``first_line + i`` whose memo does not prove that
+        it already holds the ``i``-th line of ``content`` under the tweak
+        :meth:`write_lines` steps and its current counter.  A never-written,
+        tampered, destroyed or foreign-bound line is always listed."""
+        width = sw_tweak_bits(va_bits)
+        ad_len = (COUNTER_BITS + width + 7) // 8
+        counters, stored = self._counters, self._lines
+        changed = []
+        for i in range(len(content) // LINE_BYTES):
+            line = first_line + i
+            ad = (counters.get(line, 0) << width
+                  | sw_int + (i << VOFFSET_SHIFT)).to_bytes(ad_len, "big")
+            if _memo(stored.get(line, []), ad) != content[i * LINE_BYTES:(i + 1) * LINE_BYTES]:
+                changed.append(i)
+        return changed
 
     def write(self, line_index: int, plaintext: bytes, sw: SwTweak) -> None:
         if len(plaintext) != LINE_BYTES:
@@ -214,6 +237,7 @@ class Mee:
         """Overwrite the line's raw (ciphertext, tag).  Its memo, if any,
         is left to the read's comparison: it matches again only if these
         are the bytes it recorded."""
+        _check_line(line_index)
         entry = self._lines.setdefault(line_index, [ciphertext, tag])
         entry[0], entry[1] = ciphertext, tag
 

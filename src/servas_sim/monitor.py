@@ -2,12 +2,11 @@
 
 The monitor owns the whole enclave lifecycle: loading images, entering and
 exiting, interruption, dynamic page preparation and destruction, in-place
-re-encryption, swapping and sealing.  Between calls it is stateless apart
-from the monotonically increasing runtime-id counter (within a call it also
-remembers which monitor lines it verified, to skip unchanged ones when it
-stores): everything else lives in two per-enclave MONITOR pages (metadata
-+ thread state) that are OS-allocated but sealed under an M-mode tweak, so
-the monitor re-reads and re-verifies its own state on every call.
+re-encryption, swapping and sealing.  It holds no state but the
+monotonically increasing runtime-id counter: everything else lives in two
+per-enclave MONITOR pages (metadata + thread state) that are OS-allocated
+but sealed under an M-mode tweak, so the monitor re-reads and re-verifies
+its own state on every call.
 Destroying those pages erases the enclave as far as the monitor is
 concerned.
 
@@ -22,10 +21,10 @@ which classifies the page once, steps the voffset per line and seals or
 verifies the page in one engine call.  No CSR is
 written and no page table is consulted.  That is the entire trust
 story -- the OS-controlled page tables never have to be believed.  Monitor
-pages are read and verified in full on every call; a store re-seals only
-the lines whose bytes differ from what the same call verified, and any
-line whose engine counter moved since (the OS may alias another page onto
-a monitor page) is re-sealed whatever its bytes.
+pages are read and verified in full on every call; a store re-seals the
+lines the engine cannot prove unchanged (:meth:`Mee.changed_lines`): those
+whose bytes differ, and any line sealed since under another binding (the
+OS may alias another page onto a monitor page) whatever its bytes.
 
 Swap-out seals a page with a fresh nonce and records (nonce, tag, address,
 permissions) in the metadata page; only that exact sealed version can come
@@ -67,7 +66,7 @@ from .machine import (
     PageFault,
     Trap,
 )
-from .mee import LINE_BYTES
+from .mee import LINE_BYTES, LINE_LIMIT
 from .tweak import (
     PRV_M,
     PRV_S,
@@ -327,6 +326,13 @@ def _check_reg_writes(machine: Machine, regs: dict[int, int] | None) -> None:
             raise ValueError(f"register x{reg} value {value!r} is not an integer")
 
 
+def _check_frame(ppn: int, what: str, limit: int = LINE_LIMIT // LINES_PER_PAGE) -> None:
+    """Refuse a page number outside ``[0, limit)``, by default the pages
+    whose lines the engine can address, before any state moves."""
+    if not 0 <= ppn < limit:
+        raise BadHandle(f"the {what} page {ppn:#x} is not addressable")
+
+
 def kdf(key: bytes, label: bytes, data: bytes = b"", n: int = 16) -> bytes:
     return hmac.new(key, label + b"\x00" + data, hashlib.sha256).digest()[:n]
 
@@ -386,9 +392,6 @@ class SecurityMonitor:
         self.aead = get_aead(aead)
         self._rtid_next = rtid_start  # the only state that outlives a call
         self._in_monitor = False
-        # monitor-page line -> (engine counter, plaintext) verified during
-        # the current call; emptied when the call ends
-        self._verified: dict[int, tuple[int, bytes]] = {}
         machine.sm_auth_handler = _weak_auth_handler(self)
 
     # --- plumbing -----------------------------------------------------------
@@ -404,7 +407,6 @@ class SecurityMonitor:
         finally:
             if self.machine.prv == PRV_M:
                 self.machine.prv = saved_prv
-            self._verified.clear()
             self._in_monitor = False
 
     def _monitor_page_tweak(self, ppn: int, rtid: int = 0) -> SwTweak:
@@ -420,24 +422,15 @@ class SecurityMonitor:
         return SwTweak(0, voffset, PRV_M, MONITOR_PTE_BITS, rtid & SID_MASK, va_bits)
 
     def _read_monitor_page(self, ppn: int, rtid: int) -> bytes:
-        content = self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn, rtid))
-        first = ppn * LINES_PER_PAGE
-        counters = self.machine.mee.counters_of(first, LINES_PER_PAGE)
-        for i, counter in enumerate(counters):
-            self._verified[first + i] = (counter, content[i * LINE_BYTES:(i + 1) * LINE_BYTES])
-        return content
+        return self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn, rtid))
 
     def _write_monitor_page(self, ppn: int, rtid: int, content: bytes) -> None:
-        """Re-seal the lines that differ from what this call verified.  A
-        line whose counter moved since was re-sealed by someone else (an
-        aliased page init or destroy) and is always rewritten."""
-        first = ppn * LINES_PER_PAGE
-        counters = self.machine.mee.counters_of(first, LINES_PER_PAGE)
-        dirty = [i for i, counter in enumerate(counters)
-                 if self._verified.get(first + i)
-                 != (counter, content[i * LINE_BYTES:(i + 1) * LINE_BYTES])]
-        self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn, rtid), AccessKind.WRITE,
-                                 content, dirty)
+        """Re-seal the lines the engine cannot prove already hold
+        ``content`` under the page's binding (:meth:`Mee.changed_lines`)."""
+        sw = self._monitor_page_tweak(ppn, rtid)
+        changed = self.machine.mee.changed_lines(ppn * LINES_PER_PAGE, sw.to_int(),
+                                                 sw.va_bits, content)
+        self.machine.pinned_page(ppn, sw, AccessKind.WRITE, content, changed)
 
     def _load_meta(self, handle: EnclaveHandle) -> EnclaveMeta:
         return EnclaveMeta.unpack(self._read_monitor_page(handle.meta_ppn, handle.rtid))
@@ -549,6 +542,8 @@ class SecurityMonitor:
                                body))
                 meta.owned.append(OwnedPage(va, ctx.page_type, dict(ctx.perms),
                                             ctx.resolved_rsw()))
+            _check_frame(meta_ppn, "metadata")
+            _check_frame(thread_ppn, "thread")
             if meta_ppn == thread_ppn:
                 raise BadHandle("the metadata and thread pages must differ")
             frames = {ppn for ppn, _, _ in writes}
@@ -755,6 +750,8 @@ class SecurityMonitor:
         """Seal one enclave page into the OS-supplied temporary page and
         invalidate the original.  Monitor and shared-data pages stay put."""
         m = self.machine
+        # the temporary page's identity-mapped voffset must fit its field
+        _check_frame(temp_ppn, "temporary", (1 << voffset_bits(m.va_bits)) // LINES_PER_PAGE)
         with self._monitor_call():
             meta = self._load_meta(handle)
             entry = next((o for o in meta.owned if o.va == va), None)

@@ -103,6 +103,13 @@ def test_read_of_absent_line_fails(mee):
         mee.read(1234, _sw())
 
 
+@pytest.mark.parametrize("line", [-5, 2**64])
+def test_restore_of_an_unaddressable_line_is_a_value_error(mee, line):
+    with pytest.raises(ValueError):
+        mee.restore_line(line, b"x", b"y")
+    assert not mee.line_exists(line)
+
+
 def test_never_written_line_is_zero_dram(mee):
     """Raw access sees a never-written line as zero ciphertext and a zero
     tag; once anything is put there, the engine has no counter for it and
@@ -370,6 +377,81 @@ def test_memo_current_bytes_restored_open(mee):
     _strip_memo(mee)
     mee.restore_line(4, *current)
     assert mee.read(4, sw) == b"\x33" * LINE_BYTES
+
+
+# --- the store query: which lines a page write would change ------------------
+
+# Four lines at line 8, line i all bytes i: line 0 is all zeros, as the
+# destroyed and foreign-bound cases below need it to be.
+_FIRST = 8
+_PAGE_SW = _sw(voffset=_FIRST)
+_PAGE = b"".join(bytes([i]) * LINE_BYTES for i in range(4))
+
+
+def _changed(mee, content=_PAGE):
+    return mee.changed_lines(_FIRST, _PAGE_SW.to_int(), _PAGE_SW.va_bits, content)
+
+
+def _seal_page(mee, lines=range(4)):
+    mee.write_lines(_FIRST, _PAGE_SW.to_int(), _PAGE_SW.va_bits, _PAGE, lines)
+
+
+def test_changed_lines_of_an_unchanged_sealed_or_verified_page_is_empty(mee):
+    _seal_page(mee)
+    assert _changed(mee) == []
+    _strip_memo(mee)
+    assert _changed(mee) == [0, 1, 2, 3]
+    mee.read_lines(_FIRST, _PAGE_SW.to_int(), _PAGE_SW.va_bits, range(4))
+    assert _changed(mee) == []
+
+
+def test_changed_lines_lists_a_line_with_one_changed_byte(mee):
+    _seal_page(mee)
+    for i in range(4):
+        content = bytearray(_PAGE)
+        content[i * LINE_BYTES + 17] ^= 0x80
+        assert _changed(mee, bytes(content)) == [i]
+
+
+def _flip_ciphertext(mee):
+    mee.flip_bit(_FIRST, 77, "ciphertext")
+
+
+def _flip_tag(mee):
+    mee.flip_bit(_FIRST, 5, "tag")
+
+
+def _restore_stale(mee):
+    stale = mee.snapshot_line(_FIRST)
+    _seal_page(mee, [0])
+    mee.restore_line(_FIRST, *stale)
+
+
+def _foreign_tweak(mee):
+    mee.write(_FIRST, _PAGE[:LINE_BYTES], _sw(voffset=_FIRST, sid=43))
+
+
+def _destroy(mee):
+    mee.destroy(_FIRST)
+
+
+@pytest.mark.parametrize("tamper", [_flip_ciphertext, _flip_tag, _restore_stale,
+                                    _foreign_tweak, _destroy],
+                         ids=["flipped-ciphertext-bit", "flipped-tag-bit",
+                              "stale-snapshot-restored", "own-bytes-under-a-foreign-tweak",
+                              "destroyed-line"])
+def test_changed_lines_lists_a_line_its_memo_does_not_vouch_for(mee, tamper):
+    """Line 0 still holds, or its memo still records, the page's own bytes
+    at the current counter, yet a read of it under the page's tweak would
+    not return them: a store must re-seal it."""
+    _seal_page(mee)
+    tamper(mee)
+    assert _changed(mee) == [0]
+
+
+def test_changed_lines_lists_a_never_written_line(mee):
+    _seal_page(mee, [1, 2, 3])
+    assert _changed(mee) == [0]
 
 
 # The differential fuzz: lines 0..3 of page 0, each line bound to one of

@@ -152,6 +152,19 @@ def test_ecreate_unmapped_page_has_no_side_effects(machine, sm):
     assert sm.peek_meta(sm.ecreate("host", std_image(), A_BASE, 1, 0x200, 0x201)).rtid == 1
 
 
+@pytest.mark.parametrize("layout", [
+    dict(meta_ppn=-1), dict(meta_ppn=1 << 58), dict(thread_ppn=-1), dict(thread_ppn=1 << 58),
+], ids=["negative-meta", "meta-past-line-range", "negative-thread", "thread-past-line-range"])
+def test_ecreate_unaddressable_monitor_page_has_no_side_effects(machine, sm, layout):
+    """A monitor page number the engine cannot address is a bad handle,
+    refused before a runtime id is spent, a line sealed or the RNG drawn."""
+    rng = machine.rng.getstate()
+    with pytest.raises(BadHandle, match="not addressable"):
+        spawn_enclave(machine, sm, **layout)
+    assert (sm._rtid_next, machine.mee.seals) == (1, 0)
+    assert machine.rng.getstate() == rng
+
+
 def _sealed_digests(m, monitor_ppns=(0x200, 0x201)):
     """SHA-256 over (line, ciphertext, tag) of every sealed line, split into
     the enclave's lines and the lines of its two monitor pages."""
@@ -476,6 +489,21 @@ def test_truncated_encid_derivation(machine, sm):
 
 
 # --- swapping ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("temp_ppn", [-1, 1 << 36, 1 << 58],
+                         ids=["negative", "voffset-past-its-field", "past-line-range"])
+def test_swap_out_unaddressable_temp_page_has_no_side_effects(enclave, temp_ppn):
+    """The temporary page is checked before the page is read, the nonce is
+    drawn or anything is sealed."""
+    m, sm, handle = enclave
+    m.prv = PRV_S
+    rng, rtid, seals = m.rng.getstate(), sm._rtid_next, m.mee.seals
+    with pytest.raises(BadHandle, match="temporary page"):
+        sm.swap_out(handle, DATA_VA, temp_ppn)
+    assert (sm._rtid_next, m.mee.seals) == (rtid, seals)
+    assert m.rng.getstate() == rng
+    assert not sm.peek_meta(handle).swaps
 
 
 def test_swap_roundtrip_preserves_content(enclave):
@@ -807,11 +835,14 @@ def test_enter_exit_engine_op_counts(enclave):
     assert counts == {"write": 4, "read": 256}
 
 
-def test_os_aliases_freed_page_onto_metadata_page(machine, sm):
+@pytest.mark.parametrize("cache_cfg", [None, CacheCfg(512, 4)], ids=["cache-off", "cache-on"])
+def test_os_aliases_freed_page_onto_metadata_page(cache_cfg):
     """The OS maps a freed enclave va onto the metadata page and the enclave
     prepares it.  Zeroing that page re-seals the metadata lines under the
     enclave tweak, so the store that follows must rewrite every line, not
     only those whose bytes changed."""
+    machine = Machine(seed=7, cache_cfg=cache_cfg)
+    sm = SecurityMonitor(machine)
     handle = spawn_enclave(machine, sm, stack_pages=2)
     second_stack = A_BASE + 3 * PAGE_BYTES
     sm.eenter(handle)

@@ -149,6 +149,80 @@ def test_failed_check_is_data_mismatch():
     assert got.outcome == "DATA_MISMATCH" and got.at_step == 1
 
 
+# A whole enclave lifecycle in the scenario file format, through six actions
+# no builtin scenario runs: build_image, ecreate, egetsealkey, check_data,
+# edestroy and unmap_page.  The OS maps the two image pages and two stack
+# pages, the enclave derives its sealing key twice and compares the two,
+# reads its code, frees its last stack page and leaves; once the OS unmaps
+# that page, the host's access to it page-faults.
+LIFECYCLE_JSON = """{"version": 1, "scenarios": [{
+  "name": "lifecycle",
+  "actors": [{"name": "os", "kind": "OS", "space": "os"},
+             {"name": "host", "kind": "HOST", "space": "host"},
+             {"name": "A", "kind": "ENCLAVE", "space": "host", "handle_var": "hA"}],
+  "steps": [
+    {"actor": "host", "action": "build_image", "save_as": "img",
+     "args": {"image": {"entry_offset": 0, "pages": [
+       {"index": 0, "perms": "rx", "type": "shenclave", "fill": "1300000093080000"},
+       {"index": 1, "perms": "rw", "type": "regular"}]}}},
+    {"actor": "os", "action": "map_page",
+     "args": {"space": "host", "va": 1073741824, "ppn": 256, "perms": "rxu", "rsw": 2}},
+    {"actor": "os", "action": "map_page",
+     "args": {"space": "host", "va": 1073745920, "ppn": 257, "perms": "rwu", "rsw": 1}},
+    {"actor": "os", "action": "map_page",
+     "args": {"space": "host", "va": 1073750016, "ppn": 258, "perms": "rwu", "rsw": 1}},
+    {"actor": "os", "action": "map_page",
+     "args": {"space": "host", "va": 1073754112, "ppn": 259, "perms": "rwu", "rsw": 1}},
+    {"actor": "host", "action": "ecreate", "save_as": "hA",
+     "args": {"image_var": "img", "base": 1073741824, "stack_pages": 2,
+              "meta_ppn": 512, "thread_ppn": 513}},
+    {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
+    {"actor": "A", "action": "egetsealkey", "save_as": "k1", "args": {}},
+    {"actor": "A", "action": "egetsealkey", "save_as": "k2", "args": {}},
+    {"actor": "A", "action": "check_data", "args": {"var": "k1", "equals_var": "k2"}},
+    {"actor": "A", "action": "access",
+     "args": {"va": 1073741824, "size": 8, "check_hex": "1300000093080000"}},
+    {"actor": "A", "action": "edestroy", "args": {"va": 1073754112}},
+    {"actor": "A", "action": "eexit", "args": {}},
+    {"actor": "os", "action": "unmap_page", "args": {"space": "host", "va": 1073754112}},
+    {"actor": "host", "action": "access", "expect_trap": "PAGE_FAULT",
+     "args": {"va": 1073754112, "size": 1}}
+  ],
+  "expected": {"outcome": "ALLOWED", "detail": null, "at_step": 14}
+}]}"""
+
+
+def test_lifecycle_scenario_file_runs_allowed():
+    (scenario,) = load_scenarios(LIFECYCLE_JSON)
+    assert run_scenario(scenario, seed=0) == scenario.expected
+
+
+def test_unequal_sealing_key_check_is_data_mismatch():
+    """``check_data`` of a saved sealing key against other bytes."""
+    scenario = load_scenarios(LIFECYCLE_JSON)[0].to_dict()
+    scenario["steps"][9]["args"] = {"var": "k1", "equals": "not the key"}
+    got = run_scenario(Scenario.from_dict(scenario), seed=0)
+    assert (got.outcome, got.at_step) == ("DATA_MISMATCH", 9)
+
+
+@pytest.mark.parametrize("args", [{"meta_ppn": -1}, {"thread_ppn": 1 << 58}],
+                         ids=["negative-meta", "thread-past-line-range"])
+def test_unaddressable_monitor_page_is_a_bad_handle_verdict(args):
+    scenario = load_scenarios(LIFECYCLE_JSON)[0].to_dict()
+    scenario["steps"][5]["args"].update(args)  # the ecreate
+    assert run_scenario(Scenario.from_dict(scenario), seed=0) == \
+        Verdict("DETECTED", "BadHandle", 5)
+
+
+def test_unaddressable_swap_temp_page_is_a_bad_handle_verdict():
+    scenario = load_scenarios(LIFECYCLE_JSON)[0].to_dict()
+    scenario["steps"][6:] = [{"actor": "os", "action": "swap_out", "save_as": "sealed",
+                              "args": {"handle_var": "hA", "va": 1073745920,
+                                       "temp_ppn": -1}}]
+    assert run_scenario(Scenario.from_dict(scenario), seed=0) == \
+        Verdict("DETECTED", "BadHandle", 6)
+
+
 def test_expected_trap_that_does_not_fire_is_no_trap():
     scenario = Scenario.from_dict({
         "name": "phantom-trap",
