@@ -55,7 +55,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NoReturn
 
-from .mee import LINE_BYTES, AuthenticationError, Mee
+from .mee import LINE_BYTES, LINE_LIMIT, AuthenticationError, Mee
 from .tweak import (
     PRV_M,
     PRV_S,
@@ -74,6 +74,7 @@ from .tweak import (
 
 PAGE_BYTES = 4096
 LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
+PPN_LIMIT = LINE_LIMIT // LINES_PER_PAGE  # the pages whose lines the engine addresses
 _ZERO_LINE = bytes(LINE_BYTES)
 
 _PRV_RANK = {PRV_U: 0, PRV_S: 1, PRV_M: 2}
@@ -246,12 +247,14 @@ class Machine:
                  perms: str = "rw", rsw: int = 0) -> None:
         """Install a mapping.  Deliberately unvalidated beyond privilege and
         the shape of its arguments (a non-negative, page-aligned va, a
-        non-negative ppn, a 2-bit rsw): the OS is the attacker and may
-        alias or remap anything."""
+        non-negative ppn below ``PPN_LIMIT``, a 2-bit rsw): the OS is the
+        attacker and may alias or remap anything."""
         if caller_prv not in (PRV_S, PRV_M):
             raise PrivilegeTrap(va, caller_prv, "page tables are managed at S-mode or above")
         if va < 0 or ppn < 0:
             raise ValueError("mappings take a non-negative va and ppn")
+        if ppn >= PPN_LIMIT:
+            raise ValueError(f"no physical page {ppn:#x}: its lines lie beyond the engine's range")
         if va % PAGE_BYTES:
             raise ValueError("mappings are page aligned")
         if not 0 <= rsw < 4:

@@ -13,32 +13,54 @@ The engine's entry points are :meth:`Mee.write_lines` and
 one call, line ``first_line + i`` under the packed software tweak plus
 ``i`` in its voffset field, which is how every line of a page is bound.
 The tweak width, associated-data length and cipher are looked up once per
-call; per line that the memo below does not serve there is one copy of a
-prefixed SHA-256 for the nonce and one AEAD call.  :meth:`Mee.write` and
-:meth:`Mee.read` are the one-line case.  ``seals`` and ``opens`` count the
-lines sealed and the lines verified (a failed verification included),
-however each verification was served.
+call.  :meth:`Mee.write` and :meth:`Mee.read` are the one-line case.
+``seals`` and ``opens`` count the lines sealed and the lines verified (a
+failed verification included), however and whenever the AEAD work was
+done.
 
-Verified-open memo.  Every successful seal, and every successful open,
-records in the line's entry the plaintext together with the exact
-ciphertext, tag and associated data (counter || tweak) it was sealed or
-opened under.  :meth:`Mee.read_lines` returns that plaintext, with no nonce
-hash and no AEAD call, only when all three are byte-identical to the
-line's current ciphertext and tag and to the associated data of this read
-(the current counter and the requested tweak).  AEAD open is a
-deterministic function of key, nonce, ciphertext, tag and associated data,
-and the nonce is a function of the line and the counter the associated
-data carries, so the memo returns exactly what the open would: a flipped
-bit, a restored stale snapshot, a foreign tweak or a destroyed line falls
-through to the real open and raises the same :class:`AuthenticationError`
-on the same line.  Raw DRAM writes (:meth:`Mee.restore_line`,
-:meth:`Mee.flip_bit`) replace only the stored ciphertext and tag and
-record no memo; a memo the line already has matches only while the
-stored bytes are the ones it recorded.  The same test answers a store's
-question, :meth:`Mee.changed_lines`: a line whose memo matches under the
-current counter and holds the bytes about to be written needs no new seal,
-and every other line does.  This is simulator bookkeeping with no knob:
-the memory encryption it stands for still verifies every line it reads.
+Seal on observation.  A write moves the line's counter and stores the line
+*pending*: its plaintext and associated data (counter || tweak), with no
+ciphertext or tag yet.  A line's (ciphertext, tag) is a pure function of
+key, line, counter, plaintext and associated data, and the nonce
+``hash(line || counter)`` is one of the counter the associated data
+carries, so the AEAD seal can run at any time before something looks at
+the bytes, under the line's current counter: only a write moves it, and a
+write replaces the pending entry.  ``Mee._materialize`` runs that seal at
+exactly the points that observe raw DRAM:
+
+* :meth:`Mee.snapshot_line`, and so :meth:`Mee.flip_bit`, returns the
+  bytes;
+* :meth:`Mee.restore_line` runs it before it overwrites them, so the memo
+  below records the line's own bytes and vouches for them again if they
+  are put back;
+* a :meth:`Mee.read_lines` whose memo does not match opens the real bytes.
+
+Every other use of a pending line (a read the memo below serves, a
+store's :meth:`Mee.changed_lines`) only compares the memo's ciphertext and
+tag with the stored ones, which are the same before the seal runs and
+after.  So no verdict, error, stored byte or counter depends on when a
+seal runs; only the number of AEAD calls does.
+
+Verified-open memo.  Every write, and every successful open, records in
+the line's entry the plaintext together with the exact ciphertext, tag and
+associated data (counter || tweak) it was sealed or opened under.
+:meth:`Mee.read_lines` returns that plaintext, with no nonce hash and no
+AEAD call, only when all three are identical to the line's current
+ciphertext and tag and to the associated data of this read (the current
+counter and the requested tweak).  AEAD open is a deterministic function
+of key, nonce, ciphertext, tag and associated data, and the nonce is a
+function of the line and the counter the associated data carries, so the
+memo returns exactly what the open would: a flipped bit, a restored stale
+snapshot, a foreign tweak or a destroyed line falls through to the real
+open and raises the same :class:`AuthenticationError` on the same line.
+Raw DRAM writes (:meth:`Mee.restore_line`, :meth:`Mee.flip_bit`) replace
+only the stored ciphertext and tag and record no memo; a memo the line
+already has matches only while the stored bytes are the ones it recorded.
+The same test answers a store's question, :meth:`Mee.changed_lines`: a
+line whose memo matches under the current counter and holds the bytes
+about to be written needs no new seal, and every other line does.  This
+is simulator bookkeeping with no knob: the memory encryption it stands
+for still seals every line it writes and verifies every line it reads.
 
 Destruction is a write under a reserved tweak that normal composition can
 never produce (all three range bits set while the pte rsw field is 00 but
@@ -92,7 +114,7 @@ def full_tweak_bytes(counter: int, sw: SwTweak) -> bytes:
     return (counter << width | sw.to_int()).to_bytes((COUNTER_BITS + width + 7) // 8, "big")
 
 
-def _memo(entry: list[bytes], ad: bytes) -> bytes | None:
+def _memo(entry: list[bytes | None], ad: bytes) -> bytes | None:
     """The plaintext a line's ``_lines`` entry proves the line holds under
     associated data ``ad``, or None: the memo counts only while the stored
     ciphertext and tag are the ones it recorded and ``ad`` is the one it
@@ -116,14 +138,33 @@ class Mee:
         self.key = key
         self.aead = get_aead(aead) if isinstance(aead, str) else aead
         self.va_bits = va_bits
-        # line -> [ciphertext, tag] as stored in DRAM, followed once the
-        # engine has sealed or verified the line by its memo: [ciphertext,
-        # tag, memo ciphertext, memo tag, memo ad, plaintext]
-        self._lines: dict[int, list[bytes]] = {}
+        # line -> [ciphertext, tag, memo ciphertext, memo tag, memo ad,
+        # plaintext]: the DRAM bytes, then the memo of the line's last
+        # write or successful open.  A write stores the line pending, with
+        # None for all four byte fields until _materialize seals it.  A
+        # line the engine never wrote but raw DRAM writes reached holds
+        # just [ciphertext, tag].
+        self._lines: dict[int, list[bytes | None]] = {}
         self._counters: dict[int, int] = {}
         self._destroy_sw = destroy_tweak(va_bits)
         self.seals = 0
         self.opens = 0
+
+    def _nonce(self, line: int, counter: int) -> bytes:
+        nonce = _NONCE_HASH.copy()
+        nonce.update((counter << 64 | line).to_bytes(16, "little"))  # line || counter
+        return nonce.digest()[:self.aead.nonce_len]
+
+    def _materialize(self, line: int, entry: list[bytes | None]) -> None:
+        """If the line is pending, seal it: compute the (ciphertext, tag)
+        its :meth:`write_lines` deferred and store it as both the DRAM
+        bytes and the memo's.  The line's current counter is the sealing
+        counter, since only :meth:`write_lines` moves it and it stores a
+        new entry."""
+        if entry[0] is None:
+            ciphertext, tag = self.aead.seal(self.key, self._nonce(line, self._counters[line]),
+                                             entry[5], entry[4])
+            entry[:4] = ciphertext, tag, ciphertext, tag
 
     def line_exists(self, line_index: int) -> bool:
         return line_index in self._lines
@@ -136,11 +177,12 @@ class Mee:
         """Seal line ``first_line + i`` for each ``i`` in ``lines``: its
         plaintext is the ``i``-th 64-byte line of ``content`` and its tweak
         the packed ``sw_int`` with ``i`` added to the voffset field.  The
-        caller guarantees the stepped voffset stays in range.  Lines are
-        sealed in order; a failing check stops the call at that line."""
+        caller guarantees the stepped voffset stays in range.  Each line is
+        stored pending, its AEAD seal left to the first observer of its raw
+        bytes (see the module docstring).  Lines are written in order; a
+        failing check stops the call at that line."""
         width = sw_tweak_bits(va_bits)
         ad_len = (COUNTER_BITS + width + 7) // 8
-        seal, key, nonce_len = self.aead.seal, self.key, self.aead.nonce_len
         counters, stored = self._counters, self._lines
         for i in lines:
             line = first_line + i
@@ -151,11 +193,8 @@ class Mee:
             counter = counters.get(line, 0) + 1
             if counter >= COUNTER_LIMIT:
                 raise CounterOverflow(f"line {line:#x} counter exhausted")
-            nonce = _NONCE_HASH.copy()
-            nonce.update((counter << 64 | line).to_bytes(16, "little"))  # line || counter
             ad = (counter << width | sw_int + (i << VOFFSET_SHIFT)).to_bytes(ad_len, "big")
-            ciphertext, tag = seal(key, nonce.digest()[:nonce_len], plaintext, ad)
-            stored[line] = [ciphertext, tag, ciphertext, tag, ad, plaintext]
+            stored[line] = [None, None, None, None, ad, plaintext]
             counters[line] = counter
             self.seals += 1
 
@@ -167,7 +206,7 @@ class Mee:
         whose memo matches is served from it (see the module docstring)."""
         width = sw_tweak_bits(va_bits)
         ad_len = (COUNTER_BITS + width + 7) // 8
-        open_, key, nonce_len = self.aead.open, self.key, self.aead.nonce_len
+        open_, key = self.aead.open, self.key
         counters, stored = self._counters, self._lines
         out = []
         for i in lines:
@@ -181,11 +220,10 @@ class Mee:
             self.opens += 1
             plaintext = _memo(entry, ad)
             if plaintext is None:
+                self._materialize(line, entry)
                 ciphertext, tag = entry[0], entry[1]
-                nonce = _NONCE_HASH.copy()
-                nonce.update((counter << 64 | line).to_bytes(16, "little"))  # line || counter
                 try:
-                    plaintext = open_(key, nonce.digest()[:nonce_len], ciphertext, tag, ad)
+                    plaintext = open_(key, self._nonce(line, counter), ciphertext, tag, ad)
                 except AeadAuthError as exc:
                     raise AuthenticationError(line) from exc
                 entry[2:] = ciphertext, tag, ad, plaintext
@@ -231,6 +269,7 @@ class Mee:
         ciphertext and a zero tag."""
         _check_line(line_index)
         entry = self._lines.get(line_index) or (bytes(LINE_BYTES), bytes(TAG_LEN))
+        self._materialize(line_index, entry)
         return entry[0], entry[1]
 
     def restore_line(self, line_index: int, ciphertext: bytes, tag: bytes) -> None:
@@ -239,6 +278,7 @@ class Mee:
         are the bytes it recorded."""
         _check_line(line_index)
         entry = self._lines.setdefault(line_index, [ciphertext, tag])
+        self._materialize(line_index, entry)
         entry[0], entry[1] = ciphertext, tag
 
     def flip_bit(self, line_index: int, bit: int, target: str = "ciphertext") -> None:

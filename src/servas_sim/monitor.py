@@ -61,12 +61,13 @@ from .image import (
 from .machine import (
     LINES_PER_PAGE,
     PAGE_BYTES,
+    PPN_LIMIT,
     AccessKind,
     Machine,
     PageFault,
     Trap,
 )
-from .mee import LINE_BYTES, LINE_LIMIT
+from .mee import LINE_BYTES
 from .tweak import (
     PRV_M,
     PRV_S,
@@ -326,7 +327,7 @@ def _check_reg_writes(machine: Machine, regs: dict[int, int] | None) -> None:
             raise ValueError(f"register x{reg} value {value!r} is not an integer")
 
 
-def _check_frame(ppn: int, what: str, limit: int = LINE_LIMIT // LINES_PER_PAGE) -> None:
+def _check_frame(ppn: int, what: str, limit: int = PPN_LIMIT) -> None:
     """Refuse a page number outside ``[0, limit)``, by default the pages
     whose lines the engine can address, before any state moves."""
     if not 0 <= ppn < limit:

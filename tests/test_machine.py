@@ -106,6 +106,22 @@ def test_map_page_rejects_negative_va_or_ppn(m, va, ppn):
     assert m.walk("p", va) is None
 
 
+@pytest.mark.parametrize("ppn", [1 << 58, 1 << 70])
+def test_map_page_rejects_a_ppn_past_the_engine_line_range(m, ppn):
+    """A page whose lines the engine cannot address is refused, so no
+    S-mode read or write can reach it; the last addressable page maps and
+    holds data."""
+    with pytest.raises(ValueError, match="beyond the engine's range"):
+        m.map_page(PRV_S, "p", 0x2000, ppn, "rw")
+    assert m.walk("p", 0x2000) is None
+    for kind in (READ, WRITE):
+        with pytest.raises(PageFault, match="unmapped"):
+            m.access("p", 0x2000, kind, PRV_S, size=1, data=b"x")
+    m.map_page(PRV_S, "p", 0x2000, (1 << 58) - 1, "rw")
+    m.access("p", 0x2fc0, WRITE, PRV_S, data=b"top")
+    assert m.access("p", 0x2fc0, READ, PRV_S, size=3) == b"top"
+
+
 @pytest.mark.parametrize("kind", [READ, WRITE])
 def test_negative_va_page_faults_in_s_mode(m, kind):
     """A negative va is outside the address space: no page-table entry can

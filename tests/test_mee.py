@@ -293,8 +293,10 @@ def _counting(mee):
 
 def _strip_memo(mee):
     """Drop every line's memo, leaving the stored bytes: the engine then
-    verifies every line with a real open."""
-    for entry in mee._lines.values():
+    verifies every line with a real open.  A pending line is sealed first,
+    by looking at its raw bytes, so that it has bytes to leave."""
+    for line, entry in mee._lines.items():
+        mee.snapshot_line(line)
         del entry[2:]
 
 
@@ -454,6 +456,91 @@ def test_changed_lines_lists_a_never_written_line(mee):
     assert _changed(mee) == [0]
 
 
+# --- pending lines: a write's seal runs when its raw bytes are first read ------
+
+
+def _real_seals(mee):
+    """Count the engine's real AEAD seals by wrapping its backend."""
+    calls = []
+    real_seal = mee.aead.seal
+
+    def seal(*args):
+        calls.append(args)
+        return real_seal(*args)
+
+    mee.aead.seal = seal
+    return calls
+
+
+def test_a_write_is_sealed_when_its_raw_bytes_are_first_read(mee):
+    """A write is counted as a seal but runs none; reads under its own tweak
+    are served by the memo, and the first snapshot runs the reference's
+    seal, once."""
+    seals, sw = _real_seals(mee), _sw()
+    mee.write(9, PAGE_CONTENT[:LINE_BYTES], sw)
+    assert mee.read(9, sw) == PAGE_CONTENT[:LINE_BYTES]
+    assert (len(seals), mee.seals) == (0, 1)
+    for _ in range(2):
+        assert mee.snapshot_line(9) == _reference_seal(KEY, 9, 1, PAGE_CONTENT[:LINE_BYTES], sw)
+    assert len(seals) == 1
+
+
+@pytest.mark.parametrize("target, bit", [("ciphertext", 77), ("tag", 5)])
+def test_pending_line_flipped_bit_fails(mee, target, bit):
+    seals, sw = _real_seals(mee), _sw()
+    mee.write(6, bytes(range(64)), sw)
+    mee.flip_bit(6, bit, target)
+    assert len(seals) == 1
+    with pytest.raises(AuthenticationError) as info:
+        mee.read(6, sw)
+    assert info.value.line_index == 6
+
+
+def test_pending_line_read_under_a_foreign_tweak_fails(mee):
+    """The failing read seals the line to open it for real; the line still
+    reads back under its own tweak, from the memo."""
+    seals, opens = _real_seals(mee), _counting(mee)
+    mee.write(2, b"\x02" * LINE_BYTES, _sw(sid=2))
+    with pytest.raises(AuthenticationError) as info:
+        mee.read(2, _sw(sid=1))
+    assert info.value.line_index == 2
+    assert mee.read(2, _sw(sid=2)) == b"\x02" * LINE_BYTES
+    assert (len(seals), len(opens)) == (1, 1)
+
+
+def test_pending_line_restored_from_its_own_snapshot_reads_back(mee):
+    sw = _sw()
+    mee.write(4, b"\x33" * LINE_BYTES, sw)
+    mee.restore_line(4, *mee.snapshot_line(4))
+    assert mee.read(4, sw) == b"\x33" * LINE_BYTES
+
+
+def test_restore_over_a_pending_line_seals_it_first(mee):
+    """A same-key twin's copy of the line's own bytes, restored over the
+    still pending line, leaves the memo vouching for them, as it would had
+    the line been sealed at write time: a store of the same content
+    changes nothing and a read makes no real open."""
+    twin = Mee(KEY)
+    _seal_page(mee)
+    _seal_page(twin)
+    opens = _counting(mee)
+    mee.restore_line(_FIRST, *twin.snapshot_line(_FIRST))
+    assert _changed(mee) == []
+    assert mee.read(_FIRST, _PAGE_SW) == _PAGE[:LINE_BYTES]
+    assert len(opens) == 0
+
+
+def test_pending_destroyed_line_fails(mee):
+    """Only the destruction is sealed, by the read that fails on it."""
+    seals, sw = _real_seals(mee), _sw()
+    mee.write(8, b"\x11" * LINE_BYTES, sw)
+    mee.destroy(8)
+    with pytest.raises(AuthenticationError) as info:
+        mee.read(8, sw)
+    assert info.value.line_index == 8
+    assert len(seals) == 1
+
+
 # The differential fuzz: lines 0..3 of page 0, each line bound to one of
 # three base tweaks stepped by its index (the page path's binding), so
 # reads and writes through the one-line and the page calls often meet.
@@ -538,3 +625,29 @@ def test_memo_is_invisible(counters, ops):
         assert (engines[0].seals, engines[0].opens) == (engines[1].seals, engines[1].opens)
         assert [engines[0].snapshot_line(i) for i in range(_N)] == \
             [engines[1].snapshot_line(i) for i in range(_N)]
+
+
+@settings(max_examples=200)
+@given(counters=st.lists(st.sampled_from([0, 1, 2, 1 << 40, COUNTER_LIMIT - 3]),
+                         min_size=_N, max_size=_N),
+       ops=st.lists(_MEMO_OPS, min_size=5, max_size=60))
+def test_observation_is_invisible(counters, ops):
+    """Two same-key engines run the same operations from the same counters;
+    one snapshots every line after each operation, which seals each
+    pending line at once.  Results, errors and the line they name,
+    counters, seal and open counts and, at the end, every line's raw bytes
+    agree: when a seal runs changes nothing."""
+    engines = [Mee(KEY), Mee(KEY)]
+    snapshots = [[], []]
+    for mee in engines:
+        mee._counters.update((line, c) for line, c in enumerate(counters) if c)
+    for op in ops:
+        results = [_apply_memo_op(mee, op, snaps)
+                   for mee, snaps in zip(engines, snapshots)]
+        assert results[0] == results[1], op
+        for line in range(_N):
+            engines[1].snapshot_line(line)
+        assert engines[0]._counters == engines[1]._counters
+        assert (engines[0].seals, engines[0].opens) == (engines[1].seals, engines[1].opens)
+    assert [engines[0].snapshot_line(i) for i in range(_N)] == \
+        [engines[1].snapshot_line(i) for i in range(_N)]

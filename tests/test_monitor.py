@@ -165,6 +165,17 @@ def test_ecreate_unaddressable_monitor_page_has_no_side_effects(machine, sm, lay
     assert machine.rng.getstate() == rng
 
 
+def test_spawn_with_an_enclave_page_past_the_line_range_has_no_side_effects(machine, sm):
+    """The OS cannot map an enclave page the engine cannot address, so the
+    spawn fails at the mapping, before ``ecreate`` spends a runtime id or
+    seals a line."""
+    rng = machine.rng.getstate()
+    with pytest.raises(ValueError, match="beyond the engine's range"):
+        spawn_enclave(machine, sm, ppn_overrides={1: 1 << 58})
+    assert (sm._rtid_next, machine.mee.seals) == (1, 0)
+    assert machine.rng.getstate() == rng
+
+
 def _sealed_digests(m, monitor_ppns=(0x200, 0x201)):
     """SHA-256 over (line, ciphertext, tag) of every sealed line, split into
     the enclave's lines and the lines of its two monitor pages."""
