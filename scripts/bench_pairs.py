@@ -12,7 +12,10 @@ BENCHMARK.json, the summary gives both sides' medians and quartiles, the
 change's win count (ties count for neither side), the parent's spread
 (upper minus lower quartile) and whether the gain rule holds: the change
 wins at least nine pairs in ten and the medians differ by more than the
-parent's spread.  Failed operations are summed per side.
+parent's spread.  It also flags a metric whose change median is worse
+than the parent's by more than the metric's ``bound`` in BENCHMARK.json
+(a fraction of the parent's median), the regression the benchmark
+refuses.  Failed operations are summed per side.
 
 Run it on an otherwise idle host; the runs themselves are sequential.
 """
@@ -50,6 +53,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def worse_than_bound(parent: float, change: float, bound: float, higher: bool) -> bool:
+    """Whether ``change`` is worse than ``parent`` by more than ``bound``
+    times the parent's magnitude."""
+    worse_by = parent - change if higher else change - parent
+    return worse_by > bound * abs(parent)
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for metric in metrics:
@@ -69,6 +79,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "parent_iqr": spread,
             "gain_holds": wins >= 0.9 * len(runs) and abs(cmed - pmed) > spread
             and (cmed > pmed if higher else cmed < pmed),
+            "bound": metric["bound"],
+            "worse_than_bound": worse_than_bound(pmed, cmed, metric["bound"], higher),
         }
     return out
 
@@ -118,7 +130,8 @@ def main() -> None:
             print(f"{workload} {name}: parent {s['parent']['median']:.6g} "
                   f"change {s['change']['median']:.6g} ({s['change_over_parent']:.3f}x), "
                   f"change wins {s['change_wins']}/{s['pairs']}, parent IQR "
-                  f"{s['parent_iqr']:.3g}, gain holds: {s['gain_holds']}")
+                  f"{s['parent_iqr']:.3g}, gain holds: {s['gain_holds']}, "
+                  f"worse than bound {s['bound']:g}: {s['worse_than_bound']}")
 
 
 if __name__ == "__main__":

@@ -55,6 +55,9 @@ class CacheCfg:
     va_bits: int = 48
 
     def __post_init__(self) -> None:
+        for name in ("n_lines", "ways"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
         if self.n_lines % self.ways:
             raise ValueError("n_lines must divide evenly into ways")
 

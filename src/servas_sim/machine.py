@@ -55,7 +55,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NoReturn
 
-from .mee import LINE_BYTES, LINE_LIMIT, AuthenticationError, Mee
+from .mee import LINE_BYTES, LINE_LIMIT, LINES_PER_PAGE, PAGE_BYTES, AuthenticationError, Mee
 from .tweak import (
     PRV_M,
     PRV_S,
@@ -72,8 +72,6 @@ from .tweak import (
     voffset_bits,
 )
 
-PAGE_BYTES = 4096
-LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
 PPN_LIMIT = LINE_LIMIT // LINES_PER_PAGE  # the pages whose lines the engine addresses
 _ZERO_LINE = bytes(LINE_BYTES)
 
@@ -363,7 +361,7 @@ class Machine:
                                  data, size)
 
     def pinned_page(self, ppn: int, sw: SwTweak, kind: AccessKind = AccessKind.READ,
-                    content: bytes | None = None, lines=range(LINES_PER_PAGE)) -> bytes:
+                    content: bytes | None = None, lines=range(LINES_PER_PAGE)) -> bytes | None:
         """M-mode access to whole lines of physical page ``ppn`` under a
         software tweak the caller pins: line ``i`` under ``sw`` with its
         voffset advanced by ``i``, the binding the monitor gives every line
@@ -373,15 +371,17 @@ class Machine:
 
         A write seals the given ``lines`` of the page's ``content`` without
         verifying their previous content, which is how the monitor
-        initializes a page whatever its previous binding; a read verifies
-        as any access does.  Returns those lines, read or written, joined.
+        initializes a page whatever its previous binding, and returns None;
+        a read verifies as any access does and returns those lines joined.
         This is the security monitor's page I/O.
 
         A protected page is one engine call: a write invalidates its cache
         lines and seals them with :meth:`Mee.write_lines`, a read with the
         cache off opens the written lines with :meth:`Mee.read_lines`
-        (never-written lines read as zeros).  A read through the cache, and
-        an unprotected page under bypass, go line by line.
+        (never-written lines read as zeros; a page the engine vouches for,
+        :meth:`Mee.vouches_for`, has no such line to look for).  A read
+        through the cache, and an unprotected page under bypass, go line by
+        line.
         """
         if sw.voffset + max(lines, default=0) >> voffset_bits(sw.va_bits):
             raise ValueError("voffset out of range")
@@ -397,7 +397,7 @@ class Machine:
                 data = None if content is None else content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
                 out.append(self._line_access(pa, PRV_M, pa, line_sw, ptype, kind, data,
                                              LINE_BYTES))
-            return b"".join(out)
+            return None if kind is AccessKind.WRITE else b"".join(out)
 
         first = base // LINE_BYTES
         if kind is AccessKind.WRITE:
@@ -405,8 +405,11 @@ class Machine:
                 for i in lines:
                     self.cache.invalidate(first + i)
             self.mee.write_lines(first, value, va_bits, content, lines)
-            return b"".join([content[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in lines])
-        written = [i for i in lines if self.mee.line_exists(first + i)]
+            return None
+        if self.mee.vouches_for(first, value, va_bits):
+            written = lines
+        else:
+            written = [i for i in lines if self.mee.line_exists(first + i)]
         try:
             opened = self.mee.read_lines(first, value, va_bits, written)
         except AuthenticationError as exc:

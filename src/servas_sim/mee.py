@@ -61,6 +61,38 @@ line whose memo matches under the current counter and holds the bytes
 about to be written needs no new seal, and every other line does.  This
 is simulator bookkeeping with no knob: the memory encryption it stands
 for still seals every line it writes and verifies every line it reads.
+A line memo's associated data is kept as an integer with a marker bit
+just above its serialized length (see ``_ad_shape``), so comparing two of
+them is comparing the bytes, length included; the bytes themselves are
+built only when the AEAD runs, in ``_materialize`` and a real open.
+
+Verified-page memo.  The monitor reads, and re-stores, the same 64-line
+pages on every call, and nothing touches them in between.  ``Mee._pages``
+maps a page's first line to (packed tweak, va bits, the page's 64
+plaintexts) and holds only while every line of the page has a matching
+line memo under that tweak, stepped per line, and its current counter,
+with those plaintexts.  It is recorded or updated at these points:
+
+* a whole-page :meth:`Mee.read_lines` that succeeds, line by line, records
+  the plaintexts it returns;
+* a whole-page :meth:`Mee.write_lines` records the page it wrote;
+* a :meth:`Mee.write_lines` of some lines of a recorded page under the
+  recorded tweak (the monitor's store of the lines it changed) updates
+  those lines in place.
+
+Any other write into the page drops it: one under another tweak, or not
+starting at the page's first line (so every one-line write to lines 1 to
+63, and :meth:`Mee.destroy`), and one from the page before whose lines
+run into it.  :meth:`Mee.restore_line` drops it too, and so does
+:meth:`Mee.flip_bit` through it.  A write drops the page before its first
+line moves and records it again only once the call completed, so a call
+that fails part way leaves none.  While it holds, the 64 line memos it
+stands for match, so a whole-page read under the recorded tweak returns
+exactly the plaintexts 64 line checks would (and counts 64 opens),
+:meth:`Mee.changed_lines` is a comparison of those plaintexts with the
+page to store, and :meth:`Mee.vouches_for` tells the machine that every
+line of the page exists.  The line memos stay the only source of truth:
+dropping the page memo at any point changes no result, only the work.
 
 Destruction is a write under a reserved tweak that normal composition can
 never produce (all three range bits set while the pte rsw field is 00 but
@@ -69,6 +101,7 @@ the sid is all-ones -- composition forces sid to 0 whenever rsw is 00).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 from .aead import TAG_LEN, AeadAuthError, get_aead
@@ -78,6 +111,11 @@ LINE_BYTES = 64
 COUNTER_BITS = 58
 COUNTER_LIMIT = 1 << COUNTER_BITS
 LINE_LIMIT = 1 << 64  # the nonce encodes the line index in eight bytes
+PAGE_BYTES = 4096
+LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
+_PAGE_MASK = ~(LINES_PER_PAGE - 1)
+_PAGE_RANGE = range(LINES_PER_PAGE)
+_PAGE_LIST = list(_PAGE_RANGE)
 
 # The nonce hash with its domain prefix absorbed; copied once per line.
 _NONCE_HASH = hashlib.sha256(b"line-nonce")
@@ -114,7 +152,24 @@ def full_tweak_bytes(counter: int, sw: SwTweak) -> bytes:
     return (counter << width | sw.to_int()).to_bytes((COUNTER_BITS + width + 7) // 8, "big")
 
 
-def _memo(entry: list[bytes | None], ad: bytes) -> bytes | None:
+@functools.cache
+def _ad_shape(va_bits: int) -> tuple[int, int]:
+    """(tweak width, length marker) of the associated data for ``va_bits``.
+    A line's associated data is kept as the integer ``marker | counter <<
+    width | tweak``: the marker is the bit just above the serialized
+    length, so two such integers are equal exactly when the serialized
+    bytes are equal, length included."""
+    width = sw_tweak_bits(va_bits)
+    return width, 1 << 8 * ((COUNTER_BITS + width + 7) // 8)
+
+
+def _ad_bytes(ad: int) -> bytes:
+    """The serialized associated data of a marked ``ad``: the marker's byte
+    is the leading one, dropped."""
+    return ad.to_bytes((ad.bit_length() + 7) // 8, "big")[1:]
+
+
+def _memo(entry: list, ad: int) -> bytes | None:
     """The plaintext a line's ``_lines`` entry proves the line holds under
     associated data ``ad``, or None: the memo counts only while the stored
     ciphertext and tag are the ones it recorded and ``ad`` is the one it
@@ -129,6 +184,11 @@ def _check_line(line_index: int) -> None:
         raise ValueError(f"no physical line {line_index}")
 
 
+def _whole_page(lines) -> bool:
+    """Whether ``lines`` lists a page's 64 line indices in order."""
+    return len(lines) == LINES_PER_PAGE and (lines == _PAGE_RANGE or lines == _PAGE_LIST)
+
+
 class Mee:
     """The memory encryption engine for one simulated machine."""
 
@@ -140,12 +200,17 @@ class Mee:
         self.va_bits = va_bits
         # line -> [ciphertext, tag, memo ciphertext, memo tag, memo ad,
         # plaintext]: the DRAM bytes, then the memo of the line's last
-        # write or successful open.  A write stores the line pending, with
-        # None for all four byte fields until _materialize seals it.  A
-        # line the engine never wrote but raw DRAM writes reached holds
-        # just [ciphertext, tag].
-        self._lines: dict[int, list[bytes | None]] = {}
+        # write or successful open, its associated data a marked integer
+        # (see _ad_shape).  A write stores the line pending, with None for
+        # all four byte fields until _materialize seals it.  A line the
+        # engine never wrote but raw DRAM writes reached holds just
+        # [ciphertext, tag].
+        self._lines: dict[int, list] = {}
         self._counters: dict[int, int] = {}
+        # page-aligned first line -> (packed tweak, va_bits, the page's 64
+        # plaintexts): the verified-page memo, derived from the line memos
+        # above (see the module docstring)
+        self._pages: dict[int, tuple[int, int, list[bytes]]] = {}
         self._destroy_sw = destroy_tweak(va_bits)
         self.seals = 0
         self.opens = 0
@@ -155,7 +220,7 @@ class Mee:
         nonce.update((counter << 64 | line).to_bytes(16, "little"))  # line || counter
         return nonce.digest()[:self.aead.nonce_len]
 
-    def _materialize(self, line: int, entry: list[bytes | None]) -> None:
+    def _materialize(self, line: int, entry: list) -> None:
         """If the line is pending, seal it: compute the (ciphertext, tag)
         its :meth:`write_lines` deferred and store it as both the DRAM
         bytes and the memo's.  The line's current counter is the sealing
@@ -163,14 +228,29 @@ class Mee:
         new entry."""
         if entry[0] is None:
             ciphertext, tag = self.aead.seal(self.key, self._nonce(line, self._counters[line]),
-                                             entry[5], entry[4])
+                                             entry[5], _ad_bytes(entry[4]))
             entry[:4] = ciphertext, tag, ciphertext, tag
+
+    def _page_memo(self, first_line: int, sw_int: int, va_bits: int) -> list[bytes] | None:
+        """The verified-page memo's plaintexts of the page starting at
+        ``first_line`` if it holds them under this tweak, else None."""
+        memo = self._pages.get(first_line)
+        if memo is not None and memo[0] == sw_int and memo[1] == va_bits:
+            return memo[2]
+        return None
 
     def line_exists(self, line_index: int) -> bool:
         return line_index in self._lines
 
     def counter_of(self, line_index: int) -> int:
         return self._counters.get(line_index, 0)
+
+    def vouches_for(self, first_line: int, sw_int: int, va_bits: int) -> bool:
+        """Whether the verified-page memo proves every line of the page
+        starting at ``first_line`` holds its plaintext under the tweak
+        :meth:`read_lines` steps from ``sw_int``: a read of any of its
+        lines then succeeds, and every one of them exists."""
+        return self._page_memo(first_line, sw_int, va_bits) is not None
 
     def write_lines(self, first_line: int, sw_int: int, va_bits: int, content: bytes,
                     lines) -> None:
@@ -181,31 +261,50 @@ class Mee:
         stored pending, its AEAD seal left to the first observer of its raw
         bytes (see the module docstring).  Lines are written in order; a
         failing check stops the call at that line."""
-        width = sw_tweak_bits(va_bits)
-        ad_len = (COUNTER_BITS + width + 7) // 8
-        counters, stored = self._counters, self._lines
+        width, marker = _ad_shape(va_bits)
+        counters, stored, pages = self._counters, self._lines, self._pages
+        page = first_line & _PAGE_MASK
+        memo = pages.pop(page, None)
+        plaintexts = (memo[2] if memo is not None and first_line == page
+                      and memo[0] == sw_int and memo[1] == va_bits else None)
+        end = page + LINES_PER_PAGE if 0 <= page < LINE_LIMIT else page
         for i in lines:
             line = first_line + i
-            _check_line(line)
+            if not page <= line < end:  # another page, or no line at all
+                _check_line(line)
+                pages.pop(line & _PAGE_MASK, None)
+                plaintexts = None
             plaintext = content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
             if len(plaintext) != LINE_BYTES:
                 raise ValueError("writes are whole 64-byte lines")
             counter = counters.get(line, 0) + 1
             if counter >= COUNTER_LIMIT:
                 raise CounterOverflow(f"line {line:#x} counter exhausted")
-            ad = (counter << width | sw_int + (i << VOFFSET_SHIFT)).to_bytes(ad_len, "big")
-            stored[line] = [None, None, None, None, ad, plaintext]
+            stored[line] = [None, None, None, None,
+                            marker | counter << width | sw_int + (i << VOFFSET_SHIFT), plaintext]
             counters[line] = counter
+            if plaintexts is not None:
+                plaintexts[i] = plaintext
             self.seals += 1
+        if plaintexts is not None:
+            pages[page] = (sw_int, va_bits, plaintexts)
+        elif first_line == page and _whole_page(lines):
+            pages[page] = (sw_int, va_bits, [stored[line][5] for line in range(page, end)])
 
     def read_lines(self, first_line: int, sw_int: int, va_bits: int, lines) -> list[bytes]:
         """Open line ``first_line + i`` for each ``i`` in ``lines`` under the
         tweak :meth:`write_lines` steps the same way; returns the plaintexts
         in order.  The first line that was never written or fails
-        verification raises :class:`AuthenticationError` naming it.  A line
-        whose memo matches is served from it (see the module docstring)."""
-        width = sw_tweak_bits(va_bits)
-        ad_len = (COUNTER_BITS + width + 7) // 8
+        verification raises :class:`AuthenticationError` naming it.  A whole
+        page the verified-page memo holds, and a line whose memo matches,
+        are served from the memo (see the module docstring)."""
+        whole = first_line & _PAGE_MASK == first_line and _whole_page(lines)
+        if whole:
+            plaintexts = self._page_memo(first_line, sw_int, va_bits)
+            if plaintexts is not None:
+                self.opens += LINES_PER_PAGE
+                return list(plaintexts)
+        width, marker = _ad_shape(va_bits)
         open_, key = self.aead.open, self.key
         counters, stored = self._counters, self._lines
         out = []
@@ -216,18 +315,21 @@ class Mee:
             if entry is None:
                 raise AuthenticationError(line, "line never initialized")
             counter = counters.get(line, 0)
-            ad = (counter << width | sw_int + (i << VOFFSET_SHIFT)).to_bytes(ad_len, "big")
+            ad = marker | counter << width | sw_int + (i << VOFFSET_SHIFT)
             self.opens += 1
             plaintext = _memo(entry, ad)
             if plaintext is None:
                 self._materialize(line, entry)
                 ciphertext, tag = entry[0], entry[1]
                 try:
-                    plaintext = open_(key, self._nonce(line, counter), ciphertext, tag, ad)
+                    plaintext = open_(key, self._nonce(line, counter), ciphertext, tag,
+                                      _ad_bytes(ad))
                 except AeadAuthError as exc:
                     raise AuthenticationError(line) from exc
                 entry[2:] = ciphertext, tag, ad, plaintext
             out.append(plaintext)
+        if whole:
+            self._pages[first_line] = (sw_int, va_bits, list(out))
         return out
 
     def changed_lines(self, first_line: int, sw_int: int, va_bits: int,
@@ -238,14 +340,17 @@ class Mee:
         it already holds the ``i``-th line of ``content`` under the tweak
         :meth:`write_lines` steps and its current counter.  A never-written,
         tampered, destroyed or foreign-bound line is always listed."""
-        width = sw_tweak_bits(va_bits)
-        ad_len = (COUNTER_BITS + width + 7) // 8
+        n = len(content) // LINE_BYTES
+        plaintexts = self._page_memo(first_line, sw_int, va_bits)
+        if plaintexts is not None and n <= LINES_PER_PAGE:
+            return [i for i in range(n)
+                    if plaintexts[i] != content[i * LINE_BYTES:(i + 1) * LINE_BYTES]]
+        width, marker = _ad_shape(va_bits)
         counters, stored = self._counters, self._lines
         changed = []
-        for i in range(len(content) // LINE_BYTES):
+        for i in range(n):
             line = first_line + i
-            ad = (counters.get(line, 0) << width
-                  | sw_int + (i << VOFFSET_SHIFT)).to_bytes(ad_len, "big")
+            ad = marker | counters.get(line, 0) << width | sw_int + (i << VOFFSET_SHIFT)
             if _memo(stored.get(line, []), ad) != content[i * LINE_BYTES:(i + 1) * LINE_BYTES]:
                 changed.append(i)
         return changed
@@ -275,11 +380,13 @@ class Mee:
     def restore_line(self, line_index: int, ciphertext: bytes, tag: bytes) -> None:
         """Overwrite the line's raw (ciphertext, tag).  Its memo, if any,
         is left to the read's comparison: it matches again only if these
-        are the bytes it recorded."""
+        are the bytes it recorded.  Its page's verified-page memo is
+        dropped."""
         _check_line(line_index)
         entry = self._lines.setdefault(line_index, [ciphertext, tag])
         self._materialize(line_index, entry)
         entry[0], entry[1] = ciphertext, tag
+        self._pages.pop(line_index & _PAGE_MASK, None)
 
     def flip_bit(self, line_index: int, bit: int, target: str = "ciphertext") -> None:
         if target not in ("ciphertext", "tag"):

@@ -193,6 +193,7 @@ _OWNED = struct.Struct("<QBBB5x")
 _SWAP = struct.Struct("<Q12s16sBBBB8x")
 _THREAD_FIXED = struct.Struct("<4sHBB")
 _THREAD_MAGIC = b"SMTP"
+_REGS = struct.Struct("<32Q")  # a saved register file
 MAX_OWNED = 64
 MAX_SWAPS = 40
 
@@ -233,8 +234,7 @@ class EnclaveMeta:
             self.fault_count, len(self.owned), len(self.swaps),
             self.host_space.encode()[:16], self.host_pc, self.host_prv,
         )
-        for i, r in enumerate(self.host_regs):
-            struct.pack_into("<Q", buf, _REGS_OFF + 8 * i, r)
+        _REGS.pack_into(buf, _REGS_OFF, *self.host_regs)
         struct.pack_into("<QQB", buf, _URANGE_OFF, self.host_urange.base,
                          self.host_urange.size, self.host_urange.enabled)
         struct.pack_into("<QQ", buf, _USID_OFF, self.host_usid0, self.host_usid1)
@@ -252,7 +252,7 @@ class EnclaveMeta:
          n_owned, n_swaps, space, host_pc, host_prv) = _META_FIXED.unpack_from(buf)
         if magic != _META_MAGIC or version != 1:
             raise BadHandle("not an enclave metadata page")
-        regs = [struct.unpack_from("<Q", buf, _REGS_OFF + 8 * i)[0] for i in range(32)]
+        regs = list(_REGS.unpack_from(buf, _REGS_OFF))
         ubase, usize, uen = struct.unpack_from("<QQB", buf, _URANGE_OFF)
         usid0, usid1 = struct.unpack_from("<QQ", buf, _USID_OFF)
         owned = []
@@ -295,8 +295,8 @@ class ThreadMeta:
         buf = bytearray(PAGE_BYTES)
         _THREAD_FIXED.pack_into(buf, 0, _THREAD_MAGIC, 1, self.in_enclave, 0)
         struct.pack_into("<Q", buf, _T_PC_OFF, self.resume_pc)
-        for i, r in enumerate(self.saved_regs or [0] * 32):
-            struct.pack_into("<Q", buf, _T_REGS_OFF + 8 * i, r)
+        if self.saved_regs is not None:
+            _REGS.pack_into(buf, _T_REGS_OFF, *self.saved_regs)
         struct.pack_into("<QQB", buf, _T_URANGE_OFF, self.saved_urange.base,
                          self.saved_urange.size, self.saved_urange.enabled)
         struct.pack_into("<QQ", buf, _T_USID_OFF, self.saved_usid0, self.saved_usid1)
@@ -309,7 +309,7 @@ class ThreadMeta:
         if magic != _THREAD_MAGIC or version != 1:
             raise BadHandle("not a thread metadata page")
         pc = struct.unpack_from("<Q", buf, _T_PC_OFF)[0]
-        regs = [struct.unpack_from("<Q", buf, _T_REGS_OFF + 8 * i)[0] for i in range(32)]
+        regs = list(_REGS.unpack_from(buf, _T_REGS_OFF))
         ubase, usize, uen = struct.unpack_from("<QQB", buf, _T_URANGE_OFF)
         usid0, usid1 = struct.unpack_from("<QQ", buf, _T_USID_OFF)
         has_regs = struct.unpack_from("<B", buf, _T_FLAGS_OFF)[0]

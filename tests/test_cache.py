@@ -188,6 +188,15 @@ def test_tc_cfg_validation():
                          TcCfg(n_tweak=32, voffset_low_bits=42))  # exceeds width
 
 
+@pytest.mark.parametrize("n_lines, ways, name", [(8, 0, "ways"), (0, 4, "n_lines"),
+                                                  (-64, 1, "n_lines"), (4, -2, "ways")])
+def test_cache_cfg_refuses_an_empty_geometry(n_lines, ways, name):
+    """A cache needs at least one line and one way: the error names the
+    field, where ``CacheCfg(8, 0)`` used to divide by zero."""
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        CacheCfg(n_lines=n_lines, ways=ways)
+
+
 # --- eviction Monte Carlo -------------------------------------------------------------
 
 

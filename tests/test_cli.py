@@ -146,6 +146,16 @@ def test_overhead_39_bit_variant(tmp_path):
     assert inline_bits == 2 * 125 * 512
 
 
+@pytest.mark.parametrize("lines", ["-64,0", "0", "64,-1"])
+def test_overhead_refuses_a_cache_with_no_lines(tmp_path, capsys, lines):
+    """A non-positive cache size is a usage error naming the field, and no
+    CSV row is written for it."""
+    out = tmp_path / "o.csv"
+    assert run_cli("overhead", f"--lines={lines}", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: n_lines must be at least 1")
+    assert not out.exists()
+
+
 IMAGE_MANIFEST = {
     "entry_offset": 0,
     "developer_id": "acme-dev",

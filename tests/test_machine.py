@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from servas_sim.cache import CacheCfg
 from servas_sim.machine import (
     AccessKind,
     AuthenticationException,
@@ -253,6 +254,17 @@ def test_pinned_page_matches_direct_engine_write(m):
     assert m.pinned_page(0x10, SwTweak(**fields), lines=[2]) == b"P" * 64
     with pytest.raises(AuthenticationException):
         m.pinned_page(0x10, SwTweak(**dict(fields, sid=98)), lines=[2])
+
+
+@pytest.mark.parametrize("cache_cfg", [None, CacheCfg(64, 4)], ids=["cache-off", "cache-on"])
+def test_pinned_page_write_returns_nothing(cache_cfg):
+    """A write hands nothing back (no caller reads the lines it wrote); a
+    read returns the lines it verified."""
+    machine = Machine(seed=3, cache_cfg=cache_cfg)
+    sw = SwTweak(0, 0x10 * 64, PRV_M, 0b0000110, 5)
+    assert machine.pinned_page(0x10, sw, WRITE, b"W" * 4096) is None
+    assert machine.pinned_page(0x10, sw, WRITE, b"V" * 4096, lines=[1]) is None
+    assert machine.pinned_page(0x10, sw, lines=[0, 1]) == b"W" * 64 + b"V" * 64
 
 
 def test_pinned_page_auth_trap_names_the_failing_line(m):

@@ -292,12 +292,14 @@ def _counting(mee):
 
 
 def _strip_memo(mee):
-    """Drop every line's memo, leaving the stored bytes: the engine then
-    verifies every line with a real open.  A pending line is sealed first,
-    by looking at its raw bytes, so that it has bytes to leave."""
+    """Drop every line's memo, and the verified-page memo derived from them,
+    leaving the stored bytes: the engine then verifies every line with a
+    real open.  A pending line is sealed first, by looking at its raw
+    bytes, so that it has bytes to leave."""
     for line, entry in mee._lines.items():
         mee.snapshot_line(line)
         del entry[2:]
+    mee._pages.clear()
 
 
 def test_memo_serves_a_sealed_or_verified_line_without_an_open(mee):
@@ -651,3 +653,235 @@ def test_observation_is_invisible(counters, ops):
         assert (engines[0].seals, engines[0].opens) == (engines[1].seals, engines[1].opens)
     assert [engines[0].snapshot_line(i) for i in range(_N)] == \
         [engines[1].snapshot_line(i) for i in range(_N)]
+
+
+# --- the verified-page memo ----------------------------------------------------
+
+# One page at line 0x40, with line 0x80 of the next page for a write that
+# crosses into it; every line i of the page holds bytes of PAGE_CONTENT.
+_P = 0x40
+_P_SW = _sw(voffset=_P)
+_P_INT = _P_SW.to_int()
+
+
+def _memo_checks(monkeypatch):
+    """Count the engine's per-line memo checks."""
+    import servas_sim.mee as mee_module
+
+    calls = []
+    real = mee_module._memo
+    monkeypatch.setattr(mee_module, "_memo", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def _read_page(mee, sw_int=_P_INT):
+    return mee.read_lines(_P, sw_int, 48, range(64))
+
+
+def test_a_whole_page_write_is_served_without_a_line_check(mee, monkeypatch):
+    """A page written whole reads back from the page memo: no per-line memo
+    check, no AEAD open, and still 64 opens counted; its store query is a
+    slice comparison."""
+    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    checks, opens = _memo_checks(monkeypatch), _counting(mee)
+    assert mee.vouches_for(_P, _P_INT, 48)
+    assert b"".join(_read_page(mee)) == PAGE_CONTENT
+    assert mee.changed_lines(_P, _P_INT, 48, PAGE_CONTENT) == []
+    changed = bytearray(PAGE_CONTENT)
+    changed[5 * LINE_BYTES] ^= 1
+    assert mee.changed_lines(_P, _P_INT, 48, bytes(changed)) == [5]
+    assert (len(checks), len(opens), mee.opens) == (0, 0, 64)
+
+
+def test_a_whole_page_read_records_the_page_memo(mee, monkeypatch):
+    """After the line memos are gone, one whole-page read opens every line
+    and records the page; the next is served from it.  A partial read and
+    a read under another tweak record nothing."""
+    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    _strip_memo(mee)
+    mee.read_lines(_P, _P_INT, 48, range(8))
+    assert not mee.vouches_for(_P, _P_INT, 48)
+    with pytest.raises(AuthenticationError):
+        _read_page(mee, _sw(voffset=_P, sid=1).to_int())
+    opens = _counting(mee)
+    assert b"".join(_read_page(mee)) == PAGE_CONTENT
+    assert mee.vouches_for(_P, _P_INT, 48)
+    assert not mee.vouches_for(_P, _P_INT, 39)
+    assert b"".join(_read_page(mee)) == PAGE_CONTENT
+    assert len(opens) == 56
+
+
+def test_a_store_under_the_recorded_tweak_updates_the_page_memo(mee, monkeypatch):
+    """Re-sealing some lines of a recorded page under its own tweak keeps
+    the page memo, now holding the new lines."""
+    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    new = bytes(reversed(PAGE_CONTENT))
+    mee.write_lines(_P, _P_INT, 48, new, [3, 9])
+    expected = bytearray(PAGE_CONTENT)
+    for i in (3, 9):
+        expected[i * LINE_BYTES:(i + 1) * LINE_BYTES] = new[i * LINE_BYTES:(i + 1) * LINE_BYTES]
+    checks = _memo_checks(monkeypatch)
+    assert mee.vouches_for(_P, _P_INT, 48)
+    assert b"".join(_read_page(mee)) == bytes(expected)
+    assert mee.changed_lines(_P, _P_INT, 48, bytes(expected)) == []
+    assert not checks
+    _strip_memo(mee)
+    assert b"".join(_read_page(mee)) == bytes(expected)
+
+
+def test_the_page_memo_result_is_a_copy(mee):
+    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    _read_page(mee)[0] = b"mutated"
+    assert b"".join(_read_page(mee)) == PAGE_CONTENT
+
+
+def _tamper_flip(mee, k):
+    mee.flip_bit(_P + k, 3)
+
+
+def _tamper_stale_restore(mee, k):
+    stale = mee.snapshot_line(_P + k)
+    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, [k])
+    _read_page(mee)  # the page memo again, holding the newer seal
+    mee.restore_line(_P + k, *stale)
+
+
+def _tamper_foreign_line(mee, k):
+    """The line's own bytes, written under another tweak."""
+    line_sw = SwTweak.from_int(_sw(voffset=_P, sid=43).to_int() + (k << VOFFSET_SHIFT))
+    mee.write(_P + k, PAGE_CONTENT[k * LINE_BYTES:(k + 1) * LINE_BYTES], line_sw)
+
+
+def _tamper_unstepped_line(mee, k):
+    """The line's own bytes, written under the page's first-line tweak, not
+    stepped to the line's own voffset."""
+    mee.write(_P + k, PAGE_CONTENT[k * LINE_BYTES:(k + 1) * LINE_BYTES], _P_SW)
+
+
+def _tamper_foreign_lines(mee, k):
+    """The page's own bytes, some of its lines re-sealed under another
+    page tweak."""
+    mee.write_lines(_P, _sw(voffset=_P, sid=43).to_int(), 48, PAGE_CONTENT, [k, 63])
+
+
+def _tamper_destroy(mee, k):
+    mee.destroy(_P + k)
+
+
+def _tamper_crossing_write(mee, k):
+    """A write from the page before, under another sid, whose second line
+    lands in this one."""
+    first = _P - 64 + k
+    mee.write_lines(first, _sw(voffset=first, sid=43).to_int(), 48,
+                    PAGE_CONTENT + PAGE_CONTENT, [0, 64])
+
+
+@pytest.mark.parametrize("tamper", [_tamper_flip, _tamper_stale_restore, _tamper_foreign_line,
+                                    _tamper_unstepped_line, _tamper_foreign_lines,
+                                    _tamper_destroy, _tamper_crossing_write],
+                         ids=["flip-bit", "stale-restore", "line-under-another-tweak",
+                              "line-under-the-first-line-tweak", "lines-under-another-tweak",
+                              "destroy", "crossing-write"])
+def test_a_change_to_a_recorded_page_drops_its_page_memo(mee, tamper):
+    """Each way a line of a recorded page can change under the memo: the
+    store query lists the line, and a page read fails on it."""
+    k = 17
+    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    _read_page(mee)
+    tamper(mee, k)
+    assert not mee.vouches_for(_P, _P_INT, 48)
+    assert k in mee.changed_lines(_P, _P_INT, 48, PAGE_CONTENT)
+    with pytest.raises(AuthenticationError) as info:
+        _read_page(mee)
+    assert info.value.line_index == _P + k
+
+
+# The differential fuzz for the page memo: page 1 (lines 64..127) under two
+# base tweaks, written and read whole or in part, plus one-line writes,
+# destruction and raw DRAM tampering on a few of its lines and on the last
+# lines of page 0, which a write from there can run into page 1.
+_PG = 64
+_PG_TWEAKS = [_sw(voffset=_PG, sid=1), _sw(voffset=_PG, sid=2)]
+_PG_LINE = st.sampled_from([_PG, _PG + 1, _PG + 30, _PG + 63, _PG - 1])
+_PG_SOME = st.lists(st.integers(0, 63), min_size=1, max_size=6, unique=True)
+_PG_PAGE = st.sampled_from([bytes(64 * LINE_BYTES), PAGE_CONTENT,
+                            bytes(reversed(PAGE_CONTENT))])
+_PG_TWEAK = st.integers(0, 1)
+_PG_WHOLE_WRITE = st.tuples(st.just("write_lines"), _PG_TWEAK, _PG_PAGE, st.just(range(64)))
+_PG_WHOLE_READ = st.tuples(st.just("read_lines"), _PG_TWEAK, st.just(range(64)))
+_PG_OTHERS = [
+    st.tuples(st.just("write_lines"), _PG_TWEAK, _PG_PAGE, _PG_SOME),
+    st.tuples(st.just("read_lines"), _PG_TWEAK, _PG_SOME),
+    st.tuples(st.just("changed_lines"), _PG_TWEAK, _PG_PAGE),
+    st.tuples(st.just("write"), _PG_LINE, _PG_TWEAK),
+    st.tuples(st.just("write_unstepped"), _PG_LINE, _PG_TWEAK),
+    st.tuples(st.just("cross"), st.integers(1, 63)),
+    st.tuples(st.just("destroy"), _PG_LINE),
+    st.tuples(st.just("flip_bit"), _PG_LINE, st.integers(0, 8 * 16 - 1)),
+    st.tuples(st.just("snapshot"), _PG_LINE),
+    st.tuples(st.just("restore"), st.integers(0, 7)),
+]
+# whole pages written and read often enough that most other operations
+# meet a recorded page
+_PAGE_OPS = st.sampled_from([_PG_WHOLE_WRITE] * 3 + [_PG_WHOLE_READ] * 3 + _PG_OTHERS).flatmap(
+    lambda ops: ops)
+
+
+def _apply_page_op(mee, op, snapshots):
+    name, *args = op
+    try:
+        if name == "write_lines":
+            tweak, content, lines = args
+            return mee.write_lines(_PG, _PG_TWEAKS[tweak].to_int(), 48, content, lines)
+        if name == "read_lines":
+            tweak, lines = args
+            return mee.read_lines(_PG, _PG_TWEAKS[tweak].to_int(), 48, lines)
+        if name == "changed_lines":
+            tweak, content = args
+            return mee.changed_lines(_PG, _PG_TWEAKS[tweak].to_int(), 48, content)
+        if name == "write":
+            line, tweak = args
+            sw = SwTweak.from_int(_PG_TWEAKS[tweak].to_int() + ((line - _PG) << VOFFSET_SHIFT)
+                                  if line >= _PG else _sw(voffset=line).to_int())
+            return mee.write(line, PAGE_CONTENT[:LINE_BYTES], sw)
+        if name == "write_unstepped":  # under the page's first-line tweak
+            line, tweak = args
+            return mee.write_lines(line, _PG_TWEAKS[tweak].to_int(), 48, PAGE_CONTENT, [0])
+        if name == "cross":
+            first = _PG - args[0]
+            return mee.write_lines(first, _sw(voffset=first).to_int(), 48, PAGE_CONTENT,
+                                   range(args[0] + 2))
+        if name == "destroy":
+            return mee.destroy(args[0])
+        if name == "flip_bit":
+            return mee.flip_bit(args[0], args[1], "tag")
+        if name == "snapshot":
+            snapshots.append((args[0], mee.snapshot_line(args[0])))
+            return snapshots[-1]
+        if snapshots:
+            line, raw = snapshots[args[0] % len(snapshots)]
+            return mee.restore_line(line, *raw)
+        return None
+    except (AuthenticationError, ValueError) as exc:
+        return type(exc).__name__, getattr(exc, "line_index", None), str(exc)
+
+
+@settings(max_examples=150)
+@given(ops=st.lists(_PAGE_OPS, min_size=5, max_size=40))
+def test_page_memo_is_invisible(ops):
+    """Two same-key engines run the same operations; one loses its
+    verified-page memo before each.  Results, errors and the line they
+    name, every line's entry and counter, the seal and open counts and, at
+    the end, every line's raw bytes agree."""
+    engines = [Mee(KEY), Mee(KEY)]
+    snapshots = [[], []]
+    for op in ops:
+        engines[1]._pages.clear()
+        results = [_apply_page_op(mee, op, snaps) for mee, snaps in zip(engines, snapshots)]
+        assert results[0] == results[1], op
+        assert engines[0]._lines == engines[1]._lines
+        assert engines[0]._counters == engines[1]._counters
+        assert (engines[0].seals, engines[0].opens) == (engines[1].seals, engines[1].opens)
+    lines = sorted(engines[0]._lines)
+    assert [engines[0].snapshot_line(i) for i in lines] == \
+        [engines[1].snapshot_line(i) for i in lines]
