@@ -82,8 +82,8 @@ with those plaintexts.  It is recorded or updated at these points:
 
 Any other write into the page drops it: one under another tweak, or not
 starting at the page's first line (so every one-line write to lines 1 to
-63, and :meth:`Mee.destroy`), and one from the page before whose lines
-run into it.  :meth:`Mee.restore_line` drops it too, and so does
+63, and :meth:`Mee.destroy`), and one starting in another page whose
+lines run into it.  :meth:`Mee.restore_line` drops it too, and so does
 :meth:`Mee.flip_bit` through it.  A write drops the page before its first
 line moves and records it again only once the call completed, so a call
 that fails part way leaves none.  While it holds, the 64 line memos it

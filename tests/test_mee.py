@@ -784,12 +784,13 @@ def _tamper_crossing_write(mee, k):
                               "destroy", "crossing-write"])
 def test_a_change_to_a_recorded_page_drops_its_page_memo(mee, tamper):
     """Each way a line of a recorded page can change under the memo: the
-    store query lists the line, and a page read fails on it."""
+    page is vouched for under no tweak, the store query lists the line,
+    and a page read fails on it."""
     k = 17
     mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
     _read_page(mee)
     tamper(mee, k)
-    assert not mee.vouches_for(_P, _P_INT, 48)
+    assert mee._pages == {}
     assert k in mee.changed_lines(_P, _P_INT, 48, PAGE_CONTENT)
     with pytest.raises(AuthenticationError) as info:
         _read_page(mee)
