@@ -19,8 +19,9 @@ Layout (little-endian, version 1)::
 
 The enclave identity is the hash of the canonical unwrapped serialization,
 so wrapping for a particular machine never changes the identity.  Wrapped
-payloads are sealed with a developer key derived from the per-CPU key; a
-wrong developer id therefore fails authentication, not just a lookup.
+payloads are sealed with AES-128-GCM under a developer key derived from
+the per-CPU key; a wrong developer id therefore fails authentication, not
+just a lookup.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .aead import AeadAuthError, get_aead
+from .aead import AeadAuthError, AesGcmAead
 from .machine import PAGE_BYTES, perms_from_str
 
 MAGIC = b"SRVS1"
@@ -140,13 +141,13 @@ class EnclaveImage:
         """256-bit identity hash of the decrypted image."""
         return hashlib.sha256(self.pack()).digest()
 
-    def wrap(self, developer_key: bytes, nonce: bytes, aead_name: str = "aes-gcm") -> bytes:
+    def wrap(self, developer_key: bytes, nonce: bytes) -> bytes:
         """Sealed distribution form keyed to one developer on one machine."""
         self.validate()
-        aead = get_aead(aead_name)
-        ct, tag = aead.seal(developer_key, nonce[: aead.nonce_len], self._payload(),
-                            self._header(FLAG_WRAPPED))
-        return self._header(FLAG_WRAPPED) + nonce[: aead.nonce_len] + tag + ct
+        nonce = nonce[:WRAP_NONCE_LEN]
+        ct, tag = AesGcmAead().seal(developer_key, nonce, self._payload(),
+                                    self._header(FLAG_WRAPPED))
+        return self._header(FLAG_WRAPPED) + nonce + tag + ct
 
 
 def _parse_payload(developer_id: bytes, entry_offset: int, n_pages: int,
@@ -183,8 +184,7 @@ def parse_header(data: bytes):
     return flags, dev_id, entry, n_pages
 
 
-def load_enclave_image(data: bytes, developer_key: bytes | None = None,
-                       aead_name: str = "aes-gcm") -> EnclaveImage:
+def load_enclave_image(data: bytes, developer_key: bytes | None = None) -> EnclaveImage:
     """Parse (and unwrap, when sealed) an image byte stream.
 
     Raises FormatError for malformed containers and ImageAuthFailure when a
@@ -197,13 +197,12 @@ def load_enclave_image(data: bytes, developer_key: bytes | None = None,
             raise ImageAuthFailure("image is wrapped but no developer key available")
         if len(body) < WRAP_NONCE_LEN + WRAP_TAG_LEN:
             raise FormatError("truncated wrapped payload")
-        aead = get_aead(aead_name)
         nonce = body[:WRAP_NONCE_LEN]
         tag = body[WRAP_NONCE_LEN : WRAP_NONCE_LEN + WRAP_TAG_LEN]
         header = HEADER.pack(MAGIC, VERSION, FLAG_WRAPPED, 0, dev_id, entry, n_pages, 0)
         try:
-            payload = aead.open(developer_key, nonce,
-                                body[WRAP_NONCE_LEN + WRAP_TAG_LEN :], tag, header)
+            payload = AesGcmAead().open(developer_key, nonce,
+                                        body[WRAP_NONCE_LEN + WRAP_TAG_LEN :], tag, header)
         except AeadAuthError as exc:
             raise ImageAuthFailure("image payload failed authentication") from exc
     else:

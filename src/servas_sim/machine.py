@@ -38,9 +38,9 @@ read through the cache goes line by line, because cache fills draw the
 machine RNG for replacement and their order must not move.
 
 Writes are read-modify-write at line granularity: the existing line must
-verify under the access tweak before the merged line is re-sealed.  Lines
-that were never written at all stand in for boot-time zeroed DRAM and
-verify as zeros under any tweak.  The one exception is a write through
+verify under the access tweak before the merged line is re-sealed (a
+never-written line reads as zeros; the engine's module docstring states
+the rule).  The one exception is a write through
 :meth:`Machine.pinned_page`, the monitor's page I/O under a tweak it pins
 itself, which skips verification -- that is how the security monitor
 initializes pages regardless of their previous binding.
@@ -73,7 +73,6 @@ from .tweak import (
 )
 
 PPN_LIMIT = LINE_LIMIT // LINES_PER_PAGE  # the pages whose lines the engine addresses
-_ZERO_LINE = bytes(LINE_BYTES)
 
 _PRV_RANK = {PRV_U: 0, PRV_S: 1, PRV_M: 2}
 
@@ -377,11 +376,8 @@ class Machine:
 
         A protected page is one engine call: a write invalidates its cache
         lines and seals them with :meth:`Mee.write_lines`, a read with the
-        cache off opens the written lines with :meth:`Mee.read_lines`
-        (never-written lines read as zeros; a page the engine vouches for,
-        :meth:`Mee.vouches_for`, has no such line to look for).  A read
-        through the cache, and an unprotected page under bypass, go line by
-        line.
+        cache off opens them with :meth:`Mee.read_lines`.  A read through
+        the cache, and an unprotected page under bypass, go line by line.
         """
         if sw.voffset + max(lines, default=0) >> voffset_bits(sw.va_bits):
             raise ValueError("voffset out of range")
@@ -406,20 +402,12 @@ class Machine:
                     self.cache.invalidate(first + i)
             self.mee.write_lines(first, value, va_bits, content, lines)
             return None
-        if self.mee.vouches_for(first, value, va_bits):
-            written = lines
-        else:
-            written = [i for i in lines if self.mee.line_exists(first + i)]
         try:
-            opened = self.mee.read_lines(first, value, va_bits, written)
+            return b"".join(self.mee.read_lines(first, value, va_bits, lines))
         except AuthenticationError as exc:
             i = exc.line_index - first
             self._auth_trap(base + i * LINE_BYTES, PRV_M,
                             SwTweak.from_int(value + (i << VOFFSET_SHIFT), va_bits), exc)
-        if len(written) < len(lines):
-            found = dict(zip(written, opened))
-            opened = [found.get(i, _ZERO_LINE) for i in lines]
-        return b"".join(opened)
 
     @staticmethod
     def _classify(va: int, prv: int, sw: SwTweak) -> PageType:
@@ -457,16 +445,10 @@ class Machine:
             # -> trap is a cycle that only the cyclic GC frees
             del trap, exc
 
-    def _fill_line(self, line_index: int, sw: SwTweak) -> bytes:
-        """Line content under a tweak; never-written DRAM reads as zeros."""
-        if not self.mee.line_exists(line_index):
-            return bytes(LINE_BYTES)
-        return self.mee.read(line_index, sw)
-
     def _read_line(self, line_index: int, sw: SwTweak) -> bytes:
         if self.cache is not None:
-            return self.cache.read(line_index, sw, self._fill_line)
-        return self._fill_line(line_index, sw)
+            return self.cache.read(line_index, sw, self.mee.read)
+        return self.mee.read(line_index, sw)
 
     def _write_line(self, line_index: int, off: int, data: bytes, sw: SwTweak) -> bytes:
         """Read-modify-write: the line verifies under ``sw`` before the

@@ -18,6 +18,13 @@ call.  :meth:`Mee.write` and :meth:`Mee.read` are the one-line case.
 failed verification included), however and whenever the AEAD work was
 done.
 
+Never-written lines.  A line the engine never wrote and raw DRAM writes
+never reached stands in for boot-time zeroed DRAM: a read returns 64 zero
+bytes under any tweak, verifies nothing and so counts no open, and leaves
+no memo of either kind below.  Once anything is put there -- an engine
+write, :meth:`Mee.restore_line`, :meth:`Mee.flip_bit` -- the line is
+written and verifies as any other.
+
 Seal on observation.  A write moves the line's counter and stores the line
 *pending*: its plaintext and associated data (counter || tweak), with no
 ciphertext or tag yet.  A line's (ciphertext, tag) is a pure function of
@@ -88,11 +95,12 @@ lines run into it.  :meth:`Mee.restore_line` drops it too, and so does
 line moves and records it again only once the call completed, so a call
 that fails part way leaves none.  While it holds, the 64 line memos it
 stands for match, so a whole-page read under the recorded tweak returns
-exactly the plaintexts 64 line checks would (and counts 64 opens),
+exactly the plaintexts 64 line checks would (and counts 64 opens), and
 :meth:`Mee.changed_lines` is a comparison of those plaintexts with the
-page to store, and :meth:`Mee.vouches_for` tells the machine that every
-line of the page exists.  The line memos stay the only source of truth:
-dropping the page memo at any point changes no result, only the work.
+page to store.  A page holding a never-written line is never recorded:
+that line has no line memo, so :meth:`Mee.changed_lines` must keep
+listing it.  The line memos stay the only source of truth: dropping the
+page memo at any point changes no result, only the work.
 
 Destruction is a write under a reserved tweak that normal composition can
 never produce (all three range bits set while the pte rsw field is 00 but
@@ -116,6 +124,7 @@ LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
 _PAGE_MASK = ~(LINES_PER_PAGE - 1)
 _PAGE_RANGE = range(LINES_PER_PAGE)
 _PAGE_LIST = list(_PAGE_RANGE)
+_ZERO_LINE = bytes(LINE_BYTES)
 
 # The nonce hash with its domain prefix absorbed; copied once per line.
 _NONCE_HASH = hashlib.sha256(b"line-nonce")
@@ -124,9 +133,9 @@ _NONCE_HASH = hashlib.sha256(b"line-nonce")
 class AuthenticationError(Exception):
     """Decryption failed integrity verification for a line access."""
 
-    def __init__(self, line_index: int, reason: str = "tag mismatch"):
+    def __init__(self, line_index: int):
         self.line_index = line_index
-        super().__init__(f"line {line_index:#x}: {reason}")
+        super().__init__(f"line {line_index:#x}: tag mismatch")
 
 
 class CounterOverflow(Exception):
@@ -239,18 +248,8 @@ class Mee:
             return memo[2]
         return None
 
-    def line_exists(self, line_index: int) -> bool:
-        return line_index in self._lines
-
     def counter_of(self, line_index: int) -> int:
         return self._counters.get(line_index, 0)
-
-    def vouches_for(self, first_line: int, sw_int: int, va_bits: int) -> bool:
-        """Whether the verified-page memo proves every line of the page
-        starting at ``first_line`` holds its plaintext under the tweak
-        :meth:`read_lines` steps from ``sw_int``: a read of any of its
-        lines then succeeds, and every one of them exists."""
-        return self._page_memo(first_line, sw_int, va_bits) is not None
 
     def write_lines(self, first_line: int, sw_int: int, va_bits: int, content: bytes,
                     lines) -> None:
@@ -294,10 +293,10 @@ class Mee:
     def read_lines(self, first_line: int, sw_int: int, va_bits: int, lines) -> list[bytes]:
         """Open line ``first_line + i`` for each ``i`` in ``lines`` under the
         tweak :meth:`write_lines` steps the same way; returns the plaintexts
-        in order.  The first line that was never written or fails
-        verification raises :class:`AuthenticationError` naming it.  A whole
-        page the verified-page memo holds, and a line whose memo matches,
-        are served from the memo (see the module docstring)."""
+        in order; a never-written line reads as zeros.  The first line that
+        fails verification raises :class:`AuthenticationError` naming it.  A
+        whole page the verified-page memo holds, and a line whose memo
+        matches, are served from the memo (see the module docstring)."""
         whole = first_line & _PAGE_MASK == first_line and _whole_page(lines)
         if whole:
             plaintexts = self._page_memo(first_line, sw_int, va_bits)
@@ -313,7 +312,9 @@ class Mee:
             _check_line(line)
             entry = stored.get(line)
             if entry is None:
-                raise AuthenticationError(line, "line never initialized")
+                out.append(_ZERO_LINE)
+                whole = False
+                continue
             counter = counters.get(line, 0)
             ad = marker | counter << width | sw_int + (i << VOFFSET_SHIFT)
             self.opens += 1

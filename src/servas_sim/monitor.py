@@ -49,7 +49,7 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .aead import AeadAuthError, get_aead
+from .aead import AeadAuthError, AesGcmAead
 from .image import (
     EnclaveImage,
     InvalidImage,
@@ -386,12 +386,12 @@ class SecurityMonitor:
     """
 
     def __init__(self, machine: Machine, fault_threshold: int = 3,
-                 delay_penalty: int = 0, aead: str = "aes-gcm", rtid_start: int = 1):
+                 delay_penalty: int = 0):
         self.machine = machine
         self.fault_threshold = fault_threshold
         self.delay_penalty = delay_penalty
-        self.aead = get_aead(aead)
-        self._rtid_next = rtid_start  # the only state that outlives a call
+        self.aead = AesGcmAead()
+        self._rtid_next = 1  # the only state that outlives a call
         self._in_monitor = False
         machine.sm_auth_handler = _weak_auth_handler(self)
 
@@ -414,10 +414,9 @@ class SecurityMonitor:
         """The first-line tweak of a monitor page, and so the one place that
         decides a monitor page's binding: no range, the absolute line index,
         M-mode read/write, and the owning enclave's runtime id as the sid
-        (0, like a handle's default rtid, belongs to no enclave unless the
-        monitor was told to start its rtids there).  The sid ties both pages
-        to their enclave: neither verifies when it is offered as another
-        enclave's page."""
+        (0, like a handle's default rtid, belongs to no enclave, as rtids
+        start at 1).  The sid ties both pages to their enclave: neither
+        verifies when it is offered as another enclave's page."""
         va_bits = self.machine.va_bits
         voffset = (ppn * LINES_PER_PAGE) & ((1 << voffset_bits(va_bits)) - 1)
         return SwTweak(0, voffset, PRV_M, MONITOR_PTE_BITS, rtid & SID_MASK, va_bits)

@@ -68,6 +68,29 @@ class ScriptError(Exception):
     breaking the single-hart rules)."""
 
 
+ACTOR_KINDS = ("OS", "HOST", "ENCLAVE", "PHYSICAL")
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScriptError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _text(d: dict, key: str, what: str, required: bool = True) -> str | None:
+    """``d[key]``, which must be text; when not ``required`` it may be
+    absent or null."""
+    value = d[key] if required else d.get(key)
+    if not isinstance(value, str) and (required or value is not None):
+        raise ScriptError(f"{what} {key} must be text, got {value!r}")
+    return value
+
+
+def _int_keyed(args: dict, key: str) -> dict[int, object]:
+    """The optional map ``args[key]`` with its keys read as integers."""
+    return {int(k): v for k, v in _object(args.get(key, {}), key).items()}
+
+
 @dataclass(frozen=True)
 class Verdict:
     outcome: str  # ALLOWED | DETECTED | TERMINATED | DATA_MISMATCH | NO_TRAP
@@ -85,9 +108,14 @@ class Verdict:
 @dataclass(frozen=True)
 class Actor:
     name: str
-    kind: str  # OS | HOST | ENCLAVE | PHYSICAL
+    kind: str  # one of ACTOR_KINDS
     space: str | None = None
     handle_var: str | None = None
+
+    @property
+    def prv(self) -> int:
+        """The privilege the actor's software runs at."""
+        return PRV_S if self.kind == "OS" else PRV_U
 
     def to_dict(self) -> dict:
         return {"name": self.name, "kind": self.kind, "space": self.space,
@@ -95,7 +123,11 @@ class Actor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Actor":
-        return cls(d["name"], d["kind"], d.get("space"), d.get("handle_var"))
+        d = _object(d, "an actor")
+        if d["kind"] not in ACTOR_KINDS:
+            raise ScriptError(f"actor kind must be one of {ACTOR_KINDS}, got {d['kind']!r}")
+        return cls(_text(d, "name", "actor"), d["kind"], _text(d, "space", "actor", False),
+                   _text(d, "handle_var", "actor", False))
 
 
 @dataclass(frozen=True)
@@ -112,10 +144,10 @@ class Step:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Step":
-        args = d.get("args", {})
-        if not isinstance(args, dict):
-            raise ScriptError(f"step args must be an object, got {args!r}")
-        return cls(d["actor"], d["action"], args, d.get("expect_trap"), d.get("save_as"))
+        d = _object(d, "a step")
+        return cls(_text(d, "actor", "step"), _text(d, "action", "step"),
+                   _object(d.get("args", {}), "step args"),
+                   _text(d, "expect_trap", "step", False), _text(d, "save_as", "step", False))
 
 
 @dataclass(frozen=True)
@@ -138,7 +170,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         return cls(
-            name=d["name"],
+            name=_text(d, "name", "scenario"),
             actors=tuple(Actor.from_dict(a) for a in d["actors"]),
             steps=tuple(Step.from_dict(s) for s in d["steps"]),
             expected=Verdict.from_dict(d["expected"]),
@@ -161,11 +193,9 @@ def dump_scenarios(scenarios: list[Scenario]) -> str:
                       indent=2)
 
 
-def _page_type(name) -> PageType:
-    """A page type named in a step (``"regular"``, ``"shm"``, ...)."""
-    if not isinstance(name, str):
-        raise ScriptError(f"page_type must be text, got {name!r}")
-    return PageType[name.upper()]
+def _page_type(d: dict) -> PageType:
+    """The page type ``d`` names (``"regular"``, ``"shm"``, ...)."""
+    return PageType[_text(d, "page_type", "step").upper()]
 
 
 def spawn_enclave(sm: SecurityMonitor, image: EnclaveImage, space: str, base: int,
@@ -267,7 +297,7 @@ class ScenarioRunner:
             return
         if active is not None and action != "interrupt":
             raise ScriptError("software actors cannot run while an enclave executes")
-        self.machine.prv = PRV_S if actor.kind == "OS" else PRV_U
+        self.machine.prv = actor.prv
 
     # -- actions ---------------------------------------------------------------
 
@@ -275,29 +305,25 @@ class ScenarioRunner:
         data = self._data_arg(args)
         kind = AccessKind[args.get("kind", "WRITE" if data is not None else "READ")]
         space = args.get("space") or actor.space
-        prv = PRV_S if actor.kind == "OS" else PRV_U
-        result = self.machine.access(space, args["va"], kind, prv,
+        result = self.machine.access(space, args["va"], kind, actor.prv,
                                      data=data, size=args.get("size", 1))
         self._check(args, result)
         return result
 
     def _act_map_page(self, actor: Actor, args: dict):
-        prv = PRV_S if actor.kind == "OS" else PRV_U
         ppn = args["ppn"] if "ppn" in args else self._var(args["ppn_var"])
-        self.machine.map_page(prv, args.get("space") or actor.space, args["va"],
+        self.machine.map_page(actor.prv, args.get("space") or actor.space, args["va"],
                               ppn, args.get("perms", "rw"), args.get("rsw", 0))
 
     def _act_unmap_page(self, actor: Actor, args: dict):
-        prv = PRV_S if actor.kind == "OS" else PRV_U
-        self.machine.unmap_page(prv, args.get("space") or actor.space, args["va"])
+        self.machine.unmap_page(actor.prv, args.get("space") or actor.space, args["va"])
 
     def _act_write_csr(self, actor: Actor, args: dict):
-        prv = PRV_S if actor.kind == "OS" else PRV_U
         value = args["value"]
         if isinstance(value, list):
             base, size, enabled = value
             value = RangeReg(base, size, bool(enabled))
-        self.machine.write_csr(prv, args["name"], value)
+        self.machine.write_csr(actor.prv, args["name"], value)
 
     def _act_build_image(self, actor: Actor, args: dict):
         return image_from_manifest(args["image"])
@@ -308,7 +334,7 @@ class ScenarioRunner:
         if not isinstance(image, EnclaveImage):
             raise ScriptError("spawn_enclave needs a parsed image; map pages "
                               "and use ecreate for wrapped byte images")
-        overrides = {int(k): v for k, v in args.get("page_ppn_overrides", {}).items()}
+        overrides = _int_keyed(args, "page_ppn_overrides")
         return spawn_enclave(self.sm, image, args.get("space") or actor.space, args["base"],
                              args["ppn_start"], args.get("stack_pages", 1),
                              args["meta_ppn"], args["thread_ppn"], overrides)
@@ -320,18 +346,16 @@ class ScenarioRunner:
                                args["thread_ppn"])
 
     def _act_eenter(self, actor: Actor, args: dict):
-        regs = {int(k): v for k, v in args.get("args", {}).items()}
-        self.sm.eenter(self._handle(args, actor), regs)
+        self.sm.eenter(self._handle(args, actor), _int_keyed(args, "args"))
 
     def _act_eexit(self, actor: Actor, args: dict):
-        returns = {int(k): v for k, v in args.get("returns", {}).items()}
-        self.sm.eexit(returns)
+        self.sm.eexit(_int_keyed(args, "returns"))
 
     def _act_interrupt(self, actor: Actor, args: dict):
         self.sm.interrupt()
 
     def _act_eprepare(self, actor: Actor, args: dict):
-        self.sm.eprepare(args["va"], _page_type(args["page_type"]),
+        self.sm.eprepare(args["va"], _page_type(args),
                          perms_from_str(args["perms"]), args.get("rsw"))
 
     def _act_edestroy(self, actor: Actor, args: dict):
@@ -339,7 +363,7 @@ class ScenarioRunner:
 
     def _act_emod(self, actor: Actor, args: dict):
         def ctx(d: dict) -> PageCtx:
-            return PageCtx(_page_type(d["page_type"]), perms_from_str(d["perms"]),
+            return PageCtx(_page_type(d), perms_from_str(d["perms"]),
                            d.get("rsw"), d.get("sid"))
 
         self.sm.emod(args["va"], ctx(args["old"]), ctx(args["new"]))

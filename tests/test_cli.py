@@ -3,6 +3,9 @@ image tooling round trips."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -372,3 +375,43 @@ def test_negative_enclave_base_is_a_verdict(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run_cli("scenarios", str(path)) == 0
     assert "1/1 scenarios matched" in capsys.readouterr().out
+
+
+def _with_step(step, keep):
+    doc = _shm_wrong_key_doc()
+    del doc["scenarios"][0]["steps"][keep:]
+    doc["scenarios"][0]["steps"].append(step)
+    return doc
+
+
+def _edited(edit):
+    doc = _shm_wrong_key_doc()
+    edit(doc["scenarios"][0])
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    # eenter before enclave A runs (after the world's four setup steps)
+    _with_step({"actor": "host", "action": "eenter", "args": {"args": [1]}}, 4),
+    _with_step({"actor": "host", "action": "eenter", "args": {"args": "x"}}, 4),
+    _with_step({"actor": "A", "action": "eexit", "args": {"returns": [1]}}, 8),
+    _edited(lambda s: s["steps"][0]["args"].update(page_ppn_overrides=[1])),
+    _edited(lambda s: s.update(steps=["x"])),
+    _edited(lambda s: s["steps"][0].update(actor=["host"])),
+    _edited(lambda s: s["steps"][0].update(save_as=["hA"])),
+    _edited(lambda s: s["actors"][0].update(kind="ROOT")),
+    _edited(lambda s: s.update(name=5)),
+], ids=["eenter-args-list", "eenter-args-text", "eexit-returns-list", "overrides-list",
+        "step-not-an-object", "actor-list", "save-as-list", "unknown-actor-kind",
+        "scenario-name-not-text"])
+def test_malformed_scenario_input_is_an_error_not_a_traceback(tmp_path, doc):
+    """Each malformed input makes the CLI process exit 2 with an ``error:``
+    line, never a traceback or a run under a made-up actor kind."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "servas_sim.cli", "scenarios", str(path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

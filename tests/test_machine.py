@@ -289,6 +289,24 @@ def test_pinned_page_auth_trap_names_the_failing_line(m):
         assert trap.disposition == ("handled", 0x10 * 64 + 17)
 
 
+def test_pinned_page_over_a_partly_written_page_is_the_same_cache_on_or_off():
+    """Scattered written lines read back, and the rest as zeros, with the
+    same bytes and the same opens whether the read goes through the cache
+    line by line or is one engine call."""
+    sw = SwTweak(0, 0x10 * 64, PRV_M, 0, 7)
+    content = bytes(random.Random(5).randbytes(4096))
+    pages = []
+    for cache_cfg in (None, CacheCfg(512, 4)):
+        machine = Machine(seed=3, cache_cfg=cache_cfg)
+        machine.pinned_page(0x10, sw, WRITE, content, lines=[0, 5, 6, 63])
+        pages.append(machine.pinned_page(0x10, sw))
+        assert machine.mee.opens == 4
+    expected = bytearray(4096)
+    for i in (0, 5, 6, 63):
+        expected[i * 64:(i + 1) * 64] = content[i * 64:(i + 1) * 64]
+    assert pages == [bytes(expected)] * 2
+
+
 # --- invalid combinations ---------------------------------------------------------
 
 

@@ -47,9 +47,9 @@ def mee():
 
 
 def test_first_write_initializes(mee):
-    assert mee.counter_of(0) == 0 and not mee.line_exists(0)
+    assert mee.counter_of(0) == 0 and 0 not in mee._lines
     mee.write(0, bytes(LINE_BYTES), _sw())
-    assert mee.counter_of(0) == 1 and mee.line_exists(0)
+    assert mee.counter_of(0) == 1 and 0 in mee._lines
     assert mee.read(0, _sw()) == bytes(LINE_BYTES)
 
 
@@ -98,16 +98,20 @@ def test_single_bit_tweak_sweep(mee):
     assert mee.read(2, sw) == b"\x5a" * LINE_BYTES
 
 
-def test_read_of_absent_line_fails(mee):
-    with pytest.raises(AuthenticationError):
-        mee.read(1234, _sw())
+def test_read_of_absent_line_is_zeros_under_any_tweak(mee):
+    """A never-written line is boot-zeroed DRAM: it reads as zeros under
+    two unrelated tweaks, verifies nothing (no open) and leaves no entry."""
+    assert mee.read(1234, _sw()) == bytes(LINE_BYTES)
+    assert mee.read(1234, _sw(sid=7, prv=PRV_S, voffset=3)) == bytes(LINE_BYTES)
+    assert (mee.opens, mee.seals) == (0, 0)
+    assert 1234 not in mee._lines
 
 
 @pytest.mark.parametrize("line", [-5, 2**64])
 def test_restore_of_an_unaddressable_line_is_a_value_error(mee, line):
     with pytest.raises(ValueError):
         mee.restore_line(line, b"x", b"y")
-    assert not mee.line_exists(line)
+    assert line not in mee._lines
 
 
 def test_never_written_line_is_zero_dram(mee):
@@ -194,7 +198,7 @@ def test_write_lines_is_the_reference_line_by_line(mee, lines):
     mee.write_lines(first, sw.to_int(), sw.va_bits, PAGE_CONTENT, lines)
     for i in range(64):
         if i not in lines:
-            assert not mee.line_exists(first + i)
+            assert first + i not in mee._lines
             continue
         plaintext = PAGE_CONTENT[i * LINE_BYTES:(i + 1) * LINE_BYTES]
         assert mee.snapshot_line(first + i) == _reference_seal(
@@ -228,8 +232,8 @@ def test_one_line_calls_are_the_page_path(mee):
     assert (mee.seals, mee.opens) == (1, 1)
     with pytest.raises(ValueError):
         mee.write(9, PAGE_CONTENT[:LINE_BYTES + 1], sw)
-    with pytest.raises(AuthenticationError, match="never initialized"):
-        mee.read_lines(10, sw.to_int(), sw.va_bits, [0])
+    assert mee.read_lines(10, sw.to_int(), sw.va_bits, [0]) == [bytes(LINE_BYTES)]
+    assert mee.opens == 1
 
 
 def test_destroy_tweak_unreachable_by_composition():
@@ -684,7 +688,7 @@ def test_a_whole_page_write_is_served_without_a_line_check(mee, monkeypatch):
     slice comparison."""
     mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
     checks, opens = _memo_checks(monkeypatch), _counting(mee)
-    assert mee.vouches_for(_P, _P_INT, 48)
+    assert mee._page_memo(_P, _P_INT, 48) is not None
     assert b"".join(_read_page(mee)) == PAGE_CONTENT
     assert mee.changed_lines(_P, _P_INT, 48, PAGE_CONTENT) == []
     changed = bytearray(PAGE_CONTENT)
@@ -700,13 +704,13 @@ def test_a_whole_page_read_records_the_page_memo(mee, monkeypatch):
     mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
     _strip_memo(mee)
     mee.read_lines(_P, _P_INT, 48, range(8))
-    assert not mee.vouches_for(_P, _P_INT, 48)
+    assert mee._page_memo(_P, _P_INT, 48) is None
     with pytest.raises(AuthenticationError):
         _read_page(mee, _sw(voffset=_P, sid=1).to_int())
     opens = _counting(mee)
     assert b"".join(_read_page(mee)) == PAGE_CONTENT
-    assert mee.vouches_for(_P, _P_INT, 48)
-    assert not mee.vouches_for(_P, _P_INT, 39)
+    assert mee._page_memo(_P, _P_INT, 48) is not None
+    assert mee._page_memo(_P, _P_INT, 39) is None
     assert b"".join(_read_page(mee)) == PAGE_CONTENT
     assert len(opens) == 56
 
@@ -721,12 +725,24 @@ def test_a_store_under_the_recorded_tweak_updates_the_page_memo(mee, monkeypatch
     for i in (3, 9):
         expected[i * LINE_BYTES:(i + 1) * LINE_BYTES] = new[i * LINE_BYTES:(i + 1) * LINE_BYTES]
     checks = _memo_checks(monkeypatch)
-    assert mee.vouches_for(_P, _P_INT, 48)
+    assert mee._page_memo(_P, _P_INT, 48) is not None
     assert b"".join(_read_page(mee)) == bytes(expected)
     assert mee.changed_lines(_P, _P_INT, 48, bytes(expected)) == []
     assert not checks
     _strip_memo(mee)
     assert b"".join(_read_page(mee)) == bytes(expected)
+
+
+def test_a_page_holding_a_never_written_line_is_never_recorded(mee):
+    """A whole-page read of a page with only line 5 written returns zeros
+    for the other 63 and records no page memo, so the store query for an
+    all-zero page still lists every line that was never written."""
+    mee.write_lines(_P, _P_INT, 48, bytes(64 * LINE_BYTES), [5])
+    assert b"".join(_read_page(mee)) == bytes(64 * LINE_BYTES)
+    assert mee.opens == 1
+    assert mee._page_memo(_P, _P_INT, 48) is None
+    assert mee.changed_lines(_P, _P_INT, 48, bytes(64 * LINE_BYTES)) == [
+        i for i in range(64) if i != 5]
 
 
 def test_the_page_memo_result_is_a_copy(mee):

@@ -103,10 +103,10 @@ def test_a_changed_metadata_line_is_not_vouched_for(change):
     served the page as it was."""
     m, sm, a, b = _world()
     first, sw_int, va_bits = _meta_binding(sm, a)
-    assert m.mee.vouches_for(first, sw_int, va_bits)
+    assert m.mee._page_memo(first, sw_int, va_bits) is not None
     page = b"".join(m.mee.read_lines(first, sw_int, va_bits, range(64)))
     k = change(m, sm, a, b)
-    assert not m.mee.vouches_for(first, sw_int, va_bits)
+    assert m.mee._page_memo(first, sw_int, va_bits) is None
     assert k in m.mee.changed_lines(first, sw_int, va_bits, page)
     with pytest.raises(AuthenticationException) as info:
         sm.eenter(a)
@@ -134,10 +134,6 @@ class _ForgetfulMee(Mee):
     def changed_lines(self, *args):
         self._forget()
         return super().changed_lines(*args)
-
-    def vouches_for(self, *args):
-        self._forget()
-        return super().vouches_for(*args)
 
 
 def _engine_state(m):
