@@ -180,12 +180,7 @@ def cmd_image(args) -> int:
     if args.mode == "pack":
         manifest_path = Path(args.manifest)
         manifest = json.loads(manifest_path.read_text())
-        try:
-            image = image_from_manifest(manifest, manifest_path.parent)
-        except (KeyError, TypeError, AttributeError) as exc:
-            # a missing entry or a value of the wrong JSON type
-            raise ScriptError(f"malformed manifest {manifest_path}: "
-                              f"{type(exc).__name__} {exc}") from exc
+        image = image_from_manifest(manifest, manifest_path.parent)
         Path(args.out).write_bytes(image.pack())
     elif args.mode == "unpack":
         image = load_enclave_image(Path(args.image).read_bytes(),

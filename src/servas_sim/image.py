@@ -98,10 +98,14 @@ class EnclaveImage:
     pages: list[ImagePage] = field(default_factory=list)
 
     def validate(self) -> None:
+        if not 0 <= self.entry_offset < 1 << 32 or len(self.pages) >= 1 << 16:
+            raise InvalidImage("entry offset or page count does not fit the header")
         seen = set()
         entry_page = self.entry_offset // PAGE_BYTES
         entry_ok = False
         for page in self.pages:
+            if not 0 <= page.index < 1 << 32:
+                raise InvalidImage(f"page index {page.index} does not fit a descriptor")
             if page.index in seen:
                 raise InvalidImage(f"page index {page.index} declared twice")
             seen.add(page.index)
@@ -222,22 +226,34 @@ def build_image(page_specs, entry_offset: int = 0,
     return EnclaveImage(developer_id, entry_offset, pages)
 
 
+def _typed(value, kind: type, what: str):
+    """``value``, which must be a ``kind`` (and not a bool)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} must be {kind.__name__}, got {value!r:.80}")
+    return value
+
+
 def image_from_manifest(manifest: dict, files: Path | None = None) -> EnclaveImage:
     """Build an image from its JSON manifest (the ``image pack`` input and
     the scenario image spec).  A page body is ``fill`` hex repeated to the
     page size (none: zeros) or, when ``files`` is given, the ``file`` it
-    names in that directory."""
+    names in that directory.  A missing or mistyped field is a ValueError
+    that names it."""
+    _typed(manifest, dict, "a manifest")
     pages = []
-    for p in manifest["pages"]:
+    for p in _typed(manifest.get("pages"), list, "manifest pages"):
+        _typed(p, dict, "a manifest page")
         if files is not None and "file" in p:
-            body = (files / p["file"]).read_bytes()
+            body = (files / _typed(p["file"], str, "page file")).read_bytes()
         else:
-            fill = bytes.fromhex(p.get("fill", ""))
+            fill = bytes.fromhex(_typed(p.get("fill", ""), str, "page fill"))
             body = (fill * (PAGE_BYTES // max(len(fill), 1) + 1))[:PAGE_BYTES]
-        try:
-            page_type = ImagePageType[p["type"].upper()]
-        except KeyError:
-            raise ValueError(f"unknown page type {p['type']!r}") from None
-        pages.append((p["index"], p["perms"], page_type, body))
-    return build_image(pages, entry_offset=manifest.get("entry_offset", 0),
-                       developer_id=manifest.get("developer_id", "devel-00").encode())
+        page_type = ImagePageType.__members__.get(_typed(p.get("type"), str, "page type").upper())
+        if page_type is None:
+            raise ValueError(f"unknown page type {p['type']!r}")
+        pages.append((_typed(p.get("index"), int, "page index"),
+                      _typed(p.get("perms"), str, "page perms"), page_type, body))
+    return build_image(
+        pages, entry_offset=_typed(manifest.get("entry_offset", 0), int, "manifest entry_offset"),
+        developer_id=_typed(manifest.get("developer_id", "devel-00"), str,
+                            "manifest developer_id").encode())

@@ -278,13 +278,13 @@ class Machine:
         if _PRV_RANK[prv] < _PRV_RANK[level]:
             raise PrivilegeTrap(None, prv, f"CSR {name} requires privilege >= {level:#b}")
         if name.endswith("range"):
-            if not isinstance(value, RangeReg):
+            if isinstance(value, (tuple, list)):
                 value = RangeReg(*value)
+            if not isinstance(value, RangeReg):
+                raise ValueError(f"CSR {name} takes a range, got {value!r}")
             value.validate(self.va_bits)
-        else:
-            value = int(value)
-            if not 0 <= value < (1 << 64):
-                raise ValueError("sid registers are 64-bit")
+        elif not isinstance(value, int) or not 0 <= value < (1 << 64):
+            raise ValueError(f"sid registers are 64-bit integers, got {value!r}")
         self.csr.write(name, value)
         self._memo.clear()
 

@@ -187,20 +187,23 @@ class SwapRecord:
     page_type: PageType
 
 
-_META_FIXED = struct.Struct("<4sHBBQ32sQQQIHH16sQB7x")
+# The fixed part of each monitor page, one struct each.  Metadata: magic,
+# version, state, pad, rtid, encid, entry point, mrange base and size, fault
+# count, owned and swap record counts, host space, host pc and privilege,
+# then the host's registers, urange (base, size, enabled) and usid0/usid1.
+# Thread: magic, version, in-enclave flag, pad, resume pc, saved registers,
+# urange and usid0/usid1, and whether the registers are saved.
+_META = struct.Struct("<4sHBBQ32sQQQIHH16sQB7x32QQQB7xQQ")
 _META_MAGIC = b"SMEP"
 _OWNED = struct.Struct("<QBBB5x")
-_SWAP = struct.Struct("<Q12s16sBBBB8x")
-_THREAD_FIXED = struct.Struct("<4sHBB")
+_SWAP = struct.Struct("<Q12s16sBBBB8x")  # ..., page type, live (always 1)
+_THREAD = struct.Struct("<4sHBBQ32QQQB7xQQB")
 _THREAD_MAGIC = b"SMTP"
-_REGS = struct.Struct("<32Q")  # a saved register file
+_NO_REGS = (0,) * 32
 MAX_OWNED = 64
 MAX_SWAPS = 40
 
-_REGS_OFF = 0x70
-_URANGE_OFF = 0x170
-_USID_OFF = 0x188
-_OWNED_OFF = 0x198
+_OWNED_OFF = _META.size
 _SWAP_OFF = _OWNED_OFF + MAX_OWNED * _OWNED.size
 
 
@@ -228,16 +231,14 @@ class EnclaveMeta:
         if len(self.swaps) > MAX_SWAPS:
             raise MonitorCapacity("too many swap records for the metadata page")
         buf = bytearray(PAGE_BYTES)
-        _META_FIXED.pack_into(
+        urange = self.host_urange
+        _META.pack_into(
             buf, 0, _META_MAGIC, 1, int(self.state), 0, self.rtid, self.encid_full,
             self.entry_point, self.mrange.base, self.mrange.size,
             self.fault_count, len(self.owned), len(self.swaps),
-            self.host_space.encode()[:16], self.host_pc, self.host_prv,
+            self.host_space.encode()[:16], self.host_pc, self.host_prv, *self.host_regs,
+            urange.base, urange.size, urange.enabled, self.host_usid0, self.host_usid1,
         )
-        _REGS.pack_into(buf, _REGS_OFF, *self.host_regs)
-        struct.pack_into("<QQB", buf, _URANGE_OFF, self.host_urange.base,
-                         self.host_urange.size, self.host_urange.enabled)
-        struct.pack_into("<QQ", buf, _USID_OFF, self.host_usid0, self.host_usid1)
         for i, o in enumerate(self.owned):
             _OWNED.pack_into(buf, _OWNED_OFF + i * _OWNED.size, o.va,
                              _PTYPE_CODE[o.page_type], pack_perm_byte(o.perms), o.rsw)
@@ -248,38 +249,28 @@ class EnclaveMeta:
 
     @classmethod
     def unpack(cls, buf: bytes) -> "EnclaveMeta":
+        fields = _META.unpack_from(buf)
         (magic, version, state, _, rtid, encid, entry, mbase, msize, faults,
-         n_owned, n_swaps, space, host_pc, host_prv) = _META_FIXED.unpack_from(buf)
+         n_owned, n_swaps, space, host_pc, host_prv) = fields[:15]
+        ubase, usize, uen, usid0, usid1 = fields[47:]
         if magic != _META_MAGIC or version != 1:
             raise BadHandle("not an enclave metadata page")
-        regs = list(_REGS.unpack_from(buf, _REGS_OFF))
-        ubase, usize, uen = struct.unpack_from("<QQB", buf, _URANGE_OFF)
-        usid0, usid1 = struct.unpack_from("<QQ", buf, _USID_OFF)
         owned = []
         for i in range(n_owned):
             va, code, perm, rsw = _OWNED.unpack_from(buf, _OWNED_OFF + i * _OWNED.size)
             owned.append(OwnedPage(va, _PTYPE_FROM_CODE[code], unpack_perm_byte(perm), rsw))
         swaps = []
         for i in range(n_swaps):
-            va, nonce, tag, perm, rsw, code, live = _SWAP.unpack_from(buf, _SWAP_OFF + i * _SWAP.size)
-            if not live:
-                continue  # consumed (older monitors kept these): reads as absent
+            va, nonce, tag, perm, rsw, code, _ = _SWAP.unpack_from(buf, _SWAP_OFF + i * _SWAP.size)
             swaps.append(SwapRecord(va, nonce, tag, unpack_perm_byte(perm), rsw,
                                     _PTYPE_FROM_CODE[code]))
         return cls(
             state=EnclaveState(state), rtid=rtid, encid_full=encid, entry_point=entry,
             mrange=RangeReg(mbase, msize, True), host_space=space.rstrip(b"\x00").decode(),
-            fault_count=faults, host_pc=host_pc, host_prv=host_prv, host_regs=regs,
+            fault_count=faults, host_pc=host_pc, host_prv=host_prv, host_regs=list(fields[15:47]),
             host_urange=RangeReg(ubase, usize, bool(uen)), host_usid0=usid0,
             host_usid1=usid1, owned=owned, swaps=swaps,
         )
-
-
-_T_PC_OFF = 0x08
-_T_REGS_OFF = 0x10
-_T_URANGE_OFF = 0x110
-_T_USID_OFF = 0x128
-_T_FLAGS_OFF = 0x138
 
 
 @dataclass
@@ -293,28 +284,21 @@ class ThreadMeta:
 
     def pack(self) -> bytes:
         buf = bytearray(PAGE_BYTES)
-        _THREAD_FIXED.pack_into(buf, 0, _THREAD_MAGIC, 1, self.in_enclave, 0)
-        struct.pack_into("<Q", buf, _T_PC_OFF, self.resume_pc)
-        if self.saved_regs is not None:
-            _REGS.pack_into(buf, _T_REGS_OFF, *self.saved_regs)
-        struct.pack_into("<QQB", buf, _T_URANGE_OFF, self.saved_urange.base,
-                         self.saved_urange.size, self.saved_urange.enabled)
-        struct.pack_into("<QQ", buf, _T_USID_OFF, self.saved_usid0, self.saved_usid1)
-        struct.pack_into("<B", buf, _T_FLAGS_OFF, self.saved_regs is not None)
+        urange, regs = self.saved_urange, self.saved_regs
+        _THREAD.pack_into(buf, 0, _THREAD_MAGIC, 1, self.in_enclave, 0, self.resume_pc,
+                          *(_NO_REGS if regs is None else regs), urange.base, urange.size,
+                          urange.enabled, self.saved_usid0, self.saved_usid1, regs is not None)
         return bytes(buf)
 
     @classmethod
     def unpack(cls, buf: bytes) -> "ThreadMeta":
-        magic, version, in_enc, _ = _THREAD_FIXED.unpack_from(buf)
+        fields = _THREAD.unpack_from(buf)
+        magic, version, in_enc, _, pc = fields[:5]
+        ubase, usize, uen, usid0, usid1, has_regs = fields[37:]
         if magic != _THREAD_MAGIC or version != 1:
             raise BadHandle("not a thread metadata page")
-        pc = struct.unpack_from("<Q", buf, _T_PC_OFF)[0]
-        regs = list(_REGS.unpack_from(buf, _T_REGS_OFF))
-        ubase, usize, uen = struct.unpack_from("<QQB", buf, _T_URANGE_OFF)
-        usid0, usid1 = struct.unpack_from("<QQ", buf, _T_USID_OFF)
-        has_regs = struct.unpack_from("<B", buf, _T_FLAGS_OFF)[0]
         return cls(in_enclave=bool(in_enc), resume_pc=pc,
-                   saved_regs=regs if has_regs else None,
+                   saved_regs=list(fields[5:37]) if has_regs else None,
                    saved_urange=RangeReg(ubase, usize, bool(uen)),
                    saved_usid0=usid0, saved_usid1=usid1)
 
@@ -332,6 +316,12 @@ def _check_frame(ppn: int, what: str, limit: int = PPN_LIMIT) -> None:
     whose lines the engine can address, before any state moves."""
     if not 0 <= ppn < limit:
         raise BadHandle(f"the {what} page {ppn:#x} is not addressable")
+
+
+def check_capacity(image: EnclaveImage, stack_pages: int) -> None:
+    """Refuse a region of more pages than the metadata page can list."""
+    if len(image.pages) + stack_pages > MAX_OWNED:
+        raise MonitorCapacity("too many owned pages for the metadata page")
 
 
 def kdf(key: bytes, label: bytes, data: bytes = b"", n: int = 16) -> bytes:
@@ -357,6 +347,14 @@ class PageCtx:
     perms: dict[str, bool]
     rsw: int | None = None
     sid: int | None = None  # explicit shared secret for SHM rekeying
+
+    def __post_init__(self) -> None:
+        if self.page_type is PageType.MONITOR:
+            raise MonitorTypeForbidden("enclaves cannot mint monitor pages")
+        if self.page_type not in _RSW_FOR:
+            raise InvalidCombination(f"no enclave page is {self.page_type.value}")
+        if self.rsw is not None and not 0 <= self.rsw < 4:
+            raise InvalidCombination(f"rsw {self.rsw} is not a 2-bit field")
 
     def resolved_rsw(self) -> int:
         return self.rsw if self.rsw is not None else _RSW_FOR[self.page_type]
@@ -518,8 +516,7 @@ class SecurityMonitor:
             image.validate()
             if target_base % PAGE_BYTES:
                 raise InvalidImage("target base must be page aligned")
-            if len(image.pages) + stack_pages > MAX_OWNED:
-                raise MonitorCapacity("too many owned pages for the metadata page")
+            check_capacity(image, stack_pages)
             mrange = RangeReg(target_base, (image.n_region_pages + stack_pages) * PAGE_BYTES,
                               True)
             try:
@@ -673,16 +670,12 @@ class SecurityMonitor:
         """Zero-initialize a dynamically supplied page to an enclave-chosen
         type.  Every type except MONITOR is allowed; the per-enclave mapping
         list rejects double mapping."""
-        if page_type is PageType.MONITOR:
-            raise MonitorTypeForbidden("enclaves cannot mint monitor pages")
-        if page_type not in _RSW_FOR:
-            raise InvalidCombination(f"cannot prepare {page_type}")
+        ctx = PageCtx(page_type, perms, rsw)
         handle = self._active_handle()
         m = self.machine
         caller_urange = m.csr.urange
         with self._monitor_call():
             meta = self._load_meta(handle)
-            ctx = PageCtx(page_type, perms, rsw)
             if rsw is not None and rsw != _RSW_FOR[page_type]:
                 raise InvalidCombination("rsw bits disagree with the page type")
             if any(o.va == va for o in meta.owned):

@@ -27,15 +27,33 @@ Step schema (JSON-compatible)::
     {"actor": "os", "action": "map_page", "args": {...},
      "expect_trap": "AUTH" | null, "save_as": "name" | null}
 
-Data arguments: ``data`` (utf-8 text) or ``data_hex``; checks:
-``check`` / ``check_hex`` / ``check_var``.  Integers are plain JSON
-numbers.  Variables (``*_var``) refer to values saved by earlier steps.
+An action's arguments are the keyword-only parameters of its ``_act_*``
+handler; :func:`_bind` checks a step's ``args`` against them, as it checks
+the scenario, actor, step and verdict objects against their dataclass
+fields.  A key that names no argument, an argument given twice, a missing
+required one, or a value that is not an instance of the annotation (a
+JSON ``true`` is not an integer) is a :class:`ScriptError` naming the
+action and the argument.  Three spellings convert a value:
+
+* ``X_var`` names a value saved by an earlier step (``save_as``);
+* ``X_hex`` gives the bytes of a ``bytes`` argument in hex;
+* text given for a ``bytes`` argument means its UTF-8 bytes.
+
+An enum argument (``kind``, ``page_type``) takes a member name in any case,
+and an object whose keys are integers (register numbers, region page
+indices) takes them as JSON text.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field
+from enum import EnumMeta
+from typing import Literal
 
 from .image import (
     EnclaveImage,
@@ -51,6 +69,7 @@ from .monitor import (
     MonitorError,
     PageCtx,
     SecurityMonitor,
+    check_capacity,
 )
 from .tweak import (
     PRV_S,
@@ -68,47 +87,145 @@ class ScriptError(Exception):
     breaking the single-hart rules)."""
 
 
-ACTOR_KINDS = ("OS", "HOST", "ENCLAVE", "PHYSICAL")
+# --- the argument binder ----------------------------------------------------------
+
+_NO = object()  # what a converter returns for a value it cannot take
 
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScriptError(f"{what} must be an object, got {value!r}")
-    return value
+def _take(conv: tuple, value, where: str):
+    exact, convert = conv
+    return value if type(value) in exact else convert(value, where)
 
 
-def _text(d: dict, key: str, what: str, required: bool = True) -> str | None:
-    """``d[key]``, which must be text; when not ``required`` it may be
-    absent or null."""
-    value = d[key] if required else d.get(key)
-    if not isinstance(value, str) and (required or value is not None):
-        raise ScriptError(f"{what} {key} must be text, got {value!r}")
-    return value
+def _converter(ann) -> tuple[frozenset, typing.Callable]:
+    """``(exact, convert)`` for one annotation: a value whose type is in
+    ``exact`` is taken as it is; ``convert(value, where)`` returns any other
+    value converted, or ``_NO``."""
+    origin, args = typing.get_origin(ann), typing.get_args(ann)
+    if origin is types.UnionType:
+        parts = [_converter(a) for a in args]
+        return frozenset().union(*(exact for exact, _ in parts)), lambda v, where: next(
+            (got for got in (_take(p, v, where) for p in parts) if got is not _NO), _NO)
+    if origin is Literal:
+        return frozenset(), lambda v, where: v if type(v) is str and v in args else _NO
+    if origin in (list, tuple, dict):  # list[X], tuple[X, ...], dict[int, X]
+        item = _converter(args[origin is dict])
+
+        def convert(value, where):
+            if type(value) is not (dict if origin is dict else list) or origin is dict and not all(
+                    str(k).isdecimal() for k in value):  # JSON object keys are text
+                return _NO
+            pairs = [(int(k), v) for k, v in value.items()] if origin is dict else enumerate(value)
+            got = [(k, _take(item, v, f"{where}[{k}]")) for k, v in pairs]
+            if any(v is _NO for _, v in got):
+                return _NO
+            return dict(got) if origin is dict else origin(v for _, v in got)
+        return frozenset(), convert
+    if isinstance(ann, EnumMeta):
+        return frozenset({ann}), lambda v, where: (
+            ann.__members__.get(v.upper(), _NO) if type(v) is str else _NO)
+    if isinstance(ann, type) and issubclass(ann, _Record):
+        return frozenset({ann}), lambda v, where: _build(ann, v, where)
+    if ann is bytes:
+        return frozenset({bytes}), lambda v, where: v.encode() if type(v) is str else _NO
+    return frozenset({ann}), lambda v, where: _NO
 
 
-def _int_keyed(args: dict, key: str) -> dict[int, object]:
-    """The optional map ``args[key]`` with its keys read as integers."""
-    return {int(k): v for k, v in _object(args.get(key, {}), key).items()}
+_JSON_NAMES = {int: "an integer", str: "text", bytes: "bytes", dict: "an object",
+               list: "a list", tuple: "a list", type(None): "null"}
+
+
+def _describe(ann) -> str:
+    """The annotation in the words of the JSON a scenario file holds."""
+    origin, args = typing.get_origin(ann), typing.get_args(ann)
+    if origin is types.UnionType:
+        return " or ".join(map(_describe, args))
+    if origin is Literal or isinstance(ann, EnumMeta):
+        return "one of " + ", ".join(args or ann.__members__)
+    return _JSON_NAMES.get(origin or ann) or (
+        "an object" if issubclass(ann, _Record) else f"a saved {ann.__name__}")
+
+
+@functools.cache
+def _spellings(fn) -> tuple[dict, frozenset]:
+    """Every key ``fn``'s arguments can be given under, mapped to
+    ``(argument, spelling, exact, convert)``, and the required arguments.
+    The arguments are the parameters that can be passed by keyword; the
+    positional-only ones (a handler's runner and actor) are not bound."""
+    hints = typing.get_type_hints(fn)
+    keys, required = {}, set()
+    for p in inspect.signature(fn).parameters.values():
+        if p.kind is not p.POSITIONAL_ONLY:
+            conv = _converter(hints[p.name])
+            keys[p.name] = (p.name, None, *conv)
+            keys[p.name + "_var"] = (p.name, "_var", *conv)
+            if bytes in conv[0]:
+                keys[p.name + "_hex"] = (p.name, "_hex", *conv)
+            if p.default is p.empty:
+                required.add(p.name)
+    return keys, frozenset(required)
+
+
+def _bind(fn, args, where: str, variables: dict | None = None) -> dict:
+    """The keyword arguments of ``fn`` that the JSON object ``args`` gives,
+    checked and converted (see the module docstring).  ``X_var`` keys are
+    only known when ``variables`` are."""
+    if type(args) is not dict:
+        raise ScriptError(f"{where} must be an object, got {args!r:.80}")
+    keys, required = _spellings(fn)
+    kwargs = {}
+    for key, value in args.items():
+        spec = keys.get(key)
+        if spec is None or variables is None and spec[1] == "_var":
+            raise ScriptError(f"{where}: unknown argument {key!r}")
+        name, spelling, exact, convert = spec
+        if name in kwargs:
+            raise ScriptError(f"{where}: argument {name!r} given twice")
+        if spelling == "_var":
+            if type(value) is not str or value not in variables:
+                raise ScriptError(f"{where} {key}: no saved value {value!r:.80}")
+            value = variables[value]
+        elif spelling == "_hex":
+            try:
+                value = bytes.fromhex(value)
+            except (TypeError, ValueError):
+                raise ScriptError(f"{where} {key} must be hex text, got {value!r:.80}") from None
+        if type(value) not in exact:
+            got = convert(value, f"{where} {key}")
+            if got is _NO:
+                want = _describe(typing.get_type_hints(fn)[name])
+                raise ScriptError(f"{where} {key} must be {want}, got {value!r:.80}")
+            value = got
+        kwargs[name] = value
+    if not required <= kwargs.keys():
+        raise ScriptError(f"{where}: missing {', '.join(sorted(required - kwargs.keys()))}")
+    return kwargs
+
+
+def _build(fn, args, where: str):
+    """``fn`` called with the arguments the JSON object ``args`` gives."""
+    return fn(**_bind(fn, args, where))
+
+
+class _Record:
+    """A scenario-file object: the binder builds it from a JSON object
+    whose keys are its fields, and ``to_dict`` gives them back in order."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     outcome: str  # ALLOWED | DETECTED | TERMINATED | DATA_MISMATCH | NO_TRAP
     detail: str | None = None
     at_step: int | None = None
 
-    def to_dict(self) -> dict:
-        return {"outcome": self.outcome, "detail": self.detail, "at_step": self.at_step}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Verdict":
-        return cls(d["outcome"], d.get("detail"), d.get("at_step"))
-
 
 @dataclass(frozen=True)
-class Actor:
+class Actor(_Record):
     name: str
-    kind: str  # one of ACTOR_KINDS
+    kind: Literal["OS", "HOST", "ENCLAVE", "PHYSICAL"]
     space: str | None = None
     handle_var: str | None = None
 
@@ -117,41 +234,18 @@ class Actor:
         """The privilege the actor's software runs at."""
         return PRV_S if self.kind == "OS" else PRV_U
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "space": self.space,
-                "handle_var": self.handle_var}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Actor":
-        d = _object(d, "an actor")
-        if d["kind"] not in ACTOR_KINDS:
-            raise ScriptError(f"actor kind must be one of {ACTOR_KINDS}, got {d['kind']!r}")
-        return cls(_text(d, "name", "actor"), d["kind"], _text(d, "space", "actor", False),
-                   _text(d, "handle_var", "actor", False))
-
 
 @dataclass(frozen=True)
-class Step:
+class Step(_Record):
     actor: str
     action: str
     args: dict = field(default_factory=dict)
     expect_trap: str | None = None
     save_as: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"actor": self.actor, "action": self.action, "args": self.args,
-                "expect_trap": self.expect_trap, "save_as": self.save_as}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Step":
-        d = _object(d, "a step")
-        return cls(_text(d, "actor", "step"), _text(d, "action", "step"),
-                   _object(d.get("args", {}), "step args"),
-                   _text(d, "expect_trap", "step", False), _text(d, "save_as", "step", False))
-
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     name: str
     actors: tuple[Actor, ...]
     steps: tuple[Step, ...]
@@ -169,13 +263,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        return cls(
-            name=_text(d, "name", "scenario"),
-            actors=tuple(Actor.from_dict(a) for a in d["actors"]),
-            steps=tuple(Step.from_dict(s) for s in d["steps"]),
-            expected=Verdict.from_dict(d["expected"]),
-            description=d.get("description", ""),
-        )
+        return _build(cls, d, "scenario")
 
 
 def load_scenarios(text: str) -> list[Scenario]:
@@ -193,21 +281,18 @@ def dump_scenarios(scenarios: list[Scenario]) -> str:
                       indent=2)
 
 
-def _page_type(d: dict) -> PageType:
-    """The page type ``d`` names (``"regular"``, ``"shm"``, ...)."""
-    return PageType[_text(d, "page_type", "step").upper()]
-
-
 def spawn_enclave(sm: SecurityMonitor, image: EnclaveImage, space: str, base: int,
                   ppn_start: int, stack_pages: int, meta_ppn: int, thread_ppn: int,
                   ppn_overrides: dict[int, int] | None = None) -> EnclaveHandle:
     """The OS maps the enclave region per the image descriptors, then the
     host creates the enclave.  Region page j (image pages, then the stack
     pages) maps to ``ppn_start + j`` unless ``ppn_overrides`` names j.  A
-    negative base is the invalid image :meth:`SecurityMonitor.ecreate`
-    would call it, refused before the OS maps anything."""
+    negative base, or more pages than the monitor can own, is refused as
+    :meth:`SecurityMonitor.ecreate` would refuse it, before the OS maps
+    anything."""
     if base < 0:
         raise InvalidImage(f"enclave region: base {base:#x} is negative")
+    check_capacity(image, stack_pages)
     machine = sm.machine
     overrides = ppn_overrides or {}
     for page in image.pages:
@@ -237,8 +322,24 @@ class _DataMismatch(Exception):
     pass
 
 
+class Snapshot(dict):
+    """Raw DRAM lines as ``snapshot_lines`` saved them, line index to
+    (ciphertext, tag): the only value ``restore_lines`` puts back."""
+
+
+def _page_ctx(*, page_type: PageType, perms: str, rsw: int | None = None,
+              sid: int | None = None) -> PageCtx:
+    """An ``emod`` ``old`` or ``new`` context."""
+    return PageCtx(page_type, perms_from_str(perms), rsw, sid)
+
+
 class ScenarioRunner:
-    """Executes one scenario on a fresh machine."""
+    """Executes one scenario on a fresh machine.
+
+    Each ``_act_<action>`` handler takes the runner and the acting actor
+    positionally; its keyword-only parameters are the action's arguments.
+    ``space`` defaults to the actor's address space and ``handle`` to the
+    value the actor's ``handle_var`` names."""
 
     def __init__(self, scenario: Scenario, seed: int = 0, fault_threshold: int = 3):
         self.scenario = scenario
@@ -252,36 +353,10 @@ class ScenarioRunner:
 
     # -- helpers --------------------------------------------------------------
 
-    def _var(self, name: str):
+    def _var(self, name: str | None):
         if name not in self.vars:
             raise ScriptError(f"undefined variable {name!r}")
         return self.vars[name]
-
-    def _data_arg(self, args: dict) -> bytes | None:
-        if "data" in args:
-            return str.encode(args["data"])  # a TypeError (script error) unless text
-        if "data_hex" in args:
-            return bytes.fromhex(args["data_hex"])
-        if "data_var" in args:
-            return self._var(args["data_var"])
-        return None
-
-    def _handle(self, args: dict, actor: Actor):
-        var = args.get("handle_var") or actor.handle_var
-        if var is None:
-            raise ScriptError("no enclave handle in scope")
-        return self._var(var)
-
-    def _check(self, args: dict, result: bytes) -> None:
-        expected = None
-        if "check" in args:
-            expected = str.encode(args["check"])
-        elif "check_hex" in args:
-            expected = bytes.fromhex(args["check_hex"])
-        elif "check_var" in args:
-            expected = self._var(args["check_var"])
-        if expected is not None and result != expected:
-            raise _DataMismatch(f"read {result!r}, expected {expected!r}")
 
     def _gate_actor(self, actor: Actor, action: str) -> None:
         active = self.machine.active_enclave
@@ -301,126 +376,120 @@ class ScenarioRunner:
 
     # -- actions ---------------------------------------------------------------
 
-    def _act_access(self, actor: Actor, args: dict):
-        data = self._data_arg(args)
-        kind = AccessKind[args.get("kind", "WRITE" if data is not None else "READ")]
-        space = args.get("space") or actor.space
-        result = self.machine.access(space, args["va"], kind, actor.prv,
-                                     data=data, size=args.get("size", 1))
-        self._check(args, result)
+    def _act_access(self, actor: Actor, /, *, va: int, kind: AccessKind | None = None,
+                    size: int = 1, data: bytes | None = None, check: bytes | None = None,
+                    space: str | None = None):
+        if kind is None:
+            kind = AccessKind.READ if data is None else AccessKind.WRITE
+        result = self.machine.access(space or actor.space, va, kind, actor.prv,
+                                     data=data, size=size)
+        if check is not None and result != check:
+            raise _DataMismatch(f"read {result!r}, expected {check!r}")
         return result
 
-    def _act_map_page(self, actor: Actor, args: dict):
-        ppn = args["ppn"] if "ppn" in args else self._var(args["ppn_var"])
-        self.machine.map_page(actor.prv, args.get("space") or actor.space, args["va"],
-                              ppn, args.get("perms", "rw"), args.get("rsw", 0))
+    def _act_map_page(self, actor: Actor, /, *, va: int, ppn: int, perms: str = "rw",
+                      rsw: int = 0, space: str | None = None):
+        self.machine.map_page(actor.prv, space or actor.space, va, ppn, perms, rsw)
 
-    def _act_unmap_page(self, actor: Actor, args: dict):
-        self.machine.unmap_page(actor.prv, args.get("space") or actor.space, args["va"])
+    def _act_unmap_page(self, actor: Actor, /, *, va: int, space: str | None = None):
+        self.machine.unmap_page(actor.prv, space or actor.space, va)
 
-    def _act_write_csr(self, actor: Actor, args: dict):
-        value = args["value"]
+    def _act_write_csr(self, actor: Actor, /, *, name: str, value: int | list):
         if isinstance(value, list):
             base, size, enabled = value
             value = RangeReg(base, size, bool(enabled))
-        self.machine.write_csr(actor.prv, args["name"], value)
+        self.machine.write_csr(actor.prv, name, value)
 
-    def _act_build_image(self, actor: Actor, args: dict):
-        return image_from_manifest(args["image"])
+    def _act_build_image(self, actor: Actor, /, *, image: dict):
+        return image_from_manifest(image)
 
-    def _act_spawn_enclave(self, actor: Actor, args: dict):
-        image = (self._var(args["image_var"]) if "image_var" in args
-                 else image_from_manifest(args["image"]))
-        if not isinstance(image, EnclaveImage):
-            raise ScriptError("spawn_enclave needs a parsed image; map pages "
-                              "and use ecreate for wrapped byte images")
-        overrides = _int_keyed(args, "page_ppn_overrides")
-        return spawn_enclave(self.sm, image, args.get("space") or actor.space, args["base"],
-                             args["ppn_start"], args.get("stack_pages", 1),
-                             args["meta_ppn"], args["thread_ppn"], overrides)
+    def _act_spawn_enclave(self, actor: Actor, /, *, image: dict | EnclaveImage, base: int,
+                           ppn_start: int, meta_ppn: int, thread_ppn: int,
+                           stack_pages: int = 1,
+                           page_ppn_overrides: dict[int, int] | None = None,
+                           space: str | None = None):
+        if isinstance(image, dict):
+            image = image_from_manifest(image)
+        return spawn_enclave(self.sm, image, space or actor.space, base, ppn_start,
+                             stack_pages, meta_ppn, thread_ppn, page_ppn_overrides)
 
-    def _act_ecreate(self, actor: Actor, args: dict):
-        image = self._var(args["image_var"])
-        return self.sm.ecreate(args.get("space") or actor.space, image, args["base"],
-                               args.get("stack_pages", 1), args["meta_ppn"],
-                               args["thread_ppn"])
+    def _act_ecreate(self, actor: Actor, /, *, image: EnclaveImage | bytes, base: int,
+                     meta_ppn: int, thread_ppn: int, stack_pages: int = 1,
+                     space: str | None = None):
+        return self.sm.ecreate(space or actor.space, image, base, stack_pages, meta_ppn,
+                               thread_ppn)
 
-    def _act_eenter(self, actor: Actor, args: dict):
-        self.sm.eenter(self._handle(args, actor), _int_keyed(args, "args"))
+    def _act_eenter(self, actor: Actor, /, *, handle: EnclaveHandle | None = None,
+                    args: dict[int, int] | None = None):
+        self.sm.eenter(handle or self._var(actor.handle_var), args)
 
-    def _act_eexit(self, actor: Actor, args: dict):
-        self.sm.eexit(_int_keyed(args, "returns"))
+    def _act_eexit(self, actor: Actor, /, *, returns: dict[int, int] | None = None):
+        self.sm.eexit(returns)
 
-    def _act_interrupt(self, actor: Actor, args: dict):
+    def _act_interrupt(self, actor: Actor, /):
         self.sm.interrupt()
 
-    def _act_eprepare(self, actor: Actor, args: dict):
-        self.sm.eprepare(args["va"], _page_type(args),
-                         perms_from_str(args["perms"]), args.get("rsw"))
+    def _act_eprepare(self, actor: Actor, /, *, va: int, page_type: PageType, perms: str,
+                      rsw: int | None = None):
+        self.sm.eprepare(va, page_type, perms_from_str(perms), rsw)
 
-    def _act_edestroy(self, actor: Actor, args: dict):
-        self.sm.edestroy(args["va"])
+    def _act_edestroy(self, actor: Actor, /, *, va: int):
+        self.sm.edestroy(va)
 
-    def _act_emod(self, actor: Actor, args: dict):
-        def ctx(d: dict) -> PageCtx:
-            return PageCtx(_page_type(d), perms_from_str(d["perms"]),
-                           d.get("rsw"), d.get("sid"))
+    def _act_emod(self, actor: Actor, /, *, va: int, old: dict, new: dict):
+        self.sm.emod(va, _build(_page_ctx, old, "emod old"), _build(_page_ctx, new, "emod new"))
 
-        self.sm.emod(args["va"], ctx(args["old"]), ctx(args["new"]))
-
-    def _act_egetsealkey(self, actor: Actor, args: dict):
+    def _act_egetsealkey(self, actor: Actor, /):
         return self.sm.egetsealkey()
 
-    def _act_swap_out(self, actor: Actor, args: dict):
-        return self.sm.swap_out(self._handle(args, actor), args["va"], args["temp_ppn"])
+    def _act_swap_out(self, actor: Actor, /, *, va: int, temp_ppn: int,
+                      handle: EnclaveHandle | None = None):
+        return self.sm.swap_out(handle or self._var(actor.handle_var), va, temp_ppn)
 
-    def _act_swap_in(self, actor: Actor, args: dict):
-        self.sm.swap_in(self._handle(args, actor), args["va"],
-                        self._var(args["sealed_var"]))
+    def _act_swap_in(self, actor: Actor, /, *, va: int, sealed: bytes,
+                     handle: EnclaveHandle | None = None):
+        self.sm.swap_in(handle or self._var(actor.handle_var), va, sealed)
 
-    def _act_snapshot_lines(self, actor: Actor, args: dict):
-        lines = args.get("lines")
+    def _act_snapshot_lines(self, actor: Actor, /, *, lines: list[int] | None = None,
+                            page_ppn: int | None = None):
+        if (lines is None) == (page_ppn is None):
+            raise ScriptError("snapshot_lines takes one of lines and page_ppn")
         if lines is None:
-            base = args["page_ppn"] * PAGE // 64
+            base = page_ppn * PAGE // 64
             lines = range(base, base + 64)
-        return self.machine.phys_snapshot(lines)
+        return Snapshot(self.machine.phys_snapshot(lines))
 
-    def _act_restore_lines(self, actor: Actor, args: dict):
-        snapshot = self._var(args["snapshot_var"])
-        if not isinstance(snapshot, dict):
-            raise ScriptError(f"{args['snapshot_var']!r} is not a snapshot_lines result")
+    def _act_restore_lines(self, actor: Actor, /, *, snapshot: Snapshot):
         self.machine.phys_restore(snapshot)
 
-    def _act_flip_bit(self, actor: Actor, args: dict):
-        self.machine.phys_flip_bit(args["line"], args["bit"],
-                                   args.get("target", "ciphertext"))
+    def _act_flip_bit(self, actor: Actor, /, *, line: int, bit: int, target: str = "ciphertext"):
+        self.machine.phys_flip_bit(line, bit, target)
 
-    def _act_set_reg(self, actor: Actor, args: dict):
-        self.machine.set_reg(args["reg"], args["value"])
+    def _act_set_reg(self, actor: Actor, /, *, reg: int, value: int):
+        self.machine.set_reg(reg, value)
 
-    def _act_check_reg(self, actor: Actor, args: dict):
-        value = self.machine.get_reg(args["reg"])
-        if value != args["equals"]:
-            raise _DataMismatch(f"reg x{args['reg']} == {value}, expected {args['equals']}")
+    def _act_check_reg(self, actor: Actor, /, *, reg: int, equals: int):
+        value = self.machine.get_reg(reg)
+        if value != equals:
+            raise _DataMismatch(f"reg x{reg} == {value}, expected {equals}")
 
-    def _act_check_data(self, actor: Actor, args: dict):
-        left = self._var(args["var"])
-        right = self._var(args["equals_var"]) if "equals_var" in args else \
-            str.encode(args["equals"])
-        if left != right:
-            raise _DataMismatch(f"{left!r} != {right!r}")
+    def _act_check_data(self, actor: Actor, /, *, var: str, equals: bytes):
+        left = self._var(var)
+        if left != equals:
+            raise _DataMismatch(f"{left!r} != {equals!r}")
 
     # -- execution ---------------------------------------------------------------
 
     def _exec(self, step: Step):
         actor = self.actors[step.actor]
         self._gate_actor(actor, step.action)
-        method = getattr(self, f"_act_{step.action}", None)
-        if method is None:
+        handler = ACTIONS.get(step.action)
+        if handler is None:
             raise ScriptError(f"unknown action {step.action!r}")
+        kwargs = _bind(handler, step.args, step.action, self.vars)
         try:
-            return method(actor, step.args)
-        except (KeyError, TypeError, ValueError) as exc:
+            return handler(self, actor, **kwargs)
+        except ValueError as exc:  # an out-of-range value the machine or monitor refused
             raise ScriptError(f"bad args for {step.action}: {exc}") from exc
 
     def run(self) -> Verdict:
@@ -444,6 +513,11 @@ class ScenarioRunner:
         return Verdict("ALLOWED", None, len(self.scenario.steps) - 1)
 
 
+# Every scenario action, by name: the ``_act_*`` handlers.
+ACTIONS = {name[len("_act_"):]: fn for name, fn in vars(ScenarioRunner).items()
+           if name.startswith("_act_")}
+
+
 def run_scenario(scenario: Scenario, seed: int = 0, fault_threshold: int = 3) -> Verdict:
     """Execute one scenario on a fresh machine and return what happened."""
     return ScenarioRunner(scenario, seed, fault_threshold).run()
@@ -463,6 +537,13 @@ _A_DATA = _A_BASE + PAGE
 _CODE_FILL = "1300000093080000"  # recognizable instruction-ish pattern
 
 
+def _do(actor: str, action: str, *, expect_trap: str | None = None,
+        save_as: str | None = None, **args) -> dict:
+    """One step: ``actor`` does ``action`` with ``args``."""
+    return {"actor": actor, "action": action, "args": args, "expect_trap": expect_trap,
+            "save_as": save_as}
+
+
 def _std_image(n_data: int = 1, fill: str = _CODE_FILL) -> dict:
     pages = [{"index": 0, "perms": "rx", "type": "shenclave", "fill": fill}]
     for j in range(n_data):
@@ -473,12 +554,9 @@ def _std_image(n_data: int = 1, fill: str = _CODE_FILL) -> dict:
 def _spawn(actor: str, save_as: str, base: int = _A_BASE, ppn_start: int = 0x100,
            meta_ppn: int = 0x200, thread_ppn: int = 0x201, image: dict | None = None,
            **extra) -> dict:
-    return {
-        "actor": actor, "action": "spawn_enclave", "save_as": save_as,
-        "args": {"image": image or _std_image(), "base": base, "ppn_start": ppn_start,
-                 "stack_pages": 1, "meta_ppn": meta_ppn, "thread_ppn": thread_ppn,
-                 **extra},
-    }
+    return _do(actor, "spawn_enclave", save_as=save_as, image=image or _std_image(), base=base,
+               ppn_start=ppn_start, stack_pages=1, meta_ppn=meta_ppn, thread_ppn=thread_ppn,
+               **extra)
 
 
 def _scenario(name: str, description: str, actors: list[dict], steps: list[dict],
@@ -509,14 +587,11 @@ def _scn_os_read_enclave() -> Scenario:
         [_OS, _HOST_A, _ENCLAVE_A],
         [
             _spawn("host", "hA"),
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-            {"actor": "A", "action": "access",
-             "args": {"va": _A_DATA, "data": secret}},
-            {"actor": "A", "action": "eexit", "args": {}},
-            {"actor": "os", "action": "map_page",
-             "args": {"va": 0x101 * PAGE, "ppn": 0x101, "perms": "rw"}},
-            {"actor": "os", "action": "access",
-             "args": {"va": 0x101 * PAGE, "kind": "READ", "size": len(secret)}},
+            _do("host", "eenter", handle_var="hA"),
+            _do("A", "access", va=_A_DATA, data=secret),
+            _do("A", "eexit"),
+            _do("os", "map_page", va=0x101 * PAGE, ppn=0x101, perms="rw"),
+            _do("os", "access", va=0x101 * PAGE, kind="READ", size=len(secret)),
         ],
         "DETECTED", "AUTH",
     )
@@ -531,16 +606,11 @@ def _scn_downgrade() -> Scenario:
         [_OS, _HOST_A, _ENCLAVE_A],
         [
             _spawn("host", "hA"),
-            {"actor": "os", "action": "map_page",
-             "args": {"va": 0x300 * PAGE, "ppn": 0x300, "perms": "rw"}},
-            {"actor": "os", "action": "access",
-             "args": {"va": 0x300 * PAGE, "data_hex": "00" * 64}},
-            {"actor": "os", "action": "map_page",
-             "args": {"space": "host", "va": _A_DATA, "ppn": 0x300,
-                      "perms": "rwu", "rsw": 1}},
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-            {"actor": "A", "action": "access",
-             "args": {"va": _A_DATA, "data": "leak-me-please!!"}},
+            _do("os", "map_page", va=0x300 * PAGE, ppn=0x300, perms="rw"),
+            _do("os", "access", va=0x300 * PAGE, data_hex="00" * 64),
+            _do("os", "map_page", space="host", va=_A_DATA, ppn=0x300, perms="rwu", rsw=1),
+            _do("host", "eenter", handle_var="hA"),
+            _do("A", "access", va=_A_DATA, data="leak-me-please!!"),
         ],
         "DETECTED", "AUTH",
     )
@@ -554,21 +624,15 @@ def _scn_remap() -> Scenario:
         [_OS, _HOST_A, _ENCLAVE_A],
         [
             _spawn("host", "hA", image=_std_image(n_data=2)),
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-            {"actor": "A", "action": "access",
-             "args": {"va": _A_BASE + PAGE, "data": "AAAA"}},
-            {"actor": "A", "action": "access",
-             "args": {"va": _A_BASE + 2 * PAGE, "data": "BBBB"}},
-            {"actor": "A", "action": "eexit", "args": {}},
-            {"actor": "os", "action": "map_page",
-             "args": {"space": "host", "va": _A_BASE + PAGE, "ppn": 0x102,
-                      "perms": "rwu", "rsw": 1}},
-            {"actor": "os", "action": "map_page",
-             "args": {"space": "host", "va": _A_BASE + 2 * PAGE, "ppn": 0x101,
-                      "perms": "rwu", "rsw": 1}},
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-            {"actor": "A", "action": "access",
-             "args": {"va": _A_BASE + PAGE, "kind": "READ", "size": 4}},
+            _do("host", "eenter", handle_var="hA"),
+            _do("A", "access", va=_A_BASE + PAGE, data="AAAA"),
+            _do("A", "access", va=_A_BASE + 2 * PAGE, data="BBBB"),
+            _do("A", "eexit"),
+            _do("os", "map_page", space="host", va=_A_BASE + PAGE, ppn=0x102, perms="rwu", rsw=1),
+            _do("os", "map_page", space="host", va=_A_BASE + 2 * PAGE, ppn=0x101, perms="rwu",
+                rsw=1),
+            _do("host", "eenter", handle_var="hA"),
+            _do("A", "access", va=_A_BASE + PAGE, kind="READ", size=4),
         ],
         "DETECTED", "AUTH",
     )
@@ -582,16 +646,12 @@ def _scn_perm_flip() -> Scenario:
         [_OS, _HOST_A, _ENCLAVE_A],
         [
             _spawn("host", "hA"),
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-            {"actor": "A", "action": "access",
-             "args": {"va": _A_DATA, "data": "shellcode-bytes="}},
-            {"actor": "A", "action": "eexit", "args": {}},
-            {"actor": "os", "action": "map_page",
-             "args": {"space": "host", "va": _A_DATA, "ppn": 0x101,
-                      "perms": "rwxu", "rsw": 1}},
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-            {"actor": "A", "action": "access",
-             "args": {"va": _A_DATA, "kind": "FETCH", "size": 4}},
+            _do("host", "eenter", handle_var="hA"),
+            _do("A", "access", va=_A_DATA, data="shellcode-bytes="),
+            _do("A", "eexit"),
+            _do("os", "map_page", space="host", va=_A_DATA, ppn=0x101, perms="rwxu", rsw=1),
+            _do("host", "eenter", handle_var="hA"),
+            _do("A", "access", va=_A_DATA, kind="FETCH", size=4),
         ],
         "DETECTED", "AUTH",
     )
@@ -606,14 +666,12 @@ def _scn_physical_replay() -> Scenario:
         [_OS, _HOST_A, _ENCLAVE_A, _PHYS],
         [
             _spawn("host", "hA"),
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-            {"actor": "A", "action": "access", "args": {"va": _A_DATA, "data": "balance=100.00$$"}},
-            {"actor": "phys", "action": "snapshot_lines", "save_as": "old",
-             "args": {"lines": [line]}},
-            {"actor": "A", "action": "access", "args": {"va": _A_DATA, "data": "balance=000.13$$"}},
-            {"actor": "phys", "action": "restore_lines", "args": {"snapshot_var": "old"}},
-            {"actor": "A", "action": "access",
-             "args": {"va": _A_DATA, "kind": "READ", "size": 16}},
+            _do("host", "eenter", handle_var="hA"),
+            _do("A", "access", va=_A_DATA, data="balance=100.00$$"),
+            _do("phys", "snapshot_lines", save_as="old", lines=[line]),
+            _do("A", "access", va=_A_DATA, data="balance=000.13$$"),
+            _do("phys", "restore_lines", snapshot_var="old"),
+            _do("A", "access", va=_A_DATA, kind="READ", size=16),
         ],
         "DETECTED", "AUTH",
     )
@@ -628,22 +686,17 @@ def _scn_dram_duplicate() -> Scenario:
         [_OS, _HOST_A, _ENCLAVE_A, _PHYS],
         [
             _spawn("host", "hA"),
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-            {"actor": "A", "action": "access", "args": {"va": _A_DATA, "data": "generation-one.."}},
-            {"actor": "phys", "action": "snapshot_lines", "save_as": "copyA",
-             "args": {"page_ppn": 0x101}},
-            {"actor": "A", "action": "access", "args": {"va": _A_DATA, "data": "generation-two.."}},
-            {"actor": "phys", "action": "snapshot_lines", "save_as": "copyB",
-             "args": {"page_ppn": 0x101}},
-            {"actor": "phys", "action": "restore_lines", "args": {"snapshot_var": "copyA"}},
-            {"actor": "A", "action": "access", "expect_trap": "AUTH",
-             "args": {"va": _A_DATA, "kind": "READ", "size": 16}},
-            {"actor": "phys", "action": "restore_lines", "args": {"snapshot_var": "copyB"}},
-            {"actor": "A", "action": "access",
-             "args": {"va": _A_DATA, "kind": "READ", "size": 16, "check": "generation-two.."}},
-            {"actor": "phys", "action": "restore_lines", "args": {"snapshot_var": "copyA"}},
-            {"actor": "A", "action": "access",
-             "args": {"va": _A_DATA, "kind": "READ", "size": 16}},
+            _do("host", "eenter", handle_var="hA"),
+            _do("A", "access", va=_A_DATA, data="generation-one.."),
+            _do("phys", "snapshot_lines", save_as="copyA", page_ppn=0x101),
+            _do("A", "access", va=_A_DATA, data="generation-two.."),
+            _do("phys", "snapshot_lines", save_as="copyB", page_ppn=0x101),
+            _do("phys", "restore_lines", snapshot_var="copyA"),
+            _do("A", "access", expect_trap="AUTH", va=_A_DATA, kind="READ", size=16),
+            _do("phys", "restore_lines", snapshot_var="copyB"),
+            _do("A", "access", va=_A_DATA, kind="READ", size=16, check="generation-two.."),
+            _do("phys", "restore_lines", snapshot_var="copyA"),
+            _do("A", "access", va=_A_DATA, kind="READ", size=16),
         ],
         "DETECTED", "AUTH",
     )
@@ -657,14 +710,10 @@ def _scn_swap_replay() -> Scenario:
         [_OS, _HOST_A, _ENCLAVE_A],
         [
             _spawn("host", "hA"),
-            {"actor": "os", "action": "swap_out", "save_as": "sealed1",
-             "args": {"handle_var": "hA", "va": _A_DATA, "temp_ppn": 0x400}},
-            {"actor": "os", "action": "swap_in",
-             "args": {"handle_var": "hA", "va": _A_DATA, "sealed_var": "sealed1"}},
-            {"actor": "os", "action": "swap_out", "save_as": "sealed2",
-             "args": {"handle_var": "hA", "va": _A_DATA, "temp_ppn": 0x400}},
-            {"actor": "os", "action": "swap_in",
-             "args": {"handle_var": "hA", "va": _A_DATA, "sealed_var": "sealed1"}},
+            _do("os", "swap_out", save_as="sealed1", handle_var="hA", va=_A_DATA, temp_ppn=0x400),
+            _do("os", "swap_in", handle_var="hA", va=_A_DATA, sealed_var="sealed1"),
+            _do("os", "swap_out", save_as="sealed2", handle_var="hA", va=_A_DATA, temp_ppn=0x400),
+            _do("os", "swap_in", handle_var="hA", va=_A_DATA, sealed_var="sealed1"),
         ],
         "DETECTED", "SwapAuthFailure",
     )
@@ -678,14 +727,12 @@ def _scn_swap_double_copy() -> Scenario:
         [_OS, _HOST_A, _ENCLAVE_A],
         [
             _spawn("host", "hA"),
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-            {"actor": "A", "action": "access", "args": {"va": _A_DATA, "data": "keep-me-resident"}},
-            {"actor": "A", "action": "eexit", "args": {}},
-            {"actor": "os", "action": "swap_out", "save_as": "sealed",
-             "args": {"handle_var": "hA", "va": _A_DATA, "temp_ppn": 0x400}},
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-            {"actor": "A", "action": "access",
-             "args": {"va": _A_DATA, "kind": "READ", "size": 16}},
+            _do("host", "eenter", handle_var="hA"),
+            _do("A", "access", va=_A_DATA, data="keep-me-resident"),
+            _do("A", "eexit"),
+            _do("os", "swap_out", save_as="sealed", handle_var="hA", va=_A_DATA, temp_ppn=0x400),
+            _do("host", "eenter", handle_var="hA"),
+            _do("A", "access", va=_A_DATA, kind="READ", size=16),
         ],
         "DETECTED", "AUTH",
     )
@@ -702,36 +749,26 @@ def _shm_world(secret0: int, secret1: int) -> list[dict]:
         _spawn("host", "hB", base=_B_BASE, ppn_start=0x110,
                meta_ppn=0x210, thread_ppn=0x211,
                image=_std_image(fill="9300000013000000")),
-        {"actor": "os", "action": "map_page",
-         "args": {"space": "host", "va": _SHM_A_VA, "ppn": 0x180,
-                  "perms": "rwu", "rsw": 3}},
-        {"actor": "os", "action": "map_page",
-         "args": {"space": "host", "va": _SHM_B_VA, "ppn": 0x180,
-                  "perms": "rwu", "rsw": 3}},
-        {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-        {"actor": "A", "action": "write_csr",
-         "args": {"name": "urange", "value": [_SHM_A_VA, PAGE, True]}},
-        {"actor": "A", "action": "write_csr", "args": {"name": "usid0", "value": secret0}},
-        {"actor": "A", "action": "write_csr", "args": {"name": "usid1", "value": secret1}},
-        {"actor": "A", "action": "eprepare",
-         "args": {"va": _SHM_A_VA, "page_type": "shm", "perms": "rwu"}},
-        {"actor": "A", "action": "access",
-         "args": {"va": _SHM_A_VA, "data": "cross-enclave-msg"}},
-        {"actor": "A", "action": "eexit", "args": {}},
-        {"actor": "host", "action": "eenter", "args": {"handle_var": "hB"}},
-        {"actor": "B", "action": "write_csr",
-         "args": {"name": "urange", "value": [_SHM_B_VA, PAGE, True]}},
+        _do("os", "map_page", space="host", va=_SHM_A_VA, ppn=0x180, perms="rwu", rsw=3),
+        _do("os", "map_page", space="host", va=_SHM_B_VA, ppn=0x180, perms="rwu", rsw=3),
+        _do("host", "eenter", handle_var="hA"),
+        _do("A", "write_csr", name="urange", value=[_SHM_A_VA, PAGE, True]),
+        _do("A", "write_csr", name="usid0", value=secret0),
+        _do("A", "write_csr", name="usid1", value=secret1),
+        _do("A", "eprepare", va=_SHM_A_VA, page_type="shm", perms="rwu"),
+        _do("A", "access", va=_SHM_A_VA, data="cross-enclave-msg"),
+        _do("A", "eexit"),
+        _do("host", "eenter", handle_var="hB"),
+        _do("B", "write_csr", name="urange", value=[_SHM_B_VA, PAGE, True]),
     ]
 
 
 def _scn_shm_happy_path() -> Scenario:
     steps = _shm_world(0x1111, 0x2222) + [
-        {"actor": "B", "action": "write_csr", "args": {"name": "usid0", "value": 0x1111}},
-        {"actor": "B", "action": "write_csr", "args": {"name": "usid1", "value": 0x2222}},
-        {"actor": "B", "action": "access",
-         "args": {"va": _SHM_B_VA, "kind": "READ", "size": 17,
-                  "check": "cross-enclave-msg"}},
-        {"actor": "B", "action": "eexit", "args": {}},
+        _do("B", "write_csr", name="usid0", value=0x1111),
+        _do("B", "write_csr", name="usid1", value=0x2222),
+        _do("B", "access", va=_SHM_B_VA, kind="READ", size=17, check="cross-enclave-msg"),
+        _do("B", "eexit"),
     ]
     return _scenario(
         "shm-happy-path",
@@ -743,10 +780,9 @@ def _scn_shm_happy_path() -> Scenario:
 
 def _scn_shm_wrong_key() -> Scenario:
     steps = _shm_world(0x1111, 0x2222) + [
-        {"actor": "B", "action": "write_csr", "args": {"name": "usid0", "value": 0xBAD}},
-        {"actor": "B", "action": "write_csr", "args": {"name": "usid1", "value": 0x2222}},
-        {"actor": "B", "action": "access",
-         "args": {"va": _SHM_B_VA, "kind": "READ", "size": 17}},
+        _do("B", "write_csr", name="usid0", value=0xBAD),
+        _do("B", "write_csr", name="usid1", value=0x2222),
+        _do("B", "access", va=_SHM_B_VA, kind="READ", size=17),
     ]
     return _scenario(
         "shm-wrong-key",
@@ -759,11 +795,9 @@ def _scn_shm_wrong_key() -> Scenario:
 def _scn_shm_brute_force() -> Scenario:
     steps = _shm_world(0x1111, 0x2222)
     for i, guess in enumerate((0xDEAD0, 0xDEAD1, 0xDEAD2)):
-        steps.append({"actor": "B", "action": "write_csr",
-                      "args": {"name": "usid0", "value": guess}})
-        steps.append({"actor": "B", "action": "access",
-                      "expect_trap": "AUTH" if i < 2 else None,
-                      "args": {"va": _SHM_B_VA, "kind": "READ", "size": 17}})
+        steps.append(_do("B", "write_csr", name="usid0", value=guess))
+        steps.append(_do("B", "access", expect_trap="AUTH" if i < 2 else None, va=_SHM_B_VA,
+                         kind="READ", size=17))
     return _scenario(
         "shm-brute-force",
         "A rogue enclave probes shared-memory keys; the monitor's fault "
@@ -780,16 +814,11 @@ def _scn_encid_brute_force() -> Scenario:
                image=_std_image(fill="ffff0000eeee0000")),
         # map the victim's deduplicated code page into the attacker's range
         # at the same relative offset
-        {"actor": "os", "action": "map_page",
-         "args": {"space": "host", "va": _B_BASE, "ppn": 0x100,
-                  "perms": "rxu", "rsw": 2}},
-        {"actor": "host", "action": "eenter", "args": {"handle_var": "hX"}},
-        {"actor": "X", "action": "access", "expect_trap": "AUTH",
-         "args": {"va": _B_BASE, "kind": "READ", "size": 8}},
-        {"actor": "X", "action": "access", "expect_trap": "AUTH",
-         "args": {"va": _B_BASE, "kind": "READ", "size": 8}},
-        {"actor": "X", "action": "access",
-         "args": {"va": _B_BASE, "kind": "READ", "size": 8}},
+        _do("os", "map_page", space="host", va=_B_BASE, ppn=0x100, perms="rxu", rsw=2),
+        _do("host", "eenter", handle_var="hX"),
+        _do("X", "access", expect_trap="AUTH", va=_B_BASE, kind="READ", size=8),
+        _do("X", "access", expect_trap="AUTH", va=_B_BASE, kind="READ", size=8),
+        _do("X", "access", va=_B_BASE, kind="READ", size=8),
     ]
     return _scenario(
         "encid-brute-force",
@@ -812,15 +841,11 @@ def _scn_privilege_separation() -> Scenario:
         "separation straight from the tweak.",
         [_OS, _HOST_A],
         [
-            {"actor": "os", "action": "map_page",
-             "args": {"va": va, "ppn": 0x500, "perms": "rwu"}},
-            {"actor": "os", "action": "map_page",
-             "args": {"space": "host", "va": va, "ppn": 0x500, "perms": "rwu"}},
-            {"actor": "os", "action": "access", "args": {"va": va, "data": secret}},
-            {"actor": "os", "action": "access",
-             "args": {"va": va, "kind": "READ", "size": 16, "check": secret}},
-            {"actor": "host", "action": "access",
-             "args": {"va": va, "kind": "READ", "size": 16}},
+            _do("os", "map_page", va=va, ppn=0x500, perms="rwu"),
+            _do("os", "map_page", space="host", va=va, ppn=0x500, perms="rwu"),
+            _do("os", "access", va=va, data=secret),
+            _do("os", "access", va=va, kind="READ", size=16, check=secret),
+            _do("host", "access", va=va, kind="READ", size=16),
         ],
         "DETECTED", "AUTH",
     )
@@ -840,16 +865,14 @@ def _scn_code_dedup() -> Scenario:
             _spawn("host", "hA2", base=_B_BASE, ppn_start=0x110,
                    meta_ppn=0x210, thread_ppn=0x211,
                    page_ppn_overrides={"0": 0x100}),
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}},
-            {"actor": "A", "action": "access", "args": {"va": _A_BASE, **code_check}},
-            {"actor": "A", "action": "access", "args": {"va": _A_DATA, "data": "instance-1-data!"}},
-            {"actor": "A", "action": "eexit", "args": {}},
-            {"actor": "host", "action": "eenter", "args": {"handle_var": "hA2"}},
-            {"actor": "A2", "action": "access", "args": {"va": _B_BASE, **code_check}},
-            {"actor": "A2", "action": "access",
-             "args": {"va": _B_BASE + PAGE, "kind": "READ", "size": 16,
-                      "check_hex": "00" * 16}},
-            {"actor": "A2", "action": "eexit", "args": {}},
+            _do("host", "eenter", handle_var="hA"),
+            _do("A", "access", va=_A_BASE, **code_check),
+            _do("A", "access", va=_A_DATA, data="instance-1-data!"),
+            _do("A", "eexit"),
+            _do("host", "eenter", handle_var="hA2"),
+            _do("A2", "access", va=_B_BASE, **code_check),
+            _do("A2", "access", va=_B_BASE + PAGE, kind="READ", size=16, check_hex="00" * 16),
+            _do("A2", "eexit"),
         ],
         "ALLOWED",
     )
@@ -877,10 +900,12 @@ def builtin_suite() -> list[Scenario]:
 
 
 __all__ = [
+    "ACTIONS",
     "Actor",
     "Scenario",
     "ScenarioRunner",
     "ScriptError",
+    "Snapshot",
     "Step",
     "Verdict",
     "builtin_suite",

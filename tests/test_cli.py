@@ -271,7 +271,11 @@ def _page_type(value):
     (_page_type("secret"), 4096),
     (_page_type(2), 4096),
     (lambda m: None, 4097),  # a file longer than a page
-], ids=["no-pages", "pages-not-a-list", "unknown-type", "type-not-text", "oversized-file"])
+    (lambda m: m.update(developer_id=5), 4096),
+    (lambda m: m.update(pages="abc"), 4096),
+    (lambda m: m["pages"][0].update(index=-1), 4096),
+], ids=["no-pages", "pages-not-a-list", "unknown-type", "type-not-text", "oversized-file",
+        "developer-id-not-text", "pages-text", "negative-index"])
 def test_malformed_manifest_exits_two(tmp_path, capsys, mutate, body_len):
     manifest = {"entry_offset": 0, "developer_id": "acme-dev",
                 "pages": [{"index": 0, "perms": "rx", "type": "shenclave", "file": "code.bin"}]}
@@ -401,9 +405,13 @@ def _edited(edit):
     _edited(lambda s: s["steps"][0].update(save_as=["hA"])),
     _edited(lambda s: s["actors"][0].update(kind="ROOT")),
     _edited(lambda s: s.update(name=5)),
+    _edited(lambda s: s["steps"][0]["args"]["image"].update(developer_id=5)),
+    _edited(lambda s: s["steps"][0]["args"]["image"].update(pages="abc")),
+    _edited(lambda s: s["steps"][0].update(arg={})),
 ], ids=["eenter-args-list", "eenter-args-text", "eexit-returns-list", "overrides-list",
         "step-not-an-object", "actor-list", "save-as-list", "unknown-actor-kind",
-        "scenario-name-not-text"])
+        "scenario-name-not-text", "manifest-developer-id-not-text", "manifest-pages-text",
+        "unknown-step-key"])
 def test_malformed_scenario_input_is_an_error_not_a_traceback(tmp_path, doc):
     """Each malformed input makes the CLI process exit 2 with an ``error:``
     line, never a traceback or a run under a made-up actor kind."""

@@ -72,6 +72,20 @@ def test_duplicate_page_index_rejected():
         image.validate()
 
 
+@pytest.mark.parametrize("extra, entry_offset", [
+    ((-5, "rw", ImagePageType.REGULAR, b""), 0x40),
+    ((1 << 32, "rw", ImagePageType.REGULAR, b""), 0x40),
+    ((1 << 20, "rx", ImagePageType.SHENCLAVE, b""), 1 << 32),  # an entry page exists
+], ids=["negative-index", "index-past-32-bits", "entry-past-32-bits"])
+def test_fields_the_container_cannot_hold_are_invalid(extra, entry_offset):
+    """Refused by ``validate``, so before packing, not as a struct error."""
+    image = _image()
+    image.entry_offset = entry_offset
+    image.pages.append(build_image([extra]).pages[0])
+    with pytest.raises(InvalidImage):
+        image.pack()
+
+
 def test_rsw_must_match_page_type():
     page = ImagePage(0, {"r": True, "w": False, "x": True, "u": True, "g": False},
                      ImagePageType.SHENCLAVE, bytes(4096), rsw=0b01)

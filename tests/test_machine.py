@@ -203,6 +203,19 @@ def test_csr_bad_range_rejected(m, value, error):
         assert m.read_csr(PRV_M, name) == before
 
 
+@pytest.mark.parametrize("name, value", [
+    ("urange", 5), ("srange", "x"), ("usid0", RangeReg(0, 64, True)), ("msid1", [1, 2]),
+    ("ssid0", 2.5),
+])
+def test_csr_value_of_the_wrong_kind_rejected(m, name, value):
+    """A range CSR takes a range (or its three fields), a sid CSR an
+    integer; anything else is a ValueError before the CSR changes."""
+    before = m.read_csr(PRV_M, name)
+    with pytest.raises(ValueError):
+        m.write_csr(PRV_M, name, value)
+    assert m.read_csr(PRV_M, name) == before
+
+
 def test_cpu_key_not_readable_below_m(m):
     with pytest.raises(PrivilegeTrap):
         m.read_csr(PRV_S, "cpu_key")

@@ -30,16 +30,19 @@ from servas_sim.monitor import (
     NoRecord,
     NotInEnclave,
     NotOwned,
+    OwnedPage,
     PageCtx,
     RangeViolation,
     SecurityMonitor,
     SwapAuthFailure,
+    SwapRecord,
     ThreadMeta,
     TypeNotSwappable,
     WrongState,
-    _SWAP_OFF,
 )
-from servas_sim.tweak import VOFFSET_SHIFT, PageType, PRV_M, PRV_S, PRV_U, RangeReg, SwTweak
+from servas_sim.tweak import (
+    VOFFSET_SHIFT, InvalidCombination, PageType, PRV_M, PRV_S, PRV_U, RangeReg, SwTweak,
+)
 
 READ, WRITE, FETCH = AccessKind.READ, AccessKind.WRITE, AccessKind.FETCH
 DATA_VA = A_BASE + PAGE_BYTES
@@ -442,6 +445,22 @@ def test_emod_wrong_old_context(enclave):
                 PageCtx(PageType.REGULAR, RW))
 
 
+@pytest.mark.parametrize("rsw", [7, 4, -1])
+def test_emod_refuses_an_rsw_outside_two_bits(enclave, rsw):
+    """An rsw outside 0..3 in the old or the new context is an invalid
+    combination, refused before any line moves and without an ``assert``
+    (so also under ``python -O``)."""
+    m, sm, handle = enclave
+    sm.eenter(handle)
+    m.access("host", DATA_VA, WRITE, PRV_U, data=b"live")
+    seals = m.mee.seals
+    for old, new in ((rsw, None), (None, rsw)):
+        with pytest.raises(InvalidCombination):
+            sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW, old), PageCtx(PageType.REGULAR, RO, new))
+    assert m.mee.seals == seals
+    assert m.access("host", DATA_VA, READ, PRV_U, size=4) == b"live"
+
+
 def test_emod_rekeys_shared_page(enclave):
     m, sm, handle = enclave
     shm_va = 0x6000_0000
@@ -570,16 +589,20 @@ def test_eprepare_refuses_swapped_out_page(enclave):
     assert m.access("host", DATA_VA, READ, PRV_U, size=4) == b"kept"
 
 
-def test_consumed_swap_record_reads_as_absent(enclave):
-    """A swap record whose live byte is 0 is a consumed one and unpacks as
-    absent, so it can neither be swapped in nor fill the record list."""
-    m, sm, handle = enclave
-    m.prv = PRV_S
-    sm.swap_out(handle, DATA_VA, temp_ppn=0x400)
-    buf = bytearray(sm.peek_meta(handle).pack())
-    assert EnclaveMeta.unpack(bytes(buf)).swaps[0].va == DATA_VA
-    buf[_SWAP_OFF + 39] = 0  # va, nonce, tag, perms, rsw, type, then live
-    assert EnclaveMeta.unpack(bytes(buf)).swaps == []
+def test_monitor_pages_round_trip_every_field():
+    """Each monitor page's fixed part is one struct: every field written is
+    read back, saved registers present or not."""
+    meta = EnclaveMeta(
+        EnclaveState.INTERRUPTED, 7, bytes(range(32)), A_BASE + 0x40,
+        RangeReg(A_BASE, 3 * PAGE_BYTES, True), "host", fault_count=2, host_pc=0x1234,
+        host_prv=PRV_S, host_regs=list(range(100, 132)),
+        host_urange=RangeReg(0x6000_0000, PAGE_BYTES, True), host_usid0=5, host_usid1=1 << 63,
+        owned=[OwnedPage(A_BASE, PageType.SHENCLAVE, {**RO, "x": True}, 0b10)],
+        swaps=[SwapRecord(DATA_VA, bytes(range(12)), bytes(16), RW, 0b01, PageType.REGULAR)])
+    assert EnclaveMeta.unpack(meta.pack()) == meta
+    for regs in (None, list(range(32))):
+        thread = ThreadMeta(True, 0x99, regs, RangeReg(64, 128, True), 3, 4)
+        assert ThreadMeta.unpack(thread.pack()) == thread
 
 
 def test_swap_temp_page_readable_by_os(enclave):

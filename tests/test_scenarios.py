@@ -1,18 +1,27 @@
 """Scenario harness: builtin suite verdicts, determinism, the JSON format,
 actor discipline, and malformed or random step scripts."""
 
+import enum
 import functools
 import gc
 import hashlib
+import inspect
+import json
+import re
+import time
+import types
+import typing
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from servas_sim import scenarios
 from servas_sim.cache import CacheCfg
-from servas_sim.machine import LINES_PER_PAGE, Machine
+from servas_sim.machine import LINES_PER_PAGE, PAGE_BYTES, Machine
 from servas_sim.monitor import EnclaveHandle
+from servas_sim.tweak import PageType
 from servas_sim.scenarios import (
     Scenario,
     ScenarioRunner,
@@ -394,6 +403,8 @@ def test_ascon_backend_gives_the_aes_gcm_verdicts(monkeypatch):
 # --- malformed and random physical/OS steps ---------------------------------------
 
 _ENCLAVE_LINE = 0x101 * 64  # first line of enclave A's data page
+_A_BASE = 0x4000_0000  # enclave A's region
+_A_DATA = _A_BASE + PAGE_BYTES
 _SPAWN = builtin_suite()[0].steps[0].to_dict()  # enclave A at ppn 0x100.., saved as hA
 _ACTORS = [{"name": "os", "kind": "OS", "space": "os"},
            {"name": "host", "kind": "HOST", "space": "host"},
@@ -459,65 +470,221 @@ def test_never_written_page_snapshots_as_zero_and_restores_to_auth():
     assert set(blank.values()) == {(bytes(64), bytes(16))}
 
 
-_ANY = st.one_of(st.integers(), st.text(max_size=6))
+_STEP_IN_A = [{"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}}]
 
 
-def _arg(plausible):
-    """Mostly a plausible value, one time in six any int or short string."""
-    return st.integers(0, 5).flatmap(lambda k: plausible if k else _ANY)
+@pytest.mark.parametrize("steps, named", [
+    (_os_map_then_write(prems="rw"), "map_page: unknown argument 'prems'"),
+    ([{"actor": "os", "action": "map_page", "args": {"va": True, "ppn": 0x300}}],
+     "map_page va must be an integer, got True"),
+    (_os_map_then_write(ppn=2.0), "map_page ppn must be an integer, got 2.0"),
+    ([{"actor": "os", "action": "access", "args": {"va": 0x1000, "size": 2.5}}],
+     "access size must be an integer, got 2.5"),
+    ([{"actor": "os", "action": "swap_out",
+       "args": {"handle_var": "hA", "va": _A_DATA, "temp_ppn": "x"}}],
+     "swap_out temp_ppn must be an integer, got 'x'"),
+    ([{"actor": "os", "action": "access", "args": {"va": 0x1000, "data": "x", "data_hex": "78"}}],
+     "access: argument 'data' given twice"),
+    ([{"actor": "phys", "action": "restore_lines", "args": {"snapshot": {"1": ["a", "b"]}}}],
+     "restore_lines snapshot must be a saved Snapshot"),
+    ([{"actor": "os", "action": "swap_in", "args": {"va": _A_DATA, "sealed_var": "hA"}}],
+     "swap_in sealed_var must be bytes, got EnclaveHandle"),
+    ([{"actor": "os", "action": "access", "args": {"va": 0x1000, "data_hex": "zz"}}],
+     "access data_hex must be hex text"),
+    ([{"actor": "os", "action": "eenter", "args": {"args": {"x": 1}}}],
+     "eenter args must be an object"),
+], ids=["unknown-key", "va-true", "float-ppn", "float-size", "text-temp-ppn", "given-twice",
+        "literal-snapshot", "var-of-another-type", "bad-hex", "non-integer-register-key"])
+def test_a_bad_argument_is_named_at_its_own_step(steps, named):
+    """Each bad value is a script error that names its action and argument,
+    raised by the step that holds it (a float ppn by the map_page, not the
+    access that would use the mapping)."""
+    with pytest.raises(ScriptError, match=re.escape(named)):
+        run_scenario(_after_spawn(*steps))
 
 
+def test_text_and_hex_spell_bytes_and_var_spells_a_saved_value():
+    steps = [*_OS_VIEW[:1],
+             {"actor": "os", "action": "access", "args": {"va": 0, "data_hex": "6869"}},
+             {"actor": "os", "action": "access", "save_as": "got",
+              "args": {"va": 0, "size": 2, "check": "hi"}},
+             {"actor": "os", "action": "access", "args": {"va": 0, "size": 2, "check_var": "got"}},
+             {"actor": "os", "action": "access", "args": {"va": 0, "kind": "read", "size": 2,
+                                                          "check_hex": "6869"}}]
+    assert run_scenario(_after_spawn(*steps)) == Verdict("ALLOWED", None, len(steps))
+
+
+@pytest.mark.parametrize("old, new, detail", [
+    ({"rsw": 7}, {}, "INVALID_COMBINATION"),
+    ({}, {"rsw": 4}, "INVALID_COMBINATION"),
+    ({"page_type": "monitor"}, {}, "MonitorTypeForbidden"),
+    ({}, {"page_type": "unprotected"}, "INVALID_COMBINATION"),
+], ids=["old-rsw-7", "new-rsw-4", "old-monitor", "new-unprotected"])
+def test_an_emod_context_no_enclave_page_can_have_is_a_verdict(old, new, detail):
+    ctx = {"page_type": "regular", "perms": "rwu"}
+    steps = _STEP_IN_A + [{"actor": "A", "action": "emod",
+                           "args": {"va": _A_DATA, "old": {**ctx, **old}, "new": {**ctx, **new}}}]
+    scenario = _after_spawn(*steps)
+    scenario = Scenario.from_dict({**scenario.to_dict(), "actors": [*_ACTORS, _ENCLAVE_A]})
+    assert run_scenario(scenario) == Verdict("DETECTED", detail, 2)
+
+
+def test_too_many_stack_pages_are_refused_before_any_mapping():
+    spawn = {**_SPAWN, "args": {**_SPAWN["args"], "stack_pages": 10 ** 8}}
+    scenario = _after_spawn()
+    scenario = Scenario.from_dict({**scenario.to_dict(), "steps": [spawn]})
+    runner = ScenarioRunner(scenario)
+    start = time.perf_counter()
+    assert runner.run() == Verdict("DETECTED", "MonitorCapacity", 0)
+    assert time.perf_counter() - start < 1.0
+    assert runner.machine.spaces == {}
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda image: image.update(developer_id=5), "manifest developer_id must be str"),
+    (lambda image: image.update(pages="abc"), "manifest pages must be list"),
+    (lambda image: image["pages"].append(7), "a manifest page must be dict"),
+])
+def test_a_mistyped_manifest_field_is_named(edit, named):
+    image = json.loads(json.dumps(_SPAWN["args"]["image"]))
+    edit(image)
+    build = {"actor": "host", "action": "build_image", "args": {"image": image}}
+    for step in (build, {**_SPAWN, "args": {**_SPAWN["args"], "image": image}}):
+        scenario = Scenario.from_dict({**_after_spawn().to_dict(), "steps": [step]})
+        with pytest.raises(ScriptError, match=named):
+            run_scenario(scenario)
+
+
+def test_a_page_index_the_image_cannot_hold_is_an_invalid_image_verdict():
+    image = json.loads(json.dumps(_SPAWN["args"]["image"]))
+    image["pages"].append({"index": -5, "perms": "rw", "type": "regular"})
+    spawn = {**_SPAWN, "args": {**_SPAWN["args"], "image": image}}
+    scenario = Scenario.from_dict({**_after_spawn().to_dict(), "steps": [spawn]})
+    assert run_scenario(scenario) == Verdict("DETECTED", "InvalidImage", 0)
+
+
+# --- every action, drawn from its declaration -------------------------------------
+
+_ENCLAVE_A = {"name": "A", "kind": "ENCLAVE", "space": "host", "handle_var": "hA"}
 _OS_PAGES = (0, 0x1000)
 _OS_VIEW = [{"actor": "os", "action": "map_page", "args": {"va": va, "ppn": ppn}}
             for va, ppn in zip(_OS_PAGES, (0x300, 0x101))]  # a free page, A's data
-_SAVE_AS = st.sampled_from(["s0", "s1", None])
+_SAVED = ["s0", "s1", "hA", "img"]
 _PPN = st.sampled_from([0x100, 0x101, 0x102, 0x300, 0x301])  # enclave A's, and free
 _LINE = _PPN.flatmap(lambda ppn: st.integers(ppn * 64, ppn * 64 + 63))
-_PHYS_STEPS = st.one_of(
-    st.fixed_dictionaries({
-        "actor": st.just("phys"), "action": st.just("flip_bit"),
-        "args": st.fixed_dictionaries(
-            {"line": _arg(_LINE), "bit": _arg(st.integers(0, 511))},
-            optional={"target": _arg(st.sampled_from(["ciphertext", "tag"]))})}),
-    st.fixed_dictionaries({
-        "actor": st.just("phys"), "action": st.just("snapshot_lines"), "save_as": _SAVE_AS,
-        "args": st.one_of(
-            st.fixed_dictionaries({"page_ppn": _arg(_PPN)}),
-            st.fixed_dictionaries({"lines": st.lists(_arg(_LINE), max_size=3)}))}),
-    st.fixed_dictionaries({
-        "actor": st.just("phys"), "action": st.just("restore_lines"),
-        "args": st.fixed_dictionaries(
-            {"snapshot_var": st.sampled_from(["s0", "s1", "hA"])})}),
-)
-_OS_STEPS = st.one_of(
-    st.fixed_dictionaries({
-        "actor": st.just("os"), "action": st.just("map_page"),
-        "args": st.fixed_dictionaries(
-            {"va": _arg(st.sampled_from(_OS_PAGES)),
-             "ppn": _arg(_PPN)},
-            optional={"perms": _arg(st.sampled_from(["rw", "r", "rwx", "rwu"])),
-                      "rsw": _arg(st.integers(0, 3))})}),
-    st.fixed_dictionaries({
-        "actor": st.just("os"), "action": st.just("access"), "save_as": _SAVE_AS,
-        "args": st.fixed_dictionaries(
-            {"va": _arg(st.sampled_from(_OS_PAGES).flatmap(
-                lambda page: st.integers(page, page + 0xFFF)))},
-            optional={"kind": _arg(st.sampled_from(["READ", "WRITE", "FETCH"])),
-                      "size": _arg(st.integers(1, 64)),
-                      "data": _arg(st.text(min_size=1, max_size=8))})}),
-    st.fixed_dictionaries({
-        "actor": st.just("os"), "action": st.just("write_csr"),
-        "args": st.fixed_dictionaries(
-            {"name": _arg(st.sampled_from(["srange", "ssid0", "ssid1", "msid0"])),
-             "value": _arg(st.integers(0, 1 << 64))})}),
-)
+_CTX = st.fixed_dictionaries(
+    {"page_type": st.sampled_from([t.value for t in PageType]),
+     "perms": st.sampled_from(["rwu", "ru", "rxu"])},
+    optional={"rsw": st.integers(-1, 8), "sid": st.integers(0, 1 << 80)})
+# Well-typed values that reach past the argument checks, by argument name.
+_PLAUSIBLE = {
+    "va": st.sampled_from([*_OS_PAGES, _A_BASE, _A_DATA, _A_DATA + 0x3F, 0x6000_0000]),
+    "ppn": _PPN, "temp_ppn": _PPN, "page_ppn": _PPN, "ppn_start": _PPN,
+    "meta_ppn": st.sampled_from([0x200, 0x210]), "thread_ppn": st.sampled_from([0x201, 0x211]),
+    "base": st.sampled_from([_A_BASE, 0x5000_0000]), "stack_pages": st.integers(0, 2),
+    "line": _LINE, "lines": st.lists(_LINE, max_size=3), "bit": st.integers(0, 700),
+    "size": st.integers(1, 64), "rsw": st.integers(0, 3), "reg": st.integers(0, 31),
+    "perms": st.sampled_from(["rw", "rwu", "rxu", "ru"]),
+    "kind": st.sampled_from(["READ", "WRITE", "FETCH", "fetch"]),
+    "page_type": st.sampled_from([t.value for t in PageType]),
+    "name": st.sampled_from(["urange", "srange", "mrange", "usid0", "ssid1", "msid0"]),
+    "value": st.one_of(st.integers(0, 1 << 64),
+                       st.tuples(st.sampled_from([0x6000_0000, 64]), st.just(PAGE_BYTES),
+                                 st.booleans()).map(list)),
+    "target": st.sampled_from(["ciphertext", "tag"]), "space": st.sampled_from(["os", "host"]),
+    "var": st.sampled_from(_SAVED), "old": _CTX, "new": _CTX,
+    "image": st.just(_SPAWN["args"]["image"]),
+}
+_OUT_OF_RANGE = st.sampled_from([-1, -PAGE_BYTES, 1 << 64, 1 << 70])
+_WRONG_TYPE = st.sampled_from([2.5, True, None, [1], {"x": 1}, "x", ""])
+_ACTOR_OF = {"snapshot_lines": "phys", "restore_lines": "phys", "flip_bit": "phys",
+             "map_page": "os", "unmap_page": "os", "swap_out": "os", "swap_in": "os",
+             "interrupt": "os", "eenter": "host", "spawn_enclave": "host", "ecreate": "host",
+             "build_image": "host"}  # the rest run in the enclave, or call it from the OS
 
 
-@settings(max_examples=200)
-@given(st.lists(st.one_of(_PHYS_STEPS, _OS_STEPS), min_size=1, max_size=8), st.integers(0, 3))
-def test_random_steps_end_in_verdict_or_script_error(steps, seed):
+def _well_typed(ann):
+    origin, args = typing.get_origin(ann), typing.get_args(ann)
+    if origin is types.UnionType:
+        return st.one_of([_well_typed(a) for a in args])
+    if origin is list:
+        return st.lists(_well_typed(args[0]), max_size=3)
+    if origin is dict:
+        return st.dictionaries(st.integers(0, 40).map(str), _well_typed(args[1]), max_size=2)
+    if isinstance(ann, enum.EnumMeta):
+        return st.sampled_from(list(ann.__members__))
+    return {int: st.integers(0, 1 << 13), str: st.text(max_size=4), type(None): st.none(),
+            bytes: st.text(min_size=1, max_size=8), dict: st.just({}),
+            list: st.lists(st.integers(0, 1 << 13), max_size=4)}.get(ann, st.nothing())
+
+
+@st.composite
+def _any_step(draw, entered: bool):
+    """A step of any action, its arguments drawn from the handler's signature:
+    mostly well-typed, sometimes out of range, of the wrong type, a saved
+    value, missing, or joined by an unknown key."""
+    action = draw(st.sampled_from(sorted(scenarios.ACTIONS)))
+    if entered and action in _ACTOR_OF and action != "interrupt" and _ACTOR_OF[action] != "phys":
+        action = "eexit"  # software outside the enclave cannot run while it does
+    handler = scenarios.ACTIONS[action]
+    hints = typing.get_type_hints(handler)
+    args = {}
+    for p in inspect.signature(handler).parameters.values():
+        if p.kind is p.POSITIONAL_ONLY or draw(st.integers(0, 11)) == 0:
+            continue
+        if p.default is not p.empty and draw(st.booleans()):
+            continue
+        how = draw(st.integers(0, 11))
+        if how == 0:
+            args[p.name + "_var"] = draw(st.sampled_from(_SAVED))
+        elif how == 1:
+            args[p.name] = draw(_OUT_OF_RANGE)
+        elif how == 2:
+            args[p.name] = draw(_WRONG_TYPE)
+        else:
+            args[p.name] = draw(_PLAUSIBLE.get(p.name, _well_typed(hints[p.name])))
+    if draw(st.integers(0, 11)) == 0:
+        args["bogus"] = 1
+    actor = _ACTOR_OF.get(action, "A" if entered else "os") if draw(st.integers(0, 5)) else \
+        draw(st.sampled_from(["os", "host", "A", "phys"]))
+    return {"actor": actor, "action": action, "args": args,
+            "save_as": draw(st.sampled_from(["s0", "s1", None]))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(lambda entered: st.tuples(
+    st.just(entered), st.lists(_any_step(entered), min_size=1, max_size=8))), st.integers(0, 3))
+def test_random_steps_end_in_verdict_or_script_error(script, seed):
+    entered, steps = script
+    world = [{"actor": "host", "action": "build_image", "save_as": "img",
+              "args": {"image": _SPAWN["args"]["image"]}}, *_OS_VIEW]
+    scenario = Scenario.from_dict({
+        "name": "random", "actors": [*_ACTORS, _ENCLAVE_A],
+        "steps": [_SPAWN, *world, *(_STEP_IN_A if entered else []), *steps],
+        "expected": {"outcome": "ALLOWED", "detail": None, "at_step": 0}})
     try:
-        verdict = run_scenario(_after_spawn(*_OS_VIEW, *steps), seed=seed)
+        verdict = run_scenario(scenario, seed=seed)
     except ScriptError:
         return
     assert isinstance(verdict, Verdict)
+
+
+# --- the README lists every action's arguments ------------------------------------
+
+
+def _readme_arguments() -> dict[str, list[str]]:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `(\w+)`[^:\n]*:(.*?)(?=^- |^$|\Z)", section, re.M | re.S)
+    return {name: [" ".join(item.split()) for item in re.findall(r"`([^`]+)`", body)]
+            for name, body in bullets}
+
+
+def test_readme_lists_every_action_with_its_declared_arguments():
+    declared = {**scenarios.ACTIONS, "page_ctx": scenarios._page_ctx}
+    want = {name: [f"{p.name}: {p.annotation}" + ("" if p.default is p.empty else f" = {p.default!r}")
+                   for p in inspect.signature(fn).parameters.values()
+                   if p.kind is not p.POSITIONAL_ONLY]
+            for name, fn in declared.items()}
+    got = _readme_arguments()
+    assert {name: got.get(name) for name in want} == want
