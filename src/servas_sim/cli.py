@@ -26,6 +26,7 @@ from xml.etree import ElementTree as ET
 
 from .cache import EvictionMode, TcCfg, eviction_grid, overhead_sweep
 from .image import (
+    DEVELOPER_ID_BYTES,
     FormatError,
     ImageAuthFailure,
     InvalidImage,
@@ -217,7 +218,10 @@ def _image_key(args) -> bytes | None:
     if not getattr(args, "cpu_key", None):
         return None
     cpu_key = bytes.fromhex(args.cpu_key)
-    dev_id = args.developer_id.encode().ljust(8, b"\x00")[:8]
+    dev_id = args.developer_id.encode()
+    if len(dev_id) > DEVELOPER_ID_BYTES:
+        raise ScriptError(f"--developer-id is longer than {DEVELOPER_ID_BYTES} bytes")
+    dev_id = dev_id.ljust(DEVELOPER_ID_BYTES, b"\x00")
     return derive_developer_key(cpu_key, dev_id)
 
 

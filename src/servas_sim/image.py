@@ -38,7 +38,8 @@ from .machine import PAGE_BYTES, perms_from_str
 MAGIC = b"SRVS1"
 VERSION = 1
 FLAG_WRAPPED = 0x01
-HEADER = struct.Struct("<5sBBB8sIHH")
+DEVELOPER_ID_BYTES = 8  # the header's developer id field; a shorter id is NUL-padded
+HEADER = struct.Struct(f"<5sBBB{DEVELOPER_ID_BYTES}sIHH")
 DESCRIPTOR = struct.Struct("<IBBBB")
 WRAP_NONCE_LEN = 12
 WRAP_TAG_LEN = 16
@@ -98,6 +99,9 @@ class EnclaveImage:
     pages: list[ImagePage] = field(default_factory=list)
 
     def validate(self) -> None:
+        if len(self.developer_id) > DEVELOPER_ID_BYTES:
+            raise InvalidImage(f"developer id {self.developer_id!r:.40} is longer than "
+                               f"{DEVELOPER_ID_BYTES} bytes")
         if not 0 <= self.entry_offset < 1 << 32 or len(self.pages) >= 1 << 16:
             raise InvalidImage("entry offset or page count does not fit the header")
         seen = set()

@@ -15,13 +15,19 @@ the page tables, the CSRs and the (space, line, privilege) of the access,
 so :meth:`Machine.access` memoizes its result per line: the PTE (which is
 immutable), the line's physical address, the composed tweak and the page
 type.  A hit repeats the permission and U-bit checks against the PTE and
-goes on to the cache and engine as a miss does.  The memo is cleared by
-every write to an input it caches -- :meth:`Machine.map_page`,
-:meth:`Machine.unmap_page` and :meth:`Machine.write_csr`, the CSR file's
-only writer -- and only an access whose classification succeeded is
-stored, so it can change no verdict, trap, ciphertext, cache hit or RNG
-draw.  It is simulator bookkeeping, not a modelled TLB: there is no
-shootdown gap for software to observe.
+goes on to the cache and engine as a miss does.  The memo holds for the
+page tables and the nine CSR values it was composed under.  A page-table
+edit (:meth:`Machine.map_page`, :meth:`Machine.unmap_page`) clears it.  A
+CSR write (:meth:`Machine.write_csr`, the CSR file's only writer) only
+marks the values for a check: the next access compares them with the
+recorded ones and clears the memo if any differs.  So a monitor round trip
+that ends where it began -- ``eexit`` then ``eenter``, an interrupt and its
+resume, a swap cycle -- keeps the memo, although ``eexit`` zeroes the
+enclave range and sids on the way; a check at each write would clear it
+at those intermediate states.  Only an access whose classification
+succeeded is stored, so the memo can change no verdict, trap, ciphertext,
+cache hit or RNG draw.  It is simulator bookkeeping, not a modelled TLB:
+there is no shootdown gap for software to observe.
 
 The tweak is one packed integer from composition on: the CSR file keeps
 the sid registers in the mapping composition reads (updated when a sid
@@ -221,9 +227,12 @@ class Machine:
         self.plain_lines: dict[int, bytes] = {}
         self.sm_auth_handler = None  # set by the security monitor
         self.active_enclave = None
-        # (space, line va, prv) -> (pte, line pa, tweak, page type); see the
-        # module docstring for what clears it
+        # (space, line va, prv) -> (pte, line pa, tweak, page type), valid
+        # for the CSR values in _memo_csrs; a CSR write sets _csrs_written so
+        # the next access checks them (see the module docstring)
         self._memo: dict[tuple[str, int, int], tuple[Pte | None, int, SwTweak, PageType]] = {}
+        self._memo_csrs: tuple | None = None
+        self._csrs_written = False
         self.cache = None
         if cache_cfg is not None:
             from .cache import TweakTaggedCache
@@ -279,6 +288,8 @@ class Machine:
             raise PrivilegeTrap(None, prv, f"CSR {name} requires privilege >= {level:#b}")
         if name.endswith("range"):
             if isinstance(value, (tuple, list)):
+                if len(value) != 3:
+                    raise ValueError(f"CSR {name} takes (base, size, enabled), got {value!r}")
                 value = RangeReg(*value)
             if not isinstance(value, RangeReg):
                 raise ValueError(f"CSR {name} takes a range, got {value!r}")
@@ -286,7 +297,7 @@ class Machine:
         elif not isinstance(value, int) or not 0 <= value < (1 << 64):
             raise ValueError(f"sid registers are 64-bit integers, got {value!r}")
         self.csr.write(name, value)
-        self._memo.clear()
+        self._csrs_written = True
 
     def read_csr(self, prv: int, name: str):
         if name == "cpu_key":
@@ -340,6 +351,8 @@ class Machine:
         if not 0 <= va < (1 << self.va_bits):
             raise PageFault(va, prv, "virtual address outside the address width")
 
+        if self._csrs_written:
+            self._check_memo_csrs()
         key = (space, va - offset, prv)
         entry = self._memo.get(key)
         if entry is None:
@@ -358,6 +371,15 @@ class Machine:
             _check_pte(entry[0], va, prv, kind)
         return self._line_access(va, prv, entry[1] + offset, entry[2], entry[3], kind,
                                  data, size)
+
+    def _check_memo_csrs(self) -> None:
+        """Clear the access memo if the CSRs no longer hold the values it
+        was composed under."""
+        values = tuple(getattr(self.csr, name) for name in _CSR_LEVEL)
+        if values != self._memo_csrs:
+            self._memo.clear()
+            self._memo_csrs = values
+        self._csrs_written = False
 
     def pinned_page(self, ppn: int, sw: SwTweak, kind: AccessKind = AccessKind.READ,
                     content: bytes | None = None, lines=range(LINES_PER_PAGE)) -> bytes | None:

@@ -319,7 +319,11 @@ def _check_frame(ppn: int, what: str, limit: int = PPN_LIMIT) -> None:
 
 
 def check_capacity(image: EnclaveImage, stack_pages: int) -> None:
-    """Refuse a region of more pages than the metadata page can list."""
+    """Refuse a negative stack page count (a ValueError, as for any
+    malformed argument) and a region of more pages than the metadata page
+    can list."""
+    if stack_pages < 0:
+        raise ValueError(f"stack_pages {stack_pages} is negative")
     if len(image.pages) + stack_pages > MAX_OWNED:
         raise MonitorCapacity("too many owned pages for the metadata page")
 
@@ -551,10 +555,12 @@ class SecurityMonitor:
             self._rtid_next += 1
             for ppn, sw, body in writes:
                 self.machine.pinned_page(ppn, sw, AccessKind.WRITE, body)
-            handle = EnclaveHandle(meta_ppn, thread_ppn, meta.rtid)
-            self._store_meta(handle, meta)
-            self._store_thread(handle, ThreadMeta())
-            return handle
+            # the rtid is fresh, so no line of either page can already hold
+            # its content: both are sealed whole, with no changed_lines walk
+            for ppn, content in ((meta_ppn, meta.pack()), (thread_ppn, ThreadMeta().pack())):
+                self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn, meta.rtid),
+                                         AccessKind.WRITE, content)
+            return EnclaveHandle(meta_ppn, thread_ppn, meta.rtid)
 
     def eenter(self, handle: EnclaveHandle, args: dict[int, int] | None = None) -> None:
         """Trap from the host into the enclave: save the host context, wire

@@ -215,6 +215,8 @@ class RangeReg:
         line = 1 << LINE_SHIFT
         if not (isinstance(self.base, int) and isinstance(self.size, int)):
             raise ValueError("range base and size must be integers")
+        if not isinstance(self.enabled, bool):
+            raise ValueError(f"range enabled must be a bool, got {self.enabled!r:.40}")
         if self.base < 0 or self.size < 0:
             raise ValueError("range base and size must not be negative")
         if self.base % line or self.size % line:

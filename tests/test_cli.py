@@ -274,8 +274,9 @@ def _page_type(value):
     (lambda m: m.update(developer_id=5), 4096),
     (lambda m: m.update(pages="abc"), 4096),
     (lambda m: m["pages"][0].update(index=-1), 4096),
+    (lambda m: m.update(developer_id="acme-developer-one"), 4096),
 ], ids=["no-pages", "pages-not-a-list", "unknown-type", "type-not-text", "oversized-file",
-        "developer-id-not-text", "pages-text", "negative-index"])
+        "developer-id-not-text", "pages-text", "negative-index", "developer-id-too-long"])
 def test_malformed_manifest_exits_two(tmp_path, capsys, mutate, body_len):
     manifest = {"entry_offset": 0, "developer_id": "acme-dev",
                 "pages": [{"index": 0, "perms": "rx", "type": "shenclave", "file": "code.bin"}]}
@@ -285,6 +286,19 @@ def test_malformed_manifest_exits_two(tmp_path, capsys, mutate, body_len):
     path.write_text(json.dumps(manifest))
     assert run_cli("image", "pack", "--manifest", str(path), "--out", str(tmp_path / "x.img")) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", ["wrap", "unpack"])
+def test_a_developer_id_option_longer_than_eight_bytes_exits_two(tmp_path, capsys, mode):
+    """``--developer-id`` derives the wrapping key; an id the header cannot
+    hold is refused, not truncated to the id of another developer."""
+    img = _pack_image(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("image", mode, "--image", str(img), "--cpu-key", "00" * 16,
+                   "--developer-id", "acme-developer-one", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: --developer-id is longer than 8 bytes")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("wrapped", [False, True], ids=["non-image", "wrapped-without-key"])

@@ -122,3 +122,17 @@ def test_wrong_developer_key_rejected():
         load_enclave_image(blob, developer_key=bytes(16))
     with pytest.raises(ImageAuthFailure):
         load_enclave_image(blob)  # wrapped but no key at all
+
+
+def test_a_developer_id_longer_than_its_header_field_is_refused():
+    """The header holds 8 bytes of developer id.  Two ids that share their
+    first 8 bytes are refused, not truncated into one enclave identity."""
+    pages = [(0, "rx", ImagePageType.SHENCLAVE, b"")]
+    for dev in (b"acme-developer-one", b"acme-developer-two"):
+        image = build_image(pages, developer_id=dev)
+        for call in (image.validate, image.encid, image.pack):
+            with pytest.raises(InvalidImage, match="longer than 8 bytes"):
+                call()
+    assert build_image(pages, developer_id=b"acme-dev").encid() != \
+        build_image(pages, developer_id=b"acme-de2").encid()
+

@@ -193,7 +193,8 @@ def test_csr_misaligned_range_rejected(m):
 @pytest.mark.parametrize("value, error", [
     ((-4096, 8192, True), "negative"), ((4096, -4096, True), "negative"),
     ([-64, 0, False], "negative"), ((4096.0, 4096, True), "integers"),
-    ((4096, 4096.0, True), "integers"),
+    ((4096, 4096.0, True), "integers"), ((4096, 4096, "yes"), "bool"),
+    ((4096, 4096, 1), "bool"),
 ])
 def test_csr_bad_range_rejected(m, value, error):
     for name in ("urange", "srange", "mrange"):
@@ -214,6 +215,16 @@ def test_csr_value_of_the_wrong_kind_rejected(m, name, value):
     with pytest.raises(ValueError):
         m.write_csr(PRV_M, name, value)
     assert m.read_csr(PRV_M, name) == before
+
+
+@pytest.mark.parametrize("value", [(), (4096,), (4096, 4096), [4096, 4096, True, 0]],
+                         ids=["empty", "base-only", "no-enabled", "four-fields"])
+def test_csr_range_tuple_of_the_wrong_length_rejected(m, value):
+    """A range given as fields takes exactly (base, size, enabled): any
+    other length is a ValueError, like any malformed CSR value."""
+    with pytest.raises(ValueError, match=r"takes \(base, size, enabled\)"):
+        m.write_csr(PRV_M, "urange", value)
+    assert m.read_csr(PRV_M, "urange") == RangeReg()
 
 
 def test_cpu_key_not_readable_below_m(m):

@@ -1,6 +1,7 @@
 """The per-line access memo of :meth:`Machine.access`: one named test per
-flush point, the composition count it saves, and a fuzz that holds a
-memoizing machine to one that forgets before every access."""
+flush point, the composition count it saves (also across a monitor round
+trip that restores the CSRs), and a fuzz that holds a memoizing machine to
+one that forgets before every access."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,11 +100,16 @@ def test_memo_flushed_by_enclave_exit_and_entry(enclave):
     assert m.access("host", DATA_VA, READ, PRV_U, size=14) == b"enclave-secret"
 
 
-def test_compose_runs_once_per_line_until_a_flush(m, monkeypatch):
+def _count_compositions(monkeypatch):
     calls = []
     compose = Machine.compose_for_access
     monkeypatch.setattr(Machine, "compose_for_access",
                         lambda self, *args: calls.append(args) or compose(self, *args))
+    return calls
+
+
+def test_compose_runs_once_per_line_until_a_flush(m, monkeypatch):
+    calls = _count_compositions(monkeypatch)
     for off in range(0, 64, 8):
         m.access("p", 0x1000 + off, WRITE, PRV_U, data=bytes(8))
         m.access("p", 0x1000 + off, READ, PRV_U, size=8)
@@ -121,6 +127,76 @@ def test_compose_runs_once_per_line_until_a_flush(m, monkeypatch):
     with pytest.raises(PageFault):
         m.access("p", 0x1000, FETCH, PRV_U)  # checked on a hit too
     assert len(calls) == 6
+
+
+def _restore_shm_csrs(m, usid0=0x0123_4567_89AB_CDEF):
+    """The enclave re-arms its shared page after an entry from scratch."""
+    m.write_csr(PRV_U, "urange", RangeReg(SHM_VA, PAGE_BYTES, True))
+    m.write_csr(PRV_U, "usid0", usid0)
+    m.write_csr(PRV_U, "usid1", 0xFEDC)
+
+
+def _read_both(m):
+    return (m.access("host", DATA_VA, READ, PRV_U, size=6),
+            m.access("host", SHM_VA, READ, PRV_U, size=6))
+
+
+def _primed_shm_world(monkeypatch):
+    """The shared-page world with an enclave line and the shared line
+    written, so both are in the memo; and a composition counter."""
+    m, sm, handle = _shm_world()
+    m.access("host", DATA_VA, WRITE, PRV_U, data=b"secret")
+    m.access("host", SHM_VA, WRITE, PRV_U, data=b"shared")
+    return m, sm, handle, _count_compositions(monkeypatch)
+
+
+def test_memo_survives_a_monitor_round_trip(monkeypatch):
+    """``eexit``+``eenter`` (with the shared page re-armed) and
+    ``interrupt``+``eenter`` write the enclave CSRs away and back; the
+    memo composed under the restored values still holds, so no line is
+    composed again."""
+    m, sm, handle, calls = _primed_shm_world(monkeypatch)
+    assert _read_both(m) == (b"secret", b"shared")
+    sm.eexit()
+    sm.eenter(handle)
+    _restore_shm_csrs(m)
+    assert _read_both(m) == (b"secret", b"shared")
+    sm.interrupt()
+    sm.eenter(handle)
+    assert _read_both(m) == (b"secret", b"shared")
+    assert calls == []
+
+
+def test_memo_recomposes_after_a_round_trip_to_other_values(monkeypatch):
+    """A round trip that ends in a different user sid clears the memo: the
+    shared line's tweak moved, so a kept entry would have read it."""
+    m, sm, handle, calls = _primed_shm_world(monkeypatch)
+    sm.eexit()
+    sm.eenter(handle)
+    _restore_shm_csrs(m, usid0=0x1111)
+    assert m.access("host", DATA_VA, READ, PRV_U, size=6) == b"secret"
+    with pytest.raises(AuthenticationException):
+        m.access("host", SHM_VA, READ, PRV_U, size=6)
+    assert len(calls) == 2
+
+
+def test_memo_recomposes_for_a_second_enclave(monkeypatch):
+    """Leaving one enclave and entering another is a round trip to other
+    enclave CSRs: the second enclave's access to the first one's line
+    composes its own tweak and fails, where a kept entry would read it."""
+    m = Machine(seed=7)
+    sm = SecurityMonitor(m)
+    first = spawn_enclave(m, sm)
+    second = spawn_enclave(m, sm, base=A_BASE + 0x10_0000, ppn_start=0x110,
+                           meta_ppn=0x210, thread_ppn=0x211)
+    sm.eenter(first)
+    m.access("host", DATA_VA, WRITE, PRV_U, data=b"secret")
+    calls = _count_compositions(monkeypatch)
+    sm.eexit()
+    sm.eenter(second)
+    with pytest.raises(AuthenticationException):
+        m.access("host", DATA_VA, READ, PRV_U, size=6)
+    assert len(calls) == 1
 
 
 # --- equivalence fuzz ---------------------------------------------------------------
@@ -147,6 +223,7 @@ _edits = [
               st.sampled_from(PPNS), st.sampled_from(PERMS), st.integers(0, 3)),
     st.tuples(st.just("unmap"), st.sampled_from(SPACES), st.sampled_from(PAGES)),
     st.tuples(st.just("csr"), st.sampled_from(CSRS), st.integers(0, 3)),
+    st.tuples(st.just("csr_and_back"), st.sampled_from(CSRS), st.integers(0, 3)),
     st.tuples(st.just("bypass"), st.booleans()),
     st.tuples(st.just("flip"), st.sampled_from(PPNS), st.integers(0, 1), st.integers(0, 511)),
 ]
@@ -161,9 +238,12 @@ def _apply(m, op, sids, forget):
             m.map_page(PRV_S, *op[1:])
         elif kind == "unmap":
             m.unmap_page(PRV_S, *op[1:])
-        elif kind == "csr":
+        elif kind in ("csr", "csr_and_back"):
             name, pick = op[1:]
+            old = getattr(m.csr, name)
             m.write_csr(PRV_M, name, RANGES[pick] if name.endswith("range") else sids[pick])
+            if kind == "csr_and_back":  # a monitor round trip in one CSR
+                m.write_csr(PRV_M, name, old)
         elif kind == "bypass":
             m.set_bypass(PRV_M, op[1])
         elif kind == "flip":
@@ -171,8 +251,9 @@ def _apply(m, op, sids, forget):
             m.phys_flip_bit(ppn * 64 + line, bit)
         else:
             space, va, access_kind, prv, data = op[1:]
-            if forget:
+            if forget:  # the entries and the CSR values they were composed under
                 m._memo.clear()
+                m._memo_csrs = None
             if access_kind is WRITE:
                 return m.access(space, va, WRITE, prv, data=data)
             return m.access(space, va, access_kind, prv, size=len(data))

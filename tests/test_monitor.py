@@ -115,6 +115,16 @@ def test_ecreate_over_capacity_has_no_side_effects(machine, sm):
     assert len(sm.peek_meta(handle).owned) == 64
 
 
+def test_ecreate_refuses_a_negative_stack_page_count(machine, sm):
+    """Refused before any line is sealed and before a runtime id is spent."""
+    machine.map_page(PRV_S, "host", A_BASE, 0x100, "rxu", 0b10)
+    machine.map_page(PRV_S, "host", A_BASE + PAGE_BYTES, 0x101, "rwu", 0b01)
+    with pytest.raises(ValueError, match="stack_pages -1 is negative"):
+        sm.ecreate("host", std_image(), A_BASE, -1, 0x200, 0x201)
+    assert not machine.mee._lines
+    assert sm.peek_meta(spawn_enclave(machine, sm)).rtid == 1
+
+
 @pytest.mark.parametrize("layout, error", [
     (dict(meta_ppn=0x201), BadHandle),
     (dict(meta_ppn=0x100), BadHandle),

@@ -540,6 +540,17 @@ def test_too_many_stack_pages_are_refused_before_any_mapping():
     assert runner.machine.spaces == {}
 
 
+@pytest.mark.parametrize("stack_pages", [-1, -2, -3])
+def test_a_negative_stack_page_count_is_refused_before_any_mapping(stack_pages):
+    """A negative count is a script error, not a shrunken region that ends
+    in a range or image verdict."""
+    spawn = {**_SPAWN, "args": {**_SPAWN["args"], "stack_pages": stack_pages}}
+    runner = ScenarioRunner(Scenario.from_dict({**_after_spawn().to_dict(), "steps": [spawn]}))
+    with pytest.raises(ScriptError, match=f"stack_pages {stack_pages} is negative"):
+        runner.run()
+    assert runner.machine.spaces == {}
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda image: image.update(developer_id=5), "manifest developer_id must be str"),
     (lambda image: image.update(pages="abc"), "manifest pages must be list"),
