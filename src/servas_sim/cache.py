@@ -112,8 +112,16 @@ class EvictionMode(enum.Enum):
     TOTAL = "total"
 
 
+# The bound on an eviction grid's size: a pass allocates max(tweak counts) x
+# trials set draws (float64, then int64) and trials x sets int32 counts, so
+# neither product may exceed it (a few hundred MB at most); a count range
+# may list no more points.
+GRID_LIMIT = 1 << 24
+
+
 def _check_eviction_args(n_entries: int, ways: int, trials: int, tweak_counts) -> None:
-    """The one input check of the eviction Monte Carlo."""
+    """The one input check of the eviction Monte Carlo, made before any
+    allocation."""
     if ways < 1:
         raise ValueError(f"ways must be at least 1, got {ways}")
     if n_entries < ways:
@@ -125,6 +133,10 @@ def _check_eviction_args(n_entries: int, ways: int, trials: int, tweak_counts) -
     for n_tweaks in tweak_counts:
         if n_tweaks < 1:
             raise ValueError(f"n_tweaks must be at least 1, got {n_tweaks}")
+    for name, size in (("max(n_tweaks) x trials", max(tweak_counts, default=0) * trials),
+                       ("trials x sets", trials * (n_entries // ways))):
+        if size > GRID_LIMIT:
+            raise ValueError(f"{name} is {size:,}, above the grid bound of {GRID_LIMIT:,}")
 
 
 def _eviction_pass(n_entries: int, ways: int, tweak_counts, trials: int,

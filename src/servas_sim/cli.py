@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
+from . import cache
 from .cache import EvictionMode, TcCfg, eviction_grid, overhead_sweep
 from .image import (
     DEVELOPER_ID_BYTES,
@@ -34,7 +35,7 @@ from .image import (
     load_enclave_image,
 )
 from .monitor import derive_developer_key
-from .scenarios import ScriptError, builtin_suite, load_scenarios, run_scenario
+from .scenarios import ScriptError, builtin_suite, load_json, load_scenarios, run_scenario
 
 EVICTION_CSV_SCHEMA = "servas-sim eviction-csv v1"
 OVERHEAD_CSV_SCHEMA = "servas-sim overhead-csv v1"
@@ -51,12 +52,17 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_range(text: str) -> list[int]:
-    """``a:b:step`` inclusive range, or a comma list."""
+    """``a:b:step`` inclusive range, of at most the grid bound's points, or
+    a comma list."""
     if ":" in text:
         parts = [int(x, 0) for x in text.split(":")]
         start, stop = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
+        points = range(start, stop + 1, step)
+        if points[cache.GRID_LIMIT:]:  # no len(): it overflows on a huge range
+            raise ScriptError(f"range {text} lists more than the grid bound of "
+                              f"{cache.GRID_LIMIT:,} points")
+        return list(points)
     return _parse_int_list(text)
 
 
@@ -180,7 +186,7 @@ def cmd_overhead(args) -> int:
 def cmd_image(args) -> int:
     if args.mode == "pack":
         manifest_path = Path(args.manifest)
-        manifest = json.loads(manifest_path.read_text())
+        manifest = load_json(manifest_path.read_text(), "manifest")
         image = image_from_manifest(manifest, manifest_path.parent)
         Path(args.out).write_bytes(image.pack())
     elif args.mode == "unpack":

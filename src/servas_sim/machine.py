@@ -37,7 +37,7 @@ a table filled on first use, the cache compares the integer and the
 engine serializes it.
 
 :meth:`Machine.pinned_page` classifies a monitor page once and makes the
-page one engine call: :meth:`Mee.write_lines` or :meth:`Mee.read_lines`
+page one engine call: :meth:`Mee.write_lines` or :meth:`Mee.read_page`
 steps the voffset field of the integer per line, and an AUTH trap names
 the first line that failed, with its address and stepped tweak.  Only a
 read through the cache goes line by line, because cache fills draw the
@@ -398,7 +398,7 @@ class Machine:
 
         A protected page is one engine call: a write invalidates its cache
         lines and seals them with :meth:`Mee.write_lines`, a read with the
-        cache off opens them with :meth:`Mee.read_lines`.  A read through
+        cache off opens them with :meth:`Mee.read_page`.  A read through
         the cache, and an unprotected page under bypass, go line by line.
         """
         if sw.voffset + max(lines, default=0) >> voffset_bits(sw.va_bits):
@@ -425,7 +425,7 @@ class Machine:
             self.mee.write_lines(first, value, va_bits, content, lines)
             return None
         try:
-            return b"".join(self.mee.read_lines(first, value, va_bits, lines))
+            return self.mee.read_page(first, value, va_bits, lines)
         except AuthenticationError as exc:
             i = exc.line_index - first
             self._auth_trap(base + i * LINE_BYTES, PRV_M,

@@ -13,15 +13,15 @@ The engine's entry points are :meth:`Mee.write_lines` and
 one call, line ``first_line + i`` under the packed software tweak plus
 ``i`` in its voffset field, which is how every line of a page is bound.
 The tweak width, associated-data length and cipher are looked up once per
-call.  :meth:`Mee.write` and :meth:`Mee.read` are the one-line case.
-``seals`` and ``opens`` count the lines sealed and the lines verified (a
+call.  :meth:`Mee.write` and :meth:`Mee.read` are the one-line case, and
+:meth:`Mee.read_page` returns a read's lines joined.  ``seals`` and ``opens`` count the lines sealed and the lines verified (a
 failed verification included), however and whenever the AEAD work was
 done.
 
 Never-written lines.  A line the engine never wrote and raw DRAM writes
 never reached stands in for boot-time zeroed DRAM: a read returns 64 zero
 bytes under any tweak, verifies nothing and so counts no open, and leaves
-no memo of either kind below.  Once anything is put there -- an engine
+no memo below.  Once anything is put there -- an engine
 write, :meth:`Mee.restore_line`, :meth:`Mee.flip_bit` -- the line is
 written and verifies as any other.
 
@@ -73,34 +73,45 @@ just above its serialized length (see ``_ad_shape``), so comparing two of
 them is comparing the bytes, length included; the bytes themselves are
 built only when the AEAD runs, in ``_materialize`` and a real open.
 
-Verified-page memo.  The monitor reads, and re-stores, the same 64-line
-pages on every call, and nothing touches them in between.  ``Mee._pages``
-maps a page's first line to (packed tweak, va bits, the page's 64
-plaintexts) and holds only while every line of the page has a matching
-line memo under that tweak, stepped per line, and its current counter,
-with those plaintexts.  It is recorded or updated at these points:
+Page records.  Most lines are written a page at a time -- image pages,
+monitor pages, swapped pages -- and most of those are never addressed
+one line at a time afterwards.  So a whole-page :meth:`Mee.write_lines`
+stores one record in ``Mee._pages`` and builds no per-line entry: the
+packed tweak, the va bits, the page's 4,096-byte content and its 64
+counters, each moved by one with the overflow check.  A record line is
+exactly the pending entry the write would have built for it: associated
+data (its counter || the record's tweak, stepped per line) and plaintext,
+with no ciphertext or tag yet.  :meth:`Mee.destroy_page` stores a record
+too, of zeros under the destroy tweak, which is not stepped.
 
-* a whole-page :meth:`Mee.read_lines` that succeeds, line by line, records
-  the plaintexts it returns;
-* a whole-page :meth:`Mee.write_lines` records the page it wrote;
-* a :meth:`Mee.write_lines` of some lines of a recorded page under the
-  recorded tweak (the monitor's store of the lines it changed) updates
-  those lines in place.
+A line leaves its record, and gets that pending entry in ``Mee._lines``,
+when something addresses it on its own (``Mee._detach``):
 
-Any other write into the page drops it: one under another tweak, or not
-starting at the page's first line (so every one-line write to lines 1 to
-63, and :meth:`Mee.destroy`), and one starting in another page whose
-lines run into it.  :meth:`Mee.restore_line` drops it too, and so does
-:meth:`Mee.flip_bit` through it.  A write drops the page before its first
-line moves and records it again only once the call completed, so a call
-that fails part way leaves none.  While it holds, the 64 line memos it
-stands for match, so a whole-page read under the recorded tweak returns
-exactly the plaintexts 64 line checks would (and counts 64 opens), and
-:meth:`Mee.changed_lines` is a comparison of those plaintexts with the
-page to store.  A page holding a never-written line is never recorded:
-that line has no line memo, so :meth:`Mee.changed_lines` must keep
-listing it.  The line memos stay the only source of truth: dropping the
-page memo at any point changes no result, only the work.
+* a read or write of the line that is not a call starting at the page's
+  first line under the record's tweak (so every one-line
+  :meth:`Mee.read` or :meth:`Mee.write` but that of line 0, and every
+  line of a call under another tweak; a read under another tweak stops
+  at the first line, which fails);
+* :meth:`Mee.snapshot_line`, :meth:`Mee.restore_line` and so
+  :meth:`Mee.flip_bit`.
+
+The record keeps covering the rest of the page, and a later whole-page
+write takes the page's detached lines back.  What a record serves:
+
+* a call starting at the page's first line under the record's tweak
+  reads its lines from the record, each counted as an open, and writes
+  them into it in place (the monitor's store of its changed lines);
+  :meth:`Mee.read_page` returns the whole content as it is stored;
+* :meth:`Mee.changed_lines` compares the record's plaintexts with the
+  page to store, since the line memo a record line stands for matches
+  exactly when the query's tweak is the record's;
+* :meth:`Mee.counter_of` and :meth:`Mee.written_lines` read its
+  counters.
+
+So a record changes no result, error, stored byte, counter, seal count or
+open count: detaching every line of every record after each call, which
+is the line-by-line representation, gives the same answers.  Only the
+work and ``Mee.line_entries`` (the per-line entries built) depend on it.
 
 Destruction is a write under a reserved tweak that normal composition can
 never produce (all three range bits set while the pte rsw field is 00 but
@@ -111,6 +122,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from dataclasses import dataclass
 
 from .aead import TAG_LEN, AeadAuthError, get_aead
 from .tweak import PRV_M, SID_MASK, VOFFSET_SHIFT, SwTweak, sw_tweak_bits, voffset_bits
@@ -122,9 +134,12 @@ LINE_LIMIT = 1 << 64  # the nonce encodes the line index in eight bytes
 PAGE_BYTES = 4096
 LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
 _PAGE_MASK = ~(LINES_PER_PAGE - 1)
+_LINE_MASK = LINES_PER_PAGE - 1
 _PAGE_RANGE = range(LINES_PER_PAGE)
 _PAGE_LIST = list(_PAGE_RANGE)
+_STEP = 1 << VOFFSET_SHIFT  # one line's step of a packed tweak
 _ZERO_LINE = bytes(LINE_BYTES)
+_ZERO_PAGE = bytes(PAGE_BYTES)
 
 # The nonce hash with its domain prefix absorbed; copied once per line.
 _NONCE_HASH = hashlib.sha256(b"line-nonce")
@@ -198,6 +213,49 @@ def _whole_page(lines) -> bool:
     return len(lines) == LINES_PER_PAGE and (lines == _PAGE_RANGE or lines == _PAGE_LIST)
 
 
+def _differing_lines(old: bytes, new: bytes) -> list[int]:
+    """The indices of the 64-byte lines in which two 4,096-byte pages
+    differ, found by halving: an unchanged page is one comparison."""
+    if old == new:
+        return []
+    out, spans = [], [(0, PAGE_BYTES)]
+    while spans:
+        lo, hi = spans.pop()
+        if hi - lo == LINE_BYTES:
+            out.append(lo // LINE_BYTES)
+            continue
+        mid = (lo + hi) // 2
+        if old[mid:hi] != new[mid:hi]:
+            spans.append((mid, hi))
+        if old[lo:mid] != new[lo:mid]:
+            spans.append((lo, mid))
+    return out
+
+
+@dataclass(slots=True)
+class _Record:
+    """One page's entry in ``Mee._pages``: a record of the page written
+    whole, line ``j`` under ``sw + j * step`` with counter ``counters[j]``
+    and the ``j``-th 64 bytes of ``content`` as plaintext, except the lines
+    set in ``loose``, which have their own ``Mee._lines`` entry.  A page
+    none of whose lines a record covers has ``content`` None; its entry
+    only tracks ``loose``, so a whole-page write finds the lines it takes
+    back without a scan."""
+
+    sw: int | None = None
+    va_bits: int = 0
+    step: int = 0
+    content: bytes | None = None
+    counters: list[int] | None = None
+    loose: int = 0
+
+    def serves(self, first_line: int, page: int, sw_int: int, va_bits: int) -> bool:
+        """Whether a call starting at ``first_line`` under ``sw_int`` is
+        one under this page's record tweak, stepped per line."""
+        return (first_line == page and self.sw == sw_int and self.va_bits == va_bits
+                and self.step == _STEP)
+
+
 class Mee:
     """The memory encryption engine for one simulated machine."""
 
@@ -213,16 +271,17 @@ class Mee:
         # (see _ad_shape).  A write stores the line pending, with None for
         # all four byte fields until _materialize seals it.  A line the
         # engine never wrote but raw DRAM writes reached holds just
-        # [ciphertext, tag].
+        # [ciphertext, tag].  Lines a page record covers have no entry
+        # here and no counter below: they live in _pages.
         self._lines: dict[int, list] = {}
-        self._counters: dict[int, int] = {}
-        # page-aligned first line -> (packed tweak, va_bits, the page's 64
-        # plaintexts): the verified-page memo, derived from the line memos
-        # above (see the module docstring)
-        self._pages: dict[int, tuple[int, int, list[bytes]]] = {}
+        self._counters: dict[int, int] = {}  # the counter of each line in _lines
+        # page-aligned first line -> the page's record (see "Page records"
+        # in the module docstring)
+        self._pages: dict[int, _Record] = {}
         self._destroy_sw = destroy_tweak(va_bits)
         self.seals = 0
         self.opens = 0
+        self.line_entries = 0  # per-line entries built, in _lines
 
     def _nonce(self, line: int, counter: int) -> bytes:
         nonce = _NONCE_HASH.copy()
@@ -240,16 +299,89 @@ class Mee:
                                              entry[5], _ad_bytes(entry[4]))
             entry[:4] = ciphertext, tag, ciphertext, tag
 
-    def _page_memo(self, first_line: int, sw_int: int, va_bits: int) -> list[bytes] | None:
-        """The verified-page memo's plaintexts of the page starting at
-        ``first_line`` if it holds them under this tweak, else None."""
-        memo = self._pages.get(first_line)
-        if memo is not None and memo[0] == sw_int and memo[1] == va_bits:
-            return memo[2]
+    def _covering(self, line: int) -> _Record | None:
+        """The record that covers ``line``, or None."""
+        record = self._pages.get(line & _PAGE_MASK)
+        if (record is not None and record.content is not None
+                and not record.loose >> (line & _LINE_MASK) & 1):
+            return record
         return None
 
+    def _detach(self, line: int, record: _Record) -> list:
+        """Move ``line`` out of the record covering it into its own
+        pending entry, the one :meth:`write_lines` would have built."""
+        j = line & _LINE_MASK
+        counter = record.counters[j]
+        width, marker = _ad_shape(record.va_bits)
+        entry = self._lines[line] = [
+            None, None, None, None, marker | counter << width | record.sw + j * record.step,
+            record.content[j * LINE_BYTES:(j + 1) * LINE_BYTES]]
+        self._counters[line] = counter
+        record.loose |= 1 << j
+        self.line_entries += 1
+        return entry
+
+    def _whole_record(self, first_line: int, sw_int: int, va_bits: int) -> _Record | None:
+        """The record of the page starting at ``first_line`` if it covers
+        every line under this tweak, else None."""
+        record = self._pages.get(first_line)
+        if (record is not None and not record.loose
+                and record.serves(first_line, first_line, sw_int, va_bits)):
+            return record
+        return None
+
+    def _entry(self, line: int) -> list | None:
+        """The line's own entry, detached from its record if need be; None
+        for a never-written line."""
+        entry = self._lines.get(line)
+        if entry is None:
+            record = self._covering(line)
+            if record is not None:
+                entry = self._detach(line, record)
+        return entry
+
+    def _store_page(self, page: int, sw_int: int, va_bits: int, step: int,
+                    content: bytes) -> bool:
+        """Write the page as one record, taking back its detached lines;
+        False, with nothing changed, if a counter would overflow."""
+        record = self._pages.get(page)
+        if record is None:
+            counters = [1] * LINES_PER_PAGE
+        else:
+            counters = (list(record.counters) if record.content is not None
+                        else [0] * LINES_PER_PAGE)
+            loose, mask = [], record.loose
+            while mask:
+                j = (mask & -mask).bit_length() - 1
+                mask ^= 1 << j
+                counters[j] = self._counters[page + j]
+                loose.append(page + j)
+            if max(counters) + 1 >= COUNTER_LIMIT:
+                return False
+            for line in loose:
+                del self._lines[line], self._counters[line]
+            counters = [c + 1 for c in counters]
+        self._pages[page] = _Record(sw_int, va_bits, step, content, counters)
+        self.seals += LINES_PER_PAGE
+        return True
+
     def counter_of(self, line_index: int) -> int:
+        record = self._covering(line_index)
+        if record is not None:
+            return record.counters[line_index & _LINE_MASK]
         return self._counters.get(line_index, 0)
+
+    def written_lines(self) -> dict[int, int]:
+        """Every line that holds something, in ascending order, with its
+        counter: lines with their own entry (one only raw DRAM writes
+        reached has counter 0) and lines a record covers."""
+        out = {line: self._counters.get(line, 0) for line in self._lines}
+        for page, record in self._pages.items():
+            if record.content is not None:
+                for j in _PAGE_RANGE:
+                    if not record.loose >> j & 1:
+                        out[page + j] = record.counters[j]
+        return dict(sorted(out.items()))
 
     def write_lines(self, first_line: int, sw_int: int, va_bits: int, content: bytes,
                     lines) -> None:
@@ -258,51 +390,66 @@ class Mee:
         the packed ``sw_int`` with ``i`` added to the voffset field.  The
         caller guarantees the stepped voffset stays in range.  Each line is
         stored pending, its AEAD seal left to the first observer of its raw
-        bytes (see the module docstring).  Lines are written in order; a
-        failing check stops the call at that line."""
+        bytes, and a whole page as one record (see the module docstring).
+        Lines are written in order; a failing check stops the call at that
+        line."""
+        page = first_line & _PAGE_MASK
+        if (first_line == page and 0 <= page < LINE_LIMIT and _whole_page(lines)
+                and len(content) >= PAGE_BYTES
+                and self._store_page(page, sw_int, va_bits, _STEP, bytes(content[:PAGE_BYTES]))):
+            return
         width, marker = _ad_shape(va_bits)
         counters, stored, pages = self._counters, self._lines, self._pages
-        page = first_line & _PAGE_MASK
-        memo = pages.pop(page, None)
-        plaintexts = (memo[2] if memo is not None and first_line == page
-                      and memo[0] == sw_int and memo[1] == va_bits else None)
+        record = pages.get(page)
+        in_place = (first_line == page and record is not None
+                    and record.serves(first_line, page, sw_int, va_bits))
         end = page + LINES_PER_PAGE if 0 <= page < LINE_LIMIT else page
         for i in lines:
             line = first_line + i
             if not page <= line < end:  # another page, or no line at all
                 _check_line(line)
-                pages.pop(line & _PAGE_MASK, None)
-                plaintexts = None
+                page = line & _PAGE_MASK
+                end = page + LINES_PER_PAGE
+                record = pages.get(page)
+                in_place = False
             plaintext = content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
             if len(plaintext) != LINE_BYTES:
                 raise ValueError("writes are whole 64-byte lines")
-            counter = counters.get(line, 0) + 1
+            counter = counters.get(line)
+            if counter is None:  # the line has no entry of its own yet
+                fresh = True
+                j = line - page
+                covered = (record is not None and record.content is not None
+                           and not record.loose >> j & 1)
+                counter = record.counters[j] if covered else 0
+            else:
+                fresh = covered = False
+            counter += 1
             if counter >= COUNTER_LIMIT:
                 raise CounterOverflow(f"line {line:#x} counter exhausted")
+            if covered and in_place:
+                record.counters[j] = counter
+                old = record.content
+                record.content = b"".join((old[:j * LINE_BYTES], plaintext,
+                                           old[(j + 1) * LINE_BYTES:]))
+                self.seals += 1
+                continue
+            if fresh:  # the line gets its own entry from now on
+                record = record or pages.setdefault(page, _Record())
+                record.loose |= 1 << j
             stored[line] = [None, None, None, None,
                             marker | counter << width | sw_int + (i << VOFFSET_SHIFT), plaintext]
             counters[line] = counter
-            if plaintexts is not None:
-                plaintexts[i] = plaintext
+            self.line_entries += 1
             self.seals += 1
-        if plaintexts is not None:
-            pages[page] = (sw_int, va_bits, plaintexts)
-        elif first_line == page and _whole_page(lines):
-            pages[page] = (sw_int, va_bits, [stored[line][5] for line in range(page, end)])
 
     def read_lines(self, first_line: int, sw_int: int, va_bits: int, lines) -> list[bytes]:
         """Open line ``first_line + i`` for each ``i`` in ``lines`` under the
         tweak :meth:`write_lines` steps the same way; returns the plaintexts
         in order; a never-written line reads as zeros.  The first line that
         fails verification raises :class:`AuthenticationError` naming it.  A
-        whole page the verified-page memo holds, and a line whose memo
-        matches, are served from the memo (see the module docstring)."""
-        whole = first_line & _PAGE_MASK == first_line and _whole_page(lines)
-        if whole:
-            plaintexts = self._page_memo(first_line, sw_int, va_bits)
-            if plaintexts is not None:
-                self.opens += LINES_PER_PAGE
-                return list(plaintexts)
+        line whose memo matches, or that its record serves, is read with no
+        AEAD call (see the module docstring)."""
         width, marker = _ad_shape(va_bits)
         open_, key = self.aead.open, self.key
         counters, stored = self._counters, self._lines
@@ -312,9 +459,16 @@ class Mee:
             _check_line(line)
             entry = stored.get(line)
             if entry is None:
-                out.append(_ZERO_LINE)
-                whole = False
-                continue
+                record = self._covering(line)
+                if record is None:
+                    out.append(_ZERO_LINE)
+                    continue
+                j = line & _LINE_MASK
+                if record.serves(first_line, line - j, sw_int, va_bits):
+                    self.opens += 1
+                    out.append(record.content[j * LINE_BYTES:(j + 1) * LINE_BYTES])
+                    continue
+                entry = self._detach(line, record)
             counter = counters.get(line, 0)
             ad = marker | counter << width | sw_int + (i << VOFFSET_SHIFT)
             self.opens += 1
@@ -329,9 +483,17 @@ class Mee:
                     raise AuthenticationError(line) from exc
                 entry[2:] = ciphertext, tag, ad, plaintext
             out.append(plaintext)
-        if whole:
-            self._pages[first_line] = (sw_int, va_bits, list(out))
         return out
+
+    def read_page(self, first_line: int, sw_int: int, va_bits: int,
+                  lines=_PAGE_RANGE) -> bytes:
+        """:meth:`read_lines` joined.  A whole page its record serves, none
+        of its lines detached, is returned as stored."""
+        record = self._whole_record(first_line, sw_int, va_bits)
+        if record is not None and _whole_page(lines):
+            self.opens += LINES_PER_PAGE
+            return record.content
+        return b"".join(self.read_lines(first_line, sw_int, va_bits, lines))
 
     def changed_lines(self, first_line: int, sw_int: int, va_bits: int,
                       content: bytes) -> list[int]:
@@ -342,17 +504,27 @@ class Mee:
         :meth:`write_lines` steps and its current counter.  A never-written,
         tampered, destroyed or foreign-bound line is always listed."""
         n = len(content) // LINE_BYTES
-        plaintexts = self._page_memo(first_line, sw_int, va_bits)
-        if plaintexts is not None and n <= LINES_PER_PAGE:
-            return [i for i in range(n)
-                    if plaintexts[i] != content[i * LINE_BYTES:(i + 1) * LINE_BYTES]]
+        record = self._whole_record(first_line, sw_int, va_bits)
+        if record is not None and n == LINES_PER_PAGE:
+            return _differing_lines(record.content, content[:PAGE_BYTES])
         width, marker = _ad_shape(va_bits)
         counters, stored = self._counters, self._lines
         changed = []
         for i in range(n):
             line = first_line + i
+            want = content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
+            entry = stored.get(line)
+            if entry is None:
+                # a record line's memo matches exactly under its own tweak
+                record = self._covering(line)
+                j = line & _LINE_MASK
+                if (record is None or record.va_bits != va_bits
+                        or record.sw + j * record.step != sw_int + (i << VOFFSET_SHIFT)
+                        or record.content[j * LINE_BYTES:(j + 1) * LINE_BYTES] != want):
+                    changed.append(i)
+                continue
             ad = marker | counters.get(line, 0) << width | sw_int + (i << VOFFSET_SHIFT)
-            if _memo(stored.get(line, []), ad) != content[i * LINE_BYTES:(i + 1) * LINE_BYTES]:
+            if _memo(entry, ad) != want:
                 changed.append(i)
         return changed
 
@@ -366,7 +538,18 @@ class Mee:
 
     def destroy(self, line_index: int) -> None:
         """Invalidate a line; any subsequent read fails until rewritten."""
-        self.write(line_index, bytes(LINE_BYTES), self._destroy_sw)
+        self.write(line_index, _ZERO_LINE, self._destroy_sw)
+
+    def destroy_page(self, first_line: int) -> None:
+        """Invalidate the 64 lines of the page starting at ``first_line``,
+        as :meth:`destroy` of each would, as one record."""
+        _check_line(first_line)
+        if first_line & _LINE_MASK:
+            raise ValueError(f"line {first_line:#x} does not start a page")
+        sw = self._destroy_sw
+        if not self._store_page(first_line, sw.to_int(), sw.va_bits, 0, _ZERO_PAGE):
+            for i in _PAGE_RANGE:  # a counter overflows: stop at that line
+                self.destroy(first_line + i)
 
     # --- raw physical access, the DRAM attack surface ---------------------
 
@@ -374,20 +557,24 @@ class Mee:
         """The raw (ciphertext, tag); never-written DRAM holds zero
         ciphertext and a zero tag."""
         _check_line(line_index)
-        entry = self._lines.get(line_index) or (bytes(LINE_BYTES), bytes(TAG_LEN))
+        entry = self._entry(line_index) or (bytes(LINE_BYTES), bytes(TAG_LEN))
         self._materialize(line_index, entry)
         return entry[0], entry[1]
 
     def restore_line(self, line_index: int, ciphertext: bytes, tag: bytes) -> None:
         """Overwrite the line's raw (ciphertext, tag).  Its memo, if any,
         is left to the read's comparison: it matches again only if these
-        are the bytes it recorded.  Its page's verified-page memo is
-        dropped."""
+        are the bytes it recorded."""
         _check_line(line_index)
-        entry = self._lines.setdefault(line_index, [ciphertext, tag])
+        entry = self._entry(line_index)
+        if entry is None:
+            entry = self._lines[line_index] = [ciphertext, tag]
+            self._counters.setdefault(line_index, 0)
+            self._pages.setdefault(line_index & _PAGE_MASK, _Record()).loose |= \
+                1 << (line_index & _LINE_MASK)
+            self.line_entries += 1
         self._materialize(line_index, entry)
         entry[0], entry[1] = ciphertext, tag
-        self._pages.pop(line_index & _PAGE_MASK, None)
 
     def flip_bit(self, line_index: int, bit: int, target: str = "ciphertext") -> None:
         if target not in ("ciphertext", "tag"):

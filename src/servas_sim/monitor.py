@@ -495,11 +495,11 @@ class SecurityMonitor:
         return pte.ppn
 
     def _destroy_page(self, ppn: int) -> None:
-        base_line = ppn * PAGE_BYTES // LINE_BYTES
-        for i in range(LINES_PER_PAGE):
-            self.machine.mee.destroy(base_line + i)
-            if self.machine.cache is not None:
+        base_line = ppn * LINES_PER_PAGE
+        if self.machine.cache is not None:
+            for i in range(LINES_PER_PAGE):
                 self.machine.cache.invalidate(base_line + i)
+        self.machine.mee.destroy_page(base_line)
 
     # --- lifecycle API -------------------------------------------------------
 

@@ -49,7 +49,7 @@ def test_write_through_updates_memory_immediately():
     m = _machine()
     m.access("p", 0x1000, WRITE, PRV_U, data=b"through")
     line = 0x10 * 64
-    assert line in m.mee._lines
+    assert line in m.mee.written_lines()
     sw = m.compose_for_access(0x1000, PRV_U, m.walk("p", 0x1000).bits)
     assert m.mee.read(line, sw)[:7] == b"through"
 

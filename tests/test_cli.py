@@ -113,6 +113,64 @@ def test_eviction_bad_input_exits_two(tmp_path, capsys, argv, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("--tweaks", "1:4:1", "--trials", "251"), "max(n_tweaks) x trials is 1,004"),
+    (("--tweaks", "1:1001:1000", "--trials", "1"), "max(n_tweaks) x trials is 1,001"),
+    (("--entries", "1004", "--ways", "2", "--tweaks", "1:2", "--trials", "2"),
+     "trials x sets is 1,004"),
+    (("--tweaks", "1:1001:1",), "range 1:1001:1 lists more than"),
+], ids=["trials", "largest-tweak-count", "sets", "range-points"])
+def test_eviction_grid_past_its_bound_exits_two(tmp_path, capsys, monkeypatch, argv, name):
+    """With the grid bound lowered to 1,000, a grid one step past it is
+    refused, naming the bound, before anything is drawn or listed; the
+    same grid one step smaller runs."""
+    from servas_sim import cache
+
+    monkeypatch.setattr(cache, "GRID_LIMIT", 1000)
+    monkeypatch.setattr(cache, "_eviction_pass", None)  # nothing may be drawn
+    out = tmp_path / "e.csv"
+    assert run_cli("evictions", "--entries", "32", "--ways", "2", *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "bound of 1,000" in err
+    assert not out.exists()
+
+
+def test_an_eviction_grid_at_its_bound_runs(tmp_path, monkeypatch):
+    from servas_sim import cache
+
+    monkeypatch.setattr(cache, "GRID_LIMIT", 1000)
+    out = tmp_path / "e.csv"
+    assert run_cli("evictions", "--entries", "8", "--ways", "2", "--tweaks", "1:4:1",
+                   "--trials", "250", "--out", str(out)) == 0  # 4 x 250 draws, 250 x 4 sets
+    assert len(out.read_text().splitlines()) == 2 + 2 * 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("--trials", "100000000000"),
+    ("--tweaks", "1:100000000000:50000000000", "--trials", "10"),
+    ("--tweaks", "1:1000000000000000000000000000000"),
+], ids=["trials", "largest-tweak-count", "range-points"])
+def test_a_huge_eviction_grid_is_refused_at_once(tmp_path, capsys, argv):
+    """The sizes that once ran out of memory are refused by the real bound."""
+    assert run_cli("evictions", "--entries", "32", "--ways", "2", *argv) == 2
+    assert f"bound of {1 << 24:,}" in capsys.readouterr().err
+
+
+def test_deeply_nested_scenario_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert run_cli("scenarios", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: malformed scenario file: maximum recursion")
+
+
+def test_deeply_nested_manifest_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert run_cli("image", "pack", "--manifest", str(path), "--out", str(tmp_path / "x.img")) == 2
+    assert capsys.readouterr().err.startswith("error: malformed manifest: maximum recursion")
+    assert not (tmp_path / "x.img").exists()
+
+
 def test_eviction_env_seed_fallback(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     monkeypatch.setenv("SERVAS_SIM_SEED", "123")

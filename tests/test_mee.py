@@ -47,9 +47,9 @@ def mee():
 
 
 def test_first_write_initializes(mee):
-    assert mee.counter_of(0) == 0 and 0 not in mee._lines
+    assert mee.counter_of(0) == 0 and mee.written_lines() == {}
     mee.write(0, bytes(LINE_BYTES), _sw())
-    assert mee.counter_of(0) == 1 and 0 in mee._lines
+    assert mee.counter_of(0) == 1 and mee.written_lines() == {0: 1}
     assert mee.read(0, _sw()) == bytes(LINE_BYTES)
 
 
@@ -104,14 +104,14 @@ def test_read_of_absent_line_is_zeros_under_any_tweak(mee):
     assert mee.read(1234, _sw()) == bytes(LINE_BYTES)
     assert mee.read(1234, _sw(sid=7, prv=PRV_S, voffset=3)) == bytes(LINE_BYTES)
     assert (mee.opens, mee.seals) == (0, 0)
-    assert 1234 not in mee._lines
+    assert mee.written_lines() == {}
 
 
 @pytest.mark.parametrize("line", [-5, 2**64])
 def test_restore_of_an_unaddressable_line_is_a_value_error(mee, line):
     with pytest.raises(ValueError):
         mee.restore_line(line, b"x", b"y")
-    assert line not in mee._lines
+    assert mee.written_lines() == {}
 
 
 def test_never_written_line_is_zero_dram(mee):
@@ -198,7 +198,7 @@ def test_write_lines_is_the_reference_line_by_line(mee, lines):
     mee.write_lines(first, sw.to_int(), sw.va_bits, PAGE_CONTENT, lines)
     for i in range(64):
         if i not in lines:
-            assert first + i not in mee._lines
+            assert first + i not in mee.written_lines()
             continue
         plaintext = PAGE_CONTENT[i * LINE_BYTES:(i + 1) * LINE_BYTES]
         assert mee.snapshot_line(first + i) == _reference_seal(
@@ -296,14 +296,20 @@ def _counting(mee):
 
 
 def _strip_memo(mee):
-    """Drop every line's memo, and the verified-page memo derived from them,
-    leaving the stored bytes: the engine then verifies every line with a
-    real open.  A pending line is sealed first, by looking at its raw
+    """Drop every line's memo, leaving the stored bytes: the engine then
+    verifies every line with a real open.  Every line leaves its page
+    record, and a pending line is sealed first, by looking at its raw
     bytes, so that it has bytes to leave."""
-    for line, entry in mee._lines.items():
+    for line in mee.written_lines():
         mee.snapshot_line(line)
-        del entry[2:]
-    mee._pages.clear()
+        del mee._entry(line)[2:]
+
+
+def _detach_all(mee):
+    """Move every line a page record covers into its own entry: the
+    line-by-line representation, with every memo kept."""
+    for line in mee.written_lines():
+        mee._entry(line)
 
 
 def test_memo_serves_a_sealed_or_verified_line_without_an_open(mee):
@@ -627,7 +633,7 @@ def test_memo_is_invisible(counters, ops):
         results = [_apply_memo_op(mee, op, snaps)
                    for mee, snaps in zip(engines, snapshots)]
         assert results[0] == results[1], op
-        assert engines[0]._counters == engines[1]._counters
+        assert engines[0].written_lines() == engines[1].written_lines()
         assert (engines[0].seals, engines[0].opens) == (engines[1].seals, engines[1].opens)
         assert [engines[0].snapshot_line(i) for i in range(_N)] == \
             [engines[1].snapshot_line(i) for i in range(_N)]
@@ -653,13 +659,13 @@ def test_observation_is_invisible(counters, ops):
         assert results[0] == results[1], op
         for line in range(_N):
             engines[1].snapshot_line(line)
-        assert engines[0]._counters == engines[1]._counters
+        assert engines[0].written_lines() == engines[1].written_lines()
         assert (engines[0].seals, engines[0].opens) == (engines[1].seals, engines[1].opens)
     assert [engines[0].snapshot_line(i) for i in range(_N)] == \
         [engines[1].snapshot_line(i) for i in range(_N)]
 
 
-# --- the verified-page memo ----------------------------------------------------
+# --- page records --------------------------------------------------------------
 
 # One page at line 0x40, with line 0x80 of the next page for a write that
 # crosses into it; every line i of the page holds bytes of PAGE_CONTENT.
@@ -683,41 +689,104 @@ def _read_page(mee, sw_int=_P_INT):
 
 
 def test_a_whole_page_write_is_served_without_a_line_check(mee, monkeypatch):
-    """A page written whole reads back from the page memo: no per-line memo
-    check, no AEAD open, and still 64 opens counted; its store query is a
-    slice comparison."""
+    """A page written whole is one record, with no per-line entry, and
+    reads back from it, whole or as lines: no per-line memo check, no AEAD
+    open, and still 64 opens counted per read; its store query compares
+    plaintexts."""
     mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
     checks, opens = _memo_checks(monkeypatch), _counting(mee)
-    assert mee._page_memo(_P, _P_INT, 48) is not None
+    assert mee.read_page(_P, _P_INT, 48) == PAGE_CONTENT
     assert b"".join(_read_page(mee)) == PAGE_CONTENT
     assert mee.changed_lines(_P, _P_INT, 48, PAGE_CONTENT) == []
     changed = bytearray(PAGE_CONTENT)
-    changed[5 * LINE_BYTES] ^= 1
-    assert mee.changed_lines(_P, _P_INT, 48, bytes(changed)) == [5]
-    assert (len(checks), len(opens), mee.opens) == (0, 0, 64)
+    for i in (5, 6, 63):
+        changed[i * LINE_BYTES + i] ^= 1
+    assert mee.changed_lines(_P, _P_INT, 48, bytes(changed)) == [5, 6, 63]
+    assert mee.changed_lines(_P, _P_INT, 48, bytes(reversed(PAGE_CONTENT))) == list(range(64))
+    assert (len(checks), len(opens), mee.opens) == (0, 0, 128)
+    assert (mee.seals, mee.line_entries) == (64, 0)
+    assert mee.written_lines() == {_P + i: 1 for i in range(64)}
 
 
-def test_a_whole_page_read_records_the_page_memo(mee, monkeypatch):
-    """After the line memos are gone, one whole-page read opens every line
-    and records the page; the next is served from it.  A partial read and
-    a read under another tweak record nothing."""
+def test_a_whole_page_read_opens_only_the_lines_no_memo_vouches_for(mee):
+    """After the line memos are gone, a partial read records the memos of
+    its lines and a read under another tweak fails on the first line; a
+    whole-page read then opens the other 56 lines, and the next none."""
     mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
     _strip_memo(mee)
     mee.read_lines(_P, _P_INT, 48, range(8))
-    assert mee._page_memo(_P, _P_INT, 48) is None
-    with pytest.raises(AuthenticationError):
+    with pytest.raises(AuthenticationError) as info:
         _read_page(mee, _sw(voffset=_P, sid=1).to_int())
+    assert info.value.line_index == _P
     opens = _counting(mee)
     assert b"".join(_read_page(mee)) == PAGE_CONTENT
-    assert mee._page_memo(_P, _P_INT, 48) is not None
-    assert mee._page_memo(_P, _P_INT, 39) is None
-    assert b"".join(_read_page(mee)) == PAGE_CONTENT
+    assert mee.read_page(_P, _P_INT, 48) == PAGE_CONTENT
     assert len(opens) == 56
 
 
+def test_a_line_addressed_alone_leaves_its_record(mee, monkeypatch):
+    """A one-line read or write of a record line, and a page read under
+    another tweak, each give one line its own entry, the one a line-by-line
+    write would have built; the record keeps serving the rest, and a
+    whole-page write takes the lines back."""
+    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    line_sw = SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT))
+    assert mee.read(_P + 5, line_sw) == PAGE_CONTENT[5 * LINE_BYTES:6 * LINE_BYTES]
+    mee.write(_P + 7, bytes(LINE_BYTES), SwTweak.from_int(_P_INT + (7 << VOFFSET_SHIFT)))
+    with pytest.raises(AuthenticationError) as info:
+        mee.read_page(_P, _sw(voffset=_P, sid=1).to_int(), 48)
+    assert info.value.line_index == _P
+    assert mee.line_entries == 3
+    assert mee.counter_of(_P + 7) == 2 and mee.counter_of(_P + 8) == 1
+    expected = bytearray(PAGE_CONTENT)
+    expected[7 * LINE_BYTES:8 * LINE_BYTES] = bytes(LINE_BYTES)
+    checks = _memo_checks(monkeypatch)
+    assert mee.read_page(_P, _P_INT, 48) == bytes(expected)
+    assert len(checks) == 3
+    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    assert mee.read_page(_P, _P_INT, 48) == PAGE_CONTENT
+    assert len(checks) == 3 and mee.line_entries == 3
+    assert mee.written_lines() == {_P + i: 3 if i == 7 else 2 for i in range(64)}
+
+
+def test_a_page_destroyed_whole_is_64_destroyed_lines(mee):
+    """:meth:`Mee.destroy_page` leaves every line, counter and count as 64
+    one-line destroys do, on a record page with a detached line, and
+    builds no per-line entry doing so."""
+    twin = Mee(KEY)
+    for engine in (mee, twin):
+        engine.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+        engine.write(_P + 3, bytes(LINE_BYTES), _sw(sid=9))
+    mee.destroy_page(_P)
+    for i in range(64):
+        twin.destroy(_P + i)
+    assert mee.line_entries == 1
+    assert mee.written_lines() == twin.written_lines()
+    for engine in (mee, twin):
+        with pytest.raises(AuthenticationError) as info:
+            _read_page(engine)
+        assert info.value.line_index == _P
+    assert (mee.seals, mee.opens) == (twin.seals, twin.opens) == (129, 1)
+    assert [mee.snapshot_line(_P + i) for i in range(64)] == \
+        [twin.snapshot_line(_P + i) for i in range(64)]
+    with pytest.raises(ValueError, match="does not start a page"):
+        mee.destroy_page(_P + 1)
+
+
+def test_a_counter_overflow_stops_a_whole_page_write_at_that_line(mee):
+    """A whole-page write whose line 5 would overflow writes lines 0-4, as
+    a line-by-line write does, and raises on line 5."""
+    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    mee.write(_P + 5, bytes(LINE_BYTES), SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT)))
+    mee._counters[_P + 5] = COUNTER_LIMIT - 1
+    with pytest.raises(CounterOverflow):
+        mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    assert [mee.counter_of(_P + i) for i in range(7)] == [2] * 5 + [COUNTER_LIMIT - 1, 1]
+
+
 def test_a_store_under_the_recorded_tweak_updates_the_page_memo(mee, monkeypatch):
-    """Re-sealing some lines of a recorded page under its own tweak keeps
-    the page memo, now holding the new lines."""
+    """Re-sealing some lines of a recorded page under its own tweak updates
+    the record in place, with no per-line entry."""
     mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
     new = bytes(reversed(PAGE_CONTENT))
     mee.write_lines(_P, _P_INT, 48, new, [3, 9])
@@ -725,22 +794,22 @@ def test_a_store_under_the_recorded_tweak_updates_the_page_memo(mee, monkeypatch
     for i in (3, 9):
         expected[i * LINE_BYTES:(i + 1) * LINE_BYTES] = new[i * LINE_BYTES:(i + 1) * LINE_BYTES]
     checks = _memo_checks(monkeypatch)
-    assert mee._page_memo(_P, _P_INT, 48) is not None
+    assert mee.read_page(_P, _P_INT, 48) == bytes(expected)
     assert b"".join(_read_page(mee)) == bytes(expected)
     assert mee.changed_lines(_P, _P_INT, 48, bytes(expected)) == []
     assert not checks
+    assert mee.line_entries == 0 and mee.counter_of(_P + 3) == 2
     _strip_memo(mee)
     assert b"".join(_read_page(mee)) == bytes(expected)
 
 
 def test_a_page_holding_a_never_written_line_is_never_recorded(mee):
     """A whole-page read of a page with only line 5 written returns zeros
-    for the other 63 and records no page memo, so the store query for an
-    all-zero page still lists every line that was never written."""
+    for the other 63, and the store query for an all-zero page still lists
+    every line that was never written."""
     mee.write_lines(_P, _P_INT, 48, bytes(64 * LINE_BYTES), [5])
     assert b"".join(_read_page(mee)) == bytes(64 * LINE_BYTES)
     assert mee.opens == 1
-    assert mee._page_memo(_P, _P_INT, 48) is None
     assert mee.changed_lines(_P, _P_INT, 48, bytes(64 * LINE_BYTES)) == [
         i for i in range(64) if i != 5]
 
@@ -758,7 +827,7 @@ def _tamper_flip(mee, k):
 def _tamper_stale_restore(mee, k):
     stale = mee.snapshot_line(_P + k)
     mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, [k])
-    _read_page(mee)  # the page memo again, holding the newer seal
+    _read_page(mee)  # served by the record, which holds the newer write
     mee.restore_line(_P + k, *stale)
 
 
@@ -799,21 +868,19 @@ def _tamper_crossing_write(mee, k):
                               "line-under-the-first-line-tweak", "lines-under-another-tweak",
                               "destroy", "crossing-write"])
 def test_a_change_to_a_recorded_page_drops_its_page_memo(mee, tamper):
-    """Each way a line of a recorded page can change under the memo: the
-    page is vouched for under no tweak, the store query lists the line,
-    and a page read fails on it."""
+    """Each way a line of a recorded page can change under the record: the
+    store query lists the line, and a page read fails on it."""
     k = 17
     mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
     _read_page(mee)
     tamper(mee, k)
-    assert mee._pages == {}
     assert k in mee.changed_lines(_P, _P_INT, 48, PAGE_CONTENT)
     with pytest.raises(AuthenticationError) as info:
         _read_page(mee)
     assert info.value.line_index == _P + k
 
 
-# The differential fuzz for the page memo: page 1 (lines 64..127) under two
+# The differential fuzz for page records: page 1 (lines 64..127) under two
 # base tweaks, written and read whole or in part, plus one-line writes,
 # destruction and raw DRAM tampering on a few of its lines and on the last
 # lines of page 0, which a write from there can run into page 1.
@@ -825,7 +892,8 @@ _PG_PAGE = st.sampled_from([bytes(64 * LINE_BYTES), PAGE_CONTENT,
                             bytes(reversed(PAGE_CONTENT))])
 _PG_TWEAK = st.integers(0, 1)
 _PG_WHOLE_WRITE = st.tuples(st.just("write_lines"), _PG_TWEAK, _PG_PAGE, st.just(range(64)))
-_PG_WHOLE_READ = st.tuples(st.just("read_lines"), _PG_TWEAK, st.just(range(64)))
+_PG_WHOLE_READ = st.one_of(st.tuples(st.just("read_lines"), _PG_TWEAK, st.just(range(64))),
+                           st.tuples(st.just("read_page"), _PG_TWEAK))
 _PG_OTHERS = [
     st.tuples(st.just("write_lines"), _PG_TWEAK, _PG_PAGE, _PG_SOME),
     st.tuples(st.just("read_lines"), _PG_TWEAK, _PG_SOME),
@@ -834,12 +902,13 @@ _PG_OTHERS = [
     st.tuples(st.just("write_unstepped"), _PG_LINE, _PG_TWEAK),
     st.tuples(st.just("cross"), st.integers(1, 63)),
     st.tuples(st.just("destroy"), _PG_LINE),
+    st.tuples(st.just("destroy_page")),
     st.tuples(st.just("flip_bit"), _PG_LINE, st.integers(0, 8 * 16 - 1)),
     st.tuples(st.just("snapshot"), _PG_LINE),
     st.tuples(st.just("restore"), st.integers(0, 7)),
 ]
 # whole pages written and read often enough that most other operations
-# meet a recorded page
+# meet a page record
 _PAGE_OPS = st.sampled_from([_PG_WHOLE_WRITE] * 3 + [_PG_WHOLE_READ] * 3 + _PG_OTHERS).flatmap(
     lambda ops: ops)
 
@@ -853,6 +922,8 @@ def _apply_page_op(mee, op, snapshots):
         if name == "read_lines":
             tweak, lines = args
             return mee.read_lines(_PG, _PG_TWEAKS[tweak].to_int(), 48, lines)
+        if name == "read_page":
+            return mee.read_page(_PG, _PG_TWEAKS[args[0]].to_int(), 48)
         if name == "changed_lines":
             tweak, content = args
             return mee.changed_lines(_PG, _PG_TWEAKS[tweak].to_int(), 48, content)
@@ -870,6 +941,8 @@ def _apply_page_op(mee, op, snapshots):
                                    range(args[0] + 2))
         if name == "destroy":
             return mee.destroy(args[0])
+        if name == "destroy_page":
+            return mee.destroy_page(_PG)
         if name == "flip_bit":
             return mee.flip_bit(args[0], args[1], "tag")
         if name == "snapshot":
@@ -886,19 +959,18 @@ def _apply_page_op(mee, op, snapshots):
 @settings(max_examples=150)
 @given(ops=st.lists(_PAGE_OPS, min_size=5, max_size=40))
 def test_page_memo_is_invisible(ops):
-    """Two same-key engines run the same operations; one loses its
-    verified-page memo before each.  Results, errors and the line they
-    name, every line's entry and counter, the seal and open counts and, at
-    the end, every line's raw bytes agree."""
+    """Two same-key engines run the same operations; before each, one moves
+    every line its page records cover into its own entry.  Results, errors
+    and the line they name, every written line and its counter, the seal
+    and open counts and, at the end, every line's raw bytes agree."""
     engines = [Mee(KEY), Mee(KEY)]
     snapshots = [[], []]
     for op in ops:
-        engines[1]._pages.clear()
+        _detach_all(engines[1])
         results = [_apply_page_op(mee, op, snaps) for mee, snaps in zip(engines, snapshots)]
         assert results[0] == results[1], op
-        assert engines[0]._lines == engines[1]._lines
-        assert engines[0]._counters == engines[1]._counters
+        assert engines[0].written_lines() == engines[1].written_lines()
         assert (engines[0].seals, engines[0].opens) == (engines[1].seals, engines[1].opens)
-    lines = sorted(engines[0]._lines)
+    lines = list(engines[0].written_lines())
     assert [engines[0].snapshot_line(i) for i in lines] == \
         [engines[1].snapshot_line(i) for i in lines]

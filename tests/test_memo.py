@@ -267,7 +267,8 @@ def _apply(m, op, sids, forget):
 
 def _state(m):
     cache = m.cache
-    return (m.mee._lines, m.mee._counters, m.mee.seals, m.mee.opens, m.plain_lines,
+    raw = {line: m.mee.snapshot_line(line) for line in m.mee.written_lines()}
+    return (m.mee.written_lines(), raw, m.mee.seals, m.mee.opens, m.plain_lines,
             m.csr, m.regs, m.prv, m.bypass, m.active_enclave, m.rng.getstate(),
             cache.hits, cache.misses, cache.tweak_mismatches,
             [[(e.line_index, e.sw_int, e.data) for e in ways] for ways in cache.sets])

@@ -108,7 +108,7 @@ def test_ecreate_over_capacity_has_no_side_effects(machine, sm):
     before any line is sealed and before a runtime id is spent."""
     with pytest.raises(MonitorCapacity):
         spawn_enclave(machine, sm, image=std_image(n_data=62), stack_pages=2)  # 65 pages
-    assert not machine.mee._lines
+    assert not machine.mee.written_lines()
     # 64 pages fit exactly, and get the first runtime id
     handle = spawn_enclave(machine, sm, image=std_image(n_data=62), stack_pages=1)
     assert sm.peek_meta(handle).rtid == 1
@@ -121,7 +121,7 @@ def test_ecreate_refuses_a_negative_stack_page_count(machine, sm):
     machine.map_page(PRV_S, "host", A_BASE + PAGE_BYTES, 0x101, "rwu", 0b01)
     with pytest.raises(ValueError, match="stack_pages -1 is negative"):
         sm.ecreate("host", std_image(), A_BASE, -1, 0x200, 0x201)
-    assert not machine.mee._lines
+    assert not machine.mee.written_lines()
     assert sm.peek_meta(spawn_enclave(machine, sm)).rtid == 1
 
 
@@ -138,7 +138,7 @@ def test_ecreate_bad_layout_has_no_side_effects(machine, sm, layout, error):
     refused before any line is sealed and before a runtime id is spent."""
     with pytest.raises(error):
         spawn_enclave(machine, sm, **layout)
-    assert not machine.mee._lines
+    assert not machine.mee.written_lines()
     handle = spawn_enclave(machine, sm, base=0x5000_0000, ppn_start=0x110,
                            meta_ppn=0x210, thread_ppn=0x211)
     assert sm.peek_meta(handle).rtid == 1
@@ -149,7 +149,7 @@ def test_ecreate_pages_sharing_a_frame_have_no_side_effects(machine, sm):
     they are refused before any line is sealed or a runtime id is spent."""
     with pytest.raises(BadHandle, match="share a frame"):
         spawn_enclave(machine, sm, ppn_overrides={1: 0x100})  # data on the code frame
-    assert not machine.mee._lines
+    assert not machine.mee.written_lines()
     handle = spawn_enclave(machine, sm)
     assert sm.peek_meta(handle).rtid == 1
 
@@ -160,7 +160,7 @@ def test_ecreate_unmapped_page_has_no_side_effects(machine, sm):
     machine.map_page(PRV_S, "host", A_BASE + 2 * PAGE_BYTES, 0x102, "rwu", 0b01)
     with pytest.raises(PageFault):
         sm.ecreate("host", std_image(), A_BASE, 1, 0x200, 0x201)
-    assert not machine.mee._lines
+    assert not machine.mee.written_lines()
     machine.map_page(PRV_S, "host", DATA_VA, 0x101, "rwu", 0b01)
     assert sm.peek_meta(sm.ecreate("host", std_image(), A_BASE, 1, 0x200, 0x201)).rtid == 1
 
@@ -194,7 +194,7 @@ def _sealed_digests(m, monitor_ppns=(0x200, 0x201)):
     the enclave's lines and the lines of its two monitor pages."""
     monitor = {p * LINES_PER_PAGE + i for p in monitor_ppns for i in range(LINES_PER_PAGE)}
     digests = [hashlib.sha256(), hashlib.sha256()]
-    for i in sorted(m.mee._lines):
+    for i in m.mee.written_lines():
         digests[i in monitor].update(i.to_bytes(8, "little") + b"".join(m.mee.snapshot_line(i)))
     return digests[0].hexdigest(), digests[1].hexdigest()
 
@@ -204,7 +204,7 @@ def test_ecreate_ciphertext_golden():
     initialization must stay bit-identical however it is implemented."""
     m = Machine(seed=7)
     spawn_enclave(m, SecurityMonitor(m))
-    assert len(m.mee._lines) == 5 * 64  # code, data, stack, metadata, thread
+    assert len(m.mee.written_lines()) == 5 * 64  # code, data, stack, metadata, thread
     enclave_pages, monitor_pages = _sealed_digests(m)
     assert enclave_pages == "247d02e260b2ed83e560aaa1386d596f56d91c461bf3e79665d2a2ef4c768bcc"
     assert monitor_pages == "03f897c151a90a7a6b9c09784b9a28719c778fa955e0c557125970a9b13b7d57"
@@ -1075,7 +1075,7 @@ def test_user_trace_ciphertext_and_counts_golden():
             out.update(m.access("host", va, READ, PRV_U, size=8))
     enclave_pages, monitor_pages = _sealed_digests(m)
     after = (m.cache.hits, m.cache.misses, m.cache.tweak_mismatches, m.mee.seals, m.mee.opens)
-    counts = tuple(a - b for a, b in zip(after, before)) + (len(m.mee._lines),)
+    counts = tuple(a - b for a, b in zip(after, before)) + (len(m.mee.written_lines()),)
     assert out.hexdigest() == \
         "38bf91c8a5e65856bdf3625aa9266e8dd22ba40233ac244e2c6c309dd65fd289"
     assert enclave_pages == "5f45fa1ee76f6c44ff314cd81c77059193e623995aed1a09534d58bd77273d07"

@@ -1,7 +1,7 @@
-"""The engine's verified-page memo seen from the monitor: one named test per
-way a monitor page can change under it, and two differential fuzzes that
-hold a machine to one whose engine forgets the page memo before every
-operation."""
+"""The engine's page records seen from the monitor: one named test per way a
+monitor page can change under its record, and two differential fuzzes that
+hold a machine to one whose engine keeps every line in its own entry, the
+line-by-line representation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +14,7 @@ from servas_sim.machine import (
     PAGE_BYTES,
     Trap,
 )
+import servas_sim.mee as mee_module
 from servas_sim.mee import Mee
 from servas_sim.monitor import MonitorError, SecurityMonitor
 from servas_sim.scenarios import ScenarioRunner, builtin_suite
@@ -96,17 +97,20 @@ def _write_under_another_tweak(m, sm, a, b):
                                     _write_under_another_tweak],
                          ids=["flip-bit", "stale-restore", "os-aliased-write", "destroy",
                               "write-under-another-tweak"])
-def test_a_changed_metadata_line_is_not_vouched_for(change):
-    """A's metadata page is recorded by the monitor's own loads and stores.
-    After each change, the store query lists the changed line, and A's
-    next monitor load fails AUTH on it, where a stale page memo would have
-    served the page as it was."""
+def test_a_changed_metadata_line_is_not_vouched_for(change, monkeypatch):
+    """A's metadata page is a record, written whole by ``ecreate`` and
+    updated in place by the monitor's own stores.  After each change, the
+    store query lists the changed line, and A's next monitor load fails
+    AUTH on it, where a stale record would have served the page as it
+    was."""
     m, sm, a, b = _world()
     first, sw_int, va_bits = _meta_binding(sm, a)
-    assert m.mee._page_memo(first, sw_int, va_bits) is not None
-    page = b"".join(m.mee.read_lines(first, sw_int, va_bits, range(64)))
+    checks = []
+    real_memo = mee_module._memo
+    monkeypatch.setattr(mee_module, "_memo", lambda *args: checks.append(1) or real_memo(*args))
+    page = m.mee.read_page(first, sw_int, va_bits)
+    assert not checks  # every line is served by the record
     k = change(m, sm, a, b)
-    assert m.mee._page_memo(first, sw_int, va_bits) is None
     assert k in m.mee.changed_lines(first, sw_int, va_bits, page)
     with pytest.raises(AuthenticationException) as info:
         sm.eenter(a)
@@ -117,39 +121,41 @@ def test_a_changed_metadata_line_is_not_vouched_for(change):
 
 
 class _ForgetfulMee(Mee):
-    """An engine that loses its verified-page memo before every call that
-    reads or writes it, so every line is proved by its own memo."""
+    """An engine that moves every line of every page record into its own
+    entry after each call that can write a record, so every line is
+    proved by its own memo: the line-by-line representation."""
 
     def _forget(self):
-        self._pages.clear()
+        for line in self.written_lines():
+            self._entry(line)
 
     def write_lines(self, *args):
-        self._forget()
-        return super().write_lines(*args)
+        try:
+            return super().write_lines(*args)
+        finally:
+            self._forget()
 
-    def read_lines(self, *args):
-        self._forget()
-        return super().read_lines(*args)
-
-    def changed_lines(self, *args):
-        self._forget()
-        return super().changed_lines(*args)
+    def destroy_page(self, *args):
+        try:
+            return super().destroy_page(*args)
+        finally:
+            self._forget()
 
 
 def _engine_state(m):
     mee = m.mee
-    return mee._lines, mee._counters, mee.seals, mee.opens
+    return mee.written_lines(), mee.seals, mee.opens
 
 
 def _raw_lines(m):
-    return {line: m.mee.snapshot_line(line) for line in sorted(m.mee._lines)}
+    return {line: m.mee.snapshot_line(line) for line in m.mee.written_lines()}
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_page_memo_is_invisible_on_the_builtin_suite(seed):
     """Each builtin scenario, run once as is and once on an engine that
-    forgets its page memo before every call, gives the same verdict, the
-    same line entries, counters, seal and open counts, and the same raw
+    keeps every line in its own entry, gives the same verdict, the same
+    written lines and counters, seal and open counts, and the same raw
     bytes on every line."""
     for scenario in builtin_suite():
         runners = [ScenarioRunner(scenario, seed=seed) for _ in range(2)]
@@ -188,7 +194,7 @@ _OTHERS = [
     st.tuples(st.just("swap_in"), _ENCLAVE),
 ]
 # entries, exits and accesses often enough that monitor calls mostly
-# succeed and the page memo is recorded, served and dropped many times
+# succeed and page records are written, served and detached many times
 _OPS = st.sampled_from([_ENTER] * 4 + [_EXIT] * 4 + [_ACCESS] * 4 + _OTHERS).flatmap(
     lambda ops: ops)
 
@@ -254,10 +260,10 @@ def _machine_state(m, sm):
 def test_page_memo_is_invisible_on_random_operations(ops):
     """Two same-seed two-enclave machines run the same monitor calls,
     accesses, OS remappings onto monitor pages and raw DRAM tampering; one
-    engine forgets its page memo before every call.  Every result, trap
-    and line it names, every line entry and counter, the seal and open
-    counts and the machine state agree after each operation, and every
-    line's raw bytes at the end."""
+    engine keeps every line in its own entry.  Every result, trap and line
+    it names, every written line and counter, the seal and open counts and
+    the machine state agree after each operation, and every line's raw
+    bytes at the end."""
     worlds = [_world() for _ in range(2)]
     worlds[1][0].mee.__class__ = _ForgetfulMee
     logs = [{"snapshots": [], "sealed": {}} for _ in worlds]

@@ -283,7 +283,7 @@ def test_builtin_pass_engine_digest():
         mee = runner.machine.mee
         for out in (enclave_pages, monitor_pages):
             out.update(scenario.name.encode() + b"\0")
-        for line in sorted(mee._lines):
+        for line in mee.written_lines():
             ciphertext, tag = mee.snapshot_line(line)
             out = monitor_pages if line // LINES_PER_PAGE in monitor else enclave_pages
             out.update(line.to_bytes(8, "little") + ciphertext + tag
@@ -304,6 +304,20 @@ def test_builtin_pass_engine_op_counts(seed):
         runner.run()
         seals, opens = seals + runner.machine.mee.seals, opens + runner.machine.mee.opens
     assert (seals, opens) == (6583, 5475)
+
+
+def test_builtin_pass_builds_few_per_line_entries():
+    """Of the 6,583 lines one builtin pass at seed 0 writes, the engine
+    builds a per-line entry for 76: the lines written one at a time and
+    the record lines later addressed alone.  Each page written whole is one
+    record, so a change that builds an entry per line of such a page again
+    fails here."""
+    entries = 0
+    for scenario in builtin_suite():
+        runner = ScenarioRunner(scenario, seed=0)
+        assert runner.run() == scenario.expected
+        entries += runner.machine.mee.line_entries
+    assert entries == 76
 
 
 def test_builtin_pass_real_aead_opens(monkeypatch):
@@ -363,7 +377,7 @@ def test_builtin_pass_engine_digest_on_ascon(monkeypatch):
         mee = runner.machine.mee
         for out in (enclave_pages, monitor_pages):
             out.update(scenario.name.encode() + b"\0")
-        for line in sorted(mee._lines):
+        for line in mee.written_lines():
             ciphertext, tag = mee.snapshot_line(line)
             out = monitor_pages if line // LINES_PER_PAGE in monitor else enclave_pages
             out.update(line.to_bytes(8, "little") + ciphertext + tag
