@@ -87,24 +87,24 @@ too, of zeros under the destroy tweak, which is not stepped.
 A line leaves its record, and gets that pending entry in ``Mee._lines``,
 when something addresses it on its own (``Mee._detach``):
 
-* a read or write of the line that is not a call starting at the page's
+* a write of the line that is not part of a call starting at the page's
   first line under the record's tweak (so every one-line
-  :meth:`Mee.read` or :meth:`Mee.write` but that of line 0, and every
-  line of a call under another tweak; a read under another tweak stops
-  at the first line, which fails);
+  :meth:`Mee.write` but that of line 0 under it);
+* a read under another tweak, which fails on that line;
 * :meth:`Mee.snapshot_line`, :meth:`Mee.restore_line` and so
   :meth:`Mee.flip_bit`.
 
 The record keeps covering the rest of the page, and a later whole-page
 write takes the page's detached lines back.  What a record serves:
 
-* a call starting at the page's first line under the record's tweak
-  reads its lines from the record, each counted as an open, and writes
-  them into it in place (the monitor's store of its changed lines);
+* a read of a line under the record's tweak for it gets the plaintext,
+  counted as an open, as its line memo would match;
   :meth:`Mee.read_page` returns the whole content as it is stored;
+* a write call starting at the page's first line under the record's
+  tweak writes its lines into the record in place (the monitor's store
+  of its changed lines);
 * :meth:`Mee.changed_lines` compares the record's plaintexts with the
-  page to store, since the line memo a record line stands for matches
-  exactly when the query's tweak is the record's;
+  page to store, under the same rule as a read;
 * :meth:`Mee.counter_of` and :meth:`Mee.written_lines` read its
   counters.
 
@@ -122,7 +122,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
 
 from .aead import TAG_LEN, AeadAuthError, get_aead
 from .tweak import PRV_M, SID_MASK, VOFFSET_SHIFT, SwTweak, sw_tweak_bits, voffset_bits
@@ -135,6 +134,7 @@ PAGE_BYTES = 4096
 LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
 _PAGE_MASK = ~(LINES_PER_PAGE - 1)
 _LINE_MASK = LINES_PER_PAGE - 1
+_ALL_LINES = (1 << LINES_PER_PAGE) - 1
 _PAGE_RANGE = range(LINES_PER_PAGE)
 _PAGE_LIST = list(_PAGE_RANGE)
 _STEP = 1 << VOFFSET_SHIFT  # one line's step of a packed tweak
@@ -232,7 +232,6 @@ def _differing_lines(old: bytes, new: bytes) -> list[int]:
     return out
 
 
-@dataclass(slots=True)
 class _Record:
     """One page's entry in ``Mee._pages``: a record of the page written
     whole, line ``j`` under ``sw + j * step`` with counter ``counters[j]``
@@ -242,18 +241,29 @@ class _Record:
     only tracks ``loose``, so a whole-page write finds the lines it takes
     back without a scan."""
 
-    sw: int | None = None
-    va_bits: int = 0
-    step: int = 0
-    content: bytes | None = None
-    counters: list[int] | None = None
-    loose: int = 0
+    __slots__ = ("sw", "va_bits", "step", "content", "counters", "loose")
 
-    def serves(self, first_line: int, page: int, sw_int: int, va_bits: int) -> bool:
-        """Whether a call starting at ``first_line`` under ``sw_int`` is
-        one under this page's record tweak, stepped per line."""
-        return (first_line == page and self.sw == sw_int and self.va_bits == va_bits
-                and self.step == _STEP)
+    def __init__(self, sw: int | None = None, va_bits: int = 0, step: int = 0,
+                 content: bytes | None = None, counters: list[int] | None = None):
+        self.sw, self.va_bits, self.step = sw, va_bits, step
+        self.content, self.counters, self.loose = content, counters, 0
+
+    def leave(self, j: int) -> None:
+        """Line ``j`` now has its own entry; once no line is left, the
+        record's content and counters are dropped."""
+        self.loose |= 1 << j
+        if self.loose == _ALL_LINES:
+            self.sw = self.content = self.counters = None
+
+    def serves(self, sw_int: int, va_bits: int) -> bool:
+        """Whether a call starting at the page's first line under ``sw_int``
+        is one under the record's tweak, stepped per line."""
+        return self.sw == sw_int and self.va_bits == va_bits and self.step == _STEP
+
+    def serves_line(self, j: int, sw_int: int, va_bits: int) -> bool:
+        """Whether line ``j`` is recorded under the tweak ``sw_int``: its
+        line memo would match, as the counter is the record's."""
+        return self.va_bits == va_bits and self.sw + j * self.step == sw_int
 
 
 class Mee:
@@ -317,7 +327,7 @@ class Mee:
             None, None, None, None, marker | counter << width | record.sw + j * record.step,
             record.content[j * LINE_BYTES:(j + 1) * LINE_BYTES]]
         self._counters[line] = counter
-        record.loose |= 1 << j
+        record.leave(j)
         self.line_entries += 1
         return entry
 
@@ -325,8 +335,7 @@ class Mee:
         """The record of the page starting at ``first_line`` if it covers
         every line under this tweak, else None."""
         record = self._pages.get(first_line)
-        if (record is not None and not record.loose
-                and record.serves(first_line, first_line, sw_int, va_bits)):
+        if record is not None and not record.loose and record.serves(sw_int, va_bits):
             return record
         return None
 
@@ -345,22 +354,21 @@ class Mee:
         """Write the page as one record, taking back its detached lines;
         False, with nothing changed, if a counter would overflow."""
         record = self._pages.get(page)
-        if record is None:
+        if record is None or record.content is None:
             counters = [1] * LINES_PER_PAGE
         else:
-            counters = (list(record.counters) if record.content is not None
-                        else [0] * LINES_PER_PAGE)
+            counters = [c + 1 for c in record.counters]
+        if record is not None:
             loose, mask = [], record.loose
             while mask:
                 j = (mask & -mask).bit_length() - 1
                 mask ^= 1 << j
-                counters[j] = self._counters[page + j]
+                counters[j] = self._counters[page + j] + 1
                 loose.append(page + j)
-            if max(counters) + 1 >= COUNTER_LIMIT:
+            if max(counters) >= COUNTER_LIMIT:
                 return False
             for line in loose:
                 del self._lines[line], self._counters[line]
-            counters = [c + 1 for c in counters]
         self._pages[page] = _Record(sw_int, va_bits, step, content, counters)
         self.seals += LINES_PER_PAGE
         return True
@@ -401,8 +409,7 @@ class Mee:
         width, marker = _ad_shape(va_bits)
         counters, stored, pages = self._counters, self._lines, self._pages
         record = pages.get(page)
-        in_place = (first_line == page and record is not None
-                    and record.serves(first_line, page, sw_int, va_bits))
+        in_place = first_line == page and record is not None and record.serves(sw_int, va_bits)
         end = page + LINES_PER_PAGE if 0 <= page < LINE_LIMIT else page
         for i in lines:
             line = first_line + i
@@ -416,27 +423,25 @@ class Mee:
             if len(plaintext) != LINE_BYTES:
                 raise ValueError("writes are whole 64-byte lines")
             counter = counters.get(line)
-            if counter is None:  # the line has no entry of its own yet
-                fresh = True
+            fresh = counter is None  # the line has no entry of its own yet
+            if fresh:
                 j = line - page
                 covered = (record is not None and record.content is not None
                            and not record.loose >> j & 1)
                 counter = record.counters[j] if covered else 0
-            else:
-                fresh = covered = False
             counter += 1
             if counter >= COUNTER_LIMIT:
                 raise CounterOverflow(f"line {line:#x} counter exhausted")
-            if covered and in_place:
-                record.counters[j] = counter
-                old = record.content
-                record.content = b"".join((old[:j * LINE_BYTES], plaintext,
-                                           old[(j + 1) * LINE_BYTES:]))
-                self.seals += 1
-                continue
-            if fresh:  # the line gets its own entry from now on
+            if fresh:
+                if covered and in_place:
+                    record.counters[j] = counter
+                    old = record.content
+                    record.content = b"".join((old[:j * LINE_BYTES], plaintext,
+                                               old[(j + 1) * LINE_BYTES:]))
+                    self.seals += 1
+                    continue
                 record = record or pages.setdefault(page, _Record())
-                record.loose |= 1 << j
+                record.leave(j)  # the line has its own entry from now on
             stored[line] = [None, None, None, None,
                             marker | counter << width | sw_int + (i << VOFFSET_SHIFT), plaintext]
             counters[line] = counter
@@ -464,11 +469,11 @@ class Mee:
                     out.append(_ZERO_LINE)
                     continue
                 j = line & _LINE_MASK
-                if record.serves(first_line, line - j, sw_int, va_bits):
+                if record.serves_line(j, sw_int + (i << VOFFSET_SHIFT), va_bits):
                     self.opens += 1
                     out.append(record.content[j * LINE_BYTES:(j + 1) * LINE_BYTES])
                     continue
-                entry = self._detach(line, record)
+                entry = self._detach(line, record)  # and fail on it below
             counter = counters.get(line, 0)
             ad = marker | counter << width | sw_int + (i << VOFFSET_SHIFT)
             self.opens += 1
@@ -515,11 +520,10 @@ class Mee:
             want = content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
             entry = stored.get(line)
             if entry is None:
-                # a record line's memo matches exactly under its own tweak
                 record = self._covering(line)
                 j = line & _LINE_MASK
-                if (record is None or record.va_bits != va_bits
-                        or record.sw + j * record.step != sw_int + (i << VOFFSET_SHIFT)
+                if (record is None
+                        or not record.serves_line(j, sw_int + (i << VOFFSET_SHIFT), va_bits)
                         or record.content[j * LINE_BYTES:(j + 1) * LINE_BYTES] != want):
                     changed.append(i)
                 continue
@@ -570,8 +574,8 @@ class Mee:
         if entry is None:
             entry = self._lines[line_index] = [ciphertext, tag]
             self._counters.setdefault(line_index, 0)
-            self._pages.setdefault(line_index & _PAGE_MASK, _Record()).loose |= \
-                1 << (line_index & _LINE_MASK)
+            self._pages.setdefault(line_index & _PAGE_MASK, _Record()).leave(
+                line_index & _LINE_MASK)
             self.line_entries += 1
         self._materialize(line_index, entry)
         entry[0], entry[1] = ciphertext, tag

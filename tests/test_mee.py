@@ -725,10 +725,11 @@ def test_a_whole_page_read_opens_only_the_lines_no_memo_vouches_for(mee):
 
 
 def test_a_line_addressed_alone_leaves_its_record(mee, monkeypatch):
-    """A one-line read or write of a record line, and a page read under
-    another tweak, each give one line its own entry, the one a line-by-line
-    write would have built; the record keeps serving the rest, and a
-    whole-page write takes the lines back."""
+    """A one-line write of a record line, and a page read under another
+    tweak, each give one line its own entry, the one a line-by-line write
+    would have built; a one-line read under the line's own tweak gives
+    none.  The record keeps serving the rest, and a whole-page write takes
+    the lines back."""
     mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
     line_sw = SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT))
     assert mee.read(_P + 5, line_sw) == PAGE_CONTENT[5 * LINE_BYTES:6 * LINE_BYTES]
@@ -736,17 +737,28 @@ def test_a_line_addressed_alone_leaves_its_record(mee, monkeypatch):
     with pytest.raises(AuthenticationError) as info:
         mee.read_page(_P, _sw(voffset=_P, sid=1).to_int(), 48)
     assert info.value.line_index == _P
-    assert mee.line_entries == 3
+    assert mee.line_entries == 2
     assert mee.counter_of(_P + 7) == 2 and mee.counter_of(_P + 8) == 1
     expected = bytearray(PAGE_CONTENT)
     expected[7 * LINE_BYTES:8 * LINE_BYTES] = bytes(LINE_BYTES)
     checks = _memo_checks(monkeypatch)
     assert mee.read_page(_P, _P_INT, 48) == bytes(expected)
-    assert len(checks) == 3
+    assert len(checks) == 2
     mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
     assert mee.read_page(_P, _P_INT, 48) == PAGE_CONTENT
-    assert len(checks) == 3 and mee.line_entries == 3
+    assert len(checks) == 2 and mee.line_entries == 2
     assert mee.written_lines() == {_P + i: 3 if i == 7 else 2 for i in range(64)}
+
+
+def test_a_record_serves_no_other_address_width(mee):
+    """The same packed tweak with 39-bit va bits is another tweak: the
+    store query lists every line, and a read fails on its first line."""
+    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    assert mee.changed_lines(_P, _P_INT, 39, PAGE_CONTENT) == list(range(64))
+    with pytest.raises(AuthenticationError) as info:
+        mee.read_lines(_P, _P_INT, 39, [1, 2])
+    assert info.value.line_index == _P + 1
+    assert mee.read_page(_P, _P_INT, 48) == PAGE_CONTENT
 
 
 def test_a_page_destroyed_whole_is_64_destroyed_lines(mee):
