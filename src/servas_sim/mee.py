@@ -260,11 +260,6 @@ class _Record:
         is one under the record's tweak, stepped per line."""
         return self.sw == sw_int and self.va_bits == va_bits and self.step == _STEP
 
-    def serves_line(self, j: int, sw_int: int, va_bits: int) -> bool:
-        """Whether line ``j`` is recorded under the tweak ``sw_int``: its
-        line memo would match, as the counter is the record's."""
-        return self.va_bits == va_bits and self.sw + j * self.step == sw_int
-
 
 class Mee:
     """The memory encryption engine for one simulated machine."""
@@ -457,19 +452,22 @@ class Mee:
         AEAD call (see the module docstring)."""
         width, marker = _ad_shape(va_bits)
         open_, key = self.aead.open, self.key
-        counters, stored = self._counters, self._lines
+        counters, stored, pages = self._counters, self._lines, self._pages
         out = []
         for i in lines:
             line = first_line + i
             _check_line(line)
             entry = stored.get(line)
             if entry is None:
-                record = self._covering(line)
-                if record is None:
-                    out.append(_ZERO_LINE)
-                    continue
                 j = line & _LINE_MASK
-                if record.serves_line(j, sw_int + (i << VOFFSET_SHIFT), va_bits):
+                record = pages.get(line - j)
+                if record is None or record.content is None or record.loose >> j & 1:
+                    out.append(_ZERO_LINE)  # no record covers it: never written
+                    continue
+                # the record's tweak for the line is the one asked for, so
+                # the line memo it stands for matches: serve the plaintext
+                if (record.va_bits == va_bits
+                        and record.sw + j * record.step == sw_int + (i << VOFFSET_SHIFT)):
                     self.opens += 1
                     out.append(record.content[j * LINE_BYTES:(j + 1) * LINE_BYTES])
                     continue
@@ -522,8 +520,8 @@ class Mee:
             if entry is None:
                 record = self._covering(line)
                 j = line & _LINE_MASK
-                if (record is None
-                        or not record.serves_line(j, sw_int + (i << VOFFSET_SHIFT), va_bits)
+                if (record is None or record.va_bits != va_bits  # as in read_lines
+                        or record.sw + j * record.step != sw_int + (i << VOFFSET_SHIFT)
                         or record.content[j * LINE_BYTES:(j + 1) * LINE_BYTES] != want):
                     changed.append(i)
                 continue
