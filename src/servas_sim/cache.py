@@ -15,21 +15,24 @@ set-associative tweak cache under random (hash-distributed) set indices.
 
 Monte Carlo method notes: each trial inserts every distinct tweak exactly
 once; set indices are uniform draws standing in for the cryptographic index
-derivation.  One geometry takes one ``(max_tweaks, trials)`` draw, and row
-``j`` holds the set of tweak ``j`` in every trial.  ``default_rng`` fills in
-C order, so that row is the same for every tweak count above ``j``: the
-draws are prefix-coupled across tweak counts.  A set index is the draw
-scaled by the set count and truncated, so they are also refinement-coupled
-across set counts.  Both couplings make the monotonicity properties exact
-for a fixed seed rather than statistical.
+derivation.  A geometry's pass draws one row of ``trials`` uniforms per
+tweak from one generator, and row ``j`` holds the set of tweak ``j`` in
+every trial.  The rows come in order, so row ``j`` is the same for every
+tweak count above ``j`` (and equals row ``j`` of a ``(max_tweaks, trials)``
+draw, which ``default_rng`` fills in C order): the draws are
+prefix-coupled across tweak counts.  A set index is the draw scaled by the
+set count and truncated, so they are also refinement-coupled across set
+counts.  Both couplings make the monotonicity properties exact for a fixed
+seed rather than statistical.
 
-The pass walks the rows in order.  A per-trial, per-set count gives each
-tweak its occurrence rank within its set (one gather, one scatter per row),
-and the tweak is evicted when that rank reaches ``ways``.  The cumulative
-sum of evictions over the rows is the per-trial evicted count after every
-tweak count at once, so one pass serves a whole column of the grid and both
-modes read their probability from the same integer row.
-``simulate_eviction`` is one row of this pass.
+The pass walks the rows in order, drawing each into the same buffers, so
+it holds O(trials x sets) memory whatever the tweak count.  A per-trial,
+per-set count gives each tweak its occurrence rank within its set (one
+gather, one scatter per row), and the tweak is evicted when that rank
+passes ``ways``.  The running sum of evictions is the per-trial evicted
+count after every tweak count at once, so one pass serves a whole column
+of the grid and both modes read their probability from the same integer
+row.  ``simulate_eviction`` is one point of this pass.
 """
 
 from __future__ import annotations
@@ -112,9 +115,10 @@ class EvictionMode(enum.Enum):
     TOTAL = "total"
 
 
-# The bound on an eviction grid's size: a pass allocates max(tweak counts) x
-# trials set draws (float64, then int64) and trials x sets int32 counts, so
-# neither product may exceed it (a few hundred MB at most); a count range
+# The bound on an eviction grid's size: a pass draws max(tweak counts) x
+# trials set indices, one row of trials at a time, and holds trials x sets
+# int32 counts, so the first product bounds its work and the second its
+# memory (64 MB of counts at most); neither may exceed it, and a count range
 # may list no more points.
 GRID_LIMIT = 1 << 24
 
@@ -143,24 +147,24 @@ def _eviction_pass(n_entries: int, ways: int, tweak_counts, trials: int,
                    seed: int) -> dict[int, tuple[float, float]]:
     """(at_least_one, total) for every count in ``tweak_counts`` from one
     coupled pass (see the module docstring)."""
-    wanted = set(tweak_counts)
-    n_sets = n_entries // ways
+    wanted, n_sets = set(tweak_counts), n_entries // ways
     rng = np.random.default_rng(seed)
-    us = rng.random((max(wanted, default=0), trials))
-    us *= n_sets
-    flat = us.astype(np.int64)  # row j: the set of tweak j in each trial
-    del us
-    flat += np.arange(trials, dtype=np.int64) * n_sets  # index into the per-trial counts
+    row, idx = np.empty(trials), np.empty(trials, dtype=np.intp)  # a tweak's draws, count indices
+    offsets = np.arange(0, trials * n_sets, n_sets)  # trial t's counts start at t * n_sets
     counts = np.zeros(trials * n_sets, dtype=np.int32)
     evicted = np.zeros(trials, dtype=np.int64)
     probs = {}
-    for n_tweaks, idx in enumerate(flat, 1):
+    for n_tweaks in range(1, max(wanted, default=0) + 1):
+        rng.random(out=row)
+        row *= n_sets
+        idx[:] = row  # truncates, as astype does
+        idx += offsets
         rank = counts[idx]
-        counts[idx] = rank + 1
-        evicted += rank >= ways
-        if n_tweaks in wanted:
-            probs[n_tweaks] = (float((evicted > 0).mean()),
-                               float((evicted / n_tweaks).mean()))
+        rank += 1
+        counts[idx] = rank
+        evicted += rank > ways
+        if n_tweaks in wanted:  # a count over trials is exactly the mean of 0/1 values
+            probs[n_tweaks] = (np.count_nonzero(evicted) / trials, float((evicted / n_tweaks).mean()))
     return probs
 
 

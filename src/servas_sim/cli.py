@@ -52,13 +52,13 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_range(text: str) -> list[int]:
-    """``a:b:step`` inclusive range, of at most the grid bound's points, or
-    a comma list."""
+    """``a:b:step`` (or ``a:b``) inclusive range, of at most the grid
+    bound's points, or a comma list."""
     if ":" in text:
         parts = [int(x, 0) for x in text.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        points = range(start, stop + 1, step)
+        if len(parts) > 3:
+            raise ScriptError(f"range {text} has {len(parts)} fields, not a:b or a:b:step")
+        points = range(parts[0], parts[1] + 1, *parts[2:])
         if points[cache.GRID_LIMIT:]:  # no len(): it overflows on a huge range
             raise ScriptError(f"range {text} lists more than the grid bound of "
                               f"{cache.GRID_LIMIT:,} points")

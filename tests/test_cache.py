@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -12,6 +13,7 @@ from servas_sim.cache import (
     CacheCfg,
     EvictionMode,
     TcCfg,
+    _eviction_pass,
     break_even_lines,
     eviction_grid,
     inline_overhead_bits,
@@ -326,6 +328,19 @@ def test_eviction_grid_matches_per_point_reference(trials, seed):
     assert rows == expected
     for n, w, k, mode_value, p, _, _ in rows[::5]:
         assert simulate_eviction(n, w, k, trials, EvictionMode(mode_value), seed) == p
+
+
+def test_an_eviction_pass_holds_one_row_of_draws_at_a_time():
+    """A pass's memory is O(trials x sets), not O(max tweaks x trials): 2,048
+    tweaks over 1,000 trials would be 16 MB of float64 draws held at once
+    (and as much again as indices), while 8 sets of counts are 32 KB."""
+    tracemalloc.start()
+    try:
+        _eviction_pass(32, 4, [2048], 1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"traced peak {peak:,} bytes"
 
 
 # --- the Monte Carlo against the exact model -------------------------------------

@@ -156,6 +156,17 @@ def test_a_huge_eviction_grid_is_refused_at_once(tmp_path, capsys, argv):
     assert f"bound of {1 << 24:,}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("evictions", "--tweaks"), ("overhead", "--lines")])
+def test_a_range_of_more_than_three_fields_exits_two(tmp_path, capsys, command, flag):
+    """A range is ``a:b`` or ``a:b:step``; a fourth field is refused, not
+    dropped."""
+    out = tmp_path / "r.csv"
+    assert run_cli(command, flag, "2:8:2:9", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: range 2:8:2:9 has 4 fields")
+    assert not out.exists()
+
+
 def test_deeply_nested_scenario_file_exits_two(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)

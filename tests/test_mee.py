@@ -46,6 +46,17 @@ def mee():
     return Mee(KEY)
 
 
+def _start_line_at(mee, line, counter, sw):
+    """Give ``line`` its own entry at ``counter``, as if written ``counter``
+    times under ``sw``: a one-line write of zeros gives the line its own
+    entry, which its page's record marks loose, the counter is raised to
+    one below ``counter``, and a second write seals the entry at
+    ``counter``, so the entry's associated data and its counter agree."""
+    mee.write(line, bytes(LINE_BYTES), sw)
+    mee._counters[line] = counter - 1
+    mee.write(line, bytes(LINE_BYTES), sw)
+
+
 def test_first_write_initializes(mee):
     assert mee.counter_of(0) == 0 and mee.written_lines() == {}
     mee.write(0, bytes(LINE_BYTES), _sw())
@@ -181,9 +192,11 @@ def test_counter_monotonicity(mee):
 
 
 def test_counter_overflow_is_hard_error(mee):
-    mee._counters[1] = (1 << COUNTER_BITS) - 1
+    _start_line_at(mee, 1, (1 << COUNTER_BITS) - 1, _sw())
     with pytest.raises(CounterOverflow):
         mee.write(1, bytes(64), _sw())
+    assert mee.counter_of(1) == (1 << COUNTER_BITS) - 1
+    assert mee.read(1, _sw()) == bytes(LINE_BYTES)
 
 
 PAGE_CONTENT = bytes(random.Random(2).randbytes(64 * LINE_BYTES))
@@ -614,6 +627,14 @@ def _apply_memo_op(mee, op, snapshots):
         return type(exc).__name__, getattr(exc, "line_index", None), str(exc)
 
 
+def _start_lines_at(mee, counters):
+    """Start each line ``i`` with a nonzero ``counters[i]`` at that counter,
+    under base tweak 0 (see :func:`_start_line_at`)."""
+    for line, counter in enumerate(counters):
+        if counter:
+            _start_line_at(mee, line, counter, _line_sw(0, line))
+
+
 @settings(max_examples=200)
 @given(counters=st.lists(st.sampled_from([0, 1, 2, 1 << 40, COUNTER_LIMIT - 3]),
                          min_size=_N, max_size=_N),
@@ -626,7 +647,7 @@ def test_memo_is_invisible(counters, ops):
     engines = [Mee(KEY), Mee(KEY)]
     snapshots = [[], []]
     for mee in engines:
-        mee._counters.update((line, c) for line, c in enumerate(counters) if c)
+        _start_lines_at(mee, counters)
     for op in ops:
         if op[0] in ("read", "read_lines"):
             _strip_memo(engines[1])
@@ -652,7 +673,7 @@ def test_observation_is_invisible(counters, ops):
     engines = [Mee(KEY), Mee(KEY)]
     snapshots = [[], []]
     for mee in engines:
-        mee._counters.update((line, c) for line, c in enumerate(counters) if c)
+        _start_lines_at(mee, counters)
     for op in ops:
         results = [_apply_memo_op(mee, op, snaps)
                    for mee, snaps in zip(engines, snapshots)]
@@ -789,11 +810,29 @@ def test_a_counter_overflow_stops_a_whole_page_write_at_that_line(mee):
     """A whole-page write whose line 5 would overflow writes lines 0-4, as
     a line-by-line write does, and raises on line 5."""
     mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
-    mee.write(_P + 5, bytes(LINE_BYTES), SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT)))
-    mee._counters[_P + 5] = COUNTER_LIMIT - 1
+    _start_line_at(mee, _P + 5, COUNTER_LIMIT - 1, SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT)))
     with pytest.raises(CounterOverflow):
         mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
     assert [mee.counter_of(_P + i) for i in range(7)] == [2] * 5 + [COUNTER_LIMIT - 1, 1]
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["no-record", "record"])
+def test_a_whole_page_write_takes_back_a_line_written_alone(mee, recorded):
+    """A line given its own entry and a raised counter by one-line writes
+    alone, its page perhaps written whole before, reads back as the page's
+    bytes once the page is written whole, its counter one past the last."""
+    if recorded:
+        mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    line_sw = SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT))
+    for _ in range(3):
+        mee.write(_P + 5, b"a" * LINE_BYTES, line_sw)
+    new = b"b" * (64 * LINE_BYTES)
+    mee.write_lines(_P, _P_INT, 48, new, range(64))
+    assert mee.read_page(_P, _P_INT, 48) == new
+    assert b"".join(_read_page(mee)) == new
+    assert mee.read(_P + 5, line_sw) == b"b" * LINE_BYTES
+    assert mee.counter_of(_P + 5) == 4 + recorded
+    assert mee.counter_of(_P + 4) == 1 + recorded
 
 
 def test_a_store_under_the_recorded_tweak_updates_the_page_memo(mee, monkeypatch):
