@@ -70,12 +70,13 @@ class TcCfg:
     """A tweak-cache sizing point."""
 
     n_tweak: int
-    tc_ways: int = 2
     voffset_low_bits: int = 6  # voffset bits kept inline in the main cache
 
     def __post_init__(self) -> None:
         if self.n_tweak < 1 or self.n_tweak & (self.n_tweak - 1):
             raise ValueError("n_tweak must be a power of two")
+        if self.voffset_low_bits < 0:
+            raise ValueError(f"voffset_low_bits must not be negative, not {self.voffset_low_bits}")
 
 
 def inline_overhead_bits(cfg: CacheCfg) -> int:

@@ -36,6 +36,7 @@ from .image import (
 )
 from .monitor import derive_developer_key
 from .scenarios import ScriptError, builtin_suite, load_json, load_scenarios, run_scenario
+from .tweak import voffset_bits
 
 EVICTION_CSV_SCHEMA = "servas-sim eviction-csv v1"
 OVERHEAD_CSV_SCHEMA = "servas-sim overhead-csv v1"
@@ -162,8 +163,12 @@ def cmd_evictions(args) -> int:
 
 
 def cmd_overhead(args) -> int:
+    tc = args.tc
+    if tc is None:
+        tc = ",".join(f"{n}:{b}" for n in (32, 128, 512)
+                      for b in (6, 20, voffset_bits(args.va_bits)))
     tc_cfgs = []
-    for part in args.tc.split(","):
+    for part in tc.split(","):
         n_tweak, voffl = part.split(":")
         tc_cfgs.append(TcCfg(n_tweak=int(n_tweak, 0), voffset_low_bits=int(voffl, 0)))
     rows = overhead_sweep(_parse_range(args.lines), tc_cfgs, va_bits=args.va_bits)
@@ -184,6 +189,9 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_image(args) -> int:
+    needed = "manifest" if args.mode == "pack" else "image"
+    if getattr(args, needed) is None:
+        raise ScriptError(f"image {args.mode} needs --{needed}")
     if args.mode == "pack":
         manifest_path = Path(args.manifest)
         manifest = load_json(manifest_path.read_text(), "manifest")
@@ -264,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("overhead", help="cache tag storage arithmetic")
     p.add_argument("--va-bits", type=int, choices=(39, 48), default=48)
     p.add_argument("--lines", default="64,128,256,512,1024,2048,4096,8192,16384")
-    p.add_argument("--tc", default="32:6,32:20,32:42,128:6,128:20,128:42,512:6,512:20,512:42",
-                   help="comma list of n_tweak:b_voffsetL points")
+    p.add_argument("--tc", help="comma list of n_tweak:b_voffsetL points (default: 32, 128 "
+                   "and 512 entries each with 6, 20 and all voffset bits inline, all being "
+                   "42 at 48 bits and 33 at 39)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="CSV file (default stdout)")
     p.set_defaults(func=cmd_overhead)

@@ -73,19 +73,23 @@ just above its serialized length (see ``_ad_shape``), so comparing two of
 them is comparing the bytes, length included; the bytes themselves are
 built only when the AEAD runs, in ``_materialize`` and a real open.
 
-Page records.  Most lines are written a page at a time -- image pages,
-monitor pages, swapped pages -- and most of those are never addressed
-one line at a time afterwards.  So a whole-page :meth:`Mee.write_lines`
-stores one record in ``Mee._pages`` and builds no per-line entry: the
-packed tweak, the va bits, the page's 4,096-byte content and its 64
-counters, each moved by one with the overflow check.  A record line is
-exactly the pending entry the write would have built for it: associated
-data (its counter || the record's tweak, stepped per line) and plaintext,
-with no ciphertext or tag yet.  :meth:`Mee.destroy_page` stores a record
-too, of zeros under the destroy tweak, which is not stepped.
+Page records.  ``Mee._pages`` is the engine's only line store: one
+``_Page`` for each page that holds anything, with the page's 64 counters
+and the own entries of the lines addressed alone.  Most lines are written
+a page at a time -- image pages, monitor pages, swapped pages -- and most
+of those are never addressed one line at a time afterwards.  So a
+whole-page :meth:`Mee.write_lines` builds no own entry: it stores the
+page's record -- the packed tweak, the va bits and the 4,096-byte content
+-- moves each of the 64 counters by one, with the overflow check, and
+drops the page's own entries.  A line with no own entry on a recorded
+page is exactly the pending entry the write would have built for it:
+associated data (its counter || the record's tweak, stepped per line) and
+plaintext, with no ciphertext or tag yet.  :meth:`Mee.destroy_page`
+stores a record too, of zeros under the destroy tweak, which is not
+stepped.
 
-A line leaves its record, and gets that pending entry in ``Mee._lines``,
-when something addresses it on its own (``Mee._detach``):
+A line gets that pending entry as its own when something addresses it on
+its own (``Mee._detach``):
 
 * a write of the line that is not part of a call starting at the page's
   first line under the record's tweak (so every one-line
@@ -94,8 +98,8 @@ when something addresses it on its own (``Mee._detach``):
 * :meth:`Mee.snapshot_line`, :meth:`Mee.restore_line` and so
   :meth:`Mee.flip_bit`.
 
-The record keeps covering the rest of the page, and a later whole-page
-write takes the page's detached lines back.  What a record serves:
+The record keeps covering the page's other lines until the next
+whole-page write.  What a record serves:
 
 * a read of a line under the record's tweak for it gets the plaintext,
   counted as an open, as its line memo would match;
@@ -104,14 +108,12 @@ write takes the page's detached lines back.  What a record serves:
   tweak writes its lines into the record in place (the monitor's store
   of its changed lines);
 * :meth:`Mee.changed_lines` compares the record's plaintexts with the
-  page to store, under the same rule as a read;
-* :meth:`Mee.counter_of` and :meth:`Mee.written_lines` read its
-  counters.
+  page to store, under the same rule as a read.
 
 So a record changes no result, error, stored byte, counter, seal count or
 open count: detaching every line of every record after each call, which
 is the line-by-line representation, gives the same answers.  Only the
-work and ``Mee.line_entries`` (the per-line entries built) depend on it.
+work and ``Mee.line_entries`` (the own entries built) depend on it.
 
 Destruction is a write under a reserved tweak that normal composition can
 never produce (all three range bits set while the pte rsw field is 00 but
@@ -134,7 +136,6 @@ PAGE_BYTES = 4096
 LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
 _PAGE_MASK = ~(LINES_PER_PAGE - 1)
 _LINE_MASK = LINES_PER_PAGE - 1
-_ALL_LINES = (1 << LINES_PER_PAGE) - 1
 _PAGE_RANGE = range(LINES_PER_PAGE)
 _PAGE_LIST = list(_PAGE_RANGE)
 _STEP = 1 << VOFFSET_SHIFT  # one line's step of a packed tweak
@@ -194,7 +195,7 @@ def _ad_bytes(ad: int) -> bytes:
 
 
 def _memo(entry: list, ad: int) -> bytes | None:
-    """The plaintext a line's ``_lines`` entry proves the line holds under
+    """The plaintext a line's own entry proves the line holds under
     associated data ``ad``, or None: the memo counts only while the stored
     ciphertext and tag are the ones it recorded and ``ad`` is the one it
     was sealed or opened under."""
@@ -232,32 +233,33 @@ def _differing_lines(old: bytes, new: bytes) -> list[int]:
     return out
 
 
-class _Record:
-    """One page's entry in ``Mee._pages``: a record of the page written
-    whole, line ``j`` under ``sw + j * step`` with counter ``counters[j]``
-    and the ``j``-th 64 bytes of ``content`` as plaintext, except the lines
-    set in ``loose``, which have their own ``Mee._lines`` entry.  A page
-    none of whose lines a record covers has ``content`` None; its entry
-    only tracks ``loose``, so a whole-page write finds the lines it takes
-    back without a scan."""
+class _Page:
+    """One page's entry in ``Mee._pages``, the engine's only line store.
+    ``counters[j]`` is line ``j``'s counter (0 if the engine never wrote
+    it) and ``lines[j]`` its own entry, if it has one.  While ``content``
+    is not None the page was written whole: each line ``j`` without an own
+    entry is the pending line sealed under ``sw + j * step`` with the
+    ``j``-th 64 bytes of ``content`` as plaintext.  Once it is None, a line
+    without an own entry was never written."""
 
-    __slots__ = ("sw", "va_bits", "step", "content", "counters", "loose")
+    __slots__ = ("sw", "va_bits", "step", "content", "counters", "lines")
 
     def __init__(self, sw: int | None = None, va_bits: int = 0, step: int = 0,
                  content: bytes | None = None, counters: list[int] | None = None):
-        self.sw, self.va_bits, self.step = sw, va_bits, step
-        self.content, self.counters, self.loose = content, counters, 0
-
-    def leave(self, j: int) -> None:
-        """Line ``j`` now has its own entry; once no line is left, the
-        record's content and counters are dropped."""
-        self.loose |= 1 << j
-        if self.loose == _ALL_LINES:
-            self.sw = self.content = self.counters = None
+        self.sw, self.va_bits, self.step, self.content = sw, va_bits, step, content
+        self.counters = counters or [0] * LINES_PER_PAGE
+        # line index in the page -> [ciphertext, tag, memo ciphertext, memo
+        # tag, memo ad, plaintext]: the DRAM bytes, then the memo of the
+        # line's last write or successful open, its associated data a
+        # marked integer (see _ad_shape).  A write stores the line pending,
+        # with None for all four byte fields until _materialize seals it.
+        # A line the engine never wrote but raw DRAM writes reached holds
+        # just [ciphertext, tag].
+        self.lines: dict[int, list] = {}
 
     def serves(self, sw_int: int, va_bits: int) -> bool:
         """Whether a call starting at the page's first line under ``sw_int``
-        is one under the record's tweak, stepped per line."""
+        is one under the page's record tweak, stepped per line."""
         return self.sw == sw_int and self.va_bits == va_bits and self.step == _STEP
 
 
@@ -270,121 +272,82 @@ class Mee:
         self.key = key
         self.aead = get_aead(aead) if isinstance(aead, str) else aead
         self.va_bits = va_bits
-        # line -> [ciphertext, tag, memo ciphertext, memo tag, memo ad,
-        # plaintext]: the DRAM bytes, then the memo of the line's last
-        # write or successful open, its associated data a marked integer
-        # (see _ad_shape).  A write stores the line pending, with None for
-        # all four byte fields until _materialize seals it.  A line the
-        # engine never wrote but raw DRAM writes reached holds just
-        # [ciphertext, tag].  Lines a page record covers have no entry
-        # here and no counter below: they live in _pages.
-        self._lines: dict[int, list] = {}
-        self._counters: dict[int, int] = {}  # the counter of each line in _lines
-        # page-aligned first line -> the page's record (see "Page records"
-        # in the module docstring)
-        self._pages: dict[int, _Record] = {}
+        # page-aligned first line -> the page's counters, own line entries
+        # and record (see "Page records" in the module docstring)
+        self._pages: dict[int, _Page] = {}
         self._destroy_sw = destroy_tweak(va_bits)
         self.seals = 0
         self.opens = 0
-        self.line_entries = 0  # per-line entries built, in _lines
+        self.line_entries = 0  # own line entries built
 
     def _nonce(self, line: int, counter: int) -> bytes:
         nonce = _NONCE_HASH.copy()
         nonce.update((counter << 64 | line).to_bytes(16, "little"))  # line || counter
         return nonce.digest()[:self.aead.nonce_len]
 
-    def _materialize(self, line: int, entry: list) -> None:
+    def _materialize(self, line: int, entry: list, counter: int) -> None:
         """If the line is pending, seal it: compute the (ciphertext, tag)
         its :meth:`write_lines` deferred and store it as both the DRAM
-        bytes and the memo's.  The line's current counter is the sealing
-        counter, since only :meth:`write_lines` moves it and it stores a
-        new entry."""
+        bytes and the memo's.  ``counter``, the line's current one, is the
+        sealing counter, since only :meth:`write_lines` moves it and it
+        stores a new entry."""
         if entry[0] is None:
-            ciphertext, tag = self.aead.seal(self.key, self._nonce(line, self._counters[line]),
-                                             entry[5], _ad_bytes(entry[4]))
+            ciphertext, tag = self.aead.seal(self.key, self._nonce(line, counter), entry[5],
+                                             _ad_bytes(entry[4]))
             entry[:4] = ciphertext, tag, ciphertext, tag
 
-    def _covering(self, line: int) -> _Record | None:
-        """The record that covers ``line``, or None."""
-        record = self._pages.get(line & _PAGE_MASK)
-        if (record is not None and record.content is not None
-                and not record.loose >> (line & _LINE_MASK) & 1):
-            return record
-        return None
-
-    def _detach(self, line: int, record: _Record) -> list:
-        """Move ``line`` out of the record covering it into its own
-        pending entry, the one :meth:`write_lines` would have built."""
-        j = line & _LINE_MASK
-        counter = record.counters[j]
-        width, marker = _ad_shape(record.va_bits)
-        entry = self._lines[line] = [
-            None, None, None, None, marker | counter << width | record.sw + j * record.step,
-            record.content[j * LINE_BYTES:(j + 1) * LINE_BYTES]]
-        self._counters[line] = counter
-        record.leave(j)
+    def _detach(self, page: _Page, j: int) -> list:
+        """Give line ``j``, which the page's record covers, its own pending
+        entry, the one :meth:`write_lines` would have built."""
+        width, marker = _ad_shape(page.va_bits)
+        entry = page.lines[j] = [
+            None, None, None, None, marker | page.counters[j] << width | page.sw + j * page.step,
+            page.content[j * LINE_BYTES:(j + 1) * LINE_BYTES]]
         self.line_entries += 1
         return entry
 
-    def _whole_record(self, first_line: int, sw_int: int, va_bits: int) -> _Record | None:
-        """The record of the page starting at ``first_line`` if it covers
-        every line under this tweak, else None."""
-        record = self._pages.get(first_line)
-        if record is not None and not record.loose and record.serves(sw_int, va_bits):
-            return record
+    def _whole_record(self, first_line: int, sw_int: int, va_bits: int) -> _Page | None:
+        """The page starting at ``first_line`` if its record covers every
+        line under this tweak, else None."""
+        page = self._pages.get(first_line)
+        if page is not None and not page.lines and page.serves(sw_int, va_bits):
+            return page
         return None
 
     def _entry(self, line: int) -> list | None:
         """The line's own entry, detached from its record if need be; None
-        for a never-written line."""
-        entry = self._lines.get(line)
-        if entry is None:
-            record = self._covering(line)
-            if record is not None:
-                entry = self._detach(line, record)
+        for a line with neither."""
+        page = self._pages.get(line & _PAGE_MASK)
+        if page is None:
+            return None
+        j = line & _LINE_MASK
+        entry = page.lines.get(j)
+        if entry is None and page.content is not None:
+            entry = self._detach(page, j)
         return entry
 
-    def _store_page(self, page: int, sw_int: int, va_bits: int, step: int,
+    def _store_page(self, first_line: int, sw_int: int, va_bits: int, step: int,
                     content: bytes) -> bool:
-        """Write the page as one record, taking back its detached lines;
+        """Write the page as one record, dropping its own line entries;
         False, with nothing changed, if a counter would overflow."""
-        record = self._pages.get(page)
-        if record is None or record.content is None:
-            counters = [1] * LINES_PER_PAGE
-        else:
-            counters = [c + 1 for c in record.counters]
-        if record is not None:
-            loose, mask = [], record.loose
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                mask ^= 1 << j
-                counters[j] = self._counters[page + j] + 1
-                loose.append(page + j)
-            if max(counters) >= COUNTER_LIMIT:
-                return False
-            for line in loose:
-                del self._lines[line], self._counters[line]
-        self._pages[page] = _Record(sw_int, va_bits, step, content, counters)
+        page = self._pages.get(first_line)
+        counters = [c + 1 for c in page.counters] if page else [1] * LINES_PER_PAGE
+        if max(counters) >= COUNTER_LIMIT:
+            return False
+        self._pages[first_line] = _Page(sw_int, va_bits, step, content, counters)
         self.seals += LINES_PER_PAGE
         return True
 
     def counter_of(self, line_index: int) -> int:
-        record = self._covering(line_index)
-        if record is not None:
-            return record.counters[line_index & _LINE_MASK]
-        return self._counters.get(line_index, 0)
+        page = self._pages.get(line_index & _PAGE_MASK)
+        return page.counters[line_index & _LINE_MASK] if page else 0
 
     def written_lines(self) -> dict[int, int]:
         """Every line that holds something, in ascending order, with its
         counter: lines with their own entry (one only raw DRAM writes
         reached has counter 0) and lines a record covers."""
-        out = {line: self._counters.get(line, 0) for line in self._lines}
-        for page, record in self._pages.items():
-            if record.content is not None:
-                for j in _PAGE_RANGE:
-                    if not record.loose >> j & 1:
-                        out[page + j] = record.counters[j]
-        return dict(sorted(out.items()))
+        return {first + j: page.counters[j] for first, page in sorted(self._pages.items())
+                for j in (_PAGE_RANGE if page.content is not None else sorted(page.lines))}
 
     def write_lines(self, first_line: int, sw_int: int, va_bits: int, content: bytes,
                     lines) -> None:
@@ -396,52 +359,43 @@ class Mee:
         bytes, and a whole page as one record (see the module docstring).
         Lines are written in order; a failing check stops the call at that
         line."""
-        page = first_line & _PAGE_MASK
-        if (first_line == page and 0 <= page < LINE_LIMIT and _whole_page(lines)
+        base = first_line & _PAGE_MASK
+        if (first_line == base and 0 <= base < LINE_LIMIT and _whole_page(lines)
                 and len(content) >= PAGE_BYTES
-                and self._store_page(page, sw_int, va_bits, _STEP, bytes(content[:PAGE_BYTES]))):
+                and self._store_page(base, sw_int, va_bits, _STEP, bytes(content[:PAGE_BYTES]))):
             return
         width, marker = _ad_shape(va_bits)
-        counters, stored, pages = self._counters, self._lines, self._pages
-        record = pages.get(page)
-        in_place = first_line == page and record is not None and record.serves(sw_int, va_bits)
-        end = page + LINES_PER_PAGE if 0 <= page < LINE_LIMIT else page
+        pages = self._pages
+        page = pages.get(base)
+        in_place = first_line == base and page is not None and page.serves(sw_int, va_bits)
+        end = base + LINES_PER_PAGE if 0 <= base < LINE_LIMIT else base
         for i in lines:
             line = first_line + i
-            if not page <= line < end:  # another page, or no line at all
+            if not base <= line < end:  # another page, or no line at all
                 _check_line(line)
-                page = line & _PAGE_MASK
-                end = page + LINES_PER_PAGE
-                record = pages.get(page)
+                base = line & _PAGE_MASK
+                end = base + LINES_PER_PAGE
+                page = pages.get(base)
                 in_place = False
             plaintext = content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
             if len(plaintext) != LINE_BYTES:
                 raise ValueError("writes are whole 64-byte lines")
-            counter = counters.get(line)
-            fresh = counter is None  # the line has no entry of its own yet
-            if fresh:
-                j = line - page
-                covered = (record is not None and record.content is not None
-                           and not record.loose >> j & 1)
-                counter = record.counters[j] if covered else 0
-            counter += 1
+            if page is None:
+                page = pages[base] = _Page()
+            j = line - base
+            counter = page.counters[j] + 1
             if counter >= COUNTER_LIMIT:
                 raise CounterOverflow(f"line {line:#x} counter exhausted")
-            if fresh:
-                if covered and in_place:
-                    record.counters[j] = counter
-                    old = record.content
-                    record.content = b"".join((old[:j * LINE_BYTES], plaintext,
-                                               old[(j + 1) * LINE_BYTES:]))
-                    self.seals += 1
-                    continue
-                record = record or pages.setdefault(page, _Record())
-                record.leave(j)  # the line has its own entry from now on
-            stored[line] = [None, None, None, None,
-                            marker | counter << width | sw_int + (i << VOFFSET_SHIFT), plaintext]
-            counters[line] = counter
-            self.line_entries += 1
+            page.counters[j] = counter
             self.seals += 1
+            if in_place and j not in page.lines:  # a line the record covers
+                old = page.content
+                page.content = b"".join((old[:j * LINE_BYTES], plaintext,
+                                         old[(j + 1) * LINE_BYTES:]))
+                continue
+            page.lines[j] = [None, None, None, None,
+                             marker | counter << width | sw_int + (i << VOFFSET_SHIFT), plaintext]
+            self.line_entries += 1
 
     def read_lines(self, first_line: int, sw_int: int, va_bits: int, lines) -> list[bytes]:
         """Open line ``first_line + i`` for each ``i`` in ``lines`` under the
@@ -451,33 +405,32 @@ class Mee:
         line whose memo matches, or that its record serves, is read with no
         AEAD call (see the module docstring)."""
         width, marker = _ad_shape(va_bits)
-        open_, key = self.aead.open, self.key
-        counters, stored, pages = self._counters, self._lines, self._pages
+        open_, key, pages = self.aead.open, self.key, self._pages
         out = []
         for i in lines:
             line = first_line + i
-            _check_line(line)
-            entry = stored.get(line)
+            j = line & _LINE_MASK
+            page = pages.get(line - j)
+            entry = page and page.lines.get(j)
             if entry is None:
-                j = line & _LINE_MASK
-                record = pages.get(line - j)
-                if record is None or record.content is None or record.loose >> j & 1:
-                    out.append(_ZERO_LINE)  # no record covers it: never written
+                if page is None or page.content is None:  # never written
+                    _check_line(line)  # a line on no page may be no line at all
+                    out.append(_ZERO_LINE)
                     continue
                 # the record's tweak for the line is the one asked for, so
                 # the line memo it stands for matches: serve the plaintext
-                if (record.va_bits == va_bits
-                        and record.sw + j * record.step == sw_int + (i << VOFFSET_SHIFT)):
+                if (page.va_bits == va_bits
+                        and page.sw + j * page.step == sw_int + (i << VOFFSET_SHIFT)):
                     self.opens += 1
-                    out.append(record.content[j * LINE_BYTES:(j + 1) * LINE_BYTES])
+                    out.append(page.content[j * LINE_BYTES:(j + 1) * LINE_BYTES])
                     continue
-                entry = self._detach(line, record)  # and fail on it below
-            counter = counters.get(line, 0)
+                entry = self._detach(page, j)  # and fail on it below
+            counter = page.counters[j]
             ad = marker | counter << width | sw_int + (i << VOFFSET_SHIFT)
             self.opens += 1
             plaintext = _memo(entry, ad)
             if plaintext is None:
-                self._materialize(line, entry)
+                self._materialize(line, entry, counter)
                 ciphertext, tag = entry[0], entry[1]
                 try:
                     plaintext = open_(key, self._nonce(line, counter), ciphertext, tag,
@@ -492,10 +445,10 @@ class Mee:
                   lines=_PAGE_RANGE) -> bytes:
         """:meth:`read_lines` joined.  A whole page its record serves, none
         of its lines detached, is returned as stored."""
-        record = self._whole_record(first_line, sw_int, va_bits)
-        if record is not None and _whole_page(lines):
+        page = self._whole_record(first_line, sw_int, va_bits)
+        if page is not None and _whole_page(lines):
             self.opens += LINES_PER_PAGE
-            return record.content
+            return page.content
         return b"".join(self.read_lines(first_line, sw_int, va_bits, lines))
 
     def changed_lines(self, first_line: int, sw_int: int, va_bits: int,
@@ -507,25 +460,26 @@ class Mee:
         :meth:`write_lines` steps and its current counter.  A never-written,
         tampered, destroyed or foreign-bound line is always listed."""
         n = len(content) // LINE_BYTES
-        record = self._whole_record(first_line, sw_int, va_bits)
-        if record is not None and n == LINES_PER_PAGE:
-            return _differing_lines(record.content, content[:PAGE_BYTES])
+        page = self._whole_record(first_line, sw_int, va_bits)
+        if page is not None and n == LINES_PER_PAGE:
+            return _differing_lines(page.content, content[:PAGE_BYTES])
         width, marker = _ad_shape(va_bits)
-        counters, stored = self._counters, self._lines
+        pages = self._pages
         changed = []
         for i in range(n):
             line = first_line + i
             want = content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
-            entry = stored.get(line)
+            j = line & _LINE_MASK
+            page = pages.get(line - j)
+            entry = page and page.lines.get(j)
             if entry is None:
-                record = self._covering(line)
-                j = line & _LINE_MASK
-                if (record is None or record.va_bits != va_bits  # as in read_lines
-                        or record.sw + j * record.step != sw_int + (i << VOFFSET_SHIFT)
-                        or record.content[j * LINE_BYTES:(j + 1) * LINE_BYTES] != want):
+                if (page is None or page.content is None  # as in read_lines
+                        or page.va_bits != va_bits
+                        or page.sw + j * page.step != sw_int + (i << VOFFSET_SHIFT)
+                        or page.content[j * LINE_BYTES:(j + 1) * LINE_BYTES] != want):
                     changed.append(i)
                 continue
-            ad = marker | counters.get(line, 0) << width | sw_int + (i << VOFFSET_SHIFT)
+            ad = marker | page.counters[j] << width | sw_int + (i << VOFFSET_SHIFT)
             if _memo(entry, ad) != want:
                 changed.append(i)
         return changed
@@ -559,8 +513,10 @@ class Mee:
         """The raw (ciphertext, tag); never-written DRAM holds zero
         ciphertext and a zero tag."""
         _check_line(line_index)
-        entry = self._entry(line_index) or (bytes(LINE_BYTES), bytes(TAG_LEN))
-        self._materialize(line_index, entry)
+        entry = self._entry(line_index)
+        if entry is None:
+            return bytes(LINE_BYTES), bytes(TAG_LEN)
+        self._materialize(line_index, entry, self.counter_of(line_index))
         return entry[0], entry[1]
 
     def restore_line(self, line_index: int, ciphertext: bytes, tag: bytes) -> None:
@@ -570,12 +526,10 @@ class Mee:
         _check_line(line_index)
         entry = self._entry(line_index)
         if entry is None:
-            entry = self._lines[line_index] = [ciphertext, tag]
-            self._counters.setdefault(line_index, 0)
-            self._pages.setdefault(line_index & _PAGE_MASK, _Record()).leave(
-                line_index & _LINE_MASK)
+            page = self._pages.setdefault(line_index & _PAGE_MASK, _Page())
+            entry = page.lines[line_index & _LINE_MASK] = [ciphertext, tag]
             self.line_entries += 1
-        self._materialize(line_index, entry)
+        self._materialize(line_index, entry, self.counter_of(line_index))
         entry[0], entry[1] = ciphertext, tag
 
     def flip_bit(self, line_index: int, bit: int, target: str = "ciphertext") -> None:

@@ -185,6 +185,8 @@ def test_overhead_sweep_rows_monotone_in_lines():
 def test_tc_cfg_validation():
     with pytest.raises(ValueError):
         TcCfg(n_tweak=100)  # not a power of two
+    with pytest.raises(ValueError, match="voffset_low_bits must not be negative"):
+        TcCfg(n_tweak=32, voffset_low_bits=-1)
     with pytest.raises(ValueError):
         tc_overhead_bits(CacheCfg(n_lines=64, ways=1, va_bits=39),
                          TcCfg(n_tweak=32, voffset_low_bits=42))  # exceeds width

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +229,32 @@ def test_overhead_refuses_a_cache_with_no_lines(tmp_path, capsys, lines):
     assert not out.exists()
 
 
+def test_overhead_default_points_follow_the_address_width(tmp_path):
+    """The default grid's full-width point keeps all the voffset bits
+    inline: 42 at 48 bits, where the CSV is pinned byte for byte, and 33 at
+    39 bits, which both the CLI and the reproduction script accept."""
+    out48, out39 = tmp_path / "o48.csv", tmp_path / "o39.csv"
+    assert run_cli("overhead", "--out", str(out48)) == 0
+    assert hashlib.sha256(out48.read_bytes()).hexdigest() == (
+        "75b51ec064568042fbe2fa2ad48164e2464f402150a9d9a52f814b78f5296bc5")
+    assert run_cli("overhead", "--va-bits", "39", "--out", str(out39)) == 0
+    rows = out39.read_text().splitlines()[2:]
+    assert len(rows) == 81 and {row.split(",")[2] for row in rows} == {"6", "20", "33"}
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_overhead_sweep.py"
+    proc = subprocess.run([sys.executable, str(script), "--va-bits", "39",
+                           "--out", str(tmp_path / "s39.csv")],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "s39.csv").read_bytes() == out39.read_bytes()
+
+
+def test_overhead_refuses_a_negative_inline_voffset_split(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert run_cli("overhead", "--tc", "32:-1", "--lines", "64", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: voffset_low_bits must not be negative")
+    assert not out.exists()
+
+
 IMAGE_MANIFEST = {
     "entry_offset": 0,
     "developer_id": "acme-dev",
@@ -368,6 +395,18 @@ def test_a_developer_id_option_longer_than_eight_bytes_exits_two(tmp_path, capsy
                    "--developer-id", "acme-developer-one", "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("error: --developer-id is longer than 8 bytes")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["pack", "--out", "x.img"], "--manifest"),
+    (["unpack", "--out", "d"], "--image"),
+    (["wrap", "--out", "w", "--cpu-key", "00"], "--image"),
+], ids=["pack", "unpack", "wrap"])
+def test_an_image_mode_without_its_input_exits_two(tmp_path, capsys, monkeypatch, argv, option):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("image", *argv) == 2
+    assert capsys.readouterr().err == f"error: image {argv[0]} needs {option}\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("wrapped", [False, True], ids=["non-image", "wrapped-without-key"])

@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ReferenceMee
 from servas_sim.aead import AesGcmAead
 from servas_sim.mee import (
     COUNTER_BITS,
@@ -49,11 +50,15 @@ def mee():
 def _start_line_at(mee, line, counter, sw):
     """Give ``line`` its own entry at ``counter``, as if written ``counter``
     times under ``sw``: a one-line write of zeros gives the line its own
-    entry, which its page's record marks loose, the counter is raised to
-    one below ``counter``, and a second write seals the entry at
-    ``counter``, so the entry's associated data and its counter agree."""
+    entry, its counter is raised to one below ``counter`` (in its page's
+    counters, or in a reference engine's dict), and a second write seals
+    the entry at ``counter``, so the entry's associated data and its
+    counter agree."""
     mee.write(line, bytes(LINE_BYTES), sw)
-    mee._counters[line] = counter - 1
+    if isinstance(mee, ReferenceMee):
+        mee.lines[line] = (*mee.snapshot_line(line), counter - 1)
+    else:
+        mee._pages[line & ~63].counters[line & 63] = counter - 1
     mee.write(line, bytes(LINE_BYTES), sw)
 
 
@@ -635,17 +640,28 @@ def _start_lines_at(mee, counters):
             _start_line_at(mee, line, counter, _line_sw(0, line))
 
 
+def _agree(engines, lines):
+    """Every engine's written lines and counters, seal and open counts and
+    raw bytes of ``lines`` are the first engine's."""
+    first, *others = engines
+    for other in others:
+        assert other.written_lines() == first.written_lines()
+        assert (other.seals, other.opens) == (first.seals, first.opens)
+        assert [other.snapshot_line(i) for i in lines] == [first.snapshot_line(i) for i in lines]
+
+
 @settings(max_examples=200)
 @given(counters=st.lists(st.sampled_from([0, 1, 2, 1 << 40, COUNTER_LIMIT - 3]),
                          min_size=_N, max_size=_N),
        ops=st.lists(_MEMO_OPS, min_size=5, max_size=60))
 def test_memo_is_invisible(counters, ops):
-    """Two same-key engines run the same operations from the same counters;
-    one loses every memo before each read.  Results, errors and the line
-    they name, counters, seal and open counts and every line's raw bytes
-    agree throughout."""
-    engines = [Mee(KEY), Mee(KEY)]
-    snapshots = [[], []]
+    """Three same-key engines run the same operations from the same
+    counters: one as is, one that loses every memo before each read, and
+    the reference engine, which seals every write and opens every read.
+    Results, errors and the line they name, counters, seal and open counts
+    and every line's raw bytes agree throughout."""
+    engines = [Mee(KEY), Mee(KEY), ReferenceMee(KEY)]
+    snapshots = [[] for _ in engines]
     for mee in engines:
         _start_lines_at(mee, counters)
     for op in ops:
@@ -653,11 +669,8 @@ def test_memo_is_invisible(counters, ops):
             _strip_memo(engines[1])
         results = [_apply_memo_op(mee, op, snaps)
                    for mee, snaps in zip(engines, snapshots)]
-        assert results[0] == results[1], op
-        assert engines[0].written_lines() == engines[1].written_lines()
-        assert (engines[0].seals, engines[0].opens) == (engines[1].seals, engines[1].opens)
-        assert [engines[0].snapshot_line(i) for i in range(_N)] == \
-            [engines[1].snapshot_line(i) for i in range(_N)]
+        assert results[1:] == results[:1] * 2, op
+        _agree(engines, range(_N))
 
 
 @settings(max_examples=200)
@@ -1010,18 +1023,16 @@ def _apply_page_op(mee, op, snapshots):
 @settings(max_examples=150)
 @given(ops=st.lists(_PAGE_OPS, min_size=5, max_size=40))
 def test_page_memo_is_invisible(ops):
-    """Two same-key engines run the same operations; before each, one moves
-    every line its page records cover into its own entry.  Results, errors
-    and the line they name, every written line and its counter, the seal
-    and open counts and, at the end, every line's raw bytes agree."""
-    engines = [Mee(KEY), Mee(KEY)]
-    snapshots = [[], []]
+    """Three same-key engines run the same operations: one as is, one that
+    moves every line its page records cover into its own entry before
+    each, and the reference engine.  Results, errors and the line they
+    name, every written line and its counter, the seal and open counts
+    and, at the end, every line's raw bytes agree."""
+    engines = [Mee(KEY), Mee(KEY), ReferenceMee(KEY)]
+    snapshots = [[] for _ in engines]
     for op in ops:
         _detach_all(engines[1])
         results = [_apply_page_op(mee, op, snaps) for mee, snaps in zip(engines, snapshots)]
-        assert results[0] == results[1], op
-        assert engines[0].written_lines() == engines[1].written_lines()
-        assert (engines[0].seals, engines[0].opens) == (engines[1].seals, engines[1].opens)
-    lines = list(engines[0].written_lines())
-    assert [engines[0].snapshot_line(i) for i in lines] == \
-        [engines[1].snapshot_line(i) for i in lines]
+        assert results[1:] == results[:1] * 2, op
+        _agree(engines, ())
+    _agree(engines, list(engines[0].written_lines()))

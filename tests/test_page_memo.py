@@ -1,12 +1,13 @@
 """The engine's page records seen from the monitor: one named test per way a
 monitor page can change under its record, and two differential fuzzes that
 hold a machine to one whose engine keeps every line in its own entry, the
-line-by-line representation."""
+line-by-line representation, and to one on the reference engine, which
+seals every write and opens every read."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import A_BASE, spawn_enclave
+from conftest import A_BASE, ReferenceMee, spawn_enclave
 from servas_sim.machine import (
     AccessKind,
     AuthenticationException,
@@ -26,10 +27,13 @@ B_STACK2 = B_BASE + 3 * PAGE_BYTES  # the second of enclave B's two stack pages
 META_A, THREAD_A, META_B, THREAD_B = 0x200, 0x201, 0x210, 0x211
 
 
-def _world(seed=5):
+def _world(seed=5, engine=None):
     """Two enclaves in one host space: A with the standard layout, B with
-    two stack pages.  A has been entered and left once."""
+    two stack pages.  A has been entered and left once.  ``engine``, if
+    given, builds the machine's engine from its key."""
     m = Machine(seed=seed)
+    if engine is not None:
+        m.mee = engine(m.mee_key)
     sm = SecurityMonitor(m)
     a = spawn_enclave(m, sm)
     b = spawn_enclave(m, sm, base=B_BASE, ppn_start=0x110, stack_pages=2,
@@ -153,18 +157,20 @@ def _raw_lines(m):
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_page_memo_is_invisible_on_the_builtin_suite(seed):
-    """Each builtin scenario, run once as is and once on an engine that
-    keeps every line in its own entry, gives the same verdict, the same
-    written lines and counters, seal and open counts, and the same raw
-    bytes on every line."""
+    """Each builtin scenario, run as is, on an engine that keeps every line
+    in its own entry and on the reference engine, gives the same verdict,
+    the same written lines and counters, seal and open counts, and the same
+    raw bytes on every line."""
     for scenario in builtin_suite():
-        runners = [ScenarioRunner(scenario, seed=seed) for _ in range(2)]
+        runners = [ScenarioRunner(scenario, seed=seed) for _ in range(3)]
         runners[1].machine.mee.__class__ = _ForgetfulMee
+        runners[2].machine.mee = ReferenceMee(runners[2].machine.mee_key)
         verdicts = [runner.run() for runner in runners]
-        assert verdicts[0] == verdicts[1] == scenario.expected, scenario.name
+        assert verdicts == [scenario.expected] * 3, scenario.name
         machines = [runner.machine for runner in runners]
-        assert _engine_state(machines[0]) == _engine_state(machines[1]), scenario.name
-        assert _raw_lines(machines[0]) == _raw_lines(machines[1]), scenario.name
+        for other in machines[1:]:
+            assert _engine_state(other) == _engine_state(machines[0]), scenario.name
+            assert _raw_lines(other) == _raw_lines(machines[0]), scenario.name
 
 
 # Enclave A's data page, B's data page, A's stack page and B's second stack
@@ -258,17 +264,19 @@ def _machine_state(m, sm):
 @settings(max_examples=60)
 @given(ops=st.lists(_OPS, min_size=10, max_size=40))
 def test_page_memo_is_invisible_on_random_operations(ops):
-    """Two same-seed two-enclave machines run the same monitor calls,
+    """Three same-seed two-enclave machines run the same monitor calls,
     accesses, OS remappings onto monitor pages and raw DRAM tampering; one
-    engine keeps every line in its own entry.  Every result, trap and line
-    it names, every written line and counter, the seal and open counts and
-    the machine state agree after each operation, and every line's raw
-    bytes at the end."""
-    worlds = [_world() for _ in range(2)]
+    engine keeps every line in its own entry, and one is the reference
+    engine.  Every result, trap and line it names, every written line and
+    counter, the seal and open counts and the machine state agree after
+    each operation, and every line's raw bytes at the end."""
+    worlds = [_world(), _world(), _world(engine=ReferenceMee)]
     worlds[1][0].mee.__class__ = _ForgetfulMee
     logs = [{"snapshots": [], "sealed": {}} for _ in worlds]
     for op in ops:
         results = [_apply(m, sm, (a, b), op, log) for (m, sm, a, b), log in zip(worlds, logs)]
-        assert results[0] == results[1], op
-        assert _machine_state(*worlds[0][:2]) == _machine_state(*worlds[1][:2]), op
-    assert _raw_lines(worlds[0][0]) == _raw_lines(worlds[1][0])
+        assert results[1:] == results[:1] * 2, op
+        for m, sm, _, _ in worlds[1:]:
+            assert _machine_state(m, sm) == _machine_state(*worlds[0][:2]), op
+    for m, _, _, _ in worlds[1:]:
+        assert _raw_lines(m) == _raw_lines(worlds[0][0])
