@@ -29,10 +29,13 @@ The pass walks the rows in order, drawing each into the same buffers, so
 it holds O(trials x sets) memory whatever the tweak count.  A per-trial,
 per-set count gives each tweak its occurrence rank within its set (one
 gather, one scatter per row), and the tweak is evicted when that rank
-passes ``ways``.  The running sum of evictions is the per-trial evicted
-count after every tweak count at once, so one pass serves a whole column
-of the grid and both modes read their probability from the same integer
-row.  ``simulate_eviction`` is one point of this pass.
+passes ``ways``.  No count, rank or evicted count can exceed the largest
+tweak count, so all three are stored in the narrowest unsigned type that
+holds it (one byte for the CLI's default grid).  The running sum of
+evictions is the per-trial evicted count after every tweak count at once,
+so one pass serves a whole column of the grid and both modes read their
+probability from the same integer row.  ``simulate_eviction`` is one point
+of this pass.
 """
 
 from __future__ import annotations
@@ -118,9 +121,9 @@ class EvictionMode(enum.Enum):
 
 # The bound on an eviction grid's size: a pass draws max(tweak counts) x
 # trials set indices, one row of trials at a time, and holds trials x sets
-# int32 counts, so the first product bounds its work and the second its
-# memory (64 MB of counts at most); neither may exceed it, and a count range
-# may list no more points.
+# counts of at most four bytes (uint32, past 65,535 tweaks), so the first
+# product bounds its work and the second its memory (64 MB of counts at
+# most); neither may exceed it, and a count range may list no more points.
 GRID_LIMIT = 1 << 24
 
 
@@ -149,21 +152,24 @@ def _eviction_pass(n_entries: int, ways: int, tweak_counts, trials: int,
     """(at_least_one, total) for every count in ``tweak_counts`` from one
     coupled pass (see the module docstring)."""
     wanted, n_sets = set(tweak_counts), n_entries // ways
+    max_tweaks = max(wanted, default=0)
+    count_type = np.min_scalar_type(max_tweaks)  # no rank or evicted count exceeds it
     rng = np.random.default_rng(seed)
     row, idx = np.empty(trials), np.empty(trials, dtype=np.intp)  # a tweak's draws, count indices
+    rank, over = np.empty(trials, dtype=count_type), np.empty(trials, dtype=bool)
     offsets = np.arange(0, trials * n_sets, n_sets)  # trial t's counts start at t * n_sets
-    counts = np.zeros(trials * n_sets, dtype=np.int32)
-    evicted = np.zeros(trials, dtype=np.int64)
+    counts = np.zeros(trials * n_sets, dtype=count_type)
+    evicted = np.zeros(trials, dtype=count_type)
     probs = {}
-    for n_tweaks in range(1, max(wanted, default=0) + 1):
+    for n_tweaks in range(1, max_tweaks + 1):
         rng.random(out=row)
-        row *= n_sets
-        idx[:] = row  # truncates, as astype does
+        np.multiply(row, n_sets, out=idx, casting="unsafe")  # truncates, as astype does
         idx += offsets
-        rank = counts[idx]
+        counts.take(idx, out=rank, mode="clip")  # every index is in range
         rank += 1
         counts[idx] = rank
-        evicted += rank > ways
+        np.greater(rank, ways, out=over)
+        evicted += over
         if n_tweaks in wanted:  # a count over trials is exactly the mean of 0/1 values
             probs[n_tweaks] = (np.count_nonzero(evicted) / trials, float((evicted / n_tweaks).mean()))
     return probs

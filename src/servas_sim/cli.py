@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -105,6 +106,8 @@ def _junit_report(results, stream) -> None:
 
 def cmd_scenarios(args) -> int:
     seed = _seed_from(args)
+    if args.fault_threshold < 1:
+        raise ScriptError(f"--fault-threshold must be at least 1, got {args.fault_threshold}")
     if args.path is None or args.path == "builtin":
         scenarios = builtin_suite()
     else:
@@ -242,6 +245,7 @@ def _image_key(args) -> bytes | None:
 # --- entry point ---------------------------------------------------------------------
 
 
+@functools.cache  # a parser keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="servas-sim",
@@ -293,9 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ScriptError as exc:
         print(f"error: {exc}", file=sys.stderr)

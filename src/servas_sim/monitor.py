@@ -382,13 +382,16 @@ def _weak_auth_handler(monitor: "SecurityMonitor"):
 class SecurityMonitor:
     """Monitor instance bound to one machine.
 
-    ``fault_threshold`` is the number of authentication faults one enclave
-    may cause before it is terminated; ``delay_penalty`` is a simulated tick
-    cost charged per fault (pure bookkeeping, returned in the disposition).
+    ``fault_threshold`` (at least 1) is the number of authentication faults
+    one enclave may cause before it is terminated; ``delay_penalty`` is a
+    simulated tick cost charged per fault (pure bookkeeping, returned in the
+    disposition).
     """
 
     def __init__(self, machine: Machine, fault_threshold: int = 3,
                  delay_penalty: int = 0):
+        if fault_threshold < 1:
+            raise ValueError(f"fault_threshold must be at least 1, got {fault_threshold}")
         self.machine = machine
         self.fault_threshold = fault_threshold
         self.delay_penalty = delay_penalty

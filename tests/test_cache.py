@@ -332,6 +332,22 @@ def test_eviction_grid_matches_per_point_reference(trials, seed):
         assert simulate_eviction(n, w, k, trials, EvictionMode(mode_value), seed) == p
 
 
+@pytest.mark.parametrize("n_entries, ways, tweak_counts, trials", [
+    (32, 4, [300, 7, 256], 37),  # uint16 counts: evicted counts pass 255
+    (1, 1, [65_537], 1),  # uint32 counts: one set, so every count passes 65,535
+    (512, 256, [9, 3], 20),  # ways above what the uint8 counts can hold
+], ids=["uint16", "uint32", "ways-past-uint8"])
+def test_eviction_grid_with_wide_counts_matches_reference(n_entries, ways, tweak_counts, trials):
+    """The counts are stored in the narrowest unsigned type that holds the
+    largest tweak count; grids past 255 and 65,535 tweaks still reproduce
+    the per-point reference exactly."""
+    rows = eviction_grid([n_entries], [ways], tweak_counts, trials=trials, seed=3)
+    assert rows == [(n_entries, ways, k, mode.value,
+                     _reference_eviction(n_entries, ways, k, trials, mode, 3), trials, 3)
+                    for k in tweak_counts
+                    for mode in (EvictionMode.AT_LEAST_ONE, EvictionMode.TOTAL)]
+
+
 def test_an_eviction_pass_holds_one_row_of_draws_at_a_time():
     """A pass's memory is O(trials x sets), not O(max tweaks x trials): 2,048
     tweaks over 1,000 trials would be 16 MB of float64 draws held at once
@@ -339,6 +355,19 @@ def test_an_eviction_pass_holds_one_row_of_draws_at_a_time():
     tracemalloc.start()
     try:
         _eviction_pass(32, 4, [2048], 1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"traced peak {peak:,} bytes"
+
+
+def test_an_eviction_pass_keeps_narrow_counts():
+    """The default grid's widest geometry (128 sets over 10,000 trials)
+    holds its counts in one byte each: 1.3 MB, where 4-byte counts would
+    be 5.1 MB and take the traced peak past 6 MB."""
+    tracemalloc.start()
+    try:
+        _eviction_pass(128, 1, range(2, 73, 2), 10000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from servas_sim.cli import main
+from servas_sim.cli import build_parser, main
 from servas_sim.scenarios import builtin_suite, dump_scenarios
 
 
@@ -31,6 +31,16 @@ def test_single_scenario_filter(capsys):
 
 def test_unknown_filter_is_usage_error():
     assert run_cli("scenarios", "--filter", "no-such-thing") == 2
+
+
+@pytest.mark.parametrize("threshold", ["0", "-1"])
+def test_a_fault_threshold_below_one_exits_two(capsys, threshold):
+    """A threshold below one is refused before any scenario runs, not
+    treated as one."""
+    assert run_cli("scenarios", "--fault-threshold", threshold) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --fault-threshold must be at least 1, got {threshold}\n"
+    assert captured.out == ""
 
 
 def test_scenario_file_and_junit_report(tmp_path):
@@ -191,6 +201,23 @@ def test_eviction_env_seed_fallback(tmp_path, monkeypatch):
     run_cli("evictions", "--entries", "32", "--ways", "2", "--tweaks", "8",
             "--trials", "200", "--seed", "123", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_the_cached_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; an option given in one call
+    (``--seed 5``) does not leak into the next, so the environment seed
+    still wins there, and another subcommand parses as if first."""
+    grid = ("evictions", "--entries", "32", "--ways", "2", "--tweaks", "8", "--trials", "200")
+    seed5, env, seed123 = (tmp_path / f"{name}.csv" for name in ("seed5", "env", "seed123"))
+    assert run_cli(*grid, "--seed", "5", "--out", str(seed5)) == 0
+    monkeypatch.setenv("SERVAS_SIM_SEED", "123")
+    assert run_cli(*grid, "--out", str(env)) == 0
+    assert run_cli("scenarios", "--filter", "downgrade") == 0
+    assert "1/1 scenarios matched" in capsys.readouterr().out
+    monkeypatch.delenv("SERVAS_SIM_SEED")
+    assert run_cli(*grid, "--seed", "123", "--out", str(seed123)) == 0
+    assert env.read_bytes() == seed123.read_bytes() != seed5.read_bytes()
+    assert build_parser() is build_parser()
 
 
 def test_eviction_gnuplot_script(tmp_path):

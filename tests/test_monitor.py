@@ -721,6 +721,12 @@ def test_fault_threshold_terminates(machine):
         sm.eenter(handle)
 
 
+@pytest.mark.parametrize("threshold", [0, -1])
+def test_a_fault_threshold_below_one_is_refused(machine, threshold):
+    with pytest.raises(ValueError, match="fault_threshold must be at least 1"):
+        SecurityMonitor(machine, fault_threshold=threshold)
+
+
 def test_delay_disposition(machine):
     from servas_sim.monitor import Disposition
 
