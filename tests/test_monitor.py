@@ -615,6 +615,47 @@ def test_monitor_pages_round_trip_every_field():
         assert ThreadMeta.unpack(thread.pack()) == thread
 
 
+def test_monitor_pages_pack_golden():
+    """SHA-256 of both monitor pages' bytes for fully populated records:
+    owned pages of all three types (one re-typed by emod, one destroyed),
+    two swap records, a fault count, a non-default host context, and a
+    resumed thread whose registers are cleared while its saved pc, user
+    range and sids stay.  The records come from the monitor's own calls,
+    so their Python shape may change; the bytes they pack to may not."""
+    m = Machine(seed=7)
+    sm = SecurityMonitor(m, fault_threshold=5)
+    handle = spawn_enclave(m, sm, image=std_image(n_data=3))
+    shm_va, stack_va = 0x6000_0000, A_BASE + 4 * PAGE_BYTES
+    m.map_page(PRV_S, "host", shm_va, 0x180, "rwu", 0b11)
+    m.prv = PRV_S
+    for va in (A_BASE + 2 * PAGE_BYTES, A_BASE + 3 * PAGE_BYTES):
+        sm.swap_out(handle, va, temp_ppn=0x400)
+    m.prv = PRV_U
+    sm.eenter(handle)
+    m.write_csr(PRV_U, "urange", RangeReg(shm_va, PAGE_BYTES, True))
+    m.write_csr(PRV_U, "usid0", 0x0123_4567_89AB_CDEF)
+    m.write_csr(PRV_U, "usid1", 0xFEDC)
+    sm.eprepare(shm_va, PageType.SHM, RW)
+    sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW), PageCtx(PageType.REGULAR, RO))
+    sm.edestroy(stack_va)
+    with pytest.raises(AuthenticationException):
+        m.access("host", stack_va, READ, PRV_U, size=8)
+    m.set_reg(5, 41)
+    m.pc = A_BASE + 0x10
+    sm.interrupt()
+    for i in range(1, 32):
+        m.set_reg(i, 0x1000_0000 + i)
+    m.pc = 0x9000
+    m.write_csr(PRV_S, "urange", RangeReg(0x7000_0000, 2 * PAGE_BYTES, True))
+    m.write_csr(PRV_S, "usid0", 0x55)
+    m.write_csr(PRV_S, "usid1", 1 << 63)
+    sm.eenter(handle)  # resume, called from S-mode
+    meta, thread = sm.peek_meta(handle).pack(), sm.peek_thread(handle).pack()
+    assert (hashlib.sha256(meta).hexdigest(), hashlib.sha256(thread).hexdigest()) == (
+        "22f248f7c99499ef525a9a37fa3bccc67127c3d13928f4fd64a9655caad90ee3",
+        "a5015798ad485704041f65635e71768d947602a63c5b7eb3e5afa14178a74618")
+
+
 def test_swap_temp_page_readable_by_os(enclave):
     """The sealed bytes land under the OS identity-mapping tweak."""
     m, sm, handle = enclave
