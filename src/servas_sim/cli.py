@@ -9,14 +9,16 @@ Subcommands:
 * ``overhead`` -- inline vs tweak-cache tag-storage arithmetic as CSV.
 * ``image`` -- pack, unpack or wrap enclave image containers.
 
-Every command is deterministic under a fixed ``--seed``; the environment
-variable ``SERVAS_SIM_SEED`` is the fallback seed.  Exit codes: 0 success,
-1 verdict mismatch, 2 usage or script error.
+Every command is deterministic: ``overhead`` draws nothing, the others
+draw under ``--seed``, with the environment variable ``SERVAS_SIM_SEED``
+as the fallback seed.  Exit codes: 0 success, 1 verdict mismatch, 2 usage
+or script error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -69,7 +71,11 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _out_stream(path: str | None):
-    return open(path, "w", newline="") if path and path != "-" else sys.stdout
+    """A context for the file at ``path``, closed on the way out, or for
+    stdout (left open) for none or ``-``."""
+    if not path or path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
 
 
 # --- scenarios ----------------------------------------------------------------
@@ -120,12 +126,8 @@ def cmd_scenarios(args) -> int:
     for scenario in scenarios:
         got = run_scenario(scenario, seed=seed, fault_threshold=args.fault_threshold)
         results.append((scenario.name, scenario.expected, got))
-    stream = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as stream:
         (_junit_report if args.report == "junit" else _text_report)(results, stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0 if all(e == g for _, e, g in results) else 1
 
 
@@ -149,16 +151,12 @@ def cmd_evictions(args) -> int:
         _parse_int_list(args.entries), _parse_int_list(args.ways),
         _parse_range(args.tweaks), trials=args.trials, seed=seed,
     )
-    stream = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as stream:
         writer = csv.writer(stream)
         writer.writerow([EVICTION_CSV_SCHEMA])
         writer.writerow(["n_entries", "ways", "n_tweaks", "mode", "probability",
                          "trials", "seed"])
         writer.writerows(rows)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     if args.gnuplot:
         Path(args.gnuplot).write_text(
             _GNUPLOT_EVICTIONS.format(csv=args.out or "-", mode=EvictionMode.TOTAL.value))
@@ -175,16 +173,12 @@ def cmd_overhead(args) -> int:
         n_tweak, voffl = part.split(":")
         tc_cfgs.append(TcCfg(n_tweak=int(n_tweak, 0), voffset_low_bits=int(voffl, 0)))
     rows = overhead_sweep(_parse_range(args.lines), tc_cfgs, va_bits=args.va_bits)
-    stream = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as stream:
         writer = csv.writer(stream)
         writer.writerow([OVERHEAD_CSV_SCHEMA])
         writer.writerow(["n_lines", "n_tweak", "b_voffsetL", "inline_bits",
                          "tc_bits", "break_even_lines"])
         writer.writerows(rows)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -279,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tc", help="comma list of n_tweak:b_voffsetL points (default: 32, 128 "
                    "and 512 entries each with 6, 20 and all voffset bits inline, all being "
                    "42 at 48 bits and 33 at 39)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="CSV file (default stdout)")
     p.set_defaults(func=cmd_overhead)
 

@@ -8,7 +8,12 @@ per-enclave MONITOR pages (metadata + thread state) that are OS-allocated
 but sealed under an M-mode tweak, so the monitor re-reads and re-verifies
 its own state on every call.
 Destroying those pages erases the enclave as far as the monitor is
-concerned.
+concerned.  Both pages keep a hart's user context in one record
+(:class:`UserCtx`): the metadata page the host's, saved on entry and given
+back on exit, the thread page the enclave's, saved on interruption and
+given back on resume.  The pages list at most ``MAX_OWNED`` owned pages
+and ``MAX_SWAPS`` swap records, and every call checks that limit before
+its first seal, so a call over it fails with nothing changed.
 
 Page I/O pins the tweak: the monitor builds a page's first-line tweak
 once, all five software fields -- for an enclave page exactly what the
@@ -42,6 +47,7 @@ brute-force probing of shared-memory secrets and enclave identities.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import hmac
 import struct
@@ -169,37 +175,99 @@ _PTYPE_FROM_CODE = {v: k for k, v in _PTYPE_CODE.items()}
 _RSW_FOR = {PageType.REGULAR: 0b01, PageType.SHENCLAVE: 0b10, PageType.SHM: 0b11}
 
 
-@dataclass
-class OwnedPage:
-    va: int
+@dataclass(frozen=True)
+class PageCtx:
+    """A page's tweak-relevant identity, as the metadata page lists it and
+    as in-place re-encryption names it.  ``rsw`` defaults to the page
+    type's own bits."""
+
     page_type: PageType
     perms: dict[str, bool]
-    rsw: int
+    rsw: int | None = None
+    sid: int | None = None  # explicit shared secret for SHM rekeying
+
+    def __post_init__(self) -> None:
+        if self.page_type is PageType.MONITOR:
+            raise MonitorTypeForbidden("enclaves cannot mint monitor pages")
+        if self.page_type not in _RSW_FOR:
+            raise InvalidCombination(f"no enclave page is {self.page_type.value}")
+        if self.rsw is None:
+            object.__setattr__(self, "rsw", _RSW_FOR[self.page_type])
+        elif not 0 <= self.rsw < 4:
+            raise InvalidCombination(f"rsw {self.rsw} is not a 2-bit field")
+
+
+@functools.cache
+def _listed_ctx(code: int, perm: int, rsw: int) -> PageCtx:
+    """The context a metadata page record encodes, decoded once per
+    distinct record and then shared: a listed context is replaced, never
+    changed in place."""
+    return PageCtx(_PTYPE_FROM_CODE[code], unpack_perm_byte(perm), rsw)
 
 
 @dataclass
 class SwapRecord:
-    va: int
+    """A swapped-out page's context, and the nonce and tag of the one
+    sealed version of it that may come back in."""
+
+    ctx: PageCtx
     nonce: bytes
     tag: bytes
-    perms: dict[str, bool]
-    rsw: int
-    page_type: PageType
 
 
-# The fixed part of each monitor page, one struct each.  Metadata: magic,
-# version, state, pad, rtid, encid, entry point, mrange base and size, fault
-# count, owned and swap record counts, host space, host pc and privilege,
-# then the host's registers, urange (base, size, enabled) and usid0/usid1.
-# Thread: magic, version, in-enclave flag, pad, resume pc, saved registers,
-# urange and usid0/usid1, and whether the registers are saved.
-_META = struct.Struct("<4sHBBQ32sQQQIHH16sQB7x32QQQB7xQQ")
+_NO_REGS = (0,) * 32
+
+
+@dataclass
+class UserCtx:
+    """A hart's user context: pc, registers, user range and user sids.
+    ``regs`` is None when no registers are saved; restoring such a context
+    zeroes the register file."""
+
+    pc: int = 0
+    regs: list[int] | None = None
+    urange: RangeReg = field(default_factory=RangeReg)
+    usid0: int = 0
+    usid1: int = 0
+
+    @classmethod
+    def of(cls, machine: Machine) -> "UserCtx":
+        csr = machine.csr
+        return cls(machine.pc, list(machine.regs), csr.urange, csr.usid0, csr.usid1)
+
+    def restore(self, machine: Machine) -> None:
+        machine.pc = self.pc
+        machine.regs = [0] * len(machine.regs) if self.regs is None else list(self.regs)
+        for name in ("urange", "usid0", "usid1"):
+            machine.write_csr(PRV_M, name, getattr(self, name))
+
+    def fields(self) -> tuple:
+        """The values of ``_CTX``, zero registers standing for none."""
+        urange = self.urange
+        return (*(_NO_REGS if self.regs is None else self.regs), urange.base, urange.size,
+                urange.enabled, self.usid0, self.usid1)
+
+    @classmethod
+    def from_fields(cls, pc: int, fields, has_regs: bool = True) -> "UserCtx":
+        *regs, ubase, usize, uen, usid0, usid1 = fields
+        return cls(pc, regs if has_regs else None, RangeReg(ubase, usize, bool(uen)),
+                   usid0, usid1)
+
+
+# The fixed part of each monitor page, one struct each, both ending in a
+# UserCtx past its pc: registers, urange (base, size, enabled), usid0/usid1.
+# Metadata: magic, version, state, pad, rtid, encid, entry point, mrange
+# base and size, fault count, owned and swap record counts, host space,
+# then the host's pc, the privilege eenter was called from and the host's
+# context.  Thread: magic, version, in-enclave flag, pad, the enclave's pc
+# and context, and whether its registers are saved.
+_CTX = "32QQQB7xQQ"
+_META = struct.Struct("<4sHBBQ32sQQQIHH16sQB7x" + _CTX)
 _META_MAGIC = b"SMEP"
 _OWNED = struct.Struct("<QBBB5x")
 _SWAP = struct.Struct("<Q12s16sBBBB8x")  # ..., page type, live (always 1)
-_THREAD = struct.Struct("<4sHBBQ32QQQB7xQQB")
+_THREAD = struct.Struct("<4sHBBQ" + _CTX + "B")
 _THREAD_MAGIC = b"SMTP"
-_NO_REGS = (0,) * 32
 MAX_OWNED = 64
 MAX_SWAPS = 40
 
@@ -209,6 +277,9 @@ _SWAP_OFF = _OWNED_OFF + MAX_OWNED * _OWNED.size
 
 @dataclass
 class EnclaveMeta:
+    """The metadata page: owned pages and swap records keyed by va, in the
+    order they were added."""
+
     state: EnclaveState
     rtid: int
     encid_full: bytes
@@ -216,91 +287,76 @@ class EnclaveMeta:
     mrange: RangeReg
     host_space: str
     fault_count: int = 0
-    host_pc: int = 0
-    host_prv: int = PRV_U
-    host_regs: list[int] = field(default_factory=lambda: [0] * 32)
-    host_urange: RangeReg = field(default_factory=RangeReg)
-    host_usid0: int = 0
-    host_usid1: int = 0
-    owned: list[OwnedPage] = field(default_factory=list)
-    swaps: list[SwapRecord] = field(default_factory=list)
+    caller_prv: int = PRV_U
+    host: UserCtx = field(default_factory=UserCtx)
+    owned: dict[int, PageCtx] = field(default_factory=dict)
+    swaps: dict[int, SwapRecord] = field(default_factory=dict)
+
+    def check_room(self, owned: int = 0, swaps: int = 0) -> None:
+        """Raise :class:`MonitorCapacity` unless the page can list ``owned``
+        more owned pages and ``swaps`` more swap records than it does."""
+        if len(self.owned) + owned > MAX_OWNED:
+            raise MonitorCapacity("too many owned pages for the metadata page")
+        if len(self.swaps) + swaps > MAX_SWAPS:
+            raise MonitorCapacity("too many swap records for the metadata page")
 
     def pack(self) -> bytes:
-        if len(self.owned) > MAX_OWNED:
-            raise MonitorCapacity("too many owned pages for the metadata page")
-        if len(self.swaps) > MAX_SWAPS:
-            raise MonitorCapacity("too many swap records for the metadata page")
+        self.check_room()
         buf = bytearray(PAGE_BYTES)
-        urange = self.host_urange
         _META.pack_into(
             buf, 0, _META_MAGIC, 1, int(self.state), 0, self.rtid, self.encid_full,
             self.entry_point, self.mrange.base, self.mrange.size,
             self.fault_count, len(self.owned), len(self.swaps),
-            self.host_space.encode()[:16], self.host_pc, self.host_prv, *self.host_regs,
-            urange.base, urange.size, urange.enabled, self.host_usid0, self.host_usid1,
+            self.host_space.encode()[:16], self.host.pc, self.caller_prv, *self.host.fields(),
         )
-        for i, o in enumerate(self.owned):
-            _OWNED.pack_into(buf, _OWNED_OFF + i * _OWNED.size, o.va,
+        for i, (va, o) in enumerate(self.owned.items()):
+            _OWNED.pack_into(buf, _OWNED_OFF + i * _OWNED.size, va,
                              _PTYPE_CODE[o.page_type], pack_perm_byte(o.perms), o.rsw)
-        for i, s in enumerate(self.swaps):
-            _SWAP.pack_into(buf, _SWAP_OFF + i * _SWAP.size, s.va, s.nonce, s.tag,
-                            pack_perm_byte(s.perms), s.rsw, _PTYPE_CODE[s.page_type], True)
+        for i, (va, s) in enumerate(self.swaps.items()):
+            _SWAP.pack_into(buf, _SWAP_OFF + i * _SWAP.size, va, s.nonce, s.tag,
+                            pack_perm_byte(s.ctx.perms), s.ctx.rsw,
+                            _PTYPE_CODE[s.ctx.page_type], True)
         return bytes(buf)
 
     @classmethod
     def unpack(cls, buf: bytes) -> "EnclaveMeta":
-        fields = _META.unpack_from(buf)
         (magic, version, state, _, rtid, encid, entry, mbase, msize, faults,
-         n_owned, n_swaps, space, host_pc, host_prv) = fields[:15]
-        ubase, usize, uen, usid0, usid1 = fields[47:]
+         n_owned, n_swaps, space, pc, prv, *host) = _META.unpack_from(buf)
         if magic != _META_MAGIC or version != 1:
             raise BadHandle("not an enclave metadata page")
-        owned = []
-        for i in range(n_owned):
-            va, code, perm, rsw = _OWNED.unpack_from(buf, _OWNED_OFF + i * _OWNED.size)
-            owned.append(OwnedPage(va, _PTYPE_FROM_CODE[code], unpack_perm_byte(perm), rsw))
-        swaps = []
-        for i in range(n_swaps):
-            va, nonce, tag, perm, rsw, code, _ = _SWAP.unpack_from(buf, _SWAP_OFF + i * _SWAP.size)
-            swaps.append(SwapRecord(va, nonce, tag, unpack_perm_byte(perm), rsw,
-                                    _PTYPE_FROM_CODE[code]))
-        return cls(
-            state=EnclaveState(state), rtid=rtid, encid_full=encid, entry_point=entry,
-            mrange=RangeReg(mbase, msize, True), host_space=space.rstrip(b"\x00").decode(),
-            fault_count=faults, host_pc=host_pc, host_prv=host_prv, host_regs=list(fields[15:47]),
-            host_urange=RangeReg(ubase, usize, bool(uen)), host_usid0=usid0,
-            host_usid1=usid1, owned=owned, swaps=swaps,
-        )
+        owned = {va: _listed_ctx(code, perm, rsw) for va, code, perm, rsw in
+                 _OWNED.iter_unpack(buf[_OWNED_OFF:_OWNED_OFF + n_owned * _OWNED.size])}
+        swaps = {va: SwapRecord(_listed_ctx(code, perm, rsw), nonce, tag)
+                 for va, nonce, tag, perm, rsw, code, _ in
+                 _SWAP.iter_unpack(buf[_SWAP_OFF:_SWAP_OFF + n_swaps * _SWAP.size])}
+        return cls(EnclaveState(state), rtid, encid, entry, RangeReg(mbase, msize, True),
+                   space.rstrip(b"\x00").decode(), faults, prv,
+                   UserCtx.from_fields(pc, host), owned, swaps)
 
 
 @dataclass
 class ThreadMeta:
+    """The thread page: the enclave's context while it is interrupted.  A
+    resume clears the registers (the page then holds zeros and no "saved"
+    flag) but leaves the saved pc, user range and sids in the page; the
+    in-enclave flag is written and never read."""
+
     in_enclave: bool = False
-    resume_pc: int = 0
-    saved_regs: list[int] | None = None
-    saved_urange: RangeReg = field(default_factory=RangeReg)
-    saved_usid0: int = 0
-    saved_usid1: int = 0
+    saved: UserCtx = field(default_factory=UserCtx)
 
     def pack(self) -> bytes:
         buf = bytearray(PAGE_BYTES)
-        urange, regs = self.saved_urange, self.saved_regs
-        _THREAD.pack_into(buf, 0, _THREAD_MAGIC, 1, self.in_enclave, 0, self.resume_pc,
-                          *(_NO_REGS if regs is None else regs), urange.base, urange.size,
-                          urange.enabled, self.saved_usid0, self.saved_usid1, regs is not None)
+        saved = self.saved
+        _THREAD.pack_into(buf, 0, _THREAD_MAGIC, 1, self.in_enclave, 0, saved.pc,
+                          *saved.fields(), saved.regs is not None)
         return bytes(buf)
 
     @classmethod
     def unpack(cls, buf: bytes) -> "ThreadMeta":
-        fields = _THREAD.unpack_from(buf)
-        magic, version, in_enc, _, pc = fields[:5]
-        ubase, usize, uen, usid0, usid1, has_regs = fields[37:]
+        magic, version, in_enc, _, pc, *ctx, has_regs = _THREAD.unpack_from(buf)
         if magic != _THREAD_MAGIC or version != 1:
             raise BadHandle("not a thread metadata page")
-        return cls(in_enclave=bool(in_enc), resume_pc=pc,
-                   saved_regs=list(fields[5:37]) if has_regs else None,
-                   saved_urange=RangeReg(ubase, usize, bool(uen)),
-                   saved_usid0=usid0, saved_usid1=usid1)
+        return cls(bool(in_enc), UserCtx.from_fields(pc, ctx, bool(has_regs)))
 
 
 def _check_reg_writes(machine: Machine, regs: dict[int, int] | None) -> None:
@@ -341,27 +397,6 @@ def derive_developer_key(cpu_key: bytes, developer_id: bytes) -> bytes:
 MONITOR_PTE_BITS = pack_pte_bits(r=True, w=True, x=False, u=False, g=False, rsw=0)
 
 _STACK_PERMS = {"r": True, "w": True, "x": False, "u": True, "g": False}
-
-
-@dataclass(frozen=True)
-class PageCtx:
-    """A page's tweak-relevant identity for in-place re-encryption."""
-
-    page_type: PageType
-    perms: dict[str, bool]
-    rsw: int | None = None
-    sid: int | None = None  # explicit shared secret for SHM rekeying
-
-    def __post_init__(self) -> None:
-        if self.page_type is PageType.MONITOR:
-            raise MonitorTypeForbidden("enclaves cannot mint monitor pages")
-        if self.page_type not in _RSW_FOR:
-            raise InvalidCombination(f"no enclave page is {self.page_type.value}")
-        if self.rsw is not None and not 0 <= self.rsw < 4:
-            raise InvalidCombination(f"rsw {self.rsw} is not a 2-bit field")
-
-    def resolved_rsw(self) -> int:
-        return self.rsw if self.rsw is not None else _RSW_FOR[self.page_type]
 
 
 def _weak_auth_handler(monitor: "SecurityMonitor"):
@@ -464,12 +499,11 @@ class SecurityMonitor:
                     urange: RangeReg | None = None) -> SwTweak:
         """The tweak the enclave's own access to the first line of the page
         at ``va`` composes; line ``i`` of the page is its voffset plus ``i``."""
-        rsw = ctx.resolved_rsw()
         pte_bits = pack_pte_bits(ctx.perms["r"], ctx.perms["w"], ctx.perms["x"],
-                                 ctx.perms["u"], ctx.perms.get("g", False), rsw)
+                                 ctx.perms["u"], ctx.perms.get("g", False), ctx.rsw)
         classify_page_type(
             {PageType.REGULAR: 0b100, PageType.SHENCLAVE: 0b100, PageType.SHM: 0b001}[ctx.page_type],
-            PRV_U, pte_bits, rsw,
+            PRV_U, pte_bits, ctx.rsw,
         )
         if ctx.page_type in (PageType.REGULAR, PageType.SHENCLAVE):
             if not meta.mrange.contains(va) or not meta.mrange.contains(va + PAGE_BYTES - 1):
@@ -544,8 +578,7 @@ class SecurityMonitor:
                 va = target_base + index * PAGE_BYTES
                 writes.append((self._walk_ppn(host_space, va), self._page_tweak(meta, ctx, va),
                                body))
-                meta.owned.append(OwnedPage(va, ctx.page_type, dict(ctx.perms),
-                                            ctx.resolved_rsw()))
+                meta.owned[va] = ctx
             _check_frame(meta_ppn, "metadata")
             _check_frame(thread_ppn, "thread")
             if meta_ppn == thread_ppn:
@@ -575,32 +608,20 @@ class SecurityMonitor:
             thread = self._load_thread(handle)
             if meta.state not in (EnclaveState.LOADED, EnclaveState.INTERRUPTED):
                 raise WrongState(f"cannot enter enclave in state {meta.state.name}")
-            if meta.state is EnclaveState.INTERRUPTED and thread.saved_regs is None:
+            resume = meta.state is EnclaveState.INTERRUPTED
+            if resume and thread.saved.regs is None:
                 raise WrongState("interrupted enclave has no saved thread state")
-            meta.host_regs = list(m.regs)
-            meta.host_pc = m.pc
-            meta.host_prv = caller_prv
-            meta.host_urange = m.csr.urange
-            meta.host_usid0 = m.csr.usid0
-            meta.host_usid1 = m.csr.usid1
+            meta.host, meta.caller_prv = UserCtx.of(m), caller_prv
             m.write_csr(PRV_M, "mrange", meta.mrange)
             m.write_csr(PRV_M, "msid0", meta.rtid)
             m.write_csr(PRV_M, "msid1", self._encid_sid(meta.encid_full))
-            if meta.state is EnclaveState.INTERRUPTED:
-                m.regs = list(thread.saved_regs)
-                m.pc = thread.resume_pc
-                m.write_csr(PRV_M, "urange", thread.saved_urange)
-                m.write_csr(PRV_M, "usid0", thread.saved_usid0)
-                m.write_csr(PRV_M, "usid1", thread.saved_usid1)
-                thread.saved_regs = None
-            else:
-                m.regs = [0] * len(m.regs)
+            if resume:
+                thread.saved.restore(m)
+                thread.saved.regs = None  # the pc, user range and sids stay
+            else:  # a fresh register file; shared memory starts disabled
+                UserCtx(meta.entry_point).restore(m)
                 for reg, val in (args or {}).items():
                     m.set_reg(reg, val)
-                m.pc = meta.entry_point
-                m.write_csr(PRV_M, "urange", RangeReg())  # shared memory starts disabled
-                m.write_csr(PRV_M, "usid0", 0)
-                m.write_csr(PRV_M, "usid1", 0)
             meta.state = EnclaveState.RUNNING
             thread.in_enclave = True
             self._store_meta(handle, meta)
@@ -619,19 +640,12 @@ class SecurityMonitor:
         with self._monitor_call():
             meta = self._load_meta(handle)
             thread = self._load_thread(handle)
-            ret_vals = {10: m.regs[10], 11: m.regs[11]}
-            ret_vals.update(returns or {})
-            m.regs = list(meta.host_regs)
+            ret_vals = {10: m.regs[10], 11: m.regs[11], **(returns or {})}
+            m.regs = list(meta.host.regs)
             for reg, val in ret_vals.items():
                 m.set_reg(reg, val)
-            m.pc = meta.host_pc + 4  # continue after the enter site
-            self._reset_enclave_csrs(meta)
-            meta.state = EnclaveState.LOADED
-            thread.in_enclave = False
-            self._store_meta(handle, meta)
-            self._store_thread(handle, thread)
-            m.active_enclave = None
-            m.prv = meta.host_prv
+            m.pc = meta.host.pc + 4  # continue after the enter site
+            self._leave(handle, meta, thread, EnclaveState.LOADED, meta.caller_prv)
 
     def interrupt(self) -> None:
         """Asynchronous interruption: park the enclave state in the thread
@@ -643,28 +657,27 @@ class SecurityMonitor:
         with self._monitor_call():
             meta = self._load_meta(handle)
             thread = self._load_thread(handle)
-            thread.saved_regs = list(m.regs)
-            thread.resume_pc = m.pc
-            thread.saved_urange = m.csr.urange
-            thread.saved_usid0 = m.csr.usid0
-            thread.saved_usid1 = m.csr.usid1
-            thread.in_enclave = False
+            thread.saved = UserCtx.of(m)
             m.regs = [0] * len(m.regs)  # the OS sees nothing
-            self._reset_enclave_csrs(meta)
-            meta.state = EnclaveState.INTERRUPTED
-            self._store_meta(handle, meta)
-            self._store_thread(handle, thread)
-            m.active_enclave = None
-            m.prv = PRV_S
+            self._leave(handle, meta, thread, EnclaveState.INTERRUPTED, PRV_S)
 
-    def _reset_enclave_csrs(self, meta: EnclaveMeta) -> None:
+    def _leave(self, handle: EnclaveHandle, meta: EnclaveMeta, thread: ThreadMeta,
+               state: EnclaveState, prv: int) -> None:
+        """The one way out of the enclave, once the caller has set the
+        register file: reset the enclave CSRs, give the host back its user
+        range and sids, store ``state`` in both pages and drop to ``prv``."""
         m = self.machine
-        m.write_csr(PRV_M, "mrange", RangeReg())
-        m.write_csr(PRV_M, "msid0", 0)
-        m.write_csr(PRV_M, "msid1", 0)
-        m.write_csr(PRV_M, "urange", meta.host_urange)
-        m.write_csr(PRV_M, "usid0", meta.host_usid0)
-        m.write_csr(PRV_M, "usid1", meta.host_usid1)
+        host = meta.host
+        for name, value in (("mrange", RangeReg()), ("msid0", 0), ("msid1", 0),
+                            ("urange", host.urange), ("usid0", host.usid0),
+                            ("usid1", host.usid1)):
+            m.write_csr(PRV_M, name, value)
+        meta.state = state
+        thread.in_enclave = False
+        self._store_meta(handle, meta)
+        self._store_thread(handle, thread)
+        m.active_enclave = None
+        m.prv = prv
 
     # --- dynamic memory ------------------------------------------------------
 
@@ -685,16 +698,17 @@ class SecurityMonitor:
         caller_urange = m.csr.urange
         with self._monitor_call():
             meta = self._load_meta(handle)
-            if rsw is not None and rsw != _RSW_FOR[page_type]:
+            if ctx.rsw != _RSW_FOR[page_type]:
                 raise InvalidCombination("rsw bits disagree with the page type")
-            if any(o.va == va for o in meta.owned):
+            if va in meta.owned:
                 raise DoubleMap(f"page {va:#x} is already mapped into the enclave")
-            if any(s.va == va for s in meta.swaps):
+            if va in meta.swaps:
                 raise DoubleMap(f"page {va:#x} is swapped out of the enclave")
+            meta.check_room(owned=1)
             sw = self._page_tweak(meta, ctx, va, urange=caller_urange)
             ppn = self._walk_ppn(meta.host_space, va)
             m.pinned_page(ppn, sw, AccessKind.WRITE, bytes(PAGE_BYTES))
-            meta.owned.append(OwnedPage(va, page_type, dict(perms), ctx.resolved_rsw()))
+            meta.owned[va] = ctx
             self._store_meta(handle, meta)
 
     def edestroy(self, va: int) -> None:
@@ -703,11 +717,10 @@ class SecurityMonitor:
         handle = self._active_handle()
         with self._monitor_call():
             meta = self._load_meta(handle)
-            entry = next((o for o in meta.owned if o.va == va), None)
-            if entry is None:
+            if va not in meta.owned:
                 raise NotOwned(f"page {va:#x} is not mapped into the enclave")
             self._destroy_page(self._walk_ppn(meta.host_space, va))
-            meta.owned.remove(entry)
+            del meta.owned[va]
             self._store_meta(handle, meta)
 
     def emod(self, va: int, old_ctx: PageCtx, new_ctx: PageCtx) -> None:
@@ -724,11 +737,8 @@ class SecurityMonitor:
             ppn = self._walk_ppn(meta.host_space, va)
             content = m.pinned_page(ppn, old)
             m.pinned_page(ppn, new, AccessKind.WRITE, content)
-            entry = next((o for o in meta.owned if o.va == va), None)
-            if entry is not None:
-                entry.page_type = new_ctx.page_type
-                entry.perms = dict(new_ctx.perms)
-                entry.rsw = new_ctx.resolved_rsw()
+            if va in meta.owned:
+                meta.owned[va] = new_ctx
                 self._store_meta(handle, meta)
 
     def egetsealkey(self) -> bytes:
@@ -743,10 +753,9 @@ class SecurityMonitor:
     def _swap_key(self, meta: EnclaveMeta) -> bytes:
         return kdf(self.machine.cpu_key, b"swap-key", meta.rtid.to_bytes(8, "little"))
 
-    def _swap_ad(self, meta: EnclaveMeta, va: int, perms: dict[str, bool],
-                 rsw: int, page_type: PageType) -> bytes:
-        return struct.pack("<QQBBB", meta.rtid, va, pack_perm_byte(perms), rsw,
-                           _PTYPE_CODE[page_type])
+    def _swap_ad(self, meta: EnclaveMeta, va: int, ctx: PageCtx) -> bytes:
+        return struct.pack("<QQBBB", meta.rtid, va, pack_perm_byte(ctx.perms), ctx.rsw,
+                           _PTYPE_CODE[ctx.page_type])
 
     def swap_out(self, handle: EnclaveHandle, va: int, temp_ppn: int) -> bytes:
         """Seal one enclave page into the OS-supplied temporary page and
@@ -756,29 +765,27 @@ class SecurityMonitor:
         _check_frame(temp_ppn, "temporary", (1 << voffset_bits(m.va_bits)) // LINES_PER_PAGE)
         with self._monitor_call():
             meta = self._load_meta(handle)
-            entry = next((o for o in meta.owned if o.va == va), None)
-            if entry is None:
+            ctx = meta.owned.get(va)
+            if ctx is None:
                 raise NotOwned(f"page {va:#x} is not mapped into the enclave")
-            if entry.page_type is PageType.SHM:
+            if ctx.page_type is PageType.SHM:
                 raise TypeNotSwappable("shared-data pages are excluded from swapping")
-            if any(s.va == va for s in meta.swaps):
+            if va in meta.swaps:
                 raise DoubleMap(f"page {va:#x} is both mapped and swapped out")
-            ctx = PageCtx(entry.page_type, entry.perms, entry.rsw)
+            meta.check_room(swaps=1)
             sw = self._page_tweak(meta, ctx, va)
             ppn = self._walk_ppn(meta.host_space, va)
             content = m.pinned_page(ppn, sw)
             nonce = m.rng.randbytes(self.aead.nonce_len)
-            sealed, tag = self.aead.seal(
-                self._swap_key(meta), nonce, content,
-                self._swap_ad(meta, va, entry.perms, entry.rsw, entry.page_type))
+            sealed, tag = self.aead.seal(self._swap_key(meta), nonce, content,
+                                         self._swap_ad(meta, va, ctx))
             # the OS's identity-mapped S-mode view of the temporary page
             m.pinned_page(temp_ppn, SwTweak(0, temp_ppn * LINES_PER_PAGE, PRV_S,
                                             MONITOR_PTE_BITS, 0, m.va_bits),
                           AccessKind.WRITE, sealed)
             self._destroy_page(ppn)
-            meta.swaps.append(SwapRecord(va, nonce, tag, dict(entry.perms),
-                                         entry.rsw, entry.page_type))
-            meta.owned.remove(entry)
+            meta.swaps[va] = SwapRecord(ctx, nonce, tag)
+            del meta.owned[va]
             self._store_meta(handle, meta)
             return sealed
 
@@ -787,21 +794,20 @@ class SecurityMonitor:
         stored nonce/tag pin one version; anything else fails."""
         with self._monitor_call():
             meta = self._load_meta(handle)
-            record = next((s for s in meta.swaps if s.va == va), None)
+            record = meta.swaps.get(va)
             if record is None:
                 raise NoRecord(f"no swap record for page {va:#x}")
+            meta.check_room(owned=1)
             try:
-                content = self.aead.open(
-                    self._swap_key(meta), record.nonce, sealed, record.tag,
-                    self._swap_ad(meta, va, record.perms, record.rsw, record.page_type))
+                content = self.aead.open(self._swap_key(meta), record.nonce, sealed,
+                                         record.tag, self._swap_ad(meta, va, record.ctx))
             except AeadAuthError as exc:
                 raise SwapAuthFailure("sealed page is stale or tampered") from exc
-            ctx = PageCtx(record.page_type, record.perms, record.rsw)
-            sw = self._page_tweak(meta, ctx, va)
+            sw = self._page_tweak(meta, record.ctx, va)
             self.machine.pinned_page(self._walk_ppn(meta.host_space, va), sw,
                                      AccessKind.WRITE, content)
-            meta.swaps.remove(record)
-            meta.owned.append(OwnedPage(va, record.page_type, dict(record.perms), record.rsw))
+            del meta.swaps[va]
+            meta.owned[va] = record.ctx
             self._store_meta(handle, meta)
 
     # --- the authentication-exception handler --------------------------------
@@ -822,22 +828,16 @@ class SecurityMonitor:
             except (Trap, MonitorError):
                 return Disposition(DispositionKind.RETRY_DENIED)
             page_va = trap.va - (trap.va % PAGE_BYTES)
-            if any(s.va == page_va for s in meta.swaps):
+            if page_va in meta.swaps:
                 # Legitimate touch of a swapped-out page: the demand-swap
                 # flow, not an attack.  No penalty.
                 return Disposition(DispositionKind.RETRY_DENIED)
             meta.fault_count += 1
             if meta.fault_count >= self.fault_threshold:
                 thread = self._load_thread(handle)
-                thread.in_enclave = False
-                thread.saved_regs = None
-                meta.state = EnclaveState.TERMINATED
+                thread.saved.regs = None
                 m.regs = [0] * len(m.regs)
-                self._reset_enclave_csrs(meta)
-                self._store_meta(handle, meta)
-                self._store_thread(handle, thread)
-                m.active_enclave = None
-                self.machine.prv = PRV_S
+                self._leave(handle, meta, thread, EnclaveState.TERMINATED, PRV_S)
                 return Disposition(DispositionKind.ENCLAVE_TERMINATED)
             self._store_meta(handle, meta)
             if self.delay_penalty:

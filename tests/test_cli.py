@@ -275,6 +275,14 @@ def test_overhead_default_points_follow_the_address_width(tmp_path):
     assert (tmp_path / "s39.csv").read_bytes() == out39.read_bytes()
 
 
+def test_overhead_takes_no_seed(capsys):
+    """``overhead`` draws nothing, so a ``--seed`` is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("overhead", "--seed", "1")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_overhead_refuses_a_negative_inline_voffset_split(tmp_path, capsys):
     out = tmp_path / "o.csv"
     assert run_cli("overhead", "--tc", "32:-1", "--lines", "64", "--out", str(out)) == 2

@@ -30,7 +30,6 @@ from servas_sim.monitor import (
     NoRecord,
     NotInEnclave,
     NotOwned,
-    OwnedPage,
     PageCtx,
     RangeViolation,
     SecurityMonitor,
@@ -38,6 +37,7 @@ from servas_sim.monitor import (
     SwapRecord,
     ThreadMeta,
     TypeNotSwappable,
+    UserCtx,
     WrongState,
 )
 from servas_sim.tweak import (
@@ -323,13 +323,13 @@ def test_interrupt_wipes_registers_and_resumes(enclave):
     assert all(m.get_reg(i) == 0 for i in range(32))  # wiped for the OS
     assert m.prv == PRV_S
     assert sm.peek_meta(handle).state is EnclaveState.INTERRUPTED
-    assert sm.peek_thread(handle).saved_regs is not None
+    assert sm.peek_thread(handle).saved.regs is not None
     m.prv = PRV_U
     sm.eenter(handle)  # resume
     assert m.get_reg(5) == 41 and m.pc == A_BASE + 0x10
     m.set_reg(5, m.get_reg(5) + 1)
     sm.eexit()
-    assert sm.peek_thread(handle).saved_regs is None  # image only while interrupted
+    assert sm.peek_thread(handle).saved.regs is None  # image only while interrupted
 
 
 def test_double_interrupt_rejected(enclave):
@@ -573,8 +573,75 @@ def test_swap_records_do_not_accumulate(machine, sm):
         sealed = sm.swap_out(handle, va, temp_ppn=0x400)
         sm.swap_in(handle, va, sealed)
     meta = sm.peek_meta(handle)
-    assert meta.swaps == []
+    assert meta.swaps == {}
     assert len(meta.owned) == 42
+
+
+def test_swap_out_past_the_swap_records_keeps_the_page(machine, sm):
+    """The 41st swap record does not fit the metadata page: that swap-out is
+    refused before the page is read, a nonce drawn or a line sealed, and the
+    enclave still reads the page it would have lost."""
+    handle = spawn_enclave(machine, sm, image=std_image(n_data=40))
+    stack_va = A_BASE + 41 * PAGE_BYTES
+    sm.eenter(handle)
+    machine.access("host", stack_va, WRITE, PRV_U, data=b"kept")
+    sm.eexit()
+    machine.prv = PRV_S
+    for i in range(1, 41):
+        sm.swap_out(handle, A_BASE + i * PAGE_BYTES, temp_ppn=0x400)
+    lines, rng = machine.mee.written_lines(), machine.rng.getstate()
+    with pytest.raises(MonitorCapacity):
+        sm.swap_out(handle, stack_va, temp_ppn=0x400)
+    assert machine.mee.written_lines() == lines
+    assert machine.rng.getstate() == rng
+    assert len(sm.peek_meta(handle).swaps) == 40
+    machine.prv = PRV_U
+    sm.eenter(handle)
+    assert machine.access("host", stack_va, READ, PRV_U, size=4) == b"kept"
+    assert sm.peek_meta(handle).fault_count == 0
+
+
+def test_eprepare_past_the_owned_pages_seals_nothing(machine, sm):
+    """Preparing a 65th page is refused before its frame is sealed."""
+    handle = spawn_enclave(machine, sm, image=std_image(n_data=62))  # 64 pages
+    shm_va = 0x6000_0000
+    machine.map_page(PRV_S, "host", shm_va, 0x180, "rwu", 0b11)
+    sm.eenter(handle)
+    machine.write_csr(PRV_U, "urange", RangeReg(shm_va, PAGE_BYTES, True))
+    lines = machine.mee.written_lines()
+    with pytest.raises(MonitorCapacity):
+        sm.eprepare(shm_va, PageType.SHM, RW)
+    assert machine.mee.written_lines() == lines
+    assert shm_va not in sm.peek_meta(handle).owned
+
+
+def test_swap_in_past_the_owned_pages_writes_nothing(machine, sm):
+    """A page swapped out of a full enclave cannot come back once the
+    enclave has prepared another in its place; the refusal leaves the frame
+    and the swap record as they were, so it comes back once there is room."""
+    handle = spawn_enclave(machine, sm, image=std_image(n_data=62))
+    machine.prv = PRV_S
+    sealed = sm.swap_out(handle, DATA_VA, temp_ppn=0x400)
+    shm_va = 0x6000_0000
+    machine.map_page(PRV_S, "host", shm_va, 0x180, "rwu", 0b11)
+    machine.prv = PRV_U
+    sm.eenter(handle)
+    machine.write_csr(PRV_U, "urange", RangeReg(shm_va, PAGE_BYTES, True))
+    sm.eprepare(shm_va, PageType.SHM, RW)
+    sm.eexit()
+    machine.prv = PRV_S
+    lines = machine.mee.written_lines()
+    with pytest.raises(MonitorCapacity):
+        sm.swap_in(handle, DATA_VA, sealed)
+    assert machine.mee.written_lines() == lines
+    assert DATA_VA in sm.peek_meta(handle).swaps
+    machine.prv = PRV_U
+    sm.eenter(handle)
+    sm.edestroy(shm_va)
+    sm.eexit()
+    machine.prv = PRV_S
+    sm.swap_in(handle, DATA_VA, sealed)
+    assert len(sm.peek_meta(handle).owned) == 64
 
 
 def test_eprepare_refuses_swapped_out_page(enclave):
@@ -585,6 +652,7 @@ def test_eprepare_refuses_swapped_out_page(enclave):
     m.access("host", DATA_VA, WRITE, PRV_U, data=b"kept")
     sm.eexit()
     m.prv = PRV_S
+    n_owned = len(sm.peek_meta(handle).owned)
     sealed = sm.swap_out(handle, DATA_VA, temp_ppn=0x400)
     m.prv = PRV_U
     sm.eenter(handle)
@@ -593,7 +661,7 @@ def test_eprepare_refuses_swapped_out_page(enclave):
     sm.eexit()
     m.prv = PRV_S
     sm.swap_in(handle, DATA_VA, sealed)
-    assert [o.va for o in sm.peek_meta(handle).owned].count(DATA_VA) == 1
+    assert len(sm.peek_meta(handle).owned) == n_owned
     m.prv = PRV_U
     sm.eenter(handle)
     assert m.access("host", DATA_VA, READ, PRV_U, size=4) == b"kept"
@@ -604,14 +672,14 @@ def test_monitor_pages_round_trip_every_field():
     read back, saved registers present or not."""
     meta = EnclaveMeta(
         EnclaveState.INTERRUPTED, 7, bytes(range(32)), A_BASE + 0x40,
-        RangeReg(A_BASE, 3 * PAGE_BYTES, True), "host", fault_count=2, host_pc=0x1234,
-        host_prv=PRV_S, host_regs=list(range(100, 132)),
-        host_urange=RangeReg(0x6000_0000, PAGE_BYTES, True), host_usid0=5, host_usid1=1 << 63,
-        owned=[OwnedPage(A_BASE, PageType.SHENCLAVE, {**RO, "x": True}, 0b10)],
-        swaps=[SwapRecord(DATA_VA, bytes(range(12)), bytes(16), RW, 0b01, PageType.REGULAR)])
+        RangeReg(A_BASE, 3 * PAGE_BYTES, True), "host", fault_count=2, caller_prv=PRV_S,
+        host=UserCtx(0x1234, list(range(100, 132)), RangeReg(0x6000_0000, PAGE_BYTES, True),
+                     5, 1 << 63),
+        owned={A_BASE: PageCtx(PageType.SHENCLAVE, {**RO, "x": True})},
+        swaps={DATA_VA: SwapRecord(PageCtx(PageType.REGULAR, RW), bytes(range(12)), bytes(16))})
     assert EnclaveMeta.unpack(meta.pack()) == meta
     for regs in (None, list(range(32))):
-        thread = ThreadMeta(True, 0x99, regs, RangeReg(64, 128, True), 3, 4)
+        thread = ThreadMeta(True, UserCtx(0x99, regs, RangeReg(64, 128, True), 3, 4))
         assert ThreadMeta.unpack(thread.pack()) == thread
 
 
@@ -1055,15 +1123,14 @@ def test_page_tweak_equals_enclave_composition(enclave):
     m.write_csr(PRV_U, "usid1", 0xFEDC)
     sm.eprepare(shm_va, PageType.SHM, RW)
     meta = sm.peek_meta(handle)
-    assert sorted(o.page_type.name for o in meta.owned) == \
+    assert sorted(ctx.page_type.name for ctx in meta.owned.values()) == \
         ["REGULAR", "REGULAR", "SHENCLAVE", "SHM"]
-    for page in meta.owned:
-        ctx = PageCtx(page.page_type, page.perms, page.rsw)
-        first = sm._page_tweak(meta, ctx, page.va, urange=m.csr.urange)
-        pte_bits = m.walk("host", page.va).bits
+    for va, ctx in meta.owned.items():
+        first = sm._page_tweak(meta, ctx, va, urange=m.csr.urange)
+        pte_bits = m.walk("host", va).bits
         for i in range(LINES_PER_PAGE):
             stepped = SwTweak.from_int(first.to_int() + (i << VOFFSET_SHIFT), first.va_bits)
-            assert stepped == m.compose_for_access(page.va + i * 64, PRV_U, pte_bits)
+            assert stepped == m.compose_for_access(va + i * 64, PRV_U, pte_bits)
 
 
 def _user_trace_world():
