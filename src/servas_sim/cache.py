@@ -48,8 +48,6 @@ import numpy as np
 # the inline variant stores the whole software tweak next to each line
 from .tweak import sw_tweak_bits as servas_tag_bits, voffset_bits
 
-LINE_BITS_DEFAULT = 512
-
 
 @dataclass(frozen=True)
 class CacheCfg:
@@ -57,7 +55,6 @@ class CacheCfg:
 
     n_lines: int = 512
     ways: int = 4
-    line_bits: int = LINE_BITS_DEFAULT
     va_bits: int = 48
 
     def __post_init__(self) -> None:
@@ -228,15 +225,14 @@ def overhead_sweep(n_lines_list, tc_cfgs, va_bits=48):
 # --- the functional in-path cache -------------------------------------------
 
 
-@dataclass
-class _Entry:
-    line_index: int
-    sw_int: int
-    data: bytes
-
-
 class TweakTaggedCache:
     """Set-associative, write-through, inline tweak tags.
+
+    Each set is a dict from line index to ``(sw_int, data)``, and its
+    insertion order is the replacement order: a fill, or an install after a
+    tweak mismatch, goes to the end; an update under the cached tweak keeps
+    the entry's place; a full set drops the entry at a uniform random
+    position, drawn from the machine RNG.
 
     The machine supplies a fill callback so authentication failures
     propagate from the refill path untouched; a failed fill caches nothing.
@@ -246,37 +242,32 @@ class TweakTaggedCache:
         self.cfg = cfg
         self.rng = rng
         self.n_sets = cfg.n_lines // cfg.ways
-        self.sets: list[list[_Entry]] = [[] for _ in range(self.n_sets)]
+        self.sets: list[dict[int, tuple[int, bytes]]] = [{} for _ in range(self.n_sets)]
         self.hits = 0
         self.misses = 0
         self.tweak_mismatches = 0
 
-    def _set_of(self, line_index: int) -> list[_Entry]:
-        return self.sets[line_index % self.n_sets]
-
-    def _find(self, line_index: int) -> _Entry | None:
-        for entry in self._set_of(line_index):
-            if entry.line_index == line_index:
-                return entry
-        return None
+    def _match(self, ways: dict, line_index: int, sw_int: int) -> tuple[int, bytes] | None:
+        """The set's entry for the line under ``sw_int``, or None.  An entry
+        under another tweak is a mismatch: under write-through the memory
+        copy is already current, so the stale tag is just dropped."""
+        entry = ways.get(line_index)
+        if entry is not None and entry[0] != sw_int:
+            self.tweak_mismatches += 1
+            del ways[line_index]
+            return None
+        return entry
 
     def read(self, line_index: int, sw, fill) -> bytes:
         sw_int = sw.to_int()
         ways = self.sets[line_index % self.n_sets]
-        for entry in ways:
-            if entry.line_index == line_index:
-                if entry.sw_int == sw_int:
-                    self.hits += 1
-                    return entry.data
-                # Address match under a different tweak: under write-through
-                # the memory copy is already current, so the stale tag is just
-                # dropped before the refill attempt under the new tweak.
-                self.tweak_mismatches += 1
-                ways.remove(entry)
-                break
+        entry = self._match(ways, line_index, sw_int)
+        if entry is not None:
+            self.hits += 1
+            return entry[1]
         self.misses += 1
         data = fill(line_index, sw)  # may raise AuthenticationError
-        self._insert(line_index, sw_int, data)
+        self._install(ways, line_index, sw_int, data)
         return data
 
     def update(self, line_index: int, sw, data: bytes) -> None:
@@ -284,26 +275,18 @@ class TweakTaggedCache:
         through to the engine)."""
         sw_int = sw.to_int()
         ways = self.sets[line_index % self.n_sets]
-        for entry in ways:
-            if entry.line_index == line_index:
-                if entry.sw_int == sw_int:
-                    entry.data = data
-                    return
-                self.tweak_mismatches += 1
-                ways.remove(entry)
-                break
-        self._insert(line_index, sw_int, data)
+        self._match(ways, line_index, sw_int)
+        self._install(ways, line_index, sw_int, data)
 
-    def _insert(self, line_index: int, sw_int: int, data: bytes) -> None:
-        ways = self._set_of(line_index)
-        if len(ways) >= self.cfg.ways:
-            ways.pop(self.rng.randrange(len(ways)))
-        ways.append(_Entry(line_index, sw_int, data))
+    def _install(self, ways: dict, line_index: int, sw_int: int, data: bytes) -> None:
+        """Put the line in its set: in place if the set holds it, else at
+        the end, after dropping a random entry of a full set."""
+        if line_index not in ways and len(ways) >= self.cfg.ways:
+            del ways[list(ways)[self.rng.randrange(len(ways))]]
+        ways[line_index] = sw_int, data
 
     def invalidate(self, line_index: int) -> None:
-        entry = self._find(line_index)
-        if entry is not None:
-            self._set_of(line_index).remove(entry)
+        self.sets[line_index % self.n_sets].pop(line_index, None)
 
     def invalidate_all(self) -> None:
-        self.sets = [[] for _ in range(self.n_sets)]
+        self.sets = [{} for _ in range(self.n_sets)]

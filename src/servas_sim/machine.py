@@ -43,13 +43,23 @@ the first line that failed, with its address and stepped tweak.  Only a
 read through the cache goes line by line, because cache fills draw the
 machine RNG for replacement and their order must not move.
 
-Writes are read-modify-write at line granularity: the existing line must
-verify under the access tweak before the merged line is re-sealed (a
-never-written line reads as zeros; the engine's module docstring states
-the rule).  The one exception is a write through
-:meth:`Machine.pinned_page`, the monitor's page I/O under a tweak it pins
-itself, which skips verification -- that is how the security monitor
-initializes pages regardless of their previous binding.
+Every access ends in one line routine, ``Machine._line_access``, a
+read-modify-write: it reads the old line -- from the plain store under
+bypass, else through the cache or from the engine, where a failed
+verification is the AUTH trap -- and a write merges its bytes into that
+line and stores the result, to the plain store or to the engine and then
+the cache.  So the existing line must verify under the access tweak before
+the merged line is re-sealed (a never-written line reads as zeros; the
+engine's module docstring states the rule).  The one exception is a write
+through :meth:`Machine.pinned_page`, the monitor's page I/O under a tweak
+it pins itself, which skips verification -- that is how the security
+monitor initializes pages regardless of their previous binding.
+
+The cache is write-through, and the machine keeps it coherent: every path
+that changes a line below it -- a pinned page write,
+:meth:`Machine.destroy_page`, the physical attacker's restore and bit flip
+-- drops the line's cached copy (``Machine._uncache``), so no other layer
+touches the cache.
 """
 
 from __future__ import annotations
@@ -199,6 +209,15 @@ def _reg_index(idx: int) -> int:
     return idx
 
 
+def _csr_gate(prv: int, name: str) -> None:
+    """The name and privilege checks of a CSR read or write."""
+    level = _CSR_LEVEL.get(name)
+    if level is None:
+        raise ValueError(f"unknown CSR {name!r}")
+    if _PRV_RANK[prv] < _PRV_RANK[level]:
+        raise PrivilegeTrap(None, prv, f"CSR {name} requires privilege >= {level:#b}")
+
+
 def _check_pte(pte: Pte, va: int, prv: int, kind: AccessKind) -> None:
     """The permission and U-bit checks of a translated access."""
     if not (pte.r if kind is AccessKind.READ
@@ -281,11 +300,7 @@ class Machine:
     # --- CSRs ---------------------------------------------------------------
 
     def write_csr(self, prv: int, name: str, value) -> None:
-        level = _CSR_LEVEL.get(name)
-        if level is None:
-            raise ValueError(f"unknown CSR {name!r}")
-        if _PRV_RANK[prv] < _PRV_RANK[level]:
-            raise PrivilegeTrap(None, prv, f"CSR {name} requires privilege >= {level:#b}")
+        _csr_gate(prv, name)
         if name.endswith("range"):
             if isinstance(value, (tuple, list)):
                 if len(value) != 3:
@@ -304,11 +319,7 @@ class Machine:
             if prv != PRV_M:
                 raise PrivilegeTrap(None, prv, "the CPU key is never readable below M-mode")
             return self.cpu_key
-        level = _CSR_LEVEL.get(name)
-        if level is None:
-            raise ValueError(f"unknown CSR {name!r}")
-        if _PRV_RANK[prv] < _PRV_RANK[level]:
-            raise PrivilegeTrap(None, prv, f"CSR {name} requires privilege >= {level:#b}")
+        _csr_gate(prv, name)
         return getattr(self.csr, name)
 
     @property
@@ -396,9 +407,9 @@ class Machine:
         a read verifies as any access does and returns those lines joined.
         This is the security monitor's page I/O.
 
-        A protected page is one engine call: a write invalidates its cache
-        lines and seals them with :meth:`Mee.write_lines`, a read with the
-        cache off opens them with :meth:`Mee.read_page`.  A read through
+        A protected page is one engine call: a write drops its lines from
+        the cache and seals them with :meth:`Mee.write_lines`, a read with
+        the cache off opens them with :meth:`Mee.read_page`.  A read through
         the cache, and an unprotected page under bypass, go line by line.
         """
         if sw.voffset + max(lines, default=0) >> voffset_bits(sw.va_bits):
@@ -419,9 +430,7 @@ class Machine:
 
         first = base // LINE_BYTES
         if kind is AccessKind.WRITE:
-            if self.cache is not None:
-                for i in lines:
-                    self.cache.invalidate(first + i)
+            self._uncache(first + i for i in lines)
             self.mee.write_lines(first, value, va_bits, content, lines)
             return None
         try:
@@ -440,19 +449,29 @@ class Machine:
 
     def _line_access(self, va: int, prv: int, pa: int, sw: SwTweak, ptype: PageType,
                      kind: AccessKind, data: bytes | None, size: int) -> bytes:
-        """Bypass, cache and engine for one composed, classified access."""
-        line_index = pa // LINE_BYTES
-        line_off = pa % LINE_BYTES
-
-        if self.bypass and ptype is PageType.UNPROTECTED:
-            return self._plain_access(line_index, line_off, kind, data, size)
-
+        """Bypass, cache and engine for one composed, classified access: the
+        read-modify-write of the module docstring."""
+        line_index, off = pa // LINE_BYTES, pa % LINE_BYTES
+        plain = self.bypass and ptype is PageType.UNPROTECTED
         try:
-            if kind is AccessKind.WRITE:
-                return self._write_line(line_index, line_off, data, sw)
-            return self._read_line(line_index, sw)[line_off : line_off + size]
+            if plain:
+                old = self.plain_lines.get(line_index, bytes(LINE_BYTES))
+            elif self.cache is not None:
+                old = self.cache.read(line_index, sw, self.mee.read)
+            else:
+                old = self.mee.read(line_index, sw)
         except AuthenticationError as exc:
             self._auth_trap(va, prv, sw, exc)
+        if kind is not AccessKind.WRITE:
+            return old[off:off + size]
+        merged = old[:off] + data + old[off + len(data):]
+        if plain:
+            self.plain_lines[line_index] = merged
+        else:
+            self.mee.write(line_index, merged, sw)
+            if self.cache is not None:
+                self.cache.update(line_index, sw, merged)
+        return data
 
     def _auth_trap(self, va: int, prv: int, sw: SwTweak, exc: AuthenticationError) -> NoReturn:
         """Raise the AUTH trap for the line ``exc`` names, with the monitor's
@@ -467,28 +486,19 @@ class Machine:
             # -> trap is a cycle that only the cyclic GC frees
             del trap, exc
 
-    def _read_line(self, line_index: int, sw: SwTweak) -> bytes:
+    def _uncache(self, lines) -> None:
+        """Drop the cached copies of lines changed below the cache."""
         if self.cache is not None:
-            return self.cache.read(line_index, sw, self.mee.read)
-        return self.mee.read(line_index, sw)
+            for i in lines:
+                self.cache.invalidate(i)
 
-    def _write_line(self, line_index: int, off: int, data: bytes, sw: SwTweak) -> bytes:
-        """Read-modify-write: the line verifies under ``sw`` before the
-        merged line is re-sealed."""
-        old = self._read_line(line_index, sw)
-        merged = old[:off] + data + old[off + len(data):]
-        self.mee.write(line_index, merged, sw)
-        if self.cache is not None:
-            self.cache.update(line_index, sw, merged)
-        return data
-
-    def _plain_access(self, line_index: int, off: int, kind: AccessKind,
-                      data: bytes | None, size: int) -> bytes:
-        line = self.plain_lines.get(line_index, bytes(LINE_BYTES))
-        if kind is AccessKind.WRITE:
-            self.plain_lines[line_index] = line[:off] + data + line[off + len(data):]
-            return data
-        return line[off : off + size]
+    def destroy_page(self, ppn: int) -> None:
+        """Invalidate physical page ``ppn``: every line is re-sealed under
+        the engine's reserved destroy tweak (:meth:`Mee.destroy_page`), so
+        any later use fails authentication until the page is rewritten."""
+        first = ppn * LINES_PER_PAGE
+        self._uncache(range(first, first + LINES_PER_PAGE))
+        self.mee.destroy_page(first)
 
     # --- physical attacker hooks --------------------------------------------
 
@@ -496,13 +506,15 @@ class Machine:
         return {i: self.mee.snapshot_line(i) for i in line_indices}
 
     def phys_restore(self, snapshot: dict[int, tuple[bytes, bytes]]) -> None:
+        """Put raw (ciphertext, tag) pairs back.  Every entry is checked
+        before the first line is restored, so a bad snapshot changes
+        nothing."""
+        if any(not 0 <= i < LINE_LIMIT or len(pair) != 2 for i, pair in snapshot.items()):
+            raise ValueError("a snapshot maps physical lines to (ciphertext, tag) pairs")
         for i, (ct, tag) in snapshot.items():
             self.mee.restore_line(i, ct, tag)
-        if self.cache is not None:
-            for i in snapshot:
-                self.cache.invalidate(i)
+        self._uncache(snapshot)
 
     def phys_flip_bit(self, line_index: int, bit: int, target: str = "ciphertext") -> None:
         self.mee.flip_bit(line_index, bit, target)
-        if self.cache is not None:
-            self.cache.invalidate(line_index)
+        self._uncache((line_index,))

@@ -531,13 +531,6 @@ class SecurityMonitor:
             raise PageFault(va, PRV_M, "enclave page not mapped by the OS")
         return pte.ppn
 
-    def _destroy_page(self, ppn: int) -> None:
-        base_line = ppn * LINES_PER_PAGE
-        if self.machine.cache is not None:
-            for i in range(LINES_PER_PAGE):
-                self.machine.cache.invalidate(base_line + i)
-        self.machine.mee.destroy_page(base_line)
-
     # --- lifecycle API -------------------------------------------------------
 
     def ecreate(self, host_space: str, image, target_base: int, stack_pages: int,
@@ -600,7 +593,10 @@ class SecurityMonitor:
 
     def eenter(self, handle: EnclaveHandle, args: dict[int, int] | None = None) -> None:
         """Trap from the host into the enclave: save the host context, wire
-        the enclave CSRs, resume or start at the entry point."""
+        the enclave CSRs, resume or start at the entry point.  ``args`` set
+        registers of a fresh start only: a resume continues the saved
+        thread, so one with arguments raises :class:`WrongState` before
+        anything moves."""
         m = self.machine
         _check_reg_writes(m, args)
         with self._monitor_call() as caller_prv:
@@ -611,6 +607,8 @@ class SecurityMonitor:
             resume = meta.state is EnclaveState.INTERRUPTED
             if resume and thread.saved.regs is None:
                 raise WrongState("interrupted enclave has no saved thread state")
+            if resume and args:
+                raise WrongState("a resume continues the saved thread and takes no arguments")
             meta.host, meta.caller_prv = UserCtx.of(m), caller_prv
             m.write_csr(PRV_M, "mrange", meta.mrange)
             m.write_csr(PRV_M, "msid0", meta.rtid)
@@ -719,7 +717,7 @@ class SecurityMonitor:
             meta = self._load_meta(handle)
             if va not in meta.owned:
                 raise NotOwned(f"page {va:#x} is not mapped into the enclave")
-            self._destroy_page(self._walk_ppn(meta.host_space, va))
+            self.machine.destroy_page(self._walk_ppn(meta.host_space, va))
             del meta.owned[va]
             self._store_meta(handle, meta)
 
@@ -783,7 +781,7 @@ class SecurityMonitor:
             m.pinned_page(temp_ppn, SwTweak(0, temp_ppn * LINES_PER_PAGE, PRV_S,
                                             MONITOR_PTE_BITS, 0, m.va_bits),
                           AccessKind.WRITE, sealed)
-            self._destroy_page(ppn)
+            m.destroy_page(ppn)
             meta.swaps[va] = SwapRecord(ctx, nonce, tag)
             del meta.owned[va]
             self._store_meta(handle, meta)

@@ -1,5 +1,6 @@
 """Functional tweak-tagged cache plus the storage/eviction analytics."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -80,10 +81,57 @@ def test_failed_fill_caches_nothing():
     with pytest.raises(AuthenticationException):
         m.access("p", 0x1000, READ, PRV_U, size=3)
     # the mismatching entry was dropped and the failed refill cached nothing
-    entries = [e for ways in m.cache.sets for e in ways
-               if e.line_index == 0x10 * 64]
-    assert entries == []
+    assert not any(0x10 * 64 in ways for ways in m.cache.sets)
     assert m.access("p", 0x1000, READ, PRV_S, size=3) == b"sup"
+
+
+def _set_entries(ways):
+    """A cache set's (line, sw_int, data) entries in replacement order."""
+    return [(line, sw_int, data) for line, (sw_int, data) in ways.items()]
+
+
+def test_cache_replacement_golden():
+    """A seeded trace on an 8-line, 2-way cache, so sets evict often: U- and
+    S-mode reads and writes, bit flips, snapshot restores and pinned page
+    writes.  SHA-256 over the outcomes, the counts, every set's entries in
+    order and the machine RNG state, pinned: the replacement order and its
+    RNG draws must not move."""
+    m = Machine(seed=3, cache_cfg=CacheCfg(8, 2))
+    for p in range(3):
+        m.map_page(PRV_S, "p", 0x1000 * (p + 1), 0x10 + p, "rwu")
+    pinned = [m.compose_for_access(va, PRV_U, m.walk("p", va).bits)
+              for va in (0x1000, 0x2000, 0x3000)]
+    pool = [0x1000 * (p + 1) + 64 * i for p in range(3) for i in range(8)]
+    rng = random.Random("cache-replacement")
+    out, snapshots = hashlib.sha256(), []
+    for _ in range(800):
+        va = rng.choice(pool) + 8 * rng.randrange(8)
+        line = m.walk("p", va).ppn * 64 + va % 4096 // 64
+        prv = rng.choice((PRV_U, PRV_U, PRV_S))
+        roll = rng.random()
+        try:
+            if roll < 0.01:
+                m.phys_flip_bit(line, rng.randrange(512))
+            elif roll < 0.05:
+                snapshots.append(m.phys_snapshot([line]))
+            elif roll < 0.08 and snapshots:
+                m.phys_restore(rng.choice(snapshots))
+            elif roll < 0.1:
+                p = rng.randrange(3)
+                m.pinned_page(0x10 + p, pinned[p], WRITE, rng.randbytes(4096))
+            elif roll < 0.45:
+                out.update(m.access("p", va, WRITE, prv, data=rng.randbytes(8)))
+            else:
+                out.update(m.access("p", va, READ, prv, size=8))
+        except AuthenticationException as trap:
+            out.update(repr((trap.kind, trap.line_index)).encode())
+    cache = m.cache
+    counts = (cache.hits, cache.misses, cache.tweak_mismatches)
+    out.update(repr((counts, [_set_entries(ways) for ways in cache.sets],
+                     m.rng.getstate())).encode())
+    assert counts == (126, 594, 74)
+    assert out.hexdigest() == \
+        "99a84c0c5827ec069dd5e32afa6bd228d15a94b9dc2538c5c0cecba423ab7e3f"
 
 
 def test_cache_transparency_random_traces():

@@ -456,3 +456,22 @@ def test_bypass_toggle_flushes_cache():
     m.access("p", 0x1000, WRITE, PRV_U, data=b"plain-store")
     m.set_bypass(PRV_M, False)
     assert m.access("p", 0x1000, READ, PRV_U, size=4) == b"warm"
+
+
+@pytest.mark.parametrize("cache_cfg", [None, CacheCfg(16, 2)], ids=["cache-off", "cache-on"])
+def test_a_bad_snapshot_restores_nothing(cache_cfg):
+    """A snapshot naming a line the engine does not address is refused
+    before any line is put back: the line keeps its bytes and its current
+    content reads back, cache on or off."""
+    m = Machine(seed=3, cache_cfg=cache_cfg)
+    m.map_page(PRV_S, "p", 0x1000, 0x10, "rwu")
+    line = 0x10 * 64
+    m.access("p", 0x1000, WRITE, PRV_U, data=b"old!")
+    old = m.phys_snapshot([line])[line]
+    m.access("p", 0x1000, WRITE, PRV_U, data=b"new!")
+    assert m.access("p", 0x1000, READ, PRV_U, size=4) == b"new!"
+    current = m.phys_snapshot([line])
+    with pytest.raises(ValueError):
+        m.phys_restore({line: old, -1: old})
+    assert m.phys_snapshot([line]) == current
+    assert m.access("p", 0x1000, READ, PRV_U, size=4) == b"new!"

@@ -271,7 +271,7 @@ def _state(m):
     return (m.mee.written_lines(), raw, m.mee.seals, m.mee.opens, m.plain_lines,
             m.csr, m.regs, m.prv, m.bypass, m.active_enclave, m.rng.getstate(),
             cache.hits, cache.misses, cache.tweak_mismatches,
-            [[(e.line_index, e.sw_int, e.data) for e in ways] for ways in cache.sets])
+            [list(ways.items()) for ways in cache.sets])
 
 
 @settings(max_examples=100)

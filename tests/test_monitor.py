@@ -332,6 +332,30 @@ def test_interrupt_wipes_registers_and_resumes(enclave):
     assert sm.peek_thread(handle).saved.regs is None  # image only while interrupted
 
 
+def test_a_resume_with_arguments_moves_nothing(enclave):
+    """A resume continues the saved thread, so it takes no arguments: an
+    eenter of an interrupted enclave with some is refused before any
+    register, CSR, privilege or seal moves, and the enclave stays
+    interrupted."""
+    m, sm, handle = enclave
+    sm.eenter(handle)
+    m.set_reg(5, 41)
+    sm.interrupt()
+    m.prv = PRV_U
+
+    def state():
+        return (list(m.regs), m.pc, dataclasses.astuple(m.csr), m.prv, m.active_enclave,
+                m.mee.written_lines(), m.mee.seals)
+
+    before = state()
+    with pytest.raises(WrongState):
+        sm.eenter(handle, {5: 9, 6: 1})
+    assert state() == before
+    assert sm.peek_meta(handle).state is EnclaveState.INTERRUPTED
+    sm.eenter(handle)
+    assert (m.get_reg(5), m.get_reg(6)) == (41, 0)
+
+
 def test_double_interrupt_rejected(enclave):
     m, sm, handle = enclave
     sm.eenter(handle)
