@@ -108,6 +108,9 @@ class Ascon128Aead:
     nonce_len = 16
 
     def _init_state(self, key: bytes, nonce: bytes) -> tuple[list[int], int, int]:
+        if len(key) != KEY_LEN or len(nonce) != self.nonce_len:
+            raise ValueError(f"Ascon-128 takes a {KEY_LEN}-byte key and a "
+                             f"{self.nonce_len}-byte nonce")
         k0, k1 = _w(key[:8]), _w(key[8:])
         s = [_ASCON128_IV, k0, k1, _w(nonce[:8]), _w(nonce[8:])]
         ascon_permutation(s, 12)
@@ -130,7 +133,6 @@ class Ascon128Aead:
         return _b(s[3] ^ k0) + _b(s[4] ^ k1)
 
     def seal(self, key: bytes, nonce: bytes, plaintext: bytes, ad: bytes) -> tuple[bytes, bytes]:
-        assert len(key) == KEY_LEN and len(nonce) == self.nonce_len
         s, k0, k1 = self._init_state(key, nonce)
         self._absorb_ad(s, ad)
 
@@ -147,7 +149,6 @@ class Ascon128Aead:
         return ct, self._finalize(s, k0, k1)
 
     def open(self, key: bytes, nonce: bytes, ciphertext: bytes, tag: bytes, ad: bytes) -> bytes:
-        assert len(key) == KEY_LEN and len(nonce) == self.nonce_len
         s, k0, k1 = self._init_state(key, nonce)
         self._absorb_ad(s, ad)
 

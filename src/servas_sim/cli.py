@@ -293,10 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ScriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, FormatError, ImageAuthFailure, InvalidImage) as exc:
+    except (ScriptError, OSError, ValueError, FormatError, ImageAuthFailure, InvalidImage) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

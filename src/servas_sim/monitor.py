@@ -16,9 +16,11 @@ and ``MAX_SWAPS`` swap records, and every call checks that limit before
 its first seal, so a call over it fails with nothing changed.
 
 Page I/O pins the tweak: the monitor builds a page's first-line tweak
-once, all five software fields -- for an enclave page exactly what the
-enclave's own access to that line will compose later
-(:meth:`SecurityMonitor._page_tweak`), for one of its own pages the
+once, all five software fields -- for an enclave page with the machine's
+own :func:`compose_sw_tweak` under the CSR values the enclave runs with,
+so it is exactly what the enclave's own access to that line will compose
+later, and refused unless it classifies as the page's own type
+(:meth:`SecurityMonitor._page_tweak`); for one of its own pages the
 binding :meth:`SecurityMonitor._monitor_page_tweak` decides, which ties
 both monitor pages to their enclave through its runtime id -- and hands
 it to the machine's pinned-tweak page access (:meth:`Machine.pinned_page`),
@@ -73,19 +75,19 @@ from .machine import (
     PageFault,
     Trap,
 )
-from .mee import LINE_BYTES
 from .tweak import (
     PRV_M,
     PRV_S,
     PRV_U,
     SID_MASK,
+    Basis,
     InvalidCombination,
     PageType,
     RangeReg,
     SwTweak,
-    classify_page_type,
+    classify_tweak,
+    compose_sw_tweak,
     pack_pte_bits,
-    truncate_sid,
     voffset_bits,
 )
 
@@ -179,7 +181,7 @@ _RSW_FOR = {PageType.REGULAR: 0b01, PageType.SHENCLAVE: 0b10, PageType.SHM: 0b11
 class PageCtx:
     """A page's tweak-relevant identity, as the metadata page lists it and
     as in-place re-encryption names it.  ``rsw`` defaults to the page
-    type's own bits."""
+    type's own bits; ``sid``, when given, is an 80-bit value."""
 
     page_type: PageType
     perms: dict[str, bool]
@@ -195,6 +197,8 @@ class PageCtx:
             object.__setattr__(self, "rsw", _RSW_FOR[self.page_type])
         elif not 0 <= self.rsw < 4:
             raise InvalidCombination(f"rsw {self.rsw} is not a 2-bit field")
+        if self.sid is not None and not 0 <= self.sid <= SID_MASK:
+            raise ValueError(f"sid {self.sid} is not an 80-bit value")
 
 
 @functools.cache
@@ -398,6 +402,8 @@ MONITOR_PTE_BITS = pack_pte_bits(r=True, w=True, x=False, u=False, g=False, rsw=
 
 _STACK_PERMS = {"r": True, "w": True, "x": False, "u": True, "g": False}
 
+_NO_RANGE = RangeReg()
+
 
 def _weak_auth_handler(monitor: "SecurityMonitor"):
     """The machine's AUTH handler for ``monitor``, holding it weakly: the
@@ -498,32 +504,38 @@ class SecurityMonitor:
     def _page_tweak(self, meta: EnclaveMeta, ctx: PageCtx, va: int,
                     urange: RangeReg | None = None) -> SwTweak:
         """The tweak the enclave's own access to the first line of the page
-        at ``va`` composes; line ``i`` of the page is its voffset plus ``i``."""
-        pte_bits = pack_pte_bits(ctx.perms["r"], ctx.perms["w"], ctx.perms["x"],
-                                 ctx.perms["u"], ctx.perms.get("g", False), ctx.rsw)
-        classify_page_type(
-            {PageType.REGULAR: 0b100, PageType.SHENCLAVE: 0b100, PageType.SHM: 0b001}[ctx.page_type],
-            PRV_U, pte_bits, ctx.rsw,
-        )
-        if ctx.page_type in (PageType.REGULAR, PageType.SHENCLAVE):
-            if not meta.mrange.contains(va) or not meta.mrange.contains(va + PAGE_BYTES - 1):
-                raise RangeViolation("page lies outside the enclave range")
-            base = meta.mrange.base
-            xrange = 0b100
-            sid = meta.rtid if ctx.page_type is PageType.REGULAR else self._encid_sid(meta.encid_full)
-        else:  # SHM
+        at ``va`` composes (line ``i`` of the page is its voffset plus
+        ``i``): :func:`compose_sw_tweak` of the context's pte bits under the
+        CSRs the enclave runs with -- its range, its rtid as msid0 and its
+        encid sid as msid1, no S range and, for a shared page only,
+        ``urange`` with the user sids or ``(ctx.sid, 0)``.  A page outside
+        its range raises :class:`RangeViolation`; a context whose tweak does
+        not classify as its own page type, :class:`InvalidCombination`."""
+        if ctx.page_type is PageType.SHM:
             if urange is None or not urange.enabled:
                 raise RangeViolation("shared memory needs an enabled user range")
             if not urange.contains(va) or not urange.contains(va + PAGE_BYTES - 1):
                 raise RangeViolation("shared page lies outside the user range")
             if meta.mrange.contains(va):
                 raise RangeViolation("shared page aliases the enclave range")
-            base = urange.base
-            xrange = 0b001
-            sid = ctx.sid if ctx.sid is not None else truncate_sid(
-                self.machine.csr.usid0, self.machine.csr.usid1)
-        return SwTweak(xrange, (va - base) // LINE_BYTES, PRV_U, pte_bits, sid,
-                       self.machine.va_bits)
+            csr = self.machine.csr
+            usids = (csr.usid0, csr.usid1) if ctx.sid is None else (ctx.sid, 0)
+        else:
+            if not meta.mrange.contains(va) or not meta.mrange.contains(va + PAGE_BYTES - 1):
+                raise RangeViolation("page lies outside the enclave range")
+            urange, usids = _NO_RANGE, (0, 0)
+        # only a shared enclave page selects msid1, so only it pays the HMAC
+        encid = self._encid_sid(meta.encid_full) if ctx.page_type is PageType.SHENCLAVE else 0
+        perms = ctx.perms
+        pte_bits = pack_pte_bits(perms["r"], perms["w"], perms["x"], perms["u"],
+                                 perms.get("g", False), ctx.rsw)
+        sw = compose_sw_tweak(va, PRV_U, pte_bits, meta.mrange, _NO_RANGE, urange,
+                              {Basis.M: (meta.rtid, encid), Basis.U: usids},
+                              self.machine.va_bits)
+        if classify_tweak(sw) is not ctx.page_type:
+            raise InvalidCombination(f"rsw {ctx.rsw:02b} and these perms do not make a "
+                                     f"{ctx.page_type.value} page")
+        return sw
 
     def _walk_ppn(self, space: str, va: int) -> int:
         pte = self.machine.walk(space, va)
@@ -631,9 +643,7 @@ class SecurityMonitor:
         """Leave the enclave: host registers come back except the return
         value registers, and the enclave CSRs are reset."""
         m = self.machine
-        handle = m.active_enclave
-        if handle is None:
-            raise NotInEnclave("no enclave is executing")
+        handle = self._active_handle()
         _check_reg_writes(m, returns)
         with self._monitor_call():
             meta = self._load_meta(handle)
@@ -649,9 +659,7 @@ class SecurityMonitor:
         """Asynchronous interruption: park the enclave state in the thread
         page, wipe the register file, hand control to the OS."""
         m = self.machine
-        handle = m.active_enclave
-        if handle is None:
-            raise NotInEnclave("no enclave is executing")
+        handle = self._active_handle()
         with self._monitor_call():
             meta = self._load_meta(handle)
             thread = self._load_thread(handle)
@@ -689,15 +697,14 @@ class SecurityMonitor:
                  rsw: int | None = None) -> None:
         """Zero-initialize a dynamically supplied page to an enclave-chosen
         type.  Every type except MONITOR is allowed; the per-enclave mapping
-        list rejects double mapping."""
+        list rejects double mapping, and :meth:`_page_tweak` a context that
+        does not classify as its type."""
         ctx = PageCtx(page_type, perms, rsw)
         handle = self._active_handle()
         m = self.machine
         caller_urange = m.csr.urange
         with self._monitor_call():
             meta = self._load_meta(handle)
-            if ctx.rsw != _RSW_FOR[page_type]:
-                raise InvalidCombination("rsw bits disagree with the page type")
             if va in meta.owned:
                 raise DoubleMap(f"page {va:#x} is already mapped into the enclave")
             if va in meta.swaps:
@@ -724,7 +731,8 @@ class SecurityMonitor:
     def emod(self, va: int, old_ctx: PageCtx, new_ctx: PageCtx) -> None:
         """In-place re-encryption: read every line under the old context,
         rewrite under the new one.  Content is preserved bit for bit; a
-        wrong old context dies on the first line."""
+        wrong old context dies on the first line, and a new one that does
+        not classify as its type is refused before any line moves."""
         handle = self._active_handle()
         m = self.machine
         caller_urange = m.csr.urange

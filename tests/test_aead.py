@@ -77,6 +77,20 @@ def test_wrong_key_rejected(aead):
         aead.open(bytes(16), _nonce(aead), ct, tag, b"")
 
 
+@pytest.mark.parametrize("key, nonce", [(KEY[:15], NONCE16), (KEY, NONCE16[:12])],
+                         ids=["short-key", "short-nonce"])
+@pytest.mark.parametrize("call", ["seal", "open"])
+def test_ascon_refuses_a_wrong_key_or_nonce_length(call, key, nonce):
+    """A ValueError, not an assert, so also under ``python -O``."""
+    aead = Ascon128Aead()
+    ct, tag = aead.seal(KEY, NONCE16, b"hi", b"")
+    with pytest.raises(ValueError, match="16-byte key and a 16-byte nonce"):
+        if call == "seal":
+            aead.seal(key, nonce, b"hi", b"")
+        else:
+            aead.open(key, nonce, ct, tag, b"")
+
+
 def test_unknown_backend_name():
     with pytest.raises(ValueError):
         get_aead("rot13")

@@ -26,6 +26,7 @@ from servas_sim.monitor import (
     EnclaveMeta,
     EnclaveState,
     MonitorCapacity,
+    MonitorError,
     MonitorTypeForbidden,
     NoRecord,
     NotInEnclave,
@@ -492,6 +493,131 @@ def test_emod_refuses_an_rsw_outside_two_bits(enclave, rsw):
         with pytest.raises(InvalidCombination):
             sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW, old), PageCtx(PageType.REGULAR, RO, new))
     assert m.mee.seals == seals
+    assert m.access("host", DATA_VA, READ, PRV_U, size=4) == b"live"
+
+
+SHM_VA = 0x6000_0000
+STACK_VA = A_BASE + 2 * PAGE_BYTES
+_REFUSED = (MonitorError, InvalidCombination)
+
+
+def _monitor_state(m):
+    """Everything a refused monitor call must leave as it was, but the
+    engine's open count and the metadata page, checked apart."""
+    return (m.mee.written_lines(), m.mee.seals, dataclasses.astuple(m.csr),
+            list(m.regs), m.pc, m.prv, m.active_enclave, m.rng.getstate())
+
+
+def _refused_with_nothing_moved(m, sm, handle, call, error=_REFUSED):
+    """Run ``call``; if it raises ``error``, check that nothing moved and
+    return True, else return False.  A refused call may have verified its
+    metadata page, and no other page."""
+    meta = sm.peek_meta(handle).pack()
+    before, opens = _monitor_state(m), m.mee.opens
+    try:
+        call()
+    except error:
+        assert _monitor_state(m) == before
+        assert m.mee.opens - opens in (0, LINES_PER_PAGE)
+        assert sm.peek_meta(handle).pack() == meta
+        return True
+    return False
+
+
+@pytest.mark.parametrize("perms", ["ru", "rwu", "rxu"])
+@pytest.mark.parametrize("rsw", range(4))
+@pytest.mark.parametrize("page_type", list(PageType), ids=lambda t: t.name)
+def test_an_accepted_emod_context_is_one_the_enclave_can_read(enclave, page_type, rsw, perms):
+    """A context ``emod`` accepts for the data page is one the running
+    enclave can read the page under, once the OS maps it with that
+    context's perms and rsw; any other is refused before anything moves.
+    A REGULAR context with rsw 10 would seal the page under the rtid where
+    every access composes another sid."""
+    m, sm, handle = enclave
+    sm.eenter(handle)
+    payload = random.Random(5).randbytes(64)
+    m.access("host", DATA_VA, WRITE, PRV_U, data=payload)
+    ctx = {c: c in perms for c in "rwxug"}
+    if _refused_with_nothing_moved(m, sm, handle, lambda: sm.emod(
+            DATA_VA, PageCtx(PageType.REGULAR, RW), PageCtx(page_type, ctx, rsw))):
+        return
+    sm.interrupt()
+    m.map_page(PRV_S, "host", DATA_VA, m.walk("host", DATA_VA).ppn, perms, rsw)
+    m.prv = PRV_U
+    sm.eenter(handle)
+    assert m.access("host", DATA_VA, READ, PRV_U, size=64) == payload
+
+
+@pytest.mark.parametrize("perms", ["ru", "rwu", "rxu"])
+@pytest.mark.parametrize("rsw", range(4))
+def test_an_accepted_shared_context_is_one_the_enclave_can_read(enclave, rsw, perms):
+    """The same for a shared page ``eprepare`` zero-fills under an enabled
+    user range: accepted only if the enclave can then read the zeros."""
+    m, sm, handle = enclave
+    m.map_page(PRV_S, "host", SHM_VA, 0x180, perms, rsw)
+    sm.eenter(handle)
+    m.write_csr(PRV_U, "urange", RangeReg(SHM_VA, PAGE_BYTES, True))
+    m.write_csr(PRV_U, "usid0", 0xAB)
+    ctx = {c: c in perms for c in "rwxug"}
+    if not _refused_with_nothing_moved(
+            m, sm, handle, lambda: sm.eprepare(SHM_VA, PageType.SHM, ctx, rsw)):
+        assert m.access("host", SHM_VA, READ, PRV_U, size=64) == bytes(64)
+
+
+def _shm(perms=RW, sid=None):
+    return PageCtx(PageType.SHM, perms, sid=sid)
+
+
+_OVER_MRANGE = RangeReg(A_BASE, 3 * PAGE_BYTES, True)
+
+
+@pytest.mark.parametrize("urange, call, error", [
+    pytest.param(None, lambda sm: sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW),
+                                          PageCtx(PageType.REGULAR, RO, 0b10)),
+                 InvalidCombination, id="emod-rsw-disagrees-with-type"),
+    pytest.param(None, lambda sm: sm.eprepare(STACK_VA, PageType.REGULAR, RO, 0b10),
+                 InvalidCombination, id="eprepare-rsw-disagrees-with-type"),
+    pytest.param(None, lambda sm: sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW),
+                                          PageCtx(PageType.REGULAR, RO, 4)),
+                 InvalidCombination, id="emod-rsw-outside-two-bits"),
+    pytest.param(None, lambda sm: sm.eprepare(STACK_VA, PageType.REGULAR, RW, 4),
+                 InvalidCombination, id="eprepare-rsw-outside-two-bits"),
+    pytest.param(None, lambda sm: sm.emod(0x7777_0000, PageCtx(PageType.REGULAR, RW),
+                                          PageCtx(PageType.REGULAR, RO)),
+                 RangeViolation, id="emod-outside-mrange"),
+    pytest.param(None, lambda sm: sm.eprepare(0x7777_0000, PageType.REGULAR, RW),
+                 RangeViolation, id="eprepare-outside-mrange"),
+    pytest.param(None, lambda sm: sm.emod(SHM_VA + PAGE_BYTES, _shm(), _shm(RO)),
+                 RangeViolation, id="emod-shm-outside-urange"),
+    pytest.param(None, lambda sm: sm.eprepare(SHM_VA + PAGE_BYTES, PageType.SHM, RW),
+                 RangeViolation, id="eprepare-shm-outside-urange"),
+    pytest.param(_OVER_MRANGE, lambda sm: sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW),
+                                                  _shm()),
+                 RangeViolation, id="emod-shm-aliases-mrange"),
+    pytest.param(_OVER_MRANGE, lambda sm: sm.eprepare(STACK_VA, PageType.SHM, RW),
+                 RangeViolation, id="eprepare-shm-aliases-mrange"),
+    pytest.param(None, lambda sm: sm.emod(SHM_VA, _shm(), _shm(sid=-1)),
+                 ValueError, id="emod-sid-negative"),
+    pytest.param(None, lambda sm: sm.emod(SHM_VA, _shm(), _shm(sid=1 << 80)),
+                 ValueError, id="emod-sid-past-80-bits"),
+])
+def test_a_refused_page_call_moves_nothing(enclave, urange, call, error):
+    """``emod`` and ``eprepare`` refuse a bad context or address before any
+    line, counter, CSR, register, privilege, random draw or metadata record
+    moves.  The enclave owns a written data page and a shared page, and its
+    stack page is free."""
+    m, sm, handle = enclave
+    m.map_page(PRV_S, "host", SHM_VA, 0x180, "rwu", 0b11)
+    sm.eenter(handle)
+    m.access("host", DATA_VA, WRITE, PRV_U, data=b"live")
+    sm.edestroy(STACK_VA)
+    shm_range = RangeReg(SHM_VA, PAGE_BYTES, True)
+    m.write_csr(PRV_U, "urange", shm_range)
+    m.write_csr(PRV_U, "usid0", 0xAB)
+    sm.eprepare(SHM_VA, PageType.SHM, RW)
+    m.write_csr(PRV_U, "urange", urange or shm_range)
+    assert _refused_with_nothing_moved(m, sm, handle, lambda: call(sm), error)
+    m.write_csr(PRV_U, "urange", shm_range)
     assert m.access("host", DATA_VA, READ, PRV_U, size=4) == b"live"
 
 
