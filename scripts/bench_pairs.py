@@ -17,6 +17,12 @@ than the parent's by more than the metric's ``bound`` in BENCHMARK.json
 (a fraction of the parent's median), the regression the benchmark
 refuses.  Failed operations are summed per side.
 
+Once per workload and side, at the first seed, it also runs
+``perfbench/run.py --trace 1 --seconds 1``, whose per-layer counts (units
+``count`` and ``count/call``) are deterministic, and records and prints
+the counts that differ between the sides.  Wall time that moves while
+every count is identical moved for no reason in the code's work.
+
 Run it on an otherwise idle host; the runs themselves are sequential.
 """
 
@@ -30,12 +36,13 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+COUNT_UNITS = ("count", "count/call")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -44,6 +51,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                   if line.startswith("record ")), {})
     return {"result": json.loads(lines[-1]),
             "stamp": {k: stamp.get(k) for k in ("git_rev", "src_sha256", "python", "nproc")}}
+
+
+def counts_of(result: dict) -> dict:
+    """The count metrics of one run's result line."""
+    return {name: m["value"] for name, m in result["metrics"].items()
+            if m["unit"] in COUNT_UNITS}
+
+
+def count_diff(parent: dict, change: dict) -> dict:
+    """The counts that differ between the sides, with both values (None
+    where a side does not report the count)."""
+    return {name: {"parent": parent.get(name), "change": change.get(name)}
+            for name in sorted(parent.keys() | change.keys())
+            if parent.get(name) != change.get(name)}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -117,7 +138,11 @@ def main() -> None:
             print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
                 f"{side} ops_per_s {pair[side]['result']['metrics']['ops_per_s']['value']:.6g}"
                 for side in SIDES), flush=True)
+        counts = {side: counts_of(run_once(checkouts[side], workload, args.seed_base, 1.0,
+                                           trace=1)["result"]) for side in SIDES}
         report["workloads"][workload] = {
+            "traced_counts": {"seed": args.seed_base,
+                              "differ": count_diff(counts["parent"], counts["change"])},
             "failed": {side: sum(r[side]["result"]["failed"] for r in runs) for side in SIDES},
             "attempted": {side: sum(r[side]["result"]["attempted"] for r in runs)
                           for side in SIDES},
@@ -126,6 +151,11 @@ def main() -> None:
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
+        differ = entry["traced_counts"]["differ"]
+        print(f"{workload} traced counts at seed {args.seed_base}: "
+              + ("identical" if not differ else f"{len(differ)} differ"))
+        for name, d in differ.items():
+            print(f"{workload} {name}: parent {d['parent']} change {d['change']}")
         for name, s in entry["summary"].items():
             print(f"{workload} {name}: parent {s['parent']['median']:.6g} "
                   f"change {s['change']['median']:.6g} ({s['change_over_parent']:.3f}x), "

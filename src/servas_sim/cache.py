@@ -123,6 +123,16 @@ class EvictionMode(enum.Enum):
 # most); neither may exceed it, and a count range may list no more points.
 GRID_LIMIT = 1 << 24
 
+# The bound on the rows a grid command builds, and so on the points of a
+# range: 1,048,576 rows are a few hundred MB at most, where an unbounded
+# product of ranges could ask for tens of GB.
+ROW_LIMIT = 1 << 20
+
+
+def _check_rows(name: str, rows: int) -> None:
+    if rows > ROW_LIMIT:
+        raise ValueError(f"{name} is {rows:,} rows, above the row bound of {ROW_LIMIT:,}")
+
 
 def _check_eviction_args(n_entries: int, ways: int, trials: int, tweak_counts) -> None:
     """The one input check of the eviction Monte Carlo, made before any
@@ -197,6 +207,7 @@ def eviction_grid(entries_list, ways_list, tweak_counts, trials=10000, seed=0):
     (n_entries, ways) geometry."""
     tweak_counts = list(tweak_counts)
     geometries = [(n_entries, ways) for n_entries in entries_list for ways in ways_list]
+    _check_rows("geometries x n_tweaks x 2 modes", len(geometries) * len(tweak_counts) * 2)
     for n_entries, ways in geometries:
         _check_eviction_args(n_entries, ways, trials, tweak_counts)
     rows = []
@@ -209,16 +220,19 @@ def eviction_grid(entries_list, ways_list, tweak_counts, trials=10000, seed=0):
 
 
 def overhead_sweep(n_lines_list, tc_cfgs, va_bits=48):
-    """Rows of (n_lines, n_tweak, b_voffsetL, inline_bits, tc_bits, break_even)."""
+    """Rows of (n_lines, n_tweak, b_voffsetL, inline_bits, tc_bits, break_even).
+    A tweak cache's break-even does not depend on the main cache, so it is
+    computed once per tweak cache."""
+    n_lines_list, tc_cfgs = list(n_lines_list), list(tc_cfgs)
+    _check_rows("n_lines x tweak caches", len(n_lines_list) * len(tc_cfgs))
+    break_evens = [break_even_lines(tc, va_bits) for tc in tc_cfgs]
     rows = []
     for n_lines in n_lines_list:
         cfg = CacheCfg(n_lines=n_lines, ways=1, va_bits=va_bits)
         inline = inline_overhead_bits(cfg)
-        for tc in tc_cfgs:
-            rows.append((
-                n_lines, tc.n_tweak, tc.voffset_low_bits,
-                inline, tc_overhead_bits(cfg, tc), break_even_lines(tc, va_bits),
-            ))
+        for tc, break_even in zip(tc_cfgs, break_evens):
+            rows.append((n_lines, tc.n_tweak, tc.voffset_low_bits,
+                         inline, tc_overhead_bits(cfg, tc), break_even))
     return rows
 
 

@@ -56,16 +56,16 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_range(text: str) -> list[int]:
-    """``a:b:step`` (or ``a:b``) inclusive range, of at most the grid
+    """``a:b:step`` (or ``a:b``) inclusive range, of at most the row
     bound's points, or a comma list."""
     if ":" in text:
         parts = [int(x, 0) for x in text.split(":")]
         if len(parts) > 3:
             raise ScriptError(f"range {text} has {len(parts)} fields, not a:b or a:b:step")
         points = range(parts[0], parts[1] + 1, *parts[2:])
-        if points[cache.GRID_LIMIT:]:  # no len(): it overflows on a huge range
-            raise ScriptError(f"range {text} lists more than the grid bound of "
-                              f"{cache.GRID_LIMIT:,} points")
+        if points[cache.ROW_LIMIT:]:  # no len(): it overflows on a huge range
+            raise ScriptError(f"range {text} lists more than the row bound of "
+                              f"{cache.ROW_LIMIT:,} points")
         return list(points)
     return _parse_int_list(text)
 

@@ -37,9 +37,9 @@ a table filled on first use, the cache compares the integer and the
 engine serializes it.
 
 :meth:`Machine.pinned_page` classifies a monitor page once and makes the
-page one engine call: :meth:`Mee.write_lines` or :meth:`Mee.read_page`
-steps the voffset field of the integer per line, and an AUTH trap names
-the first line that failed, with its address and stepped tweak.  Only a
+page one engine call: :meth:`Mee.write` or :meth:`Mee.read` steps the
+voffset field of the tweak per line, and an AUTH trap names the first line
+that failed, with its address and stepped tweak.  Only a
 read through the cache goes line by line, because cache fills draw the
 machine RNG for replacement and their order must not move.
 
@@ -408,9 +408,9 @@ class Machine:
         This is the security monitor's page I/O.
 
         A protected page is one engine call: a write drops its lines from
-        the cache and seals them with :meth:`Mee.write_lines`, a read with
-        the cache off opens them with :meth:`Mee.read_page`.  A read through
-        the cache, and an unprotected page under bypass, go line by line.
+        the cache and seals them with :meth:`Mee.write`, a read with the
+        cache off opens them with :meth:`Mee.read`.  A read through the
+        cache, and an unprotected page under bypass, go line by line.
         """
         if sw.voffset + max(lines, default=0) >> voffset_bits(sw.va_bits):
             raise ValueError("voffset out of range")
@@ -431,10 +431,10 @@ class Machine:
         first = base // LINE_BYTES
         if kind is AccessKind.WRITE:
             self._uncache(first + i for i in lines)
-            self.mee.write_lines(first, value, va_bits, content, lines)
+            self.mee.write(first, content, sw, lines)
             return None
         try:
-            return self.mee.read_page(first, value, va_bits, lines)
+            return self.mee.read(first, sw, lines)
         except AuthenticationError as exc:
             i = exc.line_index - first
             self._auth_trap(base + i * LINE_BYTES, PRV_M,

@@ -8,13 +8,14 @@ counter first and re-seals the line under the full 192-bit tweak
 never verify again.  The nonce is derived as ``hash(line_index || counter)``
 since the engine owns both values and never reuses a pair.
 
-The engine's entry points are :meth:`Mee.write_lines` and
-:meth:`Mee.read_lines`: they seal or open any set of lines of one page in
-one call, line ``first_line + i`` under the packed software tweak plus
-``i`` in its voffset field, which is how every line of a page is bound.
-The tweak width, associated-data length and cipher are looked up once per
-call.  :meth:`Mee.write` and :meth:`Mee.read` are the one-line case, and
-:meth:`Mee.read_page` returns a read's lines joined.  ``seals`` and ``opens`` count the lines sealed and the lines verified (a
+The engine's entry points are :meth:`Mee.write` and :meth:`Mee.read`.
+Each takes the first line, the software tweak and the lines of the page
+to seal or open, the first line alone by default.  Line ``first_line + i``
+is bound to the tweak plus ``i`` in its voffset field, which is how every
+line of a page is bound.  The tweak width, associated-data length and
+cipher are looked up once per call.
+
+``seals`` and ``opens`` count the lines sealed and the lines verified (a
 failed verification included), however and whenever the AEAD work was
 done.
 
@@ -40,7 +41,7 @@ exactly the points that observe raw DRAM:
 * :meth:`Mee.restore_line` runs it before it overwrites them, so the memo
   below records the line's own bytes and vouches for them again if they
   are put back;
-* a :meth:`Mee.read_lines` whose memo does not match opens the real bytes.
+* a :meth:`Mee.read` whose memo does not match opens the real bytes.
 
 Every other use of a pending line (a read the memo below serves, a
 store's :meth:`Mee.changed_lines`) only compares the memo's ciphertext and
@@ -51,7 +52,7 @@ seal runs; only the number of AEAD calls does.
 Verified-open memo.  Every write, and every successful open, records in
 the line's entry the plaintext together with the exact ciphertext, tag and
 associated data (counter || tweak) it was sealed or opened under.
-:meth:`Mee.read_lines` returns that plaintext, with no nonce hash and no
+:meth:`Mee.read` returns that plaintext, with no nonce hash and no
 AEAD call, only when all three are identical to the line's current
 ciphertext and tag and to the associated data of this read (the current
 counter and the requested tweak).  AEAD open is a deterministic function
@@ -78,7 +79,7 @@ Page records.  ``Mee._pages`` is the engine's only line store: one
 and the own entries of the lines addressed alone.  Most lines are written
 a page at a time -- image pages, monitor pages, swapped pages -- and most
 of those are never addressed one line at a time afterwards.  So a
-whole-page :meth:`Mee.write_lines` builds no own entry: it stores the
+whole-page :meth:`Mee.write` builds no own entry: it stores the
 page's record -- the packed tweak, the va bits and the 4,096-byte content
 -- moves each of the 64 counters by one, with the overflow check, and
 drops the page's own entries.  A line with no own entry on a recorded
@@ -102,8 +103,9 @@ The record keeps covering the page's other lines until the next
 whole-page write.  What a record serves:
 
 * a read of a line under the record's tweak for it gets the plaintext,
-  counted as an open, as its line memo would match;
-  :meth:`Mee.read_page` returns the whole content as it is stored;
+  counted as an open, as its line memo would match (``_Page.ad`` is that
+  associated data); a read of the whole page gets the content as it is
+  stored;
 * a write call starting at the page's first line under the record's
   tweak writes its lines into the record in place (the monitor's store
   of its changed lines);
@@ -137,7 +139,8 @@ LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
 _PAGE_MASK = ~(LINES_PER_PAGE - 1)
 _LINE_MASK = LINES_PER_PAGE - 1
 _PAGE_RANGE = range(LINES_PER_PAGE)
-_PAGE_LIST = list(_PAGE_RANGE)
+# the two spellings of a page's 64 line indices in order that name the page
+_WHOLE_PAGE = (_PAGE_RANGE, list(_PAGE_RANGE))
 _STEP = 1 << VOFFSET_SHIFT  # one line's step of a packed tweak
 _ZERO_LINE = bytes(LINE_BYTES)
 _ZERO_PAGE = bytes(PAGE_BYTES)
@@ -209,11 +212,6 @@ def _check_line(line_index: int) -> None:
         raise ValueError(f"no physical line {line_index}")
 
 
-def _whole_page(lines) -> bool:
-    """Whether ``lines`` lists a page's 64 line indices in order."""
-    return len(lines) == LINES_PER_PAGE and (lines == _PAGE_RANGE or lines == _PAGE_LIST)
-
-
 def _differing_lines(old: bytes, new: bytes) -> list[int]:
     """The indices of the 64-byte lines in which two 4,096-byte pages
     differ, found by halving: an unchanged page is one comparison."""
@@ -257,6 +255,12 @@ class _Page:
         # just [ciphertext, tag].
         self.lines: dict[int, list] = {}
 
+    def ad(self, j: int) -> int:
+        """The associated data the record seals line ``j`` under, marked
+        (see ``_ad_shape``): its counter and the record's tweak, stepped."""
+        width, marker = _ad_shape(self.va_bits)
+        return marker | self.counters[j] << width | self.sw + j * self.step
+
     def serves(self, sw_int: int, va_bits: int) -> bool:
         """Whether a call starting at the page's first line under ``sw_int``
         is one under the page's record tweak, stepped per line."""
@@ -287,9 +291,9 @@ class Mee:
 
     def _materialize(self, line: int, entry: list, counter: int) -> None:
         """If the line is pending, seal it: compute the (ciphertext, tag)
-        its :meth:`write_lines` deferred and store it as both the DRAM
-        bytes and the memo's.  ``counter``, the line's current one, is the
-        sealing counter, since only :meth:`write_lines` moves it and it
+        its :meth:`write` deferred and store it as both the DRAM bytes and
+        the memo's.  ``counter``, the line's current one, is the sealing
+        counter, since only :meth:`write` moves it and it
         stores a new entry."""
         if entry[0] is None:
             ciphertext, tag = self.aead.seal(self.key, self._nonce(line, counter), entry[5],
@@ -298,11 +302,9 @@ class Mee:
 
     def _detach(self, page: _Page, j: int) -> list:
         """Give line ``j``, which the page's record covers, its own pending
-        entry, the one :meth:`write_lines` would have built."""
-        width, marker = _ad_shape(page.va_bits)
-        entry = page.lines[j] = [
-            None, None, None, None, marker | page.counters[j] << width | page.sw + j * page.step,
-            page.content[j * LINE_BYTES:(j + 1) * LINE_BYTES]]
+        entry, the one :meth:`write` would have built."""
+        entry = page.lines[j] = [None, None, None, None, page.ad(j),
+                                 page.content[j * LINE_BYTES:(j + 1) * LINE_BYTES]]
         self.line_entries += 1
         return entry
 
@@ -318,11 +320,9 @@ class Mee:
         """The line's own entry, detached from its record if need be; None
         for a line with neither."""
         page = self._pages.get(line & _PAGE_MASK)
-        if page is None:
-            return None
         j = line & _LINE_MASK
-        entry = page.lines.get(j)
-        if entry is None and page.content is not None:
+        entry = page and page.lines.get(j)
+        if entry is None and page is not None and page.content is not None:
             entry = self._detach(page, j)
         return entry
 
@@ -349,19 +349,22 @@ class Mee:
         return {first + j: page.counters[j] for first, page in sorted(self._pages.items())
                 for j in (_PAGE_RANGE if page.content is not None else sorted(page.lines))}
 
-    def write_lines(self, first_line: int, sw_int: int, va_bits: int, content: bytes,
-                    lines) -> None:
+    def write(self, first_line: int, content: bytes, sw: SwTweak, lines=(0,)) -> None:
         """Seal line ``first_line + i`` for each ``i`` in ``lines``: its
         plaintext is the ``i``-th 64-byte line of ``content`` and its tweak
-        the packed ``sw_int`` with ``i`` added to the voffset field.  The
-        caller guarantees the stepped voffset stays in range.  Each line is
-        stored pending, its AEAD seal left to the first observer of its raw
-        bytes, and a whole page as one record (see the module docstring).
-        Lines are written in order; a failing check stops the call at that
-        line."""
+        ``sw`` with ``i`` added to the voffset field.  The caller guarantees
+        the stepped voffset stays in range.  Each line is stored pending,
+        its AEAD seal left to the first observer of its raw bytes, and a
+        whole page as one record (see the module docstring).  ``content``
+        that is not whole 64-byte lines is refused before any line moves;
+        otherwise lines are written in order, and a failing check stops the
+        call at that line."""
+        if len(content) % LINE_BYTES:
+            raise ValueError("writes are whole 64-byte lines")
+        sw_int, va_bits = sw.to_int(), sw.va_bits
         base = first_line & _PAGE_MASK
-        if (first_line == base and 0 <= base < LINE_LIMIT and _whole_page(lines)
-                and len(content) >= PAGE_BYTES
+        if (len(lines) == LINES_PER_PAGE and lines in _WHOLE_PAGE and first_line == base
+                and 0 <= base < LINE_LIMIT and len(content) >= PAGE_BYTES
                 and self._store_page(base, sw_int, va_bits, _STEP, bytes(content[:PAGE_BYTES]))):
             return
         width, marker = _ad_shape(va_bits)
@@ -397,13 +400,20 @@ class Mee:
                              marker | counter << width | sw_int + (i << VOFFSET_SHIFT), plaintext]
             self.line_entries += 1
 
-    def read_lines(self, first_line: int, sw_int: int, va_bits: int, lines) -> list[bytes]:
+    def read(self, first_line: int, sw: SwTweak, lines=(0,)) -> bytes:
         """Open line ``first_line + i`` for each ``i`` in ``lines`` under the
-        tweak :meth:`write_lines` steps the same way; returns the plaintexts
-        in order; a never-written line reads as zeros.  The first line that
+        tweak :meth:`write` steps the same way; returns the plaintexts
+        joined; a never-written line reads as zeros.  The first line that
         fails verification raises :class:`AuthenticationError` naming it.  A
         line whose memo matches, or that its record serves, is read with no
-        AEAD call (see the module docstring)."""
+        AEAD call, and a whole page its record serves, none of its lines
+        detached, is returned as stored (see the module docstring)."""
+        sw_int, va_bits = sw.to_int(), sw.va_bits
+        if len(lines) == LINES_PER_PAGE and lines in _WHOLE_PAGE:
+            page = self._whole_record(first_line, sw_int, va_bits)
+            if page is not None:
+                self.opens += LINES_PER_PAGE
+                return page.content
         width, marker = _ad_shape(va_bits)
         open_, key, pages = self.aead.open, self.key, self._pages
         out = []
@@ -412,22 +422,18 @@ class Mee:
             j = line & _LINE_MASK
             page = pages.get(line - j)
             entry = page and page.lines.get(j)
-            if entry is None:
-                if page is None or page.content is None:  # never written
-                    _check_line(line)  # a line on no page may be no line at all
-                    out.append(_ZERO_LINE)
-                    continue
-                # the record's tweak for the line is the one asked for, so
-                # the line memo it stands for matches: serve the plaintext
-                if (page.va_bits == va_bits
-                        and page.sw + j * page.step == sw_int + (i << VOFFSET_SHIFT)):
-                    self.opens += 1
-                    out.append(page.content[j * LINE_BYTES:(j + 1) * LINE_BYTES])
-                    continue
-                entry = self._detach(page, j)  # and fail on it below
+            if entry is None and (page is None or page.content is None):  # never written
+                _check_line(line)  # a line on no page may be no line at all
+                out.append(_ZERO_LINE)
+                continue
             counter = page.counters[j]
             ad = marker | counter << width | sw_int + (i << VOFFSET_SHIFT)
             self.opens += 1
+            if entry is None:
+                if page.ad(j) == ad:  # the line memo the record stands for matches
+                    out.append(page.content[j * LINE_BYTES:(j + 1) * LINE_BYTES])
+                    continue
+                entry = self._detach(page, j)  # and fail on it below
             plaintext = _memo(entry, ad)
             if plaintext is None:
                 self._materialize(line, entry, counter)
@@ -439,58 +445,39 @@ class Mee:
                     raise AuthenticationError(line) from exc
                 entry[2:] = ciphertext, tag, ad, plaintext
             out.append(plaintext)
-        return out
+        return b"".join(out)
 
-    def read_page(self, first_line: int, sw_int: int, va_bits: int,
-                  lines=_PAGE_RANGE) -> bytes:
-        """:meth:`read_lines` joined.  A whole page its record serves, none
-        of its lines detached, is returned as stored."""
-        page = self._whole_record(first_line, sw_int, va_bits)
-        if page is not None and _whole_page(lines):
-            self.opens += LINES_PER_PAGE
-            return page.content
-        return b"".join(self.read_lines(first_line, sw_int, va_bits, lines))
-
-    def changed_lines(self, first_line: int, sw_int: int, va_bits: int,
-                      content: bytes) -> list[int]:
+    def changed_lines(self, first_line: int, content: bytes, sw: SwTweak) -> list[int]:
         """The indices ``i`` of the 64-byte lines of ``content`` that a
-        :meth:`write_lines` of it, under the same tweak, would actually
-        change: every line ``first_line + i`` whose memo does not prove that
-        it already holds the ``i``-th line of ``content`` under the tweak
-        :meth:`write_lines` steps and its current counter.  A never-written,
+        :meth:`write` of it under ``sw`` would actually change: every line
+        ``first_line + i`` whose memo, or record, does not prove that it
+        already holds the ``i``-th line of ``content`` under the tweak
+        :meth:`write` steps and its current counter.  A never-written,
         tampered, destroyed or foreign-bound line is always listed."""
+        sw_int, va_bits = sw.to_int(), sw.va_bits
         n = len(content) // LINE_BYTES
-        page = self._whole_record(first_line, sw_int, va_bits)
-        if page is not None and n == LINES_PER_PAGE:
-            return _differing_lines(page.content, content[:PAGE_BYTES])
+        if n == LINES_PER_PAGE:
+            page = self._whole_record(first_line, sw_int, va_bits)
+            if page is not None:
+                return _differing_lines(page.content, content[:PAGE_BYTES])
         width, marker = _ad_shape(va_bits)
         pages = self._pages
         changed = []
         for i in range(n):
             line = first_line + i
-            want = content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
             j = line & _LINE_MASK
             page = pages.get(line - j)
-            entry = page and page.lines.get(j)
-            if entry is None:
-                if (page is None or page.content is None  # as in read_lines
-                        or page.va_bits != va_bits
-                        or page.sw + j * page.step != sw_int + (i << VOFFSET_SHIFT)
-                        or page.content[j * LINE_BYTES:(j + 1) * LINE_BYTES] != want):
-                    changed.append(i)
-                continue
-            ad = marker | page.counters[j] << width | sw_int + (i << VOFFSET_SHIFT)
-            if _memo(entry, ad) != want:
+            held = None
+            if page is not None:
+                ad = marker | page.counters[j] << width | sw_int + (i << VOFFSET_SHIFT)
+                entry = page.lines.get(j)
+                if entry is not None:
+                    held = _memo(entry, ad)
+                elif page.content is not None and page.ad(j) == ad:
+                    held = page.content[j * LINE_BYTES:(j + 1) * LINE_BYTES]
+            if held != content[i * LINE_BYTES:(i + 1) * LINE_BYTES]:
                 changed.append(i)
         return changed
-
-    def write(self, line_index: int, plaintext: bytes, sw: SwTweak) -> None:
-        if len(plaintext) != LINE_BYTES:
-            raise ValueError("writes are whole 64-byte lines")
-        self.write_lines(line_index, sw.to_int(), sw.va_bits, plaintext, (0,))
-
-    def read(self, line_index: int, sw: SwTweak) -> bytes:
-        return self.read_lines(line_index, sw.to_int(), sw.va_bits, (0,))[0]
 
     def destroy(self, line_index: int) -> None:
         """Invalidate a line; any subsequent read fails until rewritten."""

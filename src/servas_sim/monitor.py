@@ -474,8 +474,7 @@ class SecurityMonitor:
         """Re-seal the lines the engine cannot prove already hold
         ``content`` under the page's binding (:meth:`Mee.changed_lines`)."""
         sw = self._monitor_page_tweak(ppn, rtid)
-        changed = self.machine.mee.changed_lines(ppn * LINES_PER_PAGE, sw.to_int(),
-                                                 sw.va_bits, content)
+        changed = self.machine.mee.changed_lines(ppn * LINES_PER_PAGE, content, sw)
         self.machine.pinned_page(ppn, sw, AccessKind.WRITE, content, changed)
 
     def _load_meta(self, handle: EnclaveHandle) -> EnclaveMeta:

@@ -88,7 +88,8 @@ def sw_tweak_bits(va_bits: int) -> int:
 
 
 def pack_pte_bits(r: bool, w: bool, x: bool, u: bool, g: bool, rsw: int) -> int:
-    assert 0 <= rsw < 4
+    if not 0 <= rsw < 4:
+        raise ValueError(f"rsw {rsw} is not a 2-bit field")
     return (rsw << 5) | (u << 4) | (g << 3) | (r << 2) | (w << 1) | int(x)
 
 

@@ -93,7 +93,9 @@ class ReferenceMee:
     def written_lines(self) -> dict[int, int]:
         return {line: self.lines[line][2] for line in sorted(self.lines)}
 
-    def write_lines(self, first_line, sw_int, va_bits, content, lines) -> None:
+    def write(self, first_line, content, sw, lines=(0,)) -> None:
+        if len(content) % 64:
+            raise ValueError("writes are whole 64-byte lines")
         for i in lines:
             line = first_line + i
             self._check(line)
@@ -103,12 +105,12 @@ class ReferenceMee:
             counter = self.counter_of(line) + 1
             if counter >= 1 << 58:
                 raise CounterOverflow(f"line {line:#x} counter exhausted")
-            ad = self._ad(counter, sw_int + (i << VOFFSET_SHIFT), va_bits)
+            ad = self._ad(counter, sw.to_int() + (i << VOFFSET_SHIFT), sw.va_bits)
             self.lines[line] = (*self.aead.seal(self.key, self._nonce(line, counter),
                                                 plaintext, ad), counter)
             self.seals += 1
 
-    def read_lines(self, first_line, sw_int, va_bits, lines) -> list[bytes]:
+    def read(self, first_line, sw, lines=(0,)) -> bytes:
         out = []
         for i in lines:
             line = first_line + i
@@ -118,35 +120,24 @@ class ReferenceMee:
                 continue
             self.opens += 1
             try:
-                out.append(self._open(line, sw_int + (i << VOFFSET_SHIFT), va_bits))
+                out.append(self._open(line, sw.to_int() + (i << VOFFSET_SHIFT), sw.va_bits))
             except AeadAuthError as exc:
                 raise AuthenticationError(line) from exc
-        return out
+        return b"".join(out)
 
-    def read_page(self, first_line, sw_int, va_bits, lines=range(64)) -> bytes:
-        return b"".join(self.read_lines(first_line, sw_int, va_bits, lines))
-
-    def changed_lines(self, first_line, sw_int, va_bits, content) -> list[int]:
+    def changed_lines(self, first_line, content, sw) -> list[int]:
         """The lines whose real open under the current counter fails or
         gives other bytes than ``content``'s; a query, so no open counts."""
         changed = []
         for i in range(len(content) // 64):
             line = first_line + i
             try:
-                held = self._open(line, sw_int + (i << VOFFSET_SHIFT), va_bits)
+                held = self._open(line, sw.to_int() + (i << VOFFSET_SHIFT), sw.va_bits)
             except (KeyError, AeadAuthError):
                 held = None
             if held != content[i * 64:(i + 1) * 64]:
                 changed.append(i)
         return changed
-
-    def write(self, line, plaintext, sw) -> None:
-        if len(plaintext) != 64:
-            raise ValueError("writes are whole 64-byte lines")
-        self.write_lines(line, sw.to_int(), sw.va_bits, plaintext, (0,))
-
-    def read(self, line, sw) -> bytes:
-        return self.read_lines(line, sw.to_int(), sw.va_bits, (0,))[0]
 
     def destroy(self, line) -> None:
         self.write(line, bytes(64), destroy_tweak(self.va_bits))

@@ -1,5 +1,5 @@
-"""``scripts/bench_pairs.py``'s summary on synthetic pairs: the gain rule
-and the bound flag, with no benchmark run."""
+"""``scripts/bench_pairs.py``'s summary on synthetic pairs: the gain rule,
+the bound flag and the traced-count comparison, with no benchmark run."""
 
 import importlib.util
 from pathlib import Path
@@ -63,3 +63,24 @@ def test_the_flag_reads_the_medians_not_single_runs():
 def test_worse_than_bound_on_a_zero_parent():
     assert bench_pairs.worse_than_bound(0.0, 0.0, 0.25, higher=False) is False
     assert bench_pairs.worse_than_bound(0.0, 0.1, 0.25, higher=False) is True
+
+
+def test_only_count_metrics_are_compared():
+    result = {"metrics": {"aead.seal.calls": {"value": 79, "unit": "count"},
+                          "monitor.eenter.mee_reads": {"value": 2.0, "unit": "count/call"},
+                          "aead.busy_s": {"value": 0.001, "unit": "s"},
+                          "cache.hit_ratio": {"value": 0.5, "unit": "ratio"}}}
+    assert bench_pairs.counts_of(result) == {"aead.seal.calls": 79,
+                                             "monitor.eenter.mee_reads": 2.0}
+
+
+def test_count_diff_lists_only_the_counts_that_moved():
+    parent = {"aead.seal.calls": 79, "mee.read.calls": 122, "monitor.eenter.mee_reads": 0.0}
+    change = {"aead.seal.calls": 79, "mee.read.calls": 93, "monitor.eenter.mee_reads": 2.0,
+              "new.calls": 1}
+    assert bench_pairs.count_diff(parent, change) == {
+        "mee.read.calls": {"parent": 122, "change": 93},
+        "monitor.eenter.mee_reads": {"parent": 0.0, "change": 2.0},
+        "new.calls": {"parent": None, "change": 1},
+    }
+    assert bench_pairs.count_diff(parent, dict(parent)) == {}

@@ -132,12 +132,13 @@ def test_eviction_bad_input_exits_two(tmp_path, capsys, argv, name):
     (("--tweaks", "1:1001:1",), "range 1:1001:1 lists more than"),
 ], ids=["trials", "largest-tweak-count", "sets", "range-points"])
 def test_eviction_grid_past_its_bound_exits_two(tmp_path, capsys, monkeypatch, argv, name):
-    """With the grid bound lowered to 1,000, a grid one step past it is
-    refused, naming the bound, before anything is drawn or listed; the
-    same grid one step smaller runs."""
+    """With the grid and row bounds lowered to 1,000, a grid one step past
+    them is refused, naming the bound, before anything is drawn or listed;
+    the same grid one step smaller runs."""
     from servas_sim import cache
 
     monkeypatch.setattr(cache, "GRID_LIMIT", 1000)
+    monkeypatch.setattr(cache, "ROW_LIMIT", 1000)
     monkeypatch.setattr(cache, "_eviction_pass", None)  # nothing may be drawn
     out = tmp_path / "e.csv"
     assert run_cli("evictions", "--entries", "32", "--ways", "2", *argv, "--out", str(out)) == 2
@@ -156,15 +157,52 @@ def test_an_eviction_grid_at_its_bound_runs(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 2 + 2 * 4
 
 
-@pytest.mark.parametrize("argv", [
-    ("--trials", "100000000000"),
-    ("--tweaks", "1:100000000000:50000000000", "--trials", "10"),
-    ("--tweaks", "1:1000000000000000000000000000000"),
+@pytest.mark.parametrize("argv, bound", [
+    (("--trials", "100000000000"), 1 << 24),
+    (("--tweaks", "1:100000000000:50000000000", "--trials", "10"), 1 << 24),
+    (("--tweaks", "1:1000000000000000000000000000000"), 1 << 20),
 ], ids=["trials", "largest-tweak-count", "range-points"])
-def test_a_huge_eviction_grid_is_refused_at_once(tmp_path, capsys, argv):
-    """The sizes that once ran out of memory are refused by the real bound."""
+def test_a_huge_eviction_grid_is_refused_at_once(tmp_path, capsys, argv, bound):
+    """The sizes that once ran out of memory are refused by the real
+    bounds: the grid bound on the draws, the row bound on a range."""
     assert run_cli("evictions", "--entries", "32", "--ways", "2", *argv) == 2
-    assert f"bound of {1 << 24:,}" in capsys.readouterr().err
+    assert f"bound of {bound:,}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("overhead", "--lines", "1:200000"), "n_lines x tweak caches is 1,800,000 rows"),
+    (("evictions", "--entries", "32,64", "--ways", "1", "--trials", "1", "--tweaks", "1:600000"),
+     "geometries x n_tweaks x 2 modes is 2,400,000 rows"),
+    (("overhead", "--lines", "1:16777216"), "range 1:16777216 lists more than"),
+    (("evictions", "--entries", "32", "--ways", "1", "--trials", "1", "--tweaks", "1:16777216"),
+     "range 1:16777216 lists more than"),
+], ids=["overhead-rows", "eviction-rows", "overhead-range", "eviction-range"])
+def test_a_grid_past_the_row_bound_exits_two(tmp_path, capsys, monkeypatch, argv, name):
+    """Ranges that each pass, whose product of rows does not, and a range
+    past the row bound: refused at once, naming the product, with nothing
+    drawn, no break-even computed and no file written."""
+    from servas_sim import cache
+
+    monkeypatch.setattr(cache, "_eviction_pass", None)
+    monkeypatch.setattr(cache, "break_even_lines", None)
+    out = tmp_path / "g.csv"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and f"row bound of {1 << 20:,}" in err
+    assert not out.exists()
+
+
+def test_an_overhead_grid_at_the_row_bound_runs(tmp_path, capsys, monkeypatch):
+    """With the row bound lowered to 18, two main-cache sizes by the nine
+    default tweak caches run, and three are refused."""
+    from servas_sim import cache
+
+    monkeypatch.setattr(cache, "ROW_LIMIT", 18)
+    out = tmp_path / "o.csv"
+    assert run_cli("overhead", "--lines", "64,128", "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 2 + 18
+    assert run_cli("overhead", "--lines", "64,128,256", "--out", str(tmp_path / "p.csv")) == 2
+    assert "is 27 rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag", [("evictions", "--tweaks"), ("overhead", "--lines")])

@@ -1,6 +1,7 @@
 """The engine work of each monitor call on the standard world at seed 0,
-pinned: the seals and opens the engine counts, the deterministic cost of a
-call, with no timing claim.
+pinned: the engine ``read`` and ``write`` calls it makes and the seals and
+opens the engine counts, the deterministic cost of a call, with no timing
+claim.
 
 The ``eenter``/``eexit`` rows are the simulator's answer to the paper's
 cheap enclave switch: the tweak carries the context, so a switch verifies
@@ -16,19 +17,26 @@ DATA_VA = A_BASE + PAGE_BYTES
 RW = {"r": True, "w": True, "x": False, "u": True, "g": False}
 RO = {"r": True, "w": False, "x": False, "u": True, "g": False}
 
-# call: (seals, opens)
+# call: (engine reads, engine writes, seals, opens)
 LEDGER = {
-    "ecreate": (320, 0),
-    "eenter": (2, 128),
-    "interrupt": (3, 128),
-    "resume": (4, 128),
-    "emod": (65, 128),
-    "edestroy": (67, 64),
-    "eprepare": (67, 64),
-    "eexit": (2, 128),
-    "swap_out": (132, 128),
-    "swap_in": (68, 64),
+    "ecreate": (0, 5, 320, 0),
+    "eenter": (2, 2, 2, 128),
+    "interrupt": (2, 2, 3, 128),
+    "resume": (2, 2, 4, 128),
+    "emod": (2, 2, 65, 128),
+    "edestroy": (1, 1, 67, 64),
+    "eprepare": (1, 2, 67, 64),
+    "eexit": (2, 2, 2, 128),
+    "swap_out": (2, 2, 132, 128),
+    "swap_in": (1, 2, 68, 64),
 }
+
+
+def _counted(calls: dict, name: str, method):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return method(*args, **kwargs)
+    return wrapper
 
 
 def _ledger() -> dict[str, tuple[int, int]]:
@@ -37,6 +45,9 @@ def _ledger() -> dict[str, tuple[int, int]]:
     m = Machine(seed=0)
     sm = SecurityMonitor(m)
     mee = m.mee
+    calls = {"read": 0, "write": 0}
+    mee.read = _counted(calls, "read", mee.read)
+    mee.write = _counted(calls, "write", mee.write)
     handle = None
     sealed = None
 
@@ -63,9 +74,10 @@ def _ledger() -> dict[str, tuple[int, int]]:
     ]
     out = {}
     for name, step in steps:
-        before = mee.seals, mee.opens
+        before = calls["read"], calls["write"], mee.seals, mee.opens
         step()
-        out[name] = (mee.seals - before[0], mee.opens - before[1])
+        after = calls["read"], calls["write"], mee.seals, mee.opens
+        out[name] = tuple(a - b for a, b in zip(after, before))
     return out
 
 

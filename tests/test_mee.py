@@ -7,6 +7,7 @@ calls the AEAD directly, independent of the engine's write/read paths.
 
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,7 +214,7 @@ def test_write_lines_is_the_reference_line_by_line(mee, lines):
     the tweak with ``i`` added to its voffset; lines not listed stay
     unwritten, and every sealed line is counted once."""
     first, sw = 0x40 * 64, _sw(voffset=0x40 * 64)
-    mee.write_lines(first, sw.to_int(), sw.va_bits, PAGE_CONTENT, lines)
+    mee.write(first, PAGE_CONTENT, sw, lines)
     for i in range(64):
         if i not in lines:
             assert first + i not in mee.written_lines()
@@ -221,8 +222,8 @@ def test_write_lines_is_the_reference_line_by_line(mee, lines):
         plaintext = PAGE_CONTENT[i * LINE_BYTES:(i + 1) * LINE_BYTES]
         assert mee.snapshot_line(first + i) == _reference_seal(
             KEY, first + i, 1, plaintext, _sw(voffset=0x40 * 64 + i))
-    assert mee.read_lines(first, sw.to_int(), sw.va_bits, lines) == [
-        PAGE_CONTENT[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in lines]
+    assert mee.read(first, sw, lines) == b"".join(
+        PAGE_CONTENT[i * LINE_BYTES:(i + 1) * LINE_BYTES] for i in lines)
     assert (mee.seals, mee.opens) == (len(lines), len(lines))
 
 
@@ -230,28 +231,59 @@ def test_read_lines_names_the_first_failing_line(mee):
     """A flipped bit in line 17 stops a page read at that line, after the
     17 lines before it were opened."""
     sw = _sw(voffset=0)
-    mee.write_lines(0, sw.to_int(), sw.va_bits, PAGE_CONTENT, range(64))
+    mee.write(0, PAGE_CONTENT, sw, range(64))
     mee.flip_bit(17, 100)
     with pytest.raises(AuthenticationError) as info:
-        mee.read_lines(0, sw.to_int(), sw.va_bits, range(64))
+        mee.read(0, sw, range(64))
     assert info.value.line_index == 17
     assert mee.opens == 18
 
 
 def test_one_line_calls_are_the_page_path(mee):
-    """``write``/``read`` are the one-line case: same ciphertext as a page
-    call's first line, the same counters, the same errors."""
+    """``write``/``read`` with the default ``lines`` are the one-line case:
+    same ciphertext as a page call's first line, the same counters, the
+    same errors."""
     other = Mee(KEY)
     sw = _sw()
     mee.write(9, PAGE_CONTENT[:LINE_BYTES], sw)
-    other.write_lines(9, sw.to_int(), sw.va_bits, PAGE_CONTENT, [0])
+    other.write(9, PAGE_CONTENT, sw, [0])
     assert mee.snapshot_line(9) == other.snapshot_line(9)
     assert mee.read(9, sw) == PAGE_CONTENT[:LINE_BYTES]
     assert (mee.seals, mee.opens) == (1, 1)
     with pytest.raises(ValueError):
         mee.write(9, PAGE_CONTENT[:LINE_BYTES + 1], sw)
-    assert mee.read_lines(10, sw.to_int(), sw.va_bits, [0]) == [bytes(LINE_BYTES)]
+    assert mee.read(10, sw, [0]) == bytes(LINE_BYTES)
     assert mee.opens == 1
+
+
+@pytest.mark.parametrize("engine", [Mee, ReferenceMee], ids=["mee", "reference"])
+@pytest.mark.parametrize("size, lines", [(LINE_BYTES - 1, (0,)), (LINE_BYTES + 1, (0,)),
+                                         (64 * LINE_BYTES - 1, range(64)),
+                                         (64 * LINE_BYTES + 1, [0, 5])],
+                         ids=["short-line", "long-line", "short-page", "long-page"])
+def test_content_that_is_not_whole_lines_is_refused(engine, size, lines):
+    """One-line and page writes alike refuse content that is not whole
+    64-byte lines, before any line moves."""
+    mee = engine(KEY)
+    with pytest.raises(ValueError, match="whole 64-byte lines"):
+        mee.write(0, bytes(size), _sw(voffset=0), lines)
+    assert (mee.written_lines(), mee.seals) == ({}, 0)
+
+
+def test_a_memo_served_one_line_read_runs_three_python_frames(mee):
+    """The hot path: a one-line read its memo serves runs ``read``, the
+    tweak's ``to_int`` and ``_memo``, and no other Python function."""
+    sw = _sw()
+    mee.write(3, PAGE_CONTENT[:LINE_BYTES], sw)
+    assert mee.read(3, sw) == PAGE_CONTENT[:LINE_BYTES]
+    frames = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and frames.append(
+        frame.f_code.co_name))
+    try:
+        mee.read(3, sw)
+    finally:
+        sys.setprofile(None)
+    assert frames == ["read", "to_int", "_memo"]
 
 
 def test_destroy_tweak_unreachable_by_composition():
@@ -294,7 +326,7 @@ def test_read_of_a_negative_line_is_a_value_error(mee):
     with pytest.raises(ValueError, match="no physical line -1"):
         mee.read(-1, _sw())
     with pytest.raises(ValueError, match="no physical line -1"):
-        mee.read_lines(0, _sw().to_int(), 48, [-1])
+        mee.read(0, _sw(), [-1])
 
 
 # --- the verified-open memo ----------------------------------------------------
@@ -421,11 +453,11 @@ _PAGE = b"".join(bytes([i]) * LINE_BYTES for i in range(4))
 
 
 def _changed(mee, content=_PAGE):
-    return mee.changed_lines(_FIRST, _PAGE_SW.to_int(), _PAGE_SW.va_bits, content)
+    return mee.changed_lines(_FIRST, content, _PAGE_SW)
 
 
 def _seal_page(mee, lines=range(4)):
-    mee.write_lines(_FIRST, _PAGE_SW.to_int(), _PAGE_SW.va_bits, _PAGE, lines)
+    mee.write(_FIRST, _PAGE, _PAGE_SW, lines)
 
 
 def test_changed_lines_of_an_unchanged_sealed_or_verified_page_is_empty(mee):
@@ -433,7 +465,7 @@ def test_changed_lines_of_an_unchanged_sealed_or_verified_page_is_empty(mee):
     assert _changed(mee) == []
     _strip_memo(mee)
     assert _changed(mee) == [0, 1, 2, 3]
-    mee.read_lines(_FIRST, _PAGE_SW.to_int(), _PAGE_SW.va_bits, range(4))
+    mee.read(_FIRST, _PAGE_SW, range(4))
     assert _changed(mee) == []
 
 
@@ -582,8 +614,8 @@ _TWEAK = st.integers(0, len(_TWEAKS) - 1)
 _LINES = st.lists(_LINE, min_size=1, max_size=_N, unique=True)
 _CONTENT = st.binary(min_size=_N * LINE_BYTES, max_size=_N * LINE_BYTES)
 _MEMO_OPS = st.one_of(
-    st.tuples(st.just("write_lines"), _TWEAK, _CONTENT, _LINES),
-    st.tuples(st.just("read_lines"), _TWEAK, _LINES),
+    st.tuples(st.just("page_write"), _TWEAK, _CONTENT, _LINES),
+    st.tuples(st.just("page_read"), _TWEAK, _LINES),
     st.tuples(st.just("write"), _LINE, _TWEAK, st.binary(min_size=64, max_size=64)),
     st.tuples(st.just("read"), _LINE, _TWEAK),
     st.tuples(st.just("destroy"), _LINE),
@@ -601,12 +633,12 @@ def _line_sw(tweak: int, line: int) -> SwTweak:
 def _apply_memo_op(mee, op, snapshots):
     name, *args = op
     try:
-        if name == "write_lines":
+        if name == "page_write":
             tweak, content, lines = args
-            return mee.write_lines(0, _TWEAKS[tweak].to_int(), 48, content, lines)
-        if name == "read_lines":
+            return mee.write(0, content, _TWEAKS[tweak], lines)
+        if name == "page_read":
             tweak, lines = args
-            return mee.read_lines(0, _TWEAKS[tweak].to_int(), 48, lines)
+            return mee.read(0, _TWEAKS[tweak], lines)
         if name == "write":
             line, tweak, data = args
             return mee.write(line, data, _line_sw(tweak, line))
@@ -665,7 +697,7 @@ def test_memo_is_invisible(counters, ops):
     for mee in engines:
         _start_lines_at(mee, counters)
     for op in ops:
-        if op[0] in ("read", "read_lines"):
+        if op[0] in ("read", "page_read"):
             _strip_memo(engines[1])
         results = [_apply_memo_op(mee, op, snaps)
                    for mee, snaps in zip(engines, snapshots)]
@@ -718,8 +750,8 @@ def _memo_checks(monkeypatch):
     return calls
 
 
-def _read_page(mee, sw_int=_P_INT):
-    return mee.read_lines(_P, sw_int, 48, range(64))
+def _read_page(mee, sw=_P_SW):
+    return mee.read(_P, sw, range(64))
 
 
 def test_a_whole_page_write_is_served_without_a_line_check(mee, monkeypatch):
@@ -727,16 +759,16 @@ def test_a_whole_page_write_is_served_without_a_line_check(mee, monkeypatch):
     reads back from it, whole or as lines: no per-line memo check, no AEAD
     open, and still 64 opens counted per read; its store query compares
     plaintexts."""
-    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
     checks, opens = _memo_checks(monkeypatch), _counting(mee)
-    assert mee.read_page(_P, _P_INT, 48) == PAGE_CONTENT
-    assert b"".join(_read_page(mee)) == PAGE_CONTENT
-    assert mee.changed_lines(_P, _P_INT, 48, PAGE_CONTENT) == []
+    assert mee.read(_P, _P_SW, list(range(64))) == PAGE_CONTENT
+    assert _read_page(mee) == PAGE_CONTENT
+    assert mee.changed_lines(_P, PAGE_CONTENT, _P_SW) == []
     changed = bytearray(PAGE_CONTENT)
     for i in (5, 6, 63):
         changed[i * LINE_BYTES + i] ^= 1
-    assert mee.changed_lines(_P, _P_INT, 48, bytes(changed)) == [5, 6, 63]
-    assert mee.changed_lines(_P, _P_INT, 48, bytes(reversed(PAGE_CONTENT))) == list(range(64))
+    assert mee.changed_lines(_P, bytes(changed), _P_SW) == [5, 6, 63]
+    assert mee.changed_lines(_P, bytes(reversed(PAGE_CONTENT)), _P_SW) == list(range(64))
     assert (len(checks), len(opens), mee.opens) == (0, 0, 128)
     assert (mee.seals, mee.line_entries) == (64, 0)
     assert mee.written_lines() == {_P + i: 1 for i in range(64)}
@@ -746,15 +778,15 @@ def test_a_whole_page_read_opens_only_the_lines_no_memo_vouches_for(mee):
     """After the line memos are gone, a partial read records the memos of
     its lines and a read under another tweak fails on the first line; a
     whole-page read then opens the other 56 lines, and the next none."""
-    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
     _strip_memo(mee)
-    mee.read_lines(_P, _P_INT, 48, range(8))
+    mee.read(_P, _P_SW, range(8))
     with pytest.raises(AuthenticationError) as info:
-        _read_page(mee, _sw(voffset=_P, sid=1).to_int())
+        _read_page(mee, _sw(voffset=_P, sid=1))
     assert info.value.line_index == _P
     opens = _counting(mee)
-    assert b"".join(_read_page(mee)) == PAGE_CONTENT
-    assert mee.read_page(_P, _P_INT, 48) == PAGE_CONTENT
+    assert _read_page(mee) == PAGE_CONTENT
+    assert mee.read(_P, _P_SW, list(range(64))) == PAGE_CONTENT
     assert len(opens) == 56
 
 
@@ -764,22 +796,22 @@ def test_a_line_addressed_alone_leaves_its_record(mee, monkeypatch):
     would have built; a one-line read under the line's own tweak gives
     none.  The record keeps serving the rest, and a whole-page write takes
     the lines back."""
-    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
     line_sw = SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT))
     assert mee.read(_P + 5, line_sw) == PAGE_CONTENT[5 * LINE_BYTES:6 * LINE_BYTES]
     mee.write(_P + 7, bytes(LINE_BYTES), SwTweak.from_int(_P_INT + (7 << VOFFSET_SHIFT)))
     with pytest.raises(AuthenticationError) as info:
-        mee.read_page(_P, _sw(voffset=_P, sid=1).to_int(), 48)
+        mee.read(_P, _sw(voffset=_P, sid=1), range(64))
     assert info.value.line_index == _P
     assert mee.line_entries == 2
     assert mee.counter_of(_P + 7) == 2 and mee.counter_of(_P + 8) == 1
     expected = bytearray(PAGE_CONTENT)
     expected[7 * LINE_BYTES:8 * LINE_BYTES] = bytes(LINE_BYTES)
     checks = _memo_checks(monkeypatch)
-    assert mee.read_page(_P, _P_INT, 48) == bytes(expected)
+    assert mee.read(_P, _P_SW, list(range(64))) == bytes(expected)
     assert len(checks) == 2
-    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
-    assert mee.read_page(_P, _P_INT, 48) == PAGE_CONTENT
+    mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
+    assert mee.read(_P, _P_SW, list(range(64))) == PAGE_CONTENT
     assert len(checks) == 2 and mee.line_entries == 2
     assert mee.written_lines() == {_P + i: 3 if i == 7 else 2 for i in range(64)}
 
@@ -787,12 +819,14 @@ def test_a_line_addressed_alone_leaves_its_record(mee, monkeypatch):
 def test_a_record_serves_no_other_address_width(mee):
     """The same packed tweak with 39-bit va bits is another tweak: the
     store query lists every line, and a read fails on its first line."""
-    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
-    assert mee.changed_lines(_P, _P_INT, 39, PAGE_CONTENT) == list(range(64))
+    packed = _sw(voffset=_P, xrange=0).to_int()  # fits either width
+    sw48, sw39 = SwTweak.from_int(packed, 48), SwTweak.from_int(packed, 39)
+    mee.write(_P, PAGE_CONTENT, sw48, range(64))
+    assert mee.changed_lines(_P, PAGE_CONTENT, sw39) == list(range(64))
     with pytest.raises(AuthenticationError) as info:
-        mee.read_lines(_P, _P_INT, 39, [1, 2])
+        mee.read(_P, sw39, [1, 2])
     assert info.value.line_index == _P + 1
-    assert mee.read_page(_P, _P_INT, 48) == PAGE_CONTENT
+    assert mee.read(_P, sw48, range(64)) == PAGE_CONTENT
 
 
 def test_a_page_destroyed_whole_is_64_destroyed_lines(mee):
@@ -801,7 +835,7 @@ def test_a_page_destroyed_whole_is_64_destroyed_lines(mee):
     builds no per-line entry doing so."""
     twin = Mee(KEY)
     for engine in (mee, twin):
-        engine.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+        engine.write(_P, PAGE_CONTENT, _P_SW, range(64))
         engine.write(_P + 3, bytes(LINE_BYTES), _sw(sid=9))
     mee.destroy_page(_P)
     for i in range(64):
@@ -822,10 +856,10 @@ def test_a_page_destroyed_whole_is_64_destroyed_lines(mee):
 def test_a_counter_overflow_stops_a_whole_page_write_at_that_line(mee):
     """A whole-page write whose line 5 would overflow writes lines 0-4, as
     a line-by-line write does, and raises on line 5."""
-    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
     _start_line_at(mee, _P + 5, COUNTER_LIMIT - 1, SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT)))
     with pytest.raises(CounterOverflow):
-        mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+        mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
     assert [mee.counter_of(_P + i) for i in range(7)] == [2] * 5 + [COUNTER_LIMIT - 1, 1]
 
 
@@ -835,14 +869,14 @@ def test_a_whole_page_write_takes_back_a_line_written_alone(mee, recorded):
     alone, its page perhaps written whole before, reads back as the page's
     bytes once the page is written whole, its counter one past the last."""
     if recorded:
-        mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+        mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
     line_sw = SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT))
     for _ in range(3):
         mee.write(_P + 5, b"a" * LINE_BYTES, line_sw)
     new = b"b" * (64 * LINE_BYTES)
-    mee.write_lines(_P, _P_INT, 48, new, range(64))
-    assert mee.read_page(_P, _P_INT, 48) == new
-    assert b"".join(_read_page(mee)) == new
+    mee.write(_P, new, _P_SW, range(64))
+    assert mee.read(_P, _P_SW, list(range(64))) == new
+    assert _read_page(mee) == new
     assert mee.read(_P + 5, line_sw) == b"b" * LINE_BYTES
     assert mee.counter_of(_P + 5) == 4 + recorded
     assert mee.counter_of(_P + 4) == 1 + recorded
@@ -851,37 +885,41 @@ def test_a_whole_page_write_takes_back_a_line_written_alone(mee, recorded):
 def test_a_store_under_the_recorded_tweak_updates_the_page_memo(mee, monkeypatch):
     """Re-sealing some lines of a recorded page under its own tweak updates
     the record in place, with no per-line entry."""
-    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
     new = bytes(reversed(PAGE_CONTENT))
-    mee.write_lines(_P, _P_INT, 48, new, [3, 9])
+    mee.write(_P, new, _P_SW, [3, 9])
     expected = bytearray(PAGE_CONTENT)
     for i in (3, 9):
         expected[i * LINE_BYTES:(i + 1) * LINE_BYTES] = new[i * LINE_BYTES:(i + 1) * LINE_BYTES]
     checks = _memo_checks(monkeypatch)
-    assert mee.read_page(_P, _P_INT, 48) == bytes(expected)
-    assert b"".join(_read_page(mee)) == bytes(expected)
-    assert mee.changed_lines(_P, _P_INT, 48, bytes(expected)) == []
+    assert mee.read(_P, _P_SW, list(range(64))) == bytes(expected)
+    assert _read_page(mee) == bytes(expected)
+    assert mee.changed_lines(_P, bytes(expected), _P_SW) == []
     assert not checks
     assert mee.line_entries == 0 and mee.counter_of(_P + 3) == 2
     _strip_memo(mee)
-    assert b"".join(_read_page(mee)) == bytes(expected)
+    assert _read_page(mee) == bytes(expected)
 
 
 def test_a_page_holding_a_never_written_line_is_never_recorded(mee):
     """A whole-page read of a page with only line 5 written returns zeros
     for the other 63, and the store query for an all-zero page still lists
     every line that was never written."""
-    mee.write_lines(_P, _P_INT, 48, bytes(64 * LINE_BYTES), [5])
-    assert b"".join(_read_page(mee)) == bytes(64 * LINE_BYTES)
+    mee.write(_P, bytes(64 * LINE_BYTES), _P_SW, [5])
+    assert _read_page(mee) == bytes(64 * LINE_BYTES)
     assert mee.opens == 1
-    assert mee.changed_lines(_P, _P_INT, 48, bytes(64 * LINE_BYTES)) == [
+    assert mee.changed_lines(_P, bytes(64 * LINE_BYTES), _P_SW) == [
         i for i in range(64) if i != 5]
 
 
 def test_the_page_memo_result_is_a_copy(mee):
-    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
-    _read_page(mee)[0] = b"mutated"
-    assert b"".join(_read_page(mee)) == PAGE_CONTENT
+    """The record holds its own copy of the written page, and a read
+    returns bytes, which no caller can change."""
+    content = bytearray(PAGE_CONTENT)
+    mee.write(_P, content, _P_SW, range(64))
+    content[:7] = b"mutated"
+    assert type(_read_page(mee)) is bytes
+    assert _read_page(mee) == PAGE_CONTENT
 
 
 def _tamper_flip(mee, k):
@@ -890,7 +928,7 @@ def _tamper_flip(mee, k):
 
 def _tamper_stale_restore(mee, k):
     stale = mee.snapshot_line(_P + k)
-    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, [k])
+    mee.write(_P, PAGE_CONTENT, _P_SW, [k])
     _read_page(mee)  # served by the record, which holds the newer write
     mee.restore_line(_P + k, *stale)
 
@@ -910,7 +948,7 @@ def _tamper_unstepped_line(mee, k):
 def _tamper_foreign_lines(mee, k):
     """The page's own bytes, some of its lines re-sealed under another
     page tweak."""
-    mee.write_lines(_P, _sw(voffset=_P, sid=43).to_int(), 48, PAGE_CONTENT, [k, 63])
+    mee.write(_P, PAGE_CONTENT, _sw(voffset=_P, sid=43), [k, 63])
 
 
 def _tamper_destroy(mee, k):
@@ -921,8 +959,7 @@ def _tamper_crossing_write(mee, k):
     """A write from the page before, under another sid, whose second line
     lands in this one."""
     first = _P - 64 + k
-    mee.write_lines(first, _sw(voffset=first, sid=43).to_int(), 48,
-                    PAGE_CONTENT + PAGE_CONTENT, [0, 64])
+    mee.write(first, PAGE_CONTENT + PAGE_CONTENT, _sw(voffset=first, sid=43), [0, 64])
 
 
 @pytest.mark.parametrize("tamper", [_tamper_flip, _tamper_stale_restore, _tamper_foreign_line,
@@ -935,10 +972,10 @@ def test_a_change_to_a_recorded_page_drops_its_page_memo(mee, tamper):
     """Each way a line of a recorded page can change under the record: the
     store query lists the line, and a page read fails on it."""
     k = 17
-    mee.write_lines(_P, _P_INT, 48, PAGE_CONTENT, range(64))
+    mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
     _read_page(mee)
     tamper(mee, k)
-    assert k in mee.changed_lines(_P, _P_INT, 48, PAGE_CONTENT)
+    assert k in mee.changed_lines(_P, PAGE_CONTENT, _P_SW)
     with pytest.raises(AuthenticationError) as info:
         _read_page(mee)
     assert info.value.line_index == _P + k
@@ -955,12 +992,12 @@ _PG_SOME = st.lists(st.integers(0, 63), min_size=1, max_size=6, unique=True)
 _PG_PAGE = st.sampled_from([bytes(64 * LINE_BYTES), PAGE_CONTENT,
                             bytes(reversed(PAGE_CONTENT))])
 _PG_TWEAK = st.integers(0, 1)
-_PG_WHOLE_WRITE = st.tuples(st.just("write_lines"), _PG_TWEAK, _PG_PAGE, st.just(range(64)))
-_PG_WHOLE_READ = st.one_of(st.tuples(st.just("read_lines"), _PG_TWEAK, st.just(range(64))),
-                           st.tuples(st.just("read_page"), _PG_TWEAK))
+_PG_WHOLE_WRITE = st.tuples(st.just("page_write"), _PG_TWEAK, _PG_PAGE, st.just(range(64)))
+_PG_WHOLE_READ = st.tuples(st.just("page_read"), _PG_TWEAK,
+                           st.sampled_from([range(64), list(range(64))]))
 _PG_OTHERS = [
-    st.tuples(st.just("write_lines"), _PG_TWEAK, _PG_PAGE, _PG_SOME),
-    st.tuples(st.just("read_lines"), _PG_TWEAK, _PG_SOME),
+    st.tuples(st.just("page_write"), _PG_TWEAK, _PG_PAGE, _PG_SOME),
+    st.tuples(st.just("page_read"), _PG_TWEAK, _PG_SOME),
     st.tuples(st.just("changed_lines"), _PG_TWEAK, _PG_PAGE),
     st.tuples(st.just("write"), _PG_LINE, _PG_TWEAK),
     st.tuples(st.just("write_unstepped"), _PG_LINE, _PG_TWEAK),
@@ -980,17 +1017,15 @@ _PAGE_OPS = st.sampled_from([_PG_WHOLE_WRITE] * 3 + [_PG_WHOLE_READ] * 3 + _PG_O
 def _apply_page_op(mee, op, snapshots):
     name, *args = op
     try:
-        if name == "write_lines":
+        if name == "page_write":
             tweak, content, lines = args
-            return mee.write_lines(_PG, _PG_TWEAKS[tweak].to_int(), 48, content, lines)
-        if name == "read_lines":
+            return mee.write(_PG, content, _PG_TWEAKS[tweak], lines)
+        if name == "page_read":
             tweak, lines = args
-            return mee.read_lines(_PG, _PG_TWEAKS[tweak].to_int(), 48, lines)
-        if name == "read_page":
-            return mee.read_page(_PG, _PG_TWEAKS[args[0]].to_int(), 48)
+            return mee.read(_PG, _PG_TWEAKS[tweak], lines)
         if name == "changed_lines":
             tweak, content = args
-            return mee.changed_lines(_PG, _PG_TWEAKS[tweak].to_int(), 48, content)
+            return mee.changed_lines(_PG, content, _PG_TWEAKS[tweak])
         if name == "write":
             line, tweak = args
             sw = SwTweak.from_int(_PG_TWEAKS[tweak].to_int() + ((line - _PG) << VOFFSET_SHIFT)
@@ -998,11 +1033,10 @@ def _apply_page_op(mee, op, snapshots):
             return mee.write(line, PAGE_CONTENT[:LINE_BYTES], sw)
         if name == "write_unstepped":  # under the page's first-line tweak
             line, tweak = args
-            return mee.write_lines(line, _PG_TWEAKS[tweak].to_int(), 48, PAGE_CONTENT, [0])
+            return mee.write(line, PAGE_CONTENT, _PG_TWEAKS[tweak], [0])
         if name == "cross":
             first = _PG - args[0]
-            return mee.write_lines(first, _sw(voffset=first).to_int(), 48, PAGE_CONTENT,
-                                   range(args[0] + 2))
+            return mee.write(first, PAGE_CONTENT, _sw(voffset=first), range(args[0] + 2))
         if name == "destroy":
             return mee.destroy(args[0])
         if name == "destroy_page":

@@ -14,7 +14,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from servas_sim.machine import Machine
+from servas_sim.machine import Machine, Pte
 from servas_sim.monitor import SecurityMonitor
 from servas_sim.tweak import (
     PRV_M,
@@ -92,6 +92,16 @@ def test_pte_bit_packing_roundtrip():
         bits = unpack_pte_bits(pte)
         assert pack_pte_bits(bits["r"], bits["w"], bits["x"], bits["u"],
                              bits["g"], bits["rsw"]) == pte
+
+
+@pytest.mark.parametrize("rsw", [-1, 4, 5])
+def test_an_rsw_outside_two_bits_is_refused(rsw):
+    """A value error, not an assert, so it holds under ``python -O``; and a
+    PTE built with such an rsw is refused the same way."""
+    with pytest.raises(ValueError, match="2-bit"):
+        pack_pte_bits(1, 1, 0, 1, 0, rsw)
+    with pytest.raises(ValueError, match="2-bit"):
+        Pte(ppn=1, r=True, w=True, rsw=rsw)
 
 
 # --- range matching and basis selection ----------------------------------------
