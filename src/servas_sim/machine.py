@@ -416,13 +416,13 @@ class Machine:
             raise ValueError("voffset out of range")
         base = ppn * PAGE_BYTES
         ptype = self._classify(base, PRV_M, sw)
-        value, va_bits = sw.to_int(), sw.va_bits
         if (self.bypass and ptype is PageType.UNPROTECTED) or (
                 kind is not AccessKind.WRITE and self.cache is not None):
+            value = sw.to_int()
             out = []
             for i in lines:
                 pa = base + i * LINE_BYTES
-                line_sw = SwTweak.from_int(value + (i << VOFFSET_SHIFT), va_bits)
+                line_sw = SwTweak.from_int(value + (i << VOFFSET_SHIFT), sw.va_bits)
                 data = None if content is None else content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
                 out.append(self._line_access(pa, PRV_M, pa, line_sw, ptype, kind, data,
                                              LINE_BYTES))
@@ -438,7 +438,7 @@ class Machine:
         except AuthenticationError as exc:
             i = exc.line_index - first
             self._auth_trap(base + i * LINE_BYTES, PRV_M,
-                            SwTweak.from_int(value + (i << VOFFSET_SHIFT), va_bits), exc)
+                            SwTweak.from_int(sw.to_int() + (i << VOFFSET_SHIFT), sw.va_bits), exc)
 
     @staticmethod
     def _classify(va: int, prv: int, sw: SwTweak) -> PageType:

@@ -293,8 +293,8 @@ class Mee:
         """If the line is pending, seal it: compute the (ciphertext, tag)
         its :meth:`write` deferred and store it as both the DRAM bytes and
         the memo's.  ``counter``, the line's current one, is the sealing
-        counter, since only :meth:`write` moves it and it
-        stores a new entry."""
+        counter, since only :meth:`write` moves it and it stores a new
+        entry."""
         if entry[0] is None:
             ciphertext, tag = self.aead.seal(self.key, self._nonce(line, counter), entry[5],
                                              _ad_bytes(entry[4]))
