@@ -210,12 +210,16 @@ def eviction_grid(entries_list, ways_list, tweak_counts, trials=10000, seed=0):
     _check_rows("geometries x n_tweaks x 2 modes", len(geometries) * len(tweak_counts) * 2)
     for n_entries, ways in geometries:
         _check_eviction_args(n_entries, ways, trials, tweak_counts)
+    # the mode strings bound once: EvictionMode.value is a property, read
+    # here once per grid rather than once per row
+    at_least_one, total = EvictionMode.AT_LEAST_ONE.value, EvictionMode.TOTAL.value
     rows = []
     for n_entries, ways in geometries:
         probs = _eviction_pass(n_entries, ways, tweak_counts, trials, seed)
         for n_tweaks in tweak_counts:
-            for mode, p in zip((EvictionMode.AT_LEAST_ONE, EvictionMode.TOTAL), probs[n_tweaks]):
-                rows.append((n_entries, ways, n_tweaks, mode.value, p, trials, seed))
+            p_any, p_total = probs[n_tweaks]
+            rows.append((n_entries, ways, n_tweaks, at_least_one, p_any, trials, seed))
+            rows.append((n_entries, ways, n_tweaks, total, p_total, trials, seed))
     return rows
 
 

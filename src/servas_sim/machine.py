@@ -99,6 +99,12 @@ class AccessKind(enum.Enum):
     FETCH = "fetch"
 
 
+# module globals: an enum attribute load costs several times as much
+_READ, _WRITE = AccessKind.READ, AccessKind.WRITE
+_UNPROTECTED = PageType.UNPROTECTED
+_BASIS_U, _BASIS_S, _BASIS_M = Basis.U, Basis.S, Basis.M
+
+
 class Trap(Exception):
     """Base of every fault the access pipeline can raise."""
 
@@ -187,9 +193,9 @@ class CsrFile:
 
     def _map_sids(self) -> None:
         self.sid_regs = {
-            Basis.M: (self.msid0, self.msid1),
-            Basis.S: (self.ssid0, self.ssid1),
-            Basis.U: (self.usid0, self.usid1),
+            _BASIS_M: (self.msid0, self.msid1),
+            _BASIS_S: (self.ssid0, self.ssid1),
+            _BASIS_U: (self.usid0, self.usid1),
         }
 
 
@@ -220,8 +226,7 @@ def _csr_gate(prv: int, name: str) -> None:
 
 def _check_pte(pte: Pte, va: int, prv: int, kind: AccessKind) -> None:
     """The permission and U-bit checks of a translated access."""
-    if not (pte.r if kind is AccessKind.READ
-            else pte.w if kind is AccessKind.WRITE else pte.x):
+    if not (pte.r if kind is _READ else pte.w if kind is _WRITE else pte.x):
         raise PageFault(va, prv, f"{kind.value} permission missing")
     if prv == PRV_U and not pte.u:
         raise PageFault(va, prv, "user access to a supervisor page")
@@ -233,6 +238,7 @@ class Machine:
     def __init__(self, seed: int = 0, va_bits: int = 48, aead: str = "aes-gcm",
                  cache_cfg=None):
         self.va_bits = va_bits
+        self._va_limit = 1 << va_bits
         # str seeding is stable across processes (unlike tuple/hash seeding)
         self.rng = random.Random(f"servas-machine-{seed}")
         self.mee_key = self.rng.randbytes(16)
@@ -350,7 +356,7 @@ class Machine:
         Returns the bytes read (or written back) or raises exactly one trap:
         PageFault, AuthenticationException or InvalidCombinationTrap.
         """
-        if kind is AccessKind.WRITE:
+        if kind is _WRITE:
             if not data:
                 raise ValueError("WRITE needs data")
             size = len(data)
@@ -359,7 +365,7 @@ class Machine:
         offset = va % LINE_BYTES
         if offset + size > LINE_BYTES:
             raise ValueError("access crosses a line boundary")
-        if not 0 <= va < (1 << self.va_bits):
+        if not 0 <= va < self._va_limit:
             raise PageFault(va, prv, "virtual address outside the address width")
 
         if self._csrs_written:
@@ -416,8 +422,8 @@ class Machine:
             raise ValueError("voffset out of range")
         base = ppn * PAGE_BYTES
         ptype = self._classify(base, PRV_M, sw)
-        if (self.bypass and ptype is PageType.UNPROTECTED) or (
-                kind is not AccessKind.WRITE and self.cache is not None):
+        if (self.bypass and ptype is _UNPROTECTED) or (
+                kind is not _WRITE and self.cache is not None):
             value = sw.to_int()
             out = []
             for i in lines:
@@ -426,10 +432,10 @@ class Machine:
                 data = None if content is None else content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
                 out.append(self._line_access(pa, PRV_M, pa, line_sw, ptype, kind, data,
                                              LINE_BYTES))
-            return None if kind is AccessKind.WRITE else b"".join(out)
+            return None if kind is _WRITE else b"".join(out)
 
         first = base // LINE_BYTES
-        if kind is AccessKind.WRITE:
+        if kind is _WRITE:
             self._uncache(first + i for i in lines)
             self.mee.write(first, content, sw, lines)
             return None
@@ -452,7 +458,7 @@ class Machine:
         """Bypass, cache and engine for one composed, classified access: the
         read-modify-write of the module docstring."""
         line_index, off = pa // LINE_BYTES, pa % LINE_BYTES
-        plain = self.bypass and ptype is PageType.UNPROTECTED
+        plain = self.bypass and ptype is _UNPROTECTED
         try:
             if plain:
                 old = self.plain_lines.get(line_index, bytes(LINE_BYTES))
@@ -462,7 +468,7 @@ class Machine:
                 old = self.mee.read(line_index, sw)
         except AuthenticationError as exc:
             self._auth_trap(va, prv, sw, exc)
-        if kind is not AccessKind.WRITE:
+        if kind is not _WRITE:
             return old[off:off + size]
         merged = old[:off] + data + old[off + len(data):]
         if plain:

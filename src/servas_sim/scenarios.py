@@ -81,6 +81,9 @@ from .tweak import (
 
 PAGE = 4096
 
+# module globals: an enum attribute load costs several times as much
+_READ, _WRITE = AccessKind.READ, AccessKind.WRITE
+
 
 class ScriptError(Exception):
     """The scenario itself is malformed (unknown action, bad args, actor
@@ -389,7 +392,7 @@ class ScenarioRunner:
                     size: int = 1, data: bytes | None = None, check: bytes | None = None,
                     space: str | None = None):
         if kind is None:
-            kind = AccessKind.READ if data is None else AccessKind.WRITE
+            kind = _READ if data is None else _WRITE
         result = self.machine.access(space or actor.space, va, kind, actor.prv,
                                      data=data, size=size)
         if check is not None and result != check:

@@ -266,9 +266,13 @@ def truncate_sid(sid0: int, sid1: int) -> int:
     return ((sid1 << 64) | sid0) & SID_MASK
 
 
+# module globals: an enum attribute load costs several times as much
+_BASIS_U, _BASIS_S, _BASIS_M, _BASIS_NONE = Basis.U, Basis.S, Basis.M, Basis.NONE
+
+
 def select_sid(basis: Basis, rsw: int, sid_regs: dict[Basis, tuple[int, int]]) -> int:
     """Session identifier per the rsw select bits of the matched level."""
-    if basis is Basis.NONE or rsw == 0b00:
+    if basis is _BASIS_NONE or rsw == 0b00:
         return 0
     sid0, sid1 = sid_regs[basis]
     if rsw == 0b01:
@@ -276,10 +280,6 @@ def select_sid(basis: Basis, rsw: int, sid_regs: dict[Basis, tuple[int, int]]) -
     if rsw == 0b10:
         return sid1 & SID_MASK
     return truncate_sid(sid0, sid1)
-
-
-# module globals: an enum attribute load costs several times as much
-_BASIS_U, _BASIS_S, _BASIS_M = Basis.U, Basis.S, Basis.M
 
 
 def compose_sw_tweak(
