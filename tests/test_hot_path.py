@@ -1,11 +1,12 @@
 """No enum member load on the access path.
 
 On CPython 3.11 ``EnumType`` defines ``__getattr__``, so ``AccessKind.WRITE``
-in a function body takes the slow attribute hook (about four times a plain
-class attribute load), and a read hit through the tweak cache made three of
-them.  The hot functions compare against module globals bound once at
-import instead.  Wall time cannot hold that; this test reads the functions'
-source and fails on any ``Enum.MEMBER`` load back in their bodies."""
+in a function body takes the slow attribute hook, several times the cost of
+a plain class attribute load, and a read hit through the tweak cache made
+three such loads.  The hot functions compare against module globals bound
+once at import instead.  Wall time cannot hold that; this test reads the
+functions' source and fails on any ``Enum.MEMBER`` load back in their
+bodies."""
 
 import ast
 import enum
