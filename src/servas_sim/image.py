@@ -15,7 +15,8 @@ Layout (little-endian, version 1)::
 
     payload = page descriptors then page bodies
     descriptor (8 bytes): page index u32, perms u8 (r|w<<1|x<<2|u<<3|g<<4),
-                          rsw u8, page type u8 (1=regular 2=shenclave), pad
+                          rsw u8, page type u8 (the rsw the type's pages are
+                          sealed under: 1=regular 2=shenclave), pad
 
 The enclave identity is the hash of the canonical unwrapped serialization,
 so wrapping for a particular machine never changes the identity.  Wrapped
@@ -34,6 +35,7 @@ from pathlib import Path
 
 from .aead import AeadAuthError, AesGcmAead
 from .machine import PAGE_BYTES, perms_from_str
+from .tweak import ENCLAVE_RSW, PageType
 
 MAGIC = b"SRVS1"
 VERSION = 1
@@ -58,11 +60,11 @@ class InvalidImage(Exception):
 
 
 class ImagePageType(enum.Enum):
-    REGULAR = 1
-    SHENCLAVE = 2
+    """The page types an image declares, each valued (and stored in its
+    descriptor) as the rsw its pages are sealed under."""
 
-
-_RSW_FOR_TYPE = {ImagePageType.REGULAR: 0b01, ImagePageType.SHENCLAVE: 0b10}
+    REGULAR = ENCLAVE_RSW[PageType.REGULAR]
+    SHENCLAVE = ENCLAVE_RSW[PageType.SHENCLAVE]
 
 
 def pack_perm_byte(perms: dict[str, bool]) -> int:
@@ -87,7 +89,7 @@ class ImagePage:
 
     def __post_init__(self) -> None:
         if self.rsw is None:
-            self.rsw = _RSW_FOR_TYPE[self.page_type]
+            self.rsw = self.page_type.value
         if len(self.body) != PAGE_BYTES:
             raise InvalidImage("page bodies are exactly 4096 bytes")
 
@@ -115,7 +117,7 @@ class EnclaveImage:
             seen.add(page.index)
             if page.page_type is ImagePageType.SHENCLAVE and page.perms["w"]:
                 raise InvalidImage("shared enclave pages must be non-writable")
-            if page.rsw != _RSW_FOR_TYPE[page.page_type]:
+            if page.rsw != page.page_type.value:
                 raise InvalidImage("rsw bits disagree with the page type")
             if page.index == entry_page and page.perms["x"]:
                 entry_ok = True

@@ -77,7 +77,9 @@ from .tweak import (
     PRV_S,
     PRV_U,
     VOFFSET_SHIFT,
-    Basis,
+    XR_M,
+    XR_S,
+    XR_U,
     InvalidCombination,
     PageType,
     RangeReg,
@@ -102,7 +104,6 @@ class AccessKind(enum.Enum):
 # module globals: an enum attribute load costs several times as much
 _READ, _WRITE = AccessKind.READ, AccessKind.WRITE
 _UNPROTECTED = PageType.UNPROTECTED
-_BASIS_U, _BASIS_S, _BASIS_M = Basis.U, Basis.S, Basis.M
 
 
 class Trap(Exception):
@@ -179,9 +180,9 @@ class CsrFile:
     ssid1: int = 0
     usid0: int = 0
     usid1: int = 0
-    # (sid0, sid1) per matched range, as composition takes them; kept
-    # current by :meth:`write`, so no access has to build it
-    sid_regs: dict[Basis, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    # (sid0, sid1) keyed by each range's xrange bit, as composition takes
+    # them; kept current by :meth:`write`, so no access has to build it
+    sid_regs: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._map_sids()
@@ -193,9 +194,9 @@ class CsrFile:
 
     def _map_sids(self) -> None:
         self.sid_regs = {
-            _BASIS_M: (self.msid0, self.msid1),
-            _BASIS_S: (self.ssid0, self.ssid1),
-            _BASIS_U: (self.usid0, self.usid1),
+            XR_M: (self.msid0, self.msid1),
+            XR_S: (self.ssid0, self.ssid1),
+            XR_U: (self.usid0, self.usid1),
         }
 
 

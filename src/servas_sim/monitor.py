@@ -76,11 +76,13 @@ from .machine import (
     Trap,
 )
 from .tweak import (
+    ENCLAVE_RSW,
     PRV_M,
     PRV_S,
     PRV_U,
     SID_MASK,
-    Basis,
+    XR_M,
+    XR_U,
     InvalidCombination,
     PageType,
     RangeReg,
@@ -150,13 +152,11 @@ class EnclaveState(enum.IntEnum):
 class DispositionKind(enum.Enum):
     RETRY_DENIED = "retry_denied"
     ENCLAVE_TERMINATED = "enclave_terminated"
-    DELAY = "delay"
 
 
 @dataclass(frozen=True)
 class Disposition:
     kind: DispositionKind
-    delay: int = 0
 
 
 @dataclass(frozen=True)
@@ -169,12 +169,6 @@ class EnclaveHandle:
     meta_ppn: int
     thread_ppn: int
     rtid: int = 0
-
-
-_PTYPE_CODE = {PageType.REGULAR: 1, PageType.SHENCLAVE: 2, PageType.SHM: 3}
-_PTYPE_FROM_CODE = {v: k for k, v in _PTYPE_CODE.items()}
-
-_RSW_FOR = {PageType.REGULAR: 0b01, PageType.SHENCLAVE: 0b10, PageType.SHM: 0b11}
 
 
 @dataclass(frozen=True)
@@ -191,10 +185,10 @@ class PageCtx:
     def __post_init__(self) -> None:
         if self.page_type is PageType.MONITOR:
             raise MonitorTypeForbidden("enclaves cannot mint monitor pages")
-        if self.page_type not in _RSW_FOR:
+        if self.page_type not in ENCLAVE_RSW:
             raise InvalidCombination(f"no enclave page is {self.page_type.value}")
         if self.rsw is None:
-            object.__setattr__(self, "rsw", _RSW_FOR[self.page_type])
+            object.__setattr__(self, "rsw", ENCLAVE_RSW[self.page_type])
         elif not 0 <= self.rsw < 4:
             raise InvalidCombination(f"rsw {self.rsw} is not a 2-bit field")
         if self.sid is not None and not 0 <= self.sid <= SID_MASK:
@@ -203,10 +197,12 @@ class PageCtx:
 
 @functools.cache
 def _listed_ctx(code: int, perm: int, rsw: int) -> PageCtx:
-    """The context a metadata page record encodes, decoded once per
-    distinct record and then shared: a listed context is replaced, never
-    changed in place."""
-    return PageCtx(_PTYPE_FROM_CODE[code], unpack_perm_byte(perm), rsw)
+    """The context a metadata page record encodes, its page type stored as
+    the type's own rsw (:data:`ENCLAVE_RSW`), decoded once per distinct
+    record and then shared: a listed context is replaced, never changed in
+    place."""
+    page_type = next(t for t, own in ENCLAVE_RSW.items() if own == code)
+    return PageCtx(page_type, unpack_perm_byte(perm), rsw)
 
 
 @dataclass
@@ -311,15 +307,15 @@ class EnclaveMeta:
             buf, 0, _META_MAGIC, 1, int(self.state), 0, self.rtid, self.encid_full,
             self.entry_point, self.mrange.base, self.mrange.size,
             self.fault_count, len(self.owned), len(self.swaps),
-            self.host_space.encode()[:16], self.host.pc, self.caller_prv, *self.host.fields(),
+            self.host_space.encode(), self.host.pc, self.caller_prv, *self.host.fields(),
         )
         for i, (va, o) in enumerate(self.owned.items()):
             _OWNED.pack_into(buf, _OWNED_OFF + i * _OWNED.size, va,
-                             _PTYPE_CODE[o.page_type], pack_perm_byte(o.perms), o.rsw)
+                             ENCLAVE_RSW[o.page_type], pack_perm_byte(o.perms), o.rsw)
         for i, (va, s) in enumerate(self.swaps.items()):
             _SWAP.pack_into(buf, _SWAP_OFF + i * _SWAP.size, va, s.nonce, s.tag,
                             pack_perm_byte(s.ctx.perms), s.ctx.rsw,
-                            _PTYPE_CODE[s.ctx.page_type], True)
+                            ENCLAVE_RSW[s.ctx.page_type], True)
         return bytes(buf)
 
     @classmethod
@@ -378,10 +374,14 @@ def _check_frame(ppn: int, what: str, limit: int = PPN_LIMIT) -> None:
         raise BadHandle(f"the {what} page {ppn:#x} is not addressable")
 
 
-def check_capacity(image: EnclaveImage, stack_pages: int) -> None:
-    """Refuse a negative stack page count (a ValueError, as for any
-    malformed argument) and a region of more pages than the metadata page
-    can list."""
+def check_capacity(host_space: str, image: EnclaveImage, stack_pages: int) -> None:
+    """Refuse what the metadata page cannot hold: a host space over 16
+    bytes of UTF-8 or holding a NUL (its field keeps 16 bytes and drops
+    trailing NULs, so the name would read back as another space), a
+    negative stack page count (both ValueErrors, as for any malformed
+    argument) and a region of more pages than the page can list."""
+    if len(host_space.encode()) > 16 or "\x00" in host_space:
+        raise ValueError(f"host space {host_space!r:.40} is not at most 16 NUL-free bytes")
     if stack_pages < 0:
         raise ValueError(f"stack_pages {stack_pages} is negative")
     if len(image.pages) + stack_pages > MAX_OWNED:
@@ -424,18 +424,14 @@ class SecurityMonitor:
     """Monitor instance bound to one machine.
 
     ``fault_threshold`` (at least 1) is the number of authentication faults
-    one enclave may cause before it is terminated; ``delay_penalty`` is a
-    simulated tick cost charged per fault (pure bookkeeping, returned in the
-    disposition).
+    one enclave may cause before it is terminated.
     """
 
-    def __init__(self, machine: Machine, fault_threshold: int = 3,
-                 delay_penalty: int = 0):
+    def __init__(self, machine: Machine, fault_threshold: int = 3):
         if fault_threshold < 1:
             raise ValueError(f"fault_threshold must be at least 1, got {fault_threshold}")
         self.machine = machine
         self.fault_threshold = fault_threshold
-        self.delay_penalty = delay_penalty
         self.aead = AesGcmAead()
         self._rtid_next = 1  # the only state that outlives a call
         self._in_monitor = False
@@ -529,7 +525,7 @@ class SecurityMonitor:
         pte_bits = pack_pte_bits(perms["r"], perms["w"], perms["x"], perms["u"],
                                  perms.get("g", False), ctx.rsw)
         sw = compose_sw_tweak(va, PRV_U, pte_bits, meta.mrange, _NO_RANGE, urange,
-                              {Basis.M: (meta.rtid, encid), Basis.U: usids},
+                              {XR_M: (meta.rtid, encid), XR_U: usids},
                               self.machine.va_bits)
         if classify_tweak(sw) is not ctx.page_type:
             raise InvalidCombination(f"rsw {ctx.rsw:02b} and these perms do not make a "
@@ -561,7 +557,7 @@ class SecurityMonitor:
             image.validate()
             if target_base % PAGE_BYTES:
                 raise InvalidImage("target base must be page aligned")
-            check_capacity(image, stack_pages)
+            check_capacity(host_space, image, stack_pages)
             mrange = RangeReg(target_base, (image.n_region_pages + stack_pages) * PAGE_BYTES,
                               True)
             try:
@@ -760,7 +756,7 @@ class SecurityMonitor:
 
     def _swap_ad(self, meta: EnclaveMeta, va: int, ctx: PageCtx) -> bytes:
         return struct.pack("<QQBBB", meta.rtid, va, pack_perm_byte(ctx.perms), ctx.rsw,
-                           _PTYPE_CODE[ctx.page_type])
+                           ENCLAVE_RSW[ctx.page_type])
 
     def swap_out(self, handle: EnclaveHandle, va: int, temp_ppn: int) -> bytes:
         """Seal one enclave page into the OS-supplied temporary page and
@@ -818,7 +814,7 @@ class SecurityMonitor:
     # --- the authentication-exception handler --------------------------------
 
     def handle_auth_fault(self, trap) -> Disposition:
-        """Rate-limit and termination policy for authentication faults."""
+        """Fault-threshold termination policy for authentication faults."""
         if self._in_monitor:
             # The monitor's own probe (image check, re-encryption read, ...)
             # is reported to its caller, never charged to an enclave.
@@ -845,8 +841,6 @@ class SecurityMonitor:
                 self._leave(handle, meta, thread, EnclaveState.TERMINATED, PRV_S)
                 return Disposition(DispositionKind.ENCLAVE_TERMINATED)
             self._store_meta(handle, meta)
-            if self.delay_penalty:
-                return Disposition(DispositionKind.DELAY, self.delay_penalty)
             return Disposition(DispositionKind.RETRY_DENIED)
 
     # --- inspection (tests) --------------------------------------------------

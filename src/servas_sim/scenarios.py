@@ -299,12 +299,12 @@ def spawn_enclave(sm: SecurityMonitor, image: EnclaveImage, space: str, base: in
     """The OS maps the enclave region per the image descriptors, then the
     host creates the enclave.  Region page j (image pages, then the stack
     pages) maps to ``ppn_start + j`` unless ``ppn_overrides`` names j.  A
-    negative base, or more pages than the monitor can own, is refused as
-    :meth:`SecurityMonitor.ecreate` would refuse it, before the OS maps
-    anything."""
+    negative base, more pages than the monitor can own or a host space its
+    metadata page cannot hold is refused as :meth:`SecurityMonitor.ecreate`
+    would refuse it, before the OS maps anything."""
     if base < 0:
         raise InvalidImage(f"enclave region: base {base:#x} is negative")
-    check_capacity(image, stack_pages)
+    check_capacity(space, image, stack_pages)
     machine = sm.machine
     overrides = ppn_overrides or {}
     for page in image.pages:

@@ -23,6 +23,13 @@ up in a table that fills itself on first use of each key from
 The table is not built at import (all 4,096 keys cost milliseconds that
 every process would pay); a run fills the few keys it uses.
 
+The tweak's own bits carry the policy, so nothing here restates it in
+another vocabulary.  The xrange bit names the matched range: :data:`XR_U`,
+:data:`XR_S` or :data:`XR_M`, the rightmost set bit of the bitmap, 0 when
+none matched.  It picks the base the voffset counts from and keys the sid
+registers.  The rsw bits name the enclave page type a line is sealed as,
+one rsw per type (:data:`ENCLAVE_RSW`).
+
 All functions here are pure; machine state enters only through an explicit
 :class:`CsrFile` (defined in :mod:`servas_sim.machine`).
 """
@@ -65,13 +72,6 @@ class PageType(enum.Enum):
     SHENCLAVE = "shenclave"
     SHM = "shm"
     MONITOR = "monitor"
-
-
-class Basis(enum.Enum):
-    U = "u"
-    S = "s"
-    M = "m"
-    NONE = "none"
 
 
 class InvalidCombination(Exception):
@@ -241,22 +241,18 @@ def match_ranges(va: int, mrange: RangeReg, srange: RangeReg, urange: RangeReg) 
     return bitmap
 
 
-def select_basis(bitmap: int) -> Basis:
-    """Rightmost set bit wins: URANGE beats SRANGE beats MRANGE."""
-    if bitmap & XR_U:
-        return Basis.U
-    if bitmap & XR_S:
-        return Basis.S
-    if bitmap & XR_M:
-        return Basis.M
-    return Basis.NONE
+def select_basis(bitmap: int) -> int:
+    """The matched range's xrange bit, 0 for none: the rightmost set bit
+    wins, so URANGE beats SRANGE beats MRANGE."""
+    return bitmap & -bitmap
 
 
-def compute_voffset(va: int, basis: Basis, base_of: dict[Basis, int], va_bits: int = 48) -> int:
-    """Line-granular offset from the matched range base, or the absolute
-    line index truncated to the field width when nothing matched."""
+def compute_voffset(va: int, basis: int, base_of: dict[int, int], va_bits: int = 48) -> int:
+    """Line-granular offset from the base of the range whose xrange bit is
+    ``basis``, or the absolute line index truncated to the field width when
+    nothing matched."""
     mask = (1 << voffset_bits(va_bits)) - 1
-    if basis is Basis.NONE:
+    if not basis:
         return (va >> LINE_SHIFT) & mask
     return ((va - base_of[basis]) >> LINE_SHIFT) & mask
 
@@ -266,13 +262,10 @@ def truncate_sid(sid0: int, sid1: int) -> int:
     return ((sid1 << 64) | sid0) & SID_MASK
 
 
-# module globals: an enum attribute load costs several times as much
-_BASIS_U, _BASIS_S, _BASIS_M, _BASIS_NONE = Basis.U, Basis.S, Basis.M, Basis.NONE
-
-
-def select_sid(basis: Basis, rsw: int, sid_regs: dict[Basis, tuple[int, int]]) -> int:
-    """Session identifier per the rsw select bits of the matched level."""
-    if basis is _BASIS_NONE or rsw == 0b00:
+def select_sid(basis: int, rsw: int, sid_regs: dict[int, tuple[int, int]]) -> int:
+    """Session identifier per the rsw select bits, from the (sid0, sid1)
+    pair keyed by the matched range's xrange bit ``basis``."""
+    if not basis or rsw == 0b00:
         return 0
     sid0, sid1 = sid_regs[basis]
     if rsw == 0b01:
@@ -289,36 +282,36 @@ def compose_sw_tweak(
     mrange: RangeReg,
     srange: RangeReg,
     urange: RangeReg,
-    sid_regs: dict[Basis, tuple[int, int]],
+    sid_regs: dict[int, tuple[int, int]],
     va_bits: int = 48,
 ) -> SwTweak:
     """Assemble the software tweak for one access, straight into its packed
     value: the fields :func:`match_ranges`, :func:`select_basis`,
     :func:`compute_voffset` and :func:`select_sid` give, without the
-    per-call base dict and with no enum hashed unless a sid is looked up.
+    per-call base dict.  ``sid_regs`` maps each range's xrange bit to its
+    (sid0, sid1) pair.
     """
     if prv >> PRV_BITS:  # also true for a negative value
         raise ValueError("privilege field out of range")
     if pte >> PTE_BITS:
         raise ValueError("pte bits out of range")
     xrange = match_ranges(va, mrange, srange, urange)
-    if xrange & XR_U:
-        matched, basis = urange, _BASIS_U
-    elif xrange & XR_S:
-        matched, basis = srange, _BASIS_S
-    elif xrange & XR_M:
-        matched, basis = mrange, _BASIS_M
-    else:
-        matched = None
+    basis = xrange & -xrange
     vb = va_bits - LINE_SHIFT
-    if matched is None:
+    if basis:
+        base = (urange if basis == XR_U else srange if basis == XR_S else mrange).base
+        voffset = ((va - base) >> LINE_SHIFT) & ((1 << vb) - 1)
+        sid = select_sid(basis, pte >> 5, sid_regs)
+    else:
         voffset = (va >> LINE_SHIFT) & ((1 << vb) - 1)
         sid = 0
-    else:
-        voffset = ((va - matched.base) >> LINE_SHIFT) & ((1 << vb) - 1)
-        sid = select_sid(basis, pte >> 5, sid_regs)
     value = (((xrange << vb | voffset) << PRV_BITS | prv) << PTE_BITS | pte) << SID_BITS | sid
     return _packed(value, va_bits)
+
+
+# The rsw each enclave page type is sealed under, as the table below reads
+# it.  Monitor metadata and image descriptors store a page type as this code.
+ENCLAVE_RSW = {PageType.REGULAR: 0b01, PageType.SHENCLAVE: 0b10, PageType.SHM: 0b11}
 
 
 def classify_page_type(xrange: int, prv: int, pte: int, rsw: int | None = None) -> PageType:

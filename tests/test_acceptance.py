@@ -31,7 +31,9 @@ from servas_sim.tweak import (
     PRV_M,
     PRV_S,
     PRV_U,
-    Basis,
+    XR_M,
+    XR_S,
+    XR_U,
     InvalidCombination,
     PageType,
     RangeReg,
@@ -55,7 +57,7 @@ def _budget(start: float, seconds: float, label: str) -> float:
 
 def test_acceptance_1_tweak_layout():
     start = time.perf_counter()
-    regs = {b: (0, 0) for b in Basis}
+    regs = {b: (0, 0) for b in (XR_U, XR_S, XR_M)}
     sw = compose_sw_tweak(0x4000_0040, PRV_U, pack_pte_bits(1, 1, 0, 1, 0, 1),
                           RangeReg(0x4000_0000, 0x1000, True), RangeReg(), RangeReg(),
                           regs)

@@ -85,6 +85,18 @@ def test_malformed_physical_step_exits_two(tmp_path, step):
     assert run_cli("scenarios", str(path)) == 2
 
 
+@pytest.mark.parametrize("space", ["host-space-long-x", "host\x00"], ids=["17-bytes", "nul"])
+def test_a_host_space_the_monitor_cannot_store_exits_two(tmp_path, capsys, space):
+    doc = json.loads(dump_scenarios(builtin_suite()[:1]))
+    spawn = doc["scenarios"][0]["steps"][0]
+    assert spawn["action"] == "spawn_enclave"
+    spawn["args"]["space"] = space
+    path = tmp_path / "long-space.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("scenarios", str(path)) == 2
+    assert "host space" in capsys.readouterr().err
+
+
 def test_eviction_csv_deterministic_under_seed(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("evictions", "--entries", "32", "--ways", "2,4", "--tweaks", "4:12:4",

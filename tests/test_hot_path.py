@@ -72,7 +72,7 @@ def enum_member_loads(fn) -> list[str]:
 
 def test_the_package_enums_are_found():
     assert {cls.__name__ for cls in PACKAGE_ENUMS} >= {
-        "AccessKind", "PageType", "Basis", "EvictionMode", "ImagePageType",
+        "AccessKind", "PageType", "EvictionMode", "ImagePageType",
         "EnclaveState", "DispositionKind"}
 
 

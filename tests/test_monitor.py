@@ -1,5 +1,6 @@
 """Security-monitor lifecycle: creation, entry/exit, interruption, dynamic
-pages, re-encryption, sealing, swapping, fault rate limiting, statelessness."""
+pages, re-encryption, sealing, swapping, fault-threshold termination,
+statelessness."""
 
 import dataclasses
 import hashlib
@@ -188,6 +189,38 @@ def test_spawn_with_an_enclave_page_past_the_line_range_has_no_side_effects(mach
         spawn_enclave(machine, sm, ppn_overrides={1: 1 << 58})
     assert (sm._rtid_next, machine.mee.seals) == (1, 0)
     assert machine.rng.getstate() == rng
+
+
+@pytest.mark.parametrize("space", ["host-space-long-x", "\u00e9" * 9, "host\x00"],
+                         ids=["17-bytes", "18-utf8-bytes", "nul"])
+def test_a_host_space_the_metadata_page_cannot_hold_is_refused(machine, sm, space):
+    """The metadata page keeps 16 bytes of host space and drops trailing
+    NULs, so a longer name or one holding a NUL would send every later
+    page-table walk to another space.  The spawn refuses it before the OS
+    maps anything, and ``ecreate`` before a line is sealed or a runtime id
+    spent, even with the region mapped in that space."""
+    with pytest.raises(ValueError, match="host space"):
+        spawn_enclave(machine, sm, space=space)
+    assert machine.walk(space, A_BASE) is None
+    for i, perms, rsw in [(0, "rxu", 0b10), (1, "rwu", 0b01), (2, "rwu", 0b01)]:
+        machine.map_page(PRV_S, space, A_BASE + i * PAGE_BYTES, 0x100 + i, perms, rsw)
+    machine.prv = PRV_U
+    with pytest.raises(ValueError, match="host space"):
+        sm.ecreate(space, std_image(), A_BASE, 1, 0x200, 0x201)
+    assert not machine.mee.written_lines()
+    assert sm._rtid_next == 1
+
+
+def test_a_sixteen_byte_host_space_completes_a_swap_cycle(machine, sm):
+    space = "host-space-16-by"
+    assert len(space.encode()) == 16
+    handle = spawn_enclave(machine, sm, space=space)
+    assert sm.peek_meta(handle).host_space == space
+    machine.prv = PRV_S
+    sm.swap_in(handle, DATA_VA, sm.swap_out(handle, DATA_VA, temp_ppn=0x400))
+    machine.prv = PRV_U
+    sm.eenter(handle)
+    assert machine.access(space, DATA_VA, READ, PRV_U, size=4) == bytes(4)
 
 
 def _sealed_digests(m, monitor_ppns=(0x200, 0x201)):
@@ -984,19 +1017,6 @@ def test_fault_threshold_terminates(machine):
 def test_a_fault_threshold_below_one_is_refused(machine, threshold):
     with pytest.raises(ValueError, match="fault_threshold must be at least 1"):
         SecurityMonitor(machine, fault_threshold=threshold)
-
-
-def test_delay_disposition(machine):
-    from servas_sim.monitor import Disposition
-
-    sm = SecurityMonitor(machine, fault_threshold=10, delay_penalty=250)
-    _os_bait_page(machine)
-    handle = spawn_enclave(machine, sm)
-    sm.eenter(handle)
-    machine.prv = PRV_U
-    with pytest.raises(AuthenticationException) as exc_info:
-        machine.access("host", 0x9000_0000, READ, PRV_U, size=4)
-    assert exc_info.value.disposition == Disposition(DispositionKind.DELAY, 250)
 
 
 def test_fault_outside_enclave_only_denies(machine, sm):

@@ -17,10 +17,13 @@ from hypothesis import given, settings, strategies as st
 from servas_sim.machine import Machine, Pte
 from servas_sim.monitor import SecurityMonitor
 from servas_sim.tweak import (
+    ENCLAVE_RSW,
     PRV_M,
     PRV_S,
     PRV_U,
-    Basis,
+    XR_M,
+    XR_S,
+    XR_U,
     InvalidCombination,
     PageType,
     RangeReg,
@@ -43,7 +46,7 @@ DIS = RangeReg()
 
 
 def _sid_regs(m=(0, 0), s=(0, 0), u=(0, 0)):
-    return {Basis.M: m, Basis.S: s, Basis.U: u}
+    return {XR_M: m, XR_S: s, XR_U: u}
 
 
 # --- widths and serialization -------------------------------------------------
@@ -142,27 +145,27 @@ def test_range_alignment_validation():
 
 
 @pytest.mark.parametrize("bitmap,basis", [
-    (0b101, Basis.U),  # user range has precedence
-    (0b111, Basis.U),
-    (0b110, Basis.S),
-    (0b100, Basis.M),
-    (0b000, Basis.NONE),
-])
+    (0b101, XR_U),  # user range has precedence
+    (0b111, XR_U),
+    (0b110, XR_S),
+    (0b100, XR_M),
+    (0b000, 0),
+], ids=["101-XR_U", "111-XR_U", "110-XR_S", "100-XR_M", "000-none"])
 def test_select_basis(bitmap, basis):
     assert select_basis(bitmap) == basis
 
 
 def test_compute_voffset_relative():
-    bases = {Basis.M: 0x40_0000}
-    assert compute_voffset(0x40_0000, Basis.M, bases) == 0
-    assert compute_voffset(0x40_0000 + 128, Basis.M, bases) == 2
+    bases = {XR_M: 0x40_0000}
+    assert compute_voffset(0x40_0000, XR_M, bases) == 0
+    assert compute_voffset(0x40_0000 + 128, XR_M, bases) == 2
 
 
 def test_compute_voffset_absolute_when_unmatched():
-    assert compute_voffset(0x1000, Basis.NONE, {}) == 0x40
+    assert compute_voffset(0x1000, 0, {}) == 0x40
     # truncated to the field width
     wide = (1 << 48) - 64
-    assert compute_voffset(wide, Basis.NONE, {}) == (wide >> 6) & (2**42 - 1)
+    assert compute_voffset(wide, 0, {}) == (wide >> 6) & (2**42 - 1)
 
 
 # --- sid selection ---------------------------------------------------------------
@@ -170,22 +173,30 @@ def test_compute_voffset_absolute_when_unmatched():
 
 def test_select_sid_single_registers():
     regs = _sid_regs(m=(0x1234, 0x5678))
-    assert select_sid(Basis.M, 0b01, regs) == 0x1234
-    assert select_sid(Basis.M, 0b10, regs) == 0x5678
+    assert select_sid(XR_M, 0b01, regs) == 0x1234
+    assert select_sid(XR_M, 0b10, regs) == 0x5678
 
 
 @given(a=st.integers(0, 2**64 - 1), b=st.integers(0, 2**64 - 1))
 def test_select_sid_concatenation_truncates_to_80(a, b):
     # low 80 bits of (high register << 64 | low register)
     expected = ((b << 64) | a) % (1 << 80)
-    assert select_sid(Basis.U, 0b11, _sid_regs(u=(a, b))) == expected
+    assert select_sid(XR_U, 0b11, _sid_regs(u=(a, b))) == expected
     assert truncate_sid(a, b) == expected
 
 
 def test_select_sid_zero_cases():
     regs = _sid_regs(m=(5, 6), u=(7, 8))
-    assert select_sid(Basis.M, 0b00, regs) == 0
-    assert select_sid(Basis.NONE, 0b11, regs) == 0
+    assert select_sid(XR_M, 0b00, regs) == 0
+    assert select_sid(0, 0b11, regs) == 0
+
+
+def test_sid_registers_are_keyed_by_the_xrange_bits():
+    """The machine keys its sid pairs by the matched range's xrange bit, a
+    plain int, as composition selects them."""
+    sid_regs = Machine().csr.sid_regs
+    assert set(sid_regs) == {XR_U, XR_S, XR_M}
+    assert all(type(key) is int for key in sid_regs)
 
 
 # --- the decision table -----------------------------------------------------------
@@ -242,6 +253,17 @@ def test_decision_table_named_rows():
     assert classify_page_type(0b000, PRV_M, monitor, 0) == PageType.MONITOR
     assert classify_page_type(0b000, PRV_M, pack_pte_bits(True, False, False, False, False, 0), 0) \
         == PageType.UNPROTECTED
+
+
+def test_enclave_rsw_agrees_with_the_decision_table():
+    """Each enclave page type's rsw, on a user-mode readable page in the
+    range that type needs, classifies as that type, so the one rsw table
+    and the decision table cannot drift apart."""
+    needs = {PageType.REGULAR: XR_M, PageType.SHENCLAVE: XR_M, PageType.SHM: XR_U}
+    assert ENCLAVE_RSW.keys() == needs.keys()
+    for page_type, rsw in ENCLAVE_RSW.items():
+        readable = pack_pte_bits(True, False, False, True, False, rsw)
+        assert classify_page_type(needs[page_type], PRV_U, readable) is page_type
 
 
 # --- composition -----------------------------------------------------------------
@@ -318,7 +340,7 @@ def _reference_compose(va, prv, pte, mrange, srange, urange, sid_regs, va_bits):
     the validating constructor."""
     bitmap = match_ranges(va, mrange, srange, urange)
     basis = select_basis(bitmap)
-    bases = {Basis.M: mrange.base, Basis.S: srange.base, Basis.U: urange.base}
+    bases = {XR_M: mrange.base, XR_S: srange.base, XR_U: urange.base}
     fields = {
         "xrange": bitmap,
         "voffset": compute_voffset(va, basis, bases, va_bits),
@@ -345,7 +367,7 @@ def _compose_case(draw):
 
     mrange, srange, urange = range_reg(), range_reg(), range_reg()
     sid = st.integers(0, 2**64 - 1)
-    sid_regs = {b: (draw(sid), draw(sid)) for b in (Basis.M, Basis.S, Basis.U)}
+    sid_regs = {b: (draw(sid), draw(sid)) for b in (XR_M, XR_S, XR_U)}
     return (va, draw(st.integers(0, 3)), draw(st.integers(0, 127)),
             mrange, srange, urange, sid_regs, va_bits)
 
