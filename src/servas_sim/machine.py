@@ -243,6 +243,7 @@ class Machine:
         # str seeding is stable across processes (unlike tuple/hash seeding)
         self.rng = random.Random(f"servas-machine-{seed}")
         self.mee_key = self.rng.randbytes(16)
+        self.cpu_key = hmac.new(self.mee_key, b"cpu-key", hashlib.sha256).digest()[:16]
         self.mee = Mee(self.mee_key, aead=aead, va_bits=va_bits)
         self.csr = CsrFile()
         self.spaces: dict[str, dict[int, Pte]] = {}
@@ -329,10 +330,6 @@ class Machine:
         _csr_gate(prv, name)
         return getattr(self.csr, name)
 
-    @property
-    def cpu_key(self) -> bytes:
-        return hmac.new(self.mee_key, b"cpu-key", hashlib.sha256).digest()[:16]
-
     def set_bypass(self, prv: int, enabled: bool) -> None:
         """Toggle the encryption bypass for unprotected-classified accesses.
         The functional cache is flushed first so no tagged state leaks
@@ -404,9 +401,10 @@ class Machine:
         """M-mode access to whole lines of physical page ``ppn`` under a
         software tweak the caller pins: line ``i`` under ``sw`` with its
         voffset advanced by ``i``, the binding the monitor gives every line
-        of a page.  No page table and no CSR is consulted, and there is no
-        privilege check, as only M-mode code can reach it.  The lines share
-        xrange, prv and pte, so the page is classified once.
+        of a page.  A tweak whose last line would step past the voffset
+        field is refused.  No page table and no CSR is consulted, and there
+        is no privilege check, as only M-mode code can reach it.  The lines
+        share xrange, prv and pte, so the page is classified once.
 
         A write seals the given ``lines`` of the page's ``content`` without
         verifying their previous content, which is how the monitor
@@ -419,7 +417,7 @@ class Machine:
         cache off opens them with :meth:`Mee.read`.  A read through the
         cache, and an unprotected page under bypass, go line by line.
         """
-        if sw.voffset + max(lines, default=0) >> voffset_bits(sw.va_bits):
+        if sw.voffset + LINES_PER_PAGE - 1 >> voffset_bits(sw.va_bits):
             raise ValueError("voffset out of range")
         base = ppn * PAGE_BYTES
         ptype = self._classify(base, PRV_M, sw)

@@ -6,7 +6,8 @@ re-encryption, swapping and sealing.  It holds no state but the
 monotonically increasing runtime-id counter: everything else lives in two
 per-enclave MONITOR pages (metadata + thread state) that are OS-allocated
 but sealed under an M-mode tweak, so the monitor re-reads and re-verifies
-its own state on every call.
+its own state on every call (what it keeps of them only saves decoding;
+see below).
 Destroying those pages erases the enclave as far as the monitor is
 concerned.  Both pages keep a hart's user context in one record
 (:class:`UserCtx`): the metadata page the host's, saved on entry and given
@@ -27,11 +28,22 @@ it to the machine's pinned-tweak page access (:meth:`Machine.pinned_page`),
 which classifies the page once, steps the voffset per line and seals or
 verifies the page in one engine call.  No CSR is
 written and no page table is consulted.  That is the entire trust
-story -- the OS-controlled page tables never have to be believed.  Monitor
-pages are read and verified in full on every call; a store re-seals the
-lines the engine cannot prove unchanged (:meth:`Mee.changed_lines`): those
-whose bytes differ, and any line sealed since under another binding (the
-OS may alias another page onto a monitor page) whatever its bytes.
+story -- the OS-controlled page tables never have to be believed.
+
+Monitor pages are read and verified in full on every call; nothing the
+monitor keeps is trusted over the engine.  Per monitor frame it keeps the
+page's tweak, built once per frame and runtime id, the bytes it last read
+or wrote there and their decoded record, and it decodes a page only when
+the verified bytes differ from the kept ones.  A load takes the record out
+of the keep and a store puts it back with the bytes it wrote, so a call
+that raises in between leaves no record behind, and a peek hands out one
+no later call shares.  A store packs the fixed header over the kept bytes,
+and the owned and swap rows as well only when the call changed them, then
+re-seals the lines the engine cannot prove unchanged
+(:meth:`Mee.changed_lines`): those whose bytes differ, and any line sealed
+since under another binding (the OS may alias another page onto a monitor
+page) whatever its bytes.  The encid sids of recent enclaves are kept
+too, so an enclave's is derived once.
 
 Swap-out seals a page with a fresh nonce and records (nonce, tag, address,
 permissions) in the metadata page; only that exact sealed version can come
@@ -150,13 +162,11 @@ class EnclaveState(enum.IntEnum):
 
 
 class DispositionKind(enum.Enum):
+    """What the monitor made of an authentication fault, as the machine
+    stores it on the trap."""
+
     RETRY_DENIED = "retry_denied"
     ENCLAVE_TERMINATED = "enclave_terminated"
-
-
-@dataclass(frozen=True)
-class Disposition:
-    kind: DispositionKind
 
 
 @dataclass(frozen=True)
@@ -203,6 +213,12 @@ def _listed_ctx(code: int, perm: int, rsw: int) -> PageCtx:
     place."""
     page_type = next(t for t, own in ENCLAVE_RSW.items() if own == code)
     return PageCtx(page_type, unpack_perm_byte(perm), rsw)
+
+
+def _listed(ctx: PageCtx) -> PageCtx:
+    """``ctx`` as the metadata page lists it: the context a decode of its
+    record gives (no sid, the permission byte's five flags)."""
+    return _listed_ctx(ENCLAVE_RSW[ctx.page_type], pack_perm_byte(ctx.perms), ctx.rsw)
 
 
 @dataclass
@@ -288,7 +304,8 @@ class EnclaveMeta:
     host_space: str
     fault_count: int = 0
     caller_prv: int = PRV_U
-    host: UserCtx = field(default_factory=UserCtx)
+    # the page always holds the host's registers, zeros until an entry
+    host: UserCtx = field(default_factory=lambda: UserCtx(regs=list(_NO_REGS)))
     owned: dict[int, PageCtx] = field(default_factory=dict)
     swaps: dict[int, SwapRecord] = field(default_factory=dict)
 
@@ -300,23 +317,26 @@ class EnclaveMeta:
         if len(self.swaps) + swaps > MAX_SWAPS:
             raise MonitorCapacity("too many swap records for the metadata page")
 
-    def pack(self) -> bytes:
-        self.check_room()
-        buf = bytearray(PAGE_BYTES)
-        _META.pack_into(
-            buf, 0, _META_MAGIC, 1, int(self.state), 0, self.rtid, self.encid_full,
+    def pack(self, page: bytes | None = None) -> bytes:
+        """The page's bytes.  ``page``, if given, is this record's page as
+        last packed, with the same owned and swap rows: only the fixed
+        header is packed again, over that page's."""
+        if page is None:
+            self.check_room()
+            page = bytearray(PAGE_BYTES)
+            for i, (va, o) in enumerate(self.owned.items()):
+                _OWNED.pack_into(page, _OWNED_OFF + i * _OWNED.size, va,
+                                 ENCLAVE_RSW[o.page_type], pack_perm_byte(o.perms), o.rsw)
+            for i, (va, s) in enumerate(self.swaps.items()):
+                _SWAP.pack_into(page, _SWAP_OFF + i * _SWAP.size, va, s.nonce, s.tag,
+                                pack_perm_byte(s.ctx.perms), s.ctx.rsw,
+                                ENCLAVE_RSW[s.ctx.page_type], True)
+        return _META.pack(
+            _META_MAGIC, 1, int(self.state), 0, self.rtid, self.encid_full,
             self.entry_point, self.mrange.base, self.mrange.size,
             self.fault_count, len(self.owned), len(self.swaps),
             self.host_space.encode(), self.host.pc, self.caller_prv, *self.host.fields(),
-        )
-        for i, (va, o) in enumerate(self.owned.items()):
-            _OWNED.pack_into(buf, _OWNED_OFF + i * _OWNED.size, va,
-                             ENCLAVE_RSW[o.page_type], pack_perm_byte(o.perms), o.rsw)
-        for i, (va, s) in enumerate(self.swaps.items()):
-            _SWAP.pack_into(buf, _SWAP_OFF + i * _SWAP.size, va, s.nonce, s.tag,
-                            pack_perm_byte(s.ctx.perms), s.ctx.rsw,
-                            ENCLAVE_RSW[s.ctx.page_type], True)
-        return bytes(buf)
+        ) + page[_META.size:]
 
     @classmethod
     def unpack(cls, buf: bytes) -> "EnclaveMeta":
@@ -375,13 +395,16 @@ def _check_frame(ppn: int, what: str, limit: int = PPN_LIMIT) -> None:
 
 
 def check_capacity(host_space: str, image: EnclaveImage, stack_pages: int) -> None:
-    """Refuse what the metadata page cannot hold: a host space over 16
-    bytes of UTF-8 or holding a NUL (its field keeps 16 bytes and drops
-    trailing NULs, so the name would read back as another space), a
-    negative stack page count (both ValueErrors, as for any malformed
-    argument) and a region of more pages than the page can list."""
-    if len(host_space.encode()) > 16 or "\x00" in host_space:
-        raise ValueError(f"host space {host_space!r:.40} is not at most 16 NUL-free bytes")
+    """Refuse what the metadata page cannot hold: a host space that is not
+    text, or is over 16 bytes of UTF-8 or holds a NUL (its field keeps 16
+    bytes and drops trailing NULs, so the name would read back as another
+    space), a negative stack page count (both ValueErrors, as for any
+    malformed argument) and a region of more pages than the page can
+    list."""
+    if (not isinstance(host_space, str) or len(host_space.encode()) > 16
+            or "\x00" in host_space):
+        raise ValueError(f"host space {host_space!r:.40} is not text of at most 16 NUL-free "
+                         "bytes")
     if stack_pages < 0:
         raise ValueError(f"stack_pages {stack_pages} is negative")
     if len(image.pages) + stack_pages > MAX_OWNED:
@@ -394,6 +417,11 @@ def kdf(key: bytes, label: bytes, data: bytes = b"", n: int = 16) -> bytes:
 
 def derive_developer_key(cpu_key: bytes, developer_id: bytes) -> bytes:
     return kdf(cpu_key, b"developer-key", developer_id)
+
+
+def _truncated_encid(cpu_key: bytes, encid_full: bytes) -> int:
+    """The 80-bit identity an enclave's image hash derives under a CPU key."""
+    return int.from_bytes(kdf(cpu_key, b"encid-sid", encid_full, n=32), "big") & SID_MASK
 
 
 # rw, no user, rsw 00: the pte field of monitor pages (with PRV_M) and of
@@ -434,6 +462,13 @@ class SecurityMonitor:
         self.fault_threshold = fault_threshold
         self.aead = AesGcmAead()
         self._rtid_next = 1  # the only state that outlives a call
+        # monitor frame -> (rtid, page tweak, page bytes, decoded record or
+        # None): a copy of what the monitor last read or wrote there, so a
+        # load whose verified bytes are the kept ones decodes nothing
+        self._kept: dict[int, tuple] = {}
+        # the truncated encids of the most recent enclaves, each derived once
+        self._encids = functools.lru_cache(maxsize=64)(
+            functools.partial(_truncated_encid, machine.cpu_key))
         self._in_monitor = False
         machine.sm_auth_handler = _weak_auth_handler(self)
 
@@ -463,27 +498,46 @@ class SecurityMonitor:
         voffset = (ppn * LINES_PER_PAGE) & ((1 << voffset_bits(va_bits)) - 1)
         return SwTweak(0, voffset, PRV_M, MONITOR_PTE_BITS, rtid & SID_MASK, va_bits)
 
-    def _read_monitor_page(self, ppn: int, rtid: int) -> bytes:
-        return self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn, rtid))
+    def _load(self, ppn: int, rtid: int, decode):
+        """The record of monitor page ``ppn`` under its binding to ``rtid``,
+        as the engine verifies the page now: the kept record if the
+        verified bytes are the kept ones, else ``decode`` of them.  The
+        record leaves the keep, so a call that raises before its store
+        leaves none behind."""
+        kept = self._kept.get(ppn)
+        if kept is None or kept[0] != rtid:
+            kept = (rtid, self._monitor_page_tweak(ppn, rtid), None, None)
+        _, sw, kept_page, record = kept
+        page = self.machine.pinned_page(ppn, sw)
+        if record is None or page != kept_page:
+            record = decode(page)
+        self._kept[ppn] = (rtid, sw, page, None)
+        return record
 
-    def _write_monitor_page(self, ppn: int, rtid: int, content: bytes) -> None:
-        """Re-seal the lines the engine cannot prove already hold
-        ``content`` under the page's binding (:meth:`Mee.changed_lines`)."""
-        sw = self._monitor_page_tweak(ppn, rtid)
+    def _store(self, ppn: int, record, content: bytes) -> None:
+        """Re-seal the lines of monitor page ``ppn``, loaded by this call,
+        that the engine cannot prove already hold ``content`` under the
+        page's binding (:meth:`Mee.changed_lines`), and keep ``record``
+        with it."""
+        rtid, sw, _, _ = self._kept[ppn]
         changed = self.machine.mee.changed_lines(ppn * LINES_PER_PAGE, content, sw)
         self.machine.pinned_page(ppn, sw, AccessKind.WRITE, content, changed)
+        self._kept[ppn] = (rtid, sw, content, record)
 
     def _load_meta(self, handle: EnclaveHandle) -> EnclaveMeta:
-        return EnclaveMeta.unpack(self._read_monitor_page(handle.meta_ppn, handle.rtid))
+        return self._load(handle.meta_ppn, handle.rtid, EnclaveMeta.unpack)
 
-    def _store_meta(self, handle: EnclaveHandle, meta: EnclaveMeta) -> None:
-        self._write_monitor_page(handle.meta_ppn, handle.rtid, meta.pack())
+    def _store_meta(self, handle: EnclaveHandle, meta: EnclaveMeta, rows: bool = False) -> None:
+        """Store ``meta``; ``rows`` says the call changed its owned or swap
+        rows, which are then packed again with the rest of the page."""
+        page = None if rows else self._kept[handle.meta_ppn][2]
+        self._store(handle.meta_ppn, meta, meta.pack(page))
 
     def _load_thread(self, handle: EnclaveHandle) -> ThreadMeta:
-        return ThreadMeta.unpack(self._read_monitor_page(handle.thread_ppn, handle.rtid))
+        return self._load(handle.thread_ppn, handle.rtid, ThreadMeta.unpack)
 
     def _store_thread(self, handle: EnclaveHandle, thread: ThreadMeta) -> None:
-        self._write_monitor_page(handle.thread_ppn, handle.rtid, thread.pack())
+        self._store(handle.thread_ppn, thread, thread.pack())
 
     # --- tweak-field resolution for enclave pages ----------------------------
 
@@ -493,8 +547,7 @@ class SecurityMonitor:
         return self.derive_truncated_encid(encid_full) & ((1 << 64) - 1)
 
     def derive_truncated_encid(self, encid_full: bytes) -> int:
-        mac = kdf(self.machine.cpu_key, b"encid-sid", encid_full, n=32)
-        return int.from_bytes(mac, "big") & SID_MASK
+        return self._encids(encid_full)
 
     def _page_tweak(self, meta: EnclaveMeta, ctx: PageCtx, va: int,
                     urange: RangeReg | None = None) -> SwTweak:
@@ -578,7 +631,7 @@ class SecurityMonitor:
                 va = target_base + index * PAGE_BYTES
                 writes.append((self._walk_ppn(host_space, va), self._page_tweak(meta, ctx, va),
                                body))
-                meta.owned[va] = ctx
+                meta.owned[va] = _listed(ctx)
             _check_frame(meta_ppn, "metadata")
             _check_frame(thread_ppn, "thread")
             if meta_ppn == thread_ppn:
@@ -593,9 +646,10 @@ class SecurityMonitor:
                 self.machine.pinned_page(ppn, sw, AccessKind.WRITE, body)
             # the rtid is fresh, so no line of either page can already hold
             # its content: both are sealed whole, with no changed_lines walk
-            for ppn, content in ((meta_ppn, meta.pack()), (thread_ppn, ThreadMeta().pack())):
-                self.machine.pinned_page(ppn, self._monitor_page_tweak(ppn, meta.rtid),
-                                         AccessKind.WRITE, content)
+            for ppn, record in ((meta_ppn, meta), (thread_ppn, ThreadMeta())):
+                sw, content = self._monitor_page_tweak(ppn, meta.rtid), record.pack()
+                self.machine.pinned_page(ppn, sw, AccessKind.WRITE, content)
+                self._kept[ppn] = (meta.rtid, sw, content, record)
             return EnclaveHandle(meta_ppn, thread_ppn, meta.rtid)
 
     def eenter(self, handle: EnclaveHandle, args: dict[int, int] | None = None) -> None:
@@ -708,8 +762,8 @@ class SecurityMonitor:
             sw = self._page_tweak(meta, ctx, va, urange=caller_urange)
             ppn = self._walk_ppn(meta.host_space, va)
             m.pinned_page(ppn, sw, AccessKind.WRITE, bytes(PAGE_BYTES))
-            meta.owned[va] = ctx
-            self._store_meta(handle, meta)
+            meta.owned[va] = _listed(ctx)
+            self._store_meta(handle, meta, rows=True)
 
     def edestroy(self, va: int) -> None:
         """Release a page: every line is re-sealed under the reserved tweak,
@@ -721,7 +775,7 @@ class SecurityMonitor:
                 raise NotOwned(f"page {va:#x} is not mapped into the enclave")
             self.machine.destroy_page(self._walk_ppn(meta.host_space, va))
             del meta.owned[va]
-            self._store_meta(handle, meta)
+            self._store_meta(handle, meta, rows=True)
 
     def emod(self, va: int, old_ctx: PageCtx, new_ctx: PageCtx) -> None:
         """In-place re-encryption: read every line under the old context,
@@ -739,8 +793,8 @@ class SecurityMonitor:
             content = m.pinned_page(ppn, old)
             m.pinned_page(ppn, new, AccessKind.WRITE, content)
             if va in meta.owned:
-                meta.owned[va] = new_ctx
-                self._store_meta(handle, meta)
+                meta.owned[va] = _listed(new_ctx)
+                self._store_meta(handle, meta, rows=True)
 
     def egetsealkey(self) -> bytes:
         """Deterministic 128-bit sealing key bound to (image hash, CPU key)."""
@@ -787,7 +841,7 @@ class SecurityMonitor:
             m.destroy_page(ppn)
             meta.swaps[va] = SwapRecord(ctx, nonce, tag)
             del meta.owned[va]
-            self._store_meta(handle, meta)
+            self._store_meta(handle, meta, rows=True)
             return sealed
 
     def swap_in(self, handle: EnclaveHandle, va: int, sealed: bytes) -> None:
@@ -809,41 +863,43 @@ class SecurityMonitor:
                                      AccessKind.WRITE, content)
             del meta.swaps[va]
             meta.owned[va] = record.ctx
-            self._store_meta(handle, meta)
+            self._store_meta(handle, meta, rows=True)
 
     # --- the authentication-exception handler --------------------------------
 
-    def handle_auth_fault(self, trap) -> Disposition:
+    def handle_auth_fault(self, trap) -> DispositionKind:
         """Fault-threshold termination policy for authentication faults."""
         if self._in_monitor:
             # The monitor's own probe (image check, re-encryption read, ...)
             # is reported to its caller, never charged to an enclave.
-            return Disposition(DispositionKind.RETRY_DENIED)
+            return DispositionKind.RETRY_DENIED
         m = self.machine
         handle = m.active_enclave
         if handle is None:
-            return Disposition(DispositionKind.RETRY_DENIED)
+            return DispositionKind.RETRY_DENIED
         with self._monitor_call():
             try:
                 meta = self._load_meta(handle)
             except (Trap, MonitorError):
-                return Disposition(DispositionKind.RETRY_DENIED)
+                return DispositionKind.RETRY_DENIED
             page_va = trap.va - (trap.va % PAGE_BYTES)
             if page_va in meta.swaps:
                 # Legitimate touch of a swapped-out page: the demand-swap
                 # flow, not an attack.  No penalty.
-                return Disposition(DispositionKind.RETRY_DENIED)
+                return DispositionKind.RETRY_DENIED
             meta.fault_count += 1
             if meta.fault_count >= self.fault_threshold:
                 thread = self._load_thread(handle)
                 thread.saved.regs = None
                 m.regs = [0] * len(m.regs)
                 self._leave(handle, meta, thread, EnclaveState.TERMINATED, PRV_S)
-                return Disposition(DispositionKind.ENCLAVE_TERMINATED)
+                return DispositionKind.ENCLAVE_TERMINATED
             self._store_meta(handle, meta)
-            return Disposition(DispositionKind.RETRY_DENIED)
+            return DispositionKind.RETRY_DENIED
 
     # --- inspection (tests) --------------------------------------------------
+    # A peek's load takes the record out of the keep and nothing puts it
+    # back, so the caller's record is shared with no later call.
 
     def peek_meta(self, handle: EnclaveHandle) -> EnclaveMeta:
         with self._monitor_call():

@@ -299,7 +299,8 @@ def spawn_enclave(sm: SecurityMonitor, image: EnclaveImage, space: str, base: in
     """The OS maps the enclave region per the image descriptors, then the
     host creates the enclave.  Region page j (image pages, then the stack
     pages) maps to ``ppn_start + j`` unless ``ppn_overrides`` names j.  A
-    negative base, more pages than the monitor can own or a host space its
+    negative base, more pages than the monitor can own, or a host space
+    that is missing (an actor with a null space, given none) or that its
     metadata page cannot hold is refused as :meth:`SecurityMonitor.ecreate`
     would refuse it, before the OS maps anything."""
     if base < 0:
@@ -509,8 +510,8 @@ class ScenarioRunner:
             try:
                 result = self._exec(step)
             except _TRAPLIKE as exc:
-                if (isinstance(exc, AuthenticationException) and exc.disposition is not None
-                        and exc.disposition.kind is DispositionKind.ENCLAVE_TERMINATED):
+                if (isinstance(exc, AuthenticationException)
+                        and exc.disposition is DispositionKind.ENCLAVE_TERMINATED):
                     return Verdict("TERMINATED", None, i)
                 kind = _trap_kind(exc)
                 if step.expect_trap == kind:

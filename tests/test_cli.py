@@ -97,6 +97,24 @@ def test_a_host_space_the_monitor_cannot_store_exits_two(tmp_path, capsys, space
     assert "host space" in capsys.readouterr().err
 
 
+def test_a_host_actor_with_no_space_exits_two(tmp_path, capsys):
+    """A HOST actor whose space is null spawns an enclave without naming a
+    space: the spawn is refused as a bad argument, with no traceback."""
+    doc = json.loads(dump_scenarios(builtin_suite()[:1]))
+    scenario = doc["scenarios"][0]
+    host = next(actor for actor in scenario["actors"] if actor["kind"] == "HOST")
+    host["space"] = None
+    spawn = scenario["steps"][0]
+    assert (spawn["actor"], spawn["action"]) == (host["name"], "spawn_enclave")
+    assert "space" not in spawn["args"]
+    path = tmp_path / "null-space.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("scenarios", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "host space None" in err
+    assert "Traceback" not in err
+
+
 def test_eviction_csv_deterministic_under_seed(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("evictions", "--entries", "32", "--ways", "2,4", "--tweaks", "4:12:4",

@@ -1,12 +1,18 @@
-"""No enum member load on the access path.
+"""Work kept off the hot paths, held by counts rather than wall time.
 
-On CPython 3.11 ``EnumType`` defines ``__getattr__``, so ``AccessKind.WRITE``
-in a function body takes the slow attribute hook, several times the cost of
-a plain class attribute load, and a read hit through the tweak cache made
-three such loads.  The hot functions compare against module globals bound
-once at import instead.  Wall time cannot hold that; this test reads the
-functions' source and fails on any ``Enum.MEMBER`` load back in their
-bodies."""
+No enum member load on the access path.  On CPython 3.11 ``EnumType``
+defines ``__getattr__``, so ``AccessKind.WRITE`` in a function body takes
+the slow attribute hook, several times the cost of a plain class attribute
+load, and a read hit through the tweak cache made three such loads.  The
+hot functions compare against module globals bound once at import instead.
+Wall time cannot hold that; these tests read the functions' source and
+fail on any ``Enum.MEMBER`` load back in their bodies.
+
+No decode and no key derivation on a warm enclave switch.  The monitor
+keeps each monitor page's decoded record, page tweak and derived encid
+sid, so once an enclave has been entered and left, an exit and an entry
+decode neither monitor page, build no page tweak and run no HMAC, while
+the engine still verifies and re-seals what the ledger says."""
 
 import ast
 import enum
@@ -15,8 +21,10 @@ import textwrap
 
 import pytest
 
+from conftest import spawn_enclave
+from test_ledger import LEDGER, _counted
 from servas_sim import aead, cache, cli, image, machine, mee, monitor, scenarios, tweak
-from servas_sim.machine import AccessKind
+from servas_sim.machine import AccessKind, Machine
 from servas_sim.tweak import PageType
 
 PACKAGE_ENUMS = frozenset(
@@ -91,3 +99,35 @@ def test_no_enum_member_load_on_the_access_path(fn):
     assert enum_member_loads(fn) == [], (
         f"{fn.__module__}.{fn.__qualname__} loads an enum member; bind it as a "
         "module global instead")
+
+
+def test_a_warm_switch_decodes_and_derives_nothing(monkeypatch):
+    """After one warm-up round trip on the standard world, an eenter from
+    the host's one call site and the eexit after it call neither page
+    decoder, the page-tweak builder nor the key derivation, and cost the
+    engine exactly the ledger's rows."""
+    m = Machine(seed=0)
+    sm = monitor.SecurityMonitor(m)
+    handle = spawn_enclave(m, sm)
+    sm.eenter(handle)
+    sm.eexit()
+    calls = {"read": 0, "write": 0, "EnclaveMeta.unpack": 0, "ThreadMeta.unpack": 0,
+             "kdf": 0, "_monitor_page_tweak": 0}
+    m.mee.read = _counted(calls, "read", m.mee.read)
+    m.mee.write = _counted(calls, "write", m.mee.write)
+    for cls in (monitor.EnclaveMeta, monitor.ThreadMeta):
+        monkeypatch.setattr(cls, "unpack",
+                            _counted(calls, f"{cls.__name__}.unpack", cls.unpack))
+    monkeypatch.setattr(monitor, "kdf", _counted(calls, "kdf", monitor.kdf))
+    monkeypatch.setattr(sm, "_monitor_page_tweak",
+                        _counted(calls, "_monitor_page_tweak", sm._monitor_page_tweak))
+    ledger = {}
+    m.pc = 0  # the host enters from one call site, so its saved context repeats
+    for name, call in (("eenter", lambda: sm.eenter(handle)), ("eexit", sm.eexit)):
+        start = calls["read"], calls["write"], m.mee.seals, m.mee.opens
+        call()
+        end = calls["read"], calls["write"], m.mee.seals, m.mee.opens
+        ledger[name] = tuple(b - a for a, b in zip(start, end))
+    assert ledger == {"eenter": LEDGER["eenter"], "eexit": LEDGER["eexit"]}
+    assert {name: n for name, n in calls.items() if name not in ("read", "write")} == {
+        "EnclaveMeta.unpack": 0, "ThreadMeta.unpack": 0, "kdf": 0, "_monitor_page_tweak": 0}

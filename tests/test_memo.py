@@ -261,7 +261,7 @@ def _apply(m, op, sids, forget):
         sw = getattr(trap, "sw", None)
         disposition = getattr(trap, "disposition", None)
         return (trap.kind, trap.va, trap.prv, trap.detail, sw and sw.to_int(),
-                disposition and disposition.kind)
+                disposition)
     return None
 
 

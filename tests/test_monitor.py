@@ -254,7 +254,7 @@ def test_auth_handler_holds_the_monitor_weakly():
     m.phys_flip_bit(0x10 * LINES_PER_PAGE, 3)
     with pytest.raises(AuthenticationException) as info:
         m.access("p", 0x1000, AccessKind.READ, PRV_S)
-    assert info.value.disposition.kind is DispositionKind.RETRY_DENIED
+    assert info.value.disposition is DispositionKind.RETRY_DENIED
     monitor = weakref.ref(sm)
     del sm, info
     assert monitor() is None
@@ -972,7 +972,7 @@ def test_swapped_page_access_is_not_penalized(enclave):
     for _ in range(5):  # more than the fault threshold
         with pytest.raises(AuthenticationException) as exc_info:
             m.access("host", DATA_VA, READ, PRV_U, size=4)
-        assert exc_info.value.disposition.kind is DispositionKind.RETRY_DENIED
+        assert exc_info.value.disposition is DispositionKind.RETRY_DENIED
     assert sm.peek_meta(handle).fault_count == 0
     sm.interrupt()
     sm.swap_in(handle, DATA_VA, sealed)
@@ -1001,10 +1001,10 @@ def test_fault_threshold_terminates(machine):
         with pytest.raises(AuthenticationException) as exc_info:
             machine.access("host", 0x9000_0000, READ, PRV_U, size=4)
         if strike < 3:
-            assert exc_info.value.disposition.kind is DispositionKind.RETRY_DENIED
+            assert exc_info.value.disposition is DispositionKind.RETRY_DENIED
             assert sm.peek_meta(handle).fault_count == strike
         else:
-            assert exc_info.value.disposition.kind is DispositionKind.ENCLAVE_TERMINATED
+            assert exc_info.value.disposition is DispositionKind.ENCLAVE_TERMINATED
     assert sm.peek_meta(handle).state is EnclaveState.TERMINATED
     assert all(machine.get_reg(i) == 0 for i in range(32))  # wiped on kill
     assert machine.active_enclave is None
@@ -1024,7 +1024,7 @@ def test_fault_outside_enclave_only_denies(machine, sm):
     machine.access("p", 0x1000, WRITE, PRV_S, data=b"s")
     with pytest.raises(AuthenticationException) as exc_info:
         machine.access("p", 0x1000, READ, PRV_U, size=1)
-    assert exc_info.value.disposition.kind is DispositionKind.RETRY_DENIED
+    assert exc_info.value.disposition is DispositionKind.RETRY_DENIED
 
 
 def test_fresh_create_starts_with_clean_counter(machine):
