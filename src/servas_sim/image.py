@@ -15,8 +15,11 @@ Layout (little-endian, version 1)::
 
     payload = page descriptors then page bodies
     descriptor (8 bytes): page index u32, perms u8 (r|w<<1|x<<2|u<<3|g<<4),
-                          rsw u8, page type u8 (the rsw the type's pages are
-                          sealed under: 1=regular 2=shenclave), pad
+                          rsw u8, page type u8, pad
+                          (the page type is stored as the rsw the type's
+                          pages are sealed under: 1=regular 2=shenclave; a
+                          type has one rsw, so the rsw byte repeats it, and
+                          a descriptor whose two bytes differ is malformed)
 
 The enclave identity is the hash of the canonical unwrapped serialization,
 so wrapping for a particular machine never changes the identity.  Wrapped
@@ -85,13 +88,15 @@ class ImagePage:
     perms: dict[str, bool]
     page_type: ImagePageType
     body: bytes
-    rsw: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rsw is None:
-            self.rsw = self.page_type.value
         if len(self.body) != PAGE_BYTES:
             raise InvalidImage("page bodies are exactly 4096 bytes")
+
+    @property
+    def rsw(self) -> int:
+        """The rsw the page is sealed under: its type's own."""
+        return self.page_type.value
 
 
 @dataclass
@@ -117,8 +122,6 @@ class EnclaveImage:
             seen.add(page.index)
             if page.page_type is ImagePageType.SHENCLAVE and page.perms["w"]:
                 raise InvalidImage("shared enclave pages must be non-writable")
-            if page.rsw != page.page_type.value:
-                raise InvalidImage("rsw bits disagree with the page type")
             if page.index == entry_page and page.perms["x"]:
                 entry_ok = True
         if not entry_ok:
@@ -133,7 +136,7 @@ class EnclaveImage:
     def _payload(self) -> bytes:
         pages = sorted(self.pages, key=lambda p: p.index)
         blob = b"".join(
-            DESCRIPTOR.pack(p.index, pack_perm_byte(p.perms), p.rsw, p.page_type.value, 0)
+            DESCRIPTOR.pack(p.index, pack_perm_byte(p.perms), p.rsw, p.rsw, 0)
             for p in pages
         )
         return blob + b"".join(p.body for p in pages)
@@ -173,8 +176,10 @@ def _parse_payload(developer_id: bytes, entry_offset: int, n_pages: int,
             page_type = ImagePageType(ptype)
         except ValueError:
             raise FormatError(f"unknown page type {ptype}") from None
+        if rsw != ptype:
+            raise FormatError("rsw bits disagree with the page type")
         pages.append(ImagePage(index, unpack_perm_byte(perms), page_type,
-                               bodies[i * PAGE_BYTES : (i + 1) * PAGE_BYTES], rsw=rsw))
+                               bodies[i * PAGE_BYTES : (i + 1) * PAGE_BYTES]))
     image = EnclaveImage(developer_id, entry_offset, pages)
     try:
         image.validate()

@@ -184,41 +184,38 @@ class EnclaveHandle:
 @dataclass(frozen=True)
 class PageCtx:
     """A page's tweak-relevant identity, as the metadata page lists it and
-    as in-place re-encryption names it.  ``rsw`` defaults to the page
-    type's own bits; ``sid``, when given, is an 80-bit value."""
+    as in-place re-encryption names it.  The page type fixes the rsw the
+    page is sealed under (:data:`ENCLAVE_RSW`); ``sid``, when given (by
+    keyword), is an 80-bit value."""
 
     page_type: PageType
     perms: dict[str, bool]
-    rsw: int | None = None
-    sid: int | None = None  # explicit shared secret for SHM rekeying
+    # explicit shared secret for SHM rekeying
+    sid: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         if self.page_type is PageType.MONITOR:
             raise MonitorTypeForbidden("enclaves cannot mint monitor pages")
         if self.page_type not in ENCLAVE_RSW:
             raise InvalidCombination(f"no enclave page is {self.page_type.value}")
-        if self.rsw is None:
-            object.__setattr__(self, "rsw", ENCLAVE_RSW[self.page_type])
-        elif not 0 <= self.rsw < 4:
-            raise InvalidCombination(f"rsw {self.rsw} is not a 2-bit field")
         if self.sid is not None and not 0 <= self.sid <= SID_MASK:
             raise ValueError(f"sid {self.sid} is not an 80-bit value")
 
 
 @functools.cache
-def _listed_ctx(code: int, perm: int, rsw: int) -> PageCtx:
+def _listed_ctx(code: int, perm: int) -> PageCtx:
     """The context a metadata page record encodes, its page type stored as
     the type's own rsw (:data:`ENCLAVE_RSW`), decoded once per distinct
     record and then shared: a listed context is replaced, never changed in
     place."""
     page_type = next(t for t, own in ENCLAVE_RSW.items() if own == code)
-    return PageCtx(page_type, unpack_perm_byte(perm), rsw)
+    return PageCtx(page_type, unpack_perm_byte(perm))
 
 
 def _listed(ctx: PageCtx) -> PageCtx:
     """``ctx`` as the metadata page lists it: the context a decode of its
     record gives (no sid, the permission byte's five flags)."""
-    return _listed_ctx(ENCLAVE_RSW[ctx.page_type], pack_perm_byte(ctx.perms), ctx.rsw)
+    return _listed_ctx(ENCLAVE_RSW[ctx.page_type], pack_perm_byte(ctx.perms))
 
 
 @dataclass
@@ -280,8 +277,14 @@ class UserCtx:
 _CTX = "32QQQB7xQQ"
 _META = struct.Struct("<4sHBBQ32sQQQIHH16sQB7x" + _CTX)
 _META_MAGIC = b"SMEP"
+# An owned row is va, page type, perms, then the page type again; a swap
+# row is va, nonce, tag, perms, the page type twice and live (always 1).
+# The repeated byte is the page's rsw, which its type fixes (a type's code
+# is its rsw).  It is kept so that the layout, and every page and swap
+# associated data written under it, stays version 1; decoding ignores it,
+# since the monitor reads only pages it sealed itself.
 _OWNED = struct.Struct("<QBBB5x")
-_SWAP = struct.Struct("<Q12s16sBBBB8x")  # ..., page type, live (always 1)
+_SWAP = struct.Struct("<Q12s16sBBBB8x")
 _THREAD = struct.Struct("<4sHBBQ" + _CTX + "B")
 _THREAD_MAGIC = b"SMTP"
 MAX_OWNED = 64
@@ -325,12 +328,13 @@ class EnclaveMeta:
             self.check_room()
             page = bytearray(PAGE_BYTES)
             for i, (va, o) in enumerate(self.owned.items()):
-                _OWNED.pack_into(page, _OWNED_OFF + i * _OWNED.size, va,
-                                 ENCLAVE_RSW[o.page_type], pack_perm_byte(o.perms), o.rsw)
+                code = ENCLAVE_RSW[o.page_type]
+                _OWNED.pack_into(page, _OWNED_OFF + i * _OWNED.size, va, code,
+                                 pack_perm_byte(o.perms), code)
             for i, (va, s) in enumerate(self.swaps.items()):
+                code = ENCLAVE_RSW[s.ctx.page_type]
                 _SWAP.pack_into(page, _SWAP_OFF + i * _SWAP.size, va, s.nonce, s.tag,
-                                pack_perm_byte(s.ctx.perms), s.ctx.rsw,
-                                ENCLAVE_RSW[s.ctx.page_type], True)
+                                pack_perm_byte(s.ctx.perms), code, code, True)
         return _META.pack(
             _META_MAGIC, 1, int(self.state), 0, self.rtid, self.encid_full,
             self.entry_point, self.mrange.base, self.mrange.size,
@@ -344,10 +348,10 @@ class EnclaveMeta:
          n_owned, n_swaps, space, pc, prv, *host) = _META.unpack_from(buf)
         if magic != _META_MAGIC or version != 1:
             raise BadHandle("not an enclave metadata page")
-        owned = {va: _listed_ctx(code, perm, rsw) for va, code, perm, rsw in
+        owned = {va: _listed_ctx(code, perm) for va, code, perm, _ in
                  _OWNED.iter_unpack(buf[_OWNED_OFF:_OWNED_OFF + n_owned * _OWNED.size])}
-        swaps = {va: SwapRecord(_listed_ctx(code, perm, rsw), nonce, tag)
-                 for va, nonce, tag, perm, rsw, code, _ in
+        swaps = {va: SwapRecord(_listed_ctx(code, perm), nonce, tag)
+                 for va, nonce, tag, perm, _, code, _ in
                  _SWAP.iter_unpack(buf[_SWAP_OFF:_SWAP_OFF + n_swaps * _SWAP.size])}
         return cls(EnclaveState(state), rtid, encid, entry, RangeReg(mbase, msize, True),
                    space.rstrip(b"\x00").decode(), faults, prv,
@@ -576,13 +580,12 @@ class SecurityMonitor:
         encid = self._encid_sid(meta.encid_full) if ctx.page_type is PageType.SHENCLAVE else 0
         perms = ctx.perms
         pte_bits = pack_pte_bits(perms["r"], perms["w"], perms["x"], perms["u"],
-                                 perms.get("g", False), ctx.rsw)
+                                 perms.get("g", False), ENCLAVE_RSW[ctx.page_type])
         sw = compose_sw_tweak(va, PRV_U, pte_bits, meta.mrange, _NO_RANGE, urange,
                               {XR_M: (meta.rtid, encid), XR_U: usids},
                               self.machine.va_bits)
         if classify_tweak(sw) is not ctx.page_type:
-            raise InvalidCombination(f"rsw {ctx.rsw:02b} and these perms do not make a "
-                                     f"{ctx.page_type.value} page")
+            raise InvalidCombination(f"these perms do not make a {ctx.page_type.value} page")
         return sw
 
     def _walk_ppn(self, space: str, va: int) -> int:
@@ -622,7 +625,7 @@ class SecurityMonitor:
                 entry_point=target_base + image.entry_offset, mrange=mrange,
                 host_space=host_space,
             )
-            pages = [(page.index, PageCtx(PageType[page.page_type.name], page.perms, page.rsw),
+            pages = [(page.index, PageCtx(PageType[page.page_type.name], page.perms),
                       page.body) for page in image.pages]
             pages += [(image.n_region_pages + i, PageCtx(PageType.REGULAR, _STACK_PERMS),
                        bytes(PAGE_BYTES)) for i in range(stack_pages)]
@@ -742,13 +745,12 @@ class SecurityMonitor:
             raise NotInEnclave("call is only valid from inside an enclave")
         return handle
 
-    def eprepare(self, va: int, page_type: PageType, perms: dict[str, bool],
-                 rsw: int | None = None) -> None:
+    def eprepare(self, va: int, page_type: PageType, perms: dict[str, bool]) -> None:
         """Zero-initialize a dynamically supplied page to an enclave-chosen
         type.  Every type except MONITOR is allowed; the per-enclave mapping
         list rejects double mapping, and :meth:`_page_tweak` a context that
         does not classify as its type."""
-        ctx = PageCtx(page_type, perms, rsw)
+        ctx = PageCtx(page_type, perms)
         handle = self._active_handle()
         m = self.machine
         caller_urange = m.csr.urange
@@ -809,8 +811,8 @@ class SecurityMonitor:
         return kdf(self.machine.cpu_key, b"swap-key", meta.rtid.to_bytes(8, "little"))
 
     def _swap_ad(self, meta: EnclaveMeta, va: int, ctx: PageCtx) -> bytes:
-        return struct.pack("<QQBBB", meta.rtid, va, pack_perm_byte(ctx.perms), ctx.rsw,
-                           ENCLAVE_RSW[ctx.page_type])
+        code = ENCLAVE_RSW[ctx.page_type]
+        return struct.pack("<QQBBB", meta.rtid, va, pack_perm_byte(ctx.perms), code, code)
 
     def swap_out(self, handle: EnclaveHandle, va: int, temp_ppn: int) -> bytes:
         """Seal one enclave page into the OS-supplied temporary page and

@@ -340,10 +340,9 @@ class Snapshot(dict):
     (ciphertext, tag): the only value ``restore_lines`` puts back."""
 
 
-def _page_ctx(*, page_type: PageType, perms: str, rsw: int | None = None,
-              sid: int | None = None) -> PageCtx:
+def _page_ctx(*, page_type: PageType, perms: str, sid: int | None = None) -> PageCtx:
     """An ``emod`` ``old`` or ``new`` context."""
-    return PageCtx(page_type, perms_from_str(perms), rsw, sid)
+    return PageCtx(page_type, perms_from_str(perms), sid=sid)
 
 
 class ScenarioRunner:
@@ -442,9 +441,8 @@ class ScenarioRunner:
     def _act_interrupt(self, actor: Actor, /):
         self.sm.interrupt()
 
-    def _act_eprepare(self, actor: Actor, /, *, va: int, page_type: PageType, perms: str,
-                      rsw: int | None = None):
-        self.sm.eprepare(va, page_type, perms_from_str(perms), rsw)
+    def _act_eprepare(self, actor: Actor, /, *, va: int, page_type: PageType, perms: str):
+        self.sm.eprepare(va, page_type, perms_from_str(perms))
 
     def _act_edestroy(self, actor: Actor, /, *, va: int):
         self.sm.edestroy(va)

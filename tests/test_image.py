@@ -6,10 +6,11 @@ import pytest
 
 from conftest import std_image
 
+from servas_sim.cli import main
 from servas_sim.image import (
+    HEADER,
     FormatError,
     ImageAuthFailure,
-    ImagePage,
     ImagePageType,
     InvalidImage,
     build_image,
@@ -86,13 +87,20 @@ def test_fields_the_container_cannot_hold_are_invalid(extra, entry_offset):
         image.pack()
 
 
-def test_rsw_must_match_page_type():
-    page = ImagePage(0, {"r": True, "w": False, "x": True, "u": True, "g": False},
-                     ImagePageType.SHENCLAVE, bytes(4096), rsw=0b01)
-    image = build_image([])
-    image.pages.append(page)
-    with pytest.raises(InvalidImage):
-        image.validate()
+def test_rsw_must_match_page_type(tmp_path):
+    """A descriptor stores its page type twice, as its rsw byte (5) and its
+    type byte (6); a packed image whose two bytes disagree is malformed, and
+    ``image unpack`` exits 2 on it."""
+    good = _image().pack()
+    assert good[HEADER.size + 5] == good[HEADER.size + 6] == ImagePageType.SHENCLAVE.value
+    for offset in (5, 6):  # of the shared page's descriptor, the first
+        blob = bytearray(good)
+        blob[HEADER.size + offset] = ImagePageType.REGULAR.value
+        with pytest.raises(FormatError, match="rsw bits disagree"):
+            load_enclave_image(bytes(blob))
+        img = tmp_path / "bad.img"
+        img.write_bytes(blob)
+        assert main(["image", "unpack", "--image", str(img), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_wrap_roundtrip():

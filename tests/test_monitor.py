@@ -19,6 +19,7 @@ from servas_sim.machine import (
     Machine,
     PAGE_BYTES,
     PageFault,
+    Trap,
 )
 from servas_sim.monitor import (
     BadHandle,
@@ -43,7 +44,8 @@ from servas_sim.monitor import (
     WrongState,
 )
 from servas_sim.tweak import (
-    VOFFSET_SHIFT, InvalidCombination, PageType, PRV_M, PRV_S, PRV_U, RangeReg, SwTweak,
+    ENCLAVE_RSW, VOFFSET_SHIFT, InvalidCombination, PageType, PRV_M, PRV_S, PRV_U, RangeReg,
+    SwTweak,
 )
 
 READ, WRITE, FETCH = AccessKind.READ, AccessKind.WRITE, AccessKind.FETCH
@@ -513,20 +515,10 @@ def test_emod_wrong_old_context(enclave):
                 PageCtx(PageType.REGULAR, RW))
 
 
-@pytest.mark.parametrize("rsw", [7, 4, -1])
-def test_emod_refuses_an_rsw_outside_two_bits(enclave, rsw):
-    """An rsw outside 0..3 in the old or the new context is an invalid
-    combination, refused before any line moves and without an ``assert``
-    (so also under ``python -O``)."""
-    m, sm, handle = enclave
-    sm.eenter(handle)
-    m.access("host", DATA_VA, WRITE, PRV_U, data=b"live")
-    seals = m.mee.seals
-    for old, new in ((rsw, None), (None, rsw)):
-        with pytest.raises(InvalidCombination):
-            sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW, old), PageCtx(PageType.REGULAR, RO, new))
-    assert m.mee.seals == seals
-    assert m.access("host", DATA_VA, READ, PRV_U, size=4) == b"live"
+def test_a_page_ctx_takes_its_sid_by_keyword_only():
+    """A leftover third positional argument cannot become a sid."""
+    with pytest.raises(TypeError):
+        PageCtx(PageType.REGULAR, RO, 0b10)
 
 
 SHM_VA = 0x6000_0000
@@ -562,39 +554,49 @@ def _refused_with_nothing_moved(m, sm, handle, call, error=_REFUSED):
 @pytest.mark.parametrize("page_type", list(PageType), ids=lambda t: t.name)
 def test_an_accepted_emod_context_is_one_the_enclave_can_read(enclave, page_type, rsw, perms):
     """A context ``emod`` accepts for the data page is one the running
-    enclave can read the page under, once the OS maps it with that
-    context's perms and rsw; any other is refused before anything moves.
-    A REGULAR context with rsw 10 would seal the page under the rtid where
-    every access composes another sid."""
+    enclave can read the page under, exactly when the OS maps it with that
+    context's perms and rsw ``ENCLAVE_RSW[page_type]``; under any other rsw
+    the read traps.  A context ``emod`` does not accept is refused before
+    anything moves."""
     m, sm, handle = enclave
     sm.eenter(handle)
     payload = random.Random(5).randbytes(64)
     m.access("host", DATA_VA, WRITE, PRV_U, data=payload)
     ctx = {c: c in perms for c in "rwxug"}
     if _refused_with_nothing_moved(m, sm, handle, lambda: sm.emod(
-            DATA_VA, PageCtx(PageType.REGULAR, RW), PageCtx(page_type, ctx, rsw))):
+            DATA_VA, PageCtx(PageType.REGULAR, RW), PageCtx(page_type, ctx))):
         return
     sm.interrupt()
     m.map_page(PRV_S, "host", DATA_VA, m.walk("host", DATA_VA).ppn, perms, rsw)
     m.prv = PRV_U
     sm.eenter(handle)
-    assert m.access("host", DATA_VA, READ, PRV_U, size=64) == payload
+    if rsw == ENCLAVE_RSW[page_type]:
+        assert m.access("host", DATA_VA, READ, PRV_U, size=64) == payload
+    else:
+        with pytest.raises(Trap):
+            m.access("host", DATA_VA, READ, PRV_U, size=64)
 
 
 @pytest.mark.parametrize("perms", ["ru", "rwu", "rxu"])
 @pytest.mark.parametrize("rsw", range(4))
 def test_an_accepted_shared_context_is_one_the_enclave_can_read(enclave, rsw, perms):
     """The same for a shared page ``eprepare`` zero-fills under an enabled
-    user range: accepted only if the enclave can then read the zeros."""
+    user range: once accepted, the enclave reads the zeros exactly when the
+    OS maps the page with rsw 11, and traps under any other."""
     m, sm, handle = enclave
     m.map_page(PRV_S, "host", SHM_VA, 0x180, perms, rsw)
     sm.eenter(handle)
     m.write_csr(PRV_U, "urange", RangeReg(SHM_VA, PAGE_BYTES, True))
     m.write_csr(PRV_U, "usid0", 0xAB)
     ctx = {c: c in perms for c in "rwxug"}
-    if not _refused_with_nothing_moved(
-            m, sm, handle, lambda: sm.eprepare(SHM_VA, PageType.SHM, ctx, rsw)):
+    if _refused_with_nothing_moved(
+            m, sm, handle, lambda: sm.eprepare(SHM_VA, PageType.SHM, ctx)):
+        return
+    if rsw == ENCLAVE_RSW[PageType.SHM]:
         assert m.access("host", SHM_VA, READ, PRV_U, size=64) == bytes(64)
+    else:
+        with pytest.raises(Trap):
+            m.access("host", SHM_VA, READ, PRV_U, size=64)
 
 
 def _shm(perms=RW, sid=None):
@@ -605,16 +607,6 @@ _OVER_MRANGE = RangeReg(A_BASE, 3 * PAGE_BYTES, True)
 
 
 @pytest.mark.parametrize("urange, call, error", [
-    pytest.param(None, lambda sm: sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW),
-                                          PageCtx(PageType.REGULAR, RO, 0b10)),
-                 InvalidCombination, id="emod-rsw-disagrees-with-type"),
-    pytest.param(None, lambda sm: sm.eprepare(STACK_VA, PageType.REGULAR, RO, 0b10),
-                 InvalidCombination, id="eprepare-rsw-disagrees-with-type"),
-    pytest.param(None, lambda sm: sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW),
-                                          PageCtx(PageType.REGULAR, RO, 4)),
-                 InvalidCombination, id="emod-rsw-outside-two-bits"),
-    pytest.param(None, lambda sm: sm.eprepare(STACK_VA, PageType.REGULAR, RW, 4),
-                 InvalidCombination, id="eprepare-rsw-outside-two-bits"),
     pytest.param(None, lambda sm: sm.emod(0x7777_0000, PageCtx(PageType.REGULAR, RW),
                                           PageCtx(PageType.REGULAR, RO)),
                  RangeViolation, id="emod-outside-mrange"),

@@ -432,6 +432,16 @@ def _after_spawn(*steps):
     })
 
 
+_ENCLAVE_A = {"name": "A", "kind": "ENCLAVE", "space": "host", "handle_var": "hA"}
+_STEP_IN_A = [{"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}}]
+_CTX_RW = {"page_type": "regular", "perms": "rwu"}
+
+
+def _in_a(action, **args):
+    """Enclave A, entered, runs one step."""
+    return [*_STEP_IN_A, {"actor": "A", "action": action, "args": args}]
+
+
 def _os_map_then_write(**map_args):
     return [{"actor": "os", "action": "map_page",
              "args": {"va": 0x1000, "ppn": 0x300, **map_args}},
@@ -452,12 +462,19 @@ def _os_map_then_write(**map_args):
     _os_map_then_write(rsw=4),
     _os_map_then_write(ppn=-1),
     _os_map_then_write(ppn=1 << 60),
+    _in_a("emod", va=_A_DATA, old={**_CTX_RW, "rsw": 7}, new=_CTX_RW),
+    _in_a("emod", va=_A_DATA, old=_CTX_RW, new={**_CTX_RW, "rsw": 4}),
+    _in_a("eprepare", va=_A_BASE + 2 * PAGE_BYTES, **_CTX_RW, rsw=1),
 ], ids=["bit-past-line", "negative-bit", "bit-past-tag", "unknown-target", "negative-line",
         "restore-non-snapshot", "bad-perm-letter", "short-range-list", "rsw-past-2-bits", "negative-ppn",
-        "ppn-past-physical-memory"])
+        "ppn-past-physical-memory", "emod-old-rsw", "emod-new-rsw", "eprepare-rsw"])
 def test_malformed_step_is_script_error(steps):
+    """Each step is a script error (an ``rsw`` is the OS's mapping choice,
+    no argument of a page context), whoever runs it."""
+    scenario = _after_spawn(*steps)
+    scenario = Scenario.from_dict({**scenario.to_dict(), "actors": [*_ACTORS, _ENCLAVE_A]})
     with pytest.raises(ScriptError):
-        run_scenario(_after_spawn(*steps))
+        run_scenario(scenario)
 
 
 def test_never_written_page_snapshots_as_zero_and_restores_to_auth():
@@ -482,9 +499,6 @@ def test_never_written_page_snapshots_as_zero_and_restores_to_auth():
     blank = runner.vars["blank"]
     assert sorted(blank) == list(range(0x300 * 64, 0x301 * 64))
     assert set(blank.values()) == {(bytes(64), bytes(16))}
-
-
-_STEP_IN_A = [{"actor": "host", "action": "eenter", "args": {"handle_var": "hA"}}]
 
 
 @pytest.mark.parametrize("steps, named", [
@@ -529,15 +543,11 @@ def test_text_and_hex_spell_bytes_and_var_spells_a_saved_value():
 
 
 @pytest.mark.parametrize("old, new, detail", [
-    ({"rsw": 7}, {}, "INVALID_COMBINATION"),
-    ({}, {"rsw": 4}, "INVALID_COMBINATION"),
     ({"page_type": "monitor"}, {}, "MonitorTypeForbidden"),
     ({}, {"page_type": "unprotected"}, "INVALID_COMBINATION"),
-], ids=["old-rsw-7", "new-rsw-4", "old-monitor", "new-unprotected"])
+], ids=["old-monitor", "new-unprotected"])
 def test_an_emod_context_no_enclave_page_can_have_is_a_verdict(old, new, detail):
-    ctx = {"page_type": "regular", "perms": "rwu"}
-    steps = _STEP_IN_A + [{"actor": "A", "action": "emod",
-                           "args": {"va": _A_DATA, "old": {**ctx, **old}, "new": {**ctx, **new}}}]
+    steps = _in_a("emod", va=_A_DATA, old={**_CTX_RW, **old}, new={**_CTX_RW, **new})
     scenario = _after_spawn(*steps)
     scenario = Scenario.from_dict({**scenario.to_dict(), "actors": [*_ACTORS, _ENCLAVE_A]})
     assert run_scenario(scenario) == Verdict("DETECTED", detail, 2)
@@ -590,7 +600,6 @@ def test_a_page_index_the_image_cannot_hold_is_an_invalid_image_verdict():
 
 # --- every action, drawn from its declaration -------------------------------------
 
-_ENCLAVE_A = {"name": "A", "kind": "ENCLAVE", "space": "host", "handle_var": "hA"}
 _OS_PAGES = (0, 0x1000)
 _OS_VIEW = [{"actor": "os", "action": "map_page", "args": {"va": va, "ppn": ppn}}
             for va, ppn in zip(_OS_PAGES, (0x300, 0x101))]  # a free page, A's data
@@ -600,7 +609,7 @@ _LINE = _PPN.flatmap(lambda ppn: st.integers(ppn * 64, ppn * 64 + 63))
 _CTX = st.fixed_dictionaries(
     {"page_type": st.sampled_from([t.value for t in PageType]),
      "perms": st.sampled_from(["rwu", "ru", "rxu"])},
-    optional={"rsw": st.integers(-1, 8), "sid": st.integers(0, 1 << 80)})
+    optional={"sid": st.integers(0, 1 << 80)})
 # Well-typed values that reach past the argument checks, by argument name.
 _PLAUSIBLE = {
     "va": st.sampled_from([*_OS_PAGES, _A_BASE, _A_DATA, _A_DATA + 0x3F, 0x6000_0000]),
