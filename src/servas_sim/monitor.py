@@ -5,9 +5,9 @@ exiting, interruption, dynamic page preparation and destruction, in-place
 re-encryption, swapping and sealing.  It holds no state but the
 monotonically increasing runtime-id counter: everything else lives in two
 per-enclave MONITOR pages (metadata + thread state) that are OS-allocated
-but sealed under an M-mode tweak, so the monitor re-reads and re-verifies
-its own state on every call (what it keeps of them only saves decoding;
-see below).
+but sealed under an M-mode tweak, so every call re-reads and re-verifies,
+through the engine, each monitor page it uses (what the monitor keeps of
+them only saves decoding; see below).
 Destroying those pages erases the enclave as far as the monitor is
 concerned.  Both pages keep a hart's user context in one record
 (:class:`UserCtx`): the metadata page the host's, saved on entry and given
@@ -30,20 +30,25 @@ verifies the page in one engine call.  No CSR is
 written and no page table is consulted.  That is the entire trust
 story -- the OS-controlled page tables never have to be believed.
 
-Monitor pages are read and verified in full on every call; nothing the
-monitor keeps is trusted over the engine.  Per monitor frame it keeps the
-page's tweak, built once per frame and runtime id, the bytes it last read
-or wrote there and their decoded record, and it decodes a page only when
-the verified bytes differ from the kept ones.  A load takes the record out
-of the keep and a store puts it back with the bytes it wrote, so a call
-that raises in between leaves no record behind, and a peek hands out one
-no later call shares.  A store packs the fixed header over the kept bytes,
-and the owned and swap rows as well only when the call changed them, then
-re-seals the lines the engine cannot prove unchanged
-(:meth:`Mee.changed_lines`): those whose bytes differ, and any line sealed
-since under another binding (the OS may alias another page onto a monitor
-page) whatever its bytes.  The encid sids of recent enclaves are kept
-too, so an enclave's is derived once.
+A call loads only the monitor pages it reads and stores only those it may
+change.  ``eexit`` reads the metadata page alone: the thread page was
+verified by the ``eenter`` that made the handle active, which loads it
+even for a fresh start, so a handle whose thread page is another
+enclave's is refused before the enclave runs, and every later call that
+reads it verifies it again.  Each load verifies the whole page; nothing
+the monitor keeps is trusted over the engine.  Per monitor frame it keeps
+the page's tweak, built once per frame and runtime id, the bytes it last
+read or wrote there and their decoded record, and it decodes a page only
+when the verified bytes differ from the kept ones.  A load takes the
+record out of the keep and a store puts it back with the bytes it wrote,
+so a call that raises in between leaves no record behind, and a peek
+hands out one no later call shares.  A store packs the fixed header over
+the kept bytes, and the owned and swap rows as well only when the call
+changed them, then re-seals the lines the engine cannot prove unchanged
+(:meth:`Mee.changed_lines`): those whose bytes differ, and any line
+sealed since under another binding (the OS may alias another page onto a
+monitor page) whatever its bytes.  The encid sids of recent enclaves are
+kept too, so an enclave's is derived once.
 
 Swap-out seals a page with a fresh nonce and records (nonce, tag, address,
 permissions) in the metadata page; only that exact sealed version can come
@@ -272,8 +277,8 @@ class UserCtx:
 # Metadata: magic, version, state, pad, rtid, encid, entry point, mrange
 # base and size, fault count, owned and swap record counts, host space,
 # then the host's pc, the privilege eenter was called from and the host's
-# context.  Thread: magic, version, in-enclave flag, pad, the enclave's pc
-# and context, and whether its registers are saved.
+# context.  Thread: magic, version, two pad bytes, the enclave's pc and
+# context, and whether its registers are saved.
 _CTX = "32QQQB7xQQ"
 _META = struct.Struct("<4sHBBQ32sQQQIHH16sQB7x" + _CTX)
 _META_MAGIC = b"SMEP"
@@ -285,7 +290,7 @@ _META_MAGIC = b"SMEP"
 # since the monitor reads only pages it sealed itself.
 _OWNED = struct.Struct("<QBBB5x")
 _SWAP = struct.Struct("<Q12s16sBBBB8x")
-_THREAD = struct.Struct("<4sHBBQ" + _CTX + "B")
+_THREAD = struct.Struct("<4sHxxQ" + _CTX + "B")
 _THREAD_MAGIC = b"SMTP"
 MAX_OWNED = 64
 MAX_SWAPS = 40
@@ -362,25 +367,24 @@ class EnclaveMeta:
 class ThreadMeta:
     """The thread page: the enclave's context while it is interrupted.  A
     resume clears the registers (the page then holds zeros and no "saved"
-    flag) but leaves the saved pc, user range and sids in the page; the
-    in-enclave flag is written and never read."""
+    flag) but leaves the saved pc, user range and sids in the page.  Whether
+    the enclave runs is the metadata page's state alone."""
 
-    in_enclave: bool = False
     saved: UserCtx = field(default_factory=UserCtx)
 
     def pack(self) -> bytes:
         buf = bytearray(PAGE_BYTES)
         saved = self.saved
-        _THREAD.pack_into(buf, 0, _THREAD_MAGIC, 1, self.in_enclave, 0, saved.pc,
-                          *saved.fields(), saved.regs is not None)
+        _THREAD.pack_into(buf, 0, _THREAD_MAGIC, 1, saved.pc, *saved.fields(),
+                          saved.regs is not None)
         return bytes(buf)
 
     @classmethod
     def unpack(cls, buf: bytes) -> "ThreadMeta":
-        magic, version, in_enc, _, pc, *ctx, has_regs = _THREAD.unpack_from(buf)
+        magic, version, pc, *ctx, has_regs = _THREAD.unpack_from(buf)
         if magic != _THREAD_MAGIC or version != 1:
             raise BadHandle("not a thread metadata page")
-        return cls(bool(in_enc), UserCtx.from_fields(pc, ctx, bool(has_regs)))
+        return cls(UserCtx.from_fields(pc, ctx, bool(has_regs)))
 
 
 def _check_reg_writes(machine: Machine, regs: dict[int, int] | None) -> None:
@@ -561,8 +565,10 @@ class SecurityMonitor:
         CSRs the enclave runs with -- its range, its rtid as msid0 and its
         encid sid as msid1, no S range and, for a shared page only,
         ``urange`` with the user sids or ``(ctx.sid, 0)``.  A page outside
-        its range raises :class:`RangeViolation`; a context whose tweak does
-        not classify as its own page type, :class:`InvalidCombination`."""
+        its range raises :class:`RangeViolation`; a context whose tweak
+        :func:`classify_tweak` refuses, :class:`InvalidCombination`.  Any
+        tweak it accepts is of the context's own type, as the type fixes the
+        rsw and the checks above fix the range."""
         if ctx.page_type is PageType.SHM:
             if urange is None or not urange.enabled:
                 raise RangeViolation("shared memory needs an enabled user range")
@@ -584,8 +590,7 @@ class SecurityMonitor:
         sw = compose_sw_tweak(va, PRV_U, pte_bits, meta.mrange, _NO_RANGE, urange,
                               {XR_M: (meta.rtid, encid), XR_U: usids},
                               self.machine.va_bits)
-        if classify_tweak(sw) is not ctx.page_type:
-            raise InvalidCombination(f"these perms do not make a {ctx.page_type.value} page")
+        classify_tweak(sw)
         return sw
 
     def _walk_ppn(self, space: str, va: int) -> int:
@@ -685,8 +690,9 @@ class SecurityMonitor:
                 for reg, val in (args or {}).items():
                     m.set_reg(reg, val)
             meta.state = EnclaveState.RUNNING
-            thread.in_enclave = True
             self._store_meta(handle, meta)
+            # unchanged on a fresh start: the store re-seals no line and
+            # puts the record back in the keep
             self._store_thread(handle, thread)
             m.active_enclave = handle
             m.prv = PRV_U
@@ -699,13 +705,12 @@ class SecurityMonitor:
         _check_reg_writes(m, returns)
         with self._monitor_call():
             meta = self._load_meta(handle)
-            thread = self._load_thread(handle)
             ret_vals = {10: m.regs[10], 11: m.regs[11], **(returns or {})}
             m.regs = list(meta.host.regs)
             for reg, val in ret_vals.items():
                 m.set_reg(reg, val)
             m.pc = meta.host.pc + 4  # continue after the enter site
-            self._leave(handle, meta, thread, EnclaveState.LOADED, meta.caller_prv)
+            self._leave(handle, meta, EnclaveState.LOADED, meta.caller_prv)
 
     def interrupt(self) -> None:
         """Asynchronous interruption: park the enclave state in the thread
@@ -717,13 +722,15 @@ class SecurityMonitor:
             thread = self._load_thread(handle)
             thread.saved = UserCtx.of(m)
             m.regs = [0] * len(m.regs)  # the OS sees nothing
-            self._leave(handle, meta, thread, EnclaveState.INTERRUPTED, PRV_S)
+            self._leave(handle, meta, EnclaveState.INTERRUPTED, PRV_S)
+            self._store_thread(handle, thread)
 
-    def _leave(self, handle: EnclaveHandle, meta: EnclaveMeta, thread: ThreadMeta,
-               state: EnclaveState, prv: int) -> None:
+    def _leave(self, handle: EnclaveHandle, meta: EnclaveMeta, state: EnclaveState,
+               prv: int) -> None:
         """The one way out of the enclave, once the caller has set the
         register file: reset the enclave CSRs, give the host back its user
-        range and sids, store ``state`` in both pages and drop to ``prv``."""
+        range and sids, store ``state`` in the metadata page and drop to
+        ``prv``.  A caller that changed the thread page stores it."""
         m = self.machine
         host = meta.host
         for name, value in (("mrange", RangeReg()), ("msid0", 0), ("msid1", 0),
@@ -731,9 +738,7 @@ class SecurityMonitor:
                             ("usid1", host.usid1)):
             m.write_csr(PRV_M, name, value)
         meta.state = state
-        thread.in_enclave = False
         self._store_meta(handle, meta)
-        self._store_thread(handle, thread)
         m.active_enclave = None
         m.prv = prv
 
@@ -894,7 +899,8 @@ class SecurityMonitor:
                 thread = self._load_thread(handle)
                 thread.saved.regs = None
                 m.regs = [0] * len(m.regs)
-                self._leave(handle, meta, thread, EnclaveState.TERMINATED, PRV_S)
+                self._leave(handle, meta, EnclaveState.TERMINATED, PRV_S)
+                self._store_thread(handle, thread)
                 return DispositionKind.ENCLAVE_TERMINATED
             self._store_meta(handle, meta)
             return DispositionKind.RETRY_DENIED

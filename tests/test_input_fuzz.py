@@ -1,6 +1,7 @@
 """Malformed input files end in a verdict or a clean exit 2, never in a
-traceback: the builtin suite, dumped and mutated one node at a time, run
-through the CLI in process."""
+traceback, run through the CLI in process: the builtin suite, dumped and
+mutated one node at a time, and the standard image, packed and wrapped,
+with one byte mutation each."""
 
 import contextlib
 import io
@@ -9,7 +10,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import std_image
 from servas_sim.cli import main
+from servas_sim.monitor import derive_developer_key
 from servas_sim.scenarios import builtin_suite, dump_scenarios
 
 _SUITE = json.loads(dump_scenarios(builtin_suite()))
@@ -54,12 +57,16 @@ def _mutated(path, value):
     return doc
 
 
-def _run(path, doc):
-    path.write_text(json.dumps(doc))
+def _main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["scenarios", str(path)])
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _run(path, doc):
+    path.write_text(json.dumps(doc))
+    return _main(["scenarios", str(path)])
 
 
 @settings(max_examples=1500, deadline=None, derandomize=True)
@@ -84,3 +91,43 @@ def test_an_rsw_in_a_page_context_is_an_unknown_argument(tmp_path, site):
                         _mutated(("scenarios", i, "steps", j, "args", *ctx, "rsw"), 0b11))
     assert code == 2
     assert "unknown argument 'rsw'" in err
+
+
+_CPU_KEY = bytes(range(16))
+_IMAGES = {
+    "packed": std_image().pack(),
+    "wrapped": std_image().wrap(derive_developer_key(_CPU_KEY, b"devel-00"), bytes(12)),
+}
+
+
+def _byte_mutated(data: bytes, kind: str, at: int, byte: int) -> bytes:
+    """``data`` with one bit flipped, cut short or one byte inserted, at
+    ``at`` taken modulo the places that mutation has."""
+    if kind == "flip":
+        at %= 8 * len(data)
+        return data[:at // 8] + bytes([data[at // 8] ^ 1 << at % 8]) + data[at // 8 + 1:]
+    if kind == "truncate":
+        return data[:at % len(data)]
+    at %= len(data) + 1
+    return data[:at] + bytes([byte]) + data[at:]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(image=st.sampled_from(sorted(_IMAGES)),
+       kind=st.sampled_from(["flip", "truncate", "insert"]),
+       at=st.integers(0, 1 << 20), byte=st.integers(0, 255))
+def test_a_mutated_image_file_is_read_or_refused_with_exit_two(tmp_path_factory, image, kind,
+                                                               at, byte):
+    """``image unpack`` (with the wrapping key for the wrapped image) and
+    ``image wrap`` each exit 0, or 2 with an error message; no exception
+    escapes."""
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz.img"
+    path.write_bytes(_byte_mutated(_IMAGES[image], kind, at, byte))
+    key = ["--cpu-key", _CPU_KEY.hex()]
+    for argv in (["unpack", "--image", str(path), "--out", str(base / "unpacked"),
+                  *(key if image == "wrapped" else [])],
+                 ["wrap", "--image", str(path), *key, "--out", str(base / "wrapped.img")]):
+        code, _, err = _main(["image", *argv])
+        assert code in (0, 2)
+        assert (code == 2) == err.startswith("error: ")

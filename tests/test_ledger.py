@@ -4,9 +4,10 @@ opens the engine counts, the deterministic cost of a call, with no timing
 claim.
 
 The ``eenter``/``eexit`` rows are the simulator's answer to the paper's
-cheap enclave switch: the tweak carries the context, so a switch verifies
-the enclave's two monitor pages, re-seals the two lines whose state moved
-and flushes nothing."""
+cheap enclave switch: the tweak carries the context, so a switch flushes
+nothing.  An entry verifies the enclave's two monitor pages and re-seals
+the one metadata line whose state moved; an exit verifies and re-seals
+only the metadata page's, as it reads nothing of the thread page."""
 
 from conftest import A_BASE, spawn_enclave
 from servas_sim.machine import Machine, PAGE_BYTES
@@ -20,13 +21,13 @@ RO = {"r": True, "w": False, "x": False, "u": True, "g": False}
 # call: (engine reads, engine writes, seals, opens)
 LEDGER = {
     "ecreate": (0, 5, 320, 0),
-    "eenter": (2, 2, 2, 128),
+    "eenter": (2, 2, 1, 128),
     "interrupt": (2, 2, 3, 128),
-    "resume": (2, 2, 4, 128),
+    "resume": (2, 2, 3, 128),
     "emod": (2, 2, 65, 128),
     "edestroy": (1, 1, 67, 64),
     "eprepare": (1, 2, 67, 64),
-    "eexit": (2, 2, 2, 128),
+    "eexit": (1, 1, 1, 64),
     "swap_out": (2, 2, 132, 128),
     "swap_in": (1, 2, 68, 64),
 }

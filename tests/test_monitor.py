@@ -2,6 +2,7 @@
 pages, re-encryption, sealing, swapping, fault-threshold termination,
 statelessness."""
 
+import collections
 import dataclasses
 import hashlib
 import random
@@ -45,7 +46,7 @@ from servas_sim.monitor import (
 )
 from servas_sim.tweak import (
     ENCLAVE_RSW, VOFFSET_SHIFT, InvalidCombination, PageType, PRV_M, PRV_S, PRV_U, RangeReg,
-    SwTweak,
+    SwTweak, classify_tweak,
 )
 
 READ, WRITE, FETCH = AccessKind.READ, AccessKind.WRITE, AccessKind.FETCH
@@ -854,7 +855,7 @@ def test_monitor_pages_round_trip_every_field():
         swaps={DATA_VA: SwapRecord(PageCtx(PageType.REGULAR, RW), bytes(range(12)), bytes(16))})
     assert EnclaveMeta.unpack(meta.pack()) == meta
     for regs in (None, list(range(32))):
-        thread = ThreadMeta(True, UserCtx(0x99, regs, RangeReg(64, 128, True), 3, 4))
+        thread = ThreadMeta(UserCtx(0x99, regs, RangeReg(64, 128, True), 3, 4))
         assert ThreadMeta.unpack(thread.pack()) == thread
 
 
@@ -896,7 +897,7 @@ def test_monitor_pages_pack_golden():
     meta, thread = sm.peek_meta(handle).pack(), sm.peek_thread(handle).pack()
     assert (hashlib.sha256(meta).hexdigest(), hashlib.sha256(thread).hexdigest()) == (
         "22f248f7c99499ef525a9a37fa3bccc67127c3d13928f4fd64a9655caad90ee3",
-        "a5015798ad485704041f65635e71768d947602a63c5b7eb3e5afa14178a74618")
+        "1893576400a66403ffa8827bc61f52ff736d09ffba516fc1425509495a00dbac")
 
 
 def test_swap_temp_page_readable_by_os(enclave):
@@ -1049,42 +1050,54 @@ def test_monitor_state_lives_in_monitor_pages(machine, sm):
         sm.eenter(handle)
 
 
-def _two_interrupted_enclaves():
-    """A (monitor pages 0x200/0x201) and B (0x210/0x211) at seed 7, both
-    interrupted; A left x5 and usid0 set."""
+def _two_enclaves(interrupted: bool):
+    """A (monitor pages 0x200/0x201) and B (0x210/0x211) at seed 7, never
+    entered or both interrupted; an interrupted A left x5 and usid0 set."""
     m = Machine(seed=7)
     sm = SecurityMonitor(m)
     ha = spawn_enclave(m, sm)
     hb = spawn_enclave(m, sm, base=0x5000_0000, ppn_start=0x110,
                        meta_ppn=0x210, thread_ppn=0x211)
-    sm.eenter(ha)
-    m.set_reg(5, 0xDEAD)
-    m.write_csr(PRV_U, "usid0", 0x1234)
-    sm.interrupt()
-    sm.eenter(hb)
-    sm.interrupt()
+    if interrupted:
+        sm.eenter(ha)
+        m.set_reg(5, 0xDEAD)
+        m.write_csr(PRV_U, "usid0", 0x1234)
+        sm.interrupt()
+        sm.eenter(hb)
+        sm.interrupt()
     return m, sm, ha, hb
 
 
-@pytest.mark.parametrize("pairing", ["A-meta+B-thread", "B-meta+A-thread"])
-@pytest.mark.parametrize("rtid_of", ["meta", "thread"])
-def test_monitor_pages_of_two_enclaves_do_not_mix(pairing, rtid_of):
+@pytest.mark.parametrize("rtid_of, pairing, state", [
+    pytest.param(rtid_of, pairing, state,
+                 id=f"{rtid_of}-{pairing}" + ("-loaded" if state == "loaded" else ""))
+    for state in ("interrupted", "loaded") for rtid_of in ("meta", "thread")
+    for pairing in ("A-meta+B-thread", "B-meta+A-thread")])
+def test_monitor_pages_of_two_enclaves_do_not_mix(rtid_of, pairing, state):
     """A handle made of one enclave's metadata page and another's thread
     page fails authentication at the first page sealed for the other
     enclave, whichever rtid it carries, and nothing moves: the host never
-    runs one enclave with the other's registers or session id."""
-    m, sm, ha, hb = _two_interrupted_enclaves()
+    runs one enclave with the other's registers or session id.  A fresh
+    start reads nothing of the thread page, and is refused all the same."""
+    m, sm, ha, hb = _two_enclaves(state == "interrupted")
     meta_of, thread_of = (ha, hb) if pairing == "A-meta+B-thread" else (hb, ha)
     if rtid_of == "meta":
         mixed = dataclasses.replace(meta_of, thread_ppn=thread_of.thread_ppn)
     else:
         mixed = dataclasses.replace(thread_of, meta_ppn=meta_of.meta_ppn)
-    csrs = (m.csr.mrange, m.csr.msid0, m.csr.msid1, m.csr.urange, m.csr.usid0)
+    pages = [(sm.peek_meta(h).pack(), sm.peek_thread(h).pack()) for h in (ha, hb)]
+    before = _monitor_state(m)
     with pytest.raises(AuthenticationException):
         sm.eenter(mixed)
-    assert m.active_enclave is None and m.prv == PRV_S
-    assert (m.csr.mrange, m.csr.msid0, m.csr.msid1, m.csr.urange, m.csr.usid0) == csrs
-    assert m.regs == [0] * 32
+    assert _monitor_state(m) == before and m.active_enclave is None
+    assert [(sm.peek_meta(h).pack(), sm.peek_thread(h).pack()) for h in (ha, hb)] == pages
+    if state == "loaded":  # both enclaves still start at their own entry
+        for h in (hb, ha):
+            sm.eenter(h)
+            meta = sm.peek_meta(h)
+            assert (m.pc, m.csr.msid0) == (meta.entry_point, meta.rtid)
+            sm.eexit()
+        return
     # both enclaves still resume with their own state
     sm.eenter(hb)
     assert (m.get_reg(5), m.csr.usid0, m.csr.msid0) == (0, 0, sm.peek_meta(hb).rtid)
@@ -1145,15 +1158,34 @@ def test_every_monitor_line_is_reverified(enclave, ppn):
         sm.eexit()
 
 
+def test_a_tampered_thread_page_stops_the_next_call_that_reads_it(enclave):
+    """``eexit`` reads only the metadata page, so a thread-page line flipped
+    while the enclave runs does not keep the host out: the exit completes
+    with no enclave active.  The next entry reads the page, fails
+    authentication and moves nothing."""
+    m, sm, handle = enclave
+    caller_prv = m.prv
+    sm.eenter(handle)
+    m.phys_flip_bit(0x201 * LINES_PER_PAGE + 5, 77)
+    sm.eexit()
+    assert (m.active_enclave, m.prv, m.csr.msid0) == (None, caller_prv, 0)
+    assert sm.peek_meta(handle).state is EnclaveState.LOADED
+    before = _monitor_state(m)
+    with pytest.raises(AuthenticationException):
+        sm.eenter(handle)
+    assert _monitor_state(m) == before
+
+
 def test_enter_exit_engine_op_counts(enclave):
-    """Both monitor pages are verified in full on entry and on exit, and
-    only the lines whose bytes changed are re-sealed."""
+    """Both monitor pages are verified in full on entry and the metadata
+    page alone on exit, and only the lines whose bytes changed are
+    re-sealed."""
     m, sm, handle = enclave
     before = (m.mee.seals, m.mee.opens)
     sm.eenter(handle)
     sm.eexit()
     counts = {"write": m.mee.seals - before[0], "read": m.mee.opens - before[1]}
-    assert counts == {"write": 4, "read": 256}
+    assert counts == {"write": 2, "read": 192}
 
 
 @pytest.mark.parametrize("cache_cfg", [None, CacheCfg(512, 4)], ids=["cache-off", "cache-on"])
@@ -1295,6 +1327,28 @@ def test_page_tweak_equals_enclave_composition(enclave):
             assert stepped == m.compose_for_access(va + i * 64, PRV_U, pte_bits)
 
 
+def test_a_page_tweak_is_of_its_own_type_or_refused(enclave):
+    """Every permission set of each type the monitor may write, in range:
+    the type fixes the rsw and the range checks fix the range, so
+    :func:`classify_tweak` either gives the context's own type or refuses
+    the context itself."""
+    m, sm, handle = enclave
+    meta = sm.peek_meta(handle)
+    urange = RangeReg(SHM_VA, PAGE_BYTES, True)
+    outcomes = []
+    for page_type, va in ((PageType.REGULAR, DATA_VA), (PageType.SHENCLAVE, A_BASE),
+                          (PageType.SHM, SHM_VA)):
+        for bits in range(32):
+            perms = {flag: bool(bits >> i & 1) for i, flag in enumerate("rwxug")}
+            try:
+                sw = sm._page_tweak(meta, PageCtx(page_type, perms), va, urange=urange)
+            except InvalidCombination:
+                outcomes.append("refused")
+                continue
+            outcomes.append("own type" if classify_tweak(sw) is page_type else "other type")
+    assert collections.Counter(outcomes) == {"own type": 64, "refused": 32}
+
+
 def _user_trace_world():
     """The standard enclave with four data pages on a 512x4 tweak cache,
     entered, with a shared page and two unprotected host pages mapped: its
@@ -1355,6 +1409,6 @@ def test_user_trace_ciphertext_and_counts_golden():
     assert out.hexdigest() == \
         "38bf91c8a5e65856bdf3625aa9266e8dd22ba40233ac244e2c6c309dd65fd289"
     assert enclave_pages == "5f45fa1ee76f6c44ff314cd81c77059193e623995aed1a09534d58bd77273d07"
-    assert monitor_pages == "7e7e3f9b2b0954c0c7a3497e864561d405302cb81b632849f03af6a429e9116a"
+    assert monitor_pages == "b02597692527b8c061f8080c2531cd90a666a33bbbce9de98521548270e3816b"
     # cache hits, misses, tweak mismatches; engine writes, reads; sealed lines
-    assert counts == (1694, 562, 42, 417, 458, 576)
+    assert counts == (1694, 562, 42, 416, 455, 576)

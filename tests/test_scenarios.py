@@ -291,7 +291,7 @@ def test_builtin_pass_engine_digest():
     assert enclave_pages.hexdigest() == \
         "26108a6e2ddcad5b7d332caa25b01983e42848f738693181b4306819e17c2ba6"
     assert monitor_pages.hexdigest() == \
-        "44d82c57594f9c73af99fe688972391c98d2582aec1d3b940a6cdbb929223f13"
+        "4677bf13b3f48debb7114bb4a2524e42ccb257eabf3f28946ed1bbccb766b2ea"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -303,11 +303,11 @@ def test_builtin_pass_engine_op_counts(seed):
         runner = ScenarioRunner(scenario, seed=seed)
         runner.run()
         seals, opens = seals + runner.machine.mee.seals, opens + runner.machine.mee.opens
-    assert (seals, opens) == (6583, 5475)
+    assert (seals, opens) == (6552, 4835)
 
 
 def test_builtin_pass_builds_few_per_line_entries():
-    """Of the 6,583 lines one builtin pass at seed 0 writes, the engine
+    """Of the 6,552 lines one builtin pass at seed 0 writes, the engine
     builds a per-line entry for 76: the lines written one at a time and
     the record lines later addressed alone.  Each page written whole is one
     record, so a change that builds an entry per line of such a page again
@@ -324,7 +324,7 @@ def test_builtin_pass_real_aead_opens(monkeypatch):
     """One builtin pass at seed 0 makes 18 real AEAD opens: the monitor's
     two swap-record opens and the 16 engine opens that fail (the attacks
     it detects).  The engine's memo serves every line verification that
-    succeeds, 5,459 of the 5,475, nearly all of them monitor-page lines."""
+    succeeds, 4,819 of the 4,835, nearly all of them monitor-page lines."""
     from servas_sim.aead import AesGcmAead
 
     calls = []
@@ -344,7 +344,7 @@ def test_builtin_pass_real_aead_seals(monkeypatch):
     """One builtin pass at seed 0 makes 79 real AEAD seals: the monitor's
     three swap-out seals and the 76 engine lines whose raw bytes something
     looked at (66 snapshots, 9 failing reads, one restore over a line).
-    The rest of the 6,583 lines the engine counts as sealed are never
+    The rest of the 6,552 lines the engine counts as sealed are never
     observed, so their ciphertext is never computed."""
     from servas_sim.aead import AesGcmAead
 
@@ -385,7 +385,7 @@ def test_builtin_pass_engine_digest_on_ascon(monkeypatch):
     assert enclave_pages.hexdigest() == \
         "cb488b2867ea4fd20747a85f6580b84833cc162c1fe56b4da77cebb43b7c96a2"
     assert monitor_pages.hexdigest() == \
-        "862b7dba277e75b727f9ab6651cc8e39d150d5409f1bffb76189a33178322acd"
+        "ccbe938b9bb129829fd2ae7b4b64ad9e021741d008617db5001e9081f8087016"
 
 
 def test_finished_scenario_machine_is_freed_without_the_gc():
