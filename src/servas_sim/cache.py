@@ -265,41 +265,42 @@ class TweakTaggedCache:
         self.misses = 0
         self.tweak_mismatches = 0
 
-    def _match(self, ways: dict, line_index: int, sw_int: int) -> tuple[int, bytes] | None:
-        """The set's entry for the line under ``sw_int``, or None.  An entry
-        under another tweak is a mismatch: under write-through the memory
-        copy is already current, so the stale tag is just dropped."""
+    def read(self, line_index: int, sw, fill) -> bytes:
+        """The line under ``sw``: the cached copy if its tag is ``sw``, else
+        what ``fill`` reads, installed.  An entry under another tweak is a
+        mismatch: under write-through the memory copy is already current,
+        so the stale tag is just dropped."""
+        ways = self.sets[line_index % self.n_sets]
         entry = ways.get(line_index)
-        if entry is not None and entry[0] != sw_int:
+        if entry is not None:
+            if entry[0] == sw.value:
+                self.hits += 1
+                return entry[1]
             self.tweak_mismatches += 1
             del ways[line_index]
-            return None
-        return entry
-
-    def read(self, line_index: int, sw, fill) -> bytes:
-        sw_int = sw.to_int()
-        ways = self.sets[line_index % self.n_sets]
-        entry = self._match(ways, line_index, sw_int)
-        if entry is not None:
-            self.hits += 1
-            return entry[1]
         self.misses += 1
         data = fill(line_index, sw)  # may raise AuthenticationError
-        self._install(ways, line_index, sw_int, data)
+        self._install(ways, line_index, sw.value, data)
         return data
 
     def update(self, line_index: int, sw, data: bytes) -> None:
         """Install the post-write line image (the write itself already went
-        through to the engine)."""
-        sw_int = sw.to_int()
+        through to the engine): in place under the cached tag, else as
+        :meth:`read` installs a fill, after dropping a mismatched entry."""
         ways = self.sets[line_index % self.n_sets]
-        self._match(ways, line_index, sw_int)
-        self._install(ways, line_index, sw_int, data)
+        entry = ways.get(line_index)
+        if entry is not None:
+            if entry[0] == sw.value:
+                ways[line_index] = entry[0], data
+                return
+            self.tweak_mismatches += 1
+            del ways[line_index]
+        self._install(ways, line_index, sw.value, data)
 
     def _install(self, ways: dict, line_index: int, sw_int: int, data: bytes) -> None:
-        """Put the line in its set: in place if the set holds it, else at
-        the end, after dropping a random entry of a full set."""
-        if line_index not in ways and len(ways) >= self.cfg.ways:
+        """Put a line the set does not hold at the end of its set, after
+        dropping a random entry of a full set."""
+        if len(ways) >= self.cfg.ways:
             del ways[list(ways)[self.rng.randrange(len(ways))]]
         ways[line_index] = sw_int, data
 

@@ -51,23 +51,42 @@ def _seed_from(args) -> int:
     return int(os.environ.get("SERVAS_SIM_SEED", "0"))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x, 0) for x in text.split(",") if x]
+def _parse_int_list(text: str, name: str) -> list[int]:
+    try:
+        return [int(x, 0) for x in text.split(",") if x]
+    except ValueError:
+        raise ScriptError(f"{name} takes a comma list of integers, not {text!r}") from None
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str, name: str) -> list[int]:
     """``a:b:step`` (or ``a:b``) inclusive range, of at most the row
     bound's points, or a comma list."""
-    if ":" in text:
+    if ":" not in text:
+        return _parse_int_list(text, name)
+    try:
         parts = [int(x, 0) for x in text.split(":")]
-        if len(parts) > 3:
-            raise ScriptError(f"range {text} has {len(parts)} fields, not a:b or a:b:step")
-        points = range(parts[0], parts[1] + 1, *parts[2:])
-        if points[cache.ROW_LIMIT:]:  # no len(): it overflows on a huge range
-            raise ScriptError(f"range {text} lists more than the row bound of "
-                              f"{cache.ROW_LIMIT:,} points")
-        return list(points)
-    return _parse_int_list(text)
+    except ValueError:
+        raise ScriptError(f"{name} takes a:b, a:b:step or a comma list, not {text!r}") from None
+    if len(parts) > 3:
+        raise ScriptError(f"range {text} has {len(parts)} fields, not a:b or a:b:step")
+    if parts[2:] == [0]:
+        raise ScriptError(f"range {text} has a step of 0")
+    points = range(parts[0], parts[1] + 1, *parts[2:])
+    if points[cache.ROW_LIMIT:]:  # no len(): it overflows on a huge range
+        raise ScriptError(f"range {text} lists more than the row bound of "
+                          f"{cache.ROW_LIMIT:,} points")
+    return list(points)
+
+
+def _parse_tc(text: str) -> list[TcCfg]:
+    points = []
+    for part in text.split(","):
+        n_tweak, _, voffl = part.partition(":")
+        try:
+            points.append((int(n_tweak, 0), int(voffl, 0)))
+        except ValueError:
+            raise ScriptError(f"--tc point {part!r} is not n_tweak:b_voffsetL") from None
+    return [TcCfg(n_tweak=n, voffset_low_bits=v) for n, v in points]
 
 
 def _out_stream(path: str | None):
@@ -148,8 +167,8 @@ plot "{csv}" every ::2 using 3:(strcol(4) eq "{mode}" ? $5 : 1/0) \\
 def cmd_evictions(args) -> int:
     seed = _seed_from(args)
     rows = eviction_grid(
-        _parse_int_list(args.entries), _parse_int_list(args.ways),
-        _parse_range(args.tweaks), trials=args.trials, seed=seed,
+        _parse_int_list(args.entries, "--entries"), _parse_int_list(args.ways, "--ways"),
+        _parse_range(args.tweaks, "--tweaks"), trials=args.trials, seed=seed,
     )
     with _out_stream(args.out) as stream:
         writer = csv.writer(stream)
@@ -168,11 +187,8 @@ def cmd_overhead(args) -> int:
     if tc is None:
         tc = ",".join(f"{n}:{b}" for n in (32, 128, 512)
                       for b in (6, 20, voffset_bits(args.va_bits)))
-    tc_cfgs = []
-    for part in tc.split(","):
-        n_tweak, voffl = part.split(":")
-        tc_cfgs.append(TcCfg(n_tweak=int(n_tweak, 0), voffset_low_bits=int(voffl, 0)))
-    rows = overhead_sweep(_parse_range(args.lines), tc_cfgs, va_bits=args.va_bits)
+    rows = overhead_sweep(_parse_range(args.lines, "--lines"), _parse_tc(tc),
+                          va_bits=args.va_bits)
     with _out_stream(args.out) as stream:
         writer = csv.writer(stream)
         writer.writerow([OVERHEAD_CSV_SCHEMA])

@@ -55,6 +55,14 @@ through :meth:`Machine.pinned_page`, the monitor's page I/O under a tweak
 it pins itself, which skips verification -- that is how the security
 monitor initializes pages regardless of their previous binding.
 
+A user access is the hot path, and each of its frames does modelled
+work: with the cache on, a hit read runs :meth:`Machine.access`, the
+permission check, ``_line_access`` and the cache's read, which matches the
+tag with one lookup; a hit write adds the engine's one-line write and the
+cache's update, in place under a matching tag; a miss adds the engine's
+one-line read and the install of the fill.  The tweak's packed ``value``
+is read as a slot, with no call.
+
 The cache is write-through, and the machine keeps it coherent: every path
 that changes a line below it -- a pinned page write,
 :meth:`Machine.destroy_page`, the physical attacker's restore and bit flip
@@ -423,7 +431,7 @@ class Machine:
         ptype = self._classify(base, PRV_M, sw)
         if (self.bypass and ptype is _UNPROTECTED) or (
                 kind is not _WRITE and self.cache is not None):
-            value = sw.to_int()
+            value = sw.value
             out = []
             for i in lines:
                 pa = base + i * LINE_BYTES
@@ -443,7 +451,7 @@ class Machine:
         except AuthenticationError as exc:
             i = exc.line_index - first
             self._auth_trap(base + i * LINE_BYTES, PRV_M,
-                            SwTweak.from_int(sw.to_int() + (i << VOFFSET_SHIFT), sw.va_bits), exc)
+                            SwTweak.from_int(sw.value + (i << VOFFSET_SHIFT), sw.va_bits), exc)
 
     @staticmethod
     def _classify(va: int, prv: int, sw: SwTweak) -> PageType:

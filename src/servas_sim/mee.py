@@ -15,6 +15,16 @@ is bound to the tweak plus ``i`` in its voffset field, which is how every
 line of a page is bound.  The tweak width, associated-data length and
 cipher are looked up once per call.
 
+One line.  A call for one line, ``lines`` left at its default, is the
+machine's access path, so it runs no Python function but its own: the
+packed tweak is read as the tweak's ``value`` slot, and a write's loop
+body looks up each line's own page, so a loop of one line has no per-page
+setup.  A one-line read that its memo or its page's record serves (see
+below) returns before the loop, with the memo test written out; every
+other one-line read -- a never-written line, a detach, a real open, an
+error -- goes through the loop.  Tests hold both spellings of a one-line
+call, the default and ``[0]``, to the reference engine.
+
 ``seals`` and ``opens`` count the lines sealed and the lines verified (a
 failed verification included), however and whenever the AEAD work was
 done.
@@ -177,7 +187,7 @@ def full_tweak_bytes(counter: int, sw: SwTweak) -> bytes:
     """Serialize counter || software tweak, counter in the high bits: the
     associated data a line is sealed under."""
     width = sw.bit_width
-    return (counter << width | sw.to_int()).to_bytes((COUNTER_BITS + width + 7) // 8, "big")
+    return (counter << width | sw.value).to_bytes((COUNTER_BITS + width + 7) // 8, "big")
 
 
 @functools.cache
@@ -358,40 +368,38 @@ class Mee:
         whole page as one record (see the module docstring).  ``content``
         that is not whole 64-byte lines is refused before any line moves;
         otherwise lines are written in order, and a failing check stops the
-        call at that line."""
+        call at that line.  Every line runs the same body, which looks up
+        its own page, so a one-line write has no per-page setup."""
         if len(content) % LINE_BYTES:
             raise ValueError("writes are whole 64-byte lines")
-        sw_int, va_bits = sw.to_int(), sw.va_bits
-        base = first_line & _PAGE_MASK
-        if (len(lines) == LINES_PER_PAGE and lines in _WHOLE_PAGE and first_line == base
-                and 0 <= base < LINE_LIMIT and len(content) >= PAGE_BYTES
-                and self._store_page(base, sw_int, va_bits, _STEP, bytes(content[:PAGE_BYTES]))):
+        sw_int, va_bits = sw.value, sw.va_bits
+        if (len(lines) == LINES_PER_PAGE and lines in _WHOLE_PAGE
+                and not first_line & _LINE_MASK and 0 <= first_line < LINE_LIMIT
+                and len(content) >= PAGE_BYTES
+                and self._store_page(first_line, sw_int, va_bits, _STEP,
+                                     bytes(content[:PAGE_BYTES]))):
             return
         width, marker = _ad_shape(va_bits)
         pages = self._pages
-        page = pages.get(base)
-        in_place = first_line == base and page is not None and page.serves(sw_int, va_bits)
-        end = base + LINES_PER_PAGE if 0 <= base < LINE_LIMIT else base
         for i in lines:
             line = first_line + i
-            if not base <= line < end:  # another page, or no line at all
-                _check_line(line)
-                base = line & _PAGE_MASK
-                end = base + LINES_PER_PAGE
-                page = pages.get(base)
-                in_place = False
+            j = line & _LINE_MASK
+            page = pages.get(line - j)
             plaintext = content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
+            if page is None:
+                _check_line(line)
             if len(plaintext) != LINE_BYTES:
                 raise ValueError("writes are whole 64-byte lines")
             if page is None:
-                page = pages[base] = _Page()
-            j = line - base
+                page = pages[line - j] = _Page()
             counter = page.counters[j] + 1
             if counter >= COUNTER_LIMIT:
                 raise CounterOverflow(f"line {line:#x} counter exhausted")
             page.counters[j] = counter
             self.seals += 1
-            if in_place and j not in page.lines:  # a line the record covers
+            # i == j exactly when the call starts at this page's first line
+            if (i == j and page.sw == sw_int and page.va_bits == va_bits
+                    and page.step == _STEP and j not in page.lines):  # a line the record covers
                 old = page.content
                 page.content = b"".join((old[:j * LINE_BYTES], plaintext,
                                          old[(j + 1) * LINE_BYTES:]))
@@ -407,14 +415,31 @@ class Mee:
         fails verification raises :class:`AuthenticationError` naming it.  A
         line whose memo matches, or that its record serves, is read with no
         AEAD call, and a whole page its record serves, none of its lines
-        detached, is returned as stored (see the module docstring)."""
-        sw_int, va_bits = sw.to_int(), sw.va_bits
-        if len(lines) == LINES_PER_PAGE and lines in _WHOLE_PAGE:
+        detached, is returned as stored (see the module docstring).
+
+        A one-line read its memo or record serves returns before the page
+        loop, with the memo test written out; every other line, and every
+        error, goes through the loop."""
+        sw_int, va_bits = sw.value, sw.va_bits
+        width, marker = _ad_shape(va_bits)
+        if lines == (0,):
+            j = first_line & _LINE_MASK
+            page = self._pages.get(first_line - j)
+            if page is not None:
+                entry = page.lines.get(j)
+                if entry is None:  # the record's tweak, if any, is the read's
+                    if page.sw == sw_int - j * page.step and page.va_bits == va_bits:
+                        self.opens += 1
+                        return page.content[j * LINE_BYTES:(j + 1) * LINE_BYTES]
+                elif (len(entry) == 6 and entry[4] == marker | page.counters[j] << width | sw_int
+                      and entry[2] == entry[0] and entry[3] == entry[1]):
+                    self.opens += 1
+                    return entry[5]
+        elif len(lines) == LINES_PER_PAGE and lines in _WHOLE_PAGE:
             page = self._whole_record(first_line, sw_int, va_bits)
             if page is not None:
                 self.opens += LINES_PER_PAGE
                 return page.content
-        width, marker = _ad_shape(va_bits)
         open_, key, pages = self.aead.open, self.key, self._pages
         out = []
         for i in lines:
@@ -454,7 +479,7 @@ class Mee:
         already holds the ``i``-th line of ``content`` under the tweak
         :meth:`write` steps and its current counter.  A never-written,
         tampered, destroyed or foreign-bound line is always listed."""
-        sw_int, va_bits = sw.to_int(), sw.va_bits
+        sw_int, va_bits = sw.value, sw.va_bits
         n = len(content) // LINE_BYTES
         if n == LINES_PER_PAGE:
             page = self._whole_record(first_line, sw_int, va_bits)
@@ -490,7 +515,7 @@ class Mee:
         if first_line & _LINE_MASK:
             raise ValueError(f"line {first_line:#x} does not start a page")
         sw = self._destroy_sw
-        if not self._store_page(first_line, sw.to_int(), sw.va_bits, 0, _ZERO_PAGE):
+        if not self._store_page(first_line, sw.value, sw.va_bits, 0, _ZERO_PAGE):
             for i in _PAGE_RANGE:  # a counter overflows: stop at that line
                 self.destroy(first_line + i)
 

@@ -47,8 +47,9 @@ the kept bytes, and the owned and swap rows as well only when the call
 changed them, then re-seals the lines the engine cannot prove unchanged
 (:meth:`Mee.changed_lines`): those whose bytes differ, and any line
 sealed since under another binding (the OS may alias another page onto a
-monitor page) whatever its bytes.  The encid sids of recent enclaves are
-kept too, so an enclave's is derived once.
+monitor page) whatever its bytes; with no such line it makes no engine
+call.  The encid sids of recent enclaves are kept too, so an enclave's is
+derived once.
 
 Swap-out seals a page with a fresh nonce and records (nonce, tag, address,
 permissions) in the metadata page; only that exact sealed version can come
@@ -88,6 +89,7 @@ from .machine import (
     PAGE_BYTES,
     PPN_LIMIT,
     AccessKind,
+    AuthenticationException,
     Machine,
     PageFault,
     Trap,
@@ -526,10 +528,11 @@ class SecurityMonitor:
         """Re-seal the lines of monitor page ``ppn``, loaded by this call,
         that the engine cannot prove already hold ``content`` under the
         page's binding (:meth:`Mee.changed_lines`), and keep ``record``
-        with it."""
+        with it.  A store that changes no line makes no engine call."""
         rtid, sw, _, _ = self._kept[ppn]
         changed = self.machine.mee.changed_lines(ppn * LINES_PER_PAGE, content, sw)
-        self.machine.pinned_page(ppn, sw, AccessKind.WRITE, content, changed)
+        if changed:
+            self.machine.pinned_page(ppn, sw, AccessKind.WRITE, content, changed)
         self._kept[ppn] = (rtid, sw, content, record)
 
     def _load_meta(self, handle: EnclaveHandle) -> EnclaveMeta:
@@ -691,8 +694,8 @@ class SecurityMonitor:
                     m.set_reg(reg, val)
             meta.state = EnclaveState.RUNNING
             self._store_meta(handle, meta)
-            # unchanged on a fresh start: the store re-seals no line and
-            # puts the record back in the keep
+            # unchanged on a fresh start: the store writes nothing and puts
+            # the record back in the keep
             self._store_thread(handle, thread)
             m.active_enclave = handle
             m.prv = PRV_U
@@ -714,14 +717,22 @@ class SecurityMonitor:
 
     def interrupt(self) -> None:
         """Asynchronous interruption: park the enclave state in the thread
-        page, wipe the register file, hand control to the OS."""
+        page, wipe the register file, hand control to the OS.  A thread
+        page that fails verification cannot hold the parked state: the
+        enclave is left as TERMINATED, control still goes to the OS, and
+        the AUTH trap propagates."""
         m = self.machine
         handle = self._active_handle()
         with self._monitor_call():
             meta = self._load_meta(handle)
-            thread = self._load_thread(handle)
-            thread.saved = UserCtx.of(m)
+            saved = UserCtx.of(m)
             m.regs = [0] * len(m.regs)  # the OS sees nothing
+            try:
+                thread = self._load_thread(handle)
+            except AuthenticationException:
+                self._leave(handle, meta, EnclaveState.TERMINATED, PRV_S)
+                raise
+            thread.saved = saved
             self._leave(handle, meta, EnclaveState.INTERRUPTED, PRV_S)
             self._store_thread(handle, thread)
 
@@ -875,7 +886,9 @@ class SecurityMonitor:
     # --- the authentication-exception handler --------------------------------
 
     def handle_auth_fault(self, trap) -> DispositionKind:
-        """Fault-threshold termination policy for authentication faults."""
+        """Fault-threshold termination policy for authentication faults.
+        A thread page that fails verification does not stop a termination:
+        it is left as it is, and the enclave's fault is the trap raised."""
         if self._in_monitor:
             # The monitor's own probe (image check, re-encryption read, ...)
             # is reported to its caller, never charged to an enclave.
@@ -896,11 +909,15 @@ class SecurityMonitor:
                 return DispositionKind.RETRY_DENIED
             meta.fault_count += 1
             if meta.fault_count >= self.fault_threshold:
-                thread = self._load_thread(handle)
-                thread.saved.regs = None
+                try:
+                    thread = self._load_thread(handle)
+                except AuthenticationException:
+                    thread = None  # a thread page that fails holds nothing to clear
                 m.regs = [0] * len(m.regs)
                 self._leave(handle, meta, EnclaveState.TERMINATED, PRV_S)
-                self._store_thread(handle, thread)
+                if thread is not None:
+                    thread.saved.regs = None
+                    self._store_thread(handle, thread)
                 return DispositionKind.ENCLAVE_TERMINATED
             self._store_meta(handle, meta)
             return DispositionKind.RETRY_DENIED

@@ -105,13 +105,15 @@ def unpack_pte_bits(pte: int) -> dict[str, int]:
 
 
 class SwTweak:
-    """The software-visible tweak half: the packed integer and the VA width.
+    """The software-visible tweak half: the packed integer ``value`` (also
+    :meth:`to_int`, for callers that want a method) and the VA width.
 
     Immutable.  The public constructor checks every field; composition and
-    :meth:`from_int` build the value directly.
+    :meth:`from_int` build the value directly.  The access path reads
+    ``value`` as a plain slot, with no call.
     """
 
-    __slots__ = ("_value", "va_bits")
+    __slots__ = ("value", "va_bits")
 
     def __init__(self, xrange: int, voffset: int, prv: int, pte: int, sid: int,
                  va_bits: int = 48) -> None:
@@ -139,37 +141,37 @@ class SwTweak:
     def __eq__(self, other):
         if other.__class__ is not SwTweak:
             return NotImplemented
-        return self._value == other._value and self.va_bits == other.va_bits
+        return self.value == other.value and self.va_bits == other.va_bits
 
     def __hash__(self) -> int:
-        return hash((self._value, self.va_bits))
+        return hash((self.value, self.va_bits))
 
     def __repr__(self) -> str:
         return (f"SwTweak(xrange={self.xrange}, voffset={self.voffset}, prv={self.prv}, "
                 f"pte={self.pte}, sid={self.sid}, va_bits={self.va_bits})")
 
     def __reduce__(self):
-        return SwTweak.from_int, (self._value, self.va_bits)
+        return SwTweak.from_int, (self.value, self.va_bits)
 
     @property
     def xrange(self) -> int:
-        return self._value >> (VOFFSET_SHIFT + self.va_bits - LINE_SHIFT)
+        return self.value >> (VOFFSET_SHIFT + self.va_bits - LINE_SHIFT)
 
     @property
     def voffset(self) -> int:
-        return (self._value >> VOFFSET_SHIFT) & ((1 << voffset_bits(self.va_bits)) - 1)
+        return (self.value >> VOFFSET_SHIFT) & ((1 << voffset_bits(self.va_bits)) - 1)
 
     @property
     def prv(self) -> int:
-        return (self._value >> _PRV_SHIFT) & ((1 << PRV_BITS) - 1)
+        return (self.value >> _PRV_SHIFT) & ((1 << PRV_BITS) - 1)
 
     @property
     def pte(self) -> int:
-        return (self._value >> _PTE_SHIFT) & ((1 << PTE_BITS) - 1)
+        return (self.value >> _PTE_SHIFT) & ((1 << PTE_BITS) - 1)
 
     @property
     def sid(self) -> int:
-        return self._value & SID_MASK
+        return self.value & SID_MASK
 
     @property
     def bit_width(self) -> int:
@@ -177,13 +179,13 @@ class SwTweak:
 
     @property
     def rsw(self) -> int:
-        return (self._value >> (_PTE_SHIFT + 5)) & 0b11
+        return (self.value >> (_PTE_SHIFT + 5)) & 0b11
 
     def to_int(self) -> int:
-        return self._value
+        return self.value
 
     def to_bytes(self) -> bytes:
-        return self._value.to_bytes((self.bit_width + 7) // 8, "big")
+        return self.value.to_bytes((self.bit_width + 7) // 8, "big")
 
     @classmethod
     def from_int(cls, value: int, va_bits: int = 48) -> "SwTweak":
@@ -192,7 +194,7 @@ class SwTweak:
         return _packed(value, va_bits)
 
 
-_set_value = SwTweak._value.__set__
+_set_value = SwTweak.value.__set__
 _set_va_bits = SwTweak.va_bits.__set__
 
 
@@ -368,7 +370,7 @@ def _classify_key(key: int) -> PageType | str:
 def classify_tweak(sw: SwTweak) -> PageType:
     """:func:`classify_page_type` of a composed tweak, through a table keyed
     by its (xrange, prv, pte) bits and filled on first use of each key."""
-    value = sw._value
+    value = sw.value
     key = (value >> (VOFFSET_SHIFT + sw.va_bits - LINE_SHIFT) << (PRV_BITS + PTE_BITS)
            | value >> _PTE_SHIFT & _PRV_PTE_MASK)
     found = _classify_key(key)

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -35,6 +36,19 @@ def spawn_enclave(machine, sm, image=None, base=A_BASE, ppn_start=0x100,
     assert sm.machine is machine
     return scenarios.spawn_enclave(sm, image or std_image(), space, base, ppn_start,
                                    stack_pages, meta_ppn, thread_ppn, ppn_overrides)
+
+
+def python_frames(fn, *args, **kwargs) -> list[str]:
+    """The names of the Python functions ``fn(*args, **kwargs)`` runs, in
+    call order, ``fn`` first."""
+    frames = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and frames.append(
+        frame.f_code.co_name))
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return frames
 
 
 @pytest.fixture

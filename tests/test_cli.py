@@ -351,6 +351,24 @@ def test_overhead_takes_no_seed(capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("evictions", "--entries", "8,x"), "--entries takes a comma list of integers, not '8,x'"),
+    (("evictions", "--ways", "1:4"), "--ways takes a comma list of integers, not '1:4'"),
+    (("evictions", "--tweaks", "2:"), "--tweaks takes a:b, a:b:step or a comma list, not '2:'"),
+    (("evictions", "--tweaks", "2:8:0"), "range 2:8:0 has a step of 0"),
+    (("overhead", "--lines", "64:x"), "--lines takes a:b, a:b:step or a comma list, not '64:x'"),
+    (("overhead", "--tc", "32"), "--tc point '32' is not n_tweak:b_voffsetL"),
+    (("overhead", "--tc", "32:6,128:6:1"), "--tc point '128:6:1' is not n_tweak:b_voffsetL"),
+], ids=["entries", "ways", "tweaks", "tweaks-step", "lines", "tc-no-split", "tc-three-fields"])
+def test_a_malformed_grid_value_exits_two_naming_it(tmp_path, capsys, argv, message):
+    """A grid value that is not the integers its option takes is refused
+    with a message that names the option, before anything is written."""
+    out = tmp_path / "grid.csv"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_overhead_refuses_a_negative_inline_voffset_split(tmp_path, capsys):
     out = tmp_path / "o.csv"
     assert run_cli("overhead", "--tc", "32:-1", "--lines", "64", "--out", str(out)) == 2

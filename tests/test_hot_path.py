@@ -12,7 +12,13 @@ No decode and no key derivation on a warm enclave switch.  The monitor
 keeps each monitor page's decoded record, page tweak and derived encid
 sid, so once an enclave has been entered and left, an exit and an entry
 decode neither monitor page, build no page tweak and run no HMAC, while
-the engine still verifies and re-seals what the ledger says."""
+the engine still verifies and re-seals what the ledger says.
+
+No Python frame that does no modelled work on a cached line access.  With
+the tweak cache on, a hit read runs the access, its permission check, the
+line routine and the cache read; a hit write adds the engine's one-line
+write and the cache update; a miss read the engine's one-line read and the
+install of the fill.  The frames are pinned by name."""
 
 import ast
 import enum
@@ -21,11 +27,12 @@ import textwrap
 
 import pytest
 
-from conftest import spawn_enclave
+from conftest import python_frames, spawn_enclave
 from test_ledger import LEDGER, _counted
 from servas_sim import aead, cache, cli, image, machine, mee, monitor, scenarios, tweak
+from servas_sim.cache import CacheCfg
 from servas_sim.machine import AccessKind, Machine
-from servas_sim.tweak import PageType
+from servas_sim.tweak import PRV_S, PRV_U, PageType
 
 PACKAGE_ENUMS = frozenset(
     obj for module in (aead, cache, cli, image, machine, mee, monitor, scenarios, tweak)
@@ -41,7 +48,6 @@ HOT = [
     machine.CsrFile._map_sids,
     cache.TweakTaggedCache.read,
     cache.TweakTaggedCache.update,
-    cache.TweakTaggedCache._match,
     cache.TweakTaggedCache._install,
     mee.Mee.read,
     mee.Mee.write,
@@ -131,3 +137,38 @@ def test_a_warm_switch_decodes_and_derives_nothing(monkeypatch):
     assert ledger == {"eenter": LEDGER["eenter"], "eexit": LEDGER["eexit"]}
     assert {name: n for name, n in calls.items() if name not in ("read", "write")} == {
         "EnclaveMeta.unpack": 0, "ThreadMeta.unpack": 0, "kdf": 0, "_monitor_page_tweak": 0}
+
+
+_ACCESS = ["access", "_check_pte", "_line_access"]
+
+
+@pytest.fixture
+def cached():
+    """A machine with the tweak cache on, one user page mapped and line 0
+    of it written and read, so its access memo and cache entry are warm."""
+    m = Machine(seed=0, cache_cfg=CacheCfg(512, 4))
+    m.map_page(PRV_S, "p", 0x1000, 0x10, "rwu")
+    m.access("p", 0x1000, AccessKind.WRITE, PRV_U, data=b"abcdefgh")
+    m.access("p", 0x1000, AccessKind.READ, PRV_U, size=8)
+    return m
+
+
+_READ_ARGS = ("p", 0x1000, AccessKind.READ, PRV_U, None, 8)
+
+
+def test_a_cached_hit_read_runs_four_python_frames(cached):
+    assert python_frames(cached.access, *_READ_ARGS) == [*_ACCESS, "read"]
+    assert cached.cache.hits == 2
+
+
+def test_a_cached_hit_write_runs_six_python_frames(cached):
+    assert python_frames(cached.access, "p", 0x1000, AccessKind.WRITE, PRV_U,
+                         b"12345678") == [*_ACCESS, "read", "write", "update"]
+    assert cached.access(*_READ_ARGS) == b"12345678"
+
+
+def test_a_cache_miss_read_runs_six_python_frames(cached):
+    """The engine's memo serves the fill: no AEAD call, no helper frame."""
+    cached.cache.invalidate(0x10 * 64)
+    assert python_frames(cached.access, *_READ_ARGS) == [*_ACCESS, "read", "read", "_install"]
+    assert cached.cache.misses == 2

@@ -1,7 +1,8 @@
-"""Malformed input files end in a verdict or a clean exit 2, never in a
-traceback, run through the CLI in process: the builtin suite, dumped and
-mutated one node at a time, and the standard image, packed and wrapped,
-with one byte mutation each."""
+"""Malformed input files and arguments end in a verdict or a clean exit 2,
+never in a traceback, run through the CLI in process: the builtin suite,
+dumped and mutated one node at a time, the standard image, packed and
+wrapped, with one byte mutation each, and the grid commands' argument
+lists, with up to three token mutations each."""
 
 import contextlib
 import io
@@ -131,3 +132,60 @@ def test_a_mutated_image_file_is_read_or_refused_with_exit_two(tmp_path_factory,
         code, _, err = _main(["image", *argv])
         assert code in (0, 2)
         assert (code == 2) == err.startswith("error: ")
+
+
+# The grid commands' arguments: a small valid argument list per command,
+# mutated by setting an option's value, dropping a token or adding one.
+_GRID_ARGV = {
+    "evictions": ["--entries", "8,16", "--ways", "1,4", "--tweaks", "2:8:2", "--trials", "20",
+                  "--seed", "3"],
+    "overhead": ["--va-bits", "39", "--lines", "64,128", "--tc", "32:6,128:20"],
+}
+_ARG_VALUES = ["", "0", "-1", "1", "7", "0x10", "1_0", str(2 ** 70), "1e3", "x", ",", "1,,2",
+               ":", "1:", "4:1", "1:5:0", "1:3:4:5", "9:2:-1", "32", "32:6:1", "3:6", "32:-1",
+               "32:99", "32:6,", "48", "-", "٤"]
+_ADDED = ["--seed", "--out", "--gnuplot", "--bogus", "extra", "-h", "--trials=5", "--tc=32:6"]
+_MUTATION = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 9), st.sampled_from(_ARG_VALUES)),
+    st.tuples(st.just("drop"), st.integers(0, 11)),
+    st.tuples(st.just("add"), st.integers(0, 11), st.sampled_from(_ADDED + _ARG_VALUES)),
+)
+
+
+def _mutated_argv(command, mutations):
+    argv = list(_GRID_ARGV[command])
+    for kind, at, *value in mutations:
+        if kind == "add":
+            argv.insert(at % (len(argv) + 1), value[0])
+        elif not argv:
+            continue
+        elif kind == "set":  # the token after the ``at``-th option, as first laid out
+            argv[(2 * at + 1) % len(argv)] = value[0]
+        else:
+            del argv[at % len(argv)]
+    return [command, *argv]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(_GRID_ARGV)),
+       mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_grid_arguments_exit_zero_or_two(tmp_path_factory, command, mutations):
+    """``evictions`` and ``overhead`` on mutated argument lists exit 0, or
+    2 with an error message, the CLI's or argparse's usage error; no other
+    exception escapes, and no message is the text of a Python error about
+    the parsing code.  Files they are told to write land in a scratch
+    directory."""
+    argv = _mutated_argv(command, mutations)
+    err = io.StringIO()
+    with contextlib.chdir(tmp_path_factory.getbasetemp()), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit: a usage error, or help
+            code = exc.code
+    assert code in (0, 2), argv
+    if code == 2:
+        where, _, message = err.getvalue().splitlines()[-1].partition("error: ")
+        assert where in ("", f"servas-sim {command}: ", "servas-sim: "), argv
+        assert not any(leak in message for leak in ("invalid literal", "to unpack", "range()")), \
+            argv

@@ -6,7 +6,8 @@ claim.
 The ``eenter``/``eexit`` rows are the simulator's answer to the paper's
 cheap enclave switch: the tweak carries the context, so a switch flushes
 nothing.  An entry verifies the enclave's two monitor pages and re-seals
-the one metadata line whose state moved; an exit verifies and re-seals
+the one metadata line whose state moved, with no engine write for the
+thread page a fresh start leaves as it was; an exit verifies and re-seals
 only the metadata page's, as it reads nothing of the thread page."""
 
 from conftest import A_BASE, spawn_enclave
@@ -21,7 +22,7 @@ RO = {"r": True, "w": False, "x": False, "u": True, "g": False}
 # call: (engine reads, engine writes, seals, opens)
 LEDGER = {
     "ecreate": (0, 5, 320, 0),
-    "eenter": (2, 2, 1, 128),
+    "eenter": (2, 1, 1, 128),
     "interrupt": (2, 2, 3, 128),
     "resume": (2, 2, 3, 128),
     "emod": (2, 2, 65, 128),

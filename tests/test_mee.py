@@ -7,17 +7,17 @@ calls the AEAD directly, independent of the engine's write/read paths.
 
 import hashlib
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ReferenceMee
+from conftest import ReferenceMee, python_frames
 from servas_sim.aead import AesGcmAead
 from servas_sim.mee import (
     COUNTER_BITS,
     COUNTER_LIMIT,
     LINE_BYTES,
+    LINE_LIMIT,
     AuthenticationError,
     CounterOverflow,
     Mee,
@@ -270,20 +270,30 @@ def test_content_that_is_not_whole_lines_is_refused(engine, size, lines):
     assert (mee.written_lines(), mee.seals) == ({}, 0)
 
 
-def test_a_memo_served_one_line_read_runs_three_python_frames(mee):
-    """The hot path: a one-line read its memo serves runs ``read``, the
-    tweak's ``to_int`` and ``_memo``, and no other Python function."""
+def test_a_memo_or_record_served_one_line_read_runs_one_python_frame(mee):
+    """The hot path: a one-line read its memo, or its page's record,
+    serves runs ``read`` and no other Python function."""
     sw = _sw()
     mee.write(3, PAGE_CONTENT[:LINE_BYTES], sw)
     assert mee.read(3, sw) == PAGE_CONTENT[:LINE_BYTES]
-    frames = []
-    sys.setprofile(lambda frame, event, arg: event == "call" and frames.append(
-        frame.f_code.co_name))
-    try:
-        mee.read(3, sw)
-    finally:
-        sys.setprofile(None)
-    assert frames == ["read", "to_int", "_memo"]
+    assert python_frames(mee.read, 3, sw) == ["read"]
+    mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
+    line_sw = SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT))
+    assert python_frames(mee.read, _P + 5, line_sw) == ["read"]
+    assert mee.read(_P + 5, line_sw) == PAGE_CONTENT[5 * LINE_BYTES:6 * LINE_BYTES]
+
+
+def test_a_one_line_write_runs_one_python_frame(mee):
+    """A one-line write to a page the engine holds, as its own entry or
+    into its record in place, runs ``write`` and no other Python function."""
+    sw = _sw()
+    mee.write(3, PAGE_CONTENT[:LINE_BYTES], sw)
+    assert python_frames(mee.write, 3, bytes(LINE_BYTES), sw) == ["write"]
+    assert mee.line_entries == 2  # each write of line 3 builds its entry
+    mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
+    assert python_frames(mee.write, _P, bytes(LINE_BYTES), _P_SW) == ["write"]
+    assert mee.line_entries == 2
+    assert mee.read(_P, _P_SW, range(64)) == bytes(LINE_BYTES) + PAGE_CONTENT[LINE_BYTES:]
 
 
 def test_destroy_tweak_unreachable_by_composition():
@@ -1070,3 +1080,119 @@ def test_page_memo_is_invisible(ops):
         assert results[1:] == results[:1] * 2, op
         _agree(engines, ())
     _agree(engines, list(engines[0].written_lines()))
+
+
+# --- the one-line path against the reference engine -----------------------------
+#
+# A call for one line, ``lines`` left at its default, takes the engine's
+# one-line path; ``[0]`` spells the same call through the page loop.  Each
+# case runs both spellings on an engine and on the reference engine from a
+# page written whole at _P, and every result, error (type, line and
+# message), counter, seal and open count and raw line agrees.
+
+_ONE_LINE, _LOOP = (0,), [0]
+
+
+def _exhaust_counter(mee, line: int, plaintext: bytes, sw: SwTweak) -> None:
+    """Set ``line``'s counter one below the limit, as if the line had been
+    sealed there with ``plaintext`` under ``sw``: in the engine its page's
+    counter, which the record's line stands under, and in the reference
+    engine a real seal under that counter."""
+    counter = COUNTER_LIMIT - 1
+    if isinstance(mee, ReferenceMee):
+        ad = mee._ad(counter, sw.to_int(), sw.va_bits)
+        mee.lines[line] = (*mee.aead.seal(mee.key, mee._nonce(line, counter), plaintext, ad),
+                           counter)
+    else:
+        mee._pages[line & ~63].counters[line & 63] = counter
+
+
+def _in_place_line_zero(mee, lines):
+    yield mee.write(_P, bytes(reversed(PAGE_CONTENT)), _P_SW, lines)
+    yield mee.read(_P, _P_SW, lines)
+    yield mee.read(_P, _P_SW, range(64))
+
+
+def _foreign_read_on_a_record(mee, lines):
+    """Line 5 of the record under its own tweak with the sid's low bit
+    flipped: the engine detaches the line, then fails on it."""
+    yield mee.read(_P + 5, SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT) ^ 1), lines)
+
+
+def _read_at_another_address_width(mee, lines):
+    """A record's line read under the same packed tweak at 39-bit
+    addresses, which is another tweak."""
+    packed = _sw(voffset=_P + 64, xrange=0).to_int()  # fits either width
+    yield mee.write(_P + 64, PAGE_CONTENT, SwTweak.from_int(packed), range(64))
+    yield mee.read(_P + 69, SwTweak.from_int(packed + (5 << VOFFSET_SHIFT)), lines)
+    yield mee.read(_P + 69, SwTweak.from_int(packed + (5 << VOFFSET_SHIFT), 39), lines)
+
+
+def _never_written_lines(mee, lines):
+    yield mee.write(_P + 65, PAGE_CONTENT, _sw(voffset=1), lines)  # a page with no record
+    yield mee.read(_P + 64, _sw(), lines)
+    yield mee.read(_P + 128, _sw(), lines)  # no page at all
+    yield mee.read(_P + 65, _sw(voffset=1), lines)
+
+
+def _negative_line(mee, lines):
+    yield mee.read(-1, _sw(), lines)
+
+
+def _negative_line_write(mee, lines):
+    yield mee.write(-1, PAGE_CONTENT[:LINE_BYTES], _sw(), lines)
+
+
+def _line_at_the_limit(mee, lines):
+    yield mee.read(LINE_LIMIT, _sw(), lines)
+
+
+def _line_at_the_limit_write(mee, lines):
+    yield mee.write(LINE_LIMIT, PAGE_CONTENT[:LINE_BYTES], _sw(), lines)
+
+
+def _overflow_in_place(mee, lines):
+    _exhaust_counter(mee, _P, PAGE_CONTENT[:LINE_BYTES], _P_SW)
+    yield mee.read(_P, _P_SW, lines)
+    yield mee.write(_P, bytes(LINE_BYTES), _P_SW, lines)
+
+
+_ONE_LINE_CASES = [_in_place_line_zero, _foreign_read_on_a_record,
+                   _read_at_another_address_width, _never_written_lines,
+                   _negative_line, _negative_line_write, _line_at_the_limit,
+                   _line_at_the_limit_write, _overflow_in_place]
+_ERRORS = {_foreign_read_on_a_record: "AuthenticationError",
+           _read_at_another_address_width: "AuthenticationError", _negative_line: "ValueError",
+           _negative_line_write: "ValueError", _line_at_the_limit: "ValueError",
+           _line_at_the_limit_write: "ValueError", _overflow_in_place: "CounterOverflow"}
+
+
+def _outcome(steps):
+    """The result of each of ``steps`` in order, ending with the error one
+    of them stops at, if any: its type, the line it names and its
+    message."""
+    done = []
+    try:
+        for step in steps:
+            done.append(step)
+    except (AuthenticationError, CounterOverflow, ValueError) as exc:
+        done.append((type(exc).__name__, getattr(exc, "line_index", None), str(exc)))
+    return done
+
+
+@pytest.mark.parametrize("lines", [_ONE_LINE, _LOOP], ids=["one-line", "page-loop"])
+@pytest.mark.parametrize("case", _ONE_LINE_CASES, ids=lambda case: case.__name__.strip("_"))
+def test_the_one_line_path_agrees_with_the_reference(case, lines):
+    """Each case ends as expected, in a value or in its error, and the
+    engine and the reference engine agree on every step and on the state
+    it leaves."""
+    engines = [Mee(KEY), ReferenceMee(KEY)]
+    outcomes = []
+    for mee in engines:
+        mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
+        outcomes.append(_outcome(case(mee, lines)))
+    assert outcomes[0] == outcomes[1]
+    last = outcomes[0][-1]
+    assert (last[0] if isinstance(last, tuple) else None) == _ERRORS.get(case)
+    _agree(engines, list(engines[0].written_lines()))
+    assert engines[0].read(_P, _P_SW, range(64)) == engines[1].read(_P, _P_SW, range(64))

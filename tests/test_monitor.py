@@ -1176,6 +1176,52 @@ def test_a_tampered_thread_page_stops_the_next_call_that_reads_it(enclave):
     assert _monitor_state(m) == before
 
 
+def test_an_interrupt_on_a_tampered_thread_page_still_returns_to_the_host(enclave):
+    """An interrupt cannot park the enclave in a thread page that fails
+    authentication.  The AUTH trap propagates, but the OS still gets
+    control: the registers are wiped, the host's user range and sids are
+    back, the privilege is S, no enclave is active, and the enclave is
+    stored as terminated, so it is never resumed."""
+    m, sm, handle = enclave
+    m.write_csr(PRV_S, "usid0", 0x5EED)
+    sm.eenter(handle)
+    m.set_reg(5, 41)
+    m.write_csr(PRV_U, "usid0", 0xE0C1)
+    m.phys_flip_bit(0x201 * LINES_PER_PAGE + 5, 77)
+    with pytest.raises(AuthenticationException) as info:
+        sm.interrupt()
+    assert info.value.line_index == 0x201 * LINES_PER_PAGE + 5
+    assert all(m.get_reg(i) == 0 for i in range(32))
+    assert (m.active_enclave, m.prv) == (None, PRV_S)
+    assert (m.csr.mrange, m.csr.msid0, m.csr.msid1, m.csr.usid0) == (RangeReg(), 0, 0, 0x5EED)
+    assert sm.peek_meta(handle).state is EnclaveState.TERMINATED
+    with pytest.raises(AuthenticationException):
+        sm.eenter(handle)
+    m.phys_flip_bit(0x201 * LINES_PER_PAGE + 5, 77)  # even with the page put back
+    with pytest.raises(WrongState):
+        sm.eenter(handle)
+
+
+def test_a_termination_on_a_tampered_thread_page_still_terminates(machine):
+    """The fault that reaches the threshold terminates the enclave even
+    when its thread page fails authentication: the enclave's own fault is
+    the trap raised, with the terminating disposition, and the OS gets
+    control back."""
+    sm = SecurityMonitor(machine, fault_threshold=1)
+    _os_bait_page(machine)
+    handle = spawn_enclave(machine, sm)
+    sm.eenter(handle)
+    machine.set_reg(10, 0x5A5A)
+    machine.phys_flip_bit(0x201 * LINES_PER_PAGE + 5, 77)
+    with pytest.raises(AuthenticationException) as info:
+        machine.access("host", 0x9000_0000, READ, PRV_U, size=4)
+    assert info.value.va == 0x9000_0000
+    assert info.value.disposition is DispositionKind.ENCLAVE_TERMINATED
+    assert all(machine.get_reg(i) == 0 for i in range(32))
+    assert (machine.active_enclave, machine.prv, machine.csr.msid0) == (None, PRV_S, 0)
+    assert sm.peek_meta(handle).state is EnclaveState.TERMINATED
+
+
 def test_enter_exit_engine_op_counts(enclave):
     """Both monitor pages are verified in full on entry and the metadata
     page alone on exit, and only the lines whose bytes changed are
