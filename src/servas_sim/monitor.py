@@ -30,26 +30,34 @@ verifies the page in one engine call.  No CSR is
 written and no page table is consulted.  That is the entire trust
 story -- the OS-controlled page tables never have to be believed.
 
-A call loads only the monitor pages it reads and stores only those it may
-change.  ``eexit`` reads the metadata page alone: the thread page was
-verified by the ``eenter`` that made the handle active, which loads it
-even for a fresh start, so a handle whose thread page is another
-enclave's is refused before the enclave runs, and every later call that
-reads it verifies it again.  Each load verifies the whole page; nothing
-the monitor keeps is trusted over the engine.  Per monitor frame it keeps
-the page's tweak, built once per frame and runtime id, the bytes it last
-read or wrote there and their decoded record, and it decodes a page only
-when the verified bytes differ from the kept ones.  A load takes the
-record out of the keep and a store puts it back with the bytes it wrote,
-so a call that raises in between leaves no record behind, and a peek
-hands out one no later call shares.  A store packs the fixed header over
-the kept bytes, and the owned and swap rows as well only when the call
-changed them, then re-seals the lines the engine cannot prove unchanged
-(:meth:`Mee.changed_lines`): those whose bytes differ, and any line
-sealed since under another binding (the OS may alias another page onto a
-monitor page) whatever its bytes; with no such line it makes no engine
-call.  The encid sids of recent enclaves are kept too, so an enclave's is
-derived once.
+A call loads only the monitor pages it reads and stores only those it
+may change.  ``eexit`` and a fault-threshold termination read the
+metadata page alone: the thread page was verified by the ``eenter`` that
+made the handle active, which loads it even for a fresh start, so a
+handle whose thread page is another enclave's is refused before the
+enclave runs, and every later call that reads it verifies it again; and
+while the enclave runs, its thread page parks no registers, so a
+termination has nothing there to clear.  Every call made from inside the
+enclave reaches its metadata page one way
+(:meth:`SecurityMonitor._active_meta`), which fails closed: a page that
+fails verification has no host context to give back, so the registers
+are wiped, no enclave is left active, the hart drops to S-mode with no
+user range or sids, and the AUTH trap propagates (for a fault, with the
+terminating disposition).  Each load verifies the whole page; nothing
+the monitor keeps is trusted over the engine.  Per monitor frame it
+keeps the page's tweak, built once per frame and runtime id, the bytes
+it last read or wrote there and their decoded record, and it decodes a
+page only when the verified bytes differ from the kept ones.  A load
+takes the record out of the keep and a store puts it back with the bytes
+it wrote, so a call that raises in between leaves no record behind, and
+a peek hands out one no later call shares.  A store packs the fixed
+header over the kept bytes, and the owned and swap rows as well only
+when the call changed them, then re-seals the lines the engine cannot
+prove unchanged (:meth:`Mee.changed_lines`): those whose bytes differ,
+and any line sealed since under another binding (the OS may alias
+another page onto a monitor page) whatever its bytes; with no such line
+it makes no engine call.  The encid sids of recent enclaves are kept
+too, so an enclave's is derived once.
 
 Swap-out seals a page with a fresh nonce and records (nonce, tag, address,
 permissions) in the metadata page; only that exact sealed version can come
@@ -92,7 +100,6 @@ from .machine import (
     AuthenticationException,
     Machine,
     PageFault,
-    Trap,
 )
 from .tweak import (
     ENCLAVE_RSW,
@@ -693,10 +700,12 @@ class SecurityMonitor:
                 for reg, val in (args or {}).items():
                     m.set_reg(reg, val)
             meta.state = EnclaveState.RUNNING
-            self._store_meta(handle, meta)
             # unchanged on a fresh start: the store writes nothing and puts
-            # the record back in the keep
+            # the record back in the keep.  It comes first, so a resume that
+            # fails between the two stores leaves the enclave INTERRUPTED
+            # with no registers parked, which the check above refuses.
             self._store_thread(handle, thread)
+            self._store_meta(handle, meta)
             m.active_enclave = handle
             m.prv = PRV_U
 
@@ -704,10 +713,9 @@ class SecurityMonitor:
         """Leave the enclave: host registers come back except the return
         value registers, and the enclave CSRs are reset."""
         m = self.machine
-        handle = self._active_handle()
         _check_reg_writes(m, returns)
         with self._monitor_call():
-            meta = self._load_meta(handle)
+            handle, meta = self._active_meta()
             ret_vals = {10: m.regs[10], 11: m.regs[11], **(returns or {})}
             m.regs = list(meta.host.regs)
             for reg, val in ret_vals.items():
@@ -719,12 +727,12 @@ class SecurityMonitor:
         """Asynchronous interruption: park the enclave state in the thread
         page, wipe the register file, hand control to the OS.  A thread
         page that fails verification cannot hold the parked state: the
-        enclave is left as TERMINATED, control still goes to the OS, and
-        the AUTH trap propagates."""
+        enclave is stored as TERMINATED, control still goes to the OS, and
+        the AUTH trap propagates.  A metadata page that fails does the same
+        with nothing stored (:meth:`_active_meta`)."""
         m = self.machine
-        handle = self._active_handle()
         with self._monitor_call():
-            meta = self._load_meta(handle)
+            handle, meta = self._active_meta()
             saved = UserCtx.of(m)
             m.regs = [0] * len(m.regs)  # the OS sees nothing
             try:
@@ -736,30 +744,44 @@ class SecurityMonitor:
             self._leave(handle, meta, EnclaveState.INTERRUPTED, PRV_S)
             self._store_thread(handle, thread)
 
-    def _leave(self, handle: EnclaveHandle, meta: EnclaveMeta, state: EnclaveState,
+    def _leave(self, handle: EnclaveHandle, meta: EnclaveMeta | None, state: EnclaveState,
                prv: int) -> None:
         """The one way out of the enclave, once the caller has set the
         register file: reset the enclave CSRs, give the host back its user
         range and sids, store ``state`` in the metadata page and drop to
-        ``prv``.  A caller that changed the thread page stores it."""
+        ``prv``.  With no ``meta`` (its page failed verification) there is
+        no host context to give back: the user range is left disabled, the
+        user sids 0, and nothing is stored.  A caller that changed the
+        thread page stores it."""
         m = self.machine
-        host = meta.host
+        host = UserCtx() if meta is None else meta.host
         for name, value in (("mrange", RangeReg()), ("msid0", 0), ("msid1", 0),
                             ("urange", host.urange), ("usid0", host.usid0),
                             ("usid1", host.usid1)):
             m.write_csr(PRV_M, name, value)
-        meta.state = state
-        self._store_meta(handle, meta)
+        if meta is not None:
+            meta.state = state
+            self._store_meta(handle, meta)
         m.active_enclave = None
         m.prv = prv
 
-    # --- dynamic memory ------------------------------------------------------
-
-    def _active_handle(self) -> EnclaveHandle:
+    def _active_meta(self) -> tuple[EnclaveHandle, EnclaveMeta]:
+        """The running enclave's handle and verified metadata page, for a
+        monitor call made from inside it.  A metadata page that fails
+        verification fails closed: the registers are wiped, the enclave is
+        left with no host context restored (:meth:`_leave`) and the AUTH
+        trap propagates, so the host's next entry fails on the page too."""
         handle = self.machine.active_enclave
         if handle is None:
             raise NotInEnclave("call is only valid from inside an enclave")
-        return handle
+        try:
+            return handle, self._load_meta(handle)
+        except AuthenticationException:
+            self.machine.regs = [0] * len(self.machine.regs)
+            self._leave(handle, None, EnclaveState.TERMINATED, PRV_S)
+            raise
+
+    # --- dynamic memory ------------------------------------------------------
 
     def eprepare(self, va: int, page_type: PageType, perms: dict[str, bool]) -> None:
         """Zero-initialize a dynamically supplied page to an enclave-chosen
@@ -767,11 +789,10 @@ class SecurityMonitor:
         list rejects double mapping, and :meth:`_page_tweak` a context that
         does not classify as its type."""
         ctx = PageCtx(page_type, perms)
-        handle = self._active_handle()
         m = self.machine
         caller_urange = m.csr.urange
         with self._monitor_call():
-            meta = self._load_meta(handle)
+            handle, meta = self._active_meta()
             if va in meta.owned:
                 raise DoubleMap(f"page {va:#x} is already mapped into the enclave")
             if va in meta.swaps:
@@ -786,9 +807,8 @@ class SecurityMonitor:
     def edestroy(self, va: int) -> None:
         """Release a page: every line is re-sealed under the reserved tweak,
         so any later use fails authentication until re-prepared."""
-        handle = self._active_handle()
         with self._monitor_call():
-            meta = self._load_meta(handle)
+            handle, meta = self._active_meta()
             if va not in meta.owned:
                 raise NotOwned(f"page {va:#x} is not mapped into the enclave")
             self.machine.destroy_page(self._walk_ppn(meta.host_space, va))
@@ -800,11 +820,10 @@ class SecurityMonitor:
         rewrite under the new one.  Content is preserved bit for bit; a
         wrong old context dies on the first line, and a new one that does
         not classify as its type is refused before any line moves."""
-        handle = self._active_handle()
         m = self.machine
         caller_urange = m.csr.urange
         with self._monitor_call():
-            meta = self._load_meta(handle)
+            handle, meta = self._active_meta()
             old = self._page_tweak(meta, old_ctx, va, urange=caller_urange)
             new = self._page_tweak(meta, new_ctx, va, urange=caller_urange)
             ppn = self._walk_ppn(meta.host_space, va)
@@ -816,9 +835,8 @@ class SecurityMonitor:
 
     def egetsealkey(self) -> bytes:
         """Deterministic 128-bit sealing key bound to (image hash, CPU key)."""
-        handle = self._active_handle()
         with self._monitor_call():
-            meta = self._load_meta(handle)
+            _, meta = self._active_meta()
             return kdf(self.machine.cpu_key, b"seal-key", meta.encid_full)
 
     # --- swapping ------------------------------------------------------------
@@ -887,21 +905,22 @@ class SecurityMonitor:
 
     def handle_auth_fault(self, trap) -> DispositionKind:
         """Fault-threshold termination policy for authentication faults.
-        A thread page that fails verification does not stop a termination:
-        it is left as it is, and the enclave's fault is the trap raised."""
-        if self._in_monitor:
-            # The monitor's own probe (image check, re-encryption read, ...)
-            # is reported to its caller, never charged to an enclave.
-            return DispositionKind.RETRY_DENIED
+        A termination leaves the thread page alone: while the enclave runs
+        it parks no registers, so there is nothing to clear.  A metadata
+        page that fails verification terminates the enclave at once
+        (:meth:`_active_meta`), as its fault count cannot be read, and the
+        enclave's fault is the trap raised."""
         m = self.machine
-        handle = m.active_enclave
-        if handle is None:
+        if self._in_monitor or m.active_enclave is None:
+            # The monitor's own probe (image check, re-encryption read, ...)
+            # is reported to its caller, and neither it nor a fault outside
+            # any enclave is charged to an enclave.
             return DispositionKind.RETRY_DENIED
         with self._monitor_call():
             try:
-                meta = self._load_meta(handle)
-            except (Trap, MonitorError):
-                return DispositionKind.RETRY_DENIED
+                handle, meta = self._active_meta()
+            except AuthenticationException:
+                return DispositionKind.ENCLAVE_TERMINATED
             page_va = trap.va - (trap.va % PAGE_BYTES)
             if page_va in meta.swaps:
                 # Legitimate touch of a swapped-out page: the demand-swap
@@ -909,15 +928,8 @@ class SecurityMonitor:
                 return DispositionKind.RETRY_DENIED
             meta.fault_count += 1
             if meta.fault_count >= self.fault_threshold:
-                try:
-                    thread = self._load_thread(handle)
-                except AuthenticationException:
-                    thread = None  # a thread page that fails holds nothing to clear
                 m.regs = [0] * len(m.regs)
                 self._leave(handle, meta, EnclaveState.TERMINATED, PRV_S)
-                if thread is not None:
-                    thread.saved.regs = None
-                    self._store_thread(handle, thread)
                 return DispositionKind.ENCLAVE_TERMINATED
             self._store_meta(handle, meta)
             return DispositionKind.RETRY_DENIED

@@ -8,14 +8,23 @@ cheap enclave switch: the tweak carries the context, so a switch flushes
 nothing.  An entry verifies the enclave's two monitor pages and re-seals
 the one metadata line whose state moved, with no engine write for the
 thread page a fresh start leaves as it was; an exit verifies and re-seals
-only the metadata page's, as it reads nothing of the thread page."""
+only the metadata page's, as it reads nothing of the thread page.
+
+The ``fault`` and ``terminate`` rows are one faulting enclave read each at
+the default fault threshold of 3: the failed line, then the metadata page
+verified and its fault count re-sealed.  A termination costs what a
+counted fault does plus the state's line: it reads nothing of the thread
+page, which parks no registers while the enclave runs."""
+
+import pytest
 
 from conftest import A_BASE, spawn_enclave
-from servas_sim.machine import Machine, PAGE_BYTES
-from servas_sim.monitor import PageCtx, SecurityMonitor
-from servas_sim.tweak import PageType
+from servas_sim.machine import AccessKind, AuthenticationException, Machine, PAGE_BYTES
+from servas_sim.monitor import DispositionKind, PageCtx, SecurityMonitor
+from servas_sim.tweak import PageType, PRV_S, PRV_U
 
 DATA_VA = A_BASE + PAGE_BYTES
+BAIT_VA = 0x9000_0000  # S-mode data the host space maps user-accessible
 RW = {"r": True, "w": True, "x": False, "u": True, "g": False}
 RO = {"r": True, "w": False, "x": False, "u": True, "g": False}
 
@@ -31,6 +40,8 @@ LEDGER = {
     "eexit": (1, 1, 1, 64),
     "swap_out": (2, 2, 132, 128),
     "swap_in": (1, 2, 68, 64),
+    "fault": (2, 1, 1, 65),
+    "terminate": (2, 1, 2, 65),
 }
 
 
@@ -43,9 +54,11 @@ def _counted(calls: dict, name: str, method):
 
 def _ledger() -> dict[str, tuple[int, int]]:
     """Run one enclave's life through every call and count each call's
-    engine work."""
+    engine work; a step named None is run but not counted."""
     m = Machine(seed=0)
     sm = SecurityMonitor(m)
+    m.map_page(PRV_S, "host", BAIT_VA, 0x900, "rwu")
+    m.access("host", BAIT_VA, AccessKind.WRITE, PRV_S, data=b"os-owned-data!!!")
     mee = m.mee
     calls = {"read": 0, "write": 0}
     mee.read = _counted(calls, "read", mee.read)
@@ -61,6 +74,11 @@ def _ledger() -> dict[str, tuple[int, int]]:
         nonlocal sealed
         sealed = sm.swap_out(handle, DATA_VA, temp_ppn=0x400)
 
+    def probe(disposition=DispositionKind.RETRY_DENIED):
+        with pytest.raises(AuthenticationException) as info:
+            m.access("host", BAIT_VA, AccessKind.READ, PRV_U, size=4)
+        assert info.value.disposition is disposition
+
     steps = [
         ("ecreate", ecreate),
         ("eenter", lambda: sm.eenter(handle)),
@@ -73,13 +91,18 @@ def _ledger() -> dict[str, tuple[int, int]]:
         ("eexit", sm.eexit),
         ("swap_out", swap_out),
         ("swap_in", lambda: sm.swap_in(handle, DATA_VA, sealed)),
+        (None, lambda: sm.eenter(handle)),
+        ("fault", probe),
+        (None, probe),
+        ("terminate", lambda: probe(DispositionKind.ENCLAVE_TERMINATED)),
     ]
     out = {}
     for name, step in steps:
         before = calls["read"], calls["write"], mee.seals, mee.opens
         step()
         after = calls["read"], calls["write"], mee.seals, mee.opens
-        out[name] = tuple(a - b for a, b in zip(after, before))
+        if name is not None:
+            out[name] = tuple(a - b for a, b in zip(after, before))
     return out
 
 

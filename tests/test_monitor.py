@@ -1222,6 +1222,84 @@ def test_a_termination_on_a_tampered_thread_page_still_terminates(machine):
     assert sm.peek_meta(handle).state is EnclaveState.TERMINATED
 
 
+def _faulting_read(m, sm):
+    m.access("host", 0x9000_0000, READ, PRV_U, size=4)
+
+
+# every call made from inside a running enclave, a faulting read standing in
+# for the authentication-fault handler
+_IN_ENCLAVE_CALLS = {
+    "eexit": lambda m, sm: sm.eexit(),
+    "interrupt": lambda m, sm: sm.interrupt(),
+    "eprepare": lambda m, sm: sm.eprepare(A_BASE + 3 * PAGE_BYTES, PageType.REGULAR, RW),
+    "edestroy": lambda m, sm: sm.edestroy(DATA_VA),
+    "emod": lambda m, sm: sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW),
+                                  PageCtx(PageType.REGULAR, RO)),
+    "egetsealkey": lambda m, sm: sm.egetsealkey(),
+    "handle_auth_fault": _faulting_read,
+}
+
+
+@pytest.mark.parametrize("call", _IN_ENCLAVE_CALLS.values(), ids=_IN_ENCLAVE_CALLS)
+def test_a_call_on_a_tampered_metadata_page_fails_closed(enclave, call):
+    """A bit flipped in the running enclave's metadata page leaves no host
+    context to give back, so every call from inside the enclave fails
+    closed: the AUTH trap propagates (a fault's own trap, terminating at
+    its first strike, as the fault count cannot be read), the registers
+    are zero, no enclave is active, the privilege is S, and no range or sid
+    is left set.  The host's next entry fails on the page too."""
+    m, sm, handle = enclave
+    _os_bait_page(m)
+    m.write_csr(PRV_S, "usid0", 0x5EED)
+    sm.eenter(handle)
+    m.set_reg(5, 41)
+    m.write_csr(PRV_U, "urange", RangeReg(0x6000_0000, PAGE_BYTES, True))
+    m.write_csr(PRV_U, "usid0", 0xE0C1)
+    m.write_csr(PRV_U, "usid1", 0xE0C2)
+    m.phys_flip_bit(handle.meta_ppn * LINES_PER_PAGE + 3, 5)
+    with pytest.raises(AuthenticationException) as info:
+        call(m, sm)
+    if call is _faulting_read:
+        assert info.value.va == 0x9000_0000
+        assert info.value.disposition is DispositionKind.ENCLAVE_TERMINATED
+    assert (m.active_enclave, m.prv) == (None, PRV_S)
+    assert not m.csr.mrange.enabled and not m.csr.urange.enabled
+    assert (m.csr.msid0, m.csr.msid1, m.csr.usid0, m.csr.usid1) == (0, 0, 0, 0)
+    assert m.regs == [0] * 32
+    with pytest.raises(AuthenticationException):
+        sm.eenter(handle)
+
+
+def test_a_torn_resume_never_runs_with_registers_parked(enclave):
+    """A resume stores the cleared thread page before the RUNNING metadata
+    page.  When the second store fails, the enclave reads as interrupted
+    with no registers parked, which an entry refuses; it never reads as
+    running with its registers still in the thread page, the state a
+    termination would leave them in."""
+    m, sm, handle = enclave
+    sm.eenter(handle)
+    m.set_reg(5, 41)
+    sm.interrupt()
+    store, seen = sm._store, []
+
+    def failing(*args):
+        seen.append(1)
+        if len(seen) == 2:
+            raise RuntimeError("engine write failed")
+        return store(*args)
+
+    sm._store = failing
+    m.prv = PRV_U
+    with pytest.raises(RuntimeError):
+        sm.eenter(handle)
+    del sm._store
+    meta, thread = sm.peek_meta(handle), sm.peek_thread(handle)
+    assert not (meta.state is EnclaveState.RUNNING and thread.saved.regs is not None)
+    assert (meta.state, thread.saved.regs) == (EnclaveState.INTERRUPTED, None)
+    with pytest.raises(WrongState):
+        sm.eenter(handle)
+
+
 def test_enter_exit_engine_op_counts(enclave):
     """Both monitor pages are verified in full on entry and the metadata
     page alone on exit, and only the lines whose bytes changed are
