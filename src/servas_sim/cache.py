@@ -12,6 +12,10 @@ The analytics half is independent of any machine: exact integer formulas
 for the extra tag storage of the inline variant versus a deduplicating
 tweak cache, and a Monte Carlo for the eviction probability of a
 set-associative tweak cache under random (hash-distributed) set indices.
+The Monte Carlo (``simulate_eviction``, ``eviction_grid`` and the CLI's
+``evictions``) is the only numpy code: ``_eviction_pass`` imports numpy on
+its first call, so the functional cache, a machine built with it, the
+monitor and the other CLI commands never load numpy.
 
 Monte Carlo method notes: each trial inserts every distinct tweak exactly
 once; set indices are uniform draws standing in for the cryptographic index
@@ -42,8 +46,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 # the inline variant stores the whole software tweak next to each line
 from .tweak import sw_tweak_bits as servas_tag_bits, voffset_bits
@@ -134,9 +136,12 @@ def _check_rows(name: str, rows: int) -> None:
         raise ValueError(f"{name} is {rows:,} rows, above the row bound of {ROW_LIMIT:,}")
 
 
-def _check_eviction_args(n_entries: int, ways: int, trials: int, tweak_counts) -> None:
+def _check_eviction_args(n_entries: int, ways: int, trials: int, tweak_counts,
+                         seed: int) -> None:
     """The one input check of the eviction Monte Carlo, made before any
-    allocation."""
+    allocation (and before numpy is loaded)."""
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if ways < 1:
         raise ValueError(f"ways must be at least 1, got {ways}")
     if n_entries < ways:
@@ -158,6 +163,8 @@ def _eviction_pass(n_entries: int, ways: int, tweak_counts, trials: int,
                    seed: int) -> dict[int, tuple[float, float]]:
     """(at_least_one, total) for every count in ``tweak_counts`` from one
     coupled pass (see the module docstring)."""
+    import numpy as np  # the simulator's only numpy user (see the module docstring)
+
     wanted, n_sets = set(tweak_counts), n_entries // ways
     max_tweaks = max(wanted, default=0)
     count_type = np.min_scalar_type(max_tweaks)  # no rank or evicted count exceeds it
@@ -196,7 +203,7 @@ def simulate_eviction(
     AT_LEAST_ONE: fraction of trials where any entry was evicted.
     TOTAL: expected fraction of the inserted tweaks that got evicted.
     """
-    _check_eviction_args(n_entries, ways, trials, [n_tweaks])
+    _check_eviction_args(n_entries, ways, trials, [n_tweaks], seed)
     at_least_one, total = _eviction_pass(n_entries, ways, [n_tweaks], trials, seed)[n_tweaks]
     return at_least_one if mode is EvictionMode.AT_LEAST_ONE else total
 
@@ -209,7 +216,7 @@ def eviction_grid(entries_list, ways_list, tweak_counts, trials=10000, seed=0):
     geometries = [(n_entries, ways) for n_entries in entries_list for ways in ways_list]
     _check_rows("geometries x n_tweaks x 2 modes", len(geometries) * len(tweak_counts) * 2)
     for n_entries, ways in geometries:
-        _check_eviction_args(n_entries, ways, trials, tweak_counts)
+        _check_eviction_args(n_entries, ways, trials, tweak_counts, seed)
     # the mode strings bound once: EvictionMode.value is a property, read
     # here once per grid rather than once per row
     at_least_one, total = EvictionMode.AT_LEAST_ONE.value, EvictionMode.TOTAL.value

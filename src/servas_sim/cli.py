@@ -48,7 +48,11 @@ OVERHEAD_CSV_SCHEMA = "servas-sim overhead-csv v1"
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("SERVAS_SIM_SEED", "0"))
+    text = os.environ.get("SERVAS_SIM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ScriptError(f"SERVAS_SIM_SEED takes an integer, not {text!r}") from None
 
 
 def _parse_int_list(text: str, name: str) -> list[int]:

@@ -24,7 +24,9 @@ from servas_sim.cache import (
     tc_overhead_bits,
 )
 from servas_sim.machine import AccessKind, AuthenticationException, Machine
-from servas_sim.tweak import PRV_M, PRV_S, PRV_U, RangeReg
+from servas_sim.mee import LINE_BYTES, LINES_PER_PAGE, PAGE_BYTES
+from servas_sim.monitor import MONITOR_PTE_BITS
+from servas_sim.tweak import PRV_M, PRV_S, PRV_U, VOFFSET_SHIFT, RangeReg, SwTweak, voffset_bits
 
 READ, WRITE = AccessKind.READ, AccessKind.WRITE
 CACHE = CacheCfg(n_lines=64, ways=4)
@@ -132,6 +134,74 @@ def test_cache_replacement_golden():
     assert counts == (126, 594, 74)
     assert out.hexdigest() == \
         "99a84c0c5827ec069dd5e32afa6bd228d15a94b9dc2538c5c0cecba423ab7e3f"
+
+
+@pytest.mark.parametrize("geometry, golden", [
+    ((8, 2), ((31, 6255, 2),
+              "72d7fce6f2a7e90cde8ca1c16aa7a1e6a10de85266138f0fb8d1e3e7bbad9e55")),
+    ((512, 4), ((4226, 2060, 26),
+                "0cfca898f36dca43f7d3d38afa6b4586bb1c2d11cc7aa493ab30d954a93e12f5")),
+], ids=["8x2", "512x4"])
+def test_cache_pinned_page_read_golden(geometry, golden):
+    """A seeded trace of monitor page I/O through the cache: whole-page
+    and ``lines=`` reads of three monitor-bound pages, under their owner's
+    sid and (failing) under another's, between whole and partial page
+    writes.  On the 8 x 2 cache a page's lines share the four sets; on the
+    512 x 4 one a page fits.  Every cached entry is the line's current
+    image under the tweak its page is bound to, stepped per line; and the
+    outcomes, the counts, every set's entries in order and the machine RNG
+    state are pinned by SHA-256."""
+    m = Machine(seed=4, cache_cfg=CacheCfg(*geometry))
+    ppns = (0x200, 0x201, 0x2c0)
+    binding = {}  # ppn -> (rtid, page content) as last written
+
+    def page_sw(ppn, rtid):
+        voffset = (ppn * LINES_PER_PAGE) & ((1 << voffset_bits(48)) - 1)
+        return SwTweak(0, voffset, PRV_M, MONITOR_PTE_BITS, rtid, 48)
+
+    rng = random.Random("cache-pinned-read")
+    out = hashlib.sha256()
+    for ppn in ppns:
+        binding[ppn] = (1, rng.randbytes(PAGE_BYTES))
+        m.pinned_page(ppn, page_sw(ppn, 1), WRITE, binding[ppn][1])
+    for _ in range(300):
+        ppn = rng.choice(ppns)
+        rtid, content = binding[ppn]
+        roll = rng.random()
+        lines = range(LINES_PER_PAGE) if rng.random() < 0.4 else \
+            sorted(rng.sample(range(LINES_PER_PAGE), rng.randrange(1, 9)))
+        try:
+            if roll < 0.1:
+                new_rtid = rng.randrange(1, 4)
+                new = bytearray(content)
+                for i in lines:
+                    new[i * LINE_BYTES:(i + 1) * LINE_BYTES] = rng.randbytes(LINE_BYTES)
+                if new_rtid != rtid:  # a new binding seals the whole page
+                    lines = range(LINES_PER_PAGE)
+                binding[ppn] = (new_rtid, bytes(new))
+                m.pinned_page(ppn, page_sw(ppn, new_rtid), WRITE, bytes(new), lines)
+            else:
+                read_rtid = rtid if roll < 0.85 else rtid % 3 + 1
+                got = m.pinned_page(ppn, page_sw(ppn, read_rtid), lines=lines)
+                assert got == b"".join(content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
+                                       for i in lines)
+                out.update(got)
+        except AuthenticationException as trap:
+            out.update(repr((trap.kind, trap.line_index, trap.sw.value)).encode())
+    cache = m.cache
+    for ppn in ppns:
+        rtid, content = binding[ppn]
+        first, base_sw = ppn * LINES_PER_PAGE, page_sw(ppn, rtid).value
+        for ways in cache.sets:
+            for line, (sw_int, data) in ways.items():
+                if first <= line < first + LINES_PER_PAGE:
+                    i = line - first
+                    assert sw_int == base_sw + (i << VOFFSET_SHIFT)
+                    assert data == content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
+    counts = (cache.hits, cache.misses, cache.tweak_mismatches)
+    out.update(repr((counts, [_set_entries(ways) for ways in cache.sets],
+                     m.rng.getstate())).encode())
+    assert (counts, out.hexdigest()) == golden
 
 
 def test_cache_transparency_random_traces():
@@ -341,6 +411,18 @@ def test_eviction_input_check_names_the_argument(n_entries, ways, n_tweaks, tria
         simulate_eviction(n_entries, ways, n_tweaks, trials)
     with pytest.raises(ValueError, match=name):
         eviction_grid([n_entries], [ways], [4, n_tweaks], trials)
+
+
+def test_eviction_input_check_refuses_a_negative_seed(monkeypatch):
+    """The shared check refuses a negative seed, naming it, before
+    anything is drawn, instead of numpy's seeding failing on it."""
+    import servas_sim.cache as cache
+
+    monkeypatch.setattr(cache, "_eviction_pass", None)  # nothing may be drawn
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        simulate_eviction(32, 2, 5, 100, seed=-1)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        eviction_grid([32], [2], [4, 5], 100, seed=-1)
 
 
 def test_empty_tweak_list_gives_no_rows():

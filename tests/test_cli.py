@@ -144,8 +144,9 @@ def test_eviction_default_grid_golden_digest(tmp_path):
     (("--entries", "30", "--ways", "4"), "n_entries"),
     (("--tweaks", "0:4:2"), "n_tweaks"),
     (("--trials", "0"), "trials"),
+    (("--seed", "-5"), "seed must be at least 0, got -5"),
 ], ids=["ways-0", "ways-negative", "entries-0", "entries-not-divisible", "tweaks-0",
-        "trials-0"])
+        "trials-0", "seed-negative"])
 def test_eviction_bad_input_exits_two(tmp_path, capsys, argv, name):
     out = tmp_path / "e.csv"
     assert run_cli("evictions", *argv, "--out", str(out)) == 2
@@ -269,6 +270,35 @@ def test_eviction_env_seed_fallback(tmp_path, monkeypatch):
     run_cli("evictions", "--entries", "32", "--ways", "2", "--tweaks", "8",
             "--trials", "200", "--seed", "123", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_negative_environment_seed_is_refused_before_any_draw(tmp_path, capsys,
+                                                                monkeypatch):
+    """A negative ``SERVAS_SIM_SEED`` is refused by the Monte Carlo's input
+    check, naming the seed, before anything is drawn (so before numpy is
+    loaded), not by numpy's own seeding."""
+    from servas_sim import cache
+
+    monkeypatch.setenv("SERVAS_SIM_SEED", "-3")
+    monkeypatch.setattr(cache, "_eviction_pass", None)  # nothing may be drawn
+    out = tmp_path / "e.csv"
+    assert run_cli("evictions", "--entries", "32", "--ways", "2", "--tweaks", "2:4:2",
+                   "--trials", "10", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [("scenarios", "--filter", "downgrade"),
+                                     ("evictions", "--entries", "32", "--ways", "2",
+                                      "--tweaks", "4", "--trials", "10")])
+@pytest.mark.parametrize("value", ["abc", "0x10"])
+def test_a_malformed_environment_seed_exits_two_naming_it(tmp_path, capsys, monkeypatch,
+                                                          command, value):
+    monkeypatch.setenv("SERVAS_SIM_SEED", value)
+    assert run_cli(*command, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == \
+        f"error: SERVAS_SIM_SEED takes an integer, not {value!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_the_cached_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
