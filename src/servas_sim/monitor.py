@@ -30,6 +30,20 @@ verifies the page in one engine call.  No CSR is
 written and no page table is consulted.  That is the entire trust
 story -- the OS-controlled page tables never have to be believed.
 
+Every call runs in one order: load and verify the monitor pages it uses,
+decide, store each page it changes, and only then switch the hart at one
+commit point (:meth:`SecurityMonitor._switch`), the only code that writes
+the six monitor-owned CSRs, the pc, the register file, the active enclave
+and the privilege.  So a call that raises before it switches (an engine
+write that fails, say) leaves the hart as it found it: a running enclave
+keeps its range, sids and registers, and a host holds none of them.  Of
+the calls that store both pages, ``eenter`` stores the thread page, its
+parked registers cleared, then the metadata page: a failed second store
+leaves the enclave INTERRUPTED with no registers parked, which an entry
+refuses.  ``interrupt`` stores the thread page, the registers parked,
+then the metadata page: a failed second store leaves the enclave running,
+and the stale registers parked are cleared at its next entry.
+
 A call loads only the monitor pages it reads and stores only those it
 may change.  ``eexit`` and a fault-threshold termination read the
 metadata page alone: the thread page was verified by the ``eenter`` that
@@ -81,7 +95,7 @@ import hmac
 import struct
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .aead import AeadAuthError, AesGcmAead
 from .image import (
@@ -248,8 +262,8 @@ _NO_REGS = (0,) * 32
 @dataclass
 class UserCtx:
     """A hart's user context: pc, registers, user range and user sids.
-    ``regs`` is None when no registers are saved; restoring such a context
-    zeroes the register file."""
+    ``regs`` is None when no registers are saved; switching to such a
+    context zeroes the register file."""
 
     pc: int = 0
     regs: list[int] | None = None
@@ -261,12 +275,6 @@ class UserCtx:
     def of(cls, machine: Machine) -> "UserCtx":
         csr = machine.csr
         return cls(machine.pc, list(machine.regs), csr.urange, csr.usid0, csr.usid1)
-
-    def restore(self, machine: Machine) -> None:
-        machine.pc = self.pc
-        machine.regs = [0] * len(machine.regs) if self.regs is None else list(self.regs)
-        for name in ("urange", "usid0", "usid1"):
-            machine.write_csr(PRV_M, name, getattr(self, name))
 
     def fields(self) -> tuple:
         """The values of ``_CTX``, zero registers standing for none."""
@@ -404,6 +412,15 @@ def _check_reg_writes(machine: Machine, regs: dict[int, int] | None) -> None:
             raise ValueError(f"register x{reg} value {value!r} is not an integer")
 
 
+def _with_regs(regs, writes: dict[int, int]) -> list[int]:
+    """``regs`` with the checked ``writes`` made, as :meth:`Machine.set_reg`
+    makes them."""
+    regs = list(regs)
+    for reg, value in writes.items():
+        regs[reg] = value & ((1 << 64) - 1)
+    return regs
+
+
 def _check_frame(ppn: int, what: str, limit: int = PPN_LIMIT) -> None:
     """Refuse a page number outside ``[0, limit)``, by default the pages
     whose lines the engine can address, before any state moves."""
@@ -503,6 +520,22 @@ class SecurityMonitor:
             if self.machine.prv == PRV_M:
                 self.machine.prv = saved_prv
             self._in_monitor = False
+
+    def _switch(self, active: EnclaveHandle | None, prv: int, user: UserCtx, mrange: RangeReg,
+                msid0: int, msid1: int) -> None:
+        """The commit point, and the only code that changes the hart: the
+        six monitor-owned CSRs, ``user``'s pc and registers, the active
+        enclave and the privilege.  A call reaches it only after every
+        store it makes, so a call that raises leaves the hart as it was."""
+        m = self.machine
+        for name, value in (("mrange", mrange), ("msid0", msid0), ("msid1", msid1),
+                            ("urange", user.urange), ("usid0", user.usid0),
+                            ("usid1", user.usid1)):
+            m.write_csr(PRV_M, name, value)
+        m.pc = user.pc
+        m.regs = list(_NO_REGS if user.regs is None else user.regs)
+        m.active_enclave = active
+        m.prv = prv
 
     def _monitor_page_tweak(self, ppn: int, rtid: int = 0) -> SwTweak:
         """The first-line tweak of a monitor page, and so the one place that
@@ -671,11 +704,15 @@ class SecurityMonitor:
             return EnclaveHandle(meta_ppn, thread_ppn, meta.rtid)
 
     def eenter(self, handle: EnclaveHandle, args: dict[int, int] | None = None) -> None:
-        """Trap from the host into the enclave: save the host context, wire
-        the enclave CSRs, resume or start at the entry point.  ``args`` set
-        registers of a fresh start only: a resume continues the saved
-        thread, so one with arguments raises :class:`WrongState` before
-        anything moves."""
+        """Trap from the host into the enclave: save the host context, then
+        resume the parked thread or start at the entry point with a fresh
+        register file (shared memory disabled) and ``args`` set, which a
+        resume refuses with :class:`WrongState` before anything moves.  The
+        call loads and verifies both monitor pages, decides, stores the
+        thread page, its parked registers cleared (a fresh start parks
+        none, so that store writes nothing), then the RUNNING metadata
+        page, and switches last.  A failed second store leaves the enclave
+        INTERRUPTED with no registers parked, which an entry refuses."""
         m = self.machine
         _check_reg_writes(m, args)
         with self._monitor_call() as caller_prv:
@@ -688,26 +725,15 @@ class SecurityMonitor:
                 raise WrongState("interrupted enclave has no saved thread state")
             if resume and args:
                 raise WrongState("a resume continues the saved thread and takes no arguments")
+            user = (replace(thread.saved) if resume
+                    else UserCtx(meta.entry_point, _with_regs(_NO_REGS, args or {})))
+            thread.saved.regs = None  # the pc, user range and sids stay
             meta.host, meta.caller_prv = UserCtx.of(m), caller_prv
-            m.write_csr(PRV_M, "mrange", meta.mrange)
-            m.write_csr(PRV_M, "msid0", meta.rtid)
-            m.write_csr(PRV_M, "msid1", self._encid_sid(meta.encid_full))
-            if resume:
-                thread.saved.restore(m)
-                thread.saved.regs = None  # the pc, user range and sids stay
-            else:  # a fresh register file; shared memory starts disabled
-                UserCtx(meta.entry_point).restore(m)
-                for reg, val in (args or {}).items():
-                    m.set_reg(reg, val)
             meta.state = EnclaveState.RUNNING
-            # unchanged on a fresh start: the store writes nothing and puts
-            # the record back in the keep.  It comes first, so a resume that
-            # fails between the two stores leaves the enclave INTERRUPTED
-            # with no registers parked, which the check above refuses.
             self._store_thread(handle, thread)
             self._store_meta(handle, meta)
-            m.active_enclave = handle
-            m.prv = PRV_U
+            self._switch(handle, PRV_U, user, meta.mrange, meta.rtid,
+                         self._encid_sid(meta.encid_full))
 
     def eexit(self, returns: dict[int, int] | None = None) -> None:
         """Leave the enclave: host registers come back except the return
@@ -716,60 +742,55 @@ class SecurityMonitor:
         _check_reg_writes(m, returns)
         with self._monitor_call():
             handle, meta = self._active_meta()
-            ret_vals = {10: m.regs[10], 11: m.regs[11], **(returns or {})}
-            m.regs = list(meta.host.regs)
-            for reg, val in ret_vals.items():
-                m.set_reg(reg, val)
-            m.pc = meta.host.pc + 4  # continue after the enter site
-            self._leave(handle, meta, EnclaveState.LOADED, meta.caller_prv)
+            host = meta.host
+            regs = _with_regs(host.regs, {10: m.regs[10], 11: m.regs[11], **(returns or {})})
+            self._leave(handle, meta, EnclaveState.LOADED, meta.caller_prv,  # after the enter site
+                        UserCtx(host.pc + 4, regs, host.urange, host.usid0, host.usid1))
 
     def interrupt(self) -> None:
         """Asynchronous interruption: park the enclave state in the thread
-        page, wipe the register file, hand control to the OS.  A thread
+        page, then leave with the register file wiped and control at the
+        OS.  The thread page is stored before the INTERRUPTED metadata
+        page; a failed second store leaves the enclave running, and the
+        stale registers it parked are cleared at the next entry.  A thread
         page that fails verification cannot hold the parked state: the
         enclave is stored as TERMINATED, control still goes to the OS, and
         the AUTH trap propagates.  A metadata page that fails does the same
         with nothing stored (:meth:`_active_meta`)."""
-        m = self.machine
         with self._monitor_call():
             handle, meta = self._active_meta()
-            saved = UserCtx.of(m)
-            m.regs = [0] * len(m.regs)  # the OS sees nothing
             try:
                 thread = self._load_thread(handle)
             except AuthenticationException:
                 self._leave(handle, meta, EnclaveState.TERMINATED, PRV_S)
                 raise
-            thread.saved = saved
-            self._leave(handle, meta, EnclaveState.INTERRUPTED, PRV_S)
+            thread.saved = UserCtx.of(self.machine)
             self._store_thread(handle, thread)
+            self._leave(handle, meta, EnclaveState.INTERRUPTED, PRV_S)
 
     def _leave(self, handle: EnclaveHandle, meta: EnclaveMeta | None, state: EnclaveState,
-               prv: int) -> None:
-        """The one way out of the enclave, once the caller has set the
-        register file: reset the enclave CSRs, give the host back its user
-        range and sids, store ``state`` in the metadata page and drop to
-        ``prv``.  With no ``meta`` (its page failed verification) there is
-        no host context to give back: the user range is left disabled, the
-        user sids 0, and nothing is stored.  A caller that changed the
-        thread page stores it."""
-        m = self.machine
-        host = UserCtx() if meta is None else meta.host
-        for name, value in (("mrange", RangeReg()), ("msid0", 0), ("msid1", 0),
-                            ("urange", host.urange), ("usid0", host.usid0),
-                            ("usid1", host.usid1)):
-            m.write_csr(PRV_M, name, value)
+               prv: int, user: UserCtx | None = None) -> None:
+        """The one way out of the enclave, once the caller has stored what
+        else it changed: store ``state`` in the metadata page, then switch
+        to ``prv`` with the enclave CSRs reset and ``user`` as the host's
+        context, by default the host's own user range and sids, a wiped
+        register file and the current pc.  With no ``meta`` (its page
+        failed verification) there is no host context to give back:
+        nothing is stored, the user range is left disabled and the user
+        sids 0."""
         if meta is not None:
             meta.state = state
             self._store_meta(handle, meta)
-        m.active_enclave = None
-        m.prv = prv
+        if user is None:
+            host = UserCtx() if meta is None else meta.host
+            user = UserCtx(self.machine.pc, None, host.urange, host.usid0, host.usid1)
+        self._switch(None, prv, user, _NO_RANGE, 0, 0)
 
     def _active_meta(self) -> tuple[EnclaveHandle, EnclaveMeta]:
         """The running enclave's handle and verified metadata page, for a
         monitor call made from inside it.  A metadata page that fails
-        verification fails closed: the registers are wiped, the enclave is
-        left with no host context restored (:meth:`_leave`) and the AUTH
+        verification fails closed: the enclave is left with the registers
+        wiped and no host context restored (:meth:`_leave`), and the AUTH
         trap propagates, so the host's next entry fails on the page too."""
         handle = self.machine.active_enclave
         if handle is None:
@@ -777,7 +798,6 @@ class SecurityMonitor:
         try:
             return handle, self._load_meta(handle)
         except AuthenticationException:
-            self.machine.regs = [0] * len(self.machine.regs)
             self._leave(handle, None, EnclaveState.TERMINATED, PRV_S)
             raise
 
@@ -928,7 +948,6 @@ class SecurityMonitor:
                 return DispositionKind.RETRY_DENIED
             meta.fault_count += 1
             if meta.fault_count >= self.fault_threshold:
-                m.regs = [0] * len(m.regs)
                 self._leave(handle, meta, EnclaveState.TERMINATED, PRV_S)
                 return DispositionKind.ENCLAVE_TERMINATED
             self._store_meta(handle, meta)

@@ -111,20 +111,22 @@ def test_a_warm_switch_decodes_and_derives_nothing(monkeypatch):
     """After one warm-up round trip on the standard world, an eenter from
     the host's one call site and the eexit after it call neither page
     decoder, the page-tweak builder nor the key derivation, and cost the
-    engine exactly the ledger's rows."""
+    engine exactly the ledger's rows.  Each switch writes the six CSRs the
+    monitor owns once: twelve ``Machine.write_csr`` calls a pair."""
     m = Machine(seed=0)
     sm = monitor.SecurityMonitor(m)
     handle = spawn_enclave(m, sm)
     sm.eenter(handle)
     sm.eexit()
     calls = {"read": 0, "write": 0, "EnclaveMeta.unpack": 0, "ThreadMeta.unpack": 0,
-             "kdf": 0, "_monitor_page_tweak": 0}
+             "kdf": 0, "_monitor_page_tweak": 0, "write_csr": 0}
     m.mee.read = _counted(calls, "read", m.mee.read)
     m.mee.write = _counted(calls, "write", m.mee.write)
     for cls in (monitor.EnclaveMeta, monitor.ThreadMeta):
         monkeypatch.setattr(cls, "unpack",
                             _counted(calls, f"{cls.__name__}.unpack", cls.unpack))
     monkeypatch.setattr(monitor, "kdf", _counted(calls, "kdf", monitor.kdf))
+    monkeypatch.setattr(m, "write_csr", _counted(calls, "write_csr", m.write_csr))
     monkeypatch.setattr(sm, "_monitor_page_tweak",
                         _counted(calls, "_monitor_page_tweak", sm._monitor_page_tweak))
     ledger = {}
@@ -136,7 +138,8 @@ def test_a_warm_switch_decodes_and_derives_nothing(monkeypatch):
         ledger[name] = tuple(b - a for a, b in zip(start, end))
     assert ledger == {"eenter": LEDGER["eenter"], "eexit": LEDGER["eexit"]}
     assert {name: n for name, n in calls.items() if name not in ("read", "write")} == {
-        "EnclaveMeta.unpack": 0, "ThreadMeta.unpack": 0, "kdf": 0, "_monitor_page_tweak": 0}
+        "EnclaveMeta.unpack": 0, "ThreadMeta.unpack": 0, "kdf": 0, "_monitor_page_tweak": 0,
+        "write_csr": 12}
 
 
 _ACCESS = ["access", "_check_pte", "_line_access"]

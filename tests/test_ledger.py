@@ -52,52 +52,58 @@ def _counted(calls: dict, name: str, method):
     return wrapper
 
 
+class LedgerWorld:
+    """The standard world at seed 0, with an S-mode bait page the host
+    space maps user-accessible, and ``steps``: one enclave's life through
+    every call, as (name, step) pairs in order, a step named None run but
+    not counted.  ``handle`` is the enclave's once ``ecreate`` has run."""
+
+    def __init__(self, cache_cfg=None):
+        self.m = m = Machine(seed=0, cache_cfg=cache_cfg)
+        self.sm = sm = SecurityMonitor(m)
+        self.handle = self.sealed = None
+        m.map_page(PRV_S, "host", BAIT_VA, 0x900, "rwu")
+        m.access("host", BAIT_VA, AccessKind.WRITE, PRV_S, data=b"os-owned-data!!!")
+        self.steps = [
+            ("ecreate", self._ecreate),
+            ("eenter", lambda: sm.eenter(self.handle)),
+            ("interrupt", sm.interrupt),
+            ("resume", lambda: sm.eenter(self.handle)),
+            ("emod", lambda: sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW),
+                                     PageCtx(PageType.REGULAR, RO))),
+            ("edestroy", lambda: sm.edestroy(DATA_VA)),
+            ("eprepare", lambda: sm.eprepare(DATA_VA, PageType.REGULAR, RW)),
+            ("eexit", sm.eexit),
+            ("swap_out", self._swap_out),
+            ("swap_in", lambda: sm.swap_in(self.handle, DATA_VA, self.sealed)),
+            (None, lambda: sm.eenter(self.handle)),
+            ("fault", self._probe),
+            (None, self._probe),
+            ("terminate", lambda: self._probe(DispositionKind.ENCLAVE_TERMINATED)),
+        ]
+
+    def _ecreate(self):
+        self.handle = spawn_enclave(self.m, self.sm)
+
+    def _swap_out(self):
+        self.sealed = self.sm.swap_out(self.handle, DATA_VA, temp_ppn=0x400)
+
+    def _probe(self, disposition=DispositionKind.RETRY_DENIED):
+        with pytest.raises(AuthenticationException) as info:
+            self.m.access("host", BAIT_VA, AccessKind.READ, PRV_U, size=4)
+        assert info.value.disposition is disposition
+
+
 def _ledger() -> dict[str, tuple[int, int]]:
     """Run one enclave's life through every call and count each call's
-    engine work; a step named None is run but not counted."""
-    m = Machine(seed=0)
-    sm = SecurityMonitor(m)
-    m.map_page(PRV_S, "host", BAIT_VA, 0x900, "rwu")
-    m.access("host", BAIT_VA, AccessKind.WRITE, PRV_S, data=b"os-owned-data!!!")
-    mee = m.mee
+    engine work."""
+    world = LedgerWorld()
+    mee = world.m.mee
     calls = {"read": 0, "write": 0}
     mee.read = _counted(calls, "read", mee.read)
     mee.write = _counted(calls, "write", mee.write)
-    handle = None
-    sealed = None
-
-    def ecreate():
-        nonlocal handle
-        handle = spawn_enclave(m, sm)
-
-    def swap_out():
-        nonlocal sealed
-        sealed = sm.swap_out(handle, DATA_VA, temp_ppn=0x400)
-
-    def probe(disposition=DispositionKind.RETRY_DENIED):
-        with pytest.raises(AuthenticationException) as info:
-            m.access("host", BAIT_VA, AccessKind.READ, PRV_U, size=4)
-        assert info.value.disposition is disposition
-
-    steps = [
-        ("ecreate", ecreate),
-        ("eenter", lambda: sm.eenter(handle)),
-        ("interrupt", sm.interrupt),
-        ("resume", lambda: sm.eenter(handle)),
-        ("emod", lambda: sm.emod(DATA_VA, PageCtx(PageType.REGULAR, RW),
-                                 PageCtx(PageType.REGULAR, RO))),
-        ("edestroy", lambda: sm.edestroy(DATA_VA)),
-        ("eprepare", lambda: sm.eprepare(DATA_VA, PageType.REGULAR, RW)),
-        ("eexit", sm.eexit),
-        ("swap_out", swap_out),
-        ("swap_in", lambda: sm.swap_in(handle, DATA_VA, sealed)),
-        (None, lambda: sm.eenter(handle)),
-        ("fault", probe),
-        (None, probe),
-        ("terminate", lambda: probe(DispositionKind.ENCLAVE_TERMINATED)),
-    ]
     out = {}
-    for name, step in steps:
+    for name, step in world.steps:
         before = calls["read"], calls["write"], mee.seals, mee.opens
         step()
         after = calls["read"], calls["write"], mee.seals, mee.opens
