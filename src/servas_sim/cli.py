@@ -13,6 +13,11 @@ Every command is deterministic: ``overhead`` draws nothing, the others
 draw under ``--seed``, with the environment variable ``SERVAS_SIM_SEED``
 as the fallback seed.  Exit codes: 0 success, 1 verdict mismatch, 2 usage
 or script error.
+
+Importing this module loads only ``cache`` and ``tweak`` of the package;
+each command imports the other layers it drives when it runs, so
+``evictions`` and ``overhead`` load neither the machine, the monitor nor
+cryptography.
 """
 
 from __future__ import annotations
@@ -25,20 +30,9 @@ import json
 import os
 import sys
 from pathlib import Path
-from xml.etree import ElementTree as ET
 
 from . import cache
 from .cache import EvictionMode, TcCfg, eviction_grid, overhead_sweep
-from .image import (
-    DEVELOPER_ID_BYTES,
-    FormatError,
-    ImageAuthFailure,
-    InvalidImage,
-    image_from_manifest,
-    load_enclave_image,
-)
-from .monitor import derive_developer_key
-from .scenarios import ScriptError, builtin_suite, load_json, load_scenarios, run_scenario
 from .tweak import voffset_bits
 
 EVICTION_CSV_SCHEMA = "servas-sim eviction-csv v1"
@@ -52,14 +46,14 @@ def _seed_from(args) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ScriptError(f"SERVAS_SIM_SEED takes an integer, not {text!r}") from None
+        raise ValueError(f"SERVAS_SIM_SEED takes an integer, not {text!r}") from None
 
 
 def _parse_int_list(text: str, name: str) -> list[int]:
     try:
         return [int(x, 0) for x in text.split(",") if x]
     except ValueError:
-        raise ScriptError(f"{name} takes a comma list of integers, not {text!r}") from None
+        raise ValueError(f"{name} takes a comma list of integers, not {text!r}") from None
 
 
 def _parse_range(text: str, name: str) -> list[int]:
@@ -70,15 +64,15 @@ def _parse_range(text: str, name: str) -> list[int]:
     try:
         parts = [int(x, 0) for x in text.split(":")]
     except ValueError:
-        raise ScriptError(f"{name} takes a:b, a:b:step or a comma list, not {text!r}") from None
+        raise ValueError(f"{name} takes a:b, a:b:step or a comma list, not {text!r}") from None
     if len(parts) > 3:
-        raise ScriptError(f"range {text} has {len(parts)} fields, not a:b or a:b:step")
+        raise ValueError(f"range {text} has {len(parts)} fields, not a:b or a:b:step")
     if parts[2:] == [0]:
-        raise ScriptError(f"range {text} has a step of 0")
+        raise ValueError(f"range {text} has a step of 0")
     points = range(parts[0], parts[1] + 1, *parts[2:])
     if points[cache.ROW_LIMIT:]:  # no len(): it overflows on a huge range
-        raise ScriptError(f"range {text} lists more than the row bound of "
-                          f"{cache.ROW_LIMIT:,} points")
+        raise ValueError(f"range {text} lists more than the row bound of "
+                         f"{cache.ROW_LIMIT:,} points")
     return list(points)
 
 
@@ -89,7 +83,7 @@ def _parse_tc(text: str) -> list[TcCfg]:
         try:
             points.append((int(n_tweak, 0), int(voffl, 0)))
         except ValueError:
-            raise ScriptError(f"--tc point {part!r} is not n_tweak:b_voffsetL") from None
+            raise ValueError(f"--tc point {part!r} is not n_tweak:b_voffsetL") from None
     return [TcCfg(n_tweak=n, voffset_low_bits=v) for n, v in points]
 
 
@@ -119,6 +113,8 @@ def _fmt_verdict(v) -> str:
 
 
 def _junit_report(results, stream) -> None:
+    from xml.etree import ElementTree as ET
+
     suite = ET.Element("testsuite", name="servas-sim-scenarios",
                        tests=str(len(results)),
                        failures=str(sum(1 for _, e, g in results if e != g)))
@@ -134,9 +130,11 @@ def _junit_report(results, stream) -> None:
 
 
 def cmd_scenarios(args) -> int:
+    from .scenarios import builtin_suite, load_scenarios, run_scenario
+
     seed = _seed_from(args)
     if args.fault_threshold < 1:
-        raise ScriptError(f"--fault-threshold must be at least 1, got {args.fault_threshold}")
+        raise ValueError(f"--fault-threshold must be at least 1, got {args.fault_threshold}")
     if args.path is None or args.path == "builtin":
         scenarios = builtin_suite()
     else:
@@ -144,7 +142,7 @@ def cmd_scenarios(args) -> int:
     if args.filter:
         scenarios = [s for s in scenarios if args.filter in s.name]
         if not scenarios:
-            raise ScriptError(f"no scenario matches filter {args.filter!r}")
+            raise ValueError(f"no scenario matches filter {args.filter!r}")
     results = []
     for scenario in scenarios:
         got = run_scenario(scenario, seed=seed, fault_threshold=args.fault_threshold)
@@ -206,10 +204,14 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_image(args) -> int:
+    from .image import image_from_manifest, load_enclave_image
+
     needed = "manifest" if args.mode == "pack" else "image"
     if getattr(args, needed) is None:
-        raise ScriptError(f"image {args.mode} needs --{needed}")
+        raise ValueError(f"image {args.mode} needs --{needed}")
     if args.mode == "pack":
+        from .scenarios import load_json
+
         manifest_path = Path(args.manifest)
         manifest = load_json(manifest_path.read_text(), "manifest")
         image = image_from_manifest(manifest, manifest_path.parent)
@@ -237,7 +239,7 @@ def cmd_image(args) -> int:
         image = load_enclave_image(Path(args.image).read_bytes())
         key = _image_key(args)
         if key is None:
-            raise ScriptError("wrap needs --cpu-key")
+            raise ValueError("wrap needs --cpu-key")
         import random
 
         nonce = random.Random(f"image-wrap-{_seed_from(args)}").randbytes(12)
@@ -248,10 +250,13 @@ def cmd_image(args) -> int:
 def _image_key(args) -> bytes | None:
     if not getattr(args, "cpu_key", None):
         return None
+    from .image import DEVELOPER_ID_BYTES
+    from .monitor import derive_developer_key
+
     cpu_key = bytes.fromhex(args.cpu_key)
     dev_id = args.developer_id.encode()
     if len(dev_id) > DEVELOPER_ID_BYTES:
-        raise ScriptError(f"--developer-id is longer than {DEVELOPER_ID_BYTES} bytes")
+        raise ValueError(f"--developer-id is longer than {DEVELOPER_ID_BYTES} bytes")
     dev_id = dev_id.ljust(DEVELOPER_ID_BYTES, b"\x00")
     return derive_developer_key(cpu_key, dev_id)
 
@@ -313,9 +318,32 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ScriptError, OSError, ValueError, FormatError, ImageAuthFailure, InvalidImage) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _input_errors() -> tuple[type[Exception], ...]:
+    """What ``main`` turns into exit 2: ``OSError``, ``ValueError`` and the
+    input errors of the scenario and image layers.  An except clause
+    evaluates this only once an error propagates, and a layer that was
+    never loaded raised none of its errors, so this loads no layer."""
+    errors = [OSError, ValueError]
+    if scenarios := sys.modules.get(f"{__package__}.scenarios"):
+        errors.append(scenarios.ScriptError)
+    if image := sys.modules.get(f"{__package__}.image"):
+        errors += (image.FormatError, image.ImageAuthFailure, image.InvalidImage)
+    return tuple(errors)
+
+
+def __getattr__(name: str):
+    # ``cli.run_scenario`` is the scenario layer's runner, which tracers
+    # (perfbench/spans.py) patch here; it loads that layer on first use
+    if name == "run_scenario":
+        from .scenarios import run_scenario
+
+        return run_scenario
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

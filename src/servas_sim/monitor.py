@@ -55,9 +55,9 @@ termination has nothing there to clear.  Every call made from inside the
 enclave reaches its metadata page one way
 (:meth:`SecurityMonitor._active_meta`), which fails closed: a page that
 fails verification has no host context to give back, so the registers
-are wiped, no enclave is left active, the hart drops to S-mode with no
-user range or sids, and the AUTH trap propagates (for a fault, with the
-terminating disposition).  Each load verifies the whole page; nothing
+are wiped, the pc is 0, no enclave is left active, the hart drops to
+S-mode with no user range or sids, and the AUTH trap propagates (for a
+fault, with the terminating disposition).  Each load verifies the whole page; nothing
 the monitor keeps is trusted over the engine.  Per monitor frame it
 keeps the page's tweak, built once per frame and runtime id, the bytes
 it last read or wrote there and their decoded record, and it decodes a
@@ -503,21 +503,25 @@ class SecurityMonitor:
         # the truncated encids of the most recent enclaves, each derived once
         self._encids = functools.lru_cache(maxsize=64)(
             functools.partial(_truncated_encid, machine.cpu_key))
-        self._in_monitor = False
+        self._in_monitor = self._switched = False
         machine.sm_auth_handler = _weak_auth_handler(self)
 
     # --- plumbing -----------------------------------------------------------
 
     @contextmanager
     def _monitor_call(self):
+        """Run the hart at M for one monitor call, yielding the caller's
+        privilege.  A call that reaches :meth:`_switch` ends at the
+        privilege it switched to; any other, refused or not, gives the
+        caller's back."""
         assert not self._in_monitor, "monitor calls never nest"
-        self._in_monitor = True
+        self._in_monitor, self._switched = True, False
         saved_prv = self.machine.prv
         self.machine.prv = PRV_M
         try:
             yield saved_prv
         finally:
-            if self.machine.prv == PRV_M:
+            if not self._switched:
                 self.machine.prv = saved_prv
             self._in_monitor = False
 
@@ -536,6 +540,7 @@ class SecurityMonitor:
         m.regs = list(_NO_REGS if user.regs is None else user.regs)
         m.active_enclave = active
         m.prv = prv
+        self._switched = True
 
     def _monitor_page_tweak(self, ppn: int, rtid: int = 0) -> SwTweak:
         """The first-line tweak of a monitor page, and so the one place that
@@ -773,17 +778,17 @@ class SecurityMonitor:
         """The one way out of the enclave, once the caller has stored what
         else it changed: store ``state`` in the metadata page, then switch
         to ``prv`` with the enclave CSRs reset and ``user`` as the host's
-        context, by default the host's own user range and sids, a wiped
-        register file and the current pc.  With no ``meta`` (its page
-        failed verification) there is no host context to give back:
-        nothing is stored, the user range is left disabled and the user
+        context, by default the host's own context as saved at entry with
+        a wiped register file, so the host sees neither the enclave's
+        registers nor its pc.  With no ``meta`` (its page failed
+        verification) there is no host context to give back: nothing is
+        stored, the pc is 0, the user range is left disabled and the user
         sids 0."""
         if meta is not None:
             meta.state = state
             self._store_meta(handle, meta)
         if user is None:
-            host = UserCtx() if meta is None else meta.host
-            user = UserCtx(self.machine.pc, None, host.urange, host.usid0, host.usid1)
+            user = replace(UserCtx() if meta is None else meta.host, regs=None)
         self._switch(None, prv, user, _NO_RANGE, 0, 0)
 
     def _active_meta(self) -> tuple[EnclaveHandle, EnclaveMeta]:

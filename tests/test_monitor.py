@@ -425,6 +425,77 @@ def test_interrupt_preserves_enclave_usids_across_resume(enclave):
     assert m.read_csr(PRV_U, "urange").base == 0x6000_0000
 
 
+@pytest.mark.parametrize("caller_prv", [PRV_M, PRV_S, PRV_U], ids=["M", "S", "U"])
+def test_an_exit_ends_at_the_privilege_the_entry_was_called_from(enclave, caller_prv):
+    """The exit switches to the privilege ``eenter`` was called from, and
+    nothing afterwards puts the enclave's U-mode back."""
+    m, sm, handle = enclave
+    m.prv = caller_prv
+    sm.eenter(handle)
+    assert m.prv == PRV_U
+    sm.eexit()
+    assert (m.prv, m.active_enclave) == (caller_prv, None)
+
+
+@pytest.mark.parametrize("caller_prv", [PRV_M, PRV_S, PRV_U], ids=["M", "S", "U"])
+def test_a_refused_call_leaves_the_privilege_as_it_was(enclave, caller_prv):
+    """A call refused before it switches, from the host or from inside
+    the enclave, ends at the caller's privilege."""
+    m, sm, handle = enclave
+    m.prv = caller_prv
+    with pytest.raises(NotInEnclave):
+        sm.eexit()
+    assert m.prv == caller_prv
+    sm.eenter(handle)
+    m.prv = caller_prv
+    with pytest.raises(MonitorTypeForbidden):
+        sm.eprepare(0x5000_0000, PageType.MONITOR, RW)
+    with pytest.raises(WrongState):
+        sm.eenter(handle)
+    assert (m.prv, m.active_enclave) == (caller_prv, handle)
+
+
+def _interrupt(m, sm):
+    sm.interrupt()
+
+
+def _fault(m, sm):
+    with pytest.raises(AuthenticationException):
+        m.access("host", 0x9000_0000, READ, PRV_U, size=4)
+
+
+def _tamper_then_interrupt(ppn):
+    def leave(m, sm):
+        m.phys_flip_bit(ppn * LINES_PER_PAGE + 5, 77)
+        with pytest.raises(AuthenticationException):
+            sm.interrupt()
+    return leave
+
+
+@pytest.mark.parametrize("leave,host_pc", [
+    (_interrupt, 0x1234),
+    (_fault, 0x1234),  # the first fault reaches the threshold of 1
+    (_tamper_then_interrupt(0x201), 0x1234),  # thread page: terminated, host context kept
+    (_tamper_then_interrupt(0x200), 0),  # metadata page: no host context to give back
+], ids=["interrupt", "fault-threshold", "thread-page-tampered", "metadata-page-tampered"])
+def test_the_host_never_reads_the_enclaves_pc(machine, leave, host_pc):
+    """Leaving the enclave other than by ``eexit`` hands the host the pc it
+    had at entry (0 with no verified metadata page), never the enclave's;
+    a resume still continues at the enclave's own pc."""
+    sm = SecurityMonitor(machine, fault_threshold=1)
+    _os_bait_page(machine)
+    handle = spawn_enclave(machine, sm)
+    machine.pc = 0x1234
+    sm.eenter(handle)
+    machine.pc = A_BASE + 0x40
+    leave(machine, sm)
+    assert (machine.pc, machine.active_enclave) == (host_pc, None)
+    if leave is _interrupt:
+        machine.prv = PRV_U
+        sm.eenter(handle)
+        assert machine.pc == A_BASE + 0x40
+
+
 # --- dynamic pages ----------------------------------------------------------------
 
 
@@ -1533,6 +1604,6 @@ def test_user_trace_ciphertext_and_counts_golden():
     assert out.hexdigest() == \
         "38bf91c8a5e65856bdf3625aa9266e8dd22ba40233ac244e2c6c309dd65fd289"
     assert enclave_pages == "5f45fa1ee76f6c44ff314cd81c77059193e623995aed1a09534d58bd77273d07"
-    assert monitor_pages == "b02597692527b8c061f8080c2531cd90a666a33bbbce9de98521548270e3816b"
+    assert monitor_pages == "e974bedba588142d4127938bb56946e530a1bb880ae13c27f575d7fbf7b69800"
     # cache hits, misses, tweak mismatches; engine writes, reads; sealed lines
-    assert counts == (1694, 562, 42, 416, 455, 576)
+    assert counts == (1695, 561, 41, 415, 455, 576)
