@@ -2,6 +2,7 @@
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W [W ...]
                                    --pairs N --seconds S --seed-base K --out BENCH_<n>.json
+                                   [--in-process]
 
 For each workload, pair ``i`` runs ``python3 perfbench/run.py --workload W
 --seed K+i --seconds S`` once in each checkout, one after the other, the
@@ -23,12 +24,28 @@ Once per workload and side, at the first seed, it also runs
 the counts that differ between the sides.  Wall time that moves while
 every count is identical moved for no reason in the code's work.
 
+With ``--in-process`` both checkouts are loaded into this one interpreter:
+each one's ``servas_sim`` package and perfbench modules are imported under
+their usual names and swapped into ``sys.modules`` while that checkout
+runs (perfbench's workloads import ``servas_sim`` inside their functions,
+so the swap reaches them).  Pair ``i`` builds each side's workload at
+seed K+i, then runs ``UNITS`` timed units of S / ``UNITS`` seconds per
+side (the workload's ``measure``, untraced and unscaled) in ABBA order --
+the parent first in even pairs, the change in odd ones.  A side's ``ops_per_s`` and ``op_ms_p50`` are
+the medians over its units' intervals, as ``perfbench/run.py`` computes
+them; the summary has the same shape.  Host drift that lasts longer than
+a unit hits both sides alike, which separate processes cannot promise.
+``setup_s`` and ``peak_rss_mb`` are properties of a fresh process, and the
+traced counts need the tracer's own process, so both stay with the
+separate-process mode.
+
 Run it on an otherwise idle host; the runs themselves are sequential.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import statistics
 import subprocess
@@ -37,6 +54,12 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 COUNT_UNITS = ("count", "count/call")
+# the end-to-end metrics one interpreter can measure for both sides
+IN_PROCESS_METRICS = ("ops_per_s", "op_ms_p50")
+# the top-level module names a checkout's in-process load owns
+TREE_MODULES = ("servas_sim", "run", "workloads", "checks", "hostspeed")
+# the timed units each side runs per in-process pair, in ABBA order
+UNITS = 12
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -106,6 +129,81 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def _tree_owned(name: str) -> bool:
+    return name.partition(".")[0] in TREE_MODULES
+
+
+class Tree:
+    """One checkout's ``servas_sim`` package and perfbench modules, loaded
+    under their usual names.  ``with tree:`` puts them in ``sys.modules``
+    in place of whatever the interpreter held under those names, and
+    puts that back on leaving, keeping any module the checkout loaded
+    meanwhile (``servas_sim`` loads its layers on first use)."""
+
+    def __init__(self, root: Path):
+        self.root = root.resolve()
+        self.modules: dict[str, object] = {}
+        self._outside: dict[str, object] = {}
+        saved = sys.path[:]
+        sys.path[:0] = [str(self.root / "perfbench"), str(self.root / "src")]
+        try:
+            with self:
+                self.run = importlib.import_module("run")
+                package = importlib.import_module("servas_sim")
+                where = Path(package.__file__).resolve().parent
+                if where != self.root / "src" / "servas_sim":
+                    sys.exit(f"error: servas_sim loaded from {where}, not {self.root}")
+        finally:
+            sys.path[:] = saved
+
+    def __enter__(self) -> "Tree":
+        self._outside = {n: m for n, m in sys.modules.items() if _tree_owned(n)}
+        for name in self._outside:
+            del sys.modules[name]
+        sys.modules.update(self.modules)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.modules = {n: m for n, m in sys.modules.items() if _tree_owned(n)}
+        for name in self.modules:
+            del sys.modules[name]
+        sys.modules.update(self._outside)
+
+
+def abba(units: int, first: int) -> list[int]:
+    """The side index (0 parent, 1 change) of each of ``2 * units`` units in
+    ABBA order, side ``first`` leading: each side runs ``units`` of them."""
+    return [first ^ (j % 4 in (1, 2)) for j in range(2 * units)]
+
+
+def in_process_pair(trees: list[Tree], workload: str, seed: int, unit_seconds: float,
+                    first: int) -> dict:
+    """One pair in one interpreter: each side's workload built at ``seed``,
+    then ``UNITS`` timed units per side in ABBA order."""
+    built = []
+    for tree in trees:
+        with tree:
+            wl = tree.run.make_workload(workload)
+            built.append((wl, wl.setup(seed), tree.run.workloads.Outcome()))
+    for side in abba(UNITS, first):
+        wl, state, total = built[side]
+        with trees[side]:
+            out = wl.measure(state, seed, unit_seconds, None)
+        total.intervals += out.intervals
+        total.add(out.attempted, out.errors, failed=out.failed)
+    pair = {"seed": seed, "first": SIDES[first]}
+    for side, tree, (wl, _, total) in zip(SIDES, trees, built):
+        if not total.intervals:
+            sys.exit(f"error: {workload} at seed {seed} completed no interval in {tree.root}")
+        figures = tree.run.end_to_end(wl, total.intervals, scaled=False)
+        pair[side] = {"result": {
+            "attempted": total.attempted, "failed": total.failed,
+            "intervals": len(total.intervals), "errors": total.errors,
+            "metrics": {name: {"value": figures[name], "unit": unit}
+                        for name, unit in tree.run.END_TO_END if name in IN_PROCESS_METRICS}}}
+    return pair
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -114,6 +212,8 @@ def main() -> None:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed-base", type=int, default=100)
+    parser.add_argument("--in-process", action="store_true",
+                        help="load both checkouts into this interpreter and alternate units")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     if args.pairs < 1 or args.seconds <= 0:
@@ -123,39 +223,52 @@ def main() -> None:
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {path} has no perfbench/run.py")
     metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    trees = None
+    if args.in_process:
+        metrics = [m for m in metrics if m["name"] in IN_PROCESS_METRICS]
+        trees = [Tree(checkouts[side]) for side in SIDES]
 
-    report = {"pairs": args.pairs, "seconds": args.seconds, "seed_base": args.seed_base,
+    report = {"mode": "in-process" if args.in_process else "separate-process",
+              "pairs": args.pairs, "seconds": args.seconds, "seed_base": args.seed_base,
               "workloads": {}}
+    if args.in_process:
+        report["units"] = UNITS
     for workload in args.workload:
         runs = []
         for i in range(args.pairs):
             seed = args.seed_base + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+            if trees is not None:
+                pair = in_process_pair(trees, workload, seed, args.seconds / UNITS, i % 2)
+            else:
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
             runs.append(pair)
             print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: " + ", ".join(
                 f"{side} ops_per_s {pair[side]['result']['metrics']['ops_per_s']['value']:.6g}"
                 for side in SIDES), flush=True)
-        counts = {side: counts_of(run_once(checkouts[side], workload, args.seed_base, 1.0,
-                                           trace=1)["result"]) for side in SIDES}
-        report["workloads"][workload] = {
-            "traced_counts": {"seed": args.seed_base,
-                              "differ": count_diff(counts["parent"], counts["change"])},
+        entry = report["workloads"][workload] = {}
+        if trees is None:
+            counts = {side: counts_of(run_once(checkouts[side], workload, args.seed_base, 1.0,
+                                               trace=1)["result"]) for side in SIDES}
+            entry["traced_counts"] = {"seed": args.seed_base,
+                                      "differ": count_diff(counts["parent"], counts["change"])}
+        entry.update({
             "failed": {side: sum(r[side]["result"]["failed"] for r in runs) for side in SIDES},
             "attempted": {side: sum(r[side]["result"]["attempted"] for r in runs)
                           for side in SIDES},
             "summary": summarize(runs, metrics),
             "runs": runs,
-        }
+        })
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
-        differ = entry["traced_counts"]["differ"]
-        print(f"{workload} traced counts at seed {args.seed_base}: "
-              + ("identical" if not differ else f"{len(differ)} differ"))
-        for name, d in differ.items():
-            print(f"{workload} {name}: parent {d['parent']} change {d['change']}")
+        if "traced_counts" in entry:
+            differ = entry["traced_counts"]["differ"]
+            print(f"{workload} traced counts at seed {args.seed_base}: "
+                  + ("identical" if not differ else f"{len(differ)} differ"))
+            for name, d in differ.items():
+                print(f"{workload} {name}: parent {d['parent']} change {d['change']}")
         for name, s in entry["summary"].items():
             print(f"{workload} {name}: parent {s['parent']['median']:.6g} "
                   f"change {s['change']['median']:.6g} ({s['change_over_parent']:.3f}x), "

@@ -259,8 +259,12 @@ class TweakTaggedCache:
     the entry's place; a full set drops the entry at a uniform random
     position, drawn from the machine RNG.
 
-    The machine supplies a fill callback so authentication failures
-    propagate from the refill path untouched; a failed fill caches nothing.
+    Reads and updates take the packed tweak integer, which is the tag, so
+    the machine steps a page's tweak per line with no tweak object.  A read
+    takes the engine's read as its fill callback, with the arguments of a
+    one-line read, so a miss runs no frame between the two and
+    authentication failures propagate from the refill path untouched; a
+    failed fill caches nothing.
     """
 
     def __init__(self, cfg: CacheCfg, rng):
@@ -272,37 +276,40 @@ class TweakTaggedCache:
         self.misses = 0
         self.tweak_mismatches = 0
 
-    def read(self, line_index: int, sw, fill) -> bytes:
-        """The line under ``sw``: the cached copy if its tag is ``sw``, else
-        what ``fill`` reads, installed.  An entry under another tweak is a
-        mismatch: under write-through the memory copy is already current,
-        so the stale tag is just dropped."""
+    def read(self, line_index: int, sw_int: int, fill, first: int, sw,
+             lines=(0,)) -> bytes:
+        """The line under the packed tweak ``sw_int``: the cached copy if its
+        tag is ``sw_int``, else what ``fill(first, sw, lines)`` reads --
+        the engine's read of this one line, as line ``lines[0]`` of a page
+        read from ``first`` under ``sw`` -- installed.  An entry under
+        another tweak is a mismatch: under write-through the memory copy is
+        already current, so the stale tag is just dropped."""
         ways = self.sets[line_index % self.n_sets]
         entry = ways.get(line_index)
         if entry is not None:
-            if entry[0] == sw.value:
+            if entry[0] == sw_int:
                 self.hits += 1
                 return entry[1]
             self.tweak_mismatches += 1
             del ways[line_index]
         self.misses += 1
-        data = fill(line_index, sw)  # may raise AuthenticationError
-        self._install(ways, line_index, sw.value, data)
+        data = fill(first, sw, lines)  # may raise AuthenticationError
+        self._install(ways, line_index, sw_int, data)
         return data
 
-    def update(self, line_index: int, sw, data: bytes) -> None:
+    def update(self, line_index: int, sw_int: int, data: bytes) -> None:
         """Install the post-write line image (the write itself already went
         through to the engine): in place under the cached tag, else as
         :meth:`read` installs a fill, after dropping a mismatched entry."""
         ways = self.sets[line_index % self.n_sets]
         entry = ways.get(line_index)
         if entry is not None:
-            if entry[0] == sw.value:
-                ways[line_index] = entry[0], data
+            if entry[0] == sw_int:
+                ways[line_index] = sw_int, data
                 return
             self.tweak_mismatches += 1
             del ways[line_index]
-        self._install(ways, line_index, sw.value, data)
+        self._install(ways, line_index, sw_int, data)
 
     def _install(self, ways: dict, line_index: int, sw_int: int, data: bytes) -> None:
         """Put a line the set does not hold at the end of its set, after

@@ -210,10 +210,11 @@ def cmd_image(args) -> int:
     if getattr(args, needed) is None:
         raise ValueError(f"image {args.mode} needs --{needed}")
     if args.mode == "pack":
-        from .scenarios import load_json
-
         manifest_path = Path(args.manifest)
-        manifest = load_json(manifest_path.read_text(), "manifest")
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"malformed manifest: {exc}") from exc
         image = image_from_manifest(manifest, manifest_path.parent)
         Path(args.out).write_bytes(image.pack())
     elif args.mode == "unpack":

@@ -14,11 +14,14 @@ The front end -- walk, composition and classification -- depends only on
 the page tables, the CSRs and the (space, line, privilege) of the access,
 so :meth:`Machine.access` memoizes its result per line: the PTE (which is
 immutable), the line's physical address, the composed tweak and the page
-type.  A hit repeats the permission and U-bit checks against the PTE and
-goes on to the cache and engine as a miss does.  The memo holds for the
-page tables and the nine CSR values it was composed under.  A page-table
-edit (:meth:`Machine.map_page`, :meth:`Machine.unmap_page`) clears it.  A
-CSR write (:meth:`Machine.write_csr`, the CSR file's only writer) only
+type.  An entry also holds its permission verdict: the access kinds the
+PTE's r/w/x bits permit (an entry is made only once the U-bit check passed
+for its privilege, which is part of its key; every kind for an M-mode
+access).  So a hit checks the kind against the verdict, with no call; a
+refused kind runs the permission check, which raises the fault a miss
+raises.  The memo holds for the page tables and the nine CSR values it was
+composed under.  A page-table edit (:meth:`Machine.map_page`,
+:meth:`Machine.unmap_page`) clears it.  A CSR write (:meth:`Machine.write_csr`, the CSR file's only writer) only
 marks the values for a check: the next access compares them with the
 recorded ones and clears the memo if any differs.  So a monitor round trip
 that ends where it began -- ``eexit`` then ``eenter``, an interrupt and its
@@ -39,29 +42,33 @@ engine serializes it.
 :meth:`Machine.pinned_page` classifies a monitor page once and makes the
 page one engine call: :meth:`Mee.write` or :meth:`Mee.read` steps the
 voffset field of the tweak per line, and an AUTH trap names the first line
-that failed, with its address and stepped tweak.  Only a
-read through the cache goes line by line, because cache fills draw the
-machine RNG for replacement and their order must not move.
+that failed, with its address and stepped tweak.  A read through the cache
+goes line by line, in line order, because cache fills draw the machine RNG
+for replacement and their order must not move: each line is the cache's
+read under the packed tweak stepped as an integer, its fill the engine's
+read of that one line, so no tweak object is built but for an AUTH trap.
 
-Every access ends in one line routine, ``Machine._line_access``, a
-read-modify-write: it reads the old line -- from the plain store under
-bypass, else through the cache or from the engine, where a failed
-verification is the AUTH trap -- and a write merges its bytes into that
-line and stores the result, to the plain store or to the engine and then
-the cache.  So the existing line must verify under the access tweak before
-the merged line is re-sealed (a never-written line reads as zeros; the
-engine's module docstring states the rule).  The one exception is a write
-through :meth:`Machine.pinned_page`, the monitor's page I/O under a tweak
-it pins itself, which skips verification -- that is how the security
-monitor initializes pages regardless of their previous binding.
+A read takes its bytes of the line: from the plain store under bypass,
+else from the cache's read, whose fill is the engine's one-line read, or
+with the cache off from the engine's read; a failed verification is the
+AUTH trap.  A write goes through the one line routine,
+``Machine._line_access``, a read-modify-write: it reads the old line as a
+read does, merges its bytes into that line and stores the result, to the
+plain store or to the engine and then the cache.  So the existing line
+must verify under the access tweak before the merged line is re-sealed (a
+never-written line reads as zeros; the engine's module docstring states
+the rule).  The one exception is a write through
+:meth:`Machine.pinned_page`, the monitor's page I/O under a tweak it pins
+itself, which skips verification -- that is how the security monitor
+initializes pages regardless of their previous binding.
 
 A user access is the hot path, and each of its frames does modelled
-work: with the cache on, a hit read runs :meth:`Machine.access`, the
-permission check, ``_line_access`` and the cache's read, which matches the
-tag with one lookup; a hit write adds the engine's one-line write and the
-cache's update, in place under a matching tag; a miss adds the engine's
-one-line read and the install of the fill.  The tweak's packed ``value``
-is read as a slot, with no call.
+work: with the cache on, a hit read runs :meth:`Machine.access` and the
+cache's read, which matches the tag with one lookup; a miss read adds the
+engine's one-line read and the install of the fill.  A hit write runs the
+access, ``_line_access``, the cache's read, the engine's one-line write
+and the cache's update, in place under a matching tag.  The tweak's packed
+``value`` is read as a slot, with no call.
 
 The cache is write-through, and the machine keeps it coherent: every path
 that changes a line below it -- a pinned page write,
@@ -77,6 +84,7 @@ import hashlib
 import hmac
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NoReturn
 
 from .mee import LINE_BYTES, LINE_LIMIT, LINES_PER_PAGE, PAGE_BYTES, AuthenticationError, Mee
@@ -111,6 +119,8 @@ class AccessKind(enum.Enum):
 
 # module globals: an enum attribute load costs several times as much
 _READ, _WRITE = AccessKind.READ, AccessKind.WRITE
+_ANY_KIND = tuple(AccessKind)  # an M-mode access is untranslated: nothing refuses it
+_ZERO_LINE = bytes(LINE_BYTES)  # a line the plain store never held
 _UNPROTECTED = PageType.UNPROTECTED
 
 
@@ -262,10 +272,12 @@ class Machine:
         self.plain_lines: dict[int, bytes] = {}
         self.sm_auth_handler = None  # set by the security monitor
         self.active_enclave = None
-        # (space, line va, prv) -> (pte, line pa, tweak, page type), valid
-        # for the CSR values in _memo_csrs; a CSR write sets _csrs_written so
-        # the next access checks them (see the module docstring)
-        self._memo: dict[tuple[str, int, int], tuple[Pte | None, int, SwTweak, PageType]] = {}
+        # (space, line va, prv) -> (permitted kinds, line index, tweak, page
+        # type, pte), valid for the CSR values in _memo_csrs; a CSR write sets
+        # _csrs_written so the next access checks them (see the module
+        # docstring)
+        self._memo: dict[tuple[str, int, int],
+                         tuple[tuple[AccessKind, ...], int, SwTweak, PageType, Pte | None]] = {}
         self._memo_csrs: tuple | None = None
         self._csrs_written = False
         self.cache = None
@@ -380,20 +392,35 @@ class Machine:
         entry = self._memo.get(key)
         if entry is None:
             if prv == PRV_M:
-                pte, line_pa, pte_bits = None, va - offset, 0
+                kinds, pte, line_pa, pte_bits = _ANY_KIND, None, va - offset, 0
             else:
                 pte = self.walk(space, va)
                 if pte is None:
                     raise PageFault(va, prv, "unmapped")
                 _check_pte(pte, va, prv, kind)
+                # the verdict: the U-bit check passed at this privilege, so
+                # the kinds the r/w/x bits permit
+                kinds = tuple(compress(_ANY_KIND, (pte.r, pte.w, pte.x)))
                 line_pa = pte.ppn * PAGE_BYTES + (va - offset) % PAGE_BYTES
                 pte_bits = pte.bits
             sw = self.compose_for_access(va, prv, pte_bits)
-            entry = self._memo[key] = (pte, line_pa, sw, self._classify(va, prv, sw))
-        elif entry[0] is not None:
-            _check_pte(entry[0], va, prv, kind)
-        return self._line_access(va, prv, entry[1] + offset, entry[2], entry[3], kind,
-                                 data, size)
+            entry = self._memo[key] = (kinds, line_pa // LINE_BYTES, sw,
+                                       self._classify(va, prv, sw), pte)
+        kinds, line, sw, ptype, pte = entry
+        if kind not in kinds:
+            _check_pte(pte, va, prv, kind)  # raises the fault a memo miss raises
+        if kind is _WRITE:
+            return self._line_access(va, prv, line, offset, sw, ptype, data)
+        if self.bypass and ptype is _UNPROTECTED:
+            return self.plain_lines.get(line, _ZERO_LINE)[offset:offset + size]
+        try:
+            if self.cache is not None:
+                old = self.cache.read(line, sw.value, self.mee.read, line, sw)
+            else:
+                old = self.mee.read(line, sw)
+        except AuthenticationError as exc:
+            self._auth_trap(va, prv, sw, exc)
+        return old[offset:offset + size]
 
     def _check_memo_csrs(self) -> None:
         """Clear the access memo if the CSRs no longer hold the values it
@@ -423,35 +450,41 @@ class Machine:
         A protected page is one engine call: a write drops its lines from
         the cache and seals them with :meth:`Mee.write`, a read with the
         cache off opens them with :meth:`Mee.read`.  A read through the
-        cache, and an unprotected page under bypass, go line by line.
+        cache is the cache's read of each line in line order, under the
+        packed tweak stepped per line, since cache fills draw the machine
+        RNG for replacement and their order must not move.  An unprotected
+        page under bypass goes line by line through the plain store.
         """
         if sw.voffset + LINES_PER_PAGE - 1 >> voffset_bits(sw.va_bits):
             raise ValueError("voffset out of range")
         base = ppn * PAGE_BYTES
-        ptype = self._classify(base, PRV_M, sw)
-        if (self.bypass and ptype is _UNPROTECTED) or (
-                kind is not _WRITE and self.cache is not None):
-            value = sw.value
-            out = []
-            for i in lines:
-                pa = base + i * LINE_BYTES
-                line_sw = SwTweak.from_int(value + (i << VOFFSET_SHIFT), sw.va_bits)
-                data = None if content is None else content[i * LINE_BYTES:(i + 1) * LINE_BYTES]
-                out.append(self._line_access(pa, PRV_M, pa, line_sw, ptype, kind, data,
-                                             LINE_BYTES))
-            return None if kind is _WRITE else b"".join(out)
-
         first = base // LINE_BYTES
+        ptype = self._classify(base, PRV_M, sw)
+        value = sw.value
+        plain = self.bypass and ptype is _UNPROTECTED
         if kind is _WRITE:
-            self._uncache(first + i for i in lines)
-            self.mee.write(first, content, sw, lines)
+            if not plain:
+                self._uncache(first + i for i in lines)
+                self.mee.write(first, content, sw, lines)
+                return None
+            for i in lines:
+                self._line_access(base + i * LINE_BYTES, PRV_M, first + i, 0,
+                                  SwTweak.from_int(value + (i << VOFFSET_SHIFT), sw.va_bits),
+                                  ptype, content[i * LINE_BYTES:(i + 1) * LINE_BYTES])
             return None
+        if plain:
+            return b"".join([self.plain_lines.get(first + i, _ZERO_LINE) for i in lines])
         try:
-            return self.mee.read(first, sw, lines)
+            if self.cache is None:
+                return self.mee.read(first, sw, lines)
+            read, fill, out = self.cache.read, self.mee.read, []
+            for i in lines:
+                out.append(read(first + i, value + (i << VOFFSET_SHIFT), fill, first, sw, (i,)))
+            return b"".join(out)
         except AuthenticationError as exc:
             i = exc.line_index - first
             self._auth_trap(base + i * LINE_BYTES, PRV_M,
-                            SwTweak.from_int(sw.value + (i << VOFFSET_SHIFT), sw.va_bits), exc)
+                            SwTweak.from_int(value + (i << VOFFSET_SHIFT), sw.va_bits), exc)
 
     @staticmethod
     def _classify(va: int, prv: int, sw: SwTweak) -> PageType:
@@ -460,30 +493,27 @@ class Machine:
         except InvalidCombination as exc:
             raise InvalidCombinationTrap(va, prv, str(exc)) from exc
 
-    def _line_access(self, va: int, prv: int, pa: int, sw: SwTweak, ptype: PageType,
-                     kind: AccessKind, data: bytes | None, size: int) -> bytes:
-        """Bypass, cache and engine for one composed, classified access: the
-        read-modify-write of the module docstring."""
-        line_index, off = pa // LINE_BYTES, pa % LINE_BYTES
+    def _line_access(self, va: int, prv: int, line_index: int, off: int, sw: SwTweak,
+                     ptype: PageType, data: bytes) -> bytes:
+        """The read-modify-write of the module docstring: a write of
+        ``data`` at byte ``off`` of its composed, classified line."""
         plain = self.bypass and ptype is _UNPROTECTED
         try:
             if plain:
-                old = self.plain_lines.get(line_index, bytes(LINE_BYTES))
+                old = self.plain_lines.get(line_index, _ZERO_LINE)
             elif self.cache is not None:
-                old = self.cache.read(line_index, sw, self.mee.read)
+                old = self.cache.read(line_index, sw.value, self.mee.read, line_index, sw)
             else:
                 old = self.mee.read(line_index, sw)
         except AuthenticationError as exc:
             self._auth_trap(va, prv, sw, exc)
-        if kind is not _WRITE:
-            return old[off:off + size]
         merged = old[:off] + data + old[off + len(data):]
         if plain:
             self.plain_lines[line_index] = merged
         else:
             self.mee.write(line_index, merged, sw)
             if self.cache is not None:
-                self.cache.update(line_index, sw, merged)
+                self.cache.update(line_index, sw.value, merged)
         return data
 
     def _auth_trap(self, va: int, prv: int, sw: SwTweak, exc: AuthenticationError) -> NoReturn:

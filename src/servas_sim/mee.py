@@ -15,15 +15,17 @@ is bound to the tweak plus ``i`` in its voffset field, which is how every
 line of a page is bound.  The tweak width, associated-data length and
 cipher are looked up once per call.
 
-One line.  A call for one line, ``lines`` left at its default, is the
-machine's access path, so it runs no Python function but its own: the
-packed tweak is read as the tweak's ``value`` slot, and a write's loop
-body looks up each line's own page, so a loop of one line has no per-page
-setup.  A one-line read that its memo or its page's record serves (see
-below) returns before the loop, with the memo test written out; every
-other one-line read -- a never-written line, a detach, a real open, an
-error -- goes through the loop.  Tests hold both spellings of a one-line
-call, the default and ``[0]``, to the reference engine.
+One line.  A call for one line is the machine's access path -- ``lines``
+left at its default -- and the tweak cache's fill of a monitor page's
+line ``i`` -- ``lines`` of ``(i,)`` from the page's first line -- so it
+runs no Python function but its own: the packed tweak is read as the
+tweak's ``value`` slot, and a write's loop body looks up each line's own
+page, so a loop of one line has no per-page setup.  A one-line read that
+its memo or its page's record serves (see below) returns before the loop,
+with the memo test written out; every other one-line read -- a
+never-written line, a detach, a real open, an error -- goes through the
+loop.  Tests hold the spellings of a one-line call, the default, ``[0]``
+and a single line of a page, to the reference engine.
 
 ``seals`` and ``opens`` count the lines sealed and the lines verified (a
 failed verification included), however and whenever the AEAD work was
@@ -422,16 +424,19 @@ class Mee:
         error, goes through the loop."""
         sw_int, va_bits = sw.value, sw.va_bits
         width, marker = _ad_shape(va_bits)
-        if lines == (0,):
-            j = first_line & _LINE_MASK
-            page = self._pages.get(first_line - j)
+        if len(lines) == 1:
+            i = lines[0]
+            line = first_line + i
+            j = line & _LINE_MASK
+            page = self._pages.get(line - j)
             if page is not None:
+                line_sw = sw_int + (i << VOFFSET_SHIFT)
                 entry = page.lines.get(j)
                 if entry is None:  # the record's tweak, if any, is the read's
-                    if page.sw == sw_int - j * page.step and page.va_bits == va_bits:
+                    if page.sw == line_sw - j * page.step and page.va_bits == va_bits:
                         self.opens += 1
                         return page.content[j * LINE_BYTES:(j + 1) * LINE_BYTES]
-                elif (len(entry) == 6 and entry[4] == marker | page.counters[j] << width | sw_int
+                elif (len(entry) == 6 and entry[4] == marker | page.counters[j] << width | line_sw
                       and entry[2] == entry[0] and entry[3] == entry[1]):
                     self.opens += 1
                     return entry[5]

@@ -269,18 +269,14 @@ class Scenario(_Record):
         return _build(cls, d, "scenario")
 
 
-def load_json(text: str, what: str):
-    """Parse the JSON text of an input file, ``what`` naming it: text that
-    is not JSON, or is nested too deeply to parse, is a :class:`ScriptError`."""
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ScriptError(f"malformed {what}: {exc}") from exc
-
-
 def load_scenarios(text: str) -> list[Scenario]:
-    """Parse a scenario file: a JSON object with a ``scenarios`` list."""
-    doc = load_json(text, "scenario file")
+    """Parse a scenario file: a JSON object with a ``scenarios`` list.  Text
+    that is not JSON, or is nested too deeply to parse, is a
+    :class:`ScriptError`."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ScriptError(f"malformed scenario file: {exc}") from exc
     try:
         items = doc["scenarios"] if isinstance(doc, dict) else doc
         return [Scenario.from_dict(item) for item in items]

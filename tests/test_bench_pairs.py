@@ -84,3 +84,65 @@ def test_count_diff_lists_only_the_counts_that_moved():
         "new.calls": {"parent": None, "change": 1},
     }
     assert bench_pairs.count_diff(parent, dict(parent)) == {}
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_abba_alternates_in_pairs_of_units(first):
+    order = bench_pairs.abba(4, first)
+    assert order == [first, 1 - first, 1 - first, first] * 2
+    assert order.count(0) == order.count(1) == 4
+    assert bench_pairs.abba(3, first) == [first, 1 - first, 1 - first, first, first, 1 - first]
+
+
+def test_a_tree_is_loaded_apart_and_swapped_in_and_out():
+    """Two loads of this checkout are two sets of module objects; entering
+    one puts its package in ``sys.modules`` and leaving it puts back what
+    the interpreter held, keeping a layer the tree loaded meanwhile."""
+    import sys
+
+    import servas_sim
+
+    root = _SCRIPT.parents[1]
+    held = sys.modules.get("servas_sim.cache")
+    trees = [bench_pairs.Tree(root) for _ in range(2)]
+    assert sys.modules["servas_sim"] is servas_sim
+    assert sys.modules.get("servas_sim.cache") is held
+    packages = [tree.modules["servas_sim"] for tree in trees]
+    assert packages[0] is not packages[1] and servas_sim not in packages
+    with trees[0]:
+        from servas_sim import cache
+
+        assert sys.modules["servas_sim"] is packages[0]
+    assert sys.modules["servas_sim"] is servas_sim
+    assert trees[0].modules["servas_sim.cache"] is cache is not held
+    assert "servas_sim.cache" not in trees[1].modules
+
+
+def test_the_in_process_mode_on_the_checkout_against_itself(tmp_path):
+    """Both sides of a short in-process run of this checkout measure every
+    operation without a failure, and the summary has the separate-process
+    shape for the two metrics one interpreter can measure."""
+    import json
+    import subprocess
+    import sys
+
+    root = _SCRIPT.parents[1]
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run(
+        [sys.executable, str(_SCRIPT), "--in-process", "--parent", str(root), "--change",
+         str(root), "--workload", "enclave_session", "builtin_suite", "--pairs", "2",
+         "--seconds", "0.2", "--seed-base", "7", "--out", str(out)],
+        capture_output=True, text=True, check=False, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert (report["mode"], report["pairs"], report["units"]) == ("in-process", 2, 12)
+    for workload in ("enclave_session", "builtin_suite"):
+        entry = report["workloads"][workload]
+        assert entry["failed"] == {"parent": 0, "change": 0}
+        assert entry["attempted"]["parent"] > 0
+        assert sorted(entry["summary"]) == ["op_ms_p50", "ops_per_s"]
+        assert [run["first"] for run in entry["runs"]] == ["parent", "change"]
+        for run in entry["runs"]:
+            for side in bench_pairs.SIDES:
+                assert run[side]["result"]["metrics"]["ops_per_s"]["value"] > 0
+        assert "traced_counts" not in entry

@@ -15,10 +15,14 @@ decode neither monitor page, build no page tweak and run no HMAC, while
 the engine still verifies and re-seals what the ledger says.
 
 No Python frame that does no modelled work on a cached line access.  With
-the tweak cache on, a hit read runs the access, its permission check, the
-line routine and the cache read; a hit write adds the engine's one-line
-write and the cache update; a miss read the engine's one-line read and the
-install of the fill.  The frames are pinned by name."""
+the tweak cache on, a hit read runs the access and the cache read: the
+access memo holds the permission verdict, and a read goes straight to the
+cache.  A hit write runs the access, the read-modify-write line routine,
+the cache read, the engine's one-line write and the cache update; a miss
+read adds the engine's one-line read and the install of the fill to a hit
+read.  A warm switch reads its monitor pages through the same cache read,
+with no line routine and no tweak object per line.  The frames are pinned
+by name."""
 
 import ast
 import enum
@@ -142,9 +146,6 @@ def test_a_warm_switch_decodes_and_derives_nothing(monkeypatch):
         "write_csr": 12}
 
 
-_ACCESS = ["access", "_check_pte", "_line_access"]
-
-
 @pytest.fixture
 def cached():
     """A machine with the tweak cache on, one user page mapped and line 0
@@ -159,19 +160,47 @@ def cached():
 _READ_ARGS = ("p", 0x1000, AccessKind.READ, PRV_U, None, 8)
 
 
-def test_a_cached_hit_read_runs_four_python_frames(cached):
-    assert python_frames(cached.access, *_READ_ARGS) == [*_ACCESS, "read"]
+def test_a_cached_hit_read_runs_two_python_frames(cached):
+    assert python_frames(cached.access, *_READ_ARGS) == ["access", "read"]
     assert cached.cache.hits == 2
 
 
-def test_a_cached_hit_write_runs_six_python_frames(cached):
+def test_a_cached_hit_write_runs_five_python_frames(cached):
     assert python_frames(cached.access, "p", 0x1000, AccessKind.WRITE, PRV_U,
-                         b"12345678") == [*_ACCESS, "read", "write", "update"]
+                         b"12345678") == ["access", "_line_access", "read", "write", "update"]
     assert cached.access(*_READ_ARGS) == b"12345678"
 
 
-def test_a_cache_miss_read_runs_six_python_frames(cached):
+def test_a_cache_miss_read_runs_four_python_frames(cached):
     """The engine's memo serves the fill: no AEAD call, no helper frame."""
     cached.cache.invalidate(0x10 * 64)
-    assert python_frames(cached.access, *_READ_ARGS) == [*_ACCESS, "read", "read", "_install"]
+    assert python_frames(cached.access, *_READ_ARGS) == ["access", "read", "read", "_install"]
     assert cached.cache.misses == 2
+
+
+def test_a_warm_cached_switch_steps_the_packed_tweak():
+    """With the tweak cache on, a warm ``eenter`` and the ``eexit`` after
+    it read their monitor pages through the cache's read line by line,
+    under the packed tweak stepped per line: no line routine frame and no
+    tweak object built per line.  With the cache emptied before each call,
+    every line is a miss the engine reads on its own, and the engine's
+    writes, seals and opens are the ledger's."""
+    m = Machine(seed=0, cache_cfg=CacheCfg(512, 4))
+    sm = monitor.SecurityMonitor(m)
+    handle = spawn_enclave(m, sm)
+    sm.eenter(handle)
+    sm.eexit()
+    calls = {"read": 0, "write": 0}
+    m.mee.read = _counted(calls, "read", m.mee.read)
+    m.mee.write = _counted(calls, "write", m.mee.write)
+    m.pc = 0  # the host enters from one call site, so its saved context repeats
+    frames, ledger = [], {}
+    for name, call in (("eenter", lambda: sm.eenter(handle)), ("eexit", sm.eexit)):
+        m.cache.invalidate_all()
+        start = calls["read"], calls["write"], m.mee.seals, m.mee.opens
+        frames += python_frames(call)
+        ledger[name] = tuple(b - a for a, b in zip(
+            start, (calls["read"], calls["write"], m.mee.seals, m.mee.opens)))
+    assert "_line_access" not in frames and "from_int" not in frames
+    assert frames.count("_install") == 128 + 64
+    assert ledger == {name: (LEDGER[name][3], *LEDGER[name][1:]) for name in ("eenter", "eexit")}

@@ -283,6 +283,25 @@ def test_a_memo_or_record_served_one_line_read_runs_one_python_frame(mee):
     assert mee.read(_P + 5, line_sw) == PAGE_CONTENT[5 * LINE_BYTES:6 * LINE_BYTES]
 
 
+def test_a_single_line_of_a_page_is_a_one_line_read(mee):
+    """Line ``i`` of a page read as ``lines`` of ``(i,)`` from the page's
+    first line, the tweak cache's fill of a monitor page line, takes the
+    one-line path: served by the record, or by the line's memo once it
+    has its own entry, in one Python frame, as the stepped one-line read."""
+    mee.write(_P, PAGE_CONTENT, _P_SW, range(64))
+    line_sw = SwTweak.from_int(_P_INT + (5 << VOFFSET_SHIFT))
+    assert mee.read(_P, _P_SW, (5,)) == mee.read(_P + 5, line_sw) == \
+        PAGE_CONTENT[5 * LINE_BYTES:6 * LINE_BYTES]
+    assert python_frames(mee.read, _P, _P_SW, (5,)) == ["read"]
+    mee.write(_P + 5, bytes(LINE_BYTES), line_sw)  # line 5 gets its own entry
+    assert python_frames(mee.read, _P, _P_SW, (5,)) == ["read"]
+    assert mee.read(_P, _P_SW, (5,)) == bytes(LINE_BYTES)
+    assert mee.opens == 5
+    with pytest.raises(AuthenticationError) as info:
+        mee.read(_P, SwTweak.from_int(_P_INT ^ 1), (6,))
+    assert info.value.line_index == _P + 6
+
+
 def test_a_one_line_write_runs_one_python_frame(mee):
     """A one-line write to a page the engine holds, as its own entry or
     into its record in place, runs ``write`` and no other Python function."""

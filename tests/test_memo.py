@@ -199,6 +199,62 @@ def test_memo_recomposes_for_a_second_enclave(monkeypatch):
     assert len(calls) == 1
 
 
+# --- the permission verdict a memo entry holds ----------------------------------------
+
+
+def _untouched(m):
+    """What a refused access must leave as it was: the engine's lines,
+    bytes and counts, and the cache's contents and counters."""
+    raw = {line: m.mee.snapshot_line(line) for line in m.mee.written_lines()}
+    return (m.mee.written_lines(), raw, m.mee.seals, m.mee.opens, m.rng.getstate(),
+            m.cache.hits, m.cache.misses, m.cache.tweak_mismatches,
+            [list(ways.items()) for ways in m.cache.sets])
+
+
+def test_a_memoized_read_only_line_refuses_a_write():
+    """A read memoizes a line of a read-only user page; a later write to
+    it, a memo hit, raises the miss's ``PageFault`` with no engine write and
+    no cache change."""
+    m = Machine(seed=3, cache_cfg=CacheCfg(16, 2))
+    m.map_page(PRV_S, "p", 0x1000, 0x10, "ru")
+    assert m.access("p", 0x1008, READ, PRV_U, size=4) == bytes(4)
+    assert ("p", 0x1000, PRV_U) in m._memo
+    before = _untouched(m)
+    with pytest.raises(PageFault, match="write permission missing") as info:
+        m.access("p", 0x1008, WRITE, PRV_U, data=b"evil")
+    assert (info.value.va, info.value.prv) == (0x1008, PRV_U)
+    assert _untouched(m) == before
+    assert m.access("p", 0x1008, READ, PRV_U, size=4) == bytes(4)
+
+
+def test_a_memoized_line_without_x_refuses_a_fetch():
+    m = Machine(seed=3, cache_cfg=CacheCfg(16, 2))
+    m.map_page(PRV_S, "p", 0x1000, 0x10, "rwu")
+    m.access("p", 0x1010, WRITE, PRV_U, data=b"code")
+    before = _untouched(m)
+    with pytest.raises(PageFault, match="fetch permission missing"):
+        m.access("p", 0x1010, FETCH, PRV_U, size=4)
+    assert _untouched(m) == before
+    assert m.access("p", 0x1010, READ, PRV_U, size=4) == b"code"
+
+
+def test_a_supervisor_page_memoized_at_s_faults_a_user_access():
+    """The verdict belongs to the entry's privilege: a supervisor page
+    memoized by an S access still refuses every U access."""
+    m = Machine(seed=3, cache_cfg=CacheCfg(16, 2))
+    m.map_page(PRV_S, "p", 0x1000, 0x10, "rwx")
+    m.access("p", 0x1000, WRITE, PRV_S, data=b"kernel")
+    assert m.access("p", 0x1000, READ, PRV_S, size=6) == b"kernel"
+    before = _untouched(m)
+    for kind in (READ, WRITE, FETCH):
+        with pytest.raises(PageFault, match="user access to a supervisor page"):
+            m.access("p", 0x1000, kind, PRV_U, data=b"u" if kind is WRITE else None)
+        with pytest.raises(PageFault, match="user access to a supervisor page"):
+            m.access("p", 0x1000, kind, PRV_U, data=b"u" if kind is WRITE else None)
+    assert _untouched(m) == before
+    assert ("p", 0x1000, PRV_U) not in m._memo
+
+
 # --- equivalence fuzz ---------------------------------------------------------------
 
 SPACES = ["host", "host", "os"]  # "os" starts with nothing mapped

@@ -1229,6 +1229,50 @@ def test_every_monitor_line_is_reverified(enclave, ppn):
         sm.eexit()
 
 
+def _trap_after_a_flip(cache_cfg, ppn: int, line: int, while_running: bool):
+    """The standard world at seed 7, warmed by one entry and exit (the
+    monitor keeps both pages' records; with the cache on, their lines are
+    cached), then line ``line`` of monitor page ``ppn`` flipped in DRAM
+    between two calls: between the exit and the next entry, or, with
+    ``while_running``, between that entry and its exit.  Returns the AUTH
+    trap's (line, va, tweak) of the call after the flip."""
+    m = Machine(seed=7, cache_cfg=cache_cfg)
+    sm = SecurityMonitor(m)
+    handle = spawn_enclave(m, sm)
+    m.prv = PRV_U
+    sm.eenter(handle)
+    sm.eexit()
+    target = ppn * LINES_PER_PAGE + line
+    if cache_cfg == CacheCfg(512, 4):  # the flip must pass a cached copy
+        assert any(target in ways for ways in m.cache.sets)
+    if while_running:
+        sm.eenter(handle)
+    m.phys_flip_bit(target, 77)
+    with pytest.raises(AuthenticationException) as info:
+        sm.eexit() if while_running else sm.eenter(handle)
+    return info.value.line_index, info.value.va, info.value.sw.to_int()
+
+
+@pytest.mark.parametrize("ppn, line, while_running", [
+    (0x200, 1, False), (0x200, 37, False), (0x201, 5, False), (0x201, 63, False),
+    (0x200, 1, True), (0x200, 63, True)],
+    ids=["metadata-1", "metadata-37", "thread-5", "thread-63",
+         "metadata-1-running", "metadata-63-running"])
+def test_a_monitor_line_flipped_between_two_calls_is_an_auth_trap(ppn, line, while_running):
+    """Neither the monitor's kept page record nor a cached copy of the line
+    vouches for a monitor line flipped in DRAM between two calls: the next
+    call that reads the page fails authentication on that line, at its
+    address, under the page's tweak stepped to it, with the cache off, on
+    (512 x 4) and evicting (8 x 2) alike."""
+    traps = {cfg: _trap_after_a_flip(cfg, ppn, line, while_running)
+             for cfg in (None, CacheCfg(512, 4), CacheCfg(8, 2))}
+    off = traps[None]
+    assert off[:2] == (ppn * LINES_PER_PAGE + line, ppn * PAGE_BYTES + line * 64)
+    assert traps == dict.fromkeys(traps, off)
+    first_line = _trap_after_a_flip(None, ppn, 0, while_running)[2]
+    assert off[2] == first_line + (line << VOFFSET_SHIFT)
+
+
 def test_a_tampered_thread_page_stops_the_next_call_that_reads_it(enclave):
     """``eexit`` reads only the metadata page, so a thread-page line flipped
     while the enclave runs does not keep the host out: the exit completes

@@ -109,6 +109,37 @@ def test_the_package_and_the_analytics_commands_load_no_machine_layer():
     assert out["loaded"] == []
 
 
+_PACK_CHILD = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+
+from servas_sim import cli
+err = io.StringIO()
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+    good, bad = Path(tmp) / "m.json", Path(tmp) / "bad.json"
+    good.write_text(json.dumps({"entry_offset": 0, "pages": [
+        {"index": 0, "perms": "rx", "type": "shenclave", "fill": "1300000093080000"},
+        {"index": 1, "perms": "rw", "type": "regular"}]}))
+    bad.write_text("{")
+    codes = [cli.main(["image", "pack", "--manifest", str(good),
+                       "--out", str(Path(tmp) / "a.img")]),
+             cli.main(["image", "pack", "--manifest", str(bad),
+                       "--out", str(Path(tmp) / "b.img")])]
+print(json.dumps({"codes": codes, "err": err.getvalue(),
+                  "loaded": [m for m in ("servas_sim.scenarios", "servas_sim.monitor")
+                             if m in sys.modules]}))
+"""
+
+
+def test_image_pack_loads_neither_the_scenario_layer_nor_the_monitor():
+    """``image pack`` reads its manifest with no scenario layer, and a
+    malformed manifest exits 2 with the ``malformed manifest`` text."""
+    out = _run_child(_PACK_CHILD)
+    assert out["codes"] == [0, 2]
+    assert out["err"].startswith("error: malformed manifest: ")
+    assert out["loaded"] == []
+
+
 def test_the_package_exports_are_the_submodules_own_objects():
     defined_in = {"AccessKind": machine, "Machine": machine, "AuthenticationError": mee,
                   "Mee": mee, "SecurityMonitor": monitor, "PageType": tweak, "SwTweak": tweak,
