@@ -30,11 +30,15 @@ their usual names and swapped into ``sys.modules`` while that checkout
 runs (perfbench's workloads import ``servas_sim`` inside their functions,
 so the swap reaches them).  Pair ``i`` builds each side's workload at
 seed K+i, then runs ``UNITS`` timed units of S / ``UNITS`` seconds per
-side (the workload's ``measure``, untraced and unscaled) in ABBA order --
-the parent first in even pairs, the change in odd ones.  A side's ``ops_per_s`` and ``op_ms_p50`` are
-the medians over its units' intervals, as ``perfbench/run.py`` computes
-them; the summary has the same shape.  Host drift that lasts longer than
-a unit hits both sides alike, which separate processes cannot promise.
+side (the workload's ``measure``, untraced, each unit timed by a fresh
+``ScaledClock`` of the side's own ``hostspeed``) in ABBA order -- the
+parent first in even pairs, the change in odd ones.  A side's
+``ops_per_s`` and ``op_ms_p50`` are the medians over its units' intervals
+scaled to nominal host speed, as ``perfbench/run.py`` computes them, with
+the unscaled figures beside them under ``raw_wall_clock``; the summary has
+the same shape and reads the scaled ones.  Host drift that lasts longer
+than a unit hits both sides alike, which separate processes cannot
+promise, and scaling keeps drift between pairs out of the parent's spread.
 ``setup_s`` and ``peak_rss_mb`` are properties of a fresh process, and the
 traced counts need the tracer's own process, so both stay with the
 separate-process mode.
@@ -188,19 +192,21 @@ def in_process_pair(trees: list[Tree], workload: str, seed: int, unit_seconds: f
     for side in abba(UNITS, first):
         wl, state, total = built[side]
         with trees[side]:
-            out = wl.measure(state, seed, unit_seconds, None)
+            out = wl.measure(state, seed, unit_seconds, trees[side].run.hostspeed.ScaledClock())
         total.intervals += out.intervals
         total.add(out.attempted, out.errors, failed=out.failed)
     pair = {"seed": seed, "first": SIDES[first]}
     for side, tree, (wl, _, total) in zip(SIDES, trees, built):
         if not total.intervals:
             sys.exit(f"error: {workload} at seed {seed} completed no interval in {tree.root}")
-        figures = tree.run.end_to_end(wl, total.intervals, scaled=False)
+        scaled, raw = (tree.run.end_to_end(wl, total.intervals, scaled=flag)
+                       for flag in (True, False))
         pair[side] = {"result": {
             "attempted": total.attempted, "failed": total.failed,
             "intervals": len(total.intervals), "errors": total.errors,
-            "metrics": {name: {"value": figures[name], "unit": unit}
-                        for name, unit in tree.run.END_TO_END if name in IN_PROCESS_METRICS}}}
+            "metrics": {name: {"value": scaled[name], "unit": unit}
+                        for name, unit in tree.run.END_TO_END if name in IN_PROCESS_METRICS},
+            "raw_wall_clock": {name: raw[name] for name in IN_PROCESS_METRICS}}}
     return pair
 
 

@@ -21,7 +21,8 @@ access).  So a hit checks the kind against the verdict, with no call; a
 refused kind runs the permission check, which raises the fault a miss
 raises.  The memo holds for the page tables and the nine CSR values it was
 composed under.  A page-table edit (:meth:`Machine.map_page`,
-:meth:`Machine.unmap_page`) clears it.  A CSR write (:meth:`Machine.write_csr`, the CSR file's only writer) only
+:meth:`Machine.unmap_page`) clears it.  A CSR write (:meth:`Machine.write_csrs`,
+the CSR file's only writer, or :meth:`Machine.write_csr` for one) only
 marks the values for a check: the next access compares them with the
 recorded ones and clears the memo if any differs.  So a monitor round trip
 that ends where it began -- ``eexit`` then ``eenter``, an interrupt and its
@@ -205,10 +206,10 @@ class CsrFile:
     def __post_init__(self) -> None:
         self._map_sids()
 
-    def write(self, name: str, value) -> None:
-        setattr(self, name, value)
-        if "sid" in name:
-            self._map_sids()
+    def write(self, values: dict) -> None:
+        for name, value in values.items():
+            setattr(self, name, value)
+        self._map_sids()
 
     def _map_sids(self) -> None:
         self.sid_regs = {
@@ -328,18 +329,27 @@ class Machine:
     # --- CSRs ---------------------------------------------------------------
 
     def write_csr(self, prv: int, name: str, value) -> None:
-        _csr_gate(prv, name)
-        if name.endswith("range"):
-            if isinstance(value, (tuple, list)):
-                if len(value) != 3:
-                    raise ValueError(f"CSR {name} takes (base, size, enabled), got {value!r}")
-                value = RangeReg(*value)
-            if not isinstance(value, RangeReg):
-                raise ValueError(f"CSR {name} takes a range, got {value!r}")
-            value.validate(self.va_bits)
-        elif not isinstance(value, int) or not 0 <= value < (1 << 64):
-            raise ValueError(f"sid registers are 64-bit integers, got {value!r}")
-        self.csr.write(name, value)
+        self.write_csrs(prv, {name: value})
+
+    def write_csrs(self, prv: int, values: dict) -> None:
+        """Write CSRs as one bank, name to value: every name and value is
+        checked before the first is written, so a refused one writes none.
+        :meth:`SecurityMonitor._switch` writes its six this way."""
+        checked = {}
+        for name, value in values.items():
+            _csr_gate(prv, name)
+            if name.endswith("range"):
+                if isinstance(value, (tuple, list)):
+                    if len(value) != 3:
+                        raise ValueError(f"CSR {name} takes (base, size, enabled), got {value!r}")
+                    value = RangeReg(*value)
+                if not isinstance(value, RangeReg):
+                    raise ValueError(f"CSR {name} takes a range, got {value!r}")
+                value.validate(self.va_bits)
+            elif not isinstance(value, int) or not 0 <= value < (1 << 64):
+                raise ValueError(f"sid registers are 64-bit integers, got {value!r}")
+            checked[name] = value
+        self.csr.write(checked)
         self._csrs_written = True
 
     def read_csr(self, prv: int, name: str):

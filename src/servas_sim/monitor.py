@@ -532,10 +532,8 @@ class SecurityMonitor:
         enclave and the privilege.  A call reaches it only after every
         store it makes, so a call that raises leaves the hart as it was."""
         m = self.machine
-        for name, value in (("mrange", mrange), ("msid0", msid0), ("msid1", msid1),
-                            ("urange", user.urange), ("usid0", user.usid0),
-                            ("usid1", user.usid1)):
-            m.write_csr(PRV_M, name, value)
+        m.write_csrs(PRV_M, {"mrange": mrange, "msid0": msid0, "msid1": msid1,
+                             "urange": user.urange, "usid0": user.usid0, "usid1": user.usid1})
         m.pc = user.pc
         m.regs = list(_NO_REGS if user.regs is None else user.regs)
         m.active_enclave = active

@@ -42,6 +42,12 @@ action and the argument.  Three spellings convert a value:
 An enum argument (``kind``, ``page_type``) takes a member name in any case,
 and an object whose keys are integers (register numbers, region page
 indices) takes them as JSON text.
+
+A step is bound on its first run, inside the error handling of the run,
+and the binding is kept on the :class:`Step` (an ``image`` manifest is
+built into its image then), so a scenario run again at any seed binds
+nothing; a step with an ``X_var`` key is bound on every run, as saved
+values are per run.  A binding that raises is not kept.
 """
 
 from __future__ import annotations
@@ -246,6 +252,24 @@ class Step(_Record):
     expect_trap: str | None = None
     save_as: str | None = None
 
+    @functools.cached_property
+    def bound(self) -> dict | None:
+        """The action's arguments, bound on the step's first run and kept,
+        or None for a step with an ``X_var`` key, bound on every run.  A
+        binding that raises is not kept."""
+        if type(self.args) is dict and any(key.endswith("_var") for key in self.args):
+            return None
+        return self.bind({})
+
+    def bind(self, variables: dict) -> dict:
+        """The action's arguments (see the module docstring), with a manifest
+        given for ``spawn_enclave``'s or ``build_image``'s ``image`` built
+        into its image."""
+        kwargs = _bind(ACTIONS[self.action], self.args, self.action, variables)
+        if type(kwargs.get("image")) is dict:
+            kwargs["image"] = image_from_manifest(kwargs["image"])
+        return kwargs
+
 
 @dataclass(frozen=True)
 class Scenario(_Record):
@@ -404,20 +428,21 @@ class ScenarioRunner:
 
     def _act_write_csr(self, actor: Actor, /, *, name: str, value: int | list):
         if isinstance(value, list):
+            if len(value) != 3:
+                raise ScriptError(f"write_csr value must be an integer or [base, size, enabled], "
+                                  f"got {value!r:.80}")
             base, size, enabled = value
             value = RangeReg(base, size, bool(enabled))
         self.machine.write_csr(actor.prv, name, value)
 
     def _act_build_image(self, actor: Actor, /, *, image: dict):
-        return image_from_manifest(image)
+        return image  # built from its manifest at binding (Step.bind)
 
     def _act_spawn_enclave(self, actor: Actor, /, *, image: dict | EnclaveImage, base: int,
                            ppn_start: int, meta_ppn: int, thread_ppn: int,
                            stack_pages: int = 1,
                            page_ppn_overrides: dict[int, int] | None = None,
                            space: str | None = None):
-        if isinstance(image, dict):
-            image = image_from_manifest(image)
         return spawn_enclave(self.sm, image, space or actor.space, base, ppn_start,
                              stack_pages, meta_ppn, thread_ppn, page_ppn_overrides)
 
@@ -493,10 +518,10 @@ class ScenarioRunner:
         handler = ACTIONS.get(step.action)
         if handler is None:
             raise ScriptError(f"unknown action {step.action!r}")
-        kwargs = _bind(handler, step.args, step.action, self.vars)
         try:
-            return handler(self, actor, **kwargs)
-        except ValueError as exc:  # an out-of-range value the machine or monitor refused
+            kwargs = step.bound
+            return handler(self, actor, **(step.bind(self.vars) if kwargs is None else kwargs))
+        except ValueError as exc:  # a value the manifest, machine or monitor refused
             raise ScriptError(f"bad args for {step.action}: {exc}") from exc
 
     def run(self) -> Verdict:

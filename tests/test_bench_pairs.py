@@ -121,7 +121,8 @@ def test_a_tree_is_loaded_apart_and_swapped_in_and_out():
 def test_the_in_process_mode_on_the_checkout_against_itself(tmp_path):
     """Both sides of a short in-process run of this checkout measure every
     operation without a failure, and the summary has the separate-process
-    shape for the two metrics one interpreter can measure."""
+    shape for the two metrics one interpreter can measure: host-scaled, as
+    the summary reads them, with the unscaled figures beside them."""
     import json
     import subprocess
     import sys
@@ -144,5 +145,13 @@ def test_the_in_process_mode_on_the_checkout_against_itself(tmp_path):
         assert [run["first"] for run in entry["runs"]] == ["parent", "change"]
         for run in entry["runs"]:
             for side in bench_pairs.SIDES:
-                assert run[side]["result"]["metrics"]["ops_per_s"]["value"] > 0
+                result = run[side]["result"]
+                scaled = {name: m["value"] for name, m in result["metrics"].items()}
+                raw = result["raw_wall_clock"]
+                assert sorted(scaled) == sorted(raw) == ["op_ms_p50", "ops_per_s"]
+                assert all(value > 0 for value in (*scaled.values(), *raw.values()))
+                assert scaled != raw  # each interval is rescaled by its own probes
+            assert entry["summary"]["ops_per_s"]["parent"]["runs"] == [
+                run["parent"]["result"]["metrics"]["ops_per_s"]["value"]
+                for run in entry["runs"]]
         assert "traced_counts" not in entry

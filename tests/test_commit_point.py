@@ -130,7 +130,7 @@ def _flat(targets):
 
 def hart_writes(source: str) -> list[str]:
     """Each place in ``source`` outside ``_switch`` that changes the hart:
-    a ``write_csr`` or ``set_reg`` call, or an assignment to the machine's
+    a ``write_csr``, ``write_csrs`` or ``set_reg`` call, or an assignment to the machine's
     ``regs`` (or one of them), ``pc``, ``active_enclave`` or ``prv``, bar
     ``_monitor_call``'s save and restore of ``prv``."""
     found = []
@@ -140,7 +140,7 @@ def hart_writes(source: str) -> list[str]:
         machine = _machine_exprs(fn)
         for node in ast.walk(fn):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("write_csr", "set_reg")):
+                    and node.func.attr in ("write_csr", "write_csrs", "set_reg")):
                 found.append(f"{fn.name}: {ast.unparse(node)}")
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
@@ -164,6 +164,7 @@ class UserCtx:
 def eenter(self, regs):
     m = self.machine
     m.write_csr(0, "mrange", None)
+    m.write_csrs(0, {"msid0": 0})
     m.regs[5] = 1
     self.machine.prv, done = 0, True
     m.set_reg(5, 1)
@@ -180,7 +181,7 @@ def _store(self, thread):
     thread.saved.regs = None
 '''
     assert sorted(line.split(":")[0] for line in hart_writes(source)) == [
-        "_monitor_call", "eenter", "eenter", "eenter", "eenter", "restore"]
+        "_monitor_call", "eenter", "eenter", "eenter", "eenter", "eenter", "restore"]
 
 
 def test_only_the_commit_point_changes_the_hart():

@@ -116,14 +116,15 @@ def test_a_warm_switch_decodes_and_derives_nothing(monkeypatch):
     the host's one call site and the eexit after it call neither page
     decoder, the page-tweak builder nor the key derivation, and cost the
     engine exactly the ledger's rows.  Each switch writes the six CSRs the
-    monitor owns once: twelve ``Machine.write_csr`` calls a pair."""
+    monitor owns as one bank: one ``Machine.write_csrs`` call, and no
+    ``Machine.write_csr`` call, a switch."""
     m = Machine(seed=0)
     sm = monitor.SecurityMonitor(m)
     handle = spawn_enclave(m, sm)
     sm.eenter(handle)
     sm.eexit()
     calls = {"read": 0, "write": 0, "EnclaveMeta.unpack": 0, "ThreadMeta.unpack": 0,
-             "kdf": 0, "_monitor_page_tweak": 0, "write_csr": 0}
+             "kdf": 0, "_monitor_page_tweak": 0, "write_csr": 0, "write_csrs": 0}
     m.mee.read = _counted(calls, "read", m.mee.read)
     m.mee.write = _counted(calls, "write", m.mee.write)
     for cls in (monitor.EnclaveMeta, monitor.ThreadMeta):
@@ -131,6 +132,7 @@ def test_a_warm_switch_decodes_and_derives_nothing(monkeypatch):
                             _counted(calls, f"{cls.__name__}.unpack", cls.unpack))
     monkeypatch.setattr(monitor, "kdf", _counted(calls, "kdf", monitor.kdf))
     monkeypatch.setattr(m, "write_csr", _counted(calls, "write_csr", m.write_csr))
+    monkeypatch.setattr(m, "write_csrs", _counted(calls, "write_csrs", m.write_csrs))
     monkeypatch.setattr(sm, "_monitor_page_tweak",
                         _counted(calls, "_monitor_page_tweak", sm._monitor_page_tweak))
     ledger = {}
@@ -143,7 +145,7 @@ def test_a_warm_switch_decodes_and_derives_nothing(monkeypatch):
     assert ledger == {"eenter": LEDGER["eenter"], "eexit": LEDGER["eexit"]}
     assert {name: n for name, n in calls.items() if name not in ("read", "write")} == {
         "EnclaveMeta.unpack": 0, "ThreadMeta.unpack": 0, "kdf": 0, "_monitor_page_tweak": 0,
-        "write_csr": 12}
+        "write_csr": 0, "write_csrs": 2}
 
 
 @pytest.fixture

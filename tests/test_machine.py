@@ -19,6 +19,8 @@ from servas_sim.tweak import (
     PRV_S,
     PRV_U,
     RangeReg,
+    XR_M,
+    XR_U,
     SwTweak,
     pack_pte_bits,
 )
@@ -225,6 +227,29 @@ def test_csr_range_tuple_of_the_wrong_length_rejected(m, value):
     with pytest.raises(ValueError, match=r"takes \(base, size, enabled\)"):
         m.write_csr(PRV_M, "urange", value)
     assert m.read_csr(PRV_M, "urange") == RangeReg()
+
+
+_BANK = {"mrange": RangeReg(0x4000, 0x1000, True), "msid0": 7, "msid1": 8,
+         "urange": RangeReg(0x1000, 0x1000, True), "usid0": 9, "usid1": 10}
+
+
+@pytest.mark.parametrize("prv, bad", [
+    (PRV_M, {"usid1": -1}), (PRV_M, {"urange": RangeReg(0x1008, 0x1000, True)}),
+    (PRV_M, {"tsid0": 1}), (PRV_S, {}),
+], ids=["bad-sid", "misaligned-range", "unknown-csr", "below-m"])
+def test_a_csr_bank_write_is_all_or_nothing(m, prv, bad):
+    """A bank write checks every name and value before it writes the first:
+    one refused value (or a privilege too low for one CSR) writes none of
+    them and leaves the access memo unflagged; the good bank then writes
+    all six and maps the sids once."""
+    before = {name: m.read_csr(PRV_M, name) for name in _BANK}
+    with pytest.raises((ValueError, PrivilegeTrap)):
+        m.write_csrs(prv, {**_BANK, **bad})
+    assert {name: m.read_csr(PRV_M, name) for name in _BANK} == before
+    assert not m._csrs_written
+    m.write_csrs(PRV_M, _BANK)
+    assert {name: m.read_csr(PRV_M, name) for name in _BANK} == _BANK
+    assert (m.csr.sid_regs[XR_M], m.csr.sid_regs[XR_U]) == ((7, 8), (9, 10))
 
 
 def test_cpu_key_not_readable_below_m(m):

@@ -326,6 +326,57 @@ def test_builtin_pass_engine_op_counts(seed):
     assert (seals, opens) == (6552, 4707)
 
 
+def _run_state(scenario: Scenario, seed: int):
+    """A run's verdict, the engine's written lines with their counters and a
+    SHA-256 over every written line's ciphertext and tag."""
+    runner = ScenarioRunner(scenario, seed=seed)
+    verdict = runner.run()
+    mee = runner.machine.mee
+    lines = mee.written_lines()
+    digest = hashlib.sha256(b"".join(b"".join(mee.snapshot_line(line)) for line in lines))
+    return verdict, lines, digest.hexdigest()
+
+
+def test_a_rerun_equals_a_run_of_a_fresh_copy():
+    """Every builtin scenario run twice at seeds 0 and 1 on the same objects,
+    whose steps keep their bindings from the first run, gives the verdict,
+    written lines and ciphertext of a run of a freshly built copy; and no
+    run changes a step, so no handler mutates an argument it was given."""
+    suite = builtin_suite()
+    steps = [[step.to_dict() for step in scenario.steps] for scenario in suite]
+    for seed in (0, 1):
+        for scenario, fresh in zip(suite, builtin_suite()):
+            want = _run_state(fresh, seed)
+            assert want[0] == scenario.expected
+            for _ in range(2):
+                assert _run_state(scenario, seed) == want, f"{scenario.name} at seed {seed}"
+    assert [[step.to_dict() for step in scenario.steps] for scenario in suite] == steps
+
+
+def test_a_rerun_binds_only_the_steps_that_read_a_saved_value(monkeypatch):
+    """Once a builtin pass has run, a second pass on the same objects binds
+    only the 28 steps with an ``X_var`` key and builds no image."""
+    suite = builtin_suite()
+    for scenario in suite:
+        run_scenario(scenario)
+    calls = {"bind": 0, "image": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scenarios, "_bind", counted("bind", scenarios._bind))
+    monkeypatch.setattr(scenarios, "image_from_manifest",
+                        counted("image", scenarios.image_from_manifest))
+    for scenario in suite:
+        assert run_scenario(scenario, seed=1) == scenario.expected
+    with_var = sum(any(key.endswith("_var") for key in step.args)
+                   for scenario in suite for step in scenario.steps)
+    assert calls == {"bind": with_var, "image": 0} and with_var == 28
+
+
 def test_builtin_pass_builds_few_per_line_entries():
     """Of the 6,552 lines one builtin pass at seed 0 writes, the engine
     builds a per-line entry for 76: the lines written one at a time and
@@ -485,9 +536,11 @@ def _os_map_then_write(**map_args):
     _in_a("emod", va=_A_DATA, old={**_CTX_RW, "rsw": 7}, new=_CTX_RW),
     _in_a("emod", va=_A_DATA, old=_CTX_RW, new={**_CTX_RW, "rsw": 4}),
     _in_a("eprepare", va=_A_BASE + 2 * PAGE_BYTES, **_CTX_RW, rsw=1),
+    [{"actor": "os", "action": "access", "args": {"va": 0x1000, "data": "\ud800"}}],
 ], ids=["bit-past-line", "negative-bit", "bit-past-tag", "unknown-target", "negative-line",
         "restore-non-snapshot", "bad-perm-letter", "short-range-list", "rsw-past-2-bits", "negative-ppn",
-        "ppn-past-physical-memory", "emod-old-rsw", "emod-new-rsw", "eprepare-rsw"])
+        "ppn-past-physical-memory", "emod-old-rsw", "emod-new-rsw", "eprepare-rsw",
+        "text-without-utf8-bytes"])
 def test_malformed_step_is_script_error(steps):
     """Each step is a script error (an ``rsw`` is the OS's mapping choice,
     no argument of a page context), whoever runs it."""
@@ -541,14 +594,39 @@ def test_never_written_page_snapshots_as_zero_and_restores_to_auth():
      "access data_hex must be hex text"),
     ([{"actor": "os", "action": "eenter", "args": {"args": {"x": 1}}}],
      "eenter args must be an object"),
+    ([{"actor": "os", "action": "write_csr", "args": {"name": "srange", "value": [0x1000]}}],
+     "write_csr value must be an integer or [base, size, enabled], got [4096]"),
 ], ids=["unknown-key", "va-true", "float-ppn", "float-size", "text-temp-ppn", "given-twice",
-        "literal-snapshot", "var-of-another-type", "bad-hex", "non-integer-register-key"])
+        "literal-snapshot", "var-of-another-type", "bad-hex", "non-integer-register-key",
+        "short-range-list"])
 def test_a_bad_argument_is_named_at_its_own_step(steps, named):
     """Each bad value is a script error that names its action and argument,
     raised by the step that holds it (a float ppn by the map_page, not the
-    access that would use the mapping)."""
-    with pytest.raises(ScriptError, match=re.escape(named)):
-        run_scenario(_after_spawn(*steps))
+    access that would use the mapping), and again by that step, with the
+    same message, when the same scenario object runs a second time."""
+    first, second = _script_errors_of_two_runs(_after_spawn(*steps))
+    assert first == second
+    step, message = first
+    assert named in message
+    assert step.action == named.split()[0].rstrip(":")
+
+
+def _script_errors_of_two_runs(scenario: Scenario) -> list[tuple]:
+    """The step that raised and the message of the script error each of two
+    runs of one ``scenario`` object ends in."""
+    out = []
+    for _ in range(2):
+        runner, ran = ScenarioRunner(scenario), []
+
+        def recorded(step, run_step=runner._exec):
+            ran.append(step)
+            return run_step(step)
+
+        runner._exec = recorded
+        with pytest.raises(ScriptError) as info:
+            runner.run()
+        out.append((ran[-1], str(info.value)))
+    return out
 
 
 def test_text_and_hex_spell_bytes_and_var_spells_a_saved_value():
@@ -606,8 +684,9 @@ def test_a_mistyped_manifest_field_is_named(edit, named):
     build = {"actor": "host", "action": "build_image", "args": {"image": image}}
     for step in (build, {**_SPAWN, "args": {**_SPAWN["args"], "image": image}}):
         scenario = Scenario.from_dict({**_after_spawn().to_dict(), "steps": [step]})
-        with pytest.raises(ScriptError, match=named):
-            run_scenario(scenario)
+        first, second = _script_errors_of_two_runs(scenario)
+        assert first == second and first[0] is scenario.steps[0]
+        assert named in first[1]
 
 
 def test_a_page_index_the_image_cannot_hold_is_an_invalid_image_verdict():
